@@ -104,15 +104,11 @@ class AsalqaResult:
         }
 
 
-def _plans_with_paths(plan: LogicalNode):
+def _plans_with_paths(plan: LogicalNode, path: tuple = ()):
     """Yield (node, path) pairs; paths are child-index tuples from the root."""
-
-    def walk(node: LogicalNode, path: tuple):
-        yield node, path
-        for index, child in enumerate(node.children):
-            yield from walk(child, path + (index,))
-
-    yield from walk(plan, ())
+    yield plan, path
+    for index, child in enumerate(plan.children):
+        yield from _plans_with_paths(child, path + (index,))
 
 
 def _sampler_paths(subtree: LogicalNode) -> List[tuple]:

@@ -233,6 +233,56 @@ def choose_physical(
     return SamplerDecision(state, PassThroughSpec(), support, c1, c2, "stratification unmet under universe")
 
 
+def _tentative_decisions(
+    node: LogicalNode,
+    path: tuple,
+    deriver: StatsDeriver,
+    options: CostingOptions,
+    tracer,
+    samplers: List[Tuple[SamplerNode, SamplerDecision]],
+) -> None:
+    """Post-order: append one tentative decision per logical sampler."""
+    for index, child in enumerate(node.children):
+        _tentative_decisions(child, path + (index,), deriver, options, tracer, samplers)
+    if isinstance(node, SamplerNode) and isinstance(node.spec, SamplerState):
+        seed = options.seed * 1_000_003 + len(samplers) + 1
+        decision = choose_physical(node.spec, deriver.stats_for(node.child), options, seed)
+        if tracer is not None:
+            span = tracer.begin(
+                "asalqa.decision",
+                address=format_address(path),
+                kind=decision.spec.kind,
+                c1=decision.c1,
+                c2=decision.c2,
+                support=round(decision.support, 2),
+                reason=decision.reason,
+            )
+            tracer.end(span)
+        samplers.append((node, decision))
+
+
+def _has_live_sampler_below(node: LogicalNode, by_key: Dict[int, SamplerDecision]) -> bool:
+    for child in node.children:
+        if isinstance(child, SamplerNode) and id(child) in by_key:
+            if not isinstance(by_key[id(child)].spec, PassThroughSpec):
+                return True
+        if _has_live_sampler_below(child, by_key):
+            return True
+    return False
+
+
+def _rebuild(
+    node: LogicalNode, by_key: Dict[int, SamplerDecision], decisions: List[SamplerDecision]
+) -> LogicalNode:
+    """The tree with the settled physical specs; ``decisions`` in visit order."""
+    if isinstance(node, SamplerNode) and id(node) in by_key:
+        decision = by_key[id(node)]
+        decisions.append(decision)
+        return SamplerNode(_rebuild(node.child, by_key, decisions), decision.spec)
+    children = [_rebuild(c, by_key, decisions) for c in node.children]
+    return node.with_children(children) if node.children else node
+
+
 def materialize_plan(
     plan: LogicalNode,
     deriver: StatsDeriver,
@@ -245,36 +295,17 @@ def materialize_plan(
     probability and seed, and the whole family degrades to pass-through if
     any member cannot be a universe sampler. Nested samplers are
     suppressed by making the outer one a pass-through.
+
+    The tree walks are module-level functions: a recursive closure refers
+    to itself through its own cell, a cycle that would pin ``deriver`` (and
+    through it the catalog and database) until a garbage collection.
     """
     options = options or CostingOptions()
     decisions: List[SamplerDecision] = []
 
     # First pass: tentative decisions per sampler, grouped by family.
     samplers: List[Tuple[SamplerNode, SamplerDecision]] = []
-    counter = {"next": 0}
-    tracer = obs_trace.current_tracer()
-
-    def tentative(node: LogicalNode, path: tuple) -> None:
-        for index, child in enumerate(node.children):
-            tentative(child, path + (index,))
-        if isinstance(node, SamplerNode) and isinstance(node.spec, SamplerState):
-            counter["next"] += 1
-            seed = options.seed * 1_000_003 + counter["next"]
-            decision = choose_physical(node.spec, deriver.stats_for(node.child), options, seed)
-            if tracer is not None:
-                span = tracer.begin(
-                    "asalqa.decision",
-                    address=format_address(path),
-                    kind=decision.spec.kind,
-                    c1=decision.c1,
-                    c2=decision.c2,
-                    support=round(decision.support, 2),
-                    reason=decision.reason,
-                )
-                tracer.end(span)
-            samplers.append((node, decision))
-
-    tentative(plan, ())
+    _tentative_decisions(plan, (), deriver, options, obs_trace.current_tracer(), samplers)
 
     # Family coordination.
     families: Dict[int, List[int]] = {}
@@ -310,31 +341,12 @@ def materialize_plan(
     # Nested samplers are forbidden (Appendix A). When two samplers end up
     # on the same root-to-leaf path, keep the *deeper* one — it is closer
     # to the input, where gains are largest — and pass the outer through.
-    def has_live_sampler_below(node: LogicalNode) -> bool:
-        for child in node.children:
-            if isinstance(child, SamplerNode) and id(child) in by_key:
-                if not isinstance(by_key[id(child)].spec, PassThroughSpec):
-                    return True
-            if has_live_sampler_below(child):
-                return True
-        return False
-
     for node, decision in samplers:
-        if not isinstance(decision.spec, PassThroughSpec) and has_live_sampler_below(node):
+        if not isinstance(decision.spec, PassThroughSpec) and _has_live_sampler_below(node, by_key):
             decision.spec = PassThroughSpec()
             decision.reason += " (outer of nested pair suppressed)"
 
-    # Final pass: rebuild the tree with the settled physical specs.
-    def rebuild(node: LogicalNode) -> LogicalNode:
-        if isinstance(node, SamplerNode) and id(node) in by_key:
-            decision = by_key[id(node)]
-            decisions.append(decision)
-            return SamplerNode(rebuild(node.child), decision.spec)
-        children = [rebuild(c) for c in node.children]
-        return node.with_children(children) if node.children else node
-
-    rebuilt = rebuild(plan)
-    return rebuilt, decisions
+    return _rebuild(plan, by_key, decisions), decisions
 
 
 def strip_passthrough(plan: LogicalNode) -> LogicalNode:

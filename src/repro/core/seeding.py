@@ -73,16 +73,14 @@ def seed_samplers(plan: LogicalNode) -> Tuple[LogicalNode, int]:
     sub-plans and may end up unapproximable.
     """
     count = 0
-
-    def visit(node: LogicalNode) -> LogicalNode:
-        nonlocal count
-        new_children = [visit(child) for child in node.children]
-        node = node.with_children(new_children) if node.children else node
-        if isinstance(node, Aggregate) and not isinstance(node.child, SamplerNode):
-            if node.is_sampleable():
-                count += 1
-                seeded = SamplerNode(node.child, initial_state_for(node))
-                return node.with_children([seeded])
-        return node
-
-    return visit(plan), count
+    children = []
+    for child in plan.children:
+        child, seeded_below = seed_samplers(child)
+        children.append(child)
+        count += seeded_below
+    node = plan.with_children(children) if children else plan
+    if isinstance(node, Aggregate) and not isinstance(node.child, SamplerNode):
+        if node.is_sampleable():
+            seeded = SamplerNode(node.child, initial_state_for(node))
+            return node.with_children([seeded]), count + 1
+    return node, count

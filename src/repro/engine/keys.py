@@ -1,0 +1,106 @@
+"""The one key encoder behind join, group-by, COUNT DISTINCT, universe
+variance and sampler strata.
+
+A tuple of key columns becomes a single non-negative int64 per row whose
+sort order is the tuple's lexicographic order: each column is turned into
+order-preserving codes in ``[0, span)`` and the columns are combined by
+mixed radix. Equal tuples get equal keys and nothing else does, except
+that a float NaN equals nothing (itself included): rows holding one are
+reported separately so that grouping gives each its own group and a join
+never matches them.
+"""
+
+from __future__ import annotations
+
+from typing import Optional, Sequence, Tuple
+
+import numpy as np
+
+from repro.errors import PlanError
+
+__all__ = ["pack_keys", "group_codes", "dense_span"]
+
+#: A packed key stays below this, so folding in one more column cannot
+#: overflow int64 before the check that re-densifies.
+_MAX_SPAN = 1 << 62
+
+
+def dense_span(span: int, rows: int) -> bool:
+    """Whether keys in ``[0, span)`` over ``rows`` rows are addressed by a
+    ``span``-sized table instead of sorted. A property of the input, not a
+    setting: the table costs O(span) to build and the sort O(rows log rows),
+    so the table wins until it is several times larger than the input; the
+    floor keeps small inputs off the sort whatever their span."""
+    return span <= max(4 * rows, 65536)
+
+
+def _dense_codes(values: np.ndarray) -> Tuple[np.ndarray, int]:
+    """Rank of each value among the distinct values (all NaNs share the last)."""
+    uniques, codes = np.unique(values, return_inverse=True)
+    return codes.astype(np.int64, copy=False), len(uniques)
+
+
+def _column_codes(col: np.ndarray) -> Tuple[np.ndarray, int]:
+    """Order-preserving codes in ``[0, span)`` for one key column."""
+    if col.dtype.kind in "biu" and len(col):
+        lo, hi = int(col.min()), int(col.max())
+        if hi - lo < _MAX_SPAN:
+            if col.dtype == np.uint64:  # may not fit int64 before the shift
+                return (col - lo).astype(np.int64), hi - lo + 1
+            return col.astype(np.int64, copy=False) - lo, hi - lo + 1
+    return _dense_codes(col)
+
+
+def pack_keys(arrays: Sequence[np.ndarray]) -> Tuple[np.ndarray, int, Optional[np.ndarray]]:
+    """``(key, span, nan_rows)``: one int64 key in ``[0, span)`` per row,
+    ordered as the key tuples are, and a mask of the rows with a NaN in
+    some key column (``None`` when there is none)."""
+    if not arrays:
+        raise PlanError("a key needs at least one column")
+    key, total, nan_rows = None, 1, None
+    for col in arrays:
+        col = np.asarray(col)
+        codes, span = _column_codes(col)
+        if col.dtype.kind == "f":
+            isnan = np.isnan(col)
+            if isnan.any():
+                nan_rows = isnan if nan_rows is None else nan_rows | isnan
+        if key is None:
+            key, total = codes, span
+            continue
+        if total * span > _MAX_SPAN:
+            key, total = _dense_codes(key)
+            if total * span > _MAX_SPAN:
+                codes, span = _dense_codes(codes)
+        key = key * span + codes
+        total *= span
+    return key, total, nan_rows
+
+
+def group_codes(arrays: Sequence[np.ndarray]) -> Tuple[np.ndarray, np.ndarray, int]:
+    """Dense group ids for a tuple of key columns.
+
+    Returns ``(codes, first_row_index_per_group, num_groups)`` with groups
+    numbered in key order; ``first_row_index_per_group`` is the first row
+    of each group (used to emit the group-key columns without re-sorting).
+    """
+    key, span, nan_rows = pack_keys(arrays)
+    n = len(key)
+    if nan_rows is None and dense_span(span, n):
+        first = np.full(span, n, dtype=np.int64)
+        np.minimum.at(first, key, np.arange(n))
+        present = first < n
+        first_index = first[present]
+        return (np.cumsum(present) - 1)[key], first_index, len(first_index)
+    order = np.argsort(key, kind="stable")
+    sorted_key = key[order]
+    boundary = np.ones(n, dtype=bool)
+    boundary[1:] = sorted_key[1:] != sorted_key[:-1]
+    if nan_rows is not None:
+        # NaN sorts as one value (last) but equals nothing: every row
+        # holding one starts its own group, ties left in row order.
+        boundary[1:] |= nan_rows[order[1:]]
+    codes = np.empty(n, dtype=np.int64)
+    codes[order] = np.cumsum(boundary) - 1
+    first_index = order[boundary]
+    return codes, first_index, len(first_index)

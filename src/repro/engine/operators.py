@@ -19,9 +19,9 @@ import numpy as np
 
 from repro.algebra.aggregates import AggKind, AggSpec
 from repro.algebra.expressions import Expr
+from repro.engine.keys import dense_span, group_codes, pack_keys
 from repro.engine.table import WEIGHT_COLUMN, Table
-from repro.errors import SchemaError
-from repro.errors import PlanError
+from repro.errors import PlanError, SchemaError
 
 __all__ = [
     "group_codes",
@@ -43,20 +43,6 @@ CI_SUFFIX = "__ci"
 Z_95 = 1.96
 
 
-def group_codes(arrays: Sequence[np.ndarray]) -> Tuple[np.ndarray, np.ndarray, int]:
-    """Dense group ids for a tuple of key columns.
-
-    Returns ``(codes, first_row_index_per_group, num_groups)`` where
-    ``first_row_index_per_group`` locates one representative row per group
-    (used to emit the group-key columns without re-sorting).
-    """
-    if not arrays:
-        raise PlanError("group_codes requires at least one key column")
-    stacked = np.rec.fromarrays(arrays)
-    uniques, first_index, codes = np.unique(stacked, return_index=True, return_inverse=True)
-    return codes.astype(np.int64), first_index, len(uniques)
-
-
 def execute_select(table: Table, predicate: Expr) -> Table:
     mask = np.asarray(predicate.evaluate(table), dtype=bool)
     if mask.all():
@@ -73,27 +59,40 @@ def execute_project(table: Table, mapping: Dict[str, Expr]) -> Table:
     return Table(table.name, out)
 
 
-def _join_codes(left_keys: Sequence[np.ndarray], right_keys: Sequence[np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
-    """Common dense codes for the key tuples of both join inputs."""
+def _join_keys(
+    left_keys: Sequence[np.ndarray], right_keys: Sequence[np.ndarray]
+) -> Tuple[np.ndarray, np.ndarray, int]:
+    """Packed keys of both join inputs in one code space ``[0, span)``."""
     n_left = len(left_keys[0])
     combined = []
     for l_col, r_col in zip(left_keys, right_keys):
         common = np.result_type(l_col.dtype, r_col.dtype)
-        combined.append(np.concatenate([l_col.astype(common), r_col.astype(common)]))
-    stacked = np.rec.fromarrays(combined)
-    _, codes = np.unique(stacked, return_inverse=True)
-    codes = codes.astype(np.int64)
-    return codes[:n_left], codes[n_left:]
+        combined.append(
+            np.concatenate([l_col.astype(common, copy=False), r_col.astype(common, copy=False)])
+        )
+    key, span, nan_rows = pack_keys(combined)
+    if nan_rows is not None:
+        # A NaN key joins nothing: park each side's on a code the other lacks.
+        key[nan_rows] = span + (np.flatnonzero(nan_rows) >= n_left)
+        span += 2
+    return key[:n_left], key[n_left:], span
 
 
-def _match_pairs(left_codes: np.ndarray, right_codes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """All (left_index, right_index) pairs with equal codes (many-to-many)."""
-    order = np.argsort(right_codes, kind="stable")
-    sorted_right = right_codes[order]
-    lo = np.searchsorted(sorted_right, left_codes, side="left")
-    hi = np.searchsorted(sorted_right, left_codes, side="right")
-    counts = hi - lo
-    left_idx = np.repeat(np.arange(len(left_codes)), counts)
+def _match_pairs(
+    left_key: np.ndarray, right_key: np.ndarray, span: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """All (left_index, right_index) pairs with equal keys (many-to-many),
+    in left-row order and, per left row, right-row order."""
+    order = np.argsort(right_key, kind="stable")
+    if dense_span(span, len(left_key) + len(right_key)):
+        per_key = np.bincount(right_key, minlength=span)
+        lo = (np.cumsum(per_key) - per_key)[left_key]
+        counts = per_key[left_key]
+    else:
+        sorted_right = right_key[order]
+        lo = np.searchsorted(sorted_right, left_key, side="left")
+        counts = np.searchsorted(sorted_right, left_key, side="right") - lo
+    left_idx = np.repeat(np.arange(len(left_key)), counts)
     if len(left_idx) == 0:
         return left_idx, left_idx.copy()
     # Offsets into the sorted right side, expanded per match.
@@ -111,10 +110,9 @@ def execute_join(
     how: str = "inner",
 ) -> Table:
     """Hash equi-join. Weights multiply; a side without weights counts as 1."""
-    l_codes, r_codes = _join_codes(
-        [left.column(k) for k in left_keys], [right.column(k) for k in right_keys]
+    left_idx, right_idx = _match_pairs(
+        *_join_keys([left.column(k) for k in left_keys], [right.column(k) for k in right_keys])
     )
-    left_idx, right_idx = _match_pairs(l_codes, r_codes)
 
     columns: Dict[str, np.ndarray] = {}
     for name in left.data_column_names():
@@ -186,9 +184,8 @@ def _grouped_max(codes: np.ndarray, num_groups: int, values: np.ndarray) -> np.n
 
 
 def _grouped_count_distinct(codes: np.ndarray, num_groups: int, values: np.ndarray) -> np.ndarray:
-    pair = np.rec.fromarrays([codes, values])
-    unique_pairs = np.unique(pair)
-    return np.bincount(unique_pairs.f0.astype(np.int64), minlength=num_groups).astype(np.float64)
+    _, pair_first, _ = group_codes([codes, values])
+    return np.bincount(codes[pair_first], minlength=num_groups).astype(np.float64)
 
 
 def _per_row_contribution(agg: AggSpec, table: Table) -> np.ndarray:
@@ -214,15 +211,10 @@ def _variance_universe(codes, num_groups, universe_values, p, y) -> np.ndarray:
     """HT variance under universe sampling (Section B.1): rows sharing a key
     subspace value are perfectly correlated, so
     Var-hat = (1 - p)/p^2 * sum over key values g of (sum_{i in g} y_i)^2."""
-    pair_codes, _, pair_groups = group_codes([codes, universe_values])
+    pair_codes, pair_first, pair_groups = group_codes([codes, universe_values])
     sums = _grouped_sum(pair_codes, pair_groups, y)
-    # Every row of a (group, universe-value) pair shares the same group id,
-    # so any representative row maps the pair back to its group.
-    representative = np.zeros(pair_groups, dtype=np.int64)
-    representative[pair_codes] = codes
-    var = np.zeros(num_groups)
-    np.add.at(var, representative, (1.0 - p) / (p * p) * sums * sums)
-    return var
+    # A pair's first row maps it back to its group.
+    return _grouped_sum(codes[pair_first], num_groups, (1.0 - p) / (p * p) * sums * sums)
 
 
 def execute_aggregate(

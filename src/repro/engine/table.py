@@ -14,6 +14,7 @@ touches the dataset").
 
 from __future__ import annotations
 
+from types import MappingProxyType
 from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -316,6 +317,12 @@ class Database:
             return self._tables[name]
         except KeyError:
             raise CatalogError(f"no table named {name!r} in database") from None
+
+    def tables(self) -> Mapping[str, Table]:
+        """Read-only live view of the registered tables. Holding it keeps
+        the tables alive but not this object, so what the database owns
+        (its partition catalog) can read tables without a reference cycle."""
+        return MappingProxyType(self._tables)
 
     def columns(self, name: str) -> Tuple[str, ...]:
         return self.table(name).data_column_names()

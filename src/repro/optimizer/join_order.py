@@ -28,6 +28,26 @@ class _JoinEdge:
     right_keys: Tuple[str, ...]
 
 
+def _leaf_owning(leaves: List[LogicalNode], column: str) -> int:
+    for index, leaf in enumerate(leaves):
+        if column in leaf.output_columns():
+            return index
+    raise LookupError(column)
+
+
+def _collect_chain(current: LogicalNode, leaves: List[LogicalNode], edges: List[_JoinEdge]) -> None:
+    """Post-order walk of an inner-join chain into ``leaves`` and ``edges``;
+    LookupError when a join key cannot be attributed to a single leaf."""
+    if isinstance(current, Join) and current.how == "inner":
+        _collect_chain(current.left, leaves, edges)
+        _collect_chain(current.right, leaves, edges)
+        li = _leaf_owning(leaves, current.left_keys[0])
+        ri = _leaf_owning(leaves, current.right_keys[0])
+        edges.append(_JoinEdge(li, ri, current.left_keys, current.right_keys))
+    else:
+        leaves.append(current)
+
+
 def flatten_join_tree(node: LogicalNode) -> Optional[Tuple[List[LogicalNode], List[_JoinEdge]]]:
     """Flatten a maximal chain of inner joins into (leaves, edges).
 
@@ -38,32 +58,9 @@ def flatten_join_tree(node: LogicalNode) -> Optional[Tuple[List[LogicalNode], Li
         return None
     leaves: List[LogicalNode] = []
     edges: List[_JoinEdge] = []
-
-    def leaf_owning(column: str) -> int:
-        for index, leaf in enumerate(leaves):
-            if column in leaf.output_columns():
-                return index
-        raise LookupError(column)
-
-    class _Abort(Exception):
-        """Chain contains a key we cannot attribute to a single leaf."""
-
-    def visit(current: LogicalNode) -> None:
-        if isinstance(current, Join) and current.how == "inner":
-            visit(current.left)
-            visit(current.right)
-            try:
-                li = leaf_owning(current.left_keys[0])
-                ri = leaf_owning(current.right_keys[0])
-            except LookupError:
-                raise _Abort from None
-            edges.append(_JoinEdge(li, ri, current.left_keys, current.right_keys))
-        else:
-            leaves.append(current)
-
     try:
-        visit(node)
-    except _Abort:
+        _collect_chain(node, leaves, edges)
+    except LookupError:
         return None
     if len(leaves) < 3:
         return None

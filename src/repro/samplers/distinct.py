@@ -33,6 +33,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from repro.algebra.expressions import Expr
+from repro.engine.keys import group_codes
 from repro.engine.table import Table
 from repro.errors import SamplerError
 from repro.samplers.base import SamplerSpec, attach_weights
@@ -51,9 +52,7 @@ def stratum_codes(table: Table, columns: Sequence[Union[str, Expr]]) -> np.ndarr
             arrays.append(np.asarray(spec.evaluate(table)))
         else:
             arrays.append(table.column(spec))
-    stacked = np.rec.fromarrays(arrays)
-    _, codes = np.unique(stacked, return_inverse=True)
-    return codes
+    return group_codes(arrays)[0]
 
 
 class DistinctSpec(SamplerSpec):

@@ -14,6 +14,7 @@ from typing import Any, Dict, Hashable, Iterable, Sequence
 
 import numpy as np
 
+from repro.engine.keys import group_codes
 from repro.samplers.hashing import _to_uint64, mix64
 
 __all__ = ["exact_distinct", "exact_distinct_multi", "KMVCounter"]
@@ -30,11 +31,7 @@ def exact_distinct_multi(columns: Sequence[np.ndarray]) -> int:
     """Exact distinct count over a tuple of columns (a column set)."""
     if not columns:
         return 0
-    n = len(columns[0])
-    if n == 0:
-        return 0
-    stacked = np.rec.fromarrays(columns)
-    return int(len(np.unique(stacked)))
+    return group_codes(columns)[2]
 
 
 class KMVCounter:

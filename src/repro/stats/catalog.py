@@ -32,7 +32,7 @@ import numpy as np
 
 from repro.engine.table import Database, Table
 from repro.errors import CatalogError
-from repro.sketches.distinct_count import KMVCounter, exact_distinct, exact_distinct_multi
+from repro.sketches.distinct_count import KMVCounter, exact_distinct_multi
 from repro.sketches.heavy_hitters import LossyCounter
 
 __all__ = [
@@ -105,7 +105,7 @@ class Catalog:
         threshold = max(1, int(HEAVY_HITTER_FRACTION * n))
         for name in table.data_column_names():
             values = table.column(name)
-            stats = ColumnStats(distinct=exact_distinct(values))
+            stats = ColumnStats(distinct=0)
             if values.dtype.kind in ("i", "u", "f") and n > 0:
                 as_float = values.astype(np.float64)
                 stats.mean = float(np.mean(as_float))
@@ -114,6 +114,7 @@ class Catalog:
                 stats.max_value = float(np.max(as_float))
             if n > 0:
                 uniques, counts = np.unique(values, return_counts=True)
+                stats.distinct = len(uniques)
                 heavy = counts >= threshold
                 if heavy.any():
                     order = np.argsort(counts[heavy])[::-1][:MAX_HEAVY_HITTERS]
@@ -430,16 +431,26 @@ class PartitionCatalog:
         database: Database,
         cluster_columns: Optional[Mapping[str, str]] = None,
     ):
-        self.database = database
+        # The live table mapping, not the database: the database owns its
+        # catalog (``Database.partition_stats``), and a back-pointer would
+        # close a cycle that keeps a dropped database and its arrays alive
+        # until the cycle collector's oldest generation runs.
+        self._tables = database.tables()
         self.cluster_columns: Dict[str, str] = dict(cluster_columns or {})
         self._layouts: Dict[Tuple[str, int], PartitionLayout] = {}
         self._summaries: Dict[Tuple[str, int], List[PartitionSummary]] = {}
+
+    def _table(self, name: str) -> Table:
+        try:
+            return self._tables[name]
+        except KeyError:
+            raise CatalogError(f"no table named {name!r} in database") from None
 
     # -- layouts -----------------------------------------------------------------
     def layout(self, table_name: str, num_partitions: int) -> PartitionLayout:
         key = (table_name, int(num_partitions))
         if key not in self._layouts:
-            table = self.database.table(table_name)
+            table = self._table(table_name)
             cluster = self.cluster_columns.get(table_name)
             if cluster is not None and table.has_column(cluster):
                 self._layouts[key] = PartitionLayout.range_cluster(
@@ -456,7 +467,7 @@ class PartitionCatalog:
         """Per-partition summaries under :meth:`layout`, built on first use."""
         key = (table_name, int(num_partitions))
         if key not in self._summaries:
-            table = self.database.table(table_name)
+            table = self._table(table_name)
             layout = self.layout(table_name, num_partitions)
             self._summaries[key] = [
                 self._summarize(table, pid, idx)
@@ -505,7 +516,7 @@ class PartitionCatalog:
         for (name, parts), summaries in sorted(self._summaries.items()):
             if table_name is not None and name != table_name:
                 continue
-            table = self.database.table(name)
+            table = self._table(name)
             layout = self.layout(name, parts)
             for pid, idx in enumerate(layout.split_indices(table)):
                 summary = summaries[pid]

@@ -1,0 +1,214 @@
+"""The packed-int64 key encoder against the record-array code it replaced.
+
+The reference below is the previous implementation, kept here only as the
+oracle: ``np.unique`` over ``np.rec.fromarrays`` record arrays. The encoder
+is a drop-in if grouping, join pairing and the distinct sampler give
+identical results on every dtype, on spans that force the re-densify step,
+on NaN keys (each its own group, never joined) and on empty inputs.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.engine import keys
+from repro.engine.keys import group_codes, pack_keys
+from repro.engine.operators import execute_join
+from repro.engine.table import Table
+from repro.samplers import distinct
+from repro.samplers.distinct import DistinctSpec
+
+NUMERIC = ["bool", "int8", "int16", "int32", "int64", "uint64", "float64"]
+FLOATS = [-1.5, -0.0, 0.0, 2.25, 1e300, float("-inf"), float("inf"), float("nan")]
+STRINGS = ["", "a", "ab", "b", "Zed"]
+
+
+def ref_group_codes(arrays):
+    stacked = np.rec.fromarrays(arrays)
+    uniques, first_index, codes = np.unique(stacked, return_index=True, return_inverse=True)
+    return codes.astype(np.int64), first_index, len(uniques)
+
+
+def ref_join_pairs(left_keys, right_keys):
+    n_left = len(left_keys[0])
+    combined = []
+    for l_col, r_col in zip(left_keys, right_keys):
+        common = np.result_type(l_col.dtype, r_col.dtype)
+        combined.append(np.concatenate([l_col.astype(common), r_col.astype(common)]))
+    codes = ref_group_codes(combined)[0]
+    left_codes, right_codes = codes[:n_left], codes[n_left:]
+    order = np.argsort(right_codes, kind="stable")
+    sorted_right = right_codes[order]
+    lo = np.searchsorted(sorted_right, left_codes, side="left")
+    hi = np.searchsorted(sorted_right, left_codes, side="right")
+    pairs = [(i, int(order[j])) for i in range(n_left) for j in range(lo[i], hi[i])]
+    return pairs
+
+
+def pool_for(dtype):
+    if dtype == "bool":
+        return [False, True]
+    if dtype == "float64":
+        return FLOATS
+    if dtype == "str":
+        return STRINGS
+    info = np.iinfo(dtype)
+    # Extremes make spans of 2**8 .. 2**64: a few columns of them overflow
+    # the mixed radix, and 2**61 next to 0 overflows it after one densify.
+    values = [info.min, info.min + 1, 0, 1, 7, info.max - 1, info.max]
+    if info.bits == 64:
+        values.append(1 << 61)
+    if info.min < 0:
+        values.append(-3)
+    return values
+
+
+@st.composite
+def column(draw, dtype, n):
+    values = draw(st.lists(st.sampled_from(pool_for(dtype)), min_size=n, max_size=n))
+    return np.asarray(values, dtype=dtype)
+
+
+@st.composite
+def key_columns(draw):
+    n = draw(st.integers(0, 40))
+    dtypes = draw(st.lists(st.sampled_from(NUMERIC + ["str"]), min_size=1, max_size=5))
+    return [draw(column(dtype, n)) for dtype in dtypes]
+
+
+@st.composite
+def join_sides(draw):
+    how = draw(st.sampled_from(["inner", "left", "right"]))
+    n_left, n_right = draw(st.integers(0, 30)), draw(st.integers(0, 30))
+    left, right = [], []
+    for _ in range(draw(st.integers(1, 3))):
+        # An outer join NaN-fills the other side's columns, keys included,
+        # which execute_join only does for numeric columns.
+        if how == "inner" and draw(st.booleans()):
+            l_type = r_type = "str"
+        else:  # sides may differ: int against float, signed against unsigned
+            l_type, r_type = draw(st.sampled_from(NUMERIC)), draw(st.sampled_from(NUMERIC))
+        left.append(draw(column(l_type, n_left)))
+        right.append(draw(column(r_type, n_right)))
+    return left, right, how
+
+
+def assert_same_grouping(arrays):
+    codes, first_index, num_groups = group_codes(arrays)
+    ref_codes, ref_first, ref_groups = ref_group_codes(arrays)
+    assert num_groups == ref_groups
+    assert codes.dtype == np.int64
+    np.testing.assert_array_equal(codes, ref_codes)
+    np.testing.assert_array_equal(first_index, ref_first)
+
+
+class TestGroupCodes:
+    @given(arrays=key_columns())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_record_array_reference(self, arrays):
+        assert_same_grouping(arrays)
+
+    def test_sparse_span_takes_the_sort_path(self):
+        rng = np.random.default_rng(0)
+        sparse = rng.integers(0, 1 << 40, 5000)
+        sparse[::7] = sparse[0]
+        assert not keys.dense_span(pack_keys([sparse])[1], len(sparse))
+        assert_same_grouping([sparse, rng.integers(0, 3, 5000)])
+
+    def test_dense_span_takes_the_address_path(self):
+        rng = np.random.default_rng(1)
+        arrays = [rng.integers(-50, 50, 5000), rng.integers(0, 20, 5000)]
+        assert keys.dense_span(pack_keys(arrays)[1], 5000)
+        assert_same_grouping(arrays)
+
+    def test_packed_key_orders_like_the_tuples(self):
+        a = np.array([3, -1, 3, 2], dtype=np.int8)
+        b = np.array(["x", "z", "a", "m"])
+        key, span, nan_rows = pack_keys([a, b])
+        assert nan_rows is None and 0 <= key.min() and key.max() < span
+        assert list(np.argsort(key)) == [1, 3, 2, 0]
+
+    def test_every_nan_is_its_own_group_in_row_order(self):
+        x = np.array([np.nan, 1.0, np.nan, 1.0, np.nan])
+        y = np.array([2, 5, 1, 5, 2])
+        codes, first_index, num_groups = group_codes([x, y])
+        assert num_groups == 4
+        assert list(codes) == [2, 0, 1, 0, 3]  # NaN last, then by y, then by row
+        assert list(first_index) == [1, 2, 0, 4]
+
+    @pytest.mark.parametrize("dtype, values, dense_calls", [
+        # 2**32 * 2**32 overflows: the partial key is re-densified once.
+        ("int32", [-(1 << 31), (1 << 31) - 1, 0, (1 << 31) - 1, -(1 << 31)], 1),
+        # (2**61 + 1) squared overflows, and so does rows * (2**61 + 1):
+        # the partial key and then the incoming column are re-densified.
+        ("int64", [0, 1 << 61, 5, 1 << 61, 0], 2),
+        ("uint64", [0, (1 << 64) - 1, 5, 1 << 61, 0], 2),  # span 2**64: each column ranked up front
+    ])
+    def test_overflowing_spans_are_redensified(self, monkeypatch, dtype, values, dense_calls):
+        calls = []
+        dense_codes = keys._dense_codes
+        monkeypatch.setattr(keys, "_dense_codes", lambda v: calls.append(len(v)) or dense_codes(v))
+        cols = [np.array(values, dtype=dtype), np.array(values[::-1], dtype=dtype)]
+        key, span, _ = pack_keys(cols)
+        assert 0 <= key.min() and key.max() < span <= 1 << 62
+        assert len(calls) == dense_calls
+        assert_same_grouping(cols)
+
+
+def outer_ids(pairs, n_left, n_right, how):
+    """Row-id pairs of the join output: matches, then unmatched outer rows."""
+    pairs = list(pairs)
+    if how == "left":
+        matched = {i for i, _ in pairs}
+        pairs += [(i, -1) for i in range(n_left) if i not in matched]
+    if how == "right":
+        matched = {j for _, j in pairs}
+        pairs += [(-1, j) for j in range(n_right) if j not in matched]
+    return pairs
+
+
+class TestJoinPairs:
+    @given(sides=join_sides())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_record_array_reference(self, sides):
+        left_keys, right_keys, how = sides
+        n_left, n_right = len(left_keys[0]), len(right_keys[0])
+        left = Table("l", {f"lk{i}": c for i, c in enumerate(left_keys)} | {"lid": np.arange(n_left)})
+        right = Table("r", {f"rk{i}": c for i, c in enumerate(right_keys)} | {"rid": np.arange(n_right)})
+        out = execute_join(
+            left, right, [f"lk{i}" for i in range(len(left_keys))],
+            [f"rk{i}" for i in range(len(right_keys))], how=how,
+        )
+        got = [
+            (-1 if np.isnan(i) else int(i), -1 if np.isnan(j) else int(j))
+            for i, j in zip(out.column("lid").astype(float), out.column("rid").astype(float))
+        ]
+        assert got == outer_ids(ref_join_pairs(left_keys, right_keys), n_left, n_right, how)
+
+    def test_nan_never_joins_nan(self):
+        left = Table("l", {"k": np.array([np.nan, 1.0]), "lid": np.arange(2)})
+        right = Table("r", {"j": np.array([1.0, np.nan, np.nan]), "rid": np.arange(3)})
+        out = execute_join(left, right, ["k"], ["j"])
+        assert list(out.column("lid")) == [1] and list(out.column("rid")) == [0]
+
+    def test_mixed_int_float_sides(self):
+        left = Table("l", {"k": np.array([1, 2, 3], dtype=np.int32), "lid": np.arange(3)})
+        right = Table("r", {"j": np.array([3.0, 1.0, 2.5]), "rid": np.arange(3)})
+        out = execute_join(left, right, ["k"], ["j"])
+        assert list(zip(out.column("lid"), out.column("rid"))) == [(0, 1), (2, 0)]
+
+
+class TestDistinctSampler:
+    @given(arrays=key_columns(), delta=st.integers(1, 4), seed=st.integers(0, 5))
+    @settings(max_examples=150, deadline=None)
+    def test_masks_and_weights_match_reference(self, arrays, delta, seed):
+        names = [f"c{i}" for i in range(len(arrays))]
+        table = Table("t", dict(zip(names, arrays)) | {"v": np.arange(len(arrays[0]))})
+        spec = DistinctSpec(names, delta=delta, p=0.3, seed=seed, reservoir_size=2)
+        got = spec.apply(table)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(distinct, "group_codes", ref_group_codes)
+            want = spec.apply(table)
+        np.testing.assert_array_equal(got.column("v"), want.column("v"))
+        np.testing.assert_array_equal(got.weights(), want.weights())
