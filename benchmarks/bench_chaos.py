@@ -64,14 +64,14 @@ def bit_identical(a, b) -> bool:
 def test_chaos_suite_every_query_recovers_bit_identical():
     db = generate_tpcds(scale=SCALE, seed=1)
     planner = QuickrPlanner(db)
-    executor = Executor(db, parallelism=DEGREE, parallel_options=ParallelOptions(**OPTIONS))
-    fleet = executor._parallel_executor()
+    options = ParallelOptions(**OPTIONS)
+    executor = Executor(db, parallelism=DEGREE, parallel_options=options)
 
     recovered = 0
     for index, query in enumerate(queries(db)):
         planned = planner.plan(query).plan
 
-        fleet.options.fault_plan = None
+        options.fault_plan = None
         reference = executor.execute(planned)
 
         plan = FaultPlan.random(
@@ -82,7 +82,7 @@ def test_chaos_suite_every_query_recovers_bit_identical():
             hang_seconds=HANG_SECONDS,
         )
         assert plan.summary() == {"crash": 1, "hang": 1}
-        fleet.options.fault_plan = plan
+        options.fault_plan = plan
         result = executor.execute(planned)
 
         assert result.parallel is not None, query.name
@@ -98,10 +98,10 @@ def test_chaos_suite_every_query_recovers_bit_identical():
         recovered += 1
 
     assert recovered >= 20  # nearly all of the 24 queries run parallel
-    stats = fleet.stats
-    assert stats.retries >= recovered
-    assert stats.speculative_wins >= 1  # the injected stragglers lost races
-    assert stats.failed_tasks == 0
+    stats = executor.timings()["fault_tolerance"]
+    assert stats["retries"] >= recovered
+    assert stats["speculative_wins"] >= 1  # the injected stragglers lost races
+    assert stats["failed_tasks"] == 0
 
 
 def test_partition_loss_degrades_with_covering_cis():

@@ -4,10 +4,12 @@ Boots the real TCP server in-process, drives it with the load generator
 (one connection + session per thread), and holds the service to its three
 contracts simultaneously:
 
-* **correctness** — every served answer is byte-for-byte identical to
-  running the same query in library mode (fresh planner + executor on the
-  same database). Approximation noise comes from seeded samplers, never
-  from concurrency.
+* **correctness** — every answer served at full fidelity (the ``quickr``
+  rung) is byte-for-byte identical to running the same query in library
+  mode (fresh planner + executor on the same database), and every answer
+  the governor served on a degraded rung under load (``quickr-coarse``,
+  ...) is identical to every other answer of that query on that rung.
+  Approximation noise comes from seeded samplers, never from concurrency.
 * **admission control** — the run queue never exceeds its configured
   bound, and overload surfaces as explicit ``rejected.*`` responses (the
   client's request completes with a reason), not hangs: every request is
@@ -86,12 +88,15 @@ def test_service_sustains_100_sessions_bit_identical():
     admission = report.server_stats["admission"]
     assert admission["peak_queue_depth"] <= MAX_QUEUE_DEPTH
 
-    # Bit-identity: under 100-way concurrency, every served answer equals
-    # library-mode execution of the same query.
-    for name in QUERY_NAMES:
-        served = report.digests.get((name, "quickr"))
-        if served is not None:
+    # Bit-identity: under 100-way concurrency, every full-fidelity answer
+    # equals library-mode execution of the same query; answers the governor
+    # served on a lower rung are a different (coarser) plan, so they are
+    # held to agreeing with each other.
+    for (name, _mode, rung), served in report.digests.items():
+        if rung == "quickr":
             assert served == {expected[name]}, f"{name} diverged under load"
+        else:
+            assert len(served) == 1, f"{name} is not deterministic on rung {rung}"
 
     percentiles = report.latency_percentiles()
     assert percentiles["p50"] is not None and percentiles["p99"] is not None

@@ -194,7 +194,6 @@ def _cmd_chaos(args) -> int:
         task_seed=args.seed,
     )
     executor = Executor(db, parallelism=args.parallelism, parallel_options=options)
-    fleet = executor._parallel_executor()
 
     rows = []
     mismatches = 0
@@ -205,7 +204,7 @@ def _cmd_chaos(args) -> int:
         # configuration (distinct-sampled plans are legitimately not
         # bit-identical to a serial run — the sampler is stream-order
         # stateful — but every configuration is deterministic with itself).
-        fleet.options.fault_plan = None
+        options.fault_plan = None
         reference = executor.execute(planned)
         plan = FaultPlan.random(
             seed=args.seed * 1_000 + index,
@@ -217,7 +216,7 @@ def _cmd_chaos(args) -> int:
         )
         if args.lose_partition and index % 3 == 0:
             plan = plan.merged_with(FaultPlan.lose_partition(args.parallelism - 1))
-        fleet.options.fault_plan = plan
+        options.fault_plan = plan
         result = executor.execute(planned)
         metrics = result.parallel
 
@@ -248,7 +247,7 @@ def _cmd_chaos(args) -> int:
         )
 
     print(format_table(rows, title=f"chaos run (D={args.parallelism}, seed={args.seed})"))
-    print(f"\ncumulative: {fleet.stats.summary()}")
+    print(f"\ncumulative: {executor.timings()['fault_tolerance']}")
     _write_metrics(args, executor)
     if mismatches:
         print(f"\n{mismatches} quer{'y' if mismatches == 1 else 'ies'} diverged "
@@ -699,6 +698,8 @@ def _cmd_bench_transport(args) -> int:
 
 
 def _cmd_speedup(args) -> int:
+    import time
+
     from repro.engine.executor import Executor
     from repro.experiments.report import format_table
     from repro.optimizer.planner import QuickrPlanner
@@ -715,13 +716,13 @@ def _cmd_speedup(args) -> int:
     else:
         targets = queries(db)
 
-    options = ParallelOptions(
-        pool=args.pool, merge=args.merge, measure_serial_baseline=True
-    )
+    options = ParallelOptions(pool=args.pool, merge=args.merge)
     executor = Executor(db, parallelism=args.parallelism, parallel_options=options)
+    serial = Executor(db)  # times the serial reference the measured column divides by
     rows = []
     for query in targets:
-        result = executor.execute(planner.plan(query).plan)
+        plan = planner.plan(query).plan
+        result = executor.execute(plan)
         metrics = result.parallel
         if metrics is None:  # parallelism <= 1 runs the plain serial path
             rows.append(
@@ -735,14 +736,18 @@ def _cmd_speedup(args) -> int:
                 }
             )
             continue
-        measured = metrics.measured_speedup
+        measured = "-"
+        if metrics.worker_seconds:  # ran partition-parallel, not a serial fallback
+            t0 = time.perf_counter()
+            serial.execute(plan)
+            measured = f"{(time.perf_counter() - t0) / metrics.wall_clock_seconds:.2f}x"
         rows.append(
             {
                 "query": query.name,
                 "strategy": metrics.strategy,
                 "pool": metrics.pool_mode,
                 "modeled": f"{metrics.modeled_speedup:.2f}x",
-                "measured": f"{measured:.2f}x" if measured is not None else "-",
+                "measured": measured,
                 "wall_s": f"{metrics.wall_clock_seconds:.3f}",
             }
         )

@@ -1,15 +1,18 @@
 """Plan executor: compiles and runs (possibly sampled) logical plans.
 
-Execution is a two-step service: :meth:`Executor.compile` lowers the
-logical tree into a :class:`~repro.engine.physical.PhysicalPlan` (stable
-node addresses, lineage assignment, operator pipeline — see
-:mod:`repro.engine.physical`), and the compiled plan executes iteratively.
-Compiled plans are cached in a fingerprint-keyed LRU, so repeated queries —
-the experiment runner's per-trial re-executions, warm production traffic —
-pay compilation once. Pass ``parallelism=N`` to run partition-parallel
-through :class:`repro.parallel.ParallelExecutor` (the paper's deployment
-mode — samplers are single-pass, bounded-memory and partitionable,
-Section 4.1).
+There is one way to run a plan: :meth:`PlanRunner.run`, the compile→run
+primitive. :meth:`PlanRunner.compile` lowers the logical tree into a
+:class:`~repro.engine.physical.PhysicalPlan` (stable node addresses,
+lineage assignment, operator pipeline — see :mod:`repro.engine.physical`)
+through a fingerprint-keyed LRU, so repeated queries — the experiment
+runner's per-trial re-executions, warm production traffic — pay compilation
+once; the compiled plan then executes iteratively. A serial query *is* that
+primitive plus cost and bookkeeping (:meth:`PlanRunner.execute_serial`).
+Pass ``parallelism=N`` to run partition-parallel through
+:class:`repro.parallel.ParallelExecutor` (the paper's deployment mode —
+samplers are single-pass, bounded-memory and partitionable, Section 4.1),
+whose tasks, upper plan, pruning sub-queries and serial fallbacks all call
+the same primitive on the :class:`Executor` that owns it.
 
 Every operator's input and output cardinalities are recorded, keyed by the
 operator's structural address, and replayed through the stage-based cluster
@@ -27,16 +30,16 @@ final answers.
 
 from __future__ import annotations
 
-import threading
+import contextlib
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple, Union
 
 from repro.algebra.addressing import NodeAddress, format_address, plan_fingerprint
 from repro.algebra.builder import Query
 from repro.algebra.logical import LogicalNode
 from repro.engine.costmodel import cost_plan
-from repro.engine.metrics import ClusterConfig, FaultToleranceStats, ParallelMetrics, PlanCost
+from repro.engine.metrics import ClusterConfig, ParallelMetrics, PlanCost
 from repro.engine.physical import OperatorMetrics, PhysicalPlan, PlanCache, compile_plan
 from repro.engine.table import Database, Table
 from repro.obs import log as obs_log
@@ -45,7 +48,13 @@ from repro.obs.registry import MetricsRegistry
 
 _LOG = obs_log.logger("engine.executor")
 
-__all__ = ["ExecutionResult", "PartialResult", "Executor"]
+__all__ = ["ExecutionResult", "PartialResult", "PlanRun", "PlanRunner", "Executor"]
+
+_NO_SPAN = contextlib.nullcontext()
+
+
+def _span(tracer, name: str, **attributes):
+    return tracer.span(name, **attributes) if tracer is not None else _NO_SPAN
 
 
 @dataclass
@@ -59,7 +68,7 @@ class ExecutionResult:
     #: Measured wall-clock of the execution (seconds); None when not timed.
     wall_clock_seconds: Optional[float] = None
     #: Populated by the parallel executor: partitioning strategy, worker
-    #: timings, modeled and measured speedup.
+    #: timings, modeled speedup, fault and transport ledger.
     parallel: Optional[ParallelMetrics] = None
     #: Time spent compiling (or fetching the compiled plan); None untimed.
     compile_seconds: Optional[float] = None
@@ -111,22 +120,47 @@ class PartialResult(ExecutionResult):
         return True
 
 
-class Executor:
-    """Compiles and executes logical plans against a :class:`Database`.
+@dataclass
+class PlanRun:
+    """What one pass through :meth:`PlanRunner.run` produced."""
+
+    physical: PhysicalPlan
+    #: Whether the compiled plan came from the plan cache.
+    cache_hit: bool
+    #: Raw root table, lineage intact.
+    table: Table
+    cardinalities: Dict[NodeAddress, int]
+    #: Per-operator metrics (empty unless the run was top-level).
+    operators: Tuple[OperatorMetrics, ...]
+    compile_seconds: float
+    execute_seconds: float
+
+
+#: ``timings()["fault_tolerance"]`` keys; each reads the ``parallel.<key>``
+#: registry counter.
+_FAULT_LEDGER = (
+    "queries", "tasks", "retries", "speculative_launches", "speculative_wins",
+    "failed_tasks", "degraded_queries", "serial_reexecutions",
+)
+
+
+class PlanRunner:
+    """The engine core: one compile→run primitive over one plan cache.
+
+    Everything that executes a plan goes through :meth:`run` — a serial
+    query, a partition task, the parallel upper plan, a pruning sub-query,
+    a serial fallback — so they share one compiled-plan LRU and one
+    stopwatch. :meth:`run` itself touches neither the registry nor any lock
+    when handed an already compiled plan, which is what lets forked
+    partition workers call it; the parent-side callers fold what it
+    measured into the registry with :meth:`record` / :meth:`record_phase`.
 
     Parameters
     ----------
     database:
-        Catalog of base tables.
+        Catalog of base tables (the default ``run`` target).
     config:
         Cluster cost-model knobs.
-    parallelism:
-        Degree of partition parallelism. ``1`` (default) runs serially;
-        ``N > 1`` routes execution through
-        :class:`repro.parallel.ParallelExecutor` with ``N`` partitions.
-    parallel_options:
-        Optional :class:`repro.parallel.ParallelOptions` forwarded to the
-        parallel executor (pool mode, merge mode, partition strategy).
     attach_rowids:
         Attach per-scan lineage columns during execution (default True).
         Lineage is what makes uniform-sampler decisions partition-invariant;
@@ -136,9 +170,9 @@ class Executor:
         caching).
     registry:
         Optional :class:`~repro.obs.registry.MetricsRegistry` every layer
-        below this executor records into (plan-cache traffic, compile vs.
-        execute time, per-sampler telemetry, parallel fault counters). A
-        fresh private registry is created when omitted.
+        records into (plan-cache traffic, compile vs. execute time,
+        per-sampler telemetry, parallel fault counters) — the only
+        cumulative store. A fresh private registry is created when omitted.
     morsel_rows:
         Batch size for fused streamable chains, forwarded to
         :meth:`PhysicalPlan.execute` (None = engine default, 0 disables
@@ -149,8 +183,6 @@ class Executor:
         self,
         database: Database,
         config: Optional[ClusterConfig] = None,
-        parallelism: int = 1,
-        parallel_options=None,
         attach_rowids: bool = True,
         plan_cache_size: int = 128,
         registry: Optional[MetricsRegistry] = None,
@@ -158,182 +190,146 @@ class Executor:
     ):
         self.database = database
         self.config = config or ClusterConfig()
-        self.parallelism = int(parallelism)
-        self.parallel_options = parallel_options
         self.attach_rowids = bool(attach_rowids)
         self.morsel_rows = morsel_rows
         self.plan_cache = PlanCache(capacity=int(plan_cache_size))
-        self.compile_seconds = 0.0
-        self.execute_seconds = 0.0
         self.registry = registry if registry is not None else MetricsRegistry()
-        self._cache_seen = {"hits": 0, "misses": 0, "evictions": 0}
-        self._parallel = None
-        # Guards the executor's own mutable statistics (cumulative
-        # compile/execute seconds, plan-cache absorption watermark, lazy
-        # parallel-executor init). Execution itself is stateless per run —
-        # compiled plans hold no run state and samplers re-derive their
-        # randomness per call — so one Executor serves concurrent threads;
-        # only this bookkeeping needs serializing.
-        self._stats_lock = threading.Lock()
 
-    # -- compilation ----------------------------------------------------------
-    def compile(self, plan: LogicalNode) -> Tuple[PhysicalPlan, bool]:
+    # -- the primitive --------------------------------------------------------
+    def compile(self, plan: LogicalNode, exact: bool = False) -> Tuple[PhysicalPlan, bool]:
         """Compiled plan for ``plan`` plus whether it was a cache hit.
 
         The cache key is the canonical fingerprint, so a structurally
         equivalent plan (e.g. commuted inner-join inputs) reuses the cached
-        compilation of its canonical representative.
+        compilation of its canonical representative. ``exact`` guarantees
+        the compiled plan's node addresses match ``plan``'s own structure
+        instead — required when the caller keys overrides or cardinalities
+        by address. Cache traffic is counted into the registry here, where
+        it happens.
         """
         plan = plan.plan if isinstance(plan, Query) else plan
         fingerprint = plan_fingerprint(plan)
-        cached = self.plan_cache.get(fingerprint)
-        if cached is not None and cached.attach_rowids == self.attach_rowids:
-            return cached, True
+        physical = self.plan_cache.get(fingerprint)
+        hit = physical is not None
+        self.registry.counter("plan_cache.hits" if hit else "plan_cache.misses").inc()
+        if hit and not (exact and physical.logical.key() != plan.key()):
+            return physical, True
         physical = compile_plan(plan, attach_rowids=self.attach_rowids, fingerprint=fingerprint)
-        self.plan_cache.put(fingerprint, physical)
-        return physical, False
+        if not hit:
+            evicted = self.plan_cache.put(fingerprint, physical)
+            if evicted:
+                self.registry.counter("plan_cache.evictions").inc(evicted)
+        return physical, hit
 
-    def _compile_exact(self, plan: LogicalNode) -> PhysicalPlan:
-        """Like :meth:`compile`, but guarantees the compiled plan's node
-        addresses match ``plan``'s exact structure (not a commuted cache
-        representative) — required when the caller keys overrides by
-        address."""
-        physical, hit = self.compile(plan)
-        if hit and physical.logical.key() != plan.key():
-            physical = compile_plan(
-                plan, attach_rowids=self.attach_rowids, fingerprint=physical.fingerprint
-            )
-        return physical
-
-    # -- execution ------------------------------------------------------------
-    def execute(self, query, governance=None) -> ExecutionResult:
-        """Run a :class:`Query` or bare plan node; returns answer + cost.
-
-        ``governance`` (a :class:`~repro.engine.governance.GovernanceContext`)
-        makes the run cancellable/deadlined/memory-budgeted: it is checked
-        at every operator and morsel boundary (serially) or task boundary
-        (parallel) and raises the typed
-        :class:`~repro.errors.GovernanceError` when violated.
-        """
-        if self.parallelism > 1:
-            return self._parallel_executor().execute(query, governance=governance)
-        plan = query.plan if isinstance(query, Query) else query
-        tracer = obs_trace.current_tracer()
-
-        t0 = perf_counter()
-        if tracer is not None:
-            with tracer.span("query.compile"):
-                physical, cache_hit = self.compile(plan)
-        else:
-            physical, cache_hit = self.compile(plan)
-        compile_s = perf_counter() - t0
-        with self._stats_lock:
-            self.compile_seconds += compile_s
-        _LOG.debug(
-            "compiled plan %s in %.4fs (cache %s)",
-            physical.fingerprint[:12], compile_s, "hit" if cache_hit else "miss",
-        )
-
-        t0 = perf_counter()
-        if tracer is not None:
-            with tracer.span(
-                "query.execute",
-                fingerprint=physical.fingerprint[:12],
-                cache_hit=cache_hit,
-                operators=physical.num_operators,
-            ):
-                table, cardinalities, op_metrics = physical.execute(
-                    self.database, record_metrics=True, tracer=tracer,
-                    morsel_rows=self.morsel_rows, governance=governance,
-                )
-        else:
-            table, cardinalities, op_metrics = physical.execute(
-                self.database, record_metrics=True, morsel_rows=self.morsel_rows,
-                governance=governance,
-            )
-        execute_s = perf_counter() - t0
-        with self._stats_lock:
-            self.execute_seconds += execute_s
-        self._record_run(physical.fingerprint, compile_s, execute_s, cache_hit, op_metrics)
-
-        # Cost the compiled logical tree: on a canonical cache hit its
-        # addresses (not necessarily the submitted object's) key the
-        # cardinalities.
-        cost = cost_plan(
-            physical.logical, lambda node, address: cardinalities[address], self.config
-        )
-        return ExecutionResult(
-            table=table.drop_lineage(),
-            cost=cost,
-            cardinalities=cardinalities,
-            wall_clock_seconds=execute_s,
-            compile_seconds=compile_s,
-            plan_cache_hit=cache_hit,
-            operators=op_metrics,
-        )
-
-    def run_plan(
+    def run(
         self,
-        plan: LogicalNode,
+        plan: Union[LogicalNode, PhysicalPlan],
+        *,
+        database: Optional[Database] = None,
         overrides: Optional[Dict[NodeAddress, Table]] = None,
         should_abort: Optional[Callable[[], bool]] = None,
         governance=None,
-    ) -> Tuple[Table, Dict[NodeAddress, int]]:
-        """Run a plan, returning the raw result (lineage intact) and the
-        per-address cardinalities.
+        top_level: bool = False,
+    ) -> PlanRun:
+        """Compile (unless ``plan`` already is) and execute one plan.
 
-        ``overrides`` maps a node address to a table: that subtree is not
-        executed and the given table is used as its output. The parallel
-        executor uses this to run the merged partition result through the
-        serial successor (aggregation and above). Override addresses refer
-        to ``plan``'s own structure, so the compiled plan is guaranteed to
-        share it. ``should_abort`` is the cooperative-cancellation poll
-        forwarded to :meth:`PhysicalPlan.execute` (parallel workers use it
-        to stop speculative losers early); ``governance`` adds the typed
-        deadline/budget/cancel checks at the same boundaries.
+        ``database`` defaults to the runner's own; partition tasks pass
+        their partition-local catalog. ``overrides`` maps a node address to
+        a table: that subtree is not executed and the given table is used
+        as its output (the parallel executor runs the merged partition
+        result through the serial successor this way); override addresses
+        refer to ``plan``'s own structure, so it is compiled ``exact``.
+        ``should_abort`` is the cooperative-cancellation poll forwarded to
+        :meth:`PhysicalPlan.execute` (parallel workers use it to stop
+        speculative losers early); ``governance`` (a
+        :class:`~repro.engine.governance.GovernanceContext`) adds the typed
+        deadline/budget/cancel checks at the same operator and morsel
+        boundaries. ``top_level`` marks the run that *is* the query: it gets
+        the ``query.compile`` / ``query.execute`` spans and per-operator
+        metrics.
         """
+        tracer = obs_trace.current_tracer()
+        spans = tracer if top_level else None
         t0 = perf_counter()
-        if overrides:
-            physical = self._compile_exact(plan)
+        if isinstance(plan, PhysicalPlan):
+            physical, cache_hit = plan, True
         else:
-            physical, _ = self.compile(plan)
-        with self._stats_lock:
-            self.compile_seconds += perf_counter() - t0
+            with _span(spans, "query.compile"):
+                physical, cache_hit = self.compile(plan, exact=bool(overrides))
+        compile_s = perf_counter() - t0
 
         t0 = perf_counter()
-        table, cardinalities, _ = physical.execute(
-            self.database,
-            overrides=overrides,
-            should_abort=should_abort,
-            tracer=obs_trace.current_tracer(),
-            morsel_rows=self.morsel_rows,
-            governance=governance,
+        with _span(
+            spans,
+            "query.execute",
+            fingerprint=physical.fingerprint[:12],
+            cache_hit=cache_hit,
+            operators=physical.num_operators,
+        ):
+            table, cardinalities, op_metrics = physical.execute(
+                self.database if database is None else database,
+                overrides=overrides,
+                record_metrics=top_level,
+                should_abort=should_abort,
+                tracer=tracer,
+                morsel_rows=self.morsel_rows,
+                governance=governance,
+            )
+        return PlanRun(
+            physical, cache_hit, table, cardinalities, op_metrics,
+            compile_s, perf_counter() - t0,
         )
-        with self._stats_lock:
-            self.execute_seconds += perf_counter() - t0
-        return table, cardinalities
 
-    # -- reporting ------------------------------------------------------------
-    def _record_run(
-        self,
-        fingerprint: str,
-        compile_s: float,
-        execute_s: float,
-        cache_hit: bool,
-        op_metrics: Tuple[OperatorMetrics, ...],
-    ) -> None:
-        """Fold one serial run into the metrics registry."""
+    def execute_serial(self, plan: LogicalNode, governance=None) -> ExecutionResult:
+        """One serial query: the primitive, its cost, its bookkeeping."""
+        run = self.run(plan, governance=governance, top_level=True)
+        _LOG.debug(
+            "ran plan %s: compile %.4fs (cache %s), execute %.4fs",
+            run.physical.fingerprint[:12], run.compile_seconds,
+            "hit" if run.cache_hit else "miss", run.execute_seconds,
+        )
+        self.record(run)
+        # Cost the compiled logical tree: on a canonical cache hit its
+        # addresses (not necessarily the submitted object's) key the
+        # cardinalities.
+        cardinalities = run.cardinalities
+        cost = cost_plan(
+            run.physical.logical, lambda node, address: cardinalities[address], self.config
+        )
+        return ExecutionResult(
+            table=run.table.drop_lineage(),
+            cost=cost,
+            cardinalities=cardinalities,
+            wall_clock_seconds=run.execute_seconds,
+            compile_seconds=run.compile_seconds,
+            plan_cache_hit=run.cache_hit,
+            operators=run.operators,
+        )
+
+    # -- recording ------------------------------------------------------------
+    def record_phase(self, compile_seconds: float, execute_seconds: float) -> None:
+        """Fold one parent-side engine phase into the registry: a top-level
+        run, or everything a parallel query compiled and ran outside its
+        tasks. Also refreshes the ``memory.*`` arena gauges."""
+        from repro.memory import memory_stats
+
+        registry = self.registry
+        registry.histogram("executor.compile_seconds").observe(compile_seconds)
+        registry.histogram("executor.execute_seconds").observe(execute_seconds)
+        stats = memory_stats()
+        registry.gauge("memory.live_segments").set(stats["segments"])
+        registry.gauge("memory.bytes_mapped").set(stats["bytes_mapped"])
+
+    def record(self, run: PlanRun) -> None:
+        """Fold one top-level run into the registry."""
         registry = self.registry
         registry.counter("executor.queries").inc()
-        registry.histogram("executor.compile_seconds").observe(compile_s)
-        registry.histogram("executor.execute_seconds").observe(execute_s)
-        morsels = sum(op.morsels for op in op_metrics)
+        self.record_phase(run.compile_seconds, run.execute_seconds)
+        morsels = sum(op.morsels for op in run.operators)
         if morsels:
             registry.counter("memory.morsels_executed").inc(morsels)
-        self._absorb_memory_gauges()
-        self._absorb_plan_cache()
-        short = fingerprint[:12]
-        for op in op_metrics:
+        short = run.physical.fingerprint[:12]
+        for op in run.operators:
             if op.sampler is None:
                 continue
             labels = {
@@ -349,52 +345,90 @@ class Executor:
             )
             registry.gauge("sampler.target_p", **labels).set(op.sampler["target_p"])
 
-    def _absorb_memory_gauges(self) -> None:
-        """Refresh the ``memory.*`` gauges from the shared-memory arena."""
-        from repro.memory import memory_stats
 
-        stats = memory_stats()
-        self.registry.gauge("memory.live_segments").set(stats["segments"])
-        self.registry.gauge("memory.bytes_mapped").set(stats["bytes_mapped"])
+class Executor(PlanRunner):
+    """Compiles and executes logical plans against a :class:`Database`.
 
-    def _absorb_plan_cache(self) -> None:
-        """Forward plan-cache counter deltas into the registry (the cache
-        keeps its own monotonic counts; the registry gets the increments so
-        ``reset()`` establishes a clean harvest boundary)."""
-        stats = self.plan_cache.stats()
-        with self._stats_lock:
-            deltas = {}
-            for key in ("hits", "misses", "evictions"):
-                deltas[key] = stats[key] - self._cache_seen[key]
-                self._cache_seen[key] = stats[key]
-        for key, delta in deltas.items():
-            if delta:
-                self.registry.counter(f"plan_cache.{key}").inc(delta)
+    Takes :class:`PlanRunner`'s parameters, plus:
 
+    parallelism:
+        Degree of partition parallelism. ``1`` (default) runs serially;
+        ``N > 1`` routes execution through
+        :class:`repro.parallel.ParallelExecutor` with ``N`` partitions.
+    parallel_options:
+        Optional :class:`repro.parallel.ParallelOptions` forwarded to the
+        parallel executor (pool mode, merge mode, partition strategy).
+
+    Execution is stateless per run — compiled plans hold no run state and
+    samplers re-derive their randomness per call — and every statistic
+    lives in the thread-safe registry, so one Executor serves concurrent
+    threads.
+    """
+
+    def __init__(
+        self,
+        database: Database,
+        config: Optional[ClusterConfig] = None,
+        parallelism: int = 1,
+        parallel_options=None,
+        attach_rowids: bool = True,
+        plan_cache_size: int = 128,
+        registry: Optional[MetricsRegistry] = None,
+        morsel_rows: Optional[int] = None,
+    ):
+        super().__init__(database, config, attach_rowids, plan_cache_size, registry, morsel_rows)
+        self.parallelism = int(parallelism)
+        self.parallel_options = parallel_options
+
+    def execute(self, query, governance=None) -> ExecutionResult:
+        """Run a :class:`Query` or bare plan node; returns answer + cost.
+
+        ``governance`` (a :class:`~repro.engine.governance.GovernanceContext`)
+        makes the run cancellable/deadlined/memory-budgeted: it is checked
+        at every operator and morsel boundary (serially) or task boundary
+        (parallel) and raises the typed
+        :class:`~repro.errors.GovernanceError` when violated.
+        """
+        plan = query.plan if isinstance(query, Query) else query
+        if self.parallelism <= 1:
+            return self.execute_serial(plan, governance)
+        # Built per query (a few attribute stores), never kept: a stored one
+        # would point back at this executor, and that cycle would hold a
+        # dropped executor's database until the cyclic collector ran.
+        from repro.parallel.executor import ParallelExecutor  # imports this module
+
+        return ParallelExecutor(
+            self.database, self.config, self.parallelism, self.parallel_options, engine=self
+        ).execute(plan, governance=governance)
+
+    # -- reporting: read-only views over the registry ---------------------------
     def timings(self) -> dict:
-        """Cumulative compile/execute split and plan-cache statistics."""
+        """Cumulative compile/execute split, plan-cache statistics and (for
+        a parallel executor) the fault-tolerance ledger."""
+        registry = self.registry
         out = {
-            "compile_seconds": self.compile_seconds,
-            "execute_seconds": self.execute_seconds,
+            "compile_seconds": registry.histogram("executor.compile_seconds").total,
+            "execute_seconds": registry.histogram("executor.execute_seconds").total,
             "plan_cache": self.plan_cache.stats(),
         }
-        if self._parallel is not None:
-            serial = self._parallel.serial_executor
-            out["compile_seconds"] += serial.compile_seconds
-            out["execute_seconds"] += serial.execute_seconds
-            for key, value in serial.plan_cache.stats().items():
-                if key != "capacity":
-                    out["plan_cache"][key] += value
-            out["fault_tolerance"] = self._parallel.stats.summary()
+        if self.parallelism > 1:
+            ledger = {
+                key: int(registry.value(f"parallel.{key}") or 0) for key in _FAULT_LEDGER
+            }
+            faults = int(registry.value("parallel.faults_injected") or 0)
+            if faults:
+                ledger["faults_injected"] = faults
+            latency = registry.histogram("parallel.task_seconds").snapshot()
+            if latency["count"]:
+                ledger["task_latency_s"] = {
+                    key: round(latency[key], 4) for key in ("p50", "p95", "max")
+                }
+            out["fault_tolerance"] = ledger
         return out
 
     def snapshot(self) -> dict:
         """One JSON-able view of everything this executor measured: the
-        legacy ``timings()`` block plus the full metrics registry."""
-        self._absorb_plan_cache()
-        self._absorb_memory_gauges()
-        if self._parallel is not None:
-            self._parallel.serial_executor._absorb_plan_cache()
+        ``timings()`` block plus the full metrics registry."""
         return {"timings": self.timings(), "metrics": self.registry.snapshot()}
 
     def reset_metrics(self) -> dict:
@@ -406,34 +440,9 @@ class Executor:
         from zero instead of bleeding across phases.
         """
         final = {"timings": self.timings()}
-        self.compile_seconds = 0.0
-        self.execute_seconds = 0.0
         self.plan_cache.reset_stats()
-        self._cache_seen = {"hits": 0, "misses": 0, "evictions": 0}
         # The registry harvest is the atomic drain, not snapshot-then-zero:
         # a counter increment racing this call lands either in the snapshot
         # returned here or in the next one, never in neither.
         final["metrics"] = self.registry.reset()
-        if self._parallel is not None:
-            serial = self._parallel.serial_executor
-            serial.compile_seconds = 0.0
-            serial.execute_seconds = 0.0
-            serial.plan_cache.reset_stats()
-            serial._cache_seen = {"hits": 0, "misses": 0, "evictions": 0}
-            self._parallel.stats = FaultToleranceStats()
         return final
-
-    def _parallel_executor(self):
-        if self._parallel is None:
-            from repro.parallel.executor import ParallelExecutor
-
-            with self._stats_lock:
-                if self._parallel is None:
-                    self._parallel = ParallelExecutor(
-                        self.database,
-                        self.config,
-                        parallelism=self.parallelism,
-                        options=self.parallel_options,
-                        registry=self.registry,
-                    )
-        return self._parallel

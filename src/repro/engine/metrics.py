@@ -21,7 +21,6 @@ __all__ = [
     "StageCost",
     "PlanCost",
     "ParallelMetrics",
-    "FaultToleranceStats",
     "modeled_speedup",
 ]
 
@@ -164,9 +163,9 @@ def modeled_speedup(
 
     Stage ``cpu_work`` folds in ``dop * task_startup``, so the startup share
     is recovered from the stage's recorded dop. This is the *modeled*
-    companion to the measured wall-clock speedup in
-    :class:`ParallelMetrics` — comparing the two shows how far the Python
-    substrate is from the hardware ceiling.
+    companion to the measured wall clock in :class:`ParallelMetrics` —
+    comparing the two shows how far the Python substrate is from the
+    hardware ceiling.
     """
     if parallelism <= 1 or not cost.stages:
         return 1.0
@@ -184,12 +183,13 @@ def modeled_speedup(
 
 @dataclass
 class ParallelMetrics:
-    """What the parallel executor did and how it paid off.
+    """What the parallel executor did and how it paid off — one query's
+    record, written once into the metrics registry by the pipeline's
+    ``record`` stage.
 
-    ``measured_speedup`` is serial wall-clock over parallel wall-clock for
-    the same plan (populated when the caller timed a serial reference run);
-    ``modeled_speedup`` is the cluster cost model's prediction for the same
-    degree of parallelism.
+    ``modeled_speedup`` is the cluster cost model's prediction for this
+    degree of parallelism; a measured speedup is the caller's serial wall
+    clock over ``wall_clock_seconds`` (``repro speedup`` times its own).
     """
 
     parallelism: int
@@ -199,7 +199,6 @@ class ParallelMetrics:
     partitioned_tables: Tuple[str, ...] = ()
     reason: str = ""
     wall_clock_seconds: float = 0.0
-    serial_wall_clock_seconds: Optional[float] = None
     modeled_speedup: float = 1.0
     worker_seconds: Tuple[float, ...] = ()
     #: -- fault tolerance (see repro.parallel.tasks) -------------------------
@@ -233,12 +232,6 @@ class ParallelMetrics:
     #: skipped anything this query; None otherwise.
     pruning: Optional[dict] = None
 
-    @property
-    def measured_speedup(self) -> Optional[float]:
-        if self.serial_wall_clock_seconds is None or self.wall_clock_seconds <= 0:
-            return None
-        return self.serial_wall_clock_seconds / self.wall_clock_seconds
-
     def task_latency_percentiles(self) -> dict:
         """p50/p95/max of the winning task attempt durations (seconds)."""
         if not self.worker_seconds:
@@ -256,8 +249,6 @@ class ParallelMetrics:
             "modeled_speedup": round(self.modeled_speedup, 2),
             "wall_clock_s": round(self.wall_clock_seconds, 4),
         }
-        if self.measured_speedup is not None:
-            out["measured_speedup"] = round(self.measured_speedup, 2)
         if self.transport != "pickle":
             out["transport"] = self.transport
             out["result_bytes_on_pipe"] = self.result_bytes_on_pipe
@@ -286,63 +277,4 @@ class ParallelMetrics:
             )
         if self.reason:
             out["note"] = self.reason
-        return out
-
-
-@dataclass
-class FaultToleranceStats:
-    """Cumulative fault-tolerance accounting across queries.
-
-    One instance lives on the parallel executor and accumulates every
-    query's :class:`ParallelMetrics`; ``evaluate`` and ``chaos`` print its
-    summary — the execution-layer counterpart of the paper's cluster
-    telemetry (retries and stragglers are routine in Cosmos, Section 2).
-    """
-
-    queries: int = 0
-    tasks: int = 0
-    retries: int = 0
-    speculative_launches: int = 0
-    speculative_wins: int = 0
-    faults_injected: int = 0
-    failed_tasks: int = 0
-    degraded_queries: int = 0
-    serial_reexecutions: int = 0
-    task_seconds: List[float] = field(default_factory=list)
-
-    def record(self, metrics: "ParallelMetrics") -> None:
-        self.queries += 1
-        self.tasks += metrics.tasks
-        self.retries += metrics.task_retries
-        self.speculative_launches += metrics.speculative_launches
-        self.speculative_wins += metrics.speculative_wins
-        self.faults_injected += metrics.faults_injected
-        self.failed_tasks += len(metrics.failed_partitions)
-        if metrics.degraded:
-            self.degraded_queries += 1
-        self.task_seconds.extend(metrics.worker_seconds)
-
-    def latency_percentiles(self) -> dict:
-        if not self.task_seconds:
-            return {}
-        ordered = sorted(self.task_seconds)
-        pick = lambda q: ordered[min(len(ordered) - 1, int(q * len(ordered)))]  # noqa: E731
-        return {"p50": pick(0.50), "p95": pick(0.95), "max": ordered[-1]}
-
-    def summary(self) -> dict:
-        out = {
-            "queries": self.queries,
-            "tasks": self.tasks,
-            "retries": self.retries,
-            "speculative_launches": self.speculative_launches,
-            "speculative_wins": self.speculative_wins,
-            "failed_tasks": self.failed_tasks,
-            "degraded_queries": self.degraded_queries,
-            "serial_reexecutions": self.serial_reexecutions,
-        }
-        if self.faults_injected:
-            out["faults_injected"] = self.faults_injected
-        latency = self.latency_percentiles()
-        if latency:
-            out["task_latency_s"] = {k: round(v, 4) for k, v in latency.items()}
         return out

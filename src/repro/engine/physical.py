@@ -35,7 +35,7 @@ import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Hashable, List, Optional, Tuple
 
 import numpy as np
 
@@ -566,23 +566,24 @@ class PlanCache:
     """Fingerprint-keyed LRU cache of compiled plans.
 
     ``capacity=0`` disables caching (every lookup misses). Hit, miss and
-    eviction counts are kept for reporting.
+    eviction counts are kept for reporting. Keys are any hashable and
+    values opaque, so the planner memoises its (kind, fingerprint)-keyed
+    planning results in one of these too.
 
     Thread-safe: the query service shares one cache across every session's
     worker thread, and an LRU is mutate-on-read (``move_to_end``), so *all*
-    access — including lookups — takes the cache lock. Cached
-    :class:`PhysicalPlan` values are immutable, so returning one outside
-    the lock is safe.
+    access — including lookups — takes the cache lock. Cached values are
+    immutable, so returning one outside the lock is safe.
     """
 
     capacity: int = 128
     hits: int = 0
     misses: int = 0
     evictions: int = 0
-    _entries: "OrderedDict[str, PhysicalPlan]" = field(default_factory=OrderedDict)
+    _entries: "OrderedDict[Hashable, Any]" = field(default_factory=OrderedDict)
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
-    def get(self, fingerprint: str) -> Optional[PhysicalPlan]:
+    def get(self, fingerprint: Hashable) -> Optional[Any]:
         with self._lock:
             entry = self._entries.get(fingerprint)
             if entry is None:
@@ -592,24 +593,24 @@ class PlanCache:
             self.hits += 1
             return entry
 
-    def put(self, fingerprint: str, physical: PhysicalPlan) -> None:
+    def put(self, fingerprint: Hashable, physical: Any) -> int:
+        """Insert (or refresh) an entry; returns how many it evicted."""
         if self.capacity <= 0:
-            return
+            return 0
+        evicted = 0
         with self._lock:
             if fingerprint in self._entries:
                 self._entries.move_to_end(fingerprint)
             self._entries[fingerprint] = physical
             while len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)
-                self.evictions += 1
+                evicted += 1
+            self.evictions += evicted
+        return evicted
 
     def __len__(self) -> int:
         with self._lock:
             return len(self._entries)
-
-    def __contains__(self, fingerprint: str) -> bool:
-        with self._lock:
-            return fingerprint in self._entries
 
     def clear(self) -> None:
         with self._lock:

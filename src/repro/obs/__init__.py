@@ -1,8 +1,8 @@
 """Observability: tracing, metrics and logging for the whole pipeline.
 
 One coherent layer replaces the scattered ad-hoc stats the system grew
-organically (``PlanCache`` counters, ``ParallelMetrics``,
-``FaultToleranceStats``, per-operator rows/time):
+organically (``PlanCache`` counters, ``ParallelMetrics``, the fault
+ledger, per-operator rows/time):
 
 * :mod:`repro.obs.trace` — a zero-dependency span tracer. Spans carry
   attributes, nest by thread-local context, survive pickling across worker

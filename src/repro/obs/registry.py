@@ -95,10 +95,6 @@ class Counter:
         with self._lock:
             return self.value
 
-    def reset(self) -> None:
-        with self._lock:
-            self.value = 0.0
-
     def drain(self) -> float:
         """Atomically read-and-zero: the harvest boundary. An increment
         racing the harvest lands in exactly one snapshot."""
@@ -128,10 +124,6 @@ class Gauge:
     def snapshot(self) -> Optional[float]:
         with self._lock:
             return self.value
-
-    def reset(self) -> None:
-        with self._lock:
-            self.value = None
 
     def drain(self) -> Optional[float]:
         with self._lock:
@@ -218,10 +210,6 @@ class Histogram:
         self.total = 0.0
         self.min = None
         self.max = None
-
-    def reset(self) -> None:
-        with self._lock:
-            self._reset_locked()
 
     def drain(self) -> dict:
         with self._lock:
@@ -319,22 +307,33 @@ class MetricsRegistry:
         return self._get("histogram", name, labels, buckets=buckets)
 
     # -- harvest --------------------------------------------------------------
-    def snapshot(self) -> dict:
-        """Plain-dict view: ``{kind: {name: [{"labels": …, …}, …]}}``."""
+    def instruments(self) -> List[Tuple[str, str, Dict[str, str], Any]]:
+        """Stable-ordered ``(kind, name, labels, instrument)`` rows — the
+        raw view the OpenMetrics exporter renders from (histograms expose
+        their bucket counts only through the live instrument)."""
         with self._lock:
-            items = list(self._instruments.items())
+            items = sorted(self._instruments.items(), key=lambda kv: kv[0])
+        return [
+            (kind, name, dict(label_key), instrument)
+            for (kind, name, label_key), instrument in items
+        ]
+
+    def _harvest(self, read) -> dict:
+        """``{kind: {name: [{"labels": …, …}, …]}}`` of ``read(instrument)``."""
         out: Dict[str, Dict[str, List[dict]]] = {}
-        for (kind, name, label_key), instrument in sorted(
-            items, key=lambda kv: (kv[0][0], kv[0][1], kv[0][2])
-        ):
-            entry = {"labels": dict(label_key)}
-            value = instrument.snapshot()
+        for kind, name, labels, instrument in self.instruments():
+            entry = {"labels": labels}
+            value = read(instrument)
             if isinstance(value, dict):
                 entry.update(value)
             else:
                 entry["value"] = value
             out.setdefault(kind, {}).setdefault(name, []).append(entry)
         return out
+
+    def snapshot(self) -> dict:
+        """Plain-dict view: ``{kind: {name: [{"labels": …, …}, …]}}``."""
+        return self._harvest(lambda instrument: instrument.snapshot())
 
     def reset(self) -> dict:
         """Zero every instrument; returns the final pre-reset snapshot.
@@ -345,36 +344,10 @@ class MetricsRegistry:
         the next one. (A snapshot-then-zero sequence would lose increments
         landing between the two steps.)
         """
-        with self._lock:
-            items = list(self._instruments.items())
-        out: Dict[str, Dict[str, List[dict]]] = {}
-        for (kind, name, label_key), instrument in sorted(
-            items, key=lambda kv: (kv[0][0], kv[0][1], kv[0][2])
-        ):
-            entry = {"labels": dict(label_key)}
-            value = instrument.drain()
-            if isinstance(value, dict):
-                entry.update(value)
-            else:
-                entry["value"] = value
-            out.setdefault(kind, {}).setdefault(name, []).append(entry)
-        return out
+        return self._harvest(lambda instrument: instrument.drain())
 
     def to_json(self, indent: Optional[int] = 2) -> str:
         return json.dumps(self.snapshot(), indent=indent, sort_keys=True)
-
-    def instruments(self) -> List[Tuple[str, str, Dict[str, str], Any]]:
-        """Stable-ordered ``(kind, name, labels, instrument)`` rows — the
-        raw view the OpenMetrics exporter renders from (histograms expose
-        their bucket counts only through the live instrument)."""
-        with self._lock:
-            items = list(self._instruments.items())
-        return [
-            (kind, name, dict(label_key), instrument)
-            for (kind, name, label_key), instrument in sorted(
-                items, key=lambda kv: (kv[0][0], kv[0][1], kv[0][2])
-            )
-        ]
 
     # -- conveniences ---------------------------------------------------------
     def value(self, name: str, **labels: Any) -> Any:

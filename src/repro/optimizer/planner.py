@@ -12,18 +12,17 @@ Both return plans over the identical substrate, so measured differences
 come only from the samplers — mirroring the paper's evaluation, whose
 Baseline "is identical to Quickr except for samplers".
 
-Planning is deterministic in the submitted plan, so both entry points keep
-a canonical-fingerprint-keyed LRU of their results: a repeated query (the
-dominant pattern in the paper's production trace) skips normalization, join
+Planning is deterministic in the submitted plan, so both entry points memo
+their results in a canonical-fingerprint-keyed LRU (the engine's
+:class:`~repro.engine.physical.PlanCache`): a repeated query (the dominant
+pattern in the paper's production trace) skips normalization, join
 reordering and the ASALQA exploration entirely. Pass ``plan_cache_size=0``
 to disable.
 """
 
 from __future__ import annotations
 
-import threading
 import time
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Optional
 
@@ -32,8 +31,8 @@ from repro.algebra.builder import Query
 from repro.algebra.logical import LogicalNode
 from repro.core.asalqa import Asalqa, AsalqaOptions, AsalqaResult
 from repro.engine.metrics import PlanCost
+from repro.engine.physical import PlanCache
 from repro.engine.table import Database
-from repro.obs import log as obs_log
 from repro.obs.trace import maybe_span
 from repro.optimizer.join_order import reorder_joins
 from repro.optimizer.rules import normalize
@@ -41,8 +40,6 @@ from repro.stats.catalog import Catalog
 from repro.stats.derivation import StatsDeriver
 
 __all__ = ["BaselinePlan", "QuickrPlanner"]
-
-_LOG = obs_log.logger("optimizer.planner")
 
 
 @dataclass
@@ -70,14 +67,24 @@ class QuickrPlanner:
         self.options = options or AsalqaOptions()
         self.reorder = reorder
         self._asalqa = Asalqa(self.catalog, self.options)
-        self._cache_capacity = int(plan_cache_size)
-        self._plan_cache: "OrderedDict[tuple, object]" = OrderedDict()
-        # The memo is an LRU (mutate-on-read); the query service plans from
-        # many session threads against one planner, so all memo access is
-        # serialized. Planning itself stays outside the lock.
-        self._memo_lock = threading.Lock()
-        self.plan_cache_hits = 0
-        self.plan_cache_misses = 0
+        # Keyed by (kind, fingerprint) of the submitted (pre-normalization)
+        # plan. The cache serializes its own access — the query service
+        # plans from many session threads against one planner — while
+        # planning itself stays outside the lock.
+        self._plan_cache = PlanCache(capacity=int(plan_cache_size))
+
+    @property
+    def plan_cache_hits(self) -> int:
+        return self._plan_cache.hits
+
+    @property
+    def plan_cache_misses(self) -> int:
+        return self._plan_cache.misses
+
+    def reset_cache_stats(self) -> None:
+        """Zero the hit/miss counters (entries stay cached) — a harvest
+        boundary for benchmarks that separate cold and warm phases."""
+        self._plan_cache.reset_stats()
 
     # -- relational preparation shared by both planners ----------------------
     def prepare(self, query: Query) -> Query:
@@ -88,41 +95,10 @@ class QuickrPlanner:
                 plan = reorder_joins(plan, self._asalqa.deriver)
         return Query(query.name, plan)
 
-    def _cached(self, kind: str, query: Query):
-        """Fingerprint-keyed memo over the submitted (pre-normalization)
-        plan; planning is deterministic, so equal plans get equal results."""
-        if self._cache_capacity <= 0:
-            return None, None
-        key = (kind, plan_fingerprint(query.plan))
-        with self._memo_lock:
-            hit = self._plan_cache.get(key)
-            if hit is not None:
-                self._plan_cache.move_to_end(key)
-                self.plan_cache_hits += 1
-            else:
-                self.plan_cache_misses += 1
-        _LOG.debug("plan cache %s (%s) for %s",
-                   "hit" if hit is not None else "miss", kind, query.name)
-        return key, hit
-
-    def reset_cache_stats(self) -> None:
-        """Zero the hit/miss counters (entries stay cached) — a harvest
-        boundary for benchmarks that separate cold and warm phases."""
-        with self._memo_lock:
-            self.plan_cache_hits = 0
-            self.plan_cache_misses = 0
-
-    def _remember(self, key, value):
-        if key is None:
-            return
-        with self._memo_lock:
-            self._plan_cache[key] = value
-            while len(self._plan_cache) > self._cache_capacity:
-                self._plan_cache.popitem(last=False)
-
     def plan_baseline(self, query: Query) -> BaselinePlan:
         """The production QO without samplers."""
-        key, hit = self._cached("baseline", query)
+        key = ("baseline", plan_fingerprint(query.plan))
+        hit = self._plan_cache.get(key)
         if hit is not None:
             return hit
         start = time.perf_counter()
@@ -135,12 +111,13 @@ class QuickrPlanner:
             estimated_cost=cost,
             qo_time_seconds=time.perf_counter() - start,
         )
-        self._remember(key, result)
+        self._plan_cache.put(key, result)
         return result
 
     def plan(self, query: Query) -> AsalqaResult:
         """The Quickr QO: relational preparation plus ASALQA."""
-        key, hit = self._cached("quickr", query)
+        key = ("quickr", plan_fingerprint(query.plan))
+        hit = self._plan_cache.get(key)
         if hit is not None:
             return hit
         with maybe_span("planner.plan", query=query.name) as span:
@@ -152,7 +129,7 @@ class QuickrPlanner:
                     alternatives=result.alternatives_explored,
                     samplers=",".join(result.sampler_kinds()),
                 )
-        self._remember(key, result)
+        self._plan_cache.put(key, result)
         return result
 
     @property

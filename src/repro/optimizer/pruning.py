@@ -156,12 +156,6 @@ class ScanPrunePlan:
         return out
 
 
-def _sampler_kinds(split) -> frozenset:
-    return frozenset(
-        node.spec.kind for node in split.walk() if isinstance(node, SamplerNode)
-    )
-
-
 def _collect_direct_predicates(
     analysis: PlanAnalysis, entry: ScanPartitioning
 ) -> List:
@@ -337,7 +331,7 @@ def plan_partition_pruning(
     if len(entries) != 1:
         return None
     entry = entries[0]
-    if not _sampler_kinds(analysis.split) <= PRUNE_INVARIANT_KINDS:
+    if not analysis.sampler_kinds <= PRUNE_INVARIANT_KINDS:
         return None
 
     table = database.table(entry.table)
@@ -403,7 +397,7 @@ def plan_partition_pruning(
     inclusion = {pid: 1.0 for pid in keep}
     unselected: List[int] = []
     rows_unselected = 0
-    kinds = _sampler_kinds(analysis.split)
+    kinds = analysis.sampler_kinds
     can_select = (
         selection_fraction is not None
         and 0.0 < selection_fraction < 1.0

@@ -3,74 +3,90 @@
 Quickr's samplers are built to the operating requirements of Section 4.1 —
 one pass, bounded memory, partitionable — precisely so that a sampled plan
 can run as ordinary partition-parallel vertices in a cluster. This module
-reproduces that execution mode in-process:
+reproduces that execution mode in-process as one staged pipeline over a
+per-query :class:`_QueryContext` (``ParallelExecutor._run_query`` is the
+whole of it; each stage is one small method):
 
-1. :func:`repro.parallel.plan.analyze_plan` picks the precursor subtree and
-   a partitioning strategy (or explains why the plan must run serially);
-2. each base table behind a precursor scan is partitioned (or broadcast)
-   with its global lineage attached, and every partition becomes a task of
-   the fault-tolerant :class:`~repro.parallel.tasks.TaskRuntime` — worker
-   failures are retried with exponential backoff, stragglers get
-   speculative duplicates, and results are validated before acceptance
-   (see :mod:`repro.parallel.tasks`; faults can be injected deliberately
-   through a :class:`~repro.parallel.faults.FaultPlan`);
-3. the partition outputs are merged — by exact row order (bit-identical to
-   serial) or by partial-aggregate states — and the serial executor runs
-   the remainder of the plan over the merged result.
+``analyse``
+    :func:`repro.parallel.plan.analyze_plan` picks the precursor subtree
+    and a partitioning strategy, or says why the plan must run serially.
+``prune/select``
+    the partition catalog proves partitions irrelevant and, on request,
+    draws a weighted subset of the rest (:mod:`repro.optimizer.pruning`);
+    the partitions that remain become the run's tasks.
+``place``
+    each base table behind a precursor scan is partitioned (or broadcast)
+    with its global lineage attached, every task's worker plan is compiled,
+    and the inputs are handed to the run's transport (shared memory when
+    the run forks processes — :class:`repro.parallel.transport.RunTransport`).
+``run tasks``
+    every partition becomes a task of the fault-tolerant
+    :class:`~repro.parallel.tasks.TaskRuntime` — failures are retried with
+    backoff, stragglers get speculative duplicates, results are validated
+    before acceptance; faults can be injected through a
+    :class:`~repro.parallel.faults.FaultPlan`, and the query's governance
+    contract stops the run at task boundaries.
+``recover``
+    decides what lost partitions mean: a governed abort is salvaged or
+    raised, a loss the sample algebra can absorb *degrades* the answer, any
+    other loss sends the query to one serial re-execution.
+``merge``
+    partition outputs are merged — by exact row order (bit-identical to
+    serial) or by partial-aggregate states — with Horvitz-Thompson weights
+    re-scaled for partition selection and for lost partitions.
+``finish``
+    the engine runs the remainder of the plan over the merged result,
+    selection CIs are inflated, and the stitched cardinalities are costed.
+``record``
+    the query's :class:`~repro.engine.metrics.ParallelMetrics` is written,
+    once, into the metrics registry — for a parallel success, a serial
+    fallback and a serial re-execution alike.
 
-When a partition exhausts its retry budget, the query *degrades* rather
-than fails whenever the sample algebra allows it: for round-robin
-partitioned plans rooted in uniform/universe samplers the surviving
-partitions are themselves a valid sample (Rong et al.), so their
-Horvitz-Thompson weights are re-scaled by ``D / survivors`` and the query
+Every stage that executes a plan calls the owning engine's compile→run
+primitive (:meth:`repro.engine.executor.PlanRunner.run`).
+
+Degradation: for round-robin partitioned plans rooted in uniform/universe
+samplers the surviving partitions are themselves a valid sample (Rong et
+al.), so their weights are re-scaled by ``D / survivors`` and the query
 returns a :class:`~repro.engine.executor.PartialResult` with the achieved
-coverage and correspondingly widened confidence intervals. Exact and
-distinct-sampled plans fall back to one serial re-execution; only if that
-also fails does the query raise :class:`~repro.errors.DegradedResultError`.
+coverage and correspondingly widened confidence intervals. Everything else
+falls back to one serial re-execution; only if that also fails does the
+query raise :class:`~repro.errors.DegradedResultError`.
 
 Per-operator cardinalities are stitched back together keyed by stable
-structural addresses (worker sums below the split, the serial run above
+structural addresses (worker sums below the split, the upper-plan run above
 it) — addresses survive pickling across process boundaries, where object
-identities would not — so the cluster cost model sees the same plan
-profile a serial run would produce, and
-:class:`~repro.engine.metrics.ParallelMetrics` reports both the modeled
-and, when a serial reference run is requested, the measured speedup, plus
-the fault-tolerance ledger (retries, speculation, degradation).
+identities would not — so the cluster cost model sees the same plan profile
+a serial run would produce.
 """
 
 from __future__ import annotations
 
 import pickle
 from dataclasses import dataclass, field
+from functools import partial
 from time import perf_counter
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence
 
 import numpy as np
 
 from repro.algebra.addressing import NodeAddress
 from repro.algebra.builder import Query
-from repro.algebra.logical import Project, SamplerNode
+from repro.algebra.logical import LogicalNode, Project
 from repro.engine.costmodel import cost_plan, prune_cost_credit
-from repro.engine.executor import ExecutionResult, Executor, PartialResult
-from repro.engine.metrics import (
-    ClusterConfig,
-    FaultToleranceStats,
-    ParallelMetrics,
-    modeled_speedup,
-)
-from repro.engine.physical import plan_fingerprint
+from repro.engine.executor import ExecutionResult, PartialResult, PlanRun, PlanRunner
+from repro.engine.metrics import ClusterConfig, ParallelMetrics, modeled_speedup
+from repro.engine.physical import PhysicalPlan, plan_fingerprint
 from repro.engine.table import WEIGHT_COLUMN, Database, Table, rowid_column_name
 from repro.errors import (
     BudgetExceeded,
     DeadlineExceeded,
     DegradedResultError,
     PlanError,
-    SchemaError,
     TaskError,
 )
 from repro.obs import log as obs_log
 from repro.obs import trace as obs_trace
-from repro.obs.registry import MetricsRegistry
 from repro.parallel.faults import FaultPlan, corrupt_table
 from repro.parallel.merge import (
     PartialAggregate,
@@ -84,14 +100,14 @@ from repro.parallel.partitioner import HASH, Partitioner
 from repro.parallel.plan import (
     DEFAULT_MIN_PARTITION_ROWS,
     PARTITION_HASH_SEED,
+    PlanAnalysis,
     analyze_plan,
     build_worker_plan,
     worker_table_name,
 )
-from repro.parallel.pool import WorkerPool, scrub_shared_segments
-from repro.parallel.tasks import RetryPolicy, TaskRuntime, TaskSpec
+from repro.parallel.pool import WorkerPool
+from repro.parallel.tasks import RetryPolicy, TaskReport, TaskRuntime, TaskSpec
 from repro.parallel import transport as shm_transport
-from repro.memory import TableRef
 from repro.stats.derivation import reweight_surviving_partitions
 
 __all__ = ["ParallelOptions", "ParallelExecutor"]
@@ -116,9 +132,7 @@ class ParallelOptions:
     ``merge="rows"`` ships sampled rows and reproduces the serial answer
     bit-for-bit; ``merge="partial"`` runs classic two-phase aggregation
     (identical estimates up to floating-point reassociation, group order by
-    first appearance across partitions). ``measure_serial_baseline`` also
-    times a serial reference run so ``ParallelMetrics.measured_speedup`` is
-    populated — it doubles the work, so it is off by default.
+    first appearance across partitions).
 
     ``retry`` configures the fault-tolerant task runtime (attempts,
     backoff, speculation); ``fault_plan`` injects deliberate faults (chaos
@@ -150,7 +164,6 @@ class ParallelOptions:
     merge: str = "rows"
     min_partition_rows: int = DEFAULT_MIN_PARTITION_ROWS
     max_workers: Optional[int] = None
-    measure_serial_baseline: bool = False
     retry: RetryPolicy = field(default_factory=RetryPolicy)
     fault_plan: Optional[FaultPlan] = None
     allow_degraded: bool = True
@@ -176,8 +189,65 @@ class ParallelOptions:
             )
 
 
+@dataclass
+class _QueryContext:
+    """One query's trip through the pipeline: each stage reads what earlier
+    stages wrote and fills in its own block."""
+
+    plan: LogicalNode
+    governance: Any
+    start: float
+    #: Engine seconds this query spent outside its tasks and outside a
+    #: serial (re-)execution: worker-plan compiles, pruning sub-queries,
+    #: the upper plan.
+    compile_seconds: float = 0.0
+    execute_seconds: float = 0.0
+    # -- analyse
+    analysis: Optional[PlanAnalysis] = None
+    merge_mode: str = "rows"
+    #: ``analysis.strategy``, re-labelled when pruning changes what a lost
+    #: partition means (it gates the degradation rule).
+    strategy: str = "serial-fallback"
+    # -- prune/select
+    prune: Any = None  # Optional[ScanPrunePlan]
+    #: Partition ordinals that become tasks, in task order.
+    keep: Sequence[int] = ()
+    # -- place
+    worker_plans: List[PhysicalPlan] = field(default_factory=list)
+    #: Worker table name -> per-task input (a table, or its shm ref).
+    sources: Dict[str, list] = field(default_factory=dict)
+    runtime: Optional[TaskRuntime] = None
+    transport: Optional[shm_transport.RunTransport] = None
+    # -- run tasks
+    report: Optional[TaskReport] = None
+    # -- merge
+    #: Surviving rows-mode payloads and their selection inclusion
+    #: probabilities (CI inflation needs both after the upper plan ran).
+    payloads: list = field(default_factory=list)
+    selection_pis: List[float] = field(default_factory=list)
+    reweight_factor: float = 1.0
+    cardinalities: Dict[NodeAddress, int] = field(default_factory=dict)
+    #: Address -> table the upper plan splices in instead of running below.
+    overrides: Dict[NodeAddress, Table] = field(default_factory=dict)
+
+    @property
+    def two_phase(self) -> bool:
+        return self.merge_mode == "partial"
+
+    @property
+    def selecting(self) -> bool:
+        return self.prune is not None and self.prune.selection_active
+
+
 class ParallelExecutor:
-    """Runs plans partition-parallel over a :class:`Database`."""
+    """Runs plans partition-parallel over a :class:`Database`.
+
+    ``engine`` is the :class:`~repro.engine.executor.Executor` this one
+    works for (which builds one per query rather than keep a back-pointing
+    reference cycle): every stage borrows its compile→run primitive, plan
+    cache, cost-model config and registry. Built directly (no owner), it
+    runs on a bare :class:`~repro.engine.executor.PlanRunner` of its own.
+    """
 
     def __init__(
         self,
@@ -185,190 +255,146 @@ class ParallelExecutor:
         config: Optional[ClusterConfig] = None,
         parallelism: int = 2,
         options: Optional[ParallelOptions] = None,
-        registry: Optional[MetricsRegistry] = None,
+        engine: Optional[PlanRunner] = None,
     ):
         if parallelism < 1:
             raise PlanError(f"parallelism must be positive, got {parallelism}")
-        self.database = database
-        self.config = config or ClusterConfig()
+        self.engine = engine if engine is not None else PlanRunner(database, config)
+        self.database = self.engine.database
+        self.config = self.engine.config
+        self.registry = self.engine.registry
         self.parallelism = int(parallelism)
         self.options = options or ParallelOptions()
-        #: Shared metrics registry — the serial executor records into the
-        #: same one, so compile/execute splits and fault counters line up.
-        self.registry = registry if registry is not None else MetricsRegistry()
-        # One long-lived serial executor for upper-plan runs and fallbacks:
-        # its plan cache warms across repeated queries.
-        self.serial_executor = Executor(database, self.config, registry=self.registry)
-        #: Cumulative fault-tolerance ledger across every query this
-        #: executor ran (printed by ``evaluate`` and ``chaos``).
-        self.stats = FaultToleranceStats()
 
     def execute(self, query, governance=None) -> ExecutionResult:
         plan = query.plan if isinstance(query, Query) else query
         tracer = obs_trace.current_tracer()
         if tracer is None:
-            result = self._execute(plan, governance)
-        else:
-            with tracer.span(
-                "parallel.query",
-                parallelism=self.parallelism,
-                fingerprint=plan_fingerprint(plan)[:12],
-            ) as span:
-                result = self._execute(plan, governance)
-                if result.parallel is not None:
-                    span.attributes.update(
-                        strategy=result.parallel.strategy,
-                        pool=result.parallel.pool_mode,
-                        tasks=result.parallel.tasks,
-                        retries=result.parallel.task_retries,
-                        degraded=result.parallel.degraded,
-                    )
-                    if result.parallel.pruning:
-                        span.attributes.update(
-                            pruned=result.parallel.pruning["partitions_pruned"],
-                            prune_token=result.parallel.pruning["token"],
-                        )
-        self._fold_registry(result.parallel)
+            return self._run_query(plan, governance)
+        with tracer.span(
+            "parallel.query",
+            parallelism=self.parallelism,
+            fingerprint=plan_fingerprint(plan)[:12],
+        ) as span:
+            result = self._run_query(plan, governance)
+            metrics = result.parallel
+            span.attributes.update(
+                strategy=metrics.strategy,
+                pool=metrics.pool_mode,
+                tasks=metrics.tasks,
+                retries=metrics.task_retries,
+                degraded=metrics.degraded,
+            )
+            if metrics.pruning:
+                span.attributes.update(
+                    pruned=metrics.pruning["partitions_pruned"],
+                    prune_token=metrics.pruning["token"],
+                )
         return result
 
-    def _plan_pruning(self, analysis, degree: int, merge_mode: str, governance):
-        """Run the catalog prune/select pass; None when it does not apply.
+    # -- the pipeline -----------------------------------------------------------
+    def _run_query(self, plan: LogicalNode, governance) -> ExecutionResult:
+        ctx = _QueryContext(plan, governance, perf_counter())
+        try:
+            serial_reason = self._analyse(ctx)
+            if serial_reason is None:
+                self._select_partitions(ctx)
+                self._place(ctx)
+                self._run_tasks(ctx)
+                serial_reason = self._recover(ctx)
+            if serial_reason is None:
+                self._merge(ctx)
+                result = self._finish(ctx)
+            else:
+                result = self._run_serially(ctx, serial_reason)
+        finally:
+            if ctx.transport is not None:
+                ctx.transport.close(ctx.report)
+        self._record(ctx, result.parallel)
+        return result
+
+    def _engine_run(self, ctx: _QueryContext, plan, governance, **kwargs) -> PlanRun:
+        """The engine primitive, with its seconds charged to this query."""
+        run = self.engine.run(plan, governance=governance, **kwargs)
+        ctx.compile_seconds += run.compile_seconds
+        ctx.execute_seconds += run.execute_seconds
+        return run
+
+    def _analyse(self, ctx: _QueryContext) -> Optional[str]:
+        """Find the split and the strategy; returns why the plan must run
+        serially instead, if it must."""
+        if self.parallelism == 1:
+            return "parallelism=1"
+        analysis = analyze_plan(
+            ctx.plan, self.database, min_partition_rows=self.options.min_partition_rows
+        )
+        if not analysis.ok:
+            return analysis.reason
+        ctx.analysis = analysis
+        ctx.strategy = analysis.strategy
+        # Nothing to two-phase without an aggregate; ship rows instead.
+        ctx.merge_mode = self.options.merge if analysis.aggregate is not None else "rows"
+        return None
+
+    def _select_partitions(self, ctx: _QueryContext) -> None:
+        """Run the catalog prune/select pass and fix the task list.
 
         Any failure inside the pass is demoted to "no pruning" — the
         catalog is an accelerant, never a correctness dependency.
         """
-        if not self.options.prune or merge_mode != "rows":
-            return None
-        fraction = None
-        if governance is not None and getattr(governance, "selection_fraction", None):
-            fraction = governance.selection_fraction
-        elif self.options.selection_fraction is not None:
-            fraction = self.options.selection_fraction
+        ctx.keep = range(self.parallelism)
+        if not self.options.prune or ctx.merge_mode != "rows":
+            return
         from repro.optimizer.pruning import plan_partition_pruning
 
+        governance = ctx.governance
         try:
             prune = plan_partition_pruning(
-                analysis,
+                ctx.analysis,
                 self.database,
-                degree,
-                selection_fraction=fraction,
-                run_subtree=lambda node: self.serial_executor.run_plan(
-                    node, governance=governance
-                )[0],
+                self.parallelism,
+                selection_fraction=getattr(governance, "selection_fraction", None)
+                or self.options.selection_fraction,
+                run_subtree=lambda node: self._engine_run(ctx, node, governance).table,
                 task_seed=self.options.task_seed,
             )
         except Exception:  # noqa: BLE001 - run unpruned rather than fail
             _LOG.exception("partition pruning failed; executing all partitions")
             self.registry.counter("prune.planning_failures").inc()
-            return None
-        if prune is None:
-            return None
-        if not prune.pruned and not prune.selection_active:
+            return
+        if prune is None or not (prune.pruned or prune.selection_active):
             # Nothing skipped: keep the plain round-robin path (it stays
             # degradable, and the split needs no catalog layout).
-            return None
-        return prune
-
-    def _fold_registry(self, metrics: Optional[ParallelMetrics]) -> None:
-        """Mirror one query's parallel ledger into the shared registry."""
-        if metrics is None:
             return
-        registry = self.registry
-        registry.counter("parallel.queries").inc()
-        if metrics.strategy == "serial-fallback":
-            registry.counter("parallel.serial_fallbacks").inc()
-        if metrics.tasks:
-            registry.counter("parallel.tasks").inc(metrics.tasks)
-        if metrics.task_retries:
-            registry.counter("parallel.retries").inc(metrics.task_retries)
-        if metrics.speculative_launches:
-            registry.counter("parallel.speculative_launches").inc(metrics.speculative_launches)
-        if metrics.speculative_wins:
-            registry.counter("parallel.speculative_wins").inc(metrics.speculative_wins)
-        if metrics.faults_injected:
-            registry.counter("parallel.faults_injected").inc(metrics.faults_injected)
-        if metrics.failed_partitions:
-            registry.counter("parallel.failed_tasks").inc(len(metrics.failed_partitions))
-        if metrics.degraded:
-            registry.counter("parallel.degraded_queries").inc()
-        if metrics.transport == "shm":
-            registry.counter("transport.shm_queries").inc()
-        if metrics.result_bytes_on_pipe:
-            registry.counter("transport.result_bytes_on_pipe").inc(metrics.result_bytes_on_pipe)
-        if metrics.result_bytes_shared:
-            registry.counter("transport.result_bytes_shared").inc(metrics.result_bytes_shared)
-        if metrics.pruning:
-            registry.counter("prune.partitions_scanned").inc(
-                metrics.pruning["partitions_executed"]
-            )
-            registry.counter("prune.partitions_pruned").inc(
-                metrics.pruning["partitions_pruned"]
-            )
-            registry.counter("prune.partitions_selected").inc(
-                metrics.pruning["partitions_selected"]
-            )
-            if metrics.pruning["partitions_stale_retained"]:
-                registry.counter("prune.stale_retained").inc(
-                    metrics.pruning["partitions_stale_retained"]
-                )
-            skipped_rows = (
-                metrics.pruning["rows_pruned_actual"]
-                + metrics.pruning["rows_unselected"]
-            )
-            if skipped_rows:
-                registry.counter("prune.rows_skipped").inc(skipped_rows)
-        for seconds in metrics.worker_seconds:
-            registry.histogram("parallel.task_seconds").observe(seconds)
-        from repro.memory import memory_stats
-
-        stats = memory_stats()
-        registry.gauge("memory.live_segments").set(stats["segments"])
-        registry.gauge("memory.bytes_mapped").set(stats["bytes_mapped"])
-
-    def _execute(self, plan, governance=None) -> ExecutionResult:
-        start = perf_counter()
-        if self.parallelism == 1:
-            return self._serial_fallback(plan, "parallelism=1", start, governance=governance)
-
-        analysis = analyze_plan(
-            plan, self.database, min_partition_rows=self.options.min_partition_rows
+        ctx.prune = prune
+        ctx.keep = prune.keep
+        # The split now follows the catalog's layout and (possibly) a
+        # selected subset: a lost partition is no longer an exchangeable
+        # 1/degree slice, and the strategy label — which gates the
+        # degradation rule — says so.
+        if prune.selection_active:
+            ctx.strategy = f"selected[{prune.table}]"
+        elif prune.layout_kind == "range-cluster":
+            ctx.strategy = f"clustered[{prune.table}]"
+        _LOG.info(
+            "partition pruning: %s %d/%d partition(s) executed "
+            "(%d pruned exactly, %d skipped by selection, %d stale retained)",
+            prune.table,
+            prune.executed,
+            self.parallelism,
+            len(prune.pruned),
+            len(prune.unselected),
+            len(prune.stale),
         )
-        if not analysis.ok:
-            return self._serial_fallback(plan, analysis.reason, start, governance=governance)
 
-        degree = self.parallelism
-        split = analysis.split
-        split_address = analysis.split_address
-        aggregate = analysis.aggregate
-        merge_mode = self.options.merge
-        if merge_mode == "partial" and aggregate is None:
-            merge_mode = "rows"  # nothing to two-phase; ship rows instead
+    def _place(self, ctx: _QueryContext) -> None:
+        """Split the inputs, compile the worker plans, pick the transport.
 
-        prune = self._plan_pruning(analysis, degree, merge_mode, governance)
-        n_tasks = degree if prune is None else prune.executed
-        if prune is not None:
-            # The split now follows the catalog's layout and (possibly) a
-            # selected subset: a lost partition is no longer an exchangeable
-            # 1/degree slice, so the strategy string — which gates the
-            # degradation rules — says so.
-            if prune.selection_active:
-                analysis.strategy = f"selected[{prune.table}]"
-            elif prune.layout_kind == "range-cluster":
-                analysis.strategy = f"clustered[{prune.table}]"
-            _LOG.info(
-                "partition pruning: %s %d/%d partition(s) executed "
-                "(%d pruned exactly, %d skipped by selection, %d stale retained)",
-                prune.table,
-                prune.executed,
-                degree,
-                len(prune.pruned),
-                len(prune.unselected),
-                len(prune.stale),
-            )
-
-        # Partition (or broadcast) each scan occurrence's base table, with
-        # the occurrence's global lineage attached *before* the split so
-        # workers see absolute base-row positions.
+        Each scan occurrence's base table is partitioned (or broadcast)
+        with the occurrence's global lineage attached *before* the split,
+        so workers see absolute base-row positions.
+        """
+        analysis, prune, degree = ctx.analysis, ctx.prune, self.parallelism
         partitions: Dict[str, List[Table]] = {}
         for entry in analysis.scans:
             base = self.database.table(entry.table)
@@ -378,7 +404,7 @@ class ParallelExecutor:
                 name=wname,
             )
             if entry.mode == "broadcast":
-                parts = [lineaged] * n_tasks
+                parts = [lineaged] * len(ctx.keep)
             elif entry.mode == "partition-hash":
                 parts = Partitioner(
                     degree, HASH, entry.hash_columns, seed=PARTITION_HASH_SEED
@@ -387,92 +413,64 @@ class ParallelExecutor:
                 # Split along the catalog's layout (so the summaries that
                 # justified each prune describe exactly these rows), then
                 # keep only the partitions the prune plan executes.
-                parts = [lineaged.take(idx) for idx in prune.split_indices]
-                parts = [parts[pid] for pid in prune.keep]
+                parts = [lineaged.take(prune.split_indices[pid]) for pid in prune.keep]
             else:
                 parts = Partitioner(degree).split(lineaged)
             partitions[wname] = parts
 
-        worker_plans = [
-            build_worker_plan(
-                split,
-                analysis.split_scan_ordinals,
-                pid,
-                degree,
-                analysis.aligned_sampler_addresses,
-            )
-            for pid in (range(degree) if prune is None else prune.keep)
+        # Worker plans are compiled here, in the parent and through the
+        # shared plan cache: a forked worker must not touch the cache's or
+        # the registry's locks (another thread may have held them at fork),
+        # and repeated queries then hit on their worker plans too. Exact,
+        # because worker cardinalities are stitched back in by address.
+        t0 = perf_counter()
+        ctx.worker_plans = [
+            self.engine.compile(
+                build_worker_plan(
+                    analysis.split,
+                    analysis.split_scan_ordinals,
+                    pid,
+                    degree,
+                    analysis.aligned_sampler_addresses,
+                ),
+                exact=True,
+            )[0]
+            for pid in ctx.keep
         ]
-        config = self.config
-        do_partial = merge_mode == "partial"
-        compute_ci = getattr(aggregate, "compute_ci", False)
-        universe_rescale = getattr(aggregate, "universe_rescale", None)
-        universe_variance = getattr(aggregate, "universe_variance", None)
-        fault_plan = self.options.fault_plan
-        # Rows-mode payloads must carry the logical output columns *and* the
-        # lineage columns that survive the split — merge_rows needs both to
-        # restore the serial row order. A corrupt result that silently
-        # dropped one has to be rejected here (and retried), not crash the
-        # merge with a cross-partition schema mismatch.
-        expected_columns = frozenset(split.output_columns()) | _surviving_lineage(
-            split, analysis.split_scan_ordinals
-        )
-
-        runtime = TaskRuntime(
+        ctx.compile_seconds += perf_counter() - t0
+        ctx.runtime = TaskRuntime(
             WorkerPool(self.options.pool, self.options.max_workers),
             policy=self.options.retry,
             base_seed=self.options.task_seed,
         )
-
-        # Zero-copy transport: only worth it when the run actually crosses a
-        # process boundary (thread/inline workers share the address space and
-        # pass tables by reference already).
-        use_shm = (
-            self.options.transport in ("auto", "shm")
-            and runtime.pool.resolve_mode() == "process"
-            and runtime.pool.workers_for(degree) > 1
-            and shm_transport.shm_available()
+        ctx.transport = shm_transport.RunTransport(
+            self.options.transport, ctx.runtime.pool, degree, self.registry
         )
-        if self.options.transport == "shm" and not use_shm:
-            _LOG.warning(
-                "transport='shm' requested but not usable here (pool mode %s, "
-                "%d worker(s)); using the pickle transport",
-                runtime.pool.resolve_mode(),
-                runtime.pool.workers_for(degree),
-            )
-        token = shm_transport.new_run_token() if use_shm else ""
-        input_segments: List[str] = []
-        partition_sources: Dict[str, list] = partitions
-        if use_shm:
-            try:
-                partition_sources, input_segments = shm_transport.ship_partitions(
-                    partitions, token
-                )
-            except (SchemaError, OSError) as exc:
-                # SchemaError: columns the arena cannot encode. OSError: the
-                # arena itself failed (shm_open refused, /dev/shm full).
-                # Either way the run survives on the pickle transport.
-                _LOG.warning(
-                    "input partitions cannot use shared memory (%s); "
-                    "falling back to the pickle transport",
-                    exc,
-                )
-                self.registry.counter("transport.shm_fallbacks").inc()
-                use_shm = False
-                partition_sources = partitions
-            else:
-                # Drop the parent's materialized partition copies before the
-                # pool forks: the fork image (and each worker) carries refs,
-                # not partition data. The base tables stay in self.database.
-                partitions = {}
+        ctx.sources = ctx.transport.ship_inputs(partitions)
+
+    def _run_tasks(self, ctx: _QueryContext) -> None:
+        """Run every partition as a task of the fault-tolerant runtime."""
+        engine, runtime, transport = self.engine, ctx.runtime, ctx.transport
+        fault_plan, governance = self.options.fault_plan, ctx.governance
+        worker_plans, sources = ctx.worker_plans, ctx.sources
+        aggregate, two_phase = ctx.analysis.aggregate, ctx.two_phase
+        # Rows-mode payloads must carry the logical output columns *and* the
+        # lineage columns that survive the split — merge_rows needs both to
+        # restore the serial row order. A corrupt result that silently
+        # dropped one has to be rejected by validation (and retried), not
+        # crash the merge with a cross-partition schema mismatch.
+        split = ctx.analysis.split
+        expected_columns = frozenset(split.output_columns()) | _surviving_lineage(
+            split, ctx.analysis.split_scan_ordinals
+        )
 
         def run_partition(task: TaskSpec):
             t0 = perf_counter()
             if fault_plan is not None:
                 fault_plan.before_work(task.partition, task.attempt)
             worker_db = Database()
-            for sources in partition_sources.values():
-                worker_db.register(shm_transport.open_partition(sources[task.partition]))
+            for parts in sources.values():
+                worker_db.register(shm_transport.open_partition(parts[task.partition]))
             key = (task.partition, task.attempt)
             # Workers poll the abandoned set (live for thread/inline, a
             # fork-time copy for processes) *and* the governance contract —
@@ -480,441 +478,364 @@ class ParallelExecutor:
             # fork — so a cancel/deadline stops every backend at the next
             # operator/morsel boundary. The context also caps each worker's
             # partition-local live bytes.
-            table, cards = Executor(worker_db, config).run_plan(
+            run = engine.run(
                 worker_plans[task.partition],
+                database=worker_db,
                 should_abort=lambda: key in runtime.abandoned,
                 governance=governance,
             )
-            if do_partial:
+            payload = run.table
+            if two_phase:
                 payload = partial_aggregate(
-                    table, aggregate, compute_ci=compute_ci, universe_variance=universe_variance
+                    payload,
+                    aggregate,
+                    compute_ci=getattr(aggregate, "compute_ci", False),
+                    universe_variance=getattr(aggregate, "universe_variance", None),
                 )
-            else:
-                payload = table
-            result = (perf_counter() - t0, cards, payload)
+            result = (perf_counter() - t0, run.cardinalities, payload)
             if fault_plan is not None:
                 result = fault_plan.after_work(
                     task.partition, task.attempt, result, corrupter=_corrupt_result
                 )
-            # Ship the (possibly fault-corrupted) table through shared memory
-            # so validation still sees exactly what the worker produced.
-            # Non-table payloads (partial states, injected junk) take the
-            # pickle pipe as before.
-            if (
-                use_shm
-                and isinstance(result, tuple)
-                and len(result) == 3
-                and isinstance(result[2], Table)
-            ):
-                simulate = fault_plan is not None and fault_plan.shm_fault_for(
-                    task.partition, task.attempt
-                )
-                result = (
-                    result[0],
-                    result[1],
-                    shm_transport.ship_result(
-                        result[2], token, task.partition, task.attempt,
-                        simulate_exhaustion=simulate,
-                    ),
-                )
-            return result
-
-        def validate(result, task: TaskSpec) -> None:
-            if not (isinstance(result, tuple) and len(result) == 3):
-                raise TaskError(
-                    f"worker returned {type(result).__name__}, expected "
-                    "(seconds, cardinalities, payload)",
-                    partition=task.partition,
-                    attempt=task.attempt,
-                    kind="validation",
-                )
-            _, cards, payload = result
-            if not isinstance(cards, dict):
-                raise TaskError(
-                    "worker cardinality map is corrupt",
-                    partition=task.partition,
-                    attempt=task.attempt,
-                    kind="validation",
-                )
-            if do_partial:
-                if not isinstance(payload, PartialAggregate):
-                    raise TaskError(
-                        f"expected a PartialAggregate, got {type(payload).__name__}",
-                        partition=task.partition,
-                        attempt=task.attempt,
-                        kind="validation",
-                    )
-                return
-            if not isinstance(payload, Table):
-                raise TaskError(
-                    f"expected a Table, got {type(payload).__name__}",
-                    partition=task.partition,
-                    attempt=task.attempt,
-                    kind="validation",
-                )
-            missing = expected_columns - set(payload.column_names)
-            if missing:
-                raise TaskError(
-                    f"partition output is missing columns {sorted(missing)}",
-                    partition=task.partition,
-                    attempt=task.attempt,
-                    kind="validation",
-                )
-            if payload.has_weights() and not np.isfinite(payload.weights()).all():
-                raise TaskError(
-                    "partition output carries non-finite sample weights",
-                    partition=task.partition,
-                    attempt=task.attempt,
-                    kind="validation",
-                )
-
-        # Parent-side transport hooks: map refs back into tables on receipt
-        # (accounting pipe vs shared bytes), release segments behind any
-        # result the runtime discards, and reap by deterministic name when a
-        # worker dies before delivering its ref.
-        transport_tally = {"pipe": 0, "shared": 0}
-
-        def receive(result, spec: TaskSpec):
-            if not (isinstance(result, tuple) and len(result) == 3):
-                return result  # malformed shape; validation rejects it below
-            if isinstance(result[2], TableRef):
-                ref = result[2]
-                transport_tally["pipe"] += ref.schema_bytes()
-                transport_tally["shared"] += ref.nbytes
-                return (result[0], result[1], Table.from_ref(ref))
-            if isinstance(result[2], Table):
-                # A whole table on a run that shipped refs means the worker's
-                # shm shipping fell back to pickle (unencodable columns or an
-                # exhausted arena) — the attempt survived on the slow path.
-                self.registry.counter("transport.shm_fallbacks").inc()
-            return result
-
-        def reap_attempt(spec: TaskSpec):
-            scrub_shared_segments(
-                [shm_transport.result_segment_name(token, spec.partition, spec.attempt)]
+            return transport.ship_task_result(
+                result,
+                task,
+                simulate_exhaustion=fault_plan is not None
+                and fault_plan.shm_fault_for(task.partition, task.attempt),
             )
 
-        report = None
-        try:
-            if use_shm:
-                report = runtime.run(
-                    run_partition,
-                    n_tasks,
-                    validate=validate,
-                    receive=receive,
-                    dispose=shm_transport.dispose_result,
-                    reap=reap_attempt,
-                    governance=governance,
-                )
-            else:
-                report = runtime.run(
-                    run_partition, n_tasks, validate=validate, governance=governance
-                )
-            lost = report.failed_partitions
-
-            if report.aborted is not None:
-                # Governance stopped the run mid-flight. For a blown
-                # deadline/budget, salvage when the sample algebra allows
-                # it: completed partitions of a degradable plan are
-                # themselves a valid sample, so they flow into the standard
-                # survivors-reweighting path below (aborted partitions are
-                # simply "lost"). A *cancelled* query has no one waiting —
-                # it always propagates. Never a serial re-execution, which
-                # would double down on a contract already violated.
-                survivors_so_far = n_tasks - len(lost)
-                salvageable = (
-                    isinstance(report.aborted, (DeadlineExceeded, BudgetExceeded))
-                    and self._degradable(analysis, merge_mode)
-                    and survivors_so_far > 0
-                )
-                if not salvageable:
-                    raise report.aborted
-                self.registry.counter(
-                    "parallel.governed_salvages", reason=report.aborted.reason_code
-                ).inc()
-                _LOG.warning(
-                    "governance abort (%s): salvaging %d/%d completed partition(s) "
-                    "as a survivors-only sample",
-                    report.aborted.reason_code,
-                    survivors_so_far,
-                    n_tasks,
-                )
-
-            if lost and not self._degradable(analysis, merge_mode):
-                reason = (
-                    f"partition(s) {list(lost)} permanently lost after "
-                    f"{self.options.retry.max_attempts} attempt(s); "
-                    + self._why_not_degradable(analysis, merge_mode)
-                    + " — re-executing serially"
-                )
-                _LOG.warning("%s", reason)
-                self.stats.serial_reexecutions += 1
-                self.registry.counter("parallel.serial_reexecutions").inc()
-                try:
-                    result = self._serial_fallback(
-                        plan, reason, start, record=False, governance=governance
-                    )
-                except Exception as exc:
-                    raise DegradedResultError(
-                        f"query failed: {reason}, and the serial re-execution "
-                        f"also failed ({type(exc).__name__}: {exc})"
-                    ) from exc
-                self._fold_report(result.parallel, report, fault_plan)
-                self.stats.record(result.parallel)
-                return result
-
-            survivors = [
-                (pid, payload)
-                for pid, payload in enumerate(report.payloads)
-                if payload is not None
-            ]
-            if not survivors:
-                raise DegradedResultError(
-                    f"every partition of the parallel run failed "
-                    f"(first error: {report.errors[0] if report.errors else 'unknown'})"
-                )
-            worker_seconds = report.latencies
-            card_maps = [payload[1] for _, payload in survivors]
-            payloads = [payload[2] for _, payload in survivors]
-            if not use_shm and self.options.measure_transport_bytes:
-                transport_tally["pipe"] = sum(
-                    len(pickle.dumps(p, protocol=pickle.HIGHEST_PROTOCOL)) for p in payloads
-                )
-
-            # Precursor cardinalities: worker plans mirror the split subtree
-            # node-for-node, so worker addresses are precursor-relative and sum
-            # directly under the split's absolute prefix.
-            cardinalities: Dict[NodeAddress, int] = {}
-            for cards in card_maps:
-                for rel_address, count in cards.items():
-                    absolute = split_address + rel_address
-                    cardinalities[absolute] = cardinalities.get(absolute, 0) + count
-
-            reweight_factor = 1.0
-            if do_partial:
-                merged_state = merge_partials(payloads)
-                finalized = finalize_partial(
-                    merged_state,
-                    aggregate,
-                    compute_ci=compute_ci,
-                    universe_rescale=universe_rescale,
-                    universe_variance=universe_variance,
-                )
-                overrides = {analysis.aggregate_address: finalized}
-            else:
-                selection_pis: List[float] = []
-                if prune is not None and prune.selection_active:
-                    # Horvitz-Thompson fold: a row that ran in a partition
-                    # drawn with inclusion probability pi represents 1/pi
-                    # partitions' worth of its stratum.
-                    folded = []
-                    for (tid, _), payload in zip(survivors, payloads):
-                        pi = prune.inclusion[prune.keep[tid]]
-                        selection_pis.append(pi)
-                        if pi < 1.0:
-                            payload = payload.with_columns(
-                                {WEIGHT_COLUMN: payload.weights() * (1.0 / pi)}
-                            )
-                        folded.append(payload)
-                    payloads = folded
-                merged = merge_rows(payloads)
-                if lost:
-                    # Sample-aware degradation: surviving partitions are a
-                    # valid sample; re-weight and let the variance algebra
-                    # widen the CIs downstream. Pruned partitions held no
-                    # qualifying rows, so the executed set is the population
-                    # the loss is measured against.
-                    reweighted, reweight_factor = reweight_surviving_partitions(
-                        merged.weights(), n_tasks, len(lost)
-                    )
-                    merged = merged.with_columns({WEIGHT_COLUMN: reweighted})
-                overrides = {split_address: merged}
-
-            # After a salvage the contract is already blown; finishing the
-            # (cheap, post-merge) upper plan ungoverned is the availability
-            # promise — otherwise the expired deadline would instantly
-            # re-trip and void the survivors we just salvaged.
-            upper_governance = None if report.aborted is not None else governance
-            table, upper_cards = self.serial_executor.run_plan(
-                plan, overrides, governance=upper_governance
-            )
-            cardinalities.update(upper_cards)
-            if (
-                not do_partial
-                and compute_ci
-                and prune is not None
-                and prune.selection_active
-                and aggregate is not None
-            ):
-                # The row-level HT variance misses the between-partition
-                # (cluster-sampling) component of weighted selection; fold
-                # it into the CI columns now that the answer exists.
-                table = inflate_selection_cis(table, aggregate, payloads, selection_pis)
-            cost = cost_plan(plan, lambda node, address: cardinalities[address], config)
-            elapsed = perf_counter() - start
-
-            serial_seconds = None
-            if self.options.measure_serial_baseline:
-                t0 = perf_counter()
-                self.serial_executor.execute(plan)
-                serial_seconds = perf_counter() - t0
-
-            coverage = (n_tasks - len(lost)) / n_tasks
-            metrics = ParallelMetrics(
-                parallelism=degree,
-                strategy=analysis.strategy,
-                pool_mode=runtime.pool.resolve_mode(),
-                merge_mode=merge_mode,
-                partitioned_tables=analysis.partitioned_tables,
-                wall_clock_seconds=elapsed,
-                serial_wall_clock_seconds=serial_seconds,
-                modeled_speedup=modeled_speedup(cost, degree, config),
-                worker_seconds=worker_seconds,
-                tasks=n_tasks,
-                task_retries=report.total_retries,
-                speculative_launches=report.speculative_launches,
-                speculative_wins=report.speculative_wins,
-                faults_injected=fault_plan.num_faults if fault_plan is not None else 0,
-                failed_partitions=lost,
-                degraded=bool(lost),
-                coverage=coverage,
-                transport="shm" if use_shm else "pickle",
-                result_bytes_on_pipe=transport_tally["pipe"],
-                result_bytes_shared=transport_tally["shared"],
-                pruning=prune.summary() if prune is not None else None,
-            )
-            if metrics.pruning is not None:
-                metrics.pruning["machine_hours_credit"] = prune_cost_credit(
-                    prune.rows_pruned_actual + prune.rows_unselected, config
-                )
-            self.stats.record(metrics)
-            if lost:
-                _LOG.warning(
-                    "degraded result: partition(s) %s permanently lost; "
-                    "coverage %.2f, surviving weights rescaled by %.3f",
-                    list(lost),
-                    coverage,
-                    reweight_factor,
-                )
-                return PartialResult(
-                    table=table.drop_lineage(),
-                    cost=cost,
-                    cardinalities=cardinalities,
-                    wall_clock_seconds=elapsed,
-                    parallel=metrics,
-                    lost_partitions=lost,
-                    coverage=coverage,
-                    reweight_factor=reweight_factor,
-                    abort_reason=(
-                        report.aborted.reason_code
-                        if report.aborted is not None else None
-                    ),
-                )
-            return ExecutionResult(
-                table=table.drop_lineage(),
-                cost=cost,
-                cardinalities=cardinalities,
-                wall_clock_seconds=elapsed,
-                parallel=metrics,
-            )
-        finally:
-            if use_shm:
-                if report is not None:
-                    # Winning payloads were mapped into parent-side tables;
-                    # by now the merge has copied their rows, so the segments
-                    # can go (release tolerates still-live views). The sweep
-                    # then reaps orphans of workers that died holding their
-                    # result — every name the attempt ledger could have used.
-                    for outcome in report.outcomes:
-                        shm_transport.dispose_result(outcome.payload)
-                    shm_transport.sweep_results(
-                        token,
-                        [outcome.attempts for outcome in report.outcomes],
-                        keep=set(),
-                    )
-                shm_transport.release_refs(input_segments)
-
-    # -- degradation rules ----------------------------------------------------
-    @staticmethod
-    def _sampler_kinds(analysis) -> frozenset:
-        return frozenset(
-            node.spec.kind
-            for node in analysis.split.walk()
-            if isinstance(node, SamplerNode)
+        ctx.report = runtime.run(
+            run_partition,
+            len(ctx.keep),
+            validate=partial(
+                _validate_result, two_phase=two_phase, expected_columns=expected_columns
+            ),
+            governance=governance,
+            **transport.hooks(),
         )
 
-    def _degradable(self, analysis, merge_mode: str) -> bool:
-        """Whether a permanently lost partition can be absorbed by
-        re-weighting the survivors.
+    def _undegradable(self, ctx: _QueryContext) -> Optional[str]:
+        """Why a lost partition cannot be absorbed by re-weighting the
+        survivors; None when it can.
 
-        Requires *all* of: degradation enabled; row merge (partial states
-        fold weights in ways a scalar factor cannot undo); a round-robin
-        strategy (hash strategies lose a deterministic key range — the
+        Absorbing needs *all* of: degradation enabled; row merge (partial
+        states fold weights in ways a scalar factor cannot undo); a
+        round-robin strategy (hash strategies lose a deterministic key
+        range, pruned/selected layouts a non-exchangeable slice — the
         survivors are a biased subset); and a plan rooted in uniform or
         universe samplers only (distinct samplers guarantee per-stratum
         minima the lost partition may have held; exact plans have no
         weights to re-scale).
         """
-        if not self.options.allow_degraded or merge_mode != "rows":
-            return False
-        if not analysis.strategy.startswith("round-robin"):
-            return False
-        kinds = self._sampler_kinds(analysis)
-        return bool(kinds & _DEGRADABLE_KINDS) and kinds <= (_DEGRADABLE_KINDS | _NEUTRAL_KINDS)
-
-    def _why_not_degradable(self, analysis, merge_mode: str) -> str:
         if not self.options.allow_degraded:
             return "degradation disabled"
-        if merge_mode != "rows":
+        if ctx.merge_mode != "rows":
             return "partial-aggregate states cannot be re-weighted after merge"
-        if not analysis.strategy.startswith("round-robin"):
+        if not ctx.strategy.startswith("round-robin"):
             return (
-                f"strategy {analysis.strategy} loses a deterministic key range, "
+                f"strategy {ctx.strategy} loses a deterministic key range, "
                 "not a random subset"
             )
-        kinds = self._sampler_kinds(analysis)
+        kinds = ctx.analysis.sampler_kinds
         if not kinds & _DEGRADABLE_KINDS:
             return "plan has no uniform/universe sampler (exact answers cannot drop data)"
-        return (
-            f"sampler kinds {sorted(kinds - _DEGRADABLE_KINDS - _NEUTRAL_KINDS)} "
-            "pin per-stratum guarantees to specific partitions"
+        pinned = kinds - _DEGRADABLE_KINDS - _NEUTRAL_KINDS
+        if pinned:
+            return (
+                f"sampler kinds {sorted(pinned)} pin per-stratum guarantees "
+                "to specific partitions"
+            )
+        return None
+
+    def _recover(self, ctx: _QueryContext) -> Optional[str]:
+        """Decide what the task report's losses mean.
+
+        Returns None when the survivors carry the answer (all of them, or a
+        degradable plan's valid sub-sample), the reason when the query must
+        be re-executed serially; raises when nothing can be returned.
+        """
+        report = ctx.report
+        lost = report.failed_partitions
+        survivors = len(ctx.keep) - len(lost)
+        undegradable = (
+            self._undegradable(ctx) if lost or report.aborted is not None else None
+        )
+        if report.aborted is not None:
+            # Governance stopped the run mid-flight. For a blown
+            # deadline/budget, salvage when the sample algebra allows it:
+            # completed partitions of a degradable plan are themselves a
+            # valid sample, so they flow into the standard survivors
+            # re-weighting of the merge (aborted partitions are simply
+            # "lost"). A *cancelled* query has no one waiting — it always
+            # propagates. Never a serial re-execution, which would double
+            # down on a contract already violated.
+            if (
+                not isinstance(report.aborted, (DeadlineExceeded, BudgetExceeded))
+                or undegradable is not None
+                or survivors == 0
+            ):
+                raise report.aborted
+            self.registry.counter(
+                "parallel.governed_salvages", reason=report.aborted.reason_code
+            ).inc()
+            _LOG.warning(
+                "governance abort (%s): salvaging %d/%d completed partition(s) "
+                "as a survivors-only sample",
+                report.aborted.reason_code,
+                survivors,
+                len(ctx.keep),
+            )
+        if lost and undegradable is not None:
+            return (
+                f"partition(s) {list(lost)} permanently lost after "
+                f"{self.options.retry.max_attempts} attempt(s); "
+                f"{undegradable} — re-executing serially"
+            )
+        if survivors == 0:
+            raise DegradedResultError(
+                f"every partition of the parallel run failed "
+                f"(first error: {report.errors[0] if report.errors else 'unknown'})"
+            )
+        return None
+
+    def _merge(self, ctx: _QueryContext) -> None:
+        """Merge the surviving payloads into the upper plan's override."""
+        analysis, prune, report = ctx.analysis, ctx.prune, ctx.report
+        lost = report.failed_partitions
+        survivors = [
+            (tid, result) for tid, result in enumerate(report.payloads) if result is not None
+        ]
+        payloads = [result[2] for _, result in survivors]
+        if self.options.measure_transport_bytes and not ctx.transport.shm:
+            ctx.transport.pipe_bytes = sum(
+                len(pickle.dumps(p, protocol=pickle.HIGHEST_PROTOCOL)) for p in payloads
+            )
+
+        # Precursor cardinalities: worker plans mirror the split subtree
+        # node-for-node, so worker addresses are precursor-relative and sum
+        # directly under the split's absolute prefix.
+        for _, (_, cards, _) in survivors:
+            for rel_address, count in cards.items():
+                absolute = analysis.split_address + rel_address
+                ctx.cardinalities[absolute] = ctx.cardinalities.get(absolute, 0) + count
+
+        if ctx.two_phase:
+            aggregate = analysis.aggregate
+            ctx.overrides[analysis.aggregate_address] = finalize_partial(
+                merge_partials(payloads),
+                aggregate,
+                compute_ci=getattr(aggregate, "compute_ci", False),
+                universe_rescale=getattr(aggregate, "universe_rescale", None),
+                universe_variance=getattr(aggregate, "universe_variance", None),
+            )
+            return
+        if ctx.selecting:
+            # Horvitz-Thompson fold: a row that ran in a partition drawn
+            # with inclusion probability pi represents 1/pi partitions'
+            # worth of its stratum.
+            ctx.selection_pis = [prune.inclusion[prune.keep[tid]] for tid, _ in survivors]
+            payloads = [
+                payload.with_columns({WEIGHT_COLUMN: payload.weights() * (1.0 / pi)})
+                if pi < 1.0
+                else payload
+                for payload, pi in zip(payloads, ctx.selection_pis)
+            ]
+        merged = merge_rows(payloads)
+        if lost:
+            # Sample-aware degradation: surviving partitions are a valid
+            # sample; re-weight and let the variance algebra widen the CIs
+            # downstream. Pruned partitions held no qualifying rows, so the
+            # executed set is the population the loss is measured against.
+            reweighted, ctx.reweight_factor = reweight_surviving_partitions(
+                merged.weights(), len(ctx.keep), len(lost)
+            )
+            merged = merged.with_columns({WEIGHT_COLUMN: reweighted})
+        ctx.payloads = payloads
+        ctx.overrides[analysis.split_address] = merged
+
+    def _task_ledger(self, ctx: _QueryContext) -> dict:
+        """The task report as ``ParallelMetrics`` fields."""
+        report, fault_plan = ctx.report, self.options.fault_plan
+        return dict(
+            tasks=len(report.outcomes),
+            task_retries=report.total_retries,
+            speculative_launches=report.speculative_launches,
+            speculative_wins=report.speculative_wins,
+            faults_injected=fault_plan.num_faults if fault_plan is not None else 0,
+            failed_partitions=report.failed_partitions,
         )
 
-    def _fold_report(self, metrics: Optional[ParallelMetrics], report, fault_plan) -> None:
-        """Attach the task report of a failed parallel phase to the metrics
-        of its serial re-execution."""
-        if metrics is None:
-            return
-        metrics.tasks = len(report.outcomes)
-        metrics.task_retries = report.total_retries
-        metrics.speculative_launches = report.speculative_launches
-        metrics.speculative_wins = report.speculative_wins
-        metrics.faults_injected = fault_plan.num_faults if fault_plan is not None else 0
-        metrics.failed_partitions = report.failed_partitions
+    def _finish(self, ctx: _QueryContext) -> ExecutionResult:
+        """Run the upper plan over the merged result; cost and wrap it."""
+        analysis, prune, report = ctx.analysis, ctx.prune, ctx.report
+        # After a salvage the contract is already blown; finishing the
+        # (cheap, post-merge) upper plan ungoverned is the availability
+        # promise — otherwise the expired deadline would instantly re-trip
+        # and void the survivors we just salvaged.
+        run = self._engine_run(
+            ctx,
+            ctx.plan,
+            None if report.aborted is not None else ctx.governance,
+            overrides=ctx.overrides,
+        )
+        table, cardinalities = run.table, ctx.cardinalities
+        cardinalities.update(run.cardinalities)
+        aggregate = analysis.aggregate
+        if ctx.selecting and aggregate is not None and getattr(aggregate, "compute_ci", False):
+            # The row-level HT variance misses the between-partition
+            # (cluster-sampling) component of weighted selection; fold it
+            # into the CI columns now that the answer exists.
+            table = inflate_selection_cis(table, aggregate, ctx.payloads, ctx.selection_pis)
+        cost = cost_plan(ctx.plan, lambda node, address: cardinalities[address], self.config)
+        elapsed = perf_counter() - ctx.start
 
-    def _serial_fallback(
-        self, plan, reason: str, start: float, record: bool = True, governance=None
-    ) -> ExecutionResult:
-        """Run serially, reporting why parallel execution was declined.
+        lost = report.failed_partitions
+        coverage = (len(ctx.keep) - len(lost)) / len(ctx.keep)
+        metrics = ParallelMetrics(
+            parallelism=self.parallelism,
+            strategy=ctx.strategy,
+            pool_mode=ctx.runtime.pool.resolve_mode(),
+            merge_mode=ctx.merge_mode,
+            partitioned_tables=analysis.partitioned_tables,
+            wall_clock_seconds=elapsed,
+            modeled_speedup=modeled_speedup(cost, self.parallelism, self.config),
+            worker_seconds=report.latencies,
+            degraded=bool(lost),
+            coverage=coverage,
+            transport="shm" if ctx.transport.shm else "pickle",
+            result_bytes_on_pipe=ctx.transport.pipe_bytes,
+            result_bytes_shared=ctx.transport.shared_bytes,
+            pruning=prune.summary() if prune is not None else None,
+            **self._task_ledger(ctx),
+        )
+        if prune is not None:
+            metrics.pruning["machine_hours_credit"] = prune_cost_credit(
+                prune.rows_pruned_actual + prune.rows_unselected, self.config
+            )
+        common = dict(
+            table=table.drop_lineage(),
+            cost=cost,
+            cardinalities=cardinalities,
+            wall_clock_seconds=elapsed,
+            parallel=metrics,
+        )
+        if not lost:
+            return ExecutionResult(**common)
+        _LOG.warning(
+            "degraded result: partition(s) %s permanently lost; "
+            "coverage %.2f, surviving weights rescaled by %.3f",
+            list(lost),
+            coverage,
+            ctx.reweight_factor,
+        )
+        return PartialResult(
+            **common,
+            lost_partitions=lost,
+            coverage=coverage,
+            reweight_factor=ctx.reweight_factor,
+            abort_reason=report.aborted.reason_code if report.aborted is not None else None,
+        )
 
-        ``record=False`` defers the cumulative-stats entry to the caller
-        (the re-execution path folds the failed parallel phase's task
-        report into the metrics first)."""
-        _LOG.info("falling back to serial execution: %s", reason)
-        result = self.serial_executor.execute(plan, governance=governance)
-        elapsed = perf_counter() - start
-        result.wall_clock_seconds = elapsed
+    def _run_serially(self, ctx: _QueryContext, reason: str) -> ExecutionResult:
+        """Serial fallback (parallel execution declined) or serial
+        re-execution (its tasks ran and lost partitions nothing absorbs)."""
+        reexecution = ctx.report is not None
+        (_LOG.warning if reexecution else _LOG.info)(
+            "falling back to serial execution: %s", reason
+        )
+        try:
+            result = self.engine.execute_serial(ctx.plan, ctx.governance)
+        except Exception as exc:
+            if not reexecution:
+                raise
+            raise DegradedResultError(
+                f"query failed: {reason}, and the serial re-execution "
+                f"also failed ({type(exc).__name__}: {exc})"
+            ) from exc
+        result.wall_clock_seconds = perf_counter() - ctx.start
         result.parallel = ParallelMetrics(
             parallelism=self.parallelism,
             strategy="serial-fallback",
             pool_mode="inline",
             merge_mode=self.options.merge,
             reason=reason,
-            wall_clock_seconds=elapsed,
+            wall_clock_seconds=result.wall_clock_seconds,
+            **(self._task_ledger(ctx) if reexecution else {}),
         )
-        if record:
-            self.stats.record(result.parallel)
         return result
+
+    def _record(self, ctx: _QueryContext, metrics: ParallelMetrics) -> None:
+        """Write the query's ledger into the registry — the one place the
+        ``parallel.*`` / ``transport.*`` / ``prune.*`` totals grow."""
+        registry = self.registry
+        fallback = metrics.strategy == "serial-fallback"
+        totals = [
+            ("parallel.queries", 1),
+            ("parallel.serial_fallbacks", fallback),
+            ("parallel.serial_reexecutions", fallback and ctx.report is not None),
+            ("parallel.tasks", metrics.tasks),
+            ("parallel.retries", metrics.task_retries),
+            ("parallel.speculative_launches", metrics.speculative_launches),
+            ("parallel.speculative_wins", metrics.speculative_wins),
+            ("parallel.faults_injected", metrics.faults_injected),
+            ("parallel.failed_tasks", len(metrics.failed_partitions)),
+            ("parallel.degraded_queries", metrics.degraded),
+            ("transport.shm_queries", metrics.transport == "shm"),
+            ("transport.result_bytes_on_pipe", metrics.result_bytes_on_pipe),
+            ("transport.result_bytes_shared", metrics.result_bytes_shared),
+        ]
+        pruning = metrics.pruning
+        if pruning:
+            totals += [
+                ("prune.partitions_scanned", pruning["partitions_executed"]),
+                ("prune.partitions_pruned", pruning["partitions_pruned"]),
+                ("prune.partitions_selected", pruning["partitions_selected"]),
+                ("prune.stale_retained", pruning["partitions_stale_retained"]),
+                (
+                    "prune.rows_skipped",
+                    pruning["rows_pruned_actual"] + pruning["rows_unselected"],
+                ),
+            ]
+        for name, amount in totals:
+            if amount:
+                registry.counter(name).inc(int(amount))
+        for seconds in metrics.worker_seconds:
+            registry.histogram("parallel.task_seconds").observe(seconds)
+        if ctx.report is not None:
+            # A serial (re-)execution recorded itself; this is the rest.
+            self.engine.record_phase(ctx.compile_seconds, ctx.execute_seconds)
+
+
+def _result_problem(result, two_phase: bool, expected_columns: frozenset) -> Optional[str]:
+    """What is wrong with a worker's result; None when it is acceptable."""
+    if not (isinstance(result, tuple) and len(result) == 3):
+        return (
+            f"worker returned {type(result).__name__}, expected "
+            "(seconds, cardinalities, payload)"
+        )
+    _, cards, payload = result
+    if not isinstance(cards, dict):
+        return "worker cardinality map is corrupt"
+    if two_phase:
+        if not isinstance(payload, PartialAggregate):
+            return f"expected a PartialAggregate, got {type(payload).__name__}"
+        return None
+    if not isinstance(payload, Table):
+        return f"expected a Table, got {type(payload).__name__}"
+    missing = expected_columns - set(payload.column_names)
+    if missing:
+        return f"partition output is missing columns {sorted(missing)}"
+    if payload.has_weights() and not np.isfinite(payload.weights()).all():
+        return "partition output carries non-finite sample weights"
+    return None
+
+
+def _validate_result(result, task: TaskSpec, two_phase: bool, expected_columns: frozenset) -> None:
+    problem = _result_problem(result, two_phase, expected_columns)
+    if problem is not None:
+        raise TaskError(
+            problem, partition=task.partition, attempt=task.attempt, kind="validation"
+        )
 
 
 def _surviving_lineage(split, split_scan_ordinals: Dict[NodeAddress, int]) -> frozenset:

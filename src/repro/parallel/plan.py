@@ -106,6 +106,13 @@ class PlanAnalysis:
     def partitioned_tables(self) -> Tuple[str, ...]:
         return tuple(s.table for s in self.scans if s.mode != "broadcast")
 
+    @property
+    def sampler_kinds(self) -> frozenset:
+        """Kinds of the samplers inside the precursor."""
+        return frozenset(
+            node.spec.kind for node in self.split.walk() if isinstance(node, SamplerNode)
+        )
+
 
 _CLEAN_NODES = (Scan, Select, Project, SamplerNode, Join)
 

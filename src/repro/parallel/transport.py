@@ -50,6 +50,7 @@ __all__ = [
     "dispose_result",
     "sweep_results",
     "release_refs",
+    "RunTransport",
 ]
 
 _LOG = obs_log.logger("parallel.transport")
@@ -214,3 +215,118 @@ def release_refs(refs_or_names: Iterable) -> None:
     """Release a collection of refs / segment names (parent-side cleanup)."""
     for item in refs_or_names:
         release(item)
+
+
+class RunTransport:
+    """One parallel run's choice of transport and everything it owns.
+
+    Shared memory is only worth it when the run actually crosses a process
+    boundary (thread/inline workers share the address space and pass tables
+    by reference already). The pipeline talks to this object the same way
+    either way: off shm, inputs and results pass through untouched and
+    :meth:`hooks` / :meth:`close` have nothing to do.
+    """
+
+    def __init__(self, mode: str, pool, num_tasks: int, registry):
+        self.shm = (
+            mode in ("auto", "shm")
+            and pool.resolve_mode() == "process"
+            and pool.workers_for(num_tasks) > 1
+            and shm_available()
+        )
+        if mode == "shm" and not self.shm:
+            _LOG.warning(
+                "transport='shm' requested but not usable here (pool mode %s, "
+                "%d worker(s)); using the pickle transport",
+                pool.resolve_mode(),
+                pool.workers_for(num_tasks),
+            )
+        self.token = new_run_token() if self.shm else ""
+        self.registry = registry
+        self.input_segments: List[str] = []
+        #: Bytes that crossed the result pipe / moved through shared memory.
+        self.pipe_bytes = 0
+        self.shared_bytes = 0
+
+    def ship_inputs(self, partitions: Dict[str, List[Table]]) -> Dict[str, list]:
+        """Per-task sources for the workers: refs on shm (the caller then
+        drops its materialized partitions, so the fork image carries refs,
+        not data), the tables themselves otherwise."""
+        if not self.shm:
+            return partitions
+        try:
+            refs, self.input_segments = ship_partitions(partitions, self.token)
+        except (SchemaError, OSError) as exc:
+            # SchemaError: columns the arena cannot encode. OSError: the
+            # arena itself failed (shm_open refused, /dev/shm full).
+            # Either way the run survives on the pickle transport.
+            _LOG.warning(
+                "input partitions cannot use shared memory (%s); "
+                "falling back to the pickle transport",
+                exc,
+            )
+            self.registry.counter("transport.shm_fallbacks").inc()
+            self.shm = False
+            return partitions
+        return refs
+
+    def ship_task_result(self, result, task, simulate_exhaustion: bool = False):
+        """Worker side: move a table payload into shared memory so only its
+        ref crosses the pipe. The (possibly fault-corrupted) table ships as
+        is, so validation still sees exactly what the worker produced;
+        non-table payloads (partial states, injected junk) take the pipe."""
+        if not (
+            self.shm
+            and isinstance(result, tuple)
+            and len(result) == 3
+            and isinstance(result[2], Table)
+        ):
+            return result
+        ref = ship_result(
+            result[2], self.token, task.partition, task.attempt,
+            simulate_exhaustion=simulate_exhaustion,
+        )
+        return (result[0], result[1], ref)
+
+    def hooks(self) -> dict:
+        """Parent-side ``TaskRuntime.run`` hooks: map refs back into tables
+        on receipt, release segments behind any result the runtime discards,
+        and reap by deterministic name when a worker dies before delivering
+        its ref. None off shm — the runtime then keeps its fire-and-forget
+        shutdown instead of waiting on stragglers that own no segments."""
+        if not self.shm:
+            return {}
+        return {"receive": self._receive, "dispose": dispose_result, "reap": self._reap}
+
+    def _receive(self, result, task):
+        if not (isinstance(result, tuple) and len(result) == 3):
+            return result  # malformed shape; validation rejects it
+        if isinstance(result[2], TableRef):
+            ref = result[2]
+            self.pipe_bytes += ref.schema_bytes()
+            self.shared_bytes += ref.nbytes
+            return (result[0], result[1], Table.from_ref(ref))
+        if isinstance(result[2], Table):
+            # A whole table on a run that shipped refs means the worker's
+            # shm shipping fell back to pickle (unencodable columns or an
+            # exhausted arena) — the attempt survived on the slow path.
+            self.registry.counter("transport.shm_fallbacks").inc()
+        return result
+
+    def _reap(self, task) -> None:
+        reap(result_segment_name(self.token, task.partition, task.attempt))
+
+    def close(self, report) -> None:
+        """End of run. Winning payloads were mapped into parent-side tables
+        and the merge has copied their rows, so their segments can go
+        (release tolerates still-live views); the sweep then reaps orphans
+        of workers that died holding their result — every name the attempt
+        ledger could have used. ``report`` is None when the run never got
+        as far as its tasks."""
+        if report is not None and self.shm:
+            for outcome in report.outcomes:
+                dispose_result(outcome.payload)
+            sweep_results(
+                self.token, [outcome.attempts for outcome in report.outcomes], keep=set()
+            )
+        release_refs(self.input_segments)

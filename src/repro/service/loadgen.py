@@ -6,8 +6,11 @@ drawn from the TPC-DS suite, and reports throughput (qps), latency
 percentiles (p50/p95/p99, measured client-side over the full
 request-to-answer round trip), the outcome mix (served vs. each rejection
 reason vs. errors) and the digest of every served answer keyed by
-(query, mode) — the hook the benchmark uses to assert served answers are
-bit-identical to library-mode execution.
+(query, mode, rung) — the rung being the fidelity the governor actually
+answered at (the mode itself, or a degradation-ladder rung such as
+``quickr-coarse``). That is the hook the benchmark uses to assert that
+full-fidelity answers are bit-identical to library-mode execution and that
+every other rung at least agrees with itself.
 
 Used three ways: in-process by ``benchmarks/bench_service_load.py``, from
 the CLI as ``repro loadgen`` (the CI service-smoke job), and as a minimal
@@ -74,7 +77,8 @@ class LoadReport:
     wall_seconds: float = 0.0
     #: Client-observed round-trip latencies of *served* requests (seconds).
     latencies: List[float] = field(default_factory=list)
-    #: (query, mode) -> set of distinct served digests (1 = deterministic).
+    #: (query, mode, rung) -> set of distinct served digests
+    #: (1 = deterministic).
     digests: Dict[Any, set] = field(default_factory=dict)
     #: Server-side stats snapshot taken after the run.
     server_stats: Optional[Dict[str, Any]] = None
@@ -123,7 +127,7 @@ class LoadReport:
                 for k, v in self.latency_percentiles().items()
             },
             "distinct_digests_per_query": {
-                f"{q}/{m}": len(d) for (q, m), d in sorted(self.digests.items())
+                f"{q}/{m}/{r}": len(d) for (q, m, r), d in sorted(self.digests.items())
             },
         }
         if self.server_stats is not None:
@@ -183,13 +187,14 @@ def _session_worker(host: str, port: int, config: LoadConfig, index: int,
                     report.errors += 1
                 continue
             latency = time.perf_counter() - t0
+            rung = config.mode if reply.degraded is None else reply.degraded["rung"]
             with lock:
                 report.requests += 1
                 report.served += 1
                 if reply.degraded is not None:
                     report.degraded += 1
                 report.latencies.append(latency)
-                report.digests.setdefault((name, config.mode), set()).add(reply.digest)
+                report.digests.setdefault((name, config.mode, rung), set()).add(reply.digest)
     except threading.BrokenBarrierError:
         pass
     finally:

@@ -10,20 +10,21 @@ import gc
 import weakref
 
 from repro import Executor, QuickrPlanner
+from repro.parallel import ParallelOptions
 from repro.workloads.tpcds import generate_tpcds, query_by_name
 
 #: Join reordering over >= 3 leaves, a distinct sampler, the universe pair.
 QUERIES = ("q01", "q05", "q12")
 
 
-def test_dropped_database_is_freed_without_the_cycle_collector():
+def _assert_freed_by_refcount(**executor_kwargs):
     gc.collect()
     gc.disable()
     try:
         db = generate_tpcds(scale=0.02, seed=1)
         fact_column = weakref.ref(db.table("store_sales").column("ss_item_sk"))
         database = weakref.ref(db)
-        planner, executor = QuickrPlanner(db), Executor(db)
+        planner, executor = QuickrPlanner(db), Executor(db, **executor_kwargs)
         for name in QUERIES:
             query = query_by_name(db, name)
             for planned in (planner.plan_baseline(query), planner.plan(query)):
@@ -34,3 +35,16 @@ def test_dropped_database_is_freed_without_the_cycle_collector():
         assert fact_column() is None
     finally:
         gc.enable()
+
+
+def test_dropped_database_is_freed_without_the_cycle_collector():
+    _assert_freed_by_refcount()
+
+
+def test_dropped_database_is_freed_behind_a_parallel_executor():
+    # The parallel pipeline borrows its owner's engine; it must not tie the
+    # two into a cycle that outlives the executor.
+    _assert_freed_by_refcount(
+        parallelism=2,
+        parallel_options=ParallelOptions(pool="inline", min_partition_rows=1),
+    )

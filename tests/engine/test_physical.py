@@ -286,9 +286,9 @@ class TestExecutorCaching:
         spliced = Table(
             "pre", {"i_cat": np.array([1, 1, 2]), "s_item": np.array([0, 1, 2])}
         )
-        table, cards = executor.run_plan(ba, overrides={(0,): spliced})
-        assert cards[(0,)] == 3
-        assert int(table.column("n").sum()) == 3
+        run = executor.run(ba, overrides={(0,): spliced})
+        assert run.cardinalities[(0,)] == 3
+        assert int(run.table.column("n").sum()) == 3
 
     def test_cache_disabled(self, sales_db):
         executor = Executor(sales_db, plan_cache_size=0)

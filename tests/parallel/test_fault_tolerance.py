@@ -268,6 +268,61 @@ class TestMetricsAndStats:
         assert ledger["faults_injected"] == 2
         assert "task_latency_s" in ledger
 
+    def test_one_store_after_a_mixed_run(self, sales_db, uniform_query, distinct_query):
+        """A clean parallel query, a serial fallback, a retried task and a
+        lost-partition serial re-execution: the ledger, the timings and the
+        registry are one store, and one reset zeroes all of it."""
+        options = ParallelOptions(
+            pool="inline",
+            min_partition_rows=1_000,
+            retry=RetryPolicy(max_attempts=2, backoff_base=0.005),
+        )
+        executor = Executor(sales_db, parallelism=DEGREE, parallel_options=options)
+        too_small = scan(sales_db, "item").groupby("i_cat").agg(count("n")).build("tiny")
+        metrics = [executor.execute(uniform_query).parallel]
+        metrics.append(executor.execute(too_small).parallel)
+        options.fault_plan = FaultPlan([Fault(0, 0, "crash")])
+        metrics.append(executor.execute(uniform_query).parallel)
+        options.fault_plan = FaultPlan.lose_partition(0)
+        metrics.append(executor.execute(distinct_query).parallel)
+        assert [m.strategy == "serial-fallback" for m in metrics] == [False, True, False, True]
+        assert [m.task_retries > 0 for m in metrics] == [False, False, True, True]
+
+        timings, registry = executor.timings(), executor.registry
+        ledger = timings["fault_tolerance"]
+        assert ledger["queries"] == registry.value("parallel.queries") == 4
+        assert ledger["tasks"] == registry.value("parallel.tasks") == 3 * DEGREE
+        assert (
+            ledger["retries"]
+            == registry.value("parallel.retries")
+            == sum(m.task_retries for m in metrics)
+        )
+        assert ledger["faults_injected"] == registry.value("parallel.faults_injected") == 2
+        assert ledger["failed_tasks"] == registry.value("parallel.failed_tasks") == 1
+        assert ledger["serial_reexecutions"] == 1
+        assert registry.value("parallel.serial_fallbacks") == 2
+        assert ledger["degraded_queries"] == 0
+        # executor.*: the two serial runs recorded themselves; each of the
+        # three parallel phases (the failed one included) adds one
+        # observation of what it compiled and ran outside its tasks.
+        assert registry.value("executor.queries") == 2
+        compiled = registry.histogram("executor.compile_seconds").snapshot()
+        executed = registry.histogram("executor.execute_seconds").snapshot()
+        assert compiled["count"] == executed["count"] == 5
+        assert timings["compile_seconds"] == compiled["sum"] > 0.0
+        assert timings["execute_seconds"] == executed["sum"] > 0.0
+        cache = timings["plan_cache"]
+        assert cache == executor.plan_cache.stats() and cache["size"] > 0
+        assert cache["hits"] == registry.value("plan_cache.hits") > 0
+        assert cache["misses"] == registry.value("plan_cache.misses") > 0
+
+        executor.reset_metrics()
+        after = executor.timings()
+        assert after["compile_seconds"] == after["execute_seconds"] == 0.0
+        assert set(after["fault_tolerance"].values()) == {0}
+        assert after["plan_cache"] == {**cache, "hits": 0, "misses": 0, "evictions": 0}
+        assert registry.total("parallel.queries") == registry.total("executor.queries") == 0
+
     def test_latency_percentiles_present(self, sales_db, uniform_query):
         result = faulted_executor(sales_db, None).execute(uniform_query)
         pct = result.parallel.task_latency_percentiles()

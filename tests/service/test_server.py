@@ -13,6 +13,7 @@ import pytest
 from repro.engine.executor import Executor
 from repro.errors import AdmissionRejected, ServiceError
 from repro.optimizer.planner import QuickrPlanner
+from repro.parallel import ParallelOptions
 from repro.service import (
     AdmissionConfig,
     QueryServer,
@@ -280,6 +281,27 @@ class TestShutdown:
             assert not thread.is_alive()
         with pytest.raises(OSError):
             ServiceClient(host, port, timeout=1.0)
+
+    def test_stats_describe_the_cache_that_served_a_parallel_executor(self, tiny_tpcds):
+        # One plan cache per executor: the parallel path compiles its
+        # worker and upper plans into the cache the service reports on.
+        executor = Executor(
+            tiny_tpcds,
+            parallelism=2,
+            parallel_options=ParallelOptions(pool="inline", min_partition_rows=1),
+        )
+        service = QueryService(
+            tiny_tpcds, ServiceConfig(num_workers=1), executor=executor
+        ).start()
+        try:
+            session = service.open_session(tenant="par")
+            for name in QUERIES:
+                service.execute(session, name, "quickr")
+            cache = service.stats()["plan_cache"]
+        finally:
+            service.close()
+        assert cache["size"] > 0 and cache["misses"] >= cache["size"]
+        assert cache == executor.timings()["plan_cache"]
 
     def test_stop_rejects_queued_tickets_explicitly(self, tiny_tpcds):
         config = ServiceConfig(num_workers=1, admission=AdmissionConfig(max_queue_depth=8))

@@ -1,0 +1,117 @@
+"""Structural ratchet: debt the execution-pipeline refactor paid stays paid.
+
+AST-based, so it reads the source rather than importing it. Each limit may
+only tighten: shrink an allow-list entry when its function shrinks, never
+add one.
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
+
+MAX_FUNCTION_LINES = 120
+
+#: Functions still over the limit, with their length when this test was
+#: written. An entry may shrink or disappear; it may not grow, and no new
+#: entry may be added — split the function instead.
+OVERSIZE_ALLOWED = {
+    # The concurrent scheduler loop: retries, speculation, recycling and
+    # governance in one poll loop (ROADMAP item 5 splits it).
+    "parallel/tasks.py::TaskRuntime._run_concurrent": 245,
+    # The operator interpreter loop with its inlined governance ledger.
+    "engine/physical.py::PhysicalPlan.execute": 142,
+}
+
+#: ``ParallelOptions`` had 13 fields before ``measure_serial_baseline``
+#: went; a new knob needs two existing callers that want different values.
+MAX_PARALLEL_OPTIONS = 12
+
+
+def _functions(tree):
+    """``(qualified name, node, nested)`` of every function — methods
+    included, and functions defined inside another function (``nested``)."""
+
+    def visit(node, prefix, nested):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield prefix + child.name, child, nested
+                yield from visit(child, prefix + child.name + ".", True)
+            elif isinstance(child, ast.ClassDef):
+                yield from visit(child, prefix + child.name + ".", nested)
+            else:
+                yield from visit(child, prefix, nested)
+
+    return visit(tree, "", False)
+
+
+def _parse(relative):
+    return ast.parse((SRC / relative).read_text(encoding="utf-8"))
+
+
+def test_no_function_over_the_line_limit():
+    oversize = {}
+    for package in ("engine", "parallel", "service"):
+        for path in sorted((SRC / package).glob("*.py")):
+            for name, node, _ in _functions(ast.parse(path.read_text(encoding="utf-8"))):
+                lines = node.end_lineno - node.lineno + 1
+                if lines > MAX_FUNCTION_LINES:
+                    oversize[f"{package}/{path.name}::{name}"] = lines
+    unexpected = {
+        name: lines
+        for name, lines in oversize.items()
+        if lines > OVERSIZE_ALLOWED.get(name, MAX_FUNCTION_LINES)
+    }
+    assert not unexpected, f"functions over {MAX_FUNCTION_LINES} lines: {unexpected}"
+    stale = sorted(set(OVERSIZE_ALLOWED) - set(oversize))
+    assert not stale, f"now within the limit — drop from OVERSIZE_ALLOWED: {stale}"
+
+
+def test_parallel_pipeline_stays_a_pipeline():
+    tree = _parse("parallel/executor.py")
+    constructed = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "Executor"
+    ]
+    assert not constructed, (
+        f"parallel/executor.py builds an Executor (line {constructed}): "
+        "borrow the owner's engine"
+    )
+    nested = [name for name, _, nested in _functions(tree) if nested]
+    assert len(nested) <= 1, f"more than one nested def in the pipeline: {nested}"
+    run_calls = [
+        (path.name, node.lineno)
+        for path in sorted((SRC / "parallel").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "run"
+        and getattr(node.func.value, "id", None) == "runtime"
+    ]
+    assert len(run_calls) == 1, f"expected one runtime.run( call site: {run_calls}"
+
+
+def test_one_call_site_of_physical_execute():
+    calls = [
+        node.lineno
+        for node in ast.walk(_parse("engine/executor.py"))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "execute"
+        and getattr(node.func.value, "id", None) == "physical"
+    ]
+    assert len(calls) == 1, f"PhysicalPlan.execute call sites in engine/executor.py: {calls}"
+
+
+def test_parallel_options_do_not_grow():
+    options = next(
+        node
+        for node in ast.walk(_parse("parallel/executor.py"))
+        if isinstance(node, ast.ClassDef) and node.name == "ParallelOptions"
+    )
+    fields = [
+        stmt.target.id for stmt in options.body if isinstance(stmt, ast.AnnAssign)
+    ]
+    assert len(fields) <= MAX_PARALLEL_OPTIONS, fields
