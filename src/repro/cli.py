@@ -54,6 +54,7 @@ def _write_metrics(args, executor) -> None:
 def _cmd_plan(args) -> int:
     from repro.algebra.addressing import format_address, plan_fingerprint, walk_with_addresses
     from repro.engine.executor import Executor
+    from repro.engine.physical import required_columns
     from repro.optimizer.planner import QuickrPlanner
     from repro.workloads.tpcds import QUERY_BUILDERS, generate_tpcds, query_by_name
 
@@ -69,12 +70,15 @@ def _cmd_plan(args) -> int:
     for decision in result.decisions:
         print(f"  {decision.spec!r}  <- {decision.reason} (support {decision.support:.1f})")
 
-    print("\nplan (address  fingerprint  operator):")
+    print("\nplan (address  fingerprint  cols kept/total  operator):")
     addressed = list(walk_with_addresses(result.plan))
+    required = required_columns(result.plan)
     width = max(len(format_address(a)) for a, _ in addressed)
     for address, node in addressed:
         label = format_address(address).ljust(width)
-        print(f"  {label}  {plan_fingerprint(node)[:12]}  {'  ' * len(address)}{node!r}")
+        cols = f"{len(required[address])}/{len(node.output_columns())}".rjust(5)
+        print(f"  {label}  {plan_fingerprint(node)[:12]}  {cols}  "
+              f"{'  ' * len(address)}{node!r}")
 
     if args.execute:
         executor = Executor(db, parallelism=args.parallelism)

@@ -196,7 +196,9 @@ class PlanRunner:
         self.registry = registry if registry is not None else MetricsRegistry()
 
     # -- the primitive --------------------------------------------------------
-    def compile(self, plan: LogicalNode, exact: bool = False) -> Tuple[PhysicalPlan, bool]:
+    def compile(
+        self, plan: LogicalNode, exact: bool = False, required: Optional[Tuple[str, ...]] = None
+    ) -> Tuple[PhysicalPlan, bool]:
         """Compiled plan for ``plan`` plus whether it was a cache hit.
 
         The cache key is the canonical fingerprint, so a structurally
@@ -204,19 +206,27 @@ class PlanRunner:
         compilation of its canonical representative. ``exact`` guarantees
         the compiled plan's node addresses match ``plan``'s own structure
         instead — required when the caller keys overrides or cardinalities
-        by address. Cache traffic is counted into the registry here, where
-        it happens.
+        by address. ``required`` is what the caller reads of the plan's
+        output when that is not all of it (a partition task's plan, a
+        pruning probe; see :func:`~repro.engine.physical.required_columns`);
+        it is part of the key, since it decides what every operator below
+        carries. Cache traffic is counted into the registry here, where it
+        happens.
         """
         plan = plan.plan if isinstance(plan, Query) else plan
         fingerprint = plan_fingerprint(plan)
-        physical = self.plan_cache.get(fingerprint)
+        key = fingerprint if required is None else (fingerprint, tuple(required))
+        physical = self.plan_cache.get(key)
         hit = physical is not None
         self.registry.counter("plan_cache.hits" if hit else "plan_cache.misses").inc()
         if hit and not (exact and physical.logical.key() != plan.key()):
             return physical, True
-        physical = compile_plan(plan, attach_rowids=self.attach_rowids, fingerprint=fingerprint)
+        physical = compile_plan(
+            plan, attach_rowids=self.attach_rowids, fingerprint=fingerprint,
+            root_required=required,
+        )
         if not hit:
-            evicted = self.plan_cache.put(fingerprint, physical)
+            evicted = self.plan_cache.put(key, physical)
             if evicted:
                 self.registry.counter("plan_cache.evictions").inc(evicted)
         return physical, hit
@@ -230,6 +240,7 @@ class PlanRunner:
         should_abort: Optional[Callable[[], bool]] = None,
         governance=None,
         top_level: bool = False,
+        required: Optional[Tuple[str, ...]] = None,
     ) -> PlanRun:
         """Compile (unless ``plan`` already is) and execute one plan.
 
@@ -246,7 +257,7 @@ class PlanRunner:
         deadline/budget/cancel checks at the same operator and morsel
         boundaries. ``top_level`` marks the run that *is* the query: it gets
         the ``query.compile`` / ``query.execute`` spans and per-operator
-        metrics.
+        metrics. ``required`` is forwarded to :meth:`compile`.
         """
         tracer = obs_trace.current_tracer()
         spans = tracer if top_level else None
@@ -255,7 +266,9 @@ class PlanRunner:
             physical, cache_hit = plan, True
         else:
             with _span(spans, "query.compile"):
-                physical, cache_hit = self.compile(plan, exact=bool(overrides))
+                physical, cache_hit = self.compile(
+                    plan, exact=bool(overrides), required=required
+                )
         compile_s = perf_counter() - t0
 
         t0 = perf_counter()

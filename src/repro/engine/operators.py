@@ -43,8 +43,12 @@ CI_SUFFIX = "__ci"
 Z_95 = 1.96
 
 
-def execute_select(table: Table, predicate: Expr) -> Table:
+def execute_select(table: Table, predicate: Expr, drop: Sequence[str] = ()) -> Table:
+    """Filter rows; ``drop`` names input columns only the predicate read,
+    shed (zero-copy) before the gather instead of carried through it."""
     mask = np.asarray(predicate.evaluate(table), dtype=bool)
+    if drop:
+        table = table.drop_columns(drop)
     if mask.all():
         # Nothing filtered: the input passes through untouched instead of
         # being gathered into a same-sized copy.
@@ -102,69 +106,81 @@ def _match_pairs(
     return left_idx, right_idx
 
 
+def _padded(values: np.ndarray, fill_rows: int, fill=None) -> np.ndarray:
+    """``values`` followed by ``fill_rows`` outer-join fill rows: ``fill``
+    when given, else NaN for numeric columns (which turn float64, as an
+    outer join's nullable side always has) and ``""`` for string kinds."""
+    if not fill_rows:
+        return values
+    if fill is None:
+        if values.dtype.kind in "US":
+            fill = ""
+        else:
+            values, fill = values.astype(np.float64), np.nan
+    return np.concatenate([values, np.full(fill_rows, fill, dtype=values.dtype)])
+
+
 def execute_join(
     left: Table,
     right: Table,
     left_keys: Sequence[str],
     right_keys: Sequence[str],
     how: str = "inner",
+    columns: Optional[Sequence[str]] = None,
 ) -> Table:
-    """Hash equi-join. Weights multiply; a side without weights counts as 1."""
+    """Hash equi-join. Weights multiply; a side without weights counts as 1.
+
+    ``columns`` names the data columns the output carries (default: every
+    data column of both inputs, left then right). The keys are read from
+    the inputs either way and copied only when listed; lineage and weight
+    columns always ride along.
+    """
+    if how not in ("inner", "left", "right"):
+        raise PlanError(f"unsupported join type {how!r}")
     left_idx, right_idx = _match_pairs(
         *_join_keys([left.column(k) for k in left_keys], [right.column(k) for k in right_keys])
     )
+    # Outer joins append the outer side's unmatched rows; the inner side's
+    # columns are padded with fill values for them.
+    left_fill = right_fill = 0
+    if how != "inner":
+        outer, outer_idx = (left, left_idx) if how == "left" else (right, right_idx)
+        matched = np.zeros(outer.num_rows, dtype=bool)
+        matched[outer_idx] = True
+        missing = np.flatnonzero(~matched)
+        if how == "left":
+            left_idx, right_fill = np.concatenate([left_idx, missing]), len(missing)
+        else:
+            right_idx, left_fill = np.concatenate([right_idx, missing]), len(missing)
 
-    columns: Dict[str, np.ndarray] = {}
-    for name in left.data_column_names():
-        columns[name] = left.column(name)[left_idx]
-    for name in right.data_column_names():
-        columns[name] = right.column(name)[right_idx]
+    def gather(name: str, fill=None) -> np.ndarray:
+        if left.has_column(name):
+            return _padded(left.column(name)[left_idx], left_fill, fill)
+        return _padded(right.column(name)[right_idx], right_fill, fill)
+
+    if columns is None:
+        columns = left.data_column_names() + right.data_column_names()
+    out: Dict[str, np.ndarray] = {name: gather(name) for name in columns}
 
     # Lineage rides along: an output row's identity is the pair of its input
     # rows' identities. Names are disjoint by construction (one per scan).
-    clash = set(left.lineage_column_names()) & set(right.lineage_column_names())
+    left_lineage, right_lineage = left.lineage_column_names(), right.lineage_column_names()
+    clash = set(left_lineage) & set(right_lineage)
     if clash:
         raise SchemaError(
             f"join inputs share lineage columns {sorted(clash)}; a scan node "
             "appears on both sides of the join"
         )
-    for name in left.lineage_column_names():
-        columns[name] = left.column(name)[left_idx]
-    for name in right.lineage_column_names():
-        columns[name] = right.column(name)[right_idx]
+    for name in left_lineage + right_lineage:
+        # Unmatched rows have no partner; -1 marks the absent lineage.
+        out[name] = gather(name, fill=-1)
 
-    if how in ("left", "right"):
-        outer, inner, inner_idx = (left, right, left_idx) if how == "left" else (right, left, right_idx)
-        outer_keys = outer.data_column_names() + outer.lineage_column_names()
-        matched = np.zeros(outer.num_rows, dtype=bool)
-        matched[inner_idx] = True
-        missing = np.flatnonzero(~matched)
-        if len(missing):
-            for name in outer_keys:
-                columns[name] = np.concatenate([columns[name], outer.column(name)[missing]])
-            for name in inner.data_column_names():
-                fill = np.full(len(missing), np.nan)
-                columns[name] = np.concatenate([columns[name].astype(np.float64), fill])
-            for name in inner.lineage_column_names():
-                # Unmatched rows have no partner; -1 marks the absent lineage.
-                fill = np.full(len(missing), -1, dtype=np.int64)
-                columns[name] = np.concatenate([columns[name], fill])
-            left_idx = np.concatenate([left_idx, missing]) if how == "left" else left_idx
-            right_idx = np.concatenate([right_idx, missing]) if how == "right" else right_idx
-    elif how != "inner":
-        raise PlanError(f"unsupported join type {how!r}")
-
-    n_out = len(next(iter(columns.values()))) if columns else 0
     if left.has_weights() or right.has_weights():
-        lw = left.weights()[left_idx] if left.has_weights() else 1.0
-        rw = right.weights()[right_idx] if right.has_weights() else 1.0
-        weight = np.asarray(lw * rw, dtype=np.float64)
-        if len(np.atleast_1d(weight)) != n_out:  # outer-join fill rows keep weight 1
-            padded = np.ones(n_out)
-            padded[: len(np.atleast_1d(weight))] = weight
-            weight = padded
-        columns[WEIGHT_COLUMN] = weight
-    return Table(f"{left.name}_join_{right.name}", columns)
+        # Outer-join fill rows keep the outer row's weight (partner weight 1).
+        lw = _padded(left.weights()[left_idx], left_fill, 1.0) if left.has_weights() else 1.0
+        rw = _padded(right.weights()[right_idx], right_fill, 1.0) if right.has_weights() else 1.0
+        out[WEIGHT_COLUMN] = np.asarray(lw * rw, dtype=np.float64)
+    return Table(f"{left.name}_join_{right.name}", out)
 
 
 def _grouped_sum(codes: np.ndarray, num_groups: int, values: np.ndarray) -> np.ndarray:

@@ -15,6 +15,10 @@ per-run derivation has been resolved at compile time:
   (no more ``id(node)`` maps);
 * sampler specs are validated to be physical (``apply``-able) so a logical
   plan fails at compile time with a clear error instead of mid-execution;
+* each node gets the output columns something above it reads
+  (:func:`required_columns`): scans project to them, joins gather only
+  them, projects evaluate only them — the logical tree, and with it every
+  fingerprint, address and cardinality, is untouched;
 * aggregate estimation annotations (``compute_ci`` etc.) are looked up once.
 
 Execution is an iterative loop over the operator list — no recursion, so
@@ -35,7 +39,7 @@ import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Hashable, List, Optional, Tuple
+from typing import Any, Callable, Dict, Hashable, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -64,6 +68,7 @@ __all__ = [
     "PhysicalPlan",
     "PlanCache",
     "compile_plan",
+    "required_columns",
 ]
 
 #: Default morsel size (rows) for fused select/project chains. 64 Ki rows of
@@ -77,6 +82,10 @@ DEFAULT_MORSEL_ROWS = 65536
 #: the distinct sampler keeps per-stratum running state across rows, so its
 #: decisions are stream-order-global, not morsel-local.
 _STREAMABLE = ("select", "project")
+
+#: Opcodes that pass their input's columns through and read some of their
+#: own: what only they read is shed from their output (``PhysicalOp.drop``).
+_PASS_THROUGH = ("select", "sampler", "orderby")
 
 
 @dataclass(frozen=True)
@@ -131,6 +140,14 @@ class PhysicalOp:
     lineage_column: Optional[str] = None
     #: Aggregates only: estimation annotations resolved at compile time.
     agg_kwargs: Optional[dict] = None
+    #: Data columns of the node's output that something above it reads
+    #: (:func:`required_columns`), in the node's output order — exactly the
+    #: data columns this operator's output table carries.
+    columns: Tuple[str, ...] = ()
+    #: Columns shed from the output because nothing above reads them: input
+    #: columns only a select, sampler or orderby itself read, and outputs of
+    #: an aggregate (which is computed whole).
+    drop: Tuple[str, ...] = ()
 
     def describe(self) -> str:
         return repr(self.node)
@@ -246,11 +263,7 @@ class PhysicalPlan:
                 index = chain[-1] + 1
                 continue
             started = time.perf_counter() if observe else 0.0
-            span = (
-                tracer.begin(f"op.{op.opcode}", address=format_address(op.address))
-                if tracer is not None
-                else None
-            )
+            span = _begin_op_span(tracer, op) if tracer is not None else None
             overridden = bool(overrides) and op.address in overrides
             if overridden:
                 table = overrides[op.address]
@@ -386,9 +399,9 @@ class PhysicalPlan:
         for i, op in enumerate(members):
             cardinalities[op.address] = rows_out[i] if i < n - 1 else result.num_rows
             if tracer is not None:
-                span = tracer.begin(f"op.{op.opcode}", address=format_address(op.address))
                 tracer.end(
-                    span, rows_in=rows_in[i], rows_out=rows_out[i], morsels=num_morsels
+                    _begin_op_span(tracer, op),
+                    rows_in=rows_in[i], rows_out=rows_out[i], morsels=num_morsels,
                 )
             if record_metrics:
                 metrics.append(
@@ -406,33 +419,45 @@ class PhysicalPlan:
     def _dispatch(self, op: PhysicalOp, inputs: List[Table], database: Database) -> Table:
         node = op.node
         if op.opcode == "scan":
-            out = database.table(node.table).project(node.output_columns())
+            out = database.table(node.table).project(op.columns)
             if op.lineage_column is not None and not out.has_lineage():
                 out = out.with_columns(
                     {op.lineage_column: np.arange(out.num_rows, dtype=np.int64)}
                 )
             return out
         if op.opcode == "select":
-            return operators.execute_select(inputs[0], node.predicate)
+            return operators.execute_select(inputs[0], node.predicate, op.drop)
         if op.opcode == "project":
-            return operators.execute_project(inputs[0], node.mapping)
-        if op.opcode == "sampler":
-            return node.spec.apply(inputs[0])
+            return operators.execute_project(
+                inputs[0], {name: node.mapping[name] for name in op.columns}
+            )
         if op.opcode == "join":
             return operators.execute_join(
-                inputs[0], inputs[1], node.left_keys, node.right_keys, node.how
+                inputs[0], inputs[1], node.left_keys, node.right_keys, node.how, op.columns
             )
-        if op.opcode == "aggregate":
-            return operators.execute_aggregate(
-                inputs[0], node.group_by, node.aggs, **op.agg_kwargs
-            )
-        if op.opcode == "orderby":
-            return operators.execute_orderby(inputs[0], node.keys, node.descending)
         if op.opcode == "limit":
             return operators.execute_limit(inputs[0], node.n)
         if op.opcode == "union":
             return operators.execute_union_all(inputs)
-        raise PlanError(f"compiled plan has unknown opcode {op.opcode!r}")
+        if op.opcode == "sampler":
+            out = node.spec.apply(inputs[0])
+        elif op.opcode == "aggregate":
+            out = operators.execute_aggregate(
+                inputs[0], node.group_by, node.aggs, **op.agg_kwargs
+            )
+        elif op.opcode == "orderby":
+            out = operators.execute_orderby(inputs[0], node.keys, node.descending)
+        else:
+            raise PlanError(f"compiled plan has unknown opcode {op.opcode!r}")
+        return out.drop_columns(op.drop) if op.drop else out
+
+
+def _begin_op_span(tracer, op: PhysicalOp):
+    """Open one operator's ``op.<opcode>`` span: where it sits in the plan
+    and how many data columns its output carries."""
+    return tracer.begin(
+        f"op.{op.opcode}", address=format_address(op.address), columns=len(op.columns)
+    )
 
 
 def _sampler_stats(spec, rows_in: int, out: Table) -> dict:
@@ -475,45 +500,126 @@ def _opcode_of(node: LogicalNode) -> str:
     raise PlanError(f"executor cannot handle node {type(node).__name__}")
 
 
+def _child_requirements(node: LogicalNode, need: set) -> List[set]:
+    """What ``node`` needs of each child's output to produce ``need`` of its
+    own: the columns it passes through plus the columns it reads itself."""
+    if isinstance(node, Select):
+        return [need | node.predicate.columns()]
+    if isinstance(node, Project):
+        return [set().union(*(node.mapping[name].columns() for name in need))]
+    if isinstance(node, SamplerNode):
+        if not hasattr(node.spec, "apply"):
+            raise PlanError(
+                f"sampler spec {node.spec!r} is logical; run ASALQA costing "
+                "to obtain a physical plan"
+            )
+        return [need | set(node.spec.input_columns())]
+    if isinstance(node, Join):
+        left, right = set(node.left_keys), set(node.right_keys)
+        left_outputs = set(node.left.output_columns())
+        for name in need:
+            (left if name in left_outputs else right).add(name)
+        return [left, right]
+    if isinstance(node, Aggregate):
+        reads = set(node.group_by).union(*(agg.columns() for agg in node.aggs))
+        universe = getattr(node, "universe_variance", None)
+        if universe is not None:
+            # The variance estimator groups on whichever of these the input
+            # carries; keep carrying the ones it could.
+            reads |= set(universe[0]) & set(node.child.output_columns())
+        return [reads]
+    if isinstance(node, OrderBy):
+        return [need | set(node.keys)]
+    return [need] * len(node.children)  # Limit, UnionAll; Scan has no child
+
+
+def required_columns(
+    plan: LogicalNode, root_required: Optional[Iterable[str]] = None
+) -> Dict[NodeAddress, Tuple[str, ...]]:
+    """Per node address, the output columns something above the node reads.
+
+    One top-down liveness pass over the logical tree, which it leaves
+    untouched: narrowing ``Scan`` nodes instead would change plan keys, and
+    with them universe-sampler families, fingerprints and cached plans.
+    ``root_required`` is what the consumer of the whole plan reads (default:
+    every output column). Each entry lists the columns in the node's own
+    output order. Two rules are not liveness: an aggregate reads all its
+    inputs whatever is read of it (it is computed whole), and a node nobody
+    reads a column of still keeps its first, so a table always has a column
+    to hold its row count (``COUNT(*)``). Weight and lineage columns are
+    not listed; they always ride along.
+    """
+    required: Dict[NodeAddress, Tuple[str, ...]] = {}
+    root = set(plan.output_columns() if root_required is None else root_required)
+    stack: List[Tuple[LogicalNode, NodeAddress, set]] = [(plan, (), root)]
+    while stack:
+        node, address, need = stack.pop()
+        outputs = node.output_columns()
+        if not need:
+            need = {outputs[0]}
+        kept = required[address] = tuple(c for c in outputs if c in need)
+        if len(kept) != len(need):
+            raise PlanError(
+                f"{node!r} at {format_address(address)} is asked for columns "
+                f"{sorted(need - set(outputs))} it does not produce"
+            )
+        if node.children:
+            for i, child_need in enumerate(_child_requirements(node, need)):
+                stack.append((node.children[i], address + (i,), child_need))
+    return required
+
+
 def compile_plan(
     plan: LogicalNode,
     attach_rowids: bool = True,
     fingerprint: Optional[str] = None,
+    root_required: Optional[Iterable[str]] = None,
 ) -> PhysicalPlan:
     """Lower a logical tree into an executable :class:`PhysicalPlan`.
 
+    ``root_required`` narrows what the plan's consumer reads of its output
+    (see :func:`required_columns`); a partition task's plan is compiled
+    with what the rest of the query reads of the split.
     Raises :class:`PlanError` if the plan carries logical (uncosted)
     sampler state or an unknown operator — compile-time, not mid-run.
     """
+    required = required_columns(plan, root_required)
     ops: List[PhysicalOp] = []
     address_to_index: Dict[NodeAddress, int] = {}
     scan_ordinals: Dict[NodeAddress, int] = {}
 
-    def lower(node: LogicalNode, address: NodeAddress) -> int:
-        subtree_start = len(ops)
-        child_slots = tuple(
-            lower(child, address + (i,)) for i, child in enumerate(node.children)
-        )
+    # Iterative post-order: a node with children is visited twice — once to
+    # push them (right to left, above its own second visit), once to be
+    # emitted, when the slots of its children top the ``emitted`` stack.
+    emitted: List[int] = []
+    stack: List[Tuple[LogicalNode, NodeAddress, int]] = [(plan, (), -1)]
+    while stack:
+        node, address, subtree_start = stack.pop()
+        arity = len(node.children)
+        if subtree_start < 0 and arity:
+            stack.append((node, address, len(ops)))
+            for i in range(arity - 1, -1, -1):
+                stack.append((node.children[i], address + (i,), -1))
+            continue
         opcode = _opcode_of(node)
         lineage_column = None
         agg_kwargs = None
+        columns = required[address]
+        carried: Tuple[str, ...] = ()
         if opcode == "scan":
             ordinal = len(scan_ordinals)
             scan_ordinals[address] = ordinal
             if attach_rowids:
                 lineage_column = rowid_column_name(ordinal)
-        elif opcode == "sampler":
-            if not hasattr(node.spec, "apply"):
-                raise PlanError(
-                    f"sampler spec {node.spec!r} is logical; run ASALQA costing "
-                    "to obtain a physical plan"
-                )
         elif opcode == "aggregate":
             agg_kwargs = {
                 "compute_ci": getattr(node, "compute_ci", False),
                 "universe_rescale": getattr(node, "universe_rescale", None),
                 "universe_variance": getattr(node, "universe_variance", None),
             }
+            carried = node.output_columns()
+        elif opcode in _PASS_THROUGH:
+            carried = required[address + (0,)]
         index = len(ops)
         ops.append(
             PhysicalOp(
@@ -521,16 +627,18 @@ def compile_plan(
                 address=address,
                 node=node,
                 opcode=opcode,
-                child_slots=child_slots,
-                subtree_start=subtree_start,
+                child_slots=tuple(emitted[len(emitted) - arity:]),
+                subtree_start=index if subtree_start < 0 else subtree_start,
                 lineage_column=lineage_column,
                 agg_kwargs=agg_kwargs,
+                columns=columns,
+                drop=tuple(c for c in carried if c not in columns),
             )
         )
+        del emitted[len(emitted) - arity:]
+        emitted.append(index)
         address_to_index[address] = index
-        return index
 
-    lower(plan, ())
     return PhysicalPlan(
         logical=plan,
         fingerprint=fingerprint if fingerprint is not None else plan_fingerprint(plan),

@@ -26,6 +26,7 @@ import numpy as np
 from repro.algebra.addressing import format_address, plan_fingerprint, walk_with_addresses
 from repro.algebra.logical import SamplerNode
 from repro.engine.operators import CI_SUFFIX
+from repro.engine.physical import required_columns
 
 __all__ = ["explain_analyze", "render_explain"]
 
@@ -171,6 +172,7 @@ def render_explain(planner, result, execution) -> str:
 
     by_address = {metric.address: metric for metric in execution.operators or ()}
     deriver = planner.deriver
+    required = required_columns(result.plan)
 
     rows = []
     sampler_lines = []
@@ -180,7 +182,8 @@ def render_explain(planner, result, execution) -> str:
         actual = f"{metric.rows_in:,} -> {metric.rows_out:,}" if metric is not None else "-"
         seconds = f"{metric.seconds * 1e3:.2f}ms" if metric is not None else "-"
         label = "  " * len(address) + repr(node)
-        rows.append((format_address(address), label, _fmt_rows(est), actual, seconds))
+        cols = f"{len(required[address])}/{len(node.output_columns())}"
+        rows.append((format_address(address), label, cols, _fmt_rows(est), actual, seconds))
 
         if isinstance(node, SamplerNode):
             detail = [f"{format_address(address)}  {node.spec!r}"]
@@ -200,9 +203,10 @@ def render_explain(planner, result, execution) -> str:
                 )
             sampler_lines.append("  " + "  |  ".join(detail))
 
-    header = ("address", "operator", "est rows", "actual in -> out", "time")
+    header = ("address", "operator", "cols kept/total", "est rows", "actual in -> out", "time")
     widths = [
-        max(len(header[i]), max((len(r[i]) for r in rows), default=0)) for i in range(5)
+        max(len(header[i]), max((len(r[i]) for r in rows), default=0))
+        for i in range(len(header))
     ]
     lines.append("")
     lines.append("  ".join(h.ljust(widths[i]) for i, h in enumerate(header)))

@@ -194,7 +194,9 @@ def _collect_semijoin_keys(
     every scan under it is broadcast (small by the partitioner's own
     sizing): executing it once costs about one worker's share of the work
     it can save, and its exact output keys bound which fact keys survive
-    the (inner) join.
+    the (inner) join. ``run_subtree(plan, required)`` executes a probe and
+    returns its output, of which only the ``required`` columns (the join
+    key) are read.
     """
     modes = {scan.address: scan.mode for scan in analysis.scans}
     selects = [
@@ -246,7 +248,7 @@ def _collect_semijoin_keys(
                     except Exception:  # noqa: BLE001 - schema mismatch: skip
                         continue
             try:
-                qualifying = run_subtree(probe)
+                qualifying = run_subtree(probe, (dim_keys[0],))
                 keys = np.unique(qualifying.column(dim_keys[0]))
             except Exception:  # noqa: BLE001 - pruning must never fail a query
                 continue

@@ -76,7 +76,7 @@ from repro.algebra.logical import LogicalNode, Project
 from repro.engine.costmodel import cost_plan, prune_cost_credit
 from repro.engine.executor import ExecutionResult, PartialResult, PlanRun, PlanRunner
 from repro.engine.metrics import ClusterConfig, ParallelMetrics, modeled_speedup
-from repro.engine.physical import PhysicalPlan, plan_fingerprint
+from repro.engine.physical import PhysicalPlan, plan_fingerprint, required_columns
 from repro.engine.table import WEIGHT_COLUMN, Database, Table, rowid_column_name
 from repro.errors import (
     BudgetExceeded,
@@ -208,6 +208,10 @@ class _QueryContext:
     #: ``analysis.strategy``, re-labelled when pruning changes what a lost
     #: partition means (it gates the degradation rule).
     strategy: str = "serial-fallback"
+    #: Submitted-plan address -> output columns the plan above reads
+    #: (:func:`~repro.engine.physical.required_columns`): what the scans
+    #: ship and what a payload carries.
+    required: Dict[NodeAddress, tuple] = field(default_factory=dict)
     # -- prune/select
     prune: Any = None  # Optional[ScanPrunePlan]
     #: Partition ordinals that become tasks, in task order.
@@ -268,15 +272,16 @@ class ParallelExecutor:
 
     def execute(self, query, governance=None) -> ExecutionResult:
         plan = query.plan if isinstance(query, Query) else query
+        ctx = _QueryContext(plan, governance, perf_counter())
         tracer = obs_trace.current_tracer()
         if tracer is None:
-            return self._run_query(plan, governance)
+            return self._run_query(ctx)
         with tracer.span(
             "parallel.query",
             parallelism=self.parallelism,
             fingerprint=plan_fingerprint(plan)[:12],
         ) as span:
-            result = self._run_query(plan, governance)
+            result = self._run_query(ctx)
             metrics = result.parallel
             span.attributes.update(
                 strategy=metrics.strategy,
@@ -285,6 +290,9 @@ class ParallelExecutor:
                 retries=metrics.task_retries,
                 degraded=metrics.degraded,
             )
+            if ctx.analysis is not None:
+                # Data columns each partition payload carries up from the split.
+                span.attributes["columns"] = len(ctx.required[ctx.analysis.split_address])
             if metrics.pruning:
                 span.attributes.update(
                     pruned=metrics.pruning["partitions_pruned"],
@@ -293,8 +301,7 @@ class ParallelExecutor:
         return result
 
     # -- the pipeline -----------------------------------------------------------
-    def _run_query(self, plan: LogicalNode, governance) -> ExecutionResult:
-        ctx = _QueryContext(plan, governance, perf_counter())
+    def _run_query(self, ctx: _QueryContext) -> ExecutionResult:
         try:
             serial_reason = self._analyse(ctx)
             if serial_reason is None:
@@ -303,7 +310,14 @@ class ParallelExecutor:
                 self._run_tasks(ctx)
                 serial_reason = self._recover(ctx)
             if serial_reason is None:
-                self._merge(ctx)
+                with obs_trace.maybe_span("parallel.merge", mode=ctx.merge_mode) as span:
+                    self._merge(ctx)
+                    if span is not None:
+                        # What the merge hands the upper plan.
+                        (merged,) = ctx.overrides.values()
+                        span.attributes.update(
+                            rows=merged.num_rows, bytes=merged.estimated_bytes()
+                        )
                 result = self._finish(ctx)
             else:
                 result = self._run_serially(ctx, serial_reason)
@@ -332,6 +346,7 @@ class ParallelExecutor:
             return analysis.reason
         ctx.analysis = analysis
         ctx.strategy = analysis.strategy
+        ctx.required = required_columns(ctx.plan)
         # Nothing to two-phase without an aggregate; ship rows instead.
         ctx.merge_mode = self.options.merge if analysis.aggregate is not None else "rows"
         return None
@@ -355,7 +370,9 @@ class ParallelExecutor:
                 self.parallelism,
                 selection_fraction=getattr(governance, "selection_fraction", None)
                 or self.options.selection_fraction,
-                run_subtree=lambda node: self._engine_run(ctx, node, governance).table,
+                run_subtree=lambda node, required: self._engine_run(
+                    ctx, node, governance, required=required
+                ).table,
                 task_seed=self.options.task_seed,
             )
         except Exception:  # noqa: BLE001 - run unpruned rather than fail
@@ -399,9 +416,12 @@ class ParallelExecutor:
         for entry in analysis.scans:
             base = self.database.table(entry.table)
             wname = worker_table_name(entry.scan_index)
-            lineaged = base.with_columns(
-                {rowid_column_name(entry.scan_index): np.arange(base.num_rows, dtype=np.int64)},
-                name=wname,
+            # Only what the plan reads of this scan is split and shipped
+            # (the routing hash reads its columns from the same table).
+            columns = ctx.required[entry.address]
+            columns += tuple(c for c in entry.hash_columns if c not in columns)
+            lineaged = base.project(columns, name=wname).with_columns(
+                {rowid_column_name(entry.scan_index): np.arange(base.num_rows, dtype=np.int64)}
             )
             if entry.mode == "broadcast":
                 parts = [lineaged] * len(ctx.keep)
@@ -422,7 +442,8 @@ class ParallelExecutor:
         # shared plan cache: a forked worker must not touch the cache's or
         # the registry's locks (another thread may have held them at fork),
         # and repeated queries then hit on their worker plans too. Exact,
-        # because worker cardinalities are stitched back in by address.
+        # because worker cardinalities are stitched back in by address; and
+        # asked only for what the rest of the query reads of the split.
         t0 = perf_counter()
         ctx.worker_plans = [
             self.engine.compile(
@@ -434,6 +455,7 @@ class ParallelExecutor:
                     analysis.aligned_sampler_addresses,
                 ),
                 exact=True,
+                required=ctx.required[analysis.split_address],
             )[0]
             for pid in ctx.keep
         ]
@@ -454,14 +476,15 @@ class ParallelExecutor:
         fault_plan, governance = self.options.fault_plan, ctx.governance
         worker_plans, sources = ctx.worker_plans, ctx.sources
         aggregate, two_phase = ctx.analysis.aggregate, ctx.two_phase
-        # Rows-mode payloads must carry the logical output columns *and* the
-        # lineage columns that survive the split — merge_rows needs both to
-        # restore the serial row order. A corrupt result that silently
-        # dropped one has to be rejected by validation (and retried), not
-        # crash the merge with a cross-partition schema mismatch.
-        split = ctx.analysis.split
-        expected_columns = frozenset(split.output_columns()) | _surviving_lineage(
-            split, ctx.analysis.split_scan_ordinals
+        # Rows-mode payloads must carry the columns the rest of the query
+        # reads of the split *and* the lineage columns that survive it —
+        # merge_rows needs both to restore the serial row order. A corrupt
+        # result that silently dropped one has to be rejected by validation
+        # (and retried), not crash the merge with a cross-partition schema
+        # mismatch.
+        analysis = ctx.analysis
+        expected_columns = frozenset(ctx.required[analysis.split_address]) | _surviving_lineage(
+            analysis.split, analysis.split_scan_ordinals
         )
 
         def run_partition(task: TaskSpec):

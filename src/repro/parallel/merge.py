@@ -3,13 +3,14 @@
 Two merge modes, trading exactness of *reproduction* against shuffle size:
 
 * **row merge** (:func:`merge_rows`) — concatenate the partition outputs of
-  the precursor and restore the exact serial row order by sorting on the
-  lineage columns. The serial aggregation then runs over a byte-identical
-  input, so estimates match a serial run bit-for-bit (including
-  floating-point summation order). This mirrors shipping sampled rows to a
-  single downstream vertex, which is cheap precisely because the samplers
-  already shrank the data (the paper's argument for why sampled plans keep
-  their wins through the shuffle).
+  the precursor and restore the exact serial row order by merging the
+  payloads (sorted runs) on their packed lineage key. The serial
+  aggregation then runs over a byte-identical input, so estimates match a
+  serial run bit-for-bit (including floating-point summation order). This
+  mirrors shipping sampled rows to a single downstream vertex, which is
+  cheap precisely because the samplers already shrank the data (the
+  paper's argument for why sampled plans keep their wins through the
+  shuffle).
 
 * **partial-aggregate merge** (:func:`partial_aggregate` /
   :func:`merge_partials` / :func:`finalize_partial`) — each worker reduces
@@ -48,6 +49,7 @@ import numpy as np
 
 from repro.algebra.aggregates import AggKind
 from repro.algebra.logical import Aggregate
+from repro.engine.keys import pack_keys
 from repro.engine.operators import (
     CI_SUFFIX,
     Z_95,
@@ -80,22 +82,30 @@ def merge_rows(tables: Sequence[Table], name: Optional[str] = None) -> Table:
 
     Lineage column names sort into pre-order scan order (significance
     order), and every plan operator below the aggregate emits rows in
-    lexicographic lineage order, so one lexsort on the lineage columns of
-    the concatenation reproduces the serial stream exactly.
+    lexicographic lineage order, so ordering the concatenation by its
+    lineage tuples reproduces the serial stream exactly. The tuples are
+    packed into one order-preserving int64
+    (:func:`repro.engine.keys.pack_keys`) and each payload is already a
+    sorted run of it, which a stable timsort merges in O(n log D); input
+    that is not (outer-join ``-1`` fills) is still sorted correctly, ties
+    staying in concatenation order.
     """
     if not tables:
         raise PlanError("merge_rows needs at least one partition output")
     if len(tables) == 1:
         # Single survivor: its rows are already the whole stream (modulo the
-        # lineage sort below) — skip the concat copy. With the shm transport
+        # ordering below) — skip the concat copy. With the shm transport
         # this keeps the answer a zero-copy view until materialization.
         merged = tables[0] if name is None else tables[0].rename_columns({}, name=name)
     else:
         merged = Table.concat(tables, name=name or tables[0].name)
-    lineage = merged.lineage_column_names()
-    if lineage:
-        merged = merged.sort_by(lineage)
-    return merged
+    lineage = merged.lineage_columns()
+    if not lineage:
+        return merged
+    key = pack_keys(lineage)[0]
+    if (key[1:] >= key[:-1]).all():
+        return merged  # already one sorted run
+    return merged.take(np.argsort(key, kind="stable"))
 
 
 # -- partial aggregation --------------------------------------------------------

@@ -47,6 +47,12 @@ class SamplerSpec:
     def key(self) -> tuple:
         raise NotImplementedError
 
+    def input_columns(self) -> tuple:
+        """Data columns ``apply`` reads from its input (lineage and weight
+        columns aside) — what the required-columns pass keeps alive below a
+        sampler that nothing above it would."""
+        return ()
+
     def validate_probability(self, p: float) -> float:
         if not 0.0 < p <= 1.0:
             raise SamplerError(f"sampling probability must be in (0, 1], got {p}")

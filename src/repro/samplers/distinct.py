@@ -92,6 +92,8 @@ class DistinctSpec(SamplerSpec):
                 names.append(spec)
         return tuple(names)
 
+    input_columns = column_names
+
     def apply(self, table: Table) -> Table:
         n = table.num_rows
         if n == 0:

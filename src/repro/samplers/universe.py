@@ -57,6 +57,9 @@ class UniverseSpec(SamplerSpec):
     def expected_fraction(self) -> float:
         return self.p
 
+    def input_columns(self) -> tuple:
+        return self.columns
+
     def same_subspace_as(self, other: "UniverseSpec") -> bool:
         """True iff the two samplers keep identical key subspaces.
 

@@ -10,6 +10,7 @@ import gc
 import weakref
 
 from repro import Executor, QuickrPlanner
+from repro.engine.physical import compile_plan
 from repro.parallel import ParallelOptions
 from repro.workloads.tpcds import generate_tpcds, query_by_name
 
@@ -48,3 +49,19 @@ def test_dropped_database_is_freed_behind_a_parallel_executor():
         parallelism=2,
         parallel_options=ParallelOptions(pool="inline", min_partition_rows=1),
     )
+
+
+def test_compile_and_execute_leave_nothing_for_the_cycle_collector():
+    # A self-referential lowering closure used to leave a function<->cell
+    # cycle per compiled plan; the lowering is a loop now.
+    db = generate_tpcds(scale=0.02, seed=1)
+    planner = QuickrPlanner(db)
+    plans = [planner.plan(query_by_name(db, name)).plan for name in QUERIES]
+    gc.collect()
+    gc.disable()
+    try:
+        for plan in plans:
+            compile_plan(plan).execute(db)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -76,6 +76,39 @@ class TestJoin:
         out = operators.execute_join(left, right, ["k"], ["j"], how="right")
         assert out.num_rows == 2
 
+    @pytest.mark.parametrize("how", ("left", "right"))
+    def test_outer_fill_of_string_columns(self, how):
+        # The ISSUE 18 repro: the inner side carries a string column, which
+        # the fill used to push through astype(float64).
+        outer = Table("o", {"k": np.array([1, 2, 3]), "a": np.array([1.5, 2.5, 3.5])})
+        inner = Table("i", {"k2": np.array([1]), "s": np.array(["x"]), "i": np.array([7])})
+        left, right, lk, rk = (outer, inner, "k", "k2")
+        if how == "right":
+            left, right, lk, rk = inner, outer, "k2", "k"
+        out = operators.execute_join(left, right, [lk], [rk], how=how)
+        assert out.num_rows == 3
+        np.testing.assert_array_equal(out.column("k"), [1, 2, 3])
+        np.testing.assert_array_equal(out.column("s"), ["x", "", ""])
+        assert out.column("s").dtype == inner.column("s").dtype
+        np.testing.assert_array_equal(out.column("i"), [7.0, np.nan, np.nan])
+        # ... and a column nobody asked for is not touched at all.
+        narrow = operators.execute_join(left, right, [lk], [rk], how=how, columns=("a", "i"))
+        assert narrow.column_names == ("a", "i")
+        np.testing.assert_array_equal(narrow.column("i"), [7.0, np.nan, np.nan])
+
+    def test_outer_fill_rows_keep_the_outer_weight(self):
+        left = Table("l", {"k": np.array([1, 2]), WEIGHT_COLUMN: np.array([2.0, 3.0])})
+        right = Table("r", {"j": np.array([1]), WEIGHT_COLUMN: np.array([5.0])})
+        out = operators.execute_join(left, right, ["k"], ["j"], how="left")
+        np.testing.assert_array_equal(out.weights(), [10.0, 3.0])
+
+    def test_columns_selects_and_orders_the_output(self):
+        left = Table("l", {"k": np.array([1, 2]), "a": np.array([10, 20])})
+        right = Table("r", {"j": np.array([2, 1]), "b": np.array([0.5, 0.25])})
+        out = operators.execute_join(left, right, ["k"], ["j"], columns=("b",))
+        assert out.column_names == ("b",)  # keys are read, not copied
+        np.testing.assert_array_equal(out.column("b"), [0.25, 0.5])
+
     def test_weights_multiply(self):
         left = Table("l", {"k": np.array([1]), WEIGHT_COLUMN: np.array([2.0])})
         right = Table("r", {"j": np.array([1]), WEIGHT_COLUMN: np.array([5.0])})

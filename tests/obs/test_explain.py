@@ -31,6 +31,7 @@ class TestRendering:
             assert f"explain analyze: {query.name}" in text
             assert "plan fingerprint" in text
             assert "address" in text and "actual in -> out" in text
+            assert "cols kept/total" in text
             assert "answer:" in text
             assert ("approximable" in text) or ("unapproximable" in text)
 
@@ -85,6 +86,10 @@ class TestAddressAgreement:
             op_spans = [s for s in tracer.spans if s.name.startswith("op.")]
             traced = {s.attributes["address"] for s in op_spans}
             assert traced == expected, query.name
+            # Each span says how many data columns its operator carried.
+            assert {s.attributes["address"]: s.attributes["columns"] for s in op_spans} == {
+                format_address(op.address): len(op.columns) for op in physical.ops
+            }, query.name
             # One span per physical operator, all closed ok.
             assert len(op_spans) == physical.num_operators
             assert all(s.status == "ok" and s.closed for s in op_spans)

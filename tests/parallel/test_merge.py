@@ -10,6 +10,8 @@ COUNT DISTINCT rescaling.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.algebra.aggregates import avg, count, count_distinct, max_, min_, sum_
 from repro.algebra.expressions import col
@@ -84,24 +86,30 @@ def assert_tables_match(serial: Table, merged: Table, sort_keys):
         )
 
 
-class TestMergeRows:
-    def test_restores_exact_serial_order(self):
-        t = weighted_table().with_columns(
-            {rowid_column_name(0): np.arange(4_000, dtype=np.int64)}
-        )
-        parts = t.partition(4)
-        merged = merge_rows(list(reversed(parts)))  # arrival order scrambled
-        for c in t.column_names:
-            np.testing.assert_array_equal(merged.column(c), t.column(c))
-
-    def test_without_lineage_is_plain_concat(self):
-        t = weighted_table(n=30)
-        merged = merge_rows(t.partition(3))
-        assert merged.num_rows == 30
-
-    def test_empty_input_rejected(self):
-        with pytest.raises(PlanError):
-            merge_rows([])
+@st.composite
+def lineage_payloads(draw):
+    """1-5 partition payloads over 1-4 lineage columns: sorted runs or not,
+    with outer-join ``-1`` fills, duplicate lineage tuples (ties keep
+    concatenation order) and, sometimes, per-column spans whose product
+    passes 2^62 so ``pack_keys`` has to re-densify."""
+    gen = np.random.default_rng(draw(st.integers(0, 2**16)))
+    num_lineage = draw(st.integers(1, 4))
+    wide = draw(st.booleans())
+    tables = []
+    for _ in range(draw(st.integers(1, 5))):
+        n = draw(st.integers(0, 40))
+        high = 2**40 if wide else draw(st.sampled_from((3, 50)))
+        lineage = [gen.integers(0, high, n) for _ in range(num_lineage)]
+        if n and draw(st.booleans()):
+            fills = gen.random(n) < 0.2
+            lineage[-1] = np.where(fills, -1, lineage[-1])
+        columns = {rowid_column_name(i): arr.astype(np.int64) for i, arr in enumerate(lineage)}
+        columns["x"] = gen.normal(size=n)
+        table = Table("t", columns)
+        if draw(st.booleans()):
+            table = table.sort_by(table.lineage_column_names())
+        tables.append(table)
+    return tables
 
 
 class TestPartialAggregate:
@@ -201,3 +209,41 @@ class TestSketchFolds:
         assert merged.items_seen == len(values)
         assert 77 in dict(merged.heavy_hitters())
         assert merged.estimate(77) >= 5_000 - int(merged.tau * len(values)) * 4
+
+
+class TestMergeRows:
+    def test_restores_exact_serial_order(self):
+        t = weighted_table().with_columns(
+            {rowid_column_name(0): np.arange(4_000, dtype=np.int64)}
+        )
+        parts = t.partition(4)
+        merged = merge_rows(list(reversed(parts)))  # arrival order scrambled
+        for c in t.column_names:
+            np.testing.assert_array_equal(merged.column(c), t.column(c))
+
+    def test_without_lineage_is_plain_concat(self):
+        t = weighted_table(n=30)
+        merged = merge_rows(t.partition(3))
+        assert merged.num_rows == 30
+
+    def test_empty_input_rejected(self):
+        with pytest.raises(PlanError):
+            merge_rows([])
+
+    def test_single_sorted_payload_is_not_copied(self):
+        t = weighted_table(n=50).with_columns(
+            {rowid_column_name(0): np.arange(50, dtype=np.int64)}
+        )
+        assert merge_rows([t]) is t
+
+    @settings(max_examples=60, deadline=None)
+    @given(tables=lineage_payloads())
+    def test_equals_concat_then_lexsort(self, tables):
+        # The merge this one replaced, kept here as the reference: one
+        # lexsort of the concatenation on the lineage columns.
+        reference = Table.concat(tables)
+        reference = reference.sort_by(reference.lineage_column_names())
+        merged = merge_rows(tables)
+        assert merged.column_names == reference.column_names
+        for c in reference.column_names:
+            np.testing.assert_array_equal(merged.column(c), reference.column(c), err_msg=c)

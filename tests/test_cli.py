@@ -23,6 +23,8 @@ class TestCommands:
         # every node is printed with its stable address and fingerprint
         assert "plan fingerprint: " in out
         assert "\n  r " in out and "  r.0" in out
+        # ... and with how many of its output columns the plan above reads
+        assert "cols kept/total" in out
 
     def test_plan_unknown_query(self, capsys):
         assert main(["plan", "q99", "--scale", "0.08"]) == 2
