@@ -21,6 +21,8 @@ def test_table4_qo_times(benchmark, outcomes):
     print(format_table(rows))
     print(f"median Quickr overhead: {data['median_overhead_seconds']:.4f}s (paper: < 0.1s)")
 
-    # Quickr's extra exploration must stay cheap (well under a second).
-    assert data["quickr_qo_seconds"][50] < 1.0
-    assert data["median_overhead_seconds"] < 0.5
+    # The paper's Table 4 statement, held on every PR (CI bench-smoke runs
+    # this file at scale 0.1): sampler exploration adds under 0.1 s to the
+    # median query's optimization time.
+    assert data["median_overhead_seconds"] < 0.1
+    assert data["quickr_qo_seconds"][50] < 0.2

@@ -13,7 +13,7 @@ paper argues it must be for the optimizer to explore sampled plans natively
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence, Tuple
+from typing import Iterable, Iterator, Optional, Sequence, Tuple
 
 from repro.algebra.aggregates import AggSpec
 from repro.algebra.expressions import Col, Expr
@@ -37,17 +37,31 @@ class LogicalNode:
     """Base class for logical plan operators."""
 
     children: Tuple["LogicalNode", ...] = ()
+    _columns: Tuple[str, ...] = ()
+    _key: Optional[tuple] = None
 
     def output_columns(self) -> Tuple[str, ...]:
-        """Names of columns this node produces, in order."""
-        raise NotImplementedError
+        """Names of columns this node produces, in order (derived once, by
+        the constructor)."""
+        return self._columns
 
     def with_children(self, children: Sequence["LogicalNode"]) -> "LogicalNode":
         """Rebuild this node over new children (same arity)."""
         raise NotImplementedError
 
     def key(self) -> tuple:
-        """Hashable structural identity for plan deduplication."""
+        """Hashable structural identity for plan deduplication.
+
+        Built once per node and kept: a node never changes after
+        construction (rewrites build new nodes), and a parent's key embeds
+        its children's, so without the cache every memo probe rebuilds the
+        whole subtree's tuple.
+        """
+        if self._key is None:
+            self._key = self._build_key()
+        return self._key
+
+    def _build_key(self) -> tuple:
         raise NotImplementedError
 
     def walk(self) -> Iterator["LogicalNode"]:
@@ -91,15 +105,12 @@ class Scan(LogicalNode):
         self._columns = tuple(columns)
         self.children = ()
 
-    def output_columns(self) -> Tuple[str, ...]:
-        return self._columns
-
     def with_children(self, children: Sequence[LogicalNode]) -> "Scan":
         if children:
             raise PlanError("Scan takes no children")
         return self
 
-    def key(self) -> tuple:
+    def _build_key(self) -> tuple:
         return ("scan", self.table)
 
     def __repr__(self):
@@ -113,19 +124,17 @@ class Select(LogicalNode):
         self.children = (child,)
         self.predicate = predicate
         self._require_columns(predicate.columns(), "Select")
+        self._columns = child.output_columns()
 
     @property
     def child(self) -> LogicalNode:
         return self.children[0]
 
-    def output_columns(self) -> Tuple[str, ...]:
-        return self.child.output_columns()
-
     def with_children(self, children: Sequence[LogicalNode]) -> "Select":
         (child,) = children
         return Select(child, self.predicate)
 
-    def key(self) -> tuple:
+    def _build_key(self) -> tuple:
         return ("select", self.predicate.key(), self.child.key())
 
     def __repr__(self):
@@ -149,13 +158,11 @@ class Project(LogicalNode):
         for expr in self.mapping.values():
             needed |= expr.columns()
         self._require_columns(needed, "Project")
+        self._columns = tuple(self.mapping)
 
     @property
     def child(self) -> LogicalNode:
         return self.children[0]
-
-    def output_columns(self) -> Tuple[str, ...]:
-        return tuple(self.mapping.keys())
 
     def with_children(self, children: Sequence[LogicalNode]) -> "Project":
         (child,) = children
@@ -169,7 +176,7 @@ class Project(LogicalNode):
                 out[name] = expr.name
         return out
 
-    def key(self) -> tuple:
+    def _build_key(self) -> tuple:
         return (
             "project",
             tuple((name, expr.key()) for name, expr in self.mapping.items()),
@@ -214,6 +221,7 @@ class Join(LogicalNode):
         overlap = left_cols & right_cols
         if overlap:
             raise SchemaError(f"join inputs share column names {sorted(overlap)}; rename first")
+        self._columns = left.output_columns() + right.output_columns()
 
     @property
     def left(self) -> LogicalNode:
@@ -222,9 +230,6 @@ class Join(LogicalNode):
     @property
     def right(self) -> LogicalNode:
         return self.children[1]
-
-    def output_columns(self) -> Tuple[str, ...]:
-        return self.left.output_columns() + self.right.output_columns()
 
     def with_children(self, children: Sequence[LogicalNode]) -> "Join":
         left, right = children
@@ -236,7 +241,7 @@ class Join(LogicalNode):
     def key_mapping_right_to_left(self) -> dict:
         return dict(zip(self.right_keys, self.left_keys))
 
-    def key(self) -> tuple:
+    def _build_key(self) -> tuple:
         return ("join", self.how, self.left_keys, self.right_keys, self.left.key(), self.right.key())
 
     def __repr__(self):
@@ -261,13 +266,11 @@ class Aggregate(LogicalNode):
         clash = set(aliases) & set(self.group_by)
         if clash or len(set(aliases)) != len(aliases):
             raise PlanError(f"aggregate aliases must be unique and distinct from group keys: {aliases}")
+        self._columns = self.group_by + tuple(aliases)
 
     @property
     def child(self) -> LogicalNode:
         return self.children[0]
-
-    def output_columns(self) -> Tuple[str, ...]:
-        return self.group_by + tuple(a.alias for a in self.aggs)
 
     def with_children(self, children: Sequence[LogicalNode]) -> "Aggregate":
         (child,) = children
@@ -277,7 +280,7 @@ class Aggregate(LogicalNode):
         """True iff every aggregate admits an unbiased HT estimator."""
         return all(a.is_sampleable() for a in self.aggs)
 
-    def key(self) -> tuple:
+    def _build_key(self) -> tuple:
         return ("agg", self.group_by, tuple(a.key() for a in self.aggs), self.child.key())
 
     def __repr__(self):
@@ -294,19 +297,17 @@ class OrderBy(LogicalNode):
         self.keys = tuple(keys)
         self.descending = bool(descending)
         self._require_columns(self.keys, "OrderBy")
+        self._columns = child.output_columns()
 
     @property
     def child(self) -> LogicalNode:
         return self.children[0]
 
-    def output_columns(self) -> Tuple[str, ...]:
-        return self.child.output_columns()
-
     def with_children(self, children: Sequence[LogicalNode]) -> "OrderBy":
         (child,) = children
         return OrderBy(child, self.keys, self.descending)
 
-    def key(self) -> tuple:
+    def _build_key(self) -> tuple:
         return ("orderby", self.keys, self.descending, self.child.key())
 
     def __repr__(self):
@@ -322,19 +323,17 @@ class Limit(LogicalNode):
             raise PlanError("Limit must be positive")
         self.children = (child,)
         self.n = int(n)
+        self._columns = child.output_columns()
 
     @property
     def child(self) -> LogicalNode:
         return self.children[0]
 
-    def output_columns(self) -> Tuple[str, ...]:
-        return self.child.output_columns()
-
     def with_children(self, children: Sequence[LogicalNode]) -> "Limit":
         (child,) = children
         return Limit(child, self.n)
 
-    def key(self) -> tuple:
+    def _build_key(self) -> tuple:
         return ("limit", self.n, self.child.key())
 
     def __repr__(self):
@@ -354,14 +353,12 @@ class UnionAll(LogicalNode):
                 raise SchemaError(
                     f"UnionAll schema mismatch: {first} vs {other.output_columns()}"
                 )
-
-    def output_columns(self) -> Tuple[str, ...]:
-        return self.children[0].output_columns()
+        self._columns = first
 
     def with_children(self, children: Sequence[LogicalNode]) -> "UnionAll":
         return UnionAll(children)
 
-    def key(self) -> tuple:
+    def _build_key(self) -> tuple:
         return ("unionall",) + tuple(c.key() for c in self.children)
 
 
@@ -379,13 +376,11 @@ class SamplerNode(LogicalNode):
             raise PlanError(f"sampler spec {spec!r} must expose a key() method")
         self.children = (child,)
         self.spec = spec
+        self._columns = child.output_columns()
 
     @property
     def child(self) -> LogicalNode:
         return self.children[0]
-
-    def output_columns(self) -> Tuple[str, ...]:
-        return self.child.output_columns()
 
     def with_children(self, children: Sequence[LogicalNode]) -> "SamplerNode":
         (child,) = children
@@ -394,7 +389,7 @@ class SamplerNode(LogicalNode):
     def with_spec(self, spec) -> "SamplerNode":
         return SamplerNode(self.child, spec)
 
-    def key(self) -> tuple:
+    def _build_key(self) -> tuple:
         return ("sampler", self.spec.key(), self.child.key())
 
     def __repr__(self):

@@ -15,7 +15,9 @@ exploration:
    physical samplers via the C1/C2 checks (Section 4.2.6); the global
    universe-agreement and no-nesting requirements are enforced bottom-up
    (Appendix A); the stage-based cluster model prices each physical plan
-   using statistics derived from the catalog.
+   using statistics derived from the catalog. Alternatives differ in one
+   sampler at a time: untouched subtrees are shared, not rebuilt, so their
+   keys and derived statistics are computed once.
 4. **Choose** the cheapest plan whose samplers all satisfy the accuracy
    requirement. If its samplers are all pass-throughs, the query is
    declared *unapproximable* and receives the plan without samplers —
@@ -33,10 +35,15 @@ from typing import Dict, List, Optional
 from repro.algebra.addressing import format_address
 from repro.algebra.builder import Query
 from repro.algebra.logical import Join, LogicalNode, SamplerNode
-from repro.core.costing import CostingOptions, SamplerDecision, materialize_plan, strip_passthrough
+from repro.core.costing import (
+    CostingOptions,
+    SamplerDecision,
+    logical_sampler_sites,
+    materialize_plan,
+    strip_passthrough,
+)
 from repro.core.pushdown import alternatives_below
 from repro.core.rewrite import finalize_plan
-from repro.core.sampler_state import SamplerState
 from repro.core.seeding import seed_samplers
 from repro.engine.costmodel import cost_plan
 from repro.engine.metrics import ClusterConfig, PlanCost
@@ -102,22 +109,6 @@ class AsalqaResult:
             "alternatives": self.alternatives_explored,
             "qo_time_s": round(self.qo_time_seconds, 4),
         }
-
-
-def _plans_with_paths(plan: LogicalNode, path: tuple = ()):
-    """Yield (node, path) pairs; paths are child-index tuples from the root."""
-    yield plan, path
-    for index, child in enumerate(plan.children):
-        yield from _plans_with_paths(child, path + (index,))
-
-
-def _sampler_paths(subtree: LogicalNode) -> List[tuple]:
-    """Subtree-relative paths of the logical sampler states inside it."""
-    return [
-        path
-        for node, path in _plans_with_paths(subtree)
-        if isinstance(node, SamplerNode) and isinstance(node.spec, SamplerState)
-    ]
 
 
 def _replace_at(plan: LogicalNode, path: tuple, replacement: LogicalNode) -> LogicalNode:
@@ -250,9 +241,7 @@ class Asalqa:
         limit = self.options.max_alternatives
         while frontier and len(out) < limit:
             plan = frontier.pop(0)
-            for node, path in _plans_with_paths(plan):
-                if not isinstance(node, SamplerNode) or not isinstance(node.spec, SamplerState):
-                    continue
+            for node, path in logical_sampler_sites(plan):
                 for subtree in alternatives_below(node, self.deriver, self._family_of):
                     alternative = _replace_at(plan, path, subtree)
                     key = alternative.key()
@@ -269,7 +258,7 @@ class Asalqa:
                             before=format_address(path),
                             after=",".join(
                                 format_address(path + sub)
-                                for sub in _sampler_paths(subtree)
+                                for _, sub in logical_sampler_sites(subtree)
                             ),
                         )
                         tracer.end(span)

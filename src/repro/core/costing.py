@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.algebra.addressing import format_address
 from repro.algebra.logical import LogicalNode, SamplerNode
@@ -233,54 +233,36 @@ def choose_physical(
     return SamplerDecision(state, PassThroughSpec(), support, c1, c2, "stratification unmet under universe")
 
 
-def _tentative_decisions(
-    node: LogicalNode,
-    path: tuple,
-    deriver: StatsDeriver,
-    options: CostingOptions,
-    tracer,
-    samplers: List[Tuple[SamplerNode, SamplerDecision]],
-) -> None:
-    """Post-order: append one tentative decision per logical sampler."""
-    for index, child in enumerate(node.children):
-        _tentative_decisions(child, path + (index,), deriver, options, tracer, samplers)
-    if isinstance(node, SamplerNode) and isinstance(node.spec, SamplerState):
-        seed = options.seed * 1_000_003 + len(samplers) + 1
-        decision = choose_physical(node.spec, deriver.stats_for(node.child), options, seed)
-        if tracer is not None:
-            span = tracer.begin(
-                "asalqa.decision",
-                address=format_address(path),
-                kind=decision.spec.kind,
-                c1=decision.c1,
-                c2=decision.c2,
-                support=round(decision.support, 2),
-                reason=decision.reason,
-            )
-            tracer.end(span)
-        samplers.append((node, decision))
-
-
-def _has_live_sampler_below(node: LogicalNode, by_key: Dict[int, SamplerDecision]) -> bool:
-    for child in node.children:
-        if isinstance(child, SamplerNode) and id(child) in by_key:
-            if not isinstance(by_key[id(child)].spec, PassThroughSpec):
-                return True
-        if _has_live_sampler_below(child, by_key):
-            return True
-    return False
+def logical_sampler_sites(
+    plan: LogicalNode, path: tuple = (), sites: Optional[list] = None
+) -> List[Tuple[SamplerNode, tuple]]:
+    """Pre-order ``(node, address)`` of the logical samplers in ``plan``."""
+    sites = [] if sites is None else sites
+    if isinstance(plan, SamplerNode) and isinstance(plan.spec, SamplerState):
+        sites.append((plan, path))
+    for index, child in enumerate(plan.children):
+        logical_sampler_sites(child, path + (index,), sites)
+    return sites
 
 
 def _rebuild(
-    node: LogicalNode, by_key: Dict[int, SamplerDecision], decisions: List[SamplerDecision]
+    node: LogicalNode, path: tuple, specs: Dict[tuple, SamplerSpec], on_way: Set[tuple]
 ) -> LogicalNode:
-    """The tree with the settled physical specs; ``decisions`` in visit order."""
-    if isinstance(node, SamplerNode) and id(node) in by_key:
-        decision = by_key[id(node)]
-        decisions.append(decision)
-        return SamplerNode(_rebuild(node.child, by_key, decisions), decision.spec)
-    children = [_rebuild(c, by_key, decisions) for c in node.children]
-    return node.with_children(children) if node.children else node
+    """``node`` (at ``path``) with the logical sampler state at each address
+    of ``specs`` replaced by its physical spec.
+
+    ``on_way`` holds every address at or above one of those: only the way
+    down to a sampler is rebuilt, and a subtree without one is returned as
+    it is, so alternatives keep sharing it, key and statistics included.
+    """
+    if path not in on_way:
+        return node
+    children = [
+        _rebuild(child, path + (index,), specs, on_way)
+        for index, child in enumerate(node.children)
+    ]
+    spec = specs.get(path)
+    return node.with_children(children) if spec is None else SamplerNode(children[0], spec)
 
 
 def materialize_plan(
@@ -296,28 +278,46 @@ def materialize_plan(
     any member cannot be a universe sampler. Nested samplers are
     suppressed by making the outer one a pass-through.
 
+    Returns the physical plan and one decision per sampler in pre-order.
+
     The tree walks are module-level functions: a recursive closure refers
     to itself through its own cell, a cycle that would pin ``deriver`` (and
     through it the catalog and database) until a garbage collection.
     """
     options = options or CostingOptions()
-    decisions: List[SamplerDecision] = []
+    tracer = obs_trace.current_tracer()
 
-    # First pass: tentative decisions per sampler, grouped by family.
-    samplers: List[Tuple[SamplerNode, SamplerDecision]] = []
-    _tentative_decisions(plan, (), deriver, options, obs_trace.current_tracer(), samplers)
+    # First pass: tentative decisions per sampler. Seeds count samplers in
+    # post-order, which is ascending address once every address is made to
+    # sort after the addresses below it.
+    sites = logical_sampler_sites(plan)
+    samplers = sorted(sites, key=lambda site: site[1] + (math.inf,))
+    decisions: Dict[tuple, SamplerDecision] = {}
+    for ordinal, (node, path) in enumerate(samplers, start=1):
+        seed = options.seed * 1_000_003 + ordinal
+        decision = choose_physical(node.spec, deriver.stats_for(node.child), options, seed)
+        if tracer is not None:
+            span = tracer.begin(
+                "asalqa.decision",
+                address=format_address(path),
+                kind=decision.spec.kind,
+                c1=decision.c1,
+                c2=decision.c2,
+                support=round(decision.support, 2),
+                reason=decision.reason,
+            )
+            tracer.end(span)
+        decisions[path] = decision
 
     # Family coordination.
-    families: Dict[int, List[int]] = {}
-    for index, (node, decision) in enumerate(samplers):
-        family = node.spec.family
-        if family is not None:
-            families.setdefault(family, []).append(index)
+    families: Dict[int, List[SamplerDecision]] = {}
+    for decision in decisions.values():
+        if decision.state.family is not None:
+            families.setdefault(decision.state.family, []).append(decision)
     for family, members in families.items():
-        specs = [samplers[i][1].spec for i in members]
+        specs = [decision.spec for decision in members]
         if len(members) < 2 or not all(isinstance(s, UniverseSpec) for s in specs):
-            for i in members:
-                node, decision = samplers[i]
+            for decision in members:
                 decision.spec = PassThroughSpec()
                 decision.reason += " (universe family unsatisfied)"
         else:
@@ -326,33 +326,44 @@ def materialize_plan(
             # lower bounds (still capped at MAX_PROBABILITY by each member).
             shared_p = max(s.p for s in specs)
             shared_seed = options.seed * 7_000_003 + family
-            for rank, i in enumerate(members):
-                node, decision = samplers[i]
-                old = decision.spec
+            for rank, decision in enumerate(members):
                 # The family shares one key subspace; a joined row's
                 # inclusion probability is p once, so only the first member
                 # emits the 1/p Horvitz-Thompson weight.
                 decision.spec = UniverseSpec(
-                    old.columns, shared_p, seed=shared_seed, emit_weight=(rank == 0)
+                    decision.spec.columns, shared_p, seed=shared_seed, emit_weight=(rank == 0)
                 )
-
-    by_key = {id(node): decision for node, decision in samplers}
 
     # Nested samplers are forbidden (Appendix A). When two samplers end up
     # on the same root-to-leaf path, keep the *deeper* one — it is closer
     # to the input, where gains are largest — and pass the outer through.
-    for node, decision in samplers:
-        if not isinstance(decision.spec, PassThroughSpec) and _has_live_sampler_below(node, by_key):
+    # Post-order settles everything below a sampler before the sampler.
+    live: List[tuple] = []
+    for path, decision in decisions.items():
+        if isinstance(decision.spec, PassThroughSpec):
+            continue
+        if any(below[: len(path)] == path for below in live):
             decision.spec = PassThroughSpec()
             decision.reason += " (outer of nested pair suppressed)"
+        else:
+            live.append(path)
 
-    return _rebuild(plan, by_key, decisions), decisions
+    specs = {path: decision.spec for path, decision in decisions.items()}
+    on_way = {path[:depth] for path in specs for depth in range(len(path) + 1)}
+    physical = _rebuild(plan, (), specs, on_way)
+    return physical, [decisions[path] for _, path in sites]
 
 
 def strip_passthrough(plan: LogicalNode) -> LogicalNode:
-    """Remove pass-through sampler nodes, yielding the clean final plan."""
+    """Remove pass-through sampler nodes, yielding the clean final plan.
+
+    A subtree that holds none is returned as it is, not copied, so plans
+    that differ in one place keep sharing the rest, cached keys included.
+    """
     if isinstance(plan, SamplerNode) and isinstance(plan.spec, PassThroughSpec):
         return strip_passthrough(plan.child)
-    if not plan.children:
-        return plan
-    return plan.with_children([strip_passthrough(c) for c in plan.children])
+    children = [strip_passthrough(c) for c in plan.children]
+    for stripped, child in zip(children, plan.children):
+        if stripped is not child:
+            return plan.with_children(children)
+    return plan

@@ -70,7 +70,7 @@ class WeightedAggregate(Aggregate):
             self.universe_variance,
         )
 
-    def key(self) -> tuple:
+    def _build_key(self) -> tuple:
         rescale = tuple(sorted(self.universe_rescale.items()))
         return ("wagg", self.group_by, tuple(a.key() for a in self.aggs), rescale, self.child.key())
 
@@ -107,16 +107,14 @@ def join_key_equivalence(node: LogicalNode) -> Dict[str, str]:
 def samplers_below(node: LogicalNode, stop_at_aggregate: bool = True):
     """Physical samplers in the subtree, not crossing nested aggregations."""
     found = []
-
-    def visit(current: LogicalNode) -> None:
+    pending = [node]
+    while pending:  # pre-order; a loop, so no closure holds itself
+        current = pending.pop()
         if stop_at_aggregate and isinstance(current, Aggregate) and current is not node:
-            return
+            continue
         if isinstance(current, SamplerNode) and not isinstance(current.spec, PassThroughSpec):
             found.append(current.spec)
-        for child in current.children:
-            visit(child)
-
-    visit(node)
+        pending.extend(reversed(current.children))
     return found
 
 
@@ -158,23 +156,24 @@ def _universe_annotations(
 
 
 def finalize_plan(plan: LogicalNode, compute_ci: bool = True) -> LogicalNode:
-    """Rewrite every aggregate above live samplers into its successor form."""
+    """Rewrite every aggregate above live samplers into its successor form.
 
-    def visit(node: LogicalNode) -> LogicalNode:
-        children = [visit(c) for c in node.children]
-        node = node.with_children(children) if node.children else node
-        if isinstance(node, Aggregate) and not isinstance(node, WeightedAggregate):
-            specs = samplers_below(node)
-            if specs:
-                rescale, variance_mode = _universe_annotations(node, specs)
-                return WeightedAggregate(
-                    node.child,
-                    node.group_by,
-                    node.aggs,
-                    compute_ci=compute_ci,
-                    universe_rescale=rescale,
-                    universe_variance=variance_mode,
-                )
-        return node
-
-    return visit(plan)
+    Recursion is on this module-level function itself: a nested ``visit``
+    that called itself would leave a function<->cell cycle per planned
+    query for the cycle collector.
+    """
+    children = [finalize_plan(child, compute_ci) for child in plan.children]
+    node = plan.with_children(children) if children else plan
+    if isinstance(node, Aggregate) and not isinstance(node, WeightedAggregate):
+        specs = samplers_below(node)
+        if specs:
+            rescale, variance_mode = _universe_annotations(node, specs)
+            return WeightedAggregate(
+                node.child,
+                node.group_by,
+                node.aggs,
+                compute_ci=compute_ci,
+                universe_rescale=rescale,
+                universe_variance=variance_mode,
+            )
+    return node

@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.errors import PlanError
 
-__all__ = ["pack_keys", "group_codes", "dense_span"]
+__all__ = ["pack_keys", "group_codes", "dense_span", "value_counts"]
 
 #: A packed key stays below this, so folding in one more column cannot
 #: overflow int64 before the check that re-densifies.
@@ -32,6 +32,19 @@ def dense_span(span: int, rows: int) -> bool:
     so the table wins until it is several times larger than the input; the
     floor keeps small inputs off the sort whatever their span."""
     return span <= max(4 * rows, 65536)
+
+
+def value_counts(values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Distinct values in ascending order and how often each occurs (all
+    NaNs as one value): integers whose span is dense are counted into a
+    span-sized table, everything else takes the one sort."""
+    if len(values) and values.dtype.kind in "iu" and np.can_cast(values.dtype, np.int64):
+        lo, hi = int(values.min()), int(values.max())
+        if dense_span(hi - lo + 1, len(values)):
+            table = np.bincount(values.astype(np.int64, copy=False) - lo, minlength=hi - lo + 1)
+            present = np.flatnonzero(table)
+            return present + lo, table[present]
+    return np.unique(values, return_counts=True)
 
 
 def _dense_codes(values: np.ndarray) -> Tuple[np.ndarray, int]:

@@ -55,6 +55,12 @@ def stratum_codes(table: Table, columns: Sequence[Union[str, Expr]]) -> np.ndarr
     return group_codes(arrays)[0]
 
 
+def _rank_in_runs(lengths: np.ndarray) -> np.ndarray:
+    """0, 1, 2, ... restarting at each of the consecutive runs of the given
+    lengths (empty runs allowed)."""
+    return np.arange(lengths.sum()) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+
+
 class DistinctSpec(SamplerSpec):
     """Stratified sampler: >= min(delta, freq) rows per distinct value."""
 
@@ -100,52 +106,45 @@ class DistinctSpec(SamplerSpec):
             return attach_weights(table, np.zeros(0, dtype=bool), np.ones(0))
         rng = np.random.default_rng(self.seed)
         codes = stratum_codes(table, self.columns)
+        counts = np.bincount(codes)  # rows per stratum; codes are dense
 
-        # Rank of each row within its stratum, in stream (row) order.
-        order = np.argsort(codes, kind="stable")
-        sorted_codes = codes[order]
-        boundaries = np.empty(n, dtype=bool)
-        boundaries[0] = True
-        boundaries[1:] = sorted_codes[1:] != sorted_codes[:-1]
-        group_start = np.maximum.accumulate(np.where(boundaries, np.arange(n), 0))
-        rank_sorted = np.arange(n) - group_start
+        # Rank of each row within its stratum, in stream (row) order. A
+        # stable sort on 8- or 16-bit keys is a radix sort, so the codes are
+        # ordered in the narrowest dtype that holds the stratum count; the
+        # strata are then contiguous runs starting at the count offsets.
+        narrow = np.min_scalar_type(len(counts) - 1)
+        order = np.argsort(codes.astype(narrow), kind="stable")
         rank = np.empty(n, dtype=np.int64)
-        rank[order] = rank_sorted
-        freq = np.bincount(codes, minlength=codes.max() + 1)[codes]
-
-        mask = np.zeros(n, dtype=bool)
-        weights = np.ones(n, dtype=np.float64)
+        rank[order] = _rank_in_runs(counts)
 
         # Frequency-check region: the first delta rows of each stratum.
-        frequency_pass = rank < self.delta
-        mask |= frequency_pass
+        mask = rank < self.delta
+        weights = np.ones(n, dtype=np.float64)
 
-        # Probabilistic region.
-        candidate = ~frequency_pass
-        cand_count = freq - self.delta  # per-row stratum candidate count
-        reservoir_region = self.reservoir_size / self.p
+        # Probabilistic region: per stratum, the candidates past delta either
+        # all fit the reservoir regime or none does.
+        candidate = ~mask
+        cand_count = counts - self.delta
+        in_reservoir = (cand_count <= self.reservoir_size / self.p)[codes]
 
         # Strata whose candidates all fit the reservoir regime: keep an exact
         # uniform subset of size min(S, c) with weight c / min(S, c).
-        small = candidate & (cand_count <= reservoir_region)
+        small = candidate & in_reservoir
         if small.any():
             u = rng.random(n)
             small_idx = np.flatnonzero(small)
-            sub_order = np.lexsort((u[small_idx], codes[small_idx]))
-            sub_sorted = small_idx[sub_order]
-            sub_codes = codes[sub_sorted]
-            sub_bound = np.empty(len(sub_sorted), dtype=bool)
-            sub_bound[0] = True
-            sub_bound[1:] = sub_codes[1:] != sub_codes[:-1]
-            sub_start = np.maximum.accumulate(np.where(sub_bound, np.arange(len(sub_sorted)), 0))
-            sub_rank = np.arange(len(sub_sorted)) - sub_start
-            keep_m = np.minimum(self.reservoir_size, cand_count[sub_sorted])
-            chosen = sub_sorted[sub_rank < keep_m]
+            # By stratum, then by draw: two stable sorts, the second a radix
+            # sort again, give lexsort((draw, stratum))'s permutation.
+            by_draw = small_idx[np.argsort(u[small_idx], kind="stable")]
+            sub_sorted = by_draw[np.argsort(codes[by_draw].astype(narrow), kind="stable")]
+            sub_rank = _rank_in_runs(np.bincount(codes[sub_sorted]))
+            keep = np.minimum(self.reservoir_size, cand_count)
+            chosen = sub_sorted[sub_rank < keep[codes[sub_sorted]]]
             mask[chosen] = True
-            weights[chosen] = cand_count[chosen] / np.minimum(self.reservoir_size, cand_count[chosen])
+            weights[chosen] = cand_count[codes[chosen]] / keep[codes[chosen]]
 
         # Strata past the reservoir regime: marginal inclusion p, weight 1/p.
-        large = candidate & (cand_count > reservoir_region)
+        large = candidate & ~in_reservoir
         if large.any():
             bern = rng.random(n) < self.p
             chosen = large & bern

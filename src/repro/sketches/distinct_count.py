@@ -14,7 +14,7 @@ from typing import Any, Dict, Hashable, Iterable, Sequence
 
 import numpy as np
 
-from repro.engine.keys import group_codes
+from repro.engine.keys import pack_keys, value_counts
 from repro.samplers.hashing import _to_uint64, mix64
 
 __all__ = ["exact_distinct", "exact_distinct_multi", "KMVCounter"]
@@ -31,7 +31,11 @@ def exact_distinct_multi(columns: Sequence[np.ndarray]) -> int:
     """Exact distinct count over a tuple of columns (a column set)."""
     if not columns:
         return 0
-    return group_codes(columns)[2]
+    key, _, nan_rows = pack_keys(columns)
+    if nan_rows is None:
+        return len(value_counts(key)[0])
+    # A NaN equals nothing: every row holding one is a value of its own.
+    return len(value_counts(key[~nan_rows])[0]) + int(nan_rows.sum())
 
 
 class KMVCounter:

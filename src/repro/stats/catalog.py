@@ -3,8 +3,11 @@
 For each input table Quickr records: row count; per interesting column the
 number of distinct values, average/variance (numerical columns), and heavy
 hitter values with frequencies. "If not already available, the statistics
-are computed by the first query that reads the table" — we mirror that by
-collecting lazily on first access and caching.
+are computed by the first query that reads the table" — we mirror that
+per column and per statistic: the row count is the table's own, a column's
+moments are computed when a value skew or a range selectivity first asks,
+its distinct count and heavy hitters in one pass when either is first
+asked for, and a column nobody asks about is never read. All are exact.
 
 Distinct counts over *column sets* (needed by the C1 support check and the
 join push-down rules' NumDV calls) are computed exactly on demand and
@@ -26,12 +29,15 @@ weighted partition subsets under an error budget.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Dict, FrozenSet, List, Mapping, Optional, Tuple
 
 import numpy as np
 
+from repro.engine.keys import value_counts
 from repro.engine.table import Database, Table
 from repro.errors import CatalogError
+from repro.obs.trace import maybe_span
 from repro.sketches.distinct_count import KMVCounter, exact_distinct_multi
 from repro.sketches.heavy_hitters import LossyCounter
 
@@ -54,35 +60,121 @@ HEAVY_HITTER_FRACTION = 0.01
 MAX_HEAVY_HITTERS = 64
 
 
-@dataclass
-class ColumnStats:
-    """Statistics of one column."""
+def _scalar(value: Any) -> Any:
+    return value.item() if hasattr(value, "item") else value
 
-    distinct: int
-    mean: Optional[float] = None
-    variance: Optional[float] = None
-    min_value: Optional[float] = None
-    max_value: Optional[float] = None
-    heavy_hitters: Dict = field(default_factory=dict)
+
+def _collecting(table: Table, column: str, statistic: str):
+    """The span every statistic is built under, so a traced plan shows
+    statistics time as its own child."""
+    return maybe_span(
+        "catalog.collect",
+        table=table.name,
+        column=column,
+        statistic=statistic,
+        rows=table.num_rows,
+    )
+
+
+class ColumnStats:
+    """Statistics of one column, each built from the data when first asked
+    for and kept: the moments (mean, variance, min, max — numeric columns
+    only) in one pass, the distinct count with the heavy hitters in another.
+    """
+
+    def __init__(self, table: Table, name: str):
+        self._table = table
+        self._name = name
+
+    @cached_property
+    def _moments(self) -> Tuple[Optional[float], ...]:
+        values = self._table.column(self._name)
+        if values.dtype.kind not in "iuf" or len(values) == 0:
+            return None, None, None, None
+        with _collecting(self._table, self._name, "moments"):
+            as_float = values.astype(np.float64, copy=False)
+            return (
+                float(np.mean(as_float)),
+                float(np.var(as_float)),
+                float(np.min(as_float)),
+                float(np.max(as_float)),
+            )
+
+    @cached_property
+    def _counts(self) -> Tuple[int, Dict]:
+        values = self._table.column(self._name)
+        if len(values) == 0:
+            return 0, {}
+        with _collecting(self._table, self._name, "counts"):
+            uniques, counts = value_counts(values)
+            heavy = counts >= max(1, int(HEAVY_HITTER_FRACTION * len(values)))
+            order = np.argsort(counts[heavy])[::-1][:MAX_HEAVY_HITTERS]
+            hitters = zip(uniques[heavy][order], counts[heavy][order])
+            return len(uniques), {_scalar(value): int(count) for value, count in hitters}
+
+    @property
+    def mean(self) -> Optional[float]:
+        return self._moments[0]
+
+    @property
+    def variance(self) -> Optional[float]:
+        return self._moments[1]
+
+    @property
+    def min_value(self) -> Optional[float]:
+        return self._moments[2]
+
+    @property
+    def max_value(self) -> Optional[float]:
+        return self._moments[3]
+
+    @property
+    def distinct(self) -> int:
+        return self._counts[0]
+
+    @property
+    def heavy_hitters(self) -> Dict:
+        return self._counts[1]
 
     def heavy_hitter_mass(self) -> float:
         return float(sum(self.heavy_hitters.values()))
 
+    def built(self) -> Tuple[str, ...]:
+        """Which statistics have been computed so far."""
+        return tuple(
+            name for name in ("moments", "counts") if f"_{name}" in self.__dict__
+        )
 
-@dataclass
+
 class TableStats:
-    """Statistics of one base table."""
+    """Statistics of one base table: the row count is the table's own; a
+    column's statistics and a column set's distinct count exist once asked
+    for."""
 
-    name: str
-    rows: int
-    columns: Dict[str, ColumnStats]
-    _set_distinct_cache: Dict[FrozenSet[str], int] = field(default_factory=dict)
+    def __init__(self, table: Table):
+        self._table = table
+        self.name = table.name
+        self.rows = table.num_rows
+        self.columns: Dict[str, ColumnStats] = {}
+        self._set_distinct_cache: Dict[FrozenSet[str], int] = {}
 
     def column(self, name: str) -> ColumnStats:
-        try:
-            return self.columns[name]
-        except KeyError:
-            raise CatalogError(f"no statistics for column {name!r} of {self.name!r}") from None
+        stats = self.columns.get(name)
+        if stats is None:
+            if name not in self._table.data_column_names():
+                raise CatalogError(f"no statistics for column {name!r} of {self.name!r}")
+            stats = self.columns[name] = ColumnStats(self._table, name)
+        return stats
+
+    def distinct(self, colset: FrozenSet[str]) -> int:
+        """Exact distinct count of a set of two or more columns."""
+        cached = self._set_distinct_cache.get(colset)
+        if cached is None:
+            names = sorted(colset)
+            with _collecting(self._table, ",".join(names), "set_distinct"):
+                cached = exact_distinct_multi([self._table.column(c) for c in names])
+            self._set_distinct_cache[colset] = cached
+        return cached
 
 
 class Catalog:
@@ -92,40 +184,13 @@ class Catalog:
         self.database = database
         self._stats: Dict[str, TableStats] = {}
 
-    # -- collection --------------------------------------------------------------
     def stats(self, table_name: str) -> TableStats:
-        """Statistics for a table, collecting them on first access."""
-        if table_name not in self._stats:
-            self._stats[table_name] = self._collect(self.database.table(table_name))
-        return self._stats[table_name]
-
-    def _collect(self, table: Table) -> TableStats:
-        columns: Dict[str, ColumnStats] = {}
-        n = table.num_rows
-        threshold = max(1, int(HEAVY_HITTER_FRACTION * n))
-        for name in table.data_column_names():
-            values = table.column(name)
-            stats = ColumnStats(distinct=0)
-            if values.dtype.kind in ("i", "u", "f") and n > 0:
-                as_float = values.astype(np.float64)
-                stats.mean = float(np.mean(as_float))
-                stats.variance = float(np.var(as_float))
-                stats.min_value = float(np.min(as_float))
-                stats.max_value = float(np.max(as_float))
-            if n > 0:
-                uniques, counts = np.unique(values, return_counts=True)
-                stats.distinct = len(uniques)
-                heavy = counts >= threshold
-                if heavy.any():
-                    order = np.argsort(counts[heavy])[::-1][:MAX_HEAVY_HITTERS]
-                    hh_values = uniques[heavy][order]
-                    hh_counts = counts[heavy][order]
-                    stats.heavy_hitters = {
-                        value.item() if hasattr(value, "item") else value: int(cnt)
-                        for value, cnt in zip(hh_values, hh_counts)
-                    }
-            columns[name] = stats
-        return TableStats(name=table.name, rows=n, columns=columns)
+        """The table's statistics; nothing is computed until a statistic
+        is read."""
+        stats = self._stats.get(table_name)
+        if stats is None:
+            stats = self._stats[table_name] = TableStats(self.database.table(table_name))
+        return stats
 
     # -- queries -------------------------------------------------------------------
     def row_count(self, table_name: str) -> int:
@@ -140,13 +205,7 @@ class Catalog:
         if len(colset) == 1:
             (only,) = colset
             return stats.column(only).distinct
-        cached = stats._set_distinct_cache.get(colset)
-        if cached is not None:
-            return cached
-        table = self.database.table(table_name)
-        value = exact_distinct_multi([table.column(c) for c in sorted(colset)])
-        stats._set_distinct_cache[colset] = value
-        return value
+        return stats.distinct(colset)
 
     def value_skew(self, table_name: str, column: str) -> float:
         """Coefficient-of-variation proxy for aggregate-value skew, used to
@@ -178,10 +237,6 @@ PARTITION_HH_SUPPORT = 1e-2
 #: Keep the exact value set of a partition column when it has at most this
 #: many distinct values — membership tests then prune exactly.
 MAX_EXACT_VALUES = 64
-
-
-def _scalar(value: Any) -> Any:
-    return value.item() if hasattr(value, "item") else value
 
 
 @dataclass

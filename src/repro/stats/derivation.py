@@ -184,14 +184,15 @@ def _comparison_selectivity(cmp: Cmp, stats: NodeStats) -> float:
     if column is None:
         return DEFAULT_SELECTIVITY
 
-    dv = max(1.0, stats.distinct([column.name]))
+    # The distinct count is asked for only where it is used: for a computed
+    # column it is a column-set count over the whole base table.
     if cmp.op == "==":
         hh = stats.heavy_hitters(column.name)
         if literal.value in hh and stats.rows > 0:
             return min(1.0, hh[literal.value] / stats.rows)
-        return min(1.0, 1.0 / dv)
+        return min(1.0, 1.0 / max(1.0, stats.distinct([column.name])))
     if cmp.op == "!=":
-        return max(0.0, 1.0 - 1.0 / dv)
+        return max(0.0, 1.0 - 1.0 / max(1.0, stats.distinct([column.name])))
 
     # Range predicate: uniform-range assumption over [min, max] if known.
     source = stats.lineage.get(column.name)

@@ -181,3 +181,48 @@ class TestTreeHelpers:
         p1 = Select(scan_t(), col("a") > 1)
         p2 = Select(scan_t(), col("a") > 1)
         assert p1.key() == p2.key()
+
+
+def _one_of_each():
+    from repro.core.rewrite import WeightedAggregate
+
+    joined = Join(scan_t(), scan_u(), ["a"], ["x"])
+    return [
+        Select(scan_t(), col("a") > 1),
+        Project(scan_t(), {"a": col("a"), "d": col("b") + col("c")}),
+        joined,
+        Aggregate(joined, ("a",), [count("n")]),
+        WeightedAggregate(joined, ("a",), [sum_(col("y"), "s")], universe_rescale={"s": 2.0}),
+        OrderBy(scan_t(), ["a"]),
+        Limit(scan_t(), 3),
+        UnionAll([scan_t(), scan_t()]),
+        SamplerNode(scan_t(), SamplerState(strat_cols=frozenset({"a"}))),
+    ]
+
+
+class TestKeyIsBuiltOnce:
+    """Nodes never change after construction, so the key is computed once."""
+
+    @pytest.mark.parametrize("node", [scan_t()] + _one_of_each(), ids=lambda n: type(n).__name__)
+    def test_same_object_every_call(self, node):
+        assert node.key() is node.key()
+
+    @pytest.mark.parametrize("node", _one_of_each(), ids=lambda n: type(n).__name__)
+    def test_a_rebuilt_node_has_its_own_key(self, node):
+        before = node.key()
+        other = Select(scan_t(), col("c") > 0)
+        if isinstance(node, (Join, Aggregate)):  # keep the schema the node needs
+            rebuilt = node.with_children(
+                [Select(c, col(c.output_columns()[0]) > 0) for c in node.children]
+            )
+        else:
+            rebuilt = node.with_children([other] * len(node.children))
+        assert rebuilt is not node
+        assert rebuilt.key() != before  # not the stale cache of the original
+        assert rebuilt.key() == type(node).with_children(node, rebuilt.children).key()
+        assert node.key() is before
+
+    def test_schema_is_derived_at_construction(self):
+        joined = Join(scan_t(), scan_u(), ["a"], ["x"])
+        assert joined.output_columns() is joined.output_columns()
+        assert joined.output_columns() == ("a", "b", "c", "x", "y")

@@ -121,3 +121,20 @@ class TestScalarQueries:
         query = scan(tpcds, "store_sales").where(col("ss_quantity") > 5).build("raw_filter")
         result = optimizer.optimize(query)
         assert not result.approximable
+
+
+class TestUsedPlanner:
+    """Cached node keys, the statistics memo and the lazily filled catalog
+    carry over from one query to the next; they may never change what a
+    fresh planner would decide."""
+
+    def test_a_used_planner_decides_what_a_fresh_one_does(self, tpcds, optimizer):
+        for name in ("q02", "q05", "q12", "q20"):
+            query = query_by_name(tpcds, name)
+            used, fresh = optimizer.optimize(query), Asalqa(Catalog(tpcds)).optimize(query)
+            assert used.plan.key() == fresh.plan.key()
+            assert used.estimated_cost == fresh.estimated_cost
+            assert used.alternatives_explored == fresh.alternatives_explored
+            assert [(d.spec.key(), d.c1, d.c2, d.reason) for d in used.decisions] == [
+                (d.spec.key(), d.c1, d.c2, d.reason) for d in fresh.decisions
+            ]

@@ -212,3 +212,39 @@ class TestDistinctSampler:
             want = spec.apply(table)
         np.testing.assert_array_equal(got.column("v"), want.column("v"))
         np.testing.assert_array_equal(got.weights(), want.weights())
+
+
+class TestValueCounts:
+    """``value_counts`` is ``np.unique(..., return_counts=True)`` whichever
+    way it counts: a table over a dense integer span, the sort otherwise."""
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            np.array([3, 1, 3, 3, -2, 1]),  # dense span, negative floor
+            np.array([-128, 127, 0, 127], dtype=np.int8),  # span wider than the dtype's positives
+            np.array([0, 1 << 40, 1 << 40, 5]),  # span defeats dense_span
+            np.array([2**64 - 1, 0, 2**64 - 1], dtype=np.uint64),  # not an int64
+            np.array([True, False, True]),
+            np.array([0.5, -0.0, 0.0, np.nan, np.nan, 0.5]),
+            np.array(["b", "a", "b", ""]),
+            np.array([], dtype=np.int64),
+            np.array([7]),
+        ],
+        ids=["dense", "int8", "sparse", "uint64", "bool", "float-nan", "str", "empty", "one"],
+    )
+    def test_matches_np_unique(self, values):
+        uniques, counts = keys.value_counts(values)
+        want_uniques, want_counts = np.unique(values, return_counts=True)
+        np.testing.assert_array_equal(uniques, want_uniques)
+        np.testing.assert_array_equal(counts, want_counts)
+        assert [type(u.item()) for u in uniques] == [type(u.item()) for u in want_uniques]
+
+    @given(values=st.lists(st.integers(-300, 300), max_size=60))
+    @settings(max_examples=100, deadline=None)
+    def test_dense_integers(self, values):
+        values = np.array(values, dtype=np.int64)
+        uniques, counts = keys.value_counts(values)
+        want_uniques, want_counts = np.unique(values, return_counts=True)
+        np.testing.assert_array_equal(uniques, want_uniques)
+        np.testing.assert_array_equal(counts, want_counts)

@@ -65,3 +65,21 @@ def test_compile_and_execute_leave_nothing_for_the_cycle_collector():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_planning_leaves_nothing_for_the_cycle_collector():
+    # ``finalize_plan`` and ``samplers_below`` used to recurse through nested
+    # functions that referred to themselves: a function<->cell cycle per
+    # approximable query. The scale is the smallest at which one of the
+    # three is approximable, so that the successor rewrite actually runs.
+    db = generate_tpcds(scale=0.15, seed=1)
+    planner = QuickrPlanner(db)
+    queries = [query_by_name(db, name) for name in QUERIES]
+    gc.collect()
+    gc.disable()
+    try:
+        planned = [(planner.plan_baseline(q), planner.plan(q)) for q in queries]
+        assert any(quickr.approximable for _, quickr in planned)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

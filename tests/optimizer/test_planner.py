@@ -52,3 +52,53 @@ class TestQuickrPlanning:
         with_reorder = QuickrPlanner(tiny_tpcds, reorder=True).plan_baseline(query)
         without = QuickrPlanner(tiny_tpcds, reorder=False).plan_baseline(query)
         assert with_reorder.plan.output_columns() == without.plan.output_columns()
+
+
+class TestSharedPlannerUnderThreads:
+    """The query service plans from many session threads against one
+    planner, so the lazy catalog and the statistics memo are filled
+    concurrently. Every value stored is a pure function of its key, so
+    whoever wins a race, the plans must be the serial ones."""
+
+    QUERIES = ("q02", "q05", "q07", "q12", "q20")
+
+    def test_concurrent_plans_equal_serial_plans(self):
+        import sys
+        import threading
+
+        from repro.algebra.addressing import plan_fingerprint
+        from repro.workloads.tpcds import generate_tpcds
+
+        db = generate_tpcds(scale=0.25, seed=2)
+        queries = [query_by_name(db, name) for name in self.QUERIES]
+        serial = QuickrPlanner(db)
+        expected = [plan_fingerprint(serial.plan(q).plan) for q in queries]
+        assert len(set(expected)) == len(expected)
+
+        shared = QuickrPlanner(db, plan_cache_size=0)  # every call plans anew
+        observed, errors = [], []
+
+        def worker(offset):
+            try:
+                for step in range(len(queries)):
+                    index = (offset + step) % len(queries)
+                    result = shared.plan(queries[index])
+                    observed.append((index, plan_fingerprint(result.plan)))
+            except Exception as exc:  # noqa: BLE001 - reported by the assert below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(6)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors, errors
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(observed) == len(threads) * len(queries)
+        for index, fingerprint in observed:
+            assert fingerprint == expected[index], self.QUERIES[index]

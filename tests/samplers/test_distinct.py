@@ -118,3 +118,80 @@ class TestStratumCodes:
         codes = stratum_codes(t, ["a", "b"])
         assert codes[0] == codes[2]
         assert codes[0] != codes[1]
+
+
+def _sort_based_apply(spec: DistinctSpec, table: Table) -> Table:
+    """The sampler as it was before ranks came from count offsets: a stable
+    int64 argsort of the whole input, per-row frequencies. Kept as the
+    reference the shipped ``apply`` must match bit for bit."""
+    from repro.samplers.base import attach_weights
+
+    n = table.num_rows
+    rng = np.random.default_rng(spec.seed)
+    codes = stratum_codes(table, spec.columns)
+    order = np.argsort(codes, kind="stable")
+    sorted_codes = codes[order]
+    boundaries = np.empty(n, dtype=bool)
+    boundaries[0] = True
+    boundaries[1:] = sorted_codes[1:] != sorted_codes[:-1]
+    group_start = np.maximum.accumulate(np.where(boundaries, np.arange(n), 0))
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = np.arange(n) - group_start
+    freq = np.bincount(codes, minlength=codes.max() + 1)[codes]
+    mask = np.zeros(n, dtype=bool)
+    weights = np.ones(n, dtype=np.float64)
+    frequency_pass = rank < spec.delta
+    mask |= frequency_pass
+    candidate = ~frequency_pass
+    cand_count = freq - spec.delta
+    reservoir_region = spec.reservoir_size / spec.p
+    small = candidate & (cand_count <= reservoir_region)
+    if small.any():
+        u = rng.random(n)
+        small_idx = np.flatnonzero(small)
+        sub_sorted = small_idx[np.lexsort((u[small_idx], codes[small_idx]))]
+        sub_codes = codes[sub_sorted]
+        sub_bound = np.empty(len(sub_sorted), dtype=bool)
+        sub_bound[0] = True
+        sub_bound[1:] = sub_codes[1:] != sub_codes[:-1]
+        sub_start = np.maximum.accumulate(np.where(sub_bound, np.arange(len(sub_sorted)), 0))
+        sub_rank = np.arange(len(sub_sorted)) - sub_start
+        chosen = sub_sorted[sub_rank < np.minimum(spec.reservoir_size, cand_count[sub_sorted])]
+        mask[chosen] = True
+        weights[chosen] = cand_count[chosen] / np.minimum(spec.reservoir_size, cand_count[chosen])
+    large = candidate & (cand_count > reservoir_region)
+    if large.any():
+        chosen = large & (rng.random(n) < spec.p)
+        mask[chosen] = True
+        weights[chosen] = 1.0 / spec.p
+    return attach_weights(table, mask, weights)
+
+
+class TestMatchesSortBasedReference:
+    """Same RNG draws in the same order: rows and weights are bit-identical."""
+
+    @pytest.mark.parametrize(
+        "strata, rows",
+        [(1, 500), (7, 3_000), (200, 20_000), (300, 20_000), (5_000, 30_000), (70_000, 90_000)],
+    )
+    @pytest.mark.parametrize("delta, p, reservoir", [(1, 0.5, 1), (3, 0.1, 10), (40, 0.02, 4)])
+    def test_rows_and_weights(self, strata, rows, delta, p, reservoir):
+        gen = np.random.default_rng(strata * 31 + delta)
+        # Zipf-ish sizes: a few strata in the Bernoulli regime, many in the
+        # reservoir regime, a tail below delta.
+        keys = np.minimum(gen.zipf(1.3, rows) - 1, strata - 1) * 3 - 5
+        table = Table("t", {"k": keys, "x": gen.normal(size=rows)})
+        spec = DistinctSpec(["k"], delta=delta, p=p, seed=11, reservoir_size=reservoir)
+        got, want = spec.apply(table), _sort_based_apply(spec, table)
+        assert got.column_names == want.column_names
+        for name in want.column_names:
+            assert np.array_equal(got.column(name), want.column(name)), name
+
+    def test_expression_and_multi_column_strata(self, skewed_table):
+        spec = DistinctSpec(
+            ["k", Func("bucket", lambda x: np.floor(x / 4.0), [col("x")])],
+            delta=2, p=0.2, seed=5, reservoir_size=3,
+        )
+        got, want = spec.apply(skewed_table), _sort_based_apply(spec, skewed_table)
+        for name in want.column_names:
+            assert np.array_equal(got.column(name), want.column(name)), name

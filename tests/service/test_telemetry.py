@@ -92,15 +92,25 @@ class TestTelemetryStream:
 
 
 class TestPostmortems:
-    def test_cancelled_query_dumps_renderable_bundle(self, telemetry_service):
+    def test_cancelled_query_dumps_renderable_bundle(self, telemetry_service, monkeypatch):
         service, server, tmp_path = telemetry_service
         host, port = server.address
+        # Doom the query whatever the host's speed: admit it with a deadline
+        # it would easily meet, then hold it at the engine's door until the
+        # deadline has passed, so governance fires at the first checkpoint.
+        engine = service.governor.executor
+        execute = engine.execute
+
+        def stalled(plan, governance=None):
+            while not governance.expired():
+                time.sleep(0.001)
+            return execute(plan, governance=governance)
+
+        monkeypatch.setattr(engine, "execute", stalled)
         with ServiceClient(host, port, timeout=60.0) as client:
             client.hello(tenant="ads")
-            # First submission of this query: no latency estimate yet, so
-            # admission lets it through and governance fires mid-flight.
             try:
-                client.query("q06", deadline_ms=5.0)
+                client.query("q06", deadline_ms=250.0)
             except Exception:  # noqa: BLE001 - cancelled/degraded both fine
                 pass
         deadline = time.monotonic() + 10.0

@@ -87,3 +87,166 @@ class TestLaziness:
     def test_missing_column_raises(self, db):
         with pytest.raises(CatalogError):
             Catalog(db).stats("t").column("missing")
+
+
+def _eager_collect(table):
+    """Every statistic of every column, as the catalog computed them before
+    it became lazy (one ``np.unique`` per column, moments on top): the
+    reference the per-column, per-statistic path must reproduce exactly."""
+    from repro.stats.catalog import HEAVY_HITTER_FRACTION, MAX_HEAVY_HITTERS
+
+    columns = {}
+    n = table.num_rows
+    threshold = max(1, int(HEAVY_HITTER_FRACTION * n))
+    for name in table.data_column_names():
+        values = table.column(name)
+        stats = {"distinct": 0, "mean": None, "variance": None, "min_value": None,
+                 "max_value": None, "heavy_hitters": {}}
+        if values.dtype.kind in ("i", "u", "f") and n > 0:
+            as_float = values.astype(np.float64)
+            stats["mean"] = float(np.mean(as_float))
+            stats["variance"] = float(np.var(as_float))
+            stats["min_value"] = float(np.min(as_float))
+            stats["max_value"] = float(np.max(as_float))
+        if n > 0:
+            uniques, counts = np.unique(values, return_counts=True)
+            stats["distinct"] = len(uniques)
+            heavy = counts >= threshold
+            if heavy.any():
+                order = np.argsort(counts[heavy])[::-1][:MAX_HEAVY_HITTERS]
+                stats["heavy_hitters"] = {
+                    value.item(): int(cnt)
+                    for value, cnt in zip(uniques[heavy][order], counts[heavy][order])
+                }
+        columns[name] = stats
+    return columns
+
+
+def _comparable(value):
+    """NaN-tolerant, type-strict form of a statistic for equality checks."""
+    if isinstance(value, dict):
+        return [(type(k).__name__, repr(k), v) for k, v in value.items()]
+    return (type(value).__name__, repr(value))
+
+
+def _assert_matches_eager(table):
+    stats = Catalog(_db_of(table)).stats(table.name)
+    assert stats.rows == table.num_rows
+    for name, want in _eager_collect(table).items():
+        got = stats.column(name)
+        for field, value in want.items():
+            assert _comparable(getattr(got, field)) == _comparable(value), (table.name, name, field)
+
+
+def _db_of(*tables):
+    database = Database()
+    for table in tables:
+        database.register(table)
+    return database
+
+
+class TestLazyEqualsEager:
+    def test_every_tpcds_column(self, tiny_tpcds):
+        for name in tiny_tpcds.table_names():
+            _assert_matches_eager(tiny_tpcds.table(name))
+
+    def test_every_dtype_and_shape(self, rng):
+        n = 4_000
+        with_nan = rng.normal(size=n)
+        with_nan[::7] = np.nan
+        _assert_matches_eager(
+            Table(
+                "mixed",
+                {
+                    "dense_int": rng.integers(-50, 50, n),
+                    "small_int": rng.integers(-100, 100, n).astype(np.int8),
+                    "unsigned": rng.integers(0, 2**63, n, dtype=np.uint64) * np.uint64(2),
+                    # Span ~2^40 over 4k rows: far past dense_span, takes the sort.
+                    "sparse_int": rng.integers(0, 2**40, n) * (rng.random(n) < 0.5),
+                    "float": np.round(rng.exponential(3.0, n), 1),
+                    "float_nan": with_nan,
+                    "text": rng.choice(np.array(["ash", "birch", "cedar", "dogwood"]), n),
+                    "flag": rng.random(n) < 0.3,
+                    "constant": np.full(n, 7),
+                },
+            )
+        )
+
+    def test_empty_table(self):
+        empty = Table("none", {"i": np.array([], dtype=np.int64), "f": np.array([]),
+                               "s": np.array([], dtype="<U3")})
+        _assert_matches_eager(empty)
+        assert Catalog(_db_of(empty)).distinct("none", ["i", "f"]) == 0
+
+    def test_column_sets_count_nan_rows_apart(self):
+        t = Table("t", {"a": np.array([1.0, 1.0, np.nan, np.nan, 2.0]), "b": np.array([5, 5, 5, 5, 6])})
+        # (1,5) twice, (2,6), and two NaN rows that equal nothing.
+        assert Catalog(_db_of(t)).distinct("t", ["a", "b"]) == 4
+
+
+def _built(catalog):
+    """{(table, column): statistics built} over everything the catalog holds."""
+    return {
+        (table, name): column.built()
+        for table in catalog.collected_tables()
+        for name, column in catalog.stats(table).columns.items()
+        if column.built()
+    }
+
+
+class TestBuiltOnFirstAsk:
+    def test_row_count_builds_no_column_statistic(self, db):
+        catalog = Catalog(db)
+        assert catalog.row_count("t") == 10_000
+        assert _built(catalog) == {}
+
+    def test_value_skew_builds_no_distinct_count(self, db):
+        catalog = Catalog(db)
+        catalog.value_skew("t", "x")
+        assert _built(catalog) == {("t", "x"): ("moments",)}
+        catalog.distinct("t", ["x"])
+        assert _built(catalog) == {("t", "x"): ("moments", "counts")}
+
+    def test_distinct_builds_no_moments(self, db):
+        catalog = Catalog(db)
+        catalog.distinct("t", ["g"])
+        assert _built(catalog) == {("t", "g"): ("counts",)}
+
+    def test_planning_reads_only_the_columns_the_query_references(self, tiny_tpcds):
+        from repro import QuickrPlanner, col, scan
+        from repro.algebra.aggregates import sum_
+
+        query = (
+            scan(tiny_tpcds, "store_sales")
+            .where(col("ss_quantity") > 10)
+            .groupby("ss_store_sk")
+            .agg(sum_(col("ss_net_profit"), "profit"))
+            .build("single")
+        )
+        planner = QuickrPlanner(tiny_tpcds)
+        planner.plan_baseline(query)
+        planner.plan(query)
+        referenced = {"ss_quantity", "ss_store_sk", "ss_net_profit"}
+        touched = {column for _, column in _built(planner.catalog)}
+        assert planner.catalog.collected_tables() == ("store_sales",)
+        assert touched and touched <= referenced
+        assert not planner.catalog.stats("store_sales")._set_distinct_cache
+
+    def test_statistics_are_built_under_a_collect_span(self, db):
+        from repro.obs.trace import Tracer, pop_override, push_override
+
+        catalog = Catalog(db)
+        tracer = Tracer()
+        previous = push_override(tracer)
+        try:
+            catalog.value_skew("t", "x")
+            catalog.value_skew("t", "x")
+            catalog.distinct("t", ["g", "k"])
+        finally:
+            pop_override(previous)
+        spans = [s for s in tracer.find("catalog.collect")]
+        assert [(s.attributes["column"], s.attributes["statistic"]) for s in spans] == [
+            ("x", "moments"),
+            ("g,k", "set_distinct"),
+        ]
+        assert all(s.attributes["table"] == "t" and s.attributes["rows"] == 10_000 for s in spans)

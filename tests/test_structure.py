@@ -90,18 +90,65 @@ def _calls(tree, attr):
     ]
 
 
-def test_operators_gather_what_they_are_asked_for():
-    """A gather loop is driven by the requested columns, never by whatever
-    columns an input happens to carry (the full-width join)."""
+def _loops_over(tree, attr):
+    """Line numbers of loops and comprehensions under ``tree`` whose
+    iterable calls a function or method named ``attr``."""
     loops = []
-    for node in ast.walk(_parse("engine/operators.py")):
+    for node in ast.walk(tree):
         iters = []
         if isinstance(node, (ast.For, ast.AsyncFor)):
             iters.append(node.iter)
         elif isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)):
             iters.extend(generator.iter for generator in node.generators)
-        loops += [it.lineno for it in iters if _calls(it, "data_column_names")]
+        loops += [it.lineno for it in iters if _calls(it, attr)]
+    return loops
+
+
+def test_operators_gather_what_they_are_asked_for():
+    """A gather loop is driven by the requested columns, never by whatever
+    columns an input happens to carry (the full-width join)."""
+    loops = _loops_over(_parse("engine/operators.py"), "data_column_names")
     assert not loops, f"engine/operators.py loops over data_column_names() at lines {loops}"
+
+
+def _table_statistics_half(tree):
+    """The top-level definitions of ``stats/catalog.py`` up to and including
+    ``Catalog``: what follows is the partition catalog, which summarises
+    whole partitions by design."""
+    names = [getattr(node, "name", None) for node in tree.body]
+    return tree.body[: names.index("Catalog") + 1]
+
+
+def test_table_statistics_are_built_per_column_on_demand():
+    """No eager per-table loop over every column, and one way to count
+    values (``keys.value_counts``), not a second ``np.unique`` beside it."""
+    half = _table_statistics_half(_parse("stats/catalog.py"))
+    loops = [line for node in half for line in _loops_over(node, "data_column_names")]
+    assert not loops, f"stats/catalog.py iterates data_column_names() at lines {loops}"
+    uniques = [call.lineno for node in half for call in _calls(node, "unique")]
+    assert len(uniques) <= 1, f"np.unique( in the table-statistics half at lines {uniques}"
+
+
+def test_rewrite_recursion_is_not_through_closures():
+    """A nested function that calls itself is a function<->cell cycle per
+    call of its parent: garbage only the cycle collector frees."""
+    recursive = [
+        name
+        for name, node, nested in _functions(_parse("core/rewrite.py"))
+        if nested and _calls(node, node.name)
+    ]
+    assert not recursive, f"self-recursive nested defs in core/rewrite.py: {recursive}"
+
+
+def test_one_costing_path_in_the_optimizer():
+    """Every alternative is priced through the one ``cost_plan`` call."""
+    callers = sorted(
+        f"core/{path.name}::{name}"
+        for path in sorted((SRC / "core").glob("*.py"))
+        for name, node, _ in _functions(ast.parse(path.read_text(encoding="utf-8")))
+        if _calls(node, "cost_plan")
+    )
+    assert callers == ["core/asalqa.py::Asalqa._cost"], callers
 
 
 def test_worker_plans_are_compiled_once_with_a_requirement():
