@@ -18,7 +18,9 @@ at every cooperative checkpoint:
 ``check`` raises a *typed* :class:`~repro.errors.GovernanceError` —
 :class:`~repro.errors.QueryCancelled`, :class:`~repro.errors.DeadlineExceeded`
 or :class:`~repro.errors.BudgetExceeded` — that unwinds cleanly: worker
-tasks are cancelled through the existing ``abandoned`` set, shared-memory
+tasks are cancelled through :attr:`TaskRuntime.abandoned
+<repro.parallel.tasks.TaskRuntime.abandoned>` (the one set a run's
+scheduler shares with its work functions), shared-memory
 segments are reaped through the transport's dispose/reap hooks, and
 partial state is discarded. The service's governor catches these and
 walks the degradation ladder instead of failing the query.

@@ -157,8 +157,9 @@ class PhysicalOp:
 class PhysicalPlan:
     """An executable, reusable compilation of one logical plan.
 
-    A compiled plan holds no run state: :meth:`execute` touches only local
-    slots, so one cached instance can serve many runs (and many threads).
+    A compiled plan holds no run state: :meth:`execute` keeps it all in a
+    per-call :class:`_RunState`, so one cached instance can serve many runs
+    (and many threads).
     """
 
     logical: LogicalNode
@@ -213,112 +214,53 @@ class PhysicalPlan:
         """
         ops = self.ops
         morsel_rows = DEFAULT_MORSEL_ROWS if morsel_rows is None else int(morsel_rows)
-        skipped = bytearray(len(ops))
-        if overrides:
-            for address in overrides:
-                root = self.address_to_index.get(address)
-                if root is None:
-                    raise PlanError(
-                        f"override address {format_address(address)} is not in this plan"
-                    )
-                for i in range(ops[root].subtree_start, root):
-                    skipped[i] = 1
-
-        slots: List[Optional[Table]] = [None] * len(ops)
-        cardinalities: Dict[NodeAddress, int] = {}
-        metrics: List[OperatorMetrics] = []
-        observe = record_metrics or tracer is not None
-        # Live-frontier memory ledger for the governance budget: bytes of
-        # each materialized slot, maintained only when a context is present.
-        governed = governance is not None
-        slot_bytes: List[int] = [0] * len(ops) if governed else []
-        live_bytes = 0
-
+        run = _RunState(self, overrides, record_metrics, should_abort, tracer, governance)
         index = 0
         while index < len(ops):
             op = ops[index]
             index += 1
-            if skipped[op.index]:
+            if run.skipped[op.index]:
                 continue
-            if should_abort is not None and should_abort():
-                raise TaskCancelled(
-                    f"execution aborted before operator {format_address(op.address)}"
-                )
-            if governed:
-                governance.check(live_bytes)
+            run.checkpoint(op)
             chain = self.morsel_chains.get(op.index) if morsel_rows > 0 else None
-            if chain is not None and self._chain_runnable(chain, skipped, overrides, slots, morsel_rows):
-                source_slot = ops[chain[0]].child_slots[0]
-                self._execute_chain(
-                    chain, slots, database, cardinalities, metrics,
-                    record_metrics, should_abort, tracer, morsel_rows,
-                    governance, live_bytes,
-                )
-                if governed:
-                    live_bytes -= slot_bytes[source_slot]
-                    slot_bytes[source_slot] = 0
-                    produced = _table_nbytes(slots[chain[-1]])
-                    slot_bytes[chain[-1]] = produced
-                    live_bytes += produced
+            if chain is not None and self._chain_runnable(chain, run, morsel_rows):
+                self._execute_chain(chain, run, database, morsel_rows)
                 index = chain[-1] + 1
-                continue
-            started = time.perf_counter() if observe else 0.0
-            span = _begin_op_span(tracer, op) if tracer is not None else None
-            overridden = bool(overrides) and op.address in overrides
-            if overridden:
-                table = overrides[op.address]
-                rows_in = table.num_rows
             else:
-                inputs = [slots[slot] for slot in op.child_slots]
-                if op.opcode == "scan":
-                    rows_in = database.table(op.node.table).num_rows
-                else:
-                    rows_in = sum(t.num_rows for t in inputs)
-                table = self._dispatch(op, inputs, database)
-            # Each slot feeds exactly one parent; release inputs eagerly so
-            # peak memory tracks the live frontier, not the whole plan.
-            for slot in op.child_slots:
-                slots[slot] = None
-                if governed:
-                    live_bytes -= slot_bytes[slot]
-                    slot_bytes[slot] = 0
-            slots[op.index] = table
-            if governed:
-                produced = _table_nbytes(table)
-                slot_bytes[op.index] = produced
-                live_bytes += produced
-                governance.check(live_bytes)
-            cardinalities[op.address] = table.num_rows
-            sampler_stats = (
-                _sampler_stats(op.node.spec, rows_in, table)
-                if observe and op.opcode == "sampler" and not overridden
-                else None
-            )
-            if span is not None:
-                attrs = {"rows_in": rows_in, "rows_out": table.num_rows}
-                if overridden:
-                    attrs["override"] = True
-                if sampler_stats is not None:
-                    attrs.update(sampler_stats)
-                tracer.end(span, **attrs)
-            if record_metrics:
-                metrics.append(
-                    OperatorMetrics(
-                        address=op.address,
-                        description=op.describe(),
-                        rows_in=rows_in,
-                        rows_out=table.num_rows,
-                        seconds=time.perf_counter() - started,
-                        sampler=sampler_stats,
-                    )
-                )
-
-        result = slots[len(ops) - 1]
+                self._execute_op(op, run, database)
+        result = run.slots[len(ops) - 1]
         assert result is not None
-        return result, cardinalities, tuple(metrics)
+        return result, run.cardinalities, tuple(run.metrics)
+
+    def _execute_op(self, op: PhysicalOp, run: "_RunState", database: Database) -> None:
+        """Run one operator over its whole input (or splice its override)."""
+        started = time.perf_counter() if run.observe else 0.0
+        span = _begin_op_span(run.tracer, op) if run.tracer is not None else None
+        overridden = bool(run.overrides) and op.address in run.overrides
+        if overridden:
+            table = run.overrides[op.address]
+            rows_in = table.num_rows
+        else:
+            inputs = [run.slots[slot] for slot in op.child_slots]
+            if op.opcode == "scan":
+                rows_in = database.table(op.node.table).num_rows
+            else:
+                rows_in = sum(t.num_rows for t in inputs)
+            table = self._dispatch(op, inputs, database)
+        # Each slot feeds exactly one parent; release inputs eagerly so
+        # peak memory tracks the live frontier, not the whole plan.
+        for slot in op.child_slots:
+            run.release(slot)
+        run.store(op.index, table)
+        sampler_stats, seconds = None, 0.0
+        if run.observe:
+            if op.opcode == "sampler" and not overridden:
+                sampler_stats = _sampler_stats(op.node.spec, rows_in, table)
+            seconds = time.perf_counter() - started
+        run.record(op, rows_in, table.num_rows, seconds, span=span, sampler=sampler_stats)
 
     # -- morsel-driven chain execution ----------------------------------------
-    def _chain_runnable(self, chain, skipped, overrides, slots, morsel_rows: int) -> bool:
+    def _chain_runnable(self, chain, run: "_RunState", morsel_rows: int) -> bool:
         """Whether a compiled chain can actually run fused for this call.
 
         A chain falls back to one-op-at-a-time execution when any member is
@@ -326,26 +268,15 @@ class PhysicalPlan:
         arbitrary addresses) or when the input is small enough that a single
         pass already fits in cache.
         """
-        if any(skipped[m] for m in chain):
+        if any(run.skipped[m] for m in chain):
             return False
-        if overrides and any(self.ops[m].address in overrides for m in chain):
+        if run.overrides and any(self.ops[m].address in run.overrides for m in chain):
             return False
-        source = slots[self.ops[chain[0]].child_slots[0]]
+        source = run.slots[self.ops[chain[0]].child_slots[0]]
         return source is not None and source.num_rows > morsel_rows
 
     def _execute_chain(
-        self,
-        chain: Tuple[int, ...],
-        slots: List[Optional[Table]],
-        database: Database,
-        cardinalities: Dict[NodeAddress, int],
-        metrics: List[OperatorMetrics],
-        record_metrics: bool,
-        should_abort: Optional[Callable[[], bool]],
-        tracer,
-        morsel_rows: int,
-        governance=None,
-        live_bytes: int = 0,
+        self, chain: Tuple[int, ...], run: "_RunState", database: Database, morsel_rows: int
     ) -> None:
         """Run a fused select/project chain morsel-by-morsel.
 
@@ -354,16 +285,14 @@ class PhysicalPlan:
         working set stays cache-resident. Because every member is row-local
         (see :data:`_STREAMABLE`), concatenating the per-morsel outputs is
         bit-identical to running each operator over the full input.
-        ``governance`` is checked at every morsel boundary — the tightest
-        cooperative-cancellation grain the engine has — against
-        ``live_bytes`` (the caller's slot frontier) plus the bytes this
-        chain has accumulated so far.
+        Every morsel boundary is a checkpoint — the tightest
+        cooperative-cancellation grain the engine has — against the run's
+        slot frontier plus the bytes this chain has accumulated so far.
         """
         members = [self.ops[m] for m in chain]
         source_slot = members[0].child_slots[0]
-        source = slots[source_slot]
+        source = run.slots[source_slot]
         assert source is not None
-        observe = record_metrics or tracer is not None
 
         n = len(members)
         rows_in = [0] * n
@@ -373,47 +302,24 @@ class PhysicalPlan:
         piece_bytes = 0
         num_morsels = 0
         for start in range(0, source.num_rows, morsel_rows):
-            if should_abort is not None and should_abort():
-                raise TaskCancelled(
-                    f"execution aborted at morsel {num_morsels} of chain "
-                    f"{format_address(members[0].address)}"
-                )
-            if governance is not None:
-                governance.check(live_bytes + piece_bytes)
+            run.checkpoint(members[0], morsel=num_morsels, extra_bytes=piece_bytes)
             num_morsels += 1
             table = source.slice(start, start + morsel_rows)
             for i, op in enumerate(members):
-                started = time.perf_counter() if observe else 0.0
+                started = time.perf_counter() if run.observe else 0.0
                 rows_in[i] += table.num_rows
                 table = self._dispatch(op, [table], database)
                 rows_out[i] += table.num_rows
-                if observe:
+                if run.observe:
                     seconds[i] += time.perf_counter() - started
             pieces.append(table)
-            if governance is not None:
+            if run.governance is not None:
                 piece_bytes += _table_nbytes(table)
-        result = Table.concat(pieces, name=pieces[-1].name)
 
-        slots[source_slot] = None
-        slots[chain[-1]] = result
+        run.release(source_slot)
+        run.store(chain[-1], Table.concat(pieces, name=pieces[-1].name))
         for i, op in enumerate(members):
-            cardinalities[op.address] = rows_out[i] if i < n - 1 else result.num_rows
-            if tracer is not None:
-                tracer.end(
-                    _begin_op_span(tracer, op),
-                    rows_in=rows_in[i], rows_out=rows_out[i], morsels=num_morsels,
-                )
-            if record_metrics:
-                metrics.append(
-                    OperatorMetrics(
-                        address=op.address,
-                        description=op.describe(),
-                        rows_in=rows_in[i],
-                        rows_out=rows_out[i],
-                        seconds=seconds[i],
-                        morsels=num_morsels,
-                    )
-                )
+            run.record(op, rows_in[i], rows_out[i], seconds[i], morsels=num_morsels)
 
     # -- operator dispatch ----------------------------------------------------
     def _dispatch(self, op: PhysicalOp, inputs: List[Table], database: Database) -> Table:
@@ -450,6 +356,98 @@ class PhysicalPlan:
         else:
             raise PlanError(f"compiled plan has unknown opcode {op.opcode!r}")
         return out.drop_columns(op.drop) if op.drop else out
+
+
+class _RunState:
+    """Everything one :meth:`PhysicalPlan.execute` call mutates.
+
+    Owns the slots, the override mask, the cardinalities and metrics, and
+    — only when a governance context is present — the live-frontier memory
+    ledger (bytes of each materialized slot), so both execution grains
+    (whole operator, morsel of a fused chain) checkpoint, account and
+    report through the same three methods.
+    """
+
+    def __init__(self, plan, overrides, record_metrics, should_abort, tracer, governance):
+        ops = plan.ops
+        self.overrides = overrides
+        self.skipped = bytearray(len(ops))
+        for address in overrides or ():
+            root = plan.address_to_index.get(address)
+            if root is None:
+                raise PlanError(
+                    f"override address {format_address(address)} is not in this plan"
+                )
+            for i in range(ops[root].subtree_start, root):
+                self.skipped[i] = 1
+        self.slots: List[Optional[Table]] = [None] * len(ops)
+        self.cardinalities: Dict[NodeAddress, int] = {}
+        self.metrics: List[OperatorMetrics] = []
+        self.record_metrics = record_metrics
+        self.should_abort = should_abort
+        self.tracer = tracer
+        self.observe = record_metrics or tracer is not None
+        self.governance = governance
+        self.slot_bytes: List[int] = [0] * len(ops) if governance is not None else []
+        self.live_bytes = 0
+
+    def checkpoint(self, op: PhysicalOp, morsel: Optional[int] = None, extra_bytes: int = 0):
+        """The cooperative boundary before ``op`` (or before one morsel of
+        the chain it heads): poll ``should_abort``, then check the contract
+        against the live bytes plus what the caller holds outside the slots."""
+        if self.should_abort is not None and self.should_abort():
+            where = format_address(op.address)
+            raise TaskCancelled(
+                f"execution aborted before operator {where}"
+                if morsel is None
+                else f"execution aborted at morsel {morsel} of chain {where}"
+            )
+        if self.governance is not None:
+            self.governance.check(self.live_bytes + extra_bytes)
+
+    def release(self, slot: int) -> None:
+        self.slots[slot] = None
+        if self.governance is not None:
+            self.live_bytes -= self.slot_bytes[slot]
+            self.slot_bytes[slot] = 0
+
+    def store(self, slot: int, table: Table) -> None:
+        """Materialize ``table`` in ``slot``; a governed run pays for it at
+        once — a blown budget raises here, not an operator later."""
+        self.slots[slot] = table
+        if self.governance is not None:
+            produced = _table_nbytes(table)
+            self.slot_bytes[slot] = produced
+            self.live_bytes += produced
+            self.governance.check(self.live_bytes)
+
+    def record(self, op, rows_in, rows_out, seconds, span=None, sampler=None, morsels=0):
+        """What ``op`` did: its cardinality always; its ``op.<opcode>`` span
+        and :class:`OperatorMetrics` when someone is watching."""
+        self.cardinalities[op.address] = rows_out
+        if self.tracer is not None:
+            attrs = {"rows_in": rows_in, "rows_out": rows_out}
+            if morsels:
+                attrs["morsels"] = morsels
+            if self.overrides and op.address in self.overrides:
+                attrs["override"] = True
+            if sampler is not None:
+                attrs.update(sampler)
+            if span is None:  # a chain member: reported when its chain ends
+                span = _begin_op_span(self.tracer, op)
+            self.tracer.end(span, **attrs)
+        if self.record_metrics:
+            self.metrics.append(
+                OperatorMetrics(
+                    address=op.address,
+                    description=op.describe(),
+                    rows_in=rows_in,
+                    rows_out=rows_out,
+                    seconds=seconds,
+                    sampler=sampler,
+                    morsels=morsels,
+                )
+            )
 
 
 def _begin_op_span(tracer, op: PhysicalOp):

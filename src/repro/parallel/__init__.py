@@ -7,9 +7,10 @@ operator. This package supplies the pieces:
 - :mod:`repro.parallel.partitioner` — round-robin and hash input splits;
 - :mod:`repro.parallel.plan` — precursor/successor split, strategy choice,
   worker plan rewriting;
-- :mod:`repro.parallel.pool` — process/thread/inline worker pools;
-- :mod:`repro.parallel.tasks` — fault-tolerant task scheduling: bounded
-  retries with backoff, straggler speculation, structured failures;
+- :mod:`repro.parallel.pool` — the process/thread/inline backends a run opens;
+- :mod:`repro.parallel.tasks` — the one fault-tolerant scheduler over
+  them: bounded retries with backoff, straggler speculation, structured
+  failures;
 - :mod:`repro.parallel.faults` — seeded fault injection for chaos testing;
 - :mod:`repro.parallel.merge` — exact row-order merge and mergeable
   partial-aggregate states (plus sketch folds);
@@ -38,7 +39,7 @@ from repro.parallel.merge import (
 )
 from repro.parallel.partitioner import HASH, ROUND_ROBIN, Partitioner, co_partitioners
 from repro.parallel.plan import PlanAnalysis, analyze_plan, build_worker_plan
-from repro.parallel.pool import WorkerPool, available_parallelism, fork_payload
+from repro.parallel.pool import WorkerPool, available_parallelism
 from repro.parallel.tasks import (
     RetryPolicy,
     TaskOutcome,
@@ -60,7 +61,6 @@ __all__ = [
     "build_worker_plan",
     "WorkerPool",
     "available_parallelism",
-    "fork_payload",
     "merge_rows",
     "partial_aggregate",
     "merge_partials",

@@ -1,57 +1,54 @@
 """Worker pools for partition-parallel execution.
 
-Three interchangeable backends behind one ``map``:
+Three interchangeable backends behind one :meth:`WorkerPool.open`, driven
+by the one scheduler loop of :class:`~repro.parallel.tasks.TaskRuntime`:
 
 * ``process`` — a fork-based process pool, the real-parallelism mode. The
-  work function and its inputs are published through a module global
-  *before* the pool is created, so forked children inherit them by memory
-  image and only a partition index crosses the pipe per task. That keeps
-  plans picklable-free (plans may close over arbitrary predicates) while
-  results (tables, partial aggregates) still return via pickle.
+  work function is published through a module global *before* the pool is
+  created, so forked children inherit it by memory image and only a small
+  task spec crosses the pipe per task. That keeps plans picklable-free
+  (plans may close over arbitrary predicates) while results (tables,
+  partial aggregates) still return via pickle.
 * ``thread`` — a thread pool; real concurrency only where NumPy releases
   the GIL, but portable and cheap. The fallback where fork is unavailable.
-* ``inline`` — sequential in-process execution; the debugging/CI mode and
-  the degenerate single-worker case.
+* ``inline`` — the one-slot pool: an attempt runs inside ``submit``, in
+  the caller's thread. The debugging/CI mode, and what any backend with a
+  single worker resolves to (a one-worker pool cannot overlap anything,
+  and forking for it made D-way runs on 1-core CI strictly slower than
+  serial).
 
 ``auto`` picks ``process`` when the platform supports fork, else ``thread``.
 
 The fork-published global is a process-wide singleton, so process-mode use
 is serialized behind :data:`_PAYLOAD_LOCK`: a second concurrent (or
 re-entrant) process-mode run raises a clear :class:`PlanError` instead of
-silently corrupting the other run's payload. The task scheduler
-(:mod:`repro.parallel.tasks`) shares the same guard through
-:func:`fork_payload`.
-
-Worker exceptions never escape raw: ``map`` wraps them in
-:class:`~repro.errors.TaskError` carrying the failing item's index, with
-the original exception chained as ``__cause__``.
+silently corrupting the other run's payload.
 """
 
 from __future__ import annotations
 
 import os
 import threading
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import Executor, Future, ProcessPoolExecutor, ThreadPoolExecutor
 from contextlib import contextmanager
-from typing import Any, Callable, List, Optional, Sequence
+from functools import partial
+from typing import Callable, Optional
 
-from repro.errors import PlanError, ReproError, TaskError
+from repro.errors import PlanError
 from repro.obs import log as obs_log
 
 __all__ = [
     "WorkerPool",
     "available_parallelism",
     "fork_payload",
-    "scrub_shared_segments",
 ]
 
-#: Fork-inherited payload for process workers:
-#: (work function, items, parent log level). ``items`` is None when
-#: callers ship the argument over the pipe instead (the task scheduler's
-#: mode — arguments are small TaskSpecs, the work function still travels
-#: by fork image). The log level rides along so ``repro.*`` loggers agree
-#: across processes: a worker whose logging state diverged from the
-#: parent's ``--log-level`` re-configures itself before running the task.
+#: Fork-inherited payload for process workers: (work function, parent log
+#: level). Arguments are small TaskSpecs and cross the pipe; the work
+#: function travels by fork image. The log level rides along so ``repro.*``
+#: loggers agree across processes: a worker whose logging state diverged
+#: from the parent's ``--log-level`` re-configures itself before running
+#: the task.
 _PAYLOAD: Optional[tuple] = None
 
 #: Serializes process-mode use of the fork payload. Held for the lifetime
@@ -60,24 +57,18 @@ _PAYLOAD: Optional[tuple] = None
 _PAYLOAD_LOCK = threading.Lock()
 
 
-def _run_index(index: int):
-    fn, items, log_level = _PAYLOAD
-    obs_log.apply_level(log_level)
-    return fn(items[index])
-
-
 def _run_argument(argument):
-    fn, _, log_level = _PAYLOAD
+    fn, log_level = _PAYLOAD
     obs_log.apply_level(log_level)
     return fn(argument)
 
 
 @contextmanager
-def fork_payload(fn: Callable, items: Optional[Sequence] = None):
+def fork_payload(fn: Callable):
     """Publish the fork-inherited payload for one process-pool lifetime.
 
     Raises :class:`PlanError` if another process-mode run (a concurrent
-    ``map`` from another thread, or a nested one from inside a worker
+    one from another thread, or a nested one from inside a worker
     callback) already holds the payload — the fork hand-off is a process
     singleton and cannot serve two pools at once.
     """
@@ -85,29 +76,15 @@ def fork_payload(fn: Callable, items: Optional[Sequence] = None):
         raise PlanError(
             "re-entrant process-mode execution: the fork payload is already "
             "in use by another process-pool run in this process; use "
-            "pool mode 'thread' or 'inline' for nested/concurrent maps"
+            "pool mode 'thread' or 'inline' for nested/concurrent runs"
         )
     global _PAYLOAD
-    _PAYLOAD = (fn, items, obs_log.configured_level())
+    _PAYLOAD = (fn, obs_log.configured_level())
     try:
         yield
     finally:
         _PAYLOAD = None
         _PAYLOAD_LOCK.release()
-
-
-def scrub_shared_segments(names: Sequence[str]) -> int:
-    """Reclaim shared-memory segments leaked by dead pool workers.
-
-    A worker that dies holding a segment (fork payload mid-result, a
-    ``BrokenProcessPool`` recycle) cannot release it; whoever rebuilds the
-    pool calls this with the deterministic names those attempts would have
-    used. Missing names are free; returns how many segments were actually
-    removed.
-    """
-    from repro.memory import reap
-
-    return sum(1 for name in names if reap(name))
 
 
 def available_parallelism() -> int:
@@ -124,8 +101,21 @@ def _fork_available() -> bool:
     return "fork" in mp.get_all_start_methods()
 
 
+class _CallerThreadExecutor(Executor):
+    """The one-slot pool: ``submit`` runs the call in the caller's thread
+    and returns its finished future."""
+
+    def submit(self, fn, /, *args, **kwargs):
+        future: Future = Future()
+        try:
+            future.set_result(fn(*args, **kwargs))
+        except Exception as exc:  # BaseException (Ctrl-C) unwinds the caller
+            future.set_exception(exc)
+        return future
+
+
 class WorkerPool:
-    """Maps a function over partition inputs with a chosen backend."""
+    """Chooses and opens the backend partition tasks run on."""
 
     MODES = ("auto", "process", "thread", "inline")
 
@@ -146,55 +136,30 @@ class WorkerPool:
         """Worker count for a run over ``num_items`` inputs."""
         return max(1, min(self.max_workers or available_parallelism(), num_items))
 
-    def map(self, fn: Callable[[Any], Any], items: Sequence[Any]) -> List[Any]:
-        """Apply ``fn`` to every item, returning results in item order.
+    @contextmanager
+    def open(self, fn: Callable, num_items: int):
+        """Open the backend for one run of ``fn`` over ``num_items`` tasks.
 
-        Worker exceptions surface as :class:`TaskError` (item index attached,
-        original exception chained); library errors raised by ``fn`` itself
-        pass through unchanged.
+        Yields ``(make_executor, call, slots)``: a factory of
+        :class:`concurrent.futures.Executor`\\ s (called again to replace a
+        broken process pool), the callable to submit with each argument,
+        and how many attempts the backend admits at once (None = it queues
+        whatever it is given).
         """
-        items = list(items)
-        if not items:
-            return []
         mode = self.resolve_mode()
-        workers = self.workers_for(len(items))
-        # A one-worker pool cannot overlap anything: run inline and save the
-        # fork/thread overhead (the process path previously still forked,
-        # which on 1-core CI made D-way runs strictly slower than serial).
+        workers = self.workers_for(num_items)
         if mode == "inline" or workers == 1:
-            return [self._guarded(fn, item, index) for index, item in enumerate(items)]
-        if mode == "process":
+            yield _CallerThreadExecutor, fn, 1
+        elif mode == "thread":
+            yield partial(ThreadPoolExecutor, max_workers=workers), fn, None
+        else:
             if not _fork_available():
                 raise PlanError("process pool requires the fork start method; use thread/inline")
             import multiprocessing as mp
 
-            with fork_payload(fn, items):
-                ctx = mp.get_context("fork")
-                with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
-                    futures = [pool.submit(_run_index, i) for i in range(len(items))]
-                    return [self._harvest(f, i) for i, f in enumerate(futures)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(fn, item) for item in items]
-            return [self._harvest(f, i) for i, f in enumerate(futures)]
-
-    @staticmethod
-    def _guarded(fn: Callable, item, index: int):
-        try:
-            return fn(item)
-        except ReproError:
-            raise
-        except Exception as exc:
-            raise TaskError(
-                f"worker raised {type(exc).__name__}: {exc}", partition=index
-            ) from exc
-
-    @staticmethod
-    def _harvest(future, index: int):
-        try:
-            return future.result()
-        except ReproError:
-            raise
-        except Exception as exc:
-            raise TaskError(
-                f"worker raised {type(exc).__name__}: {exc}", partition=index
-            ) from exc
+            with fork_payload(fn):
+                yield (
+                    partial(ProcessPoolExecutor, max_workers=workers, mp_context=mp.get_context("fork")),
+                    _run_argument,
+                    None,
+                )

@@ -34,7 +34,7 @@ query can gracefully degrade (see :mod:`repro.parallel.executor`).
 from __future__ import annotations
 
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, ThreadPoolExecutor, wait
+from concurrent.futures import FIRST_COMPLETED, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
@@ -42,7 +42,7 @@ from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 from repro.errors import GovernanceError, PlanError, TaskCancelled, TaskError
 from repro.obs import log as obs_log
 from repro.obs import trace as obs_trace
-from repro.parallel.pool import WorkerPool, fork_payload, _fork_available, _run_argument
+from repro.parallel.pool import WorkerPool
 
 __all__ = ["TaskSpec", "RetryPolicy", "TaskOutcome", "TaskReport", "TaskRuntime", "task_seed"]
 
@@ -244,17 +244,36 @@ def _traced_fn(fn: Callable[["TaskSpec"], Any]) -> Callable[["TaskSpec"], Any]:
     return traced
 
 
+def _wrap(exc: BaseException, spec: TaskSpec, kind: str = "exception") -> TaskError:
+    if isinstance(exc, TaskError):
+        return exc
+    if isinstance(exc, GovernanceError):
+        kind = "governed"
+    error = TaskError(
+        f"{type(exc).__name__}: {exc}",
+        partition=spec.partition,
+        attempt=spec.attempt,
+        kind=kind,
+    )
+    error.__cause__ = exc  # keep the chain without re-raising
+    return error
+
+
 class TaskRuntime:
     """Runs partition tasks over a :class:`WorkerPool` with fault handling.
+
+    Holds what outlives a run — pool, policy, seed — and :attr:`abandoned`;
+    everything one :meth:`run` mutates lives in its :class:`_Scheduler`.
 
     ``validate(payload, spec)`` — optional; raise (anything) to reject a
     result, turning e.g. corrupt rows into a retryable failure.
 
     :attr:`abandoned` is the live set of ``(partition, attempt)`` pairs
-    whose results are no longer wanted. It is shared by reference with
-    thread/inline workers, so a work function may poll it (directly or via
-    a ``should_abort`` callback into the physical executor) to stop wasting
-    CPU; process workers hold a fork-time copy and simply run to completion,
+    whose results are no longer wanted. It stays on the runtime because
+    work functions are built before :meth:`run` and poll it by reference
+    (directly or via a ``should_abort`` callback into the physical
+    executor) to stop wasting CPU: shared with thread/inline workers;
+    process workers hold a fork-time copy and simply run to completion,
     their results dropped on arrival.
     """
 
@@ -268,14 +287,7 @@ class TaskRuntime:
         self.policy = policy or RetryPolicy()
         self.base_seed = int(base_seed)
         self.abandoned: Set[Tuple[int, int]] = set()
-        #: Active tracer of the current :meth:`run` (None when tracing is off).
-        self._tracer: Optional[obs_trace.Tracer] = None
-        # Transport hooks of the current run (see :meth:`run`).
-        self._receive: Optional[Callable[[Any, TaskSpec], Any]] = None
-        self._dispose: Optional[Callable[[Any], None]] = None
-        self._reap: Optional[Callable[[TaskSpec], None]] = None
 
-    # -- public entry ---------------------------------------------------------
     def run(
         self,
         fn: Callable[[TaskSpec], Any],
@@ -298,466 +310,118 @@ class TaskRuntime:
         broken process pool — the attempt may have died while holding a
         shared segment it never got to hand over.
         ``governance`` (a :class:`~repro.engine.governance.GovernanceContext`)
-        is checked every scheduler tick and before every inline attempt.
-        When it fires, the run stops *salvaging*: live attempts are
-        cancelled/abandoned, unfinished tasks are marked failed with kind
-        ``governed``, and the typed error is returned on
-        :attr:`TaskReport.aborted` rather than raised — completed payloads
-        stay in the outcomes for survivors-only degradation.
+        is checked every scheduler tick, on every backend. When it fires,
+        the run stops *salvaging*: live attempts are cancelled/abandoned,
+        unfinished tasks are marked failed with kind ``governed``, and the
+        typed error is returned on :attr:`TaskReport.aborted` rather than
+        raised — completed payloads stay in the outcomes for
+        survivors-only degradation.
         """
         if num_tasks < 1:
             raise PlanError(f"num_tasks must be >= 1, got {num_tasks}")
         self.abandoned.clear()
-        self._tracer = obs_trace.current_tracer()
-        if self._tracer is not None:
+        tracer = obs_trace.current_tracer()
+        if tracer is not None:
             fn = _traced_fn(fn)
-        self._receive = receive
-        self._dispose = dispose
-        self._reap = reap
-        mode = self.pool.resolve_mode()
-        workers = self.pool.workers_for(num_tasks)
-        outcomes = [TaskOutcome(partition=i) for i in range(num_tasks)]
-        aborted: Optional[GovernanceError] = None
-        if mode == "inline" or workers == 1:
-            aborted = self._run_inline(fn, outcomes, validate, governance)
-        elif mode == "process":
-            if not _fork_available():
-                raise PlanError("process pool requires the fork start method; use thread/inline")
-            import multiprocessing as mp
+        with self.pool.open(fn, num_tasks) as (make_executor, call, slots):
+            return _Scheduler(
+                policy=self.policy,
+                base_seed=self.base_seed,
+                abandoned=self.abandoned,
+                outcomes=[TaskOutcome(partition=i) for i in range(num_tasks)],
+                make_executor=make_executor,
+                call=call,
+                slots=slots,
+                validate=validate,
+                receive=receive,
+                dispose=dispose,
+                reap=reap,
+                governance=governance,
+                tracer=tracer,
+            ).run()
 
-            ctx = mp.get_context("fork")
-            with fork_payload(fn):
-                make = lambda: ProcessPoolExecutor(max_workers=workers, mp_context=ctx)  # noqa: E731
-                aborted = self._run_concurrent(
-                    _run_argument, make, outcomes, validate, can_recycle=True,
-                    governance=governance,
-                )
-        elif mode == "thread":
-            make = lambda: ThreadPoolExecutor(max_workers=workers)  # noqa: E731
-            aborted = self._run_concurrent(
-                fn, make, outcomes, validate, can_recycle=False, governance=governance
-            )
-        else:
-            raise PlanError(f"unknown pool mode {mode!r}")
-        return TaskReport(outcomes=outcomes, aborted=aborted)
 
-    # -- shared helpers -------------------------------------------------------
-    def _spec(self, partition: int, attempt: int, deadline: Optional[float]) -> TaskSpec:
-        return TaskSpec(
-            partition=partition,
-            attempt=attempt,
-            seed=task_seed(self.base_seed, partition, attempt),
-            deadline=deadline,
-        )
+@dataclass
+class _Scheduler:
+    """State and steps of one :meth:`TaskRuntime.run`.
 
-    def _check(self, payload, spec: TaskSpec, validate) -> Optional[TaskError]:
-        if validate is None:
-            return None
-        try:
-            validate(payload, spec)
-            return None
-        except Exception as exc:
-            error = TaskError(
-                f"result failed validation: {exc}",
-                partition=spec.partition,
-                attempt=spec.attempt,
-                kind="validation",
-            )
-            error.__cause__ = exc
-            return error
+    One loop serves every backend: admit queued launches into free slots,
+    speculate on stragglers, wait for a finished attempt and settle it.
+    Inline is the one-slot pool whose ``submit`` returns a finished future,
+    so it settles, charges and aborts through the same code as the rest.
+    """
 
-    def _begin_span(self, spec: TaskSpec, speculative: bool):
-        if self._tracer is None:
-            return None
-        return self._tracer.begin(
-            "task.attempt",
-            partition=spec.partition,
-            attempt=spec.attempt,
-            speculative=speculative,
-        )
+    policy: RetryPolicy
+    base_seed: int
+    abandoned: Set[Tuple[int, int]]
+    outcomes: List[TaskOutcome]
+    make_executor: Callable[[], Any]
+    #: What is submitted with each spec (the work function, or the fork
+    #: trampoline that finds it in the worker's memory image).
+    call: Callable[[TaskSpec], Any]
+    #: Attempts the backend admits at once (None = it queues them itself).
+    slots: Optional[int]
+    validate: Optional[Callable[[Any, TaskSpec], None]]
+    receive: Optional[Callable[[Any, TaskSpec], Any]]
+    dispose: Optional[Callable[[Any], None]]
+    reap: Optional[Callable[[TaskSpec], None]]
+    governance: Any
+    #: Active tracer of this run (None when tracing is off).
+    tracer: Optional[obs_trace.Tracer]
+    executor: Any = None
+    live: Dict[Any, _Attempt] = field(default_factory=dict)  # future -> attempt
+    #: (eligible_time, partition) launches waiting for a slot or for their
+    #: retry backoff to elapse; first launches are eligible at once.
+    queue: List[Tuple[float, int]] = field(init=False)
+    #: Charged failures per partition.
+    failures: Dict[int, int] = field(init=False)
+    done: Set[int] = field(default_factory=set)
+    #: Durations of the winning attempts: the straggler threshold's sample.
+    durations: List[float] = field(default_factory=list)
+    #: The governance error that stopped the run, once one has.
+    abort: Optional[GovernanceError] = None
 
-    def _end_span(self, span, status: str = "ok", **attributes) -> None:
-        if self._tracer is None or span is None or span.closed:
-            return
-        self._tracer.end(span, status=status, **attributes)
+    def __post_init__(self):
+        self.queue = [(0.0, outcome.partition) for outcome in self.outcomes]
+        self.failures = {outcome.partition: 0 for outcome in self.outcomes}
 
-    def _unwrap(self, payload, span):
-        """Adopt a worker's span buffer under the attempt span; return the
-        bare payload."""
-        if isinstance(payload, _TracedPayload):
-            if self._tracer is not None:
-                self._tracer.adopt(
-                    payload.spans, parent_id=span.span_id if span is not None else None
-                )
-            return payload.payload
-        return payload
-
-    def _discard(self, payload) -> None:
-        """Hand a dropped result to the dispose hook (never raises)."""
-        if self._dispose is None:
-            return
-        try:
-            self._dispose(payload)
-        except Exception:  # cleanup must not mask the scheduling path
-            _LOG.exception("dispose hook failed; continuing")
-
-    def _reap_attempt(self, spec: TaskSpec) -> None:
-        """Hand a pool-lost attempt to the reap hook (never raises)."""
-        if self._reap is None:
-            return
-        try:
-            self._reap(spec)
-        except Exception:
-            _LOG.exception("reap hook failed; continuing")
-
-    @staticmethod
-    def _wrap(exc: BaseException, spec: TaskSpec, kind: str = "exception") -> TaskError:
-        if isinstance(exc, TaskError):
-            return exc
-        if isinstance(exc, GovernanceError):
-            kind = "governed"
-        error = TaskError(
-            f"{type(exc).__name__}: {exc}",
-            partition=spec.partition,
-            attempt=spec.attempt,
-            kind=kind,
-        )
-        error.__cause__ = exc  # keep the chain without re-raising
-        return error
-
-    @staticmethod
-    def _mark_governed(outcomes: List[TaskOutcome], exc: GovernanceError) -> None:
-        """Mark every unfinished task failed with kind ``governed`` — not
-        retried (the contract that stopped them holds for any retry) and
-        counted as lost for survivors-only degradation."""
-        for outcome in outcomes:
-            if outcome.succeeded:
-                continue
-            error = TaskError(
-                f"{type(exc).__name__}: {exc}",
-                partition=outcome.partition,
-                kind="governed",
-            )
-            error.__cause__ = exc
-            outcome.errors.append(error)
-
-    # -- inline (sequential) path ---------------------------------------------
-    def _run_inline(
-        self, fn, outcomes: List[TaskOutcome], validate, governance=None
-    ) -> Optional[GovernanceError]:
+    def run(self) -> TaskReport:
         policy = self.policy
-        for outcome in outcomes:
-            failures = 0
-            while failures < policy.max_attempts:
-                if governance is not None:
-                    try:
-                        governance.check()
-                    except GovernanceError as exc:
-                        self._mark_governed(outcomes, exc)
-                        return exc
-                spec = self._spec(outcome.partition, outcome.attempts, deadline=None)
-                outcome.attempts += 1
-                if failures:
-                    backoff = policy.backoff_seconds(failures, spec.seed)
-                    _LOG.warning(
-                        "partition %d retry %d/%d after %.3fs backoff",
-                        outcome.partition,
-                        failures,
-                        policy.max_attempts - 1,
-                        backoff,
-                    )
-                    time.sleep(backoff)
-                started = time.perf_counter()
-                span = self._begin_span(spec, speculative=False)
-                try:
-                    payload = fn(spec)
-                except TaskCancelled:
-                    self._end_span(span, status="cancelled")
-                    continue  # not charged as a failure; relaunch
-                except GovernanceError as exc:
-                    # The worker saw the contract violation first (e.g. a
-                    # partition-local budget blow); same as a scheduler-side
-                    # trip — never retried, the run stops salvaging.
-                    self._end_span(span, status="cancelled")
-                    self._mark_governed(outcomes, exc)
-                    return exc
-                except Exception as exc:
-                    self._end_span(span, status="error", error=f"{type(exc).__name__}: {exc}")
-                    outcome.errors.append(self._wrap(exc, spec))
-                    failures += 1
-                    if failures < policy.max_attempts:
-                        outcome.retries += 1
-                    continue
-                payload = self._unwrap(payload, span)
-                if self._receive is not None:
-                    try:
-                        payload = self._receive(payload, spec)
-                    except Exception as exc:
-                        self._end_span(span, status="error", error=f"receive: {exc}")
-                        outcome.errors.append(self._wrap(exc, spec, kind="transport"))
-                        failures += 1
-                        if failures < policy.max_attempts:
-                            outcome.retries += 1
-                        continue
-                error = self._check(payload, spec, validate)
-                if error is not None:
-                    self._end_span(span, status="error", error=str(error))
-                    self._discard(payload)
-                    outcome.errors.append(error)
-                    failures += 1
-                    if failures < policy.max_attempts:
-                        outcome.retries += 1
-                    continue
-                outcome.succeeded = True
-                outcome.payload = payload
-                outcome.seconds = time.perf_counter() - started
-                self._end_span(span, won=True)
-                break
-            if not outcome.succeeded:
-                _LOG.error(
-                    "partition %d permanently failed after %d attempt(s): %s",
-                    outcome.partition,
-                    outcome.attempts,
-                    outcome.errors[-1] if outcome.errors else "unknown error",
-                )
-        return None
-
-    # -- concurrent (thread/process) path -------------------------------------
-    def _run_concurrent(
-        self,
-        submit_fn,
-        make_executor,
-        outcomes: List[TaskOutcome],
-        validate,
-        can_recycle: bool,
-        governance=None,
-    ) -> Optional[GovernanceError]:
-        policy = self.policy
-        executor = make_executor()
-        live: Dict[Any, _Attempt] = {}  # future -> attempt
-        #: (eligible_time, partition) retries waiting out their backoff.
-        retry_queue: List[Tuple[float, int]] = []
-        failures: Dict[int, int] = {o.partition: 0 for o in outcomes}
-        done: Set[int] = set()
-        durations: List[float] = []
-
-        def launch(partition: int, speculative: bool) -> None:
-            outcome = outcomes[partition]
-            deadline = self._straggler_threshold(durations)
-            spec = self._spec(partition, outcome.attempts, deadline)
-            outcome.attempts += 1
-            if speculative:
-                outcome.speculative += 1
-                _LOG.info(
-                    "launching speculative duplicate for straggler partition %d "
-                    "(attempt %d, threshold %.3fs)",
-                    partition,
-                    spec.attempt,
-                    deadline if deadline is not None else float("nan"),
-                )
-            span = self._begin_span(spec, speculative=speculative)
-            attempt = _Attempt(
-                spec=spec,
-                future=executor.submit(submit_fn, spec),
-                started=time.perf_counter(),
-                speculative=speculative,
-                span=span,
-            )
-            live[attempt.future] = attempt
-
-        def record_failure(attempt: _Attempt, error: TaskError) -> None:
-            partition = attempt.spec.partition
-            outcome = outcomes[partition]
-            outcome.errors.append(error)
-            failures[partition] += 1
-            if failures[partition] < policy.max_attempts:
-                outcome.retries += 1
-                backoff = policy.backoff_seconds(failures[partition], attempt.spec.seed)
-                _LOG.warning(
-                    "partition %d attempt %d failed (%s); retry %d/%d in %.3fs",
-                    partition,
-                    attempt.spec.attempt,
-                    error.kind,
-                    failures[partition],
-                    policy.max_attempts - 1,
-                    backoff,
-                )
-                retry_queue.append((time.perf_counter() + backoff, partition))
-            else:
-                # Exhausted — the task fails when its last live attempt dies.
-                _LOG.error(
-                    "partition %d permanently failed after %d attempt(s): %s",
-                    partition,
-                    failures[partition],
-                    error,
-                )
-
-        abort_exc: Optional[GovernanceError] = None
+        self.executor = self.make_executor()
         try:
-            for outcome in outcomes:
-                launch(outcome.partition, speculative=False)
-
-            while len(done) < len(outcomes) and (live or retry_queue):
-                if governance is not None and abort_exc is None:
+            while (
+                self.abort is None
+                and len(self.done) < len(self.outcomes)
+                and (self.live or self.queue)
+            ):
+                if self.governance is not None:
                     try:
-                        governance.check()
+                        self.governance.check()
                     except GovernanceError as exc:
-                        abort_exc = exc
-                if abort_exc is not None:
-                    break
+                        self.abort = exc
+                        break
                 now = time.perf_counter()
-                # Launch retries whose backoff has elapsed.
-                due = [p for t, p in retry_queue if t <= now and p not in done]
-                retry_queue = [(t, p) for t, p in retry_queue if t > now and p not in done]
-                for partition in due:
-                    launch(partition, speculative=False)
-
-                # Straggler speculation.
-                if policy.speculate:
-                    threshold = self._straggler_threshold(durations)
-                    if threshold is not None:
-                        by_partition: Dict[int, List[_Attempt]] = {}
-                        for attempt in live.values():
-                            by_partition.setdefault(attempt.spec.partition, []).append(attempt)
-                        for partition, attempts in by_partition.items():
-                            outcome = outcomes[partition]
-                            if (
-                                partition in done
-                                or len(attempts) != 1
-                                or outcome.speculative >= policy.max_speculative
-                            ):
-                                continue
-                            if now - attempts[0].started > threshold:
-                                launch(partition, speculative=True)
-
-                if not live:
+                self._admit(now)
+                self._speculate(now)
+                if not self.live:
                     # Only backed-off retries remain; sleep until the next
                     # one (in poll-sized slices when governed, so a cancel
                     # or deadline is still noticed within one tick).
-                    if retry_queue:
-                        pause = max(0.0, min(t for t, _ in retry_queue) - now)
-                        if governance is not None:
+                    if self.queue:
+                        pause = max(0.0, min(t for t, _ in self.queue) - now)
+                        if self.governance is not None:
                             pause = min(pause, policy.poll_interval)
                         time.sleep(pause)
                     continue
-
                 finished, _ = wait(
-                    set(live), timeout=policy.poll_interval, return_when=FIRST_COMPLETED
+                    set(self.live), timeout=policy.poll_interval, return_when=FIRST_COMPLETED
                 )
                 for future in finished:
-                    attempt = live.pop(future, None)
-                    if attempt is None:
-                        continue  # pool was recycled under this batch
-                    spec = attempt.spec
-                    partition = spec.partition
-                    outcome = outcomes[partition]
-                    key = (partition, spec.attempt)
-                    try:
-                        payload = future.result()
-                    except TaskCancelled:
-                        self._end_span(attempt.span, status="cancelled")
-                        self.abandoned.discard(key)
-                        continue  # cooperative abort; never a failure
-                    except GovernanceError as exc:
-                        # A worker tripped the contract before the scheduler
-                        # tick did; stop the whole run salvaging.
-                        self._end_span(attempt.span, status="cancelled")
-                        self.abandoned.discard(key)
-                        if abort_exc is None:
-                            abort_exc = exc
-                        continue
-                    except BrokenProcessPool as exc:
-                        self._end_span(attempt.span, status="error", error="pool broke")
-                        # The dead worker may have created its result segment
-                        # before dying; reap it by name — the ref never arrived.
-                        self._reap_attempt(spec)
-                        if can_recycle:
-                            executor, live = self._recycle(
-                                make_executor, live, outcomes, failures, retry_queue, done
-                            )
-                        if partition not in done:
-                            record_failure(attempt, self._wrap(exc, spec, kind="pool-broken"))
-                        continue
-                    except Exception as exc:
-                        self._end_span(
-                            attempt.span, status="error", error=f"{type(exc).__name__}: {exc}"
-                        )
-                        self.abandoned.discard(key)
-                        if partition in done:
-                            continue  # a loser failing changes nothing
-                        record_failure(attempt, self._wrap(exc, spec))
-                        continue
-
-                    payload = self._unwrap(payload, attempt.span)
-                    if key in self.abandoned or partition in done:
-                        self._end_span(attempt.span, status="cancelled")
-                        self.abandoned.discard(key)
-                        self._discard(payload)
-                        continue  # late loser; result discarded
-                    if self._receive is not None:
-                        try:
-                            payload = self._receive(payload, spec)
-                        except Exception as exc:
-                            self._end_span(
-                                attempt.span, status="error", error=f"receive: {exc}"
-                            )
-                            record_failure(
-                                attempt, self._wrap(exc, spec, kind="transport")
-                            )
-                            continue
-                    error = self._check(payload, spec, validate)
-                    if error is not None:
-                        self._end_span(attempt.span, status="error", error=str(error))
-                        self._discard(payload)
-                        record_failure(attempt, error)
-                        continue
-
-                    # First finished attempt wins the task.
-                    done.add(partition)
-                    outcome.succeeded = True
-                    outcome.payload = payload
-                    outcome.seconds = time.perf_counter() - attempt.started
-                    outcome.won_by_speculation = attempt.speculative
-                    durations.append(outcome.seconds)
-                    self._end_span(
-                        attempt.span,
-                        won=True,
-                        seconds=outcome.seconds,
-                        won_by_speculation=attempt.speculative,
-                    )
-                    # Cancel the losers: unstarted futures die now, running
-                    # ones are flagged for cooperative abort and otherwise
-                    # ignored on arrival. Their spans close *now*, at the
-                    # cancellation decision — late completions of abandoned
-                    # attempts are dropped without further observation.
-                    for other_future, other in list(live.items()):
-                        if other.spec.partition != partition:
-                            continue
-                        other_future.cancel()
-                        self.abandoned.add((partition, other.spec.attempt))
-                        self._end_span(other.span, status="cancelled")
-                        del live[other_future]
-
-            if abort_exc is not None:
-                # Governance abort: cancel everything still in flight.
-                # Unstarted futures die now; running thread workers see the
-                # abandoned set, and fork workers see the token's shared
-                # mmap byte / the absolute monotonic deadline — all abort at
-                # their next morsel boundary, so the straggler wait in the
-                # finally block below stays short. Completed payloads remain
-                # in the outcomes for survivors-only degradation.
-                for future, attempt in list(live.items()):
-                    future.cancel()
-                    self.abandoned.add((attempt.spec.partition, attempt.spec.attempt))
-                    self._end_span(attempt.span, status="cancelled")
-                live.clear()
-                self._mark_governed(outcomes, abort_exc)
-                _LOG.warning(
-                    "run aborted by governance (%s); %d/%d task(s) salvaged",
-                    abort_exc.reason_code,
-                    len(done),
-                    len(outcomes),
-                )
+                    attempt = self.live.pop(future, None)
+                    if attempt is not None:  # None: pool recycled under this batch
+                        self._settle(attempt)
+            if self.abort is not None:
+                self._abort_run()
         finally:
             # When a transport hook owns out-of-process resources (shared
             # segments named per attempt), wait for straggler workers to
@@ -765,44 +429,291 @@ class TaskRuntime:
             # after losing, and the caller's post-run sweep can only see
             # segments that exist by the time workers are gone. Without
             # hooks, keep the old fire-and-forget shutdown.
-            wait_for_stragglers = self._dispose is not None or self._reap is not None
-            executor.shutdown(wait=wait_for_stragglers, cancel_futures=True)
-        return abort_exc
+            wait_for_stragglers = self.dispose is not None or self.reap is not None
+            self.executor.shutdown(wait=wait_for_stragglers, cancel_futures=True)
+        return TaskReport(outcomes=self.outcomes, aborted=self.abort)
 
-    def _straggler_threshold(self, durations: List[float]) -> Optional[float]:
+    # -- launching ------------------------------------------------------------
+    def _has_slot(self) -> bool:
+        return self.slots is None or len(self.live) < self.slots
+
+    def _admit(self, now: float) -> None:
+        """Launch every queued task whose time has come, slots permitting."""
+        waiting = []
+        for eligible, partition in self.queue:
+            if partition in self.done:
+                continue
+            if eligible <= now and self._has_slot():
+                self._launch(partition, speculative=False)
+            else:
+                waiting.append((eligible, partition))
+        self.queue = waiting
+
+    def _launch(self, partition: int, speculative: bool) -> None:
+        outcome = self.outcomes[partition]
+        deadline = self._straggler_threshold()
+        spec = TaskSpec(
+            partition=partition,
+            attempt=outcome.attempts,
+            seed=task_seed(self.base_seed, partition, outcome.attempts),
+            deadline=deadline,
+        )
+        outcome.attempts += 1
+        if speculative:
+            outcome.speculative += 1
+            _LOG.info(
+                "launching speculative duplicate for straggler partition %d "
+                "(attempt %d, threshold %.3fs)",
+                partition,
+                spec.attempt,
+                deadline if deadline is not None else float("nan"),
+            )
+        span = None
+        if self.tracer is not None:
+            span = self.tracer.begin(
+                "task.attempt",
+                partition=partition,
+                attempt=spec.attempt,
+                speculative=speculative,
+            )
+        started = time.perf_counter()  # before submit: the one-slot pool runs in it
+        future = self.executor.submit(self.call, spec)
+        self.live[future] = _Attempt(spec, future, started, speculative, span)
+
+    def _straggler_threshold(self) -> Optional[float]:
         policy = self.policy
-        if not policy.speculate or len(durations) < policy.speculation_quorum:
+        if not policy.speculate or len(self.durations) < policy.speculation_quorum:
             return None
-        ordered = sorted(durations)
+        ordered = sorted(self.durations)
         median = ordered[len(ordered) // 2]
         return max(policy.speculation_min_seconds, policy.speculation_multiplier * median)
 
-    def _recycle(self, make_executor, live, outcomes, failures, retry_queue, done):
-        """Replace a broken process pool, charging each in-flight attempt
-        one failure (their futures are dead with it)."""
+    def _speculate(self, now: float) -> None:
+        """Duplicate every task whose only live attempt is a straggler."""
+        threshold = self._straggler_threshold()
+        if threshold is None:
+            return
+        by_partition: Dict[int, List[_Attempt]] = {}
+        for attempt in self.live.values():
+            by_partition.setdefault(attempt.spec.partition, []).append(attempt)
+        for partition, attempts in by_partition.items():
+            if (
+                partition not in self.done
+                and len(attempts) == 1
+                and self.outcomes[partition].speculative < self.policy.max_speculative
+                and now - attempts[0].started > threshold
+                and self._has_slot()
+            ):
+                self._launch(partition, speculative=True)
+
+    # -- settling one finished attempt ----------------------------------------
+    def _settle(self, attempt: _Attempt) -> None:
+        """Unwrap → receive → validate → win, or charge the failure."""
+        spec = attempt.spec
+        partition = spec.partition
+        key = (partition, spec.attempt)
+        try:
+            payload = attempt.future.result()
+        except TaskCancelled:
+            # Cooperative abort; never a failure. Relaunch (uncharged) if
+            # that leaves an unfinished task with nothing running or queued.
+            self._end_span(attempt.span, status="cancelled")
+            self.abandoned.discard(key)
+            if not (
+                partition in self.done
+                or self.failures[partition] >= self.policy.max_attempts
+                or any(a.spec.partition == partition for a in self.live.values())
+                or any(p == partition for _, p in self.queue)
+            ):
+                self.queue.append((0.0, partition))
+            return
+        except GovernanceError as exc:
+            # A worker tripped the contract (e.g. a partition-local budget
+            # blow) before the scheduler tick did; never retried — the run
+            # stops salvaging.
+            self._end_span(attempt.span, status="cancelled")
+            self.abandoned.discard(key)
+            if self.abort is None:
+                self.abort = exc
+            return
+        except BrokenProcessPool as exc:
+            self._end_span(attempt.span, status="error", error="pool broke")
+            # The dead worker may have created its result segment before
+            # dying; reap it by name — the ref never arrived.
+            self._hook(self.reap, spec)
+            self._recycle()
+            self._charge(attempt, _wrap(exc, spec, kind="pool-broken"))
+            return
+        except Exception as exc:
+            self._end_span(attempt.span, status="error", error=f"{type(exc).__name__}: {exc}")
+            self.abandoned.discard(key)
+            self._charge(attempt, _wrap(exc, spec))
+            return
+
+        if isinstance(payload, _TracedPayload):
+            # Adopt the worker's span buffer under the attempt span.
+            if self.tracer is not None:
+                self.tracer.adopt(
+                    payload.spans,
+                    parent_id=attempt.span.span_id if attempt.span is not None else None,
+                )
+            payload = payload.payload
+        if key in self.abandoned or partition in self.done:
+            self._end_span(attempt.span, status="cancelled")
+            self.abandoned.discard(key)
+            self._hook(self.dispose, payload)
+            return  # late loser; result discarded
+        if self.receive is not None:
+            try:
+                payload = self.receive(payload, spec)
+            except Exception as exc:
+                self._end_span(attempt.span, status="error", error=f"receive: {exc}")
+                self._charge(attempt, _wrap(exc, spec, kind="transport"))
+                return
+        if self.validate is not None:
+            try:
+                self.validate(payload, spec)
+            except Exception as exc:
+                error = TaskError(
+                    f"result failed validation: {exc}",
+                    partition=partition,
+                    attempt=spec.attempt,
+                    kind="validation",
+                )
+                error.__cause__ = exc
+                self._end_span(attempt.span, status="error", error=str(error))
+                self._hook(self.dispose, payload)
+                self._charge(attempt, error)
+                return
+        self._win(attempt, payload)
+
+    def _win(self, attempt: _Attempt, payload) -> None:
+        """First finished attempt wins the task; its rivals are cancelled."""
+        partition = attempt.spec.partition
+        outcome = self.outcomes[partition]
+        self.done.add(partition)
+        outcome.succeeded = True
+        outcome.payload = payload
+        outcome.seconds = time.perf_counter() - attempt.started
+        outcome.won_by_speculation = attempt.speculative
+        self.durations.append(outcome.seconds)
+        self._end_span(
+            attempt.span,
+            won=True,
+            seconds=outcome.seconds,
+            won_by_speculation=attempt.speculative,
+        )
+        # Cancel the losers: unstarted futures die now, running ones are
+        # flagged for cooperative abort and otherwise ignored on arrival.
+        # Their spans close *now*, at the cancellation decision — late
+        # completions of abandoned attempts are dropped without further
+        # observation.
+        for other in [a for a in self.live.values() if a.spec.partition == partition]:
+            self._cancel(other)
+
+    def _charge(self, attempt: _Attempt, error: TaskError, backoff: bool = True) -> None:
+        """The one place a failed attempt is counted and its retry queued."""
+        partition = attempt.spec.partition
+        if partition in self.done:
+            return  # a loser failing changes nothing
         policy = self.policy
-        now = time.perf_counter()
+        outcome = self.outcomes[partition]
+        outcome.errors.append(error)
+        self.failures[partition] += 1
+        failures = self.failures[partition]
+        if failures < policy.max_attempts:
+            outcome.retries += 1
+            delay = policy.backoff_seconds(failures, attempt.spec.seed) if backoff else 0.0
+            _LOG.warning(
+                "partition %d attempt %d failed (%s); retry %d/%d in %.3fs",
+                partition,
+                attempt.spec.attempt,
+                error.kind,
+                failures,
+                policy.max_attempts - 1,
+                delay,
+            )
+            self.queue.append((time.perf_counter() + delay, partition))
+        else:
+            # Exhausted — the task fails when its last live attempt dies.
+            _LOG.error(
+                "partition %d permanently failed after %d attempt(s): %s",
+                partition,
+                failures,
+                error,
+            )
+
+    # -- pool failure and governed abort --------------------------------------
+    def _recycle(self) -> None:
+        """Replace a broken process pool, charging each in-flight attempt
+        one failure (their futures are dead with it), retried at once."""
+        lost, self.live = self.live, {}
         _LOG.warning(
             "process pool broke; recycling (%d in-flight attempt(s) each charged one failure)",
-            len(live),
+            len(lost),
         )
-        for attempt in live.values():
+        self.executor = self.make_executor()
+        for attempt in lost.values():
             self._end_span(attempt.span, status="error", error="pool broke")
-            self._reap_attempt(attempt.spec)
-            partition = attempt.spec.partition
-            if partition in done:
-                continue
-            outcome = outcomes[partition]
-            outcome.errors.append(
-                TaskError(
-                    "worker pool broke while the attempt was in flight",
-                    partition=partition,
-                    attempt=attempt.spec.attempt,
-                    kind="pool-broken",
-                )
+            self._hook(self.reap, attempt.spec)
+            error = TaskError(
+                "worker pool broke while the attempt was in flight",
+                partition=attempt.spec.partition,
+                attempt=attempt.spec.attempt,
+                kind="pool-broken",
             )
-            failures[partition] += 1
-            if failures[partition] < policy.max_attempts:
-                outcome.retries += 1
-                retry_queue.append((now, partition))
-        return make_executor(), {}
+            self._charge(attempt, error, backoff=False)
+
+    def _cancel(self, attempt: _Attempt) -> None:
+        """Stop wanting a live attempt: an unstarted future dies now, a
+        running one is flagged in ``abandoned`` for cooperative abort."""
+        attempt.future.cancel()
+        self.abandoned.add((attempt.spec.partition, attempt.spec.attempt))
+        self._end_span(attempt.span, status="cancelled")
+        del self.live[attempt.future]
+
+    def _abort_run(self) -> None:
+        """Governance abort: cancel everything still in flight and mark
+        every unfinished task failed with kind ``governed`` — not retried
+        (the contract that stopped them holds for any retry) and counted as
+        lost for survivors-only degradation.
+
+        Running thread workers see the abandoned set, and fork workers see
+        the token's shared mmap byte / the absolute monotonic deadline —
+        all abort at their next morsel boundary, so the straggler wait at
+        shutdown stays short. Completed payloads remain in the outcomes.
+        """
+        exc = self.abort
+        for attempt in list(self.live.values()):
+            self._cancel(attempt)
+        for outcome in self.outcomes:
+            if outcome.succeeded:
+                continue
+            error = TaskError(
+                f"{type(exc).__name__}: {exc}", partition=outcome.partition, kind="governed"
+            )
+            error.__cause__ = exc
+            outcome.errors.append(error)
+        _LOG.warning(
+            "run aborted by governance (%s); %d/%d task(s) salvaged",
+            exc.reason_code,
+            len(self.done),
+            len(self.outcomes),
+        )
+
+    # -- tracing and transport hooks ------------------------------------------
+    def _end_span(self, span, status: str = "ok", **attributes) -> None:
+        if span is not None and not span.closed:
+            self.tracer.end(span, status=status, **attributes)
+
+    @staticmethod
+    def _hook(hook: Optional[Callable[[Any], None]], argument) -> None:
+        """Hand a dropped result to ``dispose`` / a pool-lost attempt's spec
+        to ``reap``, if the caller gave one. Never raises: cleanup must not
+        mask the scheduling path."""
+        if hook is None:
+            return
+        try:
+            hook(argument)
+        except Exception:
+            _LOG.exception("transport hook %r failed; continuing", hook)

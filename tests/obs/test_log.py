@@ -129,6 +129,6 @@ class TestWorkerPropagation:
         from repro.parallel import pool as parallel_pool
 
         configure("warning", stream=io.StringIO())
-        with parallel_pool.fork_payload(lambda x: x, [1, 2]):
-            assert parallel_pool._PAYLOAD[2] == configured_level() == "warning"
+        with parallel_pool.fork_payload(lambda x: x):
+            assert parallel_pool._PAYLOAD[1] == configured_level() == "warning"
         assert parallel_pool._PAYLOAD is None

@@ -27,7 +27,8 @@ from repro.engine.executor import Executor, PartialResult
 from repro.engine.governance import GovernanceContext
 from repro.errors import DeadlineExceeded, QueryCancelled
 from repro.parallel import Fault, FaultPlan, ParallelOptions
-from repro.parallel.tasks import RetryPolicy
+from repro.parallel.pool import WorkerPool
+from repro.parallel.tasks import RetryPolicy, TaskRuntime
 from repro.samplers.distinct import DistinctSpec
 from repro.samplers.uniform import UniformSpec
 
@@ -129,6 +130,37 @@ class TestAbortIsTypedAndClean:
         with pytest.raises(QueryCancelled):
             executor.execute(uniform_query, governance=ctx)
         timer.cancel()
+
+
+class TestBackoffHonoursTheContract:
+    @pytest.mark.parametrize("pool", ("inline", "thread"))
+    def test_deadline_during_retry_backoff_launches_nothing(self, pool):
+        # Every first attempt fails and earns a 0.75-1.25 s backoff; the
+        # deadline lands inside it. The pause is sliced by poll_interval,
+        # so the run returns at the deadline and no retry is launched.
+        calls = []
+
+        def fails_first_attempt(spec):
+            calls.append((spec.partition, spec.attempt))
+            if spec.attempt == 0:
+                raise RuntimeError("transient")
+            return spec.partition
+
+        runtime = TaskRuntime(
+            WorkerPool(pool, 2),
+            RetryPolicy(backoff_base=1.0, backoff_max=1.0, speculate=False),
+        )
+        t0 = time.perf_counter()
+        report = runtime.run(
+            fails_first_attempt, 2, governance=GovernanceContext.with_timeout(0.1)
+        )
+        elapsed = time.perf_counter() - t0
+        assert isinstance(report.aborted, DeadlineExceeded)
+        assert elapsed < 0.3
+        assert all(attempt == 0 for _, attempt in calls), calls
+        assert len(calls) == len(set(calls)) <= 2
+        assert report.failed_partitions == (0, 1)
+        assert all(o.errors[-1].kind == "governed" for o in report.outcomes)
 
 
 class TestDeadlineSalvage:

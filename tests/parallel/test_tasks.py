@@ -2,7 +2,6 @@
 structured failures, pool hardening)."""
 
 import os
-import threading
 import time
 
 import pytest
@@ -15,6 +14,10 @@ from repro.parallel.tasks import RetryPolicy, TaskRuntime, TaskSpec, task_seed
 FAST = RetryPolicy(
     backoff_base=0.005, backoff_max=0.05, speculation_min_seconds=0.1, poll_interval=0.005
 )
+
+
+#: No second chances: the first error of every task is the one reported.
+ONE_SHOT = RetryPolicy(max_attempts=1, speculate=False, poll_interval=0.005)
 
 
 def runtime(mode="inline", workers=None, policy=FAST, seed=0):
@@ -55,101 +58,109 @@ class TestRetryPolicy:
         assert policy.backoff_seconds(1, seed=42) != policy.backoff_seconds(1, seed=43 << 7)
 
 
-class TestInlineRuntime:
-    def test_all_succeed(self):
-        report = runtime().run(lambda spec: spec.partition * 10, 4)
+BACKENDS = ("inline", "thread", "process")
+
+
+@pytest.mark.parametrize("mode", BACKENDS)
+class TestRuntime:
+    """One scheduler, three pools: what is observed comes back in payloads
+    and outcomes, since a process worker's side effects stay in its fork."""
+
+    def test_all_succeed(self, mode):
+        report = runtime(mode, workers=2).run(lambda spec: spec.partition * 10, 4)
         assert report.all_succeeded
         assert report.payloads == [0, 10, 20, 30]
         assert report.total_retries == 0
 
-    def test_retry_then_success(self):
-        failed = set()
-
-        def flaky(spec):
-            if spec.partition == 2 and spec.partition not in failed:
-                failed.add(spec.partition)
-                raise RuntimeError("transient")
-            return spec.partition
-
-        report = runtime().run(flaky, 4)
+    def test_retry_then_success(self, mode):
+        report = runtime(mode, workers=2).run(_fail_even_first_attempt, 4)
         assert report.all_succeeded
-        assert report.total_retries == 1
+        assert report.payloads == [0, 1, 2, 3]
+        assert report.total_retries == 2
         outcome = report.outcomes[2]
         assert outcome.attempts == 2
         assert outcome.errors[0].partition == 2
         assert outcome.errors[0].attempt == 0
 
-    def test_permanent_failure_reported_not_raised(self):
+    def test_permanent_failure_reported_not_raised(self, mode):
         def doomed(spec):
             if spec.partition == 1:
                 raise ValueError("always")
             return spec.partition
 
-        report = runtime().run(doomed, 3)
+        report = runtime(mode, workers=3).run(doomed, 3)
         assert report.failed_partitions == (1,)
         outcome = report.outcomes[1]
         assert not outcome.succeeded
         assert outcome.attempts == FAST.max_attempts
         # retries only count re-launches, not the final failure
         assert outcome.retries == FAST.max_attempts - 1
+        assert len(outcome.errors) == FAST.max_attempts
         assert all(isinstance(e, TaskError) for e in outcome.errors)
         assert "[partition 1" in str(outcome.errors[0])
 
-    def test_validation_failure_is_retried(self):
-        seen = []
-
-        def work(spec):
-            seen.append(spec.attempt)
-            return spec.attempt  # attempt 0 "corrupt", attempt 1 fine
-
+    def test_validation_failure_is_retried(self, mode):
         def validate(payload, spec):
-            if payload == 0:
+            if payload == 0:  # attempt 0 "corrupt", attempt 1 fine
                 raise ValueError("corrupt payload")
 
-        report = runtime().run(work, 1, validate=validate)
+        report = runtime(mode, workers=2).run(lambda spec: spec.attempt, 2, validate=validate)
         assert report.all_succeeded
+        assert report.payloads == [1, 1]
         assert report.outcomes[0].attempts == 2
         assert report.outcomes[0].errors[0].kind == "validation"
 
-    def test_cancelled_attempts_are_not_charged(self):
-        calls = []
-
+    def test_cancelled_attempts_are_not_charged(self, mode):
         def work(spec):
-            calls.append(spec.attempt)
-            if len(calls) == 1:
+            if spec.attempt == 0:
                 raise TaskCancelled("scheduler asked us to stop")
             return "ok"
 
-        report = runtime().run(work, 1)
+        report = runtime(mode, workers=2).run(work, 2)
         assert report.all_succeeded
-        assert report.outcomes[0].errors == []
+        assert report.total_retries == 0
+        for outcome in report.outcomes:
+            assert outcome.attempts == 2
+            assert outcome.errors == []
 
-    def test_deterministic_seeds_per_attempt(self):
-        seeds = []
-        runtime(seed=9).run(lambda spec: seeds.append(spec.seed), 3)
-        again = []
-        runtime(seed=9).run(lambda spec: again.append(spec.seed), 3)
-        assert seeds == again
-        assert len(set(seeds)) == 3
+    def test_deterministic_seeds_per_attempt(self, mode):
+        first = runtime(mode, workers=2, seed=9).run(_fail_even_first_attempt_seed, 3)
+        again = runtime(mode, workers=2, seed=9).run(_fail_even_first_attempt_seed, 3)
+        assert first.payloads == again.payloads
+        # Each partition's winning attempt ran under its own (partition,
+        # attempt) seed, whatever the backend.
+        assert first.payloads == [task_seed(9, 0, 1), task_seed(9, 1, 0), task_seed(9, 2, 1)]
+
+    def test_foreign_exceptions_arrive_as_task_errors(self, mode):
+        def boom(spec):
+            raise KeyError(spec.partition)
+
+        report = runtime(mode, workers=2, policy=ONE_SHOT).run(boom, 2)
+        assert report.failed_partitions == (0, 1)
+        for partition, error in enumerate(report.errors):
+            assert type(error) is TaskError
+            assert (error.partition, error.attempt, error.kind) == (partition, 0, "exception")
+            assert isinstance(error.__cause__, KeyError)
+
+    def test_repro_errors_keep_their_type(self, mode):
+        def planned_failure(spec):
+            if spec.partition == 0:
+                raise PlanError("bad plan")
+            raise TaskError("segment gone", partition=1, attempt=0, kind="transport")
+
+        plan_error, task_error = runtime(mode, workers=2, policy=ONE_SHOT).run(
+            planned_failure, 2
+        ).errors
+        # A library error travels as the cause, type intact; a TaskError is
+        # reported as raised, not wrapped a second time.
+        assert type(plan_error.__cause__) is PlanError
+        assert "bad plan" in str(plan_error)
+        assert task_error.kind == "transport"
+        assert str(task_error) == "[partition 1, attempt 0] segment gone"
 
 
 class TestConcurrentRuntime:
-    def test_thread_mode_retries(self):
-        lock = threading.Lock()
-        failed = set()
-
-        def flaky(spec):
-            with lock:
-                first = spec.partition not in failed
-                failed.add(spec.partition)
-            if spec.partition in (0, 3) and first:
-                raise RuntimeError("transient")
-            return spec.partition
-
-        report = runtime("thread", workers=4).run(flaky, 4)
-        assert report.all_succeeded
-        assert report.payloads == [0, 1, 2, 3]
-        assert report.total_retries == 2
+    """Speculation needs a second slot, so these stay on the thread pool."""
 
     def test_straggler_speculation_first_result_wins(self):
         def slow_first_attempt(spec):
@@ -181,21 +192,6 @@ class TestConcurrentRuntime:
         assert report.all_succeeded
         assert report.speculative_launches == 0
 
-    def test_thread_mode_permanent_failure(self):
-        def doomed(spec):
-            raise RuntimeError(f"partition {spec.partition} cursed")
-
-        report = runtime("thread", workers=3).run(doomed, 3)
-        assert report.failed_partitions == (0, 1, 2)
-        for outcome in report.outcomes:
-            assert len(outcome.errors) == FAST.max_attempts
-
-    def test_process_mode_retry(self):
-        report = runtime("process", workers=2).run(_fail_even_first_attempt, 4)
-        assert report.all_succeeded
-        assert report.payloads == [0, 1, 2, 3]
-        assert report.total_retries == 2
-
 
 class TestSingleWorkerShortCircuit:
     def test_process_with_one_worker_runs_in_parent(self):
@@ -205,10 +201,6 @@ class TestSingleWorkerShortCircuit:
         )
         assert report.all_succeeded
         assert pids == [os.getpid()] * 2  # no fork happened
-
-    def test_pool_map_single_worker_inline(self):
-        pids = WorkerPool("process", 1).map(lambda _: os.getpid(), range(3))
-        assert pids == [os.getpid()] * 3
 
 
 class TestPoolHardening:
@@ -224,36 +216,22 @@ class TestPoolHardening:
         with fork_payload(lambda x: x):  # no residue; lock released
             pass
 
-    def test_reentrant_process_map_raises(self):
-        pool = WorkerPool("process", 2)
-
-        def nested(_):
-            return WorkerPool("process", 2).map(lambda v: v, [1, 2])
-
-        with pytest.raises(PlanError, match="re-entrant process-mode"):
-            with fork_payload(lambda x: x):  # simulate an ongoing process run
-                pool.map(nested, [0, 1])
-
-    def test_map_wraps_foreign_exceptions(self):
-        def boom(value):
-            raise KeyError(value)
-
-        with pytest.raises(TaskError) as info:
-            WorkerPool("inline").map(boom, ["a", "b"])
-        assert info.value.partition == 0
-        assert isinstance(info.value.__cause__, KeyError)
-
-    def test_map_lets_repro_errors_pass_through(self):
-        def planned_failure(_):
-            raise PlanError("bad plan")
-
-        with pytest.raises(PlanError, match="bad plan"):
-            WorkerPool("inline").map(planned_failure, [1])
+    def test_reentrant_process_run_raises(self):
+        with fork_payload(lambda x: x):  # simulate an ongoing process run
+            with pytest.raises(PlanError, match="re-entrant process-mode"):
+                runtime("process", workers=2).run(lambda spec: spec.partition, 2)
+        # The refused run left the payload to its holder and the lock free.
+        assert runtime("process", workers=2).run(_fail_even_first_attempt, 2).all_succeeded
 
 
-# Module-level so the process pool's fork image can reach it; keyed on the
+# Module-level so the process pool's fork image can reach them; keyed on the
 # attempt counter so the failure is deterministic across forked children.
 def _fail_even_first_attempt(spec: TaskSpec):
     if spec.partition % 2 == 0 and spec.attempt == 0:
         raise RuntimeError("transient even-partition failure")
     return spec.partition
+
+
+def _fail_even_first_attempt_seed(spec: TaskSpec):
+    _fail_even_first_attempt(spec)
+    return spec.seed

@@ -18,13 +18,13 @@ from repro.algebra.logical import SamplerNode
 from repro.engine.executor import Executor
 from repro.engine.table import Table
 from repro.errors import SchemaError
-from repro.memory import leaked_system_segments, live_segments, manager, release
+from repro.memory import leaked_system_segments, live_segments, manager, reap, release
 from repro.optimizer.planner import QuickrPlanner
 from repro.parallel import ParallelOptions
 from repro.parallel import transport
 from repro.parallel.executor import ParallelExecutor
 from repro.parallel.faults import FaultPlan
-from repro.parallel.pool import WorkerPool, scrub_shared_segments
+from repro.parallel.pool import WorkerPool
 from repro.parallel.tasks import RetryPolicy, TaskRuntime
 
 needs_fork_and_shm = pytest.mark.skipif(
@@ -179,9 +179,7 @@ class TestWorkerDeathReclamation:
             ),
             dispose=transport.dispose_result,
             reap=lambda spec: reaped.append(
-                scrub_shared_segments(
-                    [transport.result_segment_name(token, spec.partition, spec.attempt)]
-                )
+                reap(transport.result_segment_name(token, spec.partition, spec.attempt))
             ),
         )
         assert report.all_succeeded
@@ -197,8 +195,9 @@ class TestWorkerDeathReclamation:
         table = Table("t", {"x": np.ones(10)})
         name = transport.result_segment_name(token, 0, 0)
         table.to_ref(segment_name=name, keep_open=False)
-        assert scrub_shared_segments([name, "qkr_never_existed"]) == 1
-        assert scrub_shared_segments([name]) == 0
+        assert reap(name) is True
+        assert reap(name) is False  # already gone: free, not an error
+        assert reap("qkr_never_existed") is False
 
 
 @needs_fork_and_shm
