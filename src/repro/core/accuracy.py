@@ -4,8 +4,8 @@ Three pieces:
 
 * **Horvitz-Thompson estimation** (Proposition 3): unbiased estimates and
   one-pass variance for all three samplers. The grouped, vectorized forms
-  live in the executor (:mod:`repro.engine.operators`); the standalone
-  forms here are the reference used by tests and by plan analysis.
+  are :mod:`repro.engine.aggregate`; the standalone forms here are the
+  reference used by tests and by plan analysis.
 * **Group coverage** (Proposition 4): the probability that a group appears
   in the answer, per sampler.
 * **Plan unrolling** (Figure 9): a plan with samplers at arbitrary
@@ -33,7 +33,7 @@ from repro.algebra.logical import (
     Select,
     UnionAll,
 )
-from repro.engine.operators import Z_95
+from repro.engine.aggregate import Z_95
 from repro.samplers.base import PassThroughSpec
 from repro.samplers.uniform import UniformSpec
 from repro.samplers.universe import UniverseSpec

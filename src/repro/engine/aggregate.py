@@ -1,0 +1,379 @@
+"""The one aggregate estimator: partial state -> merge -> finalize.
+
+Every aggregation in the system — serial, per-partition, merged — is the
+same three steps over the same state. :func:`partial_aggregate` reduces
+rows to per-group components, :func:`merge_partials` folds the states of
+several inputs by group value, and :func:`finalize_partial` turns a state
+into the answer: the paper's Table 8 Horvitz-Thompson rewrites plus, in
+the same pass, the variance behind each confidence-interval column
+(Section 4.3, Proposition 2). The serial operator is the one-input case,
+``finalize_partial(partial_aggregate(table))``.
+
+Every component is additive across inputs, or combines by min/max:
+
+- SUM/COUNT (and their IF forms): Σ w·y and the variance term
+  Σ (w² − w)·y²;
+- AVG: numerator Σ w·y, denominator Σ w, and the delta-method terms
+  Σ (w² − w)·y², Σ (w² − w)·y and Σ (w² − w);
+- MIN/MAX: combine by min/max;
+- COUNT DISTINCT: the distinct (group, value) pairs — the union of the
+  inputs' pair sets deduplicates exactly;
+- universe-sampler variance couples rows sharing a key-subspace value
+  (Section B.1: Var = (1−p)/p² Σ_v (Σ_{i∈v} y_i)²), so the state keeps
+  the *inner* sums per (group, universe value) pair and squares them only
+  when finalizing — inputs may split a universe value.
+
+Pairs name their group by its dense code in the state, never by the key
+columns again, so finalizing is one ``bincount`` and merging remaps the
+codes with the per-input group codes it computes anyway.
+
+Summation order is part of the contract. Groups are numbered by first
+appearance and every per-group sum runs in row order (``bincount``); the
+universe term runs in (group, universe value) key order. One input
+therefore reproduces itself bit for bit; several inputs agree with one up
+to floating-point reassociation, with groups in order of first appearance
+across the inputs.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+
+import numpy as np
+
+from repro.algebra.aggregates import AggKind, AggSpec
+from repro.engine.keys import group_codes
+from repro.engine.table import Table
+from repro.errors import PlanError
+
+__all__ = [
+    "CI_SUFFIX",
+    "Z_95",
+    "Estimation",
+    "PartialAggregate",
+    "partial_aggregate",
+    "merge_partials",
+    "merged_groups",
+    "finalize_partial",
+]
+
+#: Suffix for the optional confidence-interval column appended per aggregate.
+CI_SUFFIX = "__ci"
+
+#: Central-limit z-score for the 95% confidence intervals Quickr reports.
+Z_95 = 1.96
+
+
+class Estimation(NamedTuple):
+    """How an aggregate estimates: the annotations the successor rewrite
+    leaves on a :class:`~repro.core.rewrite.WeightedAggregate`."""
+
+    #: Append a ``__ci`` half-width column per aggregate.
+    compute_ci: bool = False
+    #: COUNT DISTINCT alias -> 1/p, when a universe sampler below subsumes
+    #: the counted columns.
+    universe_rescale: Optional[Dict[str, float]] = None
+    #: ``(universe column names, p)`` when the dominant sampler below is a
+    #: universe sampler: variance then accounts for the perfect correlation
+    #: of rows within a key-subspace value.
+    universe_variance: Optional[Tuple[Tuple[str, ...], float]] = None
+
+    @classmethod
+    def of(cls, node) -> "Estimation":
+        """The annotations of a plan node; a plain ``Aggregate`` has none."""
+        return cls(
+            getattr(node, "compute_ci", False),
+            getattr(node, "universe_rescale", None),
+            getattr(node, "universe_variance", None),
+        )
+
+
+class _Pairs(NamedTuple):
+    """Distinct (group, value...) pairs of a state."""
+
+    #: Dense code of each pair's group in the owning state.
+    groups: np.ndarray
+    #: The value columns, one entry per pair.
+    values: Tuple[np.ndarray, ...]
+
+
+@dataclass
+class PartialAggregate:
+    """Mergeable aggregation state (one entry per group)."""
+
+    group_by: Tuple[str, ...]
+    weighted: bool
+    #: Input rows reduced into this state.
+    rows: int
+    num_groups: int
+    #: Group-key columns, one entry per group (empty dict for scalars).
+    keys: Dict[str, np.ndarray] = field(default_factory=dict)
+    #: (alias, tag) -> per-group component values. Tags: ``est``, ``var``,
+    #: ``num``, ``varnum``, ``cov`` (additive), ``min``/``max`` (combine by
+    #: min/max). Alias ``""`` holds what AVGs share: ``wsum`` (Σ w) and
+    #: ``wvar`` (Σ w² − w).
+    comps: Dict[Tuple[str, str], np.ndarray] = field(default_factory=dict)
+    #: COUNT DISTINCT state: alias -> the distinct (group, value) pairs.
+    distinct: Dict[str, _Pairs] = field(default_factory=dict)
+    #: Universe-variance state: the (group, universe value) pairs in key
+    #: order, and alias -> Σ y per pair.
+    universe_pairs: Optional[_Pairs] = None
+    universe_ysums: Dict[str, np.ndarray] = field(default_factory=dict)
+
+
+_EXTREMES = {"min": (np.minimum, np.inf), "max": (np.maximum, -np.inf)}
+
+
+class _Groups:
+    """Dense group codes of some entries, and the reducers over them."""
+
+    def __init__(self, codes: np.ndarray, count: int):
+        self.codes, self.count = codes, count
+
+    def sum(self, values: np.ndarray) -> np.ndarray:
+        """Per-group Σ values, each group's in entry order."""
+        return np.bincount(self.codes, weights=values, minlength=self.count)
+
+    def reduce(self, tag: str, values: np.ndarray) -> np.ndarray:
+        """Combine a component by its tag's law: min/max for those two (a
+        group with no entry keeps the identity), a sum for everything else."""
+        if tag not in _EXTREMES:
+            return self.sum(values)
+        ufunc, identity = _EXTREMES[tag]
+        out = np.full(self.count, identity)
+        ufunc.at(out, self.codes, values)
+        return out
+
+
+def _first_appearance_codes(arrays: Sequence[np.ndarray]) -> Tuple[np.ndarray, np.ndarray, int]:
+    """Group codes renumbered in order of first appearance (the order groups
+    are emitted in), each group's first row, and the group count."""
+    codes, first_index, num_groups = group_codes(arrays)
+    order = np.argsort(first_index)
+    remap = np.empty(num_groups, dtype=np.int64)
+    remap[order] = np.arange(num_groups)
+    return remap[codes], first_index[order], num_groups
+
+
+def _distinct_pairs(codes: np.ndarray, values: Sequence[np.ndarray]):
+    """The distinct (group code, value...) pairs, numbered in key order, and
+    each entry's pair code."""
+    pair_codes, pair_first, num_pairs = group_codes([codes, *values])
+    pairs = _Pairs(codes[pair_first], tuple(v[pair_first] for v in values))
+    return pairs, pair_codes, num_pairs
+
+
+def _per_row_contribution(agg: AggSpec, table: Table) -> np.ndarray:
+    """The raw (unweighted) per-row value y_i such that the true aggregate is
+    sum over all rows of y_i. Used for both estimate and variance."""
+    if agg.kind is AggKind.COUNT:
+        return np.ones(table.num_rows)
+    if agg.kind is AggKind.COUNT_IF:
+        return np.asarray(agg.cond.evaluate(table), dtype=np.float64)
+    values = np.asarray(agg.expr.evaluate(table), dtype=np.float64)
+    if agg.kind is AggKind.SUM_IF:
+        return values * np.asarray(agg.cond.evaluate(table), dtype=np.float64)
+    return values
+
+
+_SUM_LIKE = (AggKind.SUM, AggKind.COUNT, AggKind.SUM_IF, AggKind.COUNT_IF)
+
+
+def partial_aggregate(
+    table: Table,
+    group_by: Sequence[str],
+    aggs: Sequence[AggSpec],
+    how: Estimation = Estimation(),
+) -> PartialAggregate:
+    """Reduce one input's rows to mergeable per-group state."""
+    weighted = table.has_weights()
+    weights = table.weights()
+    with_variance = how.compute_ci and weighted
+    # w² − w: the HT variance weight of an independently included row.
+    spread = weights * weights - weights if with_variance else None
+
+    if group_by:
+        key_arrays = [table.column(k) for k in group_by]
+        codes, first_index, num_groups = _first_appearance_codes(key_arrays)
+        keys = {k: arr[first_index] for k, arr in zip(group_by, key_arrays)}
+    else:
+        codes = np.zeros(table.num_rows, dtype=np.int64)
+        num_groups = 1  # scalar aggregates always emit one group
+        keys = {}
+    groups = _Groups(codes, num_groups)
+    state = PartialAggregate(tuple(group_by), weighted, table.num_rows, num_groups, keys)
+    comps = state.comps
+
+    universe = None
+    if with_variance and how.universe_variance is not None:
+        present = [c for c in how.universe_variance[0] if table.has_column(c)]
+        if present:
+            state.universe_pairs, pair_codes, num_pairs = _distinct_pairs(
+                codes, [table.column(c) for c in present]
+            )
+            universe = _Groups(pair_codes, num_pairs)
+
+    for agg in aggs:
+        alias = agg.alias
+        if agg.kind in _SUM_LIKE:
+            y = _per_row_contribution(agg, table)
+            comps[(alias, "est")] = groups.sum(weights * y)
+            if universe is not None:
+                state.universe_ysums[alias] = universe.sum(y)
+            elif with_variance:
+                # Independent per-row inclusion (uniform/distinct samplers):
+                # Var-hat = Σ (w² − w)·y².
+                comps[(alias, "var")] = groups.sum(spread * y * y)
+        elif agg.kind is AggKind.AVG:
+            y = np.asarray(agg.expr.evaluate(table), dtype=np.float64)
+            comps[(alias, "num")] = groups.sum(weights * y)
+            if ("", "wsum") not in comps:
+                comps[("", "wsum")] = groups.sum(weights)
+                if with_variance:
+                    comps[("", "wvar")] = groups.sum(spread)
+            if with_variance:
+                comps[(alias, "varnum")] = groups.sum(spread * y * y)
+                comps[(alias, "cov")] = groups.sum(spread * y)
+        elif agg.kind in (AggKind.MIN, AggKind.MAX):
+            tag = "min" if agg.kind is AggKind.MIN else "max"
+            values = np.asarray(agg.expr.evaluate(table), dtype=np.float64)
+            comps[(alias, tag)] = groups.reduce(tag, values)
+        elif agg.kind is AggKind.COUNT_DISTINCT:
+            values = np.asarray(agg.expr.evaluate(table))
+            state.distinct[alias] = _distinct_pairs(codes, [values])[0]
+        else:
+            raise PlanError(f"unknown aggregate kind {agg.kind}")
+    return state
+
+
+def merged_groups(
+    states: Sequence[PartialAggregate],
+) -> Tuple[Dict[str, np.ndarray], List[np.ndarray], int]:
+    """The union of the states' groups in order of first appearance across
+    them: its key columns, each state's group codes in it, and its size."""
+    group_by = states[0].group_by
+    if not group_by:
+        return {}, [np.zeros(s.num_groups, dtype=np.int64) for s in states], 1
+    arrays = [np.concatenate([s.keys[k] for s in states]) for k in group_by]
+    codes, first_index, num_groups = _first_appearance_codes(arrays)
+    keys = {k: arr[first_index] for k, arr in zip(group_by, arrays)}
+    splits = np.cumsum([s.num_groups for s in states])[:-1]
+    return keys, np.split(codes, splits), num_groups
+
+
+def _merge_pairs(parts: Sequence[_Pairs], codes_per_part: Sequence[np.ndarray]):
+    """Union of the parts' pairs, their groups renamed to the merged codes."""
+    groups = np.concatenate([codes[p.groups] for p, codes in zip(parts, codes_per_part)])
+    values = [np.concatenate(column) for column in zip(*(p.values for p in parts))]
+    return _distinct_pairs(groups, values)
+
+
+def merge_partials(partials: Sequence[PartialAggregate]) -> PartialAggregate:
+    """Fold the states of several inputs into one."""
+    partials = [p for p in partials if p is not None]
+    if not partials:
+        raise PlanError("merge_partials needs at least one partial state")
+    first = partials[0]
+    keys, codes_per_part, num_groups = merged_groups(partials)
+    merged = PartialAggregate(
+        first.group_by,
+        any(p.weighted for p in partials),
+        sum(p.rows for p in partials),
+        num_groups,
+        keys,
+    )
+    groups = _Groups(np.concatenate(codes_per_part), num_groups)
+    for comp in first.comps:
+        stacked = np.concatenate([p.comps[comp] for p in partials])
+        merged.comps[comp] = groups.reduce(comp[1], stacked)
+    for alias in first.distinct:
+        merged.distinct[alias] = _merge_pairs(
+            [p.distinct[alias] for p in partials], codes_per_part
+        )[0]
+    if first.universe_pairs is not None:
+        merged.universe_pairs, pair_codes, num_pairs = _merge_pairs(
+            [p.universe_pairs for p in partials], codes_per_part
+        )
+        pairs = _Groups(pair_codes, num_pairs)
+        for alias in first.universe_ysums:
+            stacked = np.concatenate([p.universe_ysums[alias] for p in partials])
+            merged.universe_ysums[alias] = pairs.sum(stacked)
+    return merged
+
+
+def finalize_partial(
+    state: PartialAggregate,
+    aggs: Sequence[AggSpec],
+    how: Estimation = Estimation(),
+    name: str = "merged_agg",
+) -> Table:
+    """Turn a state into the aggregate's output table.
+
+    Without weights the answers are exact. With weights, each aggregate is
+    rewritten per the paper's Table 8:
+
+    ====================  =============================================
+    true value            estimate over the sample
+    ====================  =============================================
+    SUM(x)                SUM(w * x)
+    COUNT(*)              SUM(w)
+    AVG(x)                SUM(w * x) / SUM(w)
+    SUM(IF(c, x))         SUM(IF(c, w * x))
+    COUNT(IF(c))          SUM(IF(c, w))
+    COUNT(DISTINCT x)     COUNT(DISTINCT x) * (universe on x ? 1/p : 1)
+    ====================  =============================================
+    """
+    comps, num_groups = state.comps, state.num_groups
+    # Scalar aggregates over empty input: zero counts/sums, NaN averages.
+    empty_scalar = not state.group_by and state.rows == 0
+    rescale = how.universe_rescale or {}
+    out: Dict[str, np.ndarray] = dict(state.keys)
+
+    for agg in aggs:
+        alias = agg.alias
+        variance: Optional[np.ndarray] = None
+        if agg.kind in _SUM_LIKE:
+            estimate = comps[(alias, "est")]
+            if alias in state.universe_ysums:
+                p = how.universe_variance[1]
+                sums = state.universe_ysums[alias]
+                variance = _Groups(state.universe_pairs.groups, num_groups).sum(
+                    (1.0 - p) / (p * p) * sums * sums
+                )
+            else:
+                variance = comps.get((alias, "var"))
+        elif agg.kind is AggKind.AVG:
+            weight_sum = comps[("", "wsum")]
+            with np.errstate(invalid="ignore", divide="ignore"):
+                estimate = np.where(weight_sum > 0, comps[(alias, "num")] / weight_sum, np.nan)
+            if (alias, "varnum") in comps:
+                # Delta-method variance of the ratio estimator.
+                var_num, cov = comps[(alias, "varnum")], comps[(alias, "cov")]
+                var_den = comps[("", "wvar")]
+                with np.errstate(invalid="ignore", divide="ignore"):
+                    variance = np.where(
+                        weight_sum > 0,
+                        (var_num - 2 * estimate * cov + estimate * estimate * var_den)
+                        / (weight_sum * weight_sum),
+                        np.nan,
+                    )
+        elif agg.kind in (AggKind.MIN, AggKind.MAX):
+            estimate = comps[(alias, "min" if agg.kind is AggKind.MIN else "max")]
+            if empty_scalar:
+                estimate = np.asarray([np.nan])
+        elif agg.kind is AggKind.COUNT_DISTINCT:
+            raw = np.bincount(state.distinct[alias].groups, minlength=num_groups).astype(np.float64)
+            factor = rescale.get(alias, 1.0)
+            estimate = raw * factor
+            if how.compute_ci and state.weighted and factor > 1.0:
+                p = 1.0 / factor
+                variance = raw * (1.0 - p) / (p * p)
+        else:
+            raise PlanError(f"unknown aggregate kind {agg.kind}")
+        out[alias] = estimate
+        if how.compute_ci:
+            if variance is None or empty_scalar:
+                variance = np.zeros(num_groups)
+            out[alias + CI_SUFFIX] = Z_95 * np.sqrt(np.maximum(variance, 0.0))
+    return Table(name, out)

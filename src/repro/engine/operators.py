@@ -4,11 +4,10 @@ These functions execute one logical operator over columnar tables. They are
 deliberately stand-alone (table in, table out) so both the executor and the
 tests can drive them directly.
 
-The aggregation operator implements the paper's Table 8 estimator rewrites
-natively: when the input carries a weight column, every aggregate becomes
-its Horvitz-Thompson estimator, and (optionally) each SUM-like aggregate
-gains a confidence-interval column computed in the same pass (Section 4.3,
-Proposition 2: one effective pass for estimate and error).
+Aggregation is :mod:`repro.engine.aggregate`'s partial -> finalize over one
+input: when it carries a weight column, every aggregate becomes its
+Horvitz-Thompson estimator (the paper's Table 8) and, optionally, gains a
+confidence-interval column computed in the same pass.
 """
 
 from __future__ import annotations
@@ -17,14 +16,20 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.algebra.aggregates import AggKind, AggSpec
+from repro.algebra.aggregates import AggSpec
 from repro.algebra.expressions import Expr
-from repro.engine.keys import dense_span, group_codes, pack_keys
+from repro.engine.aggregate import (
+    CI_SUFFIX,
+    Z_95,
+    Estimation,
+    finalize_partial,
+    partial_aggregate,
+)
+from repro.engine.keys import dense_span, pack_keys
 from repro.engine.table import WEIGHT_COLUMN, Table
 from repro.errors import PlanError, SchemaError
 
 __all__ = [
-    "group_codes",
     "execute_select",
     "execute_project",
     "execute_join",
@@ -35,12 +40,6 @@ __all__ = [
     "CI_SUFFIX",
     "Z_95",
 ]
-
-#: Suffix for the optional confidence-interval column appended per aggregate.
-CI_SUFFIX = "__ci"
-
-#: Central-limit z-score for the 95% confidence intervals Quickr reports.
-Z_95 = 1.96
 
 
 def execute_select(table: Table, predicate: Expr, drop: Sequence[str] = ()) -> Table:
@@ -183,56 +182,6 @@ def execute_join(
     return Table(f"{left.name}_join_{right.name}", out)
 
 
-def _grouped_sum(codes: np.ndarray, num_groups: int, values: np.ndarray) -> np.ndarray:
-    return np.bincount(codes, weights=values, minlength=num_groups)
-
-
-def _grouped_min(codes: np.ndarray, num_groups: int, values: np.ndarray) -> np.ndarray:
-    out = np.full(num_groups, np.inf)
-    np.minimum.at(out, codes, values)
-    return out
-
-
-def _grouped_max(codes: np.ndarray, num_groups: int, values: np.ndarray) -> np.ndarray:
-    out = np.full(num_groups, -np.inf)
-    np.maximum.at(out, codes, values)
-    return out
-
-
-def _grouped_count_distinct(codes: np.ndarray, num_groups: int, values: np.ndarray) -> np.ndarray:
-    _, pair_first, _ = group_codes([codes, values])
-    return np.bincount(codes[pair_first], minlength=num_groups).astype(np.float64)
-
-
-def _per_row_contribution(agg: AggSpec, table: Table) -> np.ndarray:
-    """The raw (unweighted) per-row value y_i such that the true aggregate is
-    sum over all rows of y_i. Used for both estimate and variance."""
-    if agg.kind is AggKind.COUNT:
-        return np.ones(table.num_rows)
-    if agg.kind is AggKind.COUNT_IF:
-        return np.asarray(agg.cond.evaluate(table), dtype=np.float64)
-    values = np.asarray(agg.expr.evaluate(table), dtype=np.float64)
-    if agg.kind is AggKind.SUM_IF:
-        return values * np.asarray(agg.cond.evaluate(table), dtype=np.float64)
-    return values
-
-
-def _variance_independent(codes, num_groups, weights, y) -> np.ndarray:
-    """HT variance for independent per-row inclusion (uniform/distinct):
-    Var-hat = sum_i (w_i^2 - w_i) * y_i^2, grouped."""
-    return _grouped_sum(codes, num_groups, (weights * weights - weights) * y * y)
-
-
-def _variance_universe(codes, num_groups, universe_values, p, y) -> np.ndarray:
-    """HT variance under universe sampling (Section B.1): rows sharing a key
-    subspace value are perfectly correlated, so
-    Var-hat = (1 - p)/p^2 * sum over key values g of (sum_{i in g} y_i)^2."""
-    pair_codes, pair_first, pair_groups = group_codes([codes, universe_values])
-    sums = _grouped_sum(pair_codes, pair_groups, y)
-    # A pair's first row maps it back to its group.
-    return _grouped_sum(codes[pair_first], num_groups, (1.0 - p) / (p * p) * sums * sums)
-
-
 def execute_aggregate(
     table: Table,
     group_by: Sequence[str],
@@ -241,117 +190,12 @@ def execute_aggregate(
     universe_rescale: Optional[Dict[str, float]] = None,
     universe_variance: Optional[Tuple[Tuple[str, ...], float]] = None,
 ) -> Table:
-    """Grouped aggregation with Horvitz-Thompson estimation.
-
-    If the input has no weight column this computes exact answers. With
-    weights, each aggregate is rewritten per the paper's Table 8:
-
-    ====================  =============================================
-    true value            estimate over the sample
-    ====================  =============================================
-    SUM(x)                SUM(w * x)
-    COUNT(*)              SUM(w)
-    AVG(x)                SUM(w * x) / SUM(w)
-    SUM(IF(c, x))         SUM(IF(c, w * x))
-    COUNT(IF(c))          SUM(IF(c, w))
-    COUNT(DISTINCT x)     COUNT(DISTINCT x) * (universe on x ? 1/p : 1)
-    ====================  =============================================
-
-    ``universe_rescale`` maps aggregate aliases to the 1/p factor for
-    COUNT DISTINCT under universe sampling. ``universe_variance`` is
-    ``(universe column names, p)`` when the dominant sampler for this
-    aggregation is a universe sampler — variance then accounts for the
-    perfect correlation of rows within a key-subspace value.
-    """
-    universe_rescale = universe_rescale or {}
-    weighted = table.has_weights()
-    weights = table.weights()
-
-    if group_by:
-        key_arrays = [table.column(k) for k in group_by]
-        codes, first_index, num_groups = group_codes(key_arrays)
-        # Emit groups in order of first appearance in the input.
-        order = np.argsort(first_index)
-        remap = np.empty(num_groups, dtype=np.int64)
-        remap[order] = np.arange(num_groups)
-        codes = remap[codes]
-        out = {k: table.column(k)[first_index[order]] for k in group_by}
-    else:
-        codes = np.zeros(table.num_rows, dtype=np.int64)
-        num_groups = 1
-        out = {}
-
-    if table.num_rows == 0 and not group_by:
-        # Scalar aggregates over empty input: zero counts/sums, NaN averages.
-        for agg in aggs:
-            if agg.kind in (AggKind.AVG, AggKind.MIN, AggKind.MAX):
-                out[agg.alias] = np.asarray([np.nan])
-            else:
-                out[agg.alias] = np.asarray([0.0])
-            if compute_ci:
-                out[agg.alias + CI_SUFFIX] = np.asarray([0.0])
-        return Table(f"{table.name}_agg", out)
-
-    universe_values = None
-    universe_p = None
-    if universe_variance is not None:
-        ucols, universe_p = universe_variance
-        present = [c for c in ucols if table.has_column(c)]
-        if present:
-            ucodes, _, _ = group_codes([table.column(c) for c in present])
-            universe_values = ucodes
-
-    weight_sum = _grouped_sum(codes, num_groups, weights)
-
-    for agg in aggs:
-        variance: Optional[np.ndarray] = None
-        if agg.kind in (AggKind.SUM, AggKind.COUNT, AggKind.SUM_IF, AggKind.COUNT_IF):
-            y = _per_row_contribution(agg, table)
-            estimate = _grouped_sum(codes, num_groups, weights * y)
-            if compute_ci and weighted:
-                if universe_values is not None and universe_p is not None:
-                    variance = _variance_universe(codes, num_groups, universe_values, universe_p, y)
-                else:
-                    variance = _variance_independent(codes, num_groups, weights, y)
-        elif agg.kind is AggKind.AVG:
-            y = np.asarray(agg.expr.evaluate(table), dtype=np.float64)
-            numerator = _grouped_sum(codes, num_groups, weights * y)
-            with np.errstate(invalid="ignore", divide="ignore"):
-                estimate = np.where(weight_sum > 0, numerator / weight_sum, np.nan)
-            if compute_ci and weighted:
-                # Delta-method variance of the ratio estimator.
-                var_num = _variance_independent(codes, num_groups, weights, y)
-                var_den = _variance_independent(codes, num_groups, weights, np.ones(table.num_rows))
-                cov = _grouped_sum(codes, num_groups, (weights * weights - weights) * y)
-                with np.errstate(invalid="ignore", divide="ignore"):
-                    ratio = estimate
-                    variance = np.where(
-                        weight_sum > 0,
-                        (var_num - 2 * ratio * cov + ratio * ratio * var_den) / (weight_sum * weight_sum),
-                        np.nan,
-                    )
-                variance = np.maximum(variance, 0.0)
-        elif agg.kind is AggKind.MIN:
-            estimate = _grouped_min(codes, num_groups, np.asarray(agg.expr.evaluate(table), dtype=np.float64))
-        elif agg.kind is AggKind.MAX:
-            estimate = _grouped_max(codes, num_groups, np.asarray(agg.expr.evaluate(table), dtype=np.float64))
-        elif agg.kind is AggKind.COUNT_DISTINCT:
-            values = agg.expr.evaluate(table)
-            raw = _grouped_count_distinct(codes, num_groups, np.asarray(values))
-            factor = universe_rescale.get(agg.alias, 1.0)
-            estimate = raw * factor
-            if compute_ci and weighted and factor > 1.0:
-                p = 1.0 / factor
-                variance = raw * (1.0 - p) / (p * p)
-        else:
-            raise PlanError(f"unknown aggregate kind {agg.kind}")
-        out[agg.alias] = estimate
-        if compute_ci:
-            if variance is None:
-                variance = np.zeros(num_groups)
-            out[agg.alias + CI_SUFFIX] = Z_95 * np.sqrt(np.maximum(variance, 0.0))
-
-    return Table(f"{table.name}_agg", out)
+    """Grouped aggregation with Horvitz-Thompson estimation: the one-input
+    case of :mod:`repro.engine.aggregate`, which documents the estimators
+    and the three annotations (:class:`~repro.engine.aggregate.Estimation`)."""
+    how = Estimation(compute_ci, universe_rescale, universe_variance)
+    state = partial_aggregate(table, group_by, aggs, how)
+    return finalize_partial(state, aggs, how, name=f"{table.name}_agg")
 
 
 def execute_orderby(table: Table, keys: Sequence[str], descending: bool) -> Table:

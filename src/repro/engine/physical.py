@@ -57,6 +57,7 @@ from repro.algebra.logical import (
     UnionAll,
 )
 from repro.engine import operators
+from repro.engine.aggregate import Estimation
 from repro.engine.governance import table_nbytes as _table_nbytes
 from repro.engine.table import Database, Table, rowid_column_name
 from repro.errors import PlanError, TaskCancelled
@@ -139,7 +140,7 @@ class PhysicalOp:
     #: Scans only: lineage column to attach (None when lineage is disabled).
     lineage_column: Optional[str] = None
     #: Aggregates only: estimation annotations resolved at compile time.
-    agg_kwargs: Optional[dict] = None
+    estimation: Optional[Estimation] = None
     #: Data columns of the node's output that something above it reads
     #: (:func:`required_columns`), in the node's output order — exactly the
     #: data columns this operator's output table carries.
@@ -349,7 +350,7 @@ class PhysicalPlan:
             out = node.spec.apply(inputs[0])
         elif op.opcode == "aggregate":
             out = operators.execute_aggregate(
-                inputs[0], node.group_by, node.aggs, **op.agg_kwargs
+                inputs[0], node.group_by, node.aggs, *op.estimation
             )
         elif op.opcode == "orderby":
             out = operators.execute_orderby(inputs[0], node.keys, node.descending)
@@ -520,7 +521,7 @@ def _child_requirements(node: LogicalNode, need: set) -> List[set]:
         return [left, right]
     if isinstance(node, Aggregate):
         reads = set(node.group_by).union(*(agg.columns() for agg in node.aggs))
-        universe = getattr(node, "universe_variance", None)
+        universe = Estimation.of(node).universe_variance
         if universe is not None:
             # The variance estimator groups on whichever of these the input
             # carries; keep carrying the ones it could.
@@ -601,7 +602,7 @@ def compile_plan(
             continue
         opcode = _opcode_of(node)
         lineage_column = None
-        agg_kwargs = None
+        estimation = None
         columns = required[address]
         carried: Tuple[str, ...] = ()
         if opcode == "scan":
@@ -610,11 +611,7 @@ def compile_plan(
             if attach_rowids:
                 lineage_column = rowid_column_name(ordinal)
         elif opcode == "aggregate":
-            agg_kwargs = {
-                "compute_ci": getattr(node, "compute_ci", False),
-                "universe_rescale": getattr(node, "universe_rescale", None),
-                "universe_variance": getattr(node, "universe_variance", None),
-            }
+            estimation = Estimation.of(node)
             carried = node.output_columns()
         elif opcode in _PASS_THROUGH:
             carried = required[address + (0,)]
@@ -628,7 +625,7 @@ def compile_plan(
                 child_slots=tuple(emitted[len(emitted) - arity:]),
                 subtree_start=index if subtree_start < 0 else subtree_start,
                 lineage_column=lineage_column,
-                agg_kwargs=agg_kwargs,
+                estimation=estimation,
                 columns=columns,
                 drop=tuple(c for c in carried if c not in columns),
             )

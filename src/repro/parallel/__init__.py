@@ -12,8 +12,9 @@ operator. This package supplies the pieces:
   them: bounded retries with backoff, straggler speculation, structured
   failures;
 - :mod:`repro.parallel.faults` — seeded fault injection for chaos testing;
-- :mod:`repro.parallel.merge` — exact row-order merge and mergeable
-  partial-aggregate states (plus sketch folds);
+- :mod:`repro.parallel.merge` — exact row-order merge and the selection
+  term of the CIs (partial-aggregate states are
+  :mod:`repro.engine.aggregate`'s, the serial operator's own);
 - :mod:`repro.parallel.executor` — the orchestrating
   :class:`ParallelExecutor`, reached from
   :class:`repro.engine.executor.Executor` via ``parallelism=N``; lost
@@ -29,14 +30,7 @@ from repro.parallel.faults import (
     InjectedFault,
     corrupt_table,
 )
-from repro.parallel.merge import (
-    finalize_partial,
-    merge_heavy_hitters,
-    merge_kmv,
-    merge_partials,
-    merge_rows,
-    partial_aggregate,
-)
+from repro.parallel.merge import merge_rows
 from repro.parallel.partitioner import HASH, ROUND_ROBIN, Partitioner, co_partitioners
 from repro.parallel.plan import PlanAnalysis, analyze_plan, build_worker_plan
 from repro.parallel.pool import WorkerPool, available_parallelism
@@ -62,11 +56,6 @@ __all__ = [
     "WorkerPool",
     "available_parallelism",
     "merge_rows",
-    "partial_aggregate",
-    "merge_partials",
-    "finalize_partial",
-    "merge_heavy_hitters",
-    "merge_kmv",
     "TaskSpec",
     "RetryPolicy",
     "TaskOutcome",

@@ -73,6 +73,13 @@ import numpy as np
 from repro.algebra.addressing import NodeAddress
 from repro.algebra.builder import Query
 from repro.algebra.logical import LogicalNode, Project
+from repro.engine.aggregate import (
+    Estimation,
+    PartialAggregate,
+    finalize_partial,
+    merge_partials,
+    partial_aggregate,
+)
 from repro.engine.costmodel import cost_plan, prune_cost_credit
 from repro.engine.executor import ExecutionResult, PartialResult, PlanRun, PlanRunner
 from repro.engine.metrics import ClusterConfig, ParallelMetrics, modeled_speedup
@@ -88,14 +95,7 @@ from repro.errors import (
 from repro.obs import log as obs_log
 from repro.obs import trace as obs_trace
 from repro.parallel.faults import FaultPlan, corrupt_table
-from repro.parallel.merge import (
-    PartialAggregate,
-    finalize_partial,
-    inflate_selection_cis,
-    merge_partials,
-    merge_rows,
-    partial_aggregate,
-)
+from repro.parallel.merge import inflate_selection_cis, merge_rows
 from repro.parallel.partitioner import HASH, Partitioner
 from repro.parallel.plan import (
     DEFAULT_MIN_PARTITION_ROWS,
@@ -510,10 +510,7 @@ class ParallelExecutor:
             payload = run.table
             if two_phase:
                 payload = partial_aggregate(
-                    payload,
-                    aggregate,
-                    compute_ci=getattr(aggregate, "compute_ci", False),
-                    universe_variance=getattr(aggregate, "universe_variance", None),
+                    payload, aggregate.group_by, aggregate.aggs, Estimation.of(aggregate)
                 )
             result = (perf_counter() - t0, run.cardinalities, payload)
             if fault_plan is not None:
@@ -645,11 +642,7 @@ class ParallelExecutor:
         if ctx.two_phase:
             aggregate = analysis.aggregate
             ctx.overrides[analysis.aggregate_address] = finalize_partial(
-                merge_partials(payloads),
-                aggregate,
-                compute_ci=getattr(aggregate, "compute_ci", False),
-                universe_rescale=getattr(aggregate, "universe_rescale", None),
-                universe_variance=getattr(aggregate, "universe_variance", None),
+                merge_partials(payloads), aggregate.aggs, Estimation.of(aggregate)
             )
             return
         if ctx.selecting:
@@ -704,7 +697,7 @@ class ParallelExecutor:
         table, cardinalities = run.table, ctx.cardinalities
         cardinalities.update(run.cardinalities)
         aggregate = analysis.aggregate
-        if ctx.selecting and aggregate is not None and getattr(aggregate, "compute_ci", False):
+        if ctx.selecting and aggregate is not None:
             # The row-level HT variance misses the between-partition
             # (cluster-sampling) component of weighted selection; fold it
             # into the CI columns now that the answer exists.

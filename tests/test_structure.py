@@ -223,3 +223,64 @@ def test_parallel_options_do_not_grow():
         stmt.target.id for stmt in options.body if isinstance(stmt, ast.AnnAssign)
     ]
     assert len(fields) <= MAX_PARALLEL_OPTIONS, fields
+
+
+def _functions_under(*packages):
+    """``(package/file.py, qualified name, node)`` of every function."""
+    for package in packages:
+        for path in sorted((SRC / package).glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            for name, node, _ in _functions(tree):
+                yield f"{package}/{path.name}", name, node
+
+
+def test_one_aggregate_estimator():
+    """The Table 8 rewrites and their variance are written once: one module
+    dispatches on the aggregate kind, and the parallel path borrows it
+    through its public names."""
+    dispatching = sorted(
+        f"{package}/{path.name}"
+        for package in ("engine", "parallel")
+        for path in sorted((SRC / package).glob("*.py"))
+        if any(
+            isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "AggKind"
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        )
+    )
+    assert dispatching == ["engine/aggregate.py"], dispatching
+    private = [
+        (path.name, node.module, alias.name)
+        for path in sorted((SRC / "parallel").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("repro.engine")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert not private, f"parallel/ imports private engine names: {private}"
+
+
+def test_one_place_turns_variance_into_an_interval():
+    """``Z_95`` meets a square root where a state is finalized, and where
+    weighted partition selection adds its term to a finished interval."""
+    users = sorted(
+        f"{module}::{name}"
+        for module, name, node in _functions_under("engine", "parallel")
+        if any(isinstance(n, ast.Name) and n.id == "Z_95" for n in ast.walk(node))
+    )
+    assert users == [
+        "engine/aggregate.py::finalize_partial",
+        "parallel/merge.py::inflate_selection_cis",
+    ], users
+
+
+def test_estimation_annotations_are_read_in_one_function():
+    annotations = {"compute_ci", "universe_rescale", "universe_variance"}
+    readers = sorted(
+        {
+            f"{module}::{name}"
+            for module, name, node in _functions_under("engine", "parallel")
+            for call in _calls(node, "getattr")
+            if len(call.args) > 1 and getattr(call.args[1], "value", None) in annotations
+        }
+    )
+    assert readers == ["engine/aggregate.py::Estimation.of"], readers
