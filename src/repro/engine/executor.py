@@ -392,6 +392,18 @@ class Executor(PlanRunner):
         super().__init__(database, config, attach_rowids, plan_cache_size, registry, morsel_rows)
         self.parallelism = int(parallelism)
         self.parallel_options = parallel_options
+        #: The one worker pool every parallel query of this executor runs
+        #: on: its threads start on first use and exit when the executor is
+        #: dropped. None while serial.
+        self.worker_pool = None
+        if self.parallelism > 1:
+            from repro.parallel.pool import WorkerPool  # the package imports this module
+
+            self.worker_pool = (
+                WorkerPool(parallel_options.pool, parallel_options.max_workers)
+                if parallel_options is not None
+                else WorkerPool()
+            )
 
     def execute(self, query, governance=None) -> ExecutionResult:
         """Run a :class:`Query` or bare plan node; returns answer + cost.
@@ -411,7 +423,12 @@ class Executor(PlanRunner):
         from repro.parallel.executor import ParallelExecutor  # imports this module
 
         return ParallelExecutor(
-            self.database, self.config, self.parallelism, self.parallel_options, engine=self
+            self.database,
+            self.config,
+            self.parallelism,
+            self.parallel_options,
+            engine=self,
+            pool=self.worker_pool,
         ).execute(plan, governance=governance)
 
     # -- reporting: read-only views over the registry ---------------------------

@@ -231,6 +231,13 @@ class ParallelMetrics:
     #: ``ScanPrunePlan.summary()`` dict when the catalog prune/select pass
     #: skipped anything this query; None otherwise.
     pruning: Optional[dict] = None
+    #: -- placement (see repro.engine.partitions) -----------------------------
+    #: Scan columns the query's tasks were placed on, how many of those the
+    #: partition store had to materialise for it (the rest were resident),
+    #: and the bytes the store held afterwards.
+    placed_columns: int = 0
+    materialised_columns: int = 0
+    resident_bytes: int = 0
 
     def task_latency_percentiles(self) -> dict:
         """p50/p95/max of the winning task attempt durations (seconds)."""

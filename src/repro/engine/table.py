@@ -19,6 +19,7 @@ from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.engine.partitions import HASH, Partitioner, PartitionStore
 from repro.errors import CatalogError, SchemaError
 
 __all__ = ["WEIGHT_COLUMN", "ROWID_PREFIX", "rowid_column_name", "Table", "Database"]
@@ -106,6 +107,12 @@ class Table:
         """Lineage value arrays in significance order."""
         return tuple(self._columns[c] for c in self.lineage_column_names())
 
+    def reserved_column_names(self) -> Tuple[str, ...]:
+        """What rides along with every row: the weight column (if any),
+        then the lineage columns in significance order."""
+        weights = (WEIGHT_COLUMN,) if self.has_weights() else ()
+        return weights + self.lineage_column_names()
+
     def has_column(self, name: str) -> bool:
         return name in self._columns
 
@@ -137,11 +144,8 @@ class Table:
     def project(self, names: Sequence[str], name: Optional[str] = None) -> "Table":
         """Keep only the given columns, preserving weight/lineage columns."""
         out = {n: self.column(n) for n in names}
-        if self.has_weights() and WEIGHT_COLUMN not in out:
-            out[WEIGHT_COLUMN] = self._columns[WEIGHT_COLUMN]
-        for lineage in self.lineage_column_names():
-            if lineage not in out:
-                out[lineage] = self._columns[lineage]
+        for reserved in self.reserved_column_names():
+            out.setdefault(reserved, self._columns[reserved])
         return Table(name or self.name, out)
 
     def drop_columns(self, names: Sequence[str], name: Optional[str] = None) -> "Table":
@@ -188,7 +192,8 @@ class Table:
         by: Optional[Sequence[str]] = None,
         seed: int = 0,
     ) -> list:
-        """Split into ``num_partitions`` tables (parallel input).
+        """Split into exactly ``num_partitions`` tables (parallel input),
+        padding with empty ones when the table is small.
 
         With ``by=None`` the split is round-robin on row position. With
         ``by=[columns...]`` rows are hash-partitioned on the named column
@@ -199,13 +204,11 @@ class Table:
         lineage) ride along unchanged, preserving the Horvitz-Thompson
         weight invariant across the split.
         """
-        if num_partitions <= 1 or self.num_rows == 0:
+        if num_partitions <= 1:
             return [self]
         if by is None:
-            idx = np.arange(self.num_rows)
-            return [self.take(idx[p::num_partitions]) for p in range(num_partitions)]
-        assignments = self.partition_assignments(by, num_partitions, seed)
-        return [self.take(assignments == p) for p in range(num_partitions)]
+            return Partitioner(num_partitions).split(self)
+        return Partitioner(num_partitions, HASH, tuple(by), seed).split(self)
 
     def partition_assignments(
         self, by: Sequence[str], num_partitions: int, seed: int = 0
@@ -213,12 +216,7 @@ class Table:
         """Per-row hash-partition assignment in ``[0, num_partitions)``."""
         if not by:
             raise SchemaError("hash partitioning requires at least one column")
-        # Local import: repro.samplers.hashing is a leaf module, but its
-        # package __init__ imports this module, so a top-level import cycles.
-        from repro.samplers.hashing import hash_columns
-
-        hashes = hash_columns([self.column(c) for c in by], seed)
-        return (hashes % np.uint64(num_partitions)).astype(np.int64)
+        return Partitioner(num_partitions, HASH, tuple(by), seed).assignments(self)
 
     @staticmethod
     def concat(tables: Sequence["Table"], name: Optional[str] = None) -> "Table":
@@ -308,9 +306,14 @@ class Database:
         #: Optional :class:`repro.stats.catalog.PartitionCatalog` attached
         #: by datagen/load; the prune/select pass is a no-op without it.
         self.partition_stats = None
+        #: Resident partitions of the registered tables: what the parallel
+        #: executor places queries on and the catalog summarises. The store
+        #: never points back here.
+        self.partitions = PartitionStore()
 
     def register(self, table: Table) -> None:
         self._tables[table.name] = table
+        self.partitions.drop(table.name)
 
     def table(self, name: str) -> Table:
         try:

@@ -92,7 +92,11 @@ def explain_analyze(planner, executor, query) -> str:
     result = planner.plan(query)
     execution = executor.execute(result.plan)
     rendered = render_explain(planner, result, execution)
-    for footer in (_pruning_footer(execution), _memory_footer(executor.registry)):
+    for footer in (
+        _pruning_footer(execution),
+        _resident_footer(execution),
+        _memory_footer(executor.registry),
+    ):
         if footer:
             rendered += "\n" + footer
     return rendered
@@ -131,6 +135,19 @@ def _pruning_footer(execution) -> str:
     for reason in info.get("semijoins", ()):
         line += f"\n  semi-join: {reason}"
     return line
+
+
+def _resident_footer(execution) -> str:
+    """One line of placement telemetry for a query that ran its tasks."""
+    parallel = getattr(execution, "parallel", None)
+    if not getattr(parallel, "placed_columns", 0):
+        return ""
+    return (
+        f"resident: {parallel.placed_columns - parallel.materialised_columns} of "
+        f"{parallel.placed_columns} placed column(s) served from the partition store, "
+        f"{parallel.materialised_columns} materialised; "
+        f"store holds {parallel.resident_bytes:,} bytes"
+    )
 
 
 def _memory_footer(registry) -> str:

@@ -40,7 +40,7 @@ performance, never correctness).
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -48,6 +48,7 @@ import numpy as np
 from repro.algebra.addressing import NodeAddress, format_address, walk_with_addresses
 from repro.algebra.logical import Join, SamplerNode, Select
 from repro.core.pushdown import partition_feasible, prune_conjuncts
+from repro.engine.partitions import Partitioner
 from repro.parallel.plan import PlanAnalysis, ScanPartitioning, _trace_to_scan
 
 __all__ = ["ScanPrunePlan", "plan_partition_pruning", "PRUNE_INVARIANT_KINDS"]
@@ -103,9 +104,9 @@ class ScanPrunePlan:
     predicates: Tuple[str, ...] = ()
     #: Human-readable semi-join prune sources (for explain-analyze).
     semijoins: Tuple[str, ...] = ()
-    #: Row-index arrays of *all* partitions under the catalog layout
-    #: (executor splits with these so summaries and data line up).
-    split_indices: List[np.ndarray] = field(default_factory=list, repr=False)
+    #: The catalog layout's partitioner: the executor places the scan on
+    #: its resident partitions, so summaries and data line up.
+    partitioner: Optional[Partitioner] = None
 
     @property
     def selection_active(self) -> bool:
@@ -339,7 +340,7 @@ def plan_partition_pruning(
     table = database.table(entry.table)
     layout = catalog.layout(entry.table, degree)
     summaries = catalog.summaries(entry.table, degree)
-    split_indices = layout.split_indices(table)
+    split_indices = catalog.live_indices(entry.table, degree)
 
     predicates = _collect_direct_predicates(analysis, entry)
     semijoins = (
@@ -456,5 +457,5 @@ def plan_partition_pruning(
         ),
         predicates=tuple(repr(p) for p in predicates),
         semijoins=tuple(label for _, _, label in semijoins),
-        split_indices=split_indices,
+        partitioner=layout.partitioner,
     )

@@ -83,6 +83,7 @@ from repro.engine.aggregate import (
 from repro.engine.costmodel import cost_plan, prune_cost_credit
 from repro.engine.executor import ExecutionResult, PartialResult, PlanRun, PlanRunner
 from repro.engine.metrics import ClusterConfig, ParallelMetrics, modeled_speedup
+from repro.engine.partitions import HASH, Partitioner
 from repro.engine.physical import PhysicalPlan, plan_fingerprint, required_columns
 from repro.engine.table import WEIGHT_COLUMN, Database, Table, rowid_column_name
 from repro.errors import (
@@ -96,7 +97,6 @@ from repro.obs import log as obs_log
 from repro.obs import trace as obs_trace
 from repro.parallel.faults import FaultPlan, corrupt_table
 from repro.parallel.merge import inflate_selection_cis, merge_rows
-from repro.parallel.partitioner import HASH, Partitioner
 from repro.parallel.plan import (
     DEFAULT_MIN_PARTITION_ROWS,
     PARTITION_HASH_SEED,
@@ -217,6 +217,12 @@ class _QueryContext:
     #: Partition ordinals that become tasks, in task order.
     keep: Sequence[int] = ()
     # -- place
+    #: Scan columns this query was placed on, and how many of them the
+    #: partition store had to materialise for it (the rest were resident).
+    placed_columns: int = 0
+    materialised_columns: int = 0
+    #: Bytes the store held once this query was placed.
+    resident_bytes: int = 0
     worker_plans: List[PhysicalPlan] = field(default_factory=list)
     #: Worker table name -> per-task input (a table, or its shm ref).
     sources: Dict[str, list] = field(default_factory=dict)
@@ -249,8 +255,9 @@ class ParallelExecutor:
     ``engine`` is the :class:`~repro.engine.executor.Executor` this one
     works for (which builds one per query rather than keep a back-pointing
     reference cycle): every stage borrows its compile→run primitive, plan
-    cache, cost-model config and registry. Built directly (no owner), it
-    runs on a bare :class:`~repro.engine.executor.PlanRunner` of its own.
+    cache, cost-model config and registry, and tasks run on its ``pool``.
+    Built directly (no owner), it runs on a bare
+    :class:`~repro.engine.executor.PlanRunner` and a pool of its own.
     """
 
     def __init__(
@@ -260,6 +267,7 @@ class ParallelExecutor:
         parallelism: int = 2,
         options: Optional[ParallelOptions] = None,
         engine: Optional[PlanRunner] = None,
+        pool: Optional[WorkerPool] = None,
     ):
         if parallelism < 1:
             raise PlanError(f"parallelism must be positive, got {parallelism}")
@@ -269,6 +277,9 @@ class ParallelExecutor:
         self.registry = self.engine.registry
         self.parallelism = int(parallelism)
         self.options = options or ParallelOptions()
+        #: The owner's worker pool (its threads outlive this query), or one
+        #: of this executor's own.
+        self.pool = pool or WorkerPool(self.options.pool, self.options.max_workers)
 
     def execute(self, query, governance=None) -> ExecutionResult:
         plan = query.plan if isinstance(query, Query) else query
@@ -293,6 +304,10 @@ class ParallelExecutor:
             if ctx.analysis is not None:
                 # Data columns each partition payload carries up from the split.
                 span.attributes["columns"] = len(ctx.required[ctx.analysis.split_address])
+                # Scan columns served resident / materialised by the store.
+                span.attributes["placed"] = (
+                    f"{ctx.placed_columns - ctx.materialised_columns}/{ctx.materialised_columns}"
+                )
             if metrics.pruning:
                 span.attributes.update(
                     pruned=metrics.pruning["partitions_pruned"],
@@ -405,68 +420,85 @@ class ParallelExecutor:
         )
 
     def _place(self, ctx: _QueryContext) -> None:
-        """Split the inputs, compile the worker plans, pick the transport.
+        """Look the inputs up, compile the worker plans, pick the transport.
 
-        Each scan occurrence's base table is partitioned (or broadcast)
-        with the occurrence's global lineage attached *before* the split,
-        so workers see absolute base-row positions.
+        Each scan occurrence's base table is already cut (or broadcast
+        whole) in the database's partition store; a task's input is the
+        resident arrays of the columns the plan reads plus the partition's
+        row indices as the occurrence's lineage, so workers see absolute
+        base-row positions.
         """
         analysis, prune, degree = ctx.analysis, ctx.prune, self.parallelism
+        store = self.database.partitions
         partitions: Dict[str, List[Table]] = {}
         for entry in analysis.scans:
             base = self.database.table(entry.table)
             wname = worker_table_name(entry.scan_index)
-            # Only what the plan reads of this scan is split and shipped
-            # (the routing hash reads its columns from the same table).
+            lineage = rowid_column_name(entry.scan_index)
+            # Only what the plan reads of this scan is placed and shipped
+            # (plus the routing hash's columns, and whatever reserved
+            # columns the base table itself carries).
             columns = ctx.required[entry.address]
             columns += tuple(c for c in entry.hash_columns if c not in columns)
-            lineaged = base.project(columns, name=wname).with_columns(
-                {rowid_column_name(entry.scan_index): np.arange(base.num_rows, dtype=np.int64)}
-            )
-            if entry.mode == "broadcast":
-                parts = [lineaged] * len(ctx.keep)
+            columns += tuple(c for c in base.reserved_column_names() if c not in columns)
+            # A broadcast table is its own single partition.
+            broadcast = entry.mode == "broadcast"
+            if broadcast:
+                partitioner = Partitioner(1)
             elif entry.mode == "partition-hash":
-                parts = Partitioner(
-                    degree, HASH, entry.hash_columns, seed=PARTITION_HASH_SEED
-                ).split(lineaged)
+                partitioner = Partitioner(degree, HASH, entry.hash_columns, PARTITION_HASH_SEED)
             elif prune is not None and entry.address == prune.scan_address:
-                # Split along the catalog's layout (so the summaries that
-                # justified each prune describe exactly these rows), then
-                # keep only the partitions the prune plan executes.
-                parts = [lineaged.take(prune.split_indices[pid]) for pid in prune.keep]
+                # The catalog's layout (so the summaries that justified
+                # each prune describe exactly these rows), of which only
+                # the partitions the prune plan executes become tasks.
+                partitioner = prune.partitioner
             else:
-                parts = Partitioner(degree).split(lineaged)
-            partitions[wname] = parts
+                partitioner = Partitioner(degree)
+            resident = store.partitions(base, partitioner)
+            arrays, materialised = resident.columns(columns)
+            ctx.placed_columns += len(columns)
+            ctx.materialised_columns += materialised
+            parts = [
+                Table(
+                    wname,
+                    {**{c: arrays[c][pid] for c in columns}, lineage: resident.indices[pid]},
+                )
+                for pid in ((0,) if broadcast else ctx.keep)
+            ]
+            partitions[wname] = parts * len(ctx.keep) if broadcast else parts
+        ctx.resident_bytes = store.nbytes()
 
         # Worker plans are compiled here, in the parent and through the
         # shared plan cache: a forked worker must not touch the cache's or
         # the registry's locks (another thread may have held them at fork),
         # and repeated queries then hit on their worker plans too. Exact,
         # because worker cardinalities are stitched back in by address; and
-        # asked only for what the rest of the query reads of the split.
+        # asked only for what the rest of the query reads of the split. One
+        # plan serves every task unless a sampler's spec is partition-local.
         t0 = perf_counter()
-        ctx.worker_plans = [
-            self.engine.compile(
-                build_worker_plan(
-                    analysis.split,
-                    analysis.split_scan_ordinals,
-                    pid,
-                    degree,
-                    analysis.aligned_sampler_addresses,
-                ),
-                exact=True,
-                required=ctx.required[analysis.split_address],
-            )[0]
-            for pid in ctx.keep
-        ]
+        shared = not analysis.partition_local(degree)
+        for pid in ctx.keep:
+            if shared and ctx.worker_plans:
+                ctx.worker_plans.append(ctx.worker_plans[0])
+                continue
+            worker_plan = build_worker_plan(
+                analysis.split,
+                analysis.split_scan_ordinals,
+                pid,
+                degree,
+                analysis.aligned_sampler_addresses,
+            )
+            ctx.worker_plans.append(
+                self.engine.compile(
+                    worker_plan, exact=True, required=ctx.required[analysis.split_address]
+                )[0]
+            )
         ctx.compile_seconds += perf_counter() - t0
         ctx.runtime = TaskRuntime(
-            WorkerPool(self.options.pool, self.options.max_workers),
-            policy=self.options.retry,
-            base_seed=self.options.task_seed,
+            self.pool, policy=self.options.retry, base_seed=self.options.task_seed
         )
         ctx.transport = shm_transport.RunTransport(
-            self.options.transport, ctx.runtime.pool, degree, self.registry
+            self.options.transport, self.pool, degree, self.registry
         )
         ctx.sources = ctx.transport.ship_inputs(partitions)
 
@@ -722,6 +754,9 @@ class ParallelExecutor:
             result_bytes_on_pipe=ctx.transport.pipe_bytes,
             result_bytes_shared=ctx.transport.shared_bytes,
             pruning=prune.summary() if prune is not None else None,
+            placed_columns=ctx.placed_columns,
+            materialised_columns=ctx.materialised_columns,
+            resident_bytes=ctx.resident_bytes,
             **self._task_ledger(ctx),
         )
         if prune is not None:
@@ -799,6 +834,8 @@ class ParallelExecutor:
             ("transport.shm_queries", metrics.transport == "shm"),
             ("transport.result_bytes_on_pipe", metrics.result_bytes_on_pipe),
             ("transport.result_bytes_shared", metrics.result_bytes_shared),
+            ("parallel.resident.hits", ctx.placed_columns - ctx.materialised_columns),
+            ("parallel.resident.misses", ctx.materialised_columns),
         ]
         pruning = metrics.pruning
         if pruning:
@@ -817,6 +854,8 @@ class ParallelExecutor:
                 registry.counter(name).inc(int(amount))
         for seconds in metrics.worker_seconds:
             registry.histogram("parallel.task_seconds").observe(seconds)
+        if ctx.placed_columns:
+            registry.gauge("parallel.resident.bytes").set(ctx.resident_bytes)
         if ctx.report is not None:
             # A serial (re-)execution recorded itself; this is the rest.
             self.engine.record_phase(ctx.compile_seconds, ctx.execute_seconds)

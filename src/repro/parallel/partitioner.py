@@ -1,96 +1,21 @@
-"""Input partitioning strategies for partition-parallel execution.
+"""Input partitioning for partition-parallel execution.
 
 The paper's samplers are "partitionable": running instances on disjoint
 partitions of the input and unioning their outputs mimics a single instance
-over the whole input (Section 4.1). This module supplies the two partition
-layouts the parallel executor uses:
-
-* **round-robin** — rows dealt by position. Balanced, strategy-free; right
-  whenever per-row decisions don't depend on co-locating related rows
-  (uniform and universe samplers, filters, broadcast joins).
-* **hash** — rows routed by a keyed hash of a column set, so equal keys
-  always share a partition. Required for co-partitioned (fact-fact) joins
-  and for running the distinct sampler with its exact per-stratum state
-  (every stratum wholly inside one partition).
-
-Both preserve the reserved columns: Horvitz-Thompson weights (``__w__``)
-and row lineage (``__rid*``) ride along with their rows, so the weight
-invariant — the weighted sum over any union of partitions equals the
-weighted sum over the whole input — holds by construction.
+over the whole input (Section 4.1). The :class:`Partitioner` that decides
+the partitions lives with the tables it cuts
+(:mod:`repro.engine.partitions`, where a database also keeps what it
+decided); this module re-exports it for the parallel package and adds the
+co-partitioning helper.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
-import numpy as np
-
-from repro.engine.table import Table
-from repro.errors import PlanError
+from repro.engine.partitions import HASH, ROUND_ROBIN, Partitioner
 
 __all__ = ["Partitioner", "co_partitioners", "ROUND_ROBIN", "HASH"]
-
-ROUND_ROBIN = "round-robin"
-HASH = "hash"
-
-
-@dataclass(frozen=True)
-class Partitioner:
-    """Splits tables into a fixed number of partitions.
-
-    Parameters
-    ----------
-    num_partitions:
-        Number of output partitions (always exactly this many tables,
-        padding with empty partitions when the input is small).
-    strategy:
-        ``"round-robin"`` or ``"hash"``.
-    columns:
-        Key column set for the hash strategy (ignored for round-robin).
-    seed:
-        Hash seed; co-partitioned inputs must share it (and the partition
-        count) so equal keys land in the same partition on both sides.
-    """
-
-    num_partitions: int
-    strategy: str = ROUND_ROBIN
-    columns: Tuple[str, ...] = field(default_factory=tuple)
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.num_partitions < 1:
-            raise PlanError(f"need at least one partition, got {self.num_partitions}")
-        if self.strategy not in (ROUND_ROBIN, HASH):
-            raise PlanError(f"unknown partition strategy {self.strategy!r}")
-        if self.strategy == HASH and not self.columns:
-            raise PlanError("hash partitioning requires a key column set")
-
-    def split(self, table: Table) -> List[Table]:
-        """Partition ``table`` into exactly ``num_partitions`` tables.
-
-        The union of the partitions is the input: every row appears in
-        exactly one partition with all its columns (weights and lineage
-        included) unchanged.
-        """
-        if self.num_partitions == 1:
-            return [table]
-        by = list(self.columns) if self.strategy == HASH else None
-        parts = table.partition(self.num_partitions, by=by, seed=self.seed)
-        while len(parts) < self.num_partitions:
-            parts.append(table.take(np.zeros(0, dtype=np.int64)))
-        return parts
-
-    def assignments(self, table: Table) -> np.ndarray:
-        """Per-row partition index (mainly for tests and diagnostics)."""
-        if self.strategy == HASH:
-            return table.partition_assignments(list(self.columns), self.num_partitions, self.seed)
-        return np.arange(table.num_rows, dtype=np.int64) % self.num_partitions
-
-    def describe(self) -> str:
-        if self.strategy == HASH:
-            return f"hash({','.join(self.columns)})x{self.num_partitions}"
-        return f"round-robin x{self.num_partitions}"
 
 
 def co_partitioners(

@@ -113,6 +113,17 @@ class PlanAnalysis:
             node.spec.kind for node in self.split.walk() if isinstance(node, SamplerNode)
         )
 
+    def partition_local(self, num_partitions: int) -> bool:
+        """Whether some sampler's spec changes with the partition id
+        (:meth:`SamplerSpec.for_partition`); if none does, one worker plan
+        serves every task."""
+        return any(
+            node.spec.for_partition(pid, num_partitions, aligned=False) is not node.spec
+            for node in self.split.walk()
+            if isinstance(node, SamplerNode)
+            for pid in range(num_partitions)
+        )
+
 
 _CLEAN_NODES = (Scan, Select, Project, SamplerNode, Join)
 

@@ -11,6 +11,13 @@ by the one scheduler loop of :class:`~repro.parallel.tasks.TaskRuntime`:
   partial aggregates) still return via pickle.
 * ``thread`` — a thread pool; real concurrency only where NumPy releases
   the GIL, but portable and cheap. The fallback where fork is unavailable.
+  The threads are *resident*: a :class:`WorkerPool` starts them once and
+  every run borrows them through a lease, so an
+  :class:`~repro.engine.executor.Executor` that keeps its pool pays for
+  thread start-up once, not per query. A run that ends while one of its
+  abandoned attempts is still running (a hung straggler) *retires* the
+  threads — they finish what they hold and exit — and the next run starts
+  fresh ones, so a hang never occupies a later query's slot.
 * ``inline`` — the one-slot pool: an attempt runs inside ``submit``, in
   the caller's thread. The debugging/CI mode, and what any backend with a
   single worker resolves to (a one-worker pool cannot overlap anything,
@@ -30,9 +37,10 @@ from __future__ import annotations
 import os
 import threading
 from concurrent.futures import Executor, Future, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import wait as wait_for
 from contextlib import contextmanager
 from functools import partial
-from typing import Callable, Optional
+from typing import Callable, List, Optional
 
 from repro.errors import PlanError
 from repro.obs import log as obs_log
@@ -114,18 +122,69 @@ class _CallerThreadExecutor(Executor):
         return future
 
 
+class _ThreadLease(Executor):
+    """One run's hold on a pool's resident threads: the run submits and
+    shuts down as if the threads were its own."""
+
+    def __init__(self, pool: "WorkerPool"):
+        self._pool = pool
+        self._futures: List[Future] = []
+
+    def submit(self, fn, /, *args, **kwargs):
+        future = self._pool.submit_to_thread(fn, *args, **kwargs)
+        self._futures.append(future)
+        return future
+
+    def shutdown(self, wait=True, *, cancel_futures=False):
+        if cancel_futures:
+            for future in self._futures:
+                future.cancel()
+        if wait:
+            wait_for(self._futures)
+        elif not all(future.done() for future in self._futures):
+            # Something this run no longer wants is still running. Leave
+            # it its threads; later runs get new ones.
+            self._pool.retire()
+
+
 class WorkerPool:
-    """Chooses and opens the backend partition tasks run on."""
+    """Chooses and opens the backend partition tasks run on, and owns the
+    thread backend's resident threads (started on first use, retired by
+    :meth:`retire` or when the pool is dropped)."""
 
     MODES = ("auto", "process", "thread", "inline")
 
     def __init__(self, mode: str = "auto", max_workers: Optional[int] = None):
+        self._lock = threading.Lock()
+        self._threads: Optional[ThreadPoolExecutor] = None
         if mode not in self.MODES:
             raise PlanError(f"unknown pool mode {mode!r}; expected one of {self.MODES}")
         if max_workers is not None and max_workers < 1:
             raise PlanError(f"max_workers must be positive, got {max_workers}")
         self.mode = mode
         self.max_workers = max_workers
+
+    def submit_to_thread(self, fn, /, *args, **kwargs) -> Future:
+        """Run a call on the resident threads (under the lock, so a
+        concurrent :meth:`retire` cannot shut them down mid-submit)."""
+        with self._lock:
+            if self._threads is None:
+                self._threads = ThreadPoolExecutor(
+                    max_workers=self.max_workers or available_parallelism(),
+                    thread_name_prefix="repro-worker",
+                )
+            return self._threads.submit(fn, *args, **kwargs)
+
+    def retire(self) -> None:
+        """Stop handing out the current resident threads: they finish the
+        calls they already hold (other runs' included) and exit."""
+        with self._lock:
+            threads, self._threads = self._threads, None
+        if threads is not None:
+            threads.shutdown(wait=False)
+
+    def __del__(self):
+        self.retire()
 
     def resolve_mode(self) -> str:
         if self.mode != "auto":
@@ -151,7 +210,7 @@ class WorkerPool:
         if mode == "inline" or workers == 1:
             yield _CallerThreadExecutor, fn, 1
         elif mode == "thread":
-            yield partial(ThreadPoolExecutor, max_workers=workers), fn, None
+            yield partial(_ThreadLease, self), fn, None
         else:
             if not _fork_available():
                 raise PlanError("process pool requires the fork start method; use thread/inline")

@@ -264,6 +264,10 @@ class TaskRuntime:
 
     Holds what outlives a run — pool, policy, seed — and :attr:`abandoned`;
     everything one :meth:`run` mutates lives in its :class:`_Scheduler`.
+    The pool usually outlives the runtime too: an
+    :class:`~repro.engine.executor.Executor` hands the same one to every
+    query's runtime, so many runs (concurrent ones included) share its
+    resident threads.
 
     ``validate(payload, spec)`` — optional; raise (anything) to reject a
     result, turning e.g. corrupt rows into a retryable failure.
@@ -428,7 +432,9 @@ class _Scheduler:
             # exit: an abandoned attempt may still write its result segment
             # after losing, and the caller's post-run sweep can only see
             # segments that exist by the time workers are gone. Without
-            # hooks, keep the old fire-and-forget shutdown.
+            # hooks, fire and forget: a process pool is torn down, and the
+            # lease on a pool's resident threads retires them if one of
+            # this run's abandoned attempts is still running on them.
             wait_for_stragglers = self.dispose is not None or self.reap is not None
             self.executor.shutdown(wait=wait_for_stragglers, cancel_futures=True)
         return TaskReport(outcomes=self.outcomes, aborted=self.abort)

@@ -35,6 +35,7 @@ from typing import Any, Dict, FrozenSet, List, Mapping, Optional, Tuple
 import numpy as np
 
 from repro.engine.keys import value_counts
+from repro.engine.partitions import RANGE_CLUSTER, Partitioner
 from repro.engine.table import Database, Table
 from repro.errors import CatalogError
 from repro.obs.trace import maybe_span
@@ -428,28 +429,25 @@ class PartitionLayout:
         return cls(
             table=table.name,
             num_partitions=num_partitions,
-            kind="range-cluster",
+            kind=RANGE_CLUSTER,
             cluster_column=column,
             boundaries=tuple(float(b) for b in boundaries),
         )
 
-    def assignments(self, table: Table) -> np.ndarray:
-        """Per-row partition ordinal in ``[0, num_partitions)``."""
-        if self.kind == "range-cluster":
-            values = table.column(self.cluster_column).astype(np.float64)
-            return np.searchsorted(
-                np.asarray(self.boundaries, dtype=np.float64), values, side="right"
-            ).astype(np.int64)
-        return np.arange(table.num_rows, dtype=np.int64) % self.num_partitions
+    @property
+    def partitioner(self) -> Partitioner:
+        """The :class:`Partitioner` that cuts this layout (what the
+        database's partition store keys its entries by)."""
+        if self.kind == RANGE_CLUSTER:
+            return Partitioner(
+                self.num_partitions, RANGE_CLUSTER, (self.cluster_column,),
+                boundaries=self.boundaries,
+            )
+        return Partitioner(self.num_partitions)
 
     def split_indices(self, table: Table) -> List[np.ndarray]:
         """Row-index arrays per partition, in ascending row order."""
-        if self.kind == "round-robin":
-            idx = np.arange(table.num_rows)
-            return [idx[p :: self.num_partitions] for p in range(self.num_partitions)]
-        assigned = self.assignments(table)
-        idx = np.arange(table.num_rows)
-        return [idx[assigned == p] for p in range(self.num_partitions)]
+        return self.partitioner.indices(table)
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -491,6 +489,9 @@ class PartitionCatalog:
         # close a cycle that keeps a dropped database and its arrays alive
         # until the cycle collector's oldest generation runs.
         self._tables = database.tables()
+        #: The database's resident partitions: summaries describe exactly
+        #: the rows a query is later placed on.
+        self._store = database.partitions
         self.cluster_columns: Dict[str, str] = dict(cluster_columns or {})
         self._layouts: Dict[Tuple[str, int], PartitionLayout] = {}
         self._summaries: Dict[Tuple[str, int], List[PartitionSummary]] = {}
@@ -523,12 +524,17 @@ class PartitionCatalog:
         key = (table_name, int(num_partitions))
         if key not in self._summaries:
             table = self._table(table_name)
-            layout = self.layout(table_name, num_partitions)
             self._summaries[key] = [
                 self._summarize(table, pid, idx)
-                for pid, idx in enumerate(layout.split_indices(table))
+                for pid, idx in enumerate(self.live_indices(table_name, num_partitions))
             ]
         return self._summaries[key]
+
+    def live_indices(self, table_name: str, num_partitions: int) -> List[np.ndarray]:
+        """Row indices of the live table's partitions under :meth:`layout`,
+        from the database's partition store (cut once per table version)."""
+        partitioner = self.layout(table_name, num_partitions).partitioner
+        return self._store.partitions(self._table(table_name), partitioner).indices
 
     @staticmethod
     def _summarize(table: Table, partition: int, idx: np.ndarray) -> PartitionSummary:
@@ -572,8 +578,7 @@ class PartitionCatalog:
             if table_name is not None and name != table_name:
                 continue
             table = self._table(name)
-            layout = self.layout(name, parts)
-            for pid, idx in enumerate(layout.split_indices(table)):
+            for pid, idx in enumerate(self.live_indices(name, parts)):
                 summary = summaries[pid]
                 if summary.rows != len(idx):
                     problems.append(

@@ -201,6 +201,33 @@ def test_parallel_pipeline_stays_a_pipeline():
     assert len(run_calls) == 1, f"expected one runtime.run( call site: {run_calls}"
 
 
+def test_placement_is_a_lookup():
+    """``_place`` assembles worker tables from the partition store's
+    resident arrays; cutting a table per query is what the store replaced."""
+    place = next(
+        node
+        for name, node, _ in _functions(_parse("parallel/executor.py"))
+        if name == "ParallelExecutor._place"
+    )
+    cutting = sorted(
+        f"{attr}:{call.lineno}"
+        for attr in ("split", "take", "partition", "arange")
+        for call in _calls(place, attr)
+    )
+    assert not cutting, f"ParallelExecutor._place partitions per query: {cutting}"
+
+
+def test_one_thread_pool_construction_site():
+    """Threads are resident in the ``WorkerPool``; a second construction
+    site is a second pool lifetime to reason about."""
+    sites = [
+        f"parallel/{path.name}:{call.lineno}"
+        for path in sorted((SRC / "parallel").glob("*.py"))
+        for call in _calls(ast.parse(path.read_text(encoding="utf-8")), "ThreadPoolExecutor")
+    ]
+    assert len(sites) == 1, sites
+
+
 def test_one_call_site_of_physical_execute():
     calls = [
         node.lineno
