@@ -43,6 +43,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.algebra.aggregates import AggKind, AggSpec
+from repro.algebra.expressions import Col
 from repro.engine.keys import group_codes
 from repro.engine.table import Table
 from repro.errors import PlanError
@@ -156,12 +157,14 @@ def _first_appearance_codes(arrays: Sequence[np.ndarray]) -> Tuple[np.ndarray, n
     return remap[codes], first_index[order], num_groups
 
 
-def _distinct_pairs(codes: np.ndarray, values: Sequence[np.ndarray]):
+def _distinct_pairs(codes: np.ndarray, values: Sequence[np.ndarray], table=None, names=()):
     """The distinct (group code, value...) pairs, numbered in key order, and
-    each entry's pair code."""
+    each entry's pair code. ``values`` being ``table.key_column`` of
+    ``names`` (codes, perhaps), the pairs hold what those rows decode to:
+    states of inputs under different dictionaries merge."""
     pair_codes, pair_first, num_pairs = group_codes([codes, *values])
-    pairs = _Pairs(codes[pair_first], tuple(v[pair_first] for v in values))
-    return pairs, pair_codes, num_pairs
+    held = [table.column(n, pair_first) for n in names] or [v[pair_first] for v in values]
+    return _Pairs(codes[pair_first], tuple(held)), pair_codes, num_pairs
 
 
 def _per_row_contribution(agg: AggSpec, table: Table) -> np.ndarray:
@@ -194,9 +197,11 @@ def partial_aggregate(
     spread = weights * weights - weights if with_variance else None
 
     if group_by:
-        key_arrays = [table.column(k) for k in group_by]
-        codes, first_index, num_groups = _first_appearance_codes(key_arrays)
-        keys = {k: arr[first_index] for k, arr in zip(group_by, key_arrays)}
+        # Grouped on codes, where coded; only the groups' first rows decode.
+        codes, first_index, num_groups = _first_appearance_codes(
+            [table.key_column(k) for k in group_by]
+        )
+        keys = {k: table.column(k, first_index) for k in group_by}
     else:
         codes = np.zeros(table.num_rows, dtype=np.int64)
         num_groups = 1  # scalar aggregates always emit one group
@@ -210,7 +215,7 @@ def partial_aggregate(
         present = [c for c in how.universe_variance[0] if table.has_column(c)]
         if present:
             state.universe_pairs, pair_codes, num_pairs = _distinct_pairs(
-                codes, [table.column(c) for c in present]
+                codes, [table.key_column(c) for c in present], table, present
             )
             universe = _Groups(pair_codes, num_pairs)
 
@@ -240,8 +245,9 @@ def partial_aggregate(
             values = np.asarray(agg.expr.evaluate(table), dtype=np.float64)
             comps[(alias, tag)] = groups.reduce(tag, values)
         elif agg.kind is AggKind.COUNT_DISTINCT:
-            values = np.asarray(agg.expr.evaluate(table))
-            state.distinct[alias] = _distinct_pairs(codes, [values])[0]
+            names = [agg.expr.name] if isinstance(agg.expr, Col) else []
+            values = [table.key_column(n) for n in names] or [np.asarray(agg.expr.evaluate(table))]
+            state.distinct[alias] = _distinct_pairs(codes, values, table, names)[0]
         else:
             raise PlanError(f"unknown aggregate kind {agg.kind}")
     return state

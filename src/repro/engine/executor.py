@@ -20,12 +20,12 @@ cost model (:mod:`repro.engine.costmodel`), yielding the metrics the paper
 reports — machine-hours, runtime, shuffled data, intermediate data and
 effective passes — for the *measured* cardinalities of this run.
 
-The compiled plan attaches a reserved lineage column per scan occurrence
-(the base-row position). Lineage gives each intermediate row a stable
-identity across any partitioning of the input, which makes the uniform
-sampler's decisions counter-based (identical serial or parallel) and lets
-the parallel merge restore exact serial row order. Lineage is stripped from
-final answers.
+The compiled plan attaches a reserved lineage column (the base-row
+position) to each scan occurrence whose lineage something reads. Lineage
+gives each intermediate row a stable identity across any partitioning of
+the input, which makes the uniform sampler's decisions counter-based
+(identical serial or parallel) and lets the parallel merge restore exact
+serial row order. Lineage is stripped from final answers.
 """
 
 from __future__ import annotations
@@ -194,6 +194,10 @@ class PlanRunner:
         self.morsel_rows = morsel_rows
         self.plan_cache = PlanCache(capacity=int(plan_cache_size))
         self.registry = registry if registry is not None else MetricsRegistry()
+        # What registering the database's tables dictionary-coded.
+        coded = [d for t in database.tables().values() for d in t.dictionaries().values()]
+        self.registry.counter("engine.dictionary.columns").inc(len(coded))
+        self.registry.gauge("engine.dictionary.bytes").set(sum(d.nbytes for d in coded))
 
     # -- the primitive --------------------------------------------------------
     def compile(

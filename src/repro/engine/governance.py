@@ -48,16 +48,7 @@ from repro.errors import BudgetExceeded, DeadlineExceeded, QueryCancelled
 __all__ = [
     "CancellationToken",
     "GovernanceContext",
-    "table_nbytes",
 ]
-
-
-def table_nbytes(table) -> int:
-    """Approximate resident bytes of one table (sum of column buffers)."""
-    total = 0
-    for name in table.column_names:
-        total += int(table.column(name).nbytes)
-    return total
 
 
 class CancellationToken:

@@ -18,7 +18,10 @@ import numpy as np
 
 from repro.errors import PlanError
 
-__all__ = ["pack_keys", "group_codes", "dense_span", "value_counts"]
+__all__ = [
+    "pack_keys", "group_codes", "dense_span", "value_counts",
+    "encode_dictionary", "same_dictionary",
+]
 
 #: A packed key stays below this, so folding in one more column cannot
 #: overflow int64 before the check that re-densifies.
@@ -45,6 +48,20 @@ def value_counts(values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
             present = np.flatnonzero(table)
             return present + lo, table[present]
     return np.unique(values, return_counts=True)
+
+
+def encode_dictionary(values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Order-preserving int32 codes of ``values`` and the dictionary they
+    index: the distinct values, ascending. The one sort a string column
+    of a registered table gets; keyed kernels work on the codes."""
+    dictionary, codes = np.unique(values, return_inverse=True)
+    return codes.astype(np.int32, copy=False), dictionary
+
+
+def same_dictionary(a: Optional[np.ndarray], b: Optional[np.ndarray]) -> bool:
+    """Whether codes under ``a`` and under ``b`` mean the same values: one
+    object, or equal content (a copy that crossed a process boundary)."""
+    return a is b or (a is not None and b is not None and np.array_equal(a, b))
 
 
 def _dense_codes(values: np.ndarray) -> Tuple[np.ndarray, int]:

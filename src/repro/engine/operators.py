@@ -17,7 +17,7 @@ from typing import Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.algebra.aggregates import AggSpec
-from repro.algebra.expressions import Expr
+from repro.algebra.expressions import Col, Expr
 from repro.engine.aggregate import (
     CI_SUFFIX,
     Z_95,
@@ -25,7 +25,7 @@ from repro.engine.aggregate import (
     finalize_partial,
     partial_aggregate,
 )
-from repro.engine.keys import dense_span, pack_keys
+from repro.engine.keys import dense_span, pack_keys, same_dictionary
 from repro.engine.table import WEIGHT_COLUMN, Table
 from repro.errors import PlanError, SchemaError
 
@@ -56,19 +56,33 @@ def execute_select(table: Table, predicate: Expr, drop: Sequence[str] = ()) -> T
 
 
 def execute_project(table: Table, mapping: Dict[str, Expr]) -> Table:
-    out = {name: np.asarray(expr.evaluate(table)) for name, expr in mapping.items()}
+    """A bare column reference moves the stored column (codes and their
+    dictionary, for a coded one); anything computed is evaluated on values."""
+    out, dictionaries = {}, {}
+    for name, expr in mapping.items():
+        if isinstance(expr, Col):
+            out[name] = table.key_column(expr.name)
+            if table.dictionary(expr.name) is not None:
+                dictionaries[name] = table.dictionary(expr.name)
+        else:
+            out[name] = np.asarray(expr.evaluate(table))
     if table.has_weights():
         out[WEIGHT_COLUMN] = table.column(WEIGHT_COLUMN)
-    return Table(table.name, out)
+    return Table(table.name, out, dictionaries)
 
 
 def _join_keys(
-    left_keys: Sequence[np.ndarray], right_keys: Sequence[np.ndarray]
+    left: Table, right: Table, left_keys: Sequence[str], right_keys: Sequence[str]
 ) -> Tuple[np.ndarray, np.ndarray, int]:
-    """Packed keys of both join inputs in one code space ``[0, span)``."""
-    n_left = len(left_keys[0])
+    """Packed keys of both join inputs in one code space ``[0, span)``. A
+    key pair is read as stored when both sides are plain or coded under one
+    dictionary; codes of two dictionaries are never compared: decoded."""
+    n_left = left.num_rows
     combined = []
-    for l_col, r_col in zip(left_keys, right_keys):
+    for l_name, r_name in zip(left_keys, right_keys):
+        shared = same_dictionary(left.dictionary(l_name), right.dictionary(r_name))
+        read = Table.key_column if shared else Table.column
+        l_col, r_col = read(left, l_name), read(right, r_name)
         common = np.result_type(l_col.dtype, r_col.dtype)
         combined.append(
             np.concatenate([l_col.astype(common, copy=False), r_col.astype(common, copy=False)])
@@ -136,9 +150,7 @@ def execute_join(
     """
     if how not in ("inner", "left", "right"):
         raise PlanError(f"unsupported join type {how!r}")
-    left_idx, right_idx = _match_pairs(
-        *_join_keys([left.column(k) for k in left_keys], [right.column(k) for k in right_keys])
-    )
+    left_idx, right_idx = _match_pairs(*_join_keys(left, right, left_keys, right_keys))
     # Outer joins append the outer side's unmatched rows; the inner side's
     # columns are padded with fill values for them.
     left_fill = right_fill = 0
@@ -152,10 +164,18 @@ def execute_join(
         else:
             right_idx, left_fill = np.concatenate([right_idx, missing]), len(missing)
 
+    dictionaries: Dict[str, np.ndarray] = {}
+
     def gather(name: str, fill=None) -> np.ndarray:
-        if left.has_column(name):
-            return _padded(left.column(name)[left_idx], left_fill, fill)
-        return _padded(right.column(name)[right_idx], right_fill, fill)
+        """The named column's matched rows plus fill rows; codes stay
+        codes unless fill rows are due (``""`` may have no code)."""
+        side, idx, fill_rows = (
+            (left, left_idx, left_fill) if left.has_column(name) else (right, right_idx, right_fill)
+        )
+        if fill_rows or side.dictionary(name) is None:
+            return _padded(side.column(name, idx), fill_rows, fill)
+        dictionaries[name] = side.dictionary(name)
+        return side.key_column(name)[idx]
 
     if columns is None:
         columns = left.data_column_names() + right.data_column_names()
@@ -179,7 +199,7 @@ def execute_join(
         lw = _padded(left.weights()[left_idx], left_fill, 1.0) if left.has_weights() else 1.0
         rw = _padded(right.weights()[right_idx], right_fill, 1.0) if right.has_weights() else 1.0
         out[WEIGHT_COLUMN] = np.asarray(lw * rw, dtype=np.float64)
-    return Table(f"{left.name}_join_{right.name}", out)
+    return Table(f"{left.name}_join_{right.name}", out, dictionaries)
 
 
 def execute_aggregate(

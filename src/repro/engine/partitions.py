@@ -91,9 +91,9 @@ class Partitioner:
         if self.strategy == HASH:
             # Local import: repro.samplers.hashing is a leaf module, but its
             # package __init__ imports repro.engine.table, which imports this.
-            from repro.samplers.hashing import hash_columns
+            from repro.samplers.hashing import hash_rows
 
-            hashes = hash_columns([table.column(c) for c in self.columns], self.seed)
+            hashes = hash_rows(table, self.columns, self.seed)
             return (hashes % np.uint64(self.num_partitions)).astype(np.int64)
         if self.strategy == RANGE_CLUSTER:
             values = table.column(self.columns[0]).astype(np.float64)
@@ -138,14 +138,15 @@ class ResidentPartitions:
         self._lock = threading.Lock()
 
     def columns(self, names: Sequence[str]) -> Tuple[Dict[str, List[np.ndarray]], int]:
-        """Per-partition arrays of each named column, and how many of them
-        this call had to materialise (the rest were resident)."""
+        """Per-partition arrays of each named column as stored (codes under
+        the table's dictionary, for a coded one), and how many of them this
+        call had to materialise (the rest were resident)."""
         materialised = 0
         with self._lock:
             for name in names:
                 if name in self._columns:
                     continue
-                source = self.table.column(name)
+                source = self.table.key_column(name)
                 if len(self.indices) == 1:
                     parts = [source]
                 else:

@@ -18,7 +18,9 @@ per-run derivation has been resolved at compile time:
 * each node gets the output columns something above it reads
   (:func:`required_columns`): scans project to them, joins gather only
   them, projects evaluate only them — the logical tree, and with it every
-  fingerprint, address and cardinality, is untouched;
+  fingerprint, address and cardinality, is untouched. Lineage is live the
+  same way: a scan attaches it only when a sampler above reads it or the
+  plan's consumer asked for it;
 * aggregate estimation annotations (``compute_ci`` etc.) are looked up once.
 
 Execution is an iterative loop over the operator list — no recursion, so
@@ -58,8 +60,7 @@ from repro.algebra.logical import (
 )
 from repro.engine import operators
 from repro.engine.aggregate import Estimation
-from repro.engine.governance import table_nbytes as _table_nbytes
-from repro.engine.table import Database, Table, rowid_column_name
+from repro.engine.table import ROWID_PREFIX, Database, Table, rowid_column_name
 from repro.errors import PlanError, TaskCancelled
 
 __all__ = [
@@ -69,6 +70,7 @@ __all__ = [
     "PhysicalPlan",
     "PlanCache",
     "compile_plan",
+    "liveness",
     "required_columns",
 ]
 
@@ -104,6 +106,8 @@ class OperatorMetrics:
     #: Morsel-driven operators only: number of row-range batches executed
     #: (0 = the operator ran once over its whole input).
     morsels: int = 0
+    #: How many columns of the materialised output are dictionary-coded.
+    coded: int = 0
 
     def summary(self) -> dict:
         out = {
@@ -117,6 +121,8 @@ class OperatorMetrics:
             out["sampler"] = dict(self.sampler)
         if self.morsels:
             out["morsels"] = self.morsels
+        if self.coded:
+            out["coded"] = self.coded
         return out
 
 
@@ -137,7 +143,8 @@ class PhysicalOp:
     #: First pipeline index of this operator's subtree. Post-order puts a
     #: subtree at the contiguous range [subtree_start, index].
     subtree_start: int
-    #: Scans only: lineage column to attach (None when lineage is disabled).
+    #: Scans only: lineage column to attach (None when lineage is disabled
+    #: or nothing reads this scan's, see :func:`liveness`).
     lineage_column: Optional[str] = None
     #: Aggregates only: estimation annotations resolved at compile time.
     estimation: Optional[Estimation] = None
@@ -315,7 +322,7 @@ class PhysicalPlan:
                     seconds[i] += time.perf_counter() - started
             pieces.append(table)
             if run.governance is not None:
-                piece_bytes += _table_nbytes(table)
+                piece_bytes += table.estimated_bytes()
 
         run.release(source_slot)
         run.store(chain[-1], Table.concat(pieces, name=pieces[-1].name))
@@ -417,7 +424,7 @@ class _RunState:
         once — a blown budget raises here, not an operator later."""
         self.slots[slot] = table
         if self.governance is not None:
-            produced = _table_nbytes(table)
+            produced = table.estimated_bytes()
             self.slot_bytes[slot] = produced
             self.live_bytes += produced
             self.governance.check(self.live_bytes)
@@ -426,8 +433,14 @@ class _RunState:
         """What ``op`` did: its cardinality always; its ``op.<opcode>`` span
         and :class:`OperatorMetrics` when someone is watching."""
         self.cardinalities[op.address] = rows_out
+        # The materialised output (a fused chain's inner members have none).
+        out = self.slots[op.index] if self.observe else None
+        coded = len(out.dictionaries()) if out is not None else 0
         if self.tracer is not None:
             attrs = {"rows_in": rows_in, "rows_out": rows_out}
+            if out is not None:
+                # Bytes as a governed run is charged them: 4 a row per code.
+                attrs.update(coded=coded, bytes=out.estimated_bytes())
             if morsels:
                 attrs["morsels"] = morsels
             if self.overrides and op.address in self.overrides:
@@ -447,6 +460,7 @@ class _RunState:
                     seconds=seconds,
                     sampler=sampler,
                     morsels=morsels,
+                    coded=coded,
                 )
             )
 
@@ -535,7 +549,15 @@ def _child_requirements(node: LogicalNode, need: set) -> List[set]:
 def required_columns(
     plan: LogicalNode, root_required: Optional[Iterable[str]] = None
 ) -> Dict[NodeAddress, Tuple[str, ...]]:
-    """Per node address, the output columns something above the node reads.
+    """The data-column half of :func:`liveness`."""
+    return liveness(plan, root_required)[0]
+
+
+def liveness(
+    plan: LogicalNode, root_required: Optional[Iterable[str]] = None
+) -> Tuple[Dict[NodeAddress, Tuple[str, ...]], frozenset]:
+    """Per node address, the output columns something above the node reads;
+    and the addresses of the scans whose lineage something reads.
 
     One top-down liveness pass over the logical tree, which it leaves
     untouched: narrowing ``Scan`` nodes instead would change plan keys, and
@@ -545,14 +567,30 @@ def required_columns(
     output order. Two rules are not liveness: an aggregate reads all its
     inputs whatever is read of it (it is computed whole), and a node nobody
     reads a column of still keeps its first, so a table always has a column
-    to hold its row count (``COUNT(*)``). Weight and lineage columns are
-    not listed; they always ride along.
+    to hold its row count (``COUNT(*)``). The weight column is not listed;
+    it always rides along.
+
+    Lineage is not listed either, but is live or dead like data: read (all
+    of it that the reader's input carries) by a sampler whose spec says so,
+    and by the plan's consumer when ``root_required`` names a lineage
+    column; cut where run time cuts it, below a project, an aggregate and
+    a union. A scan attaches its lineage column only when live.
     """
     required: Dict[NodeAddress, Tuple[str, ...]] = {}
+    attaching = set()
     root = set(plan.output_columns() if root_required is None else root_required)
-    stack: List[Tuple[LogicalNode, NodeAddress, set]] = [(plan, (), root)]
+    reserved = {c for c in root if c.startswith(ROWID_PREFIX)}
+    stack: List[Tuple[LogicalNode, NodeAddress, set, bool]] = [
+        (plan, (), root - reserved, bool(reserved))
+    ]
     while stack:
-        node, address, need = stack.pop()
+        node, address, need, lineage = stack.pop()
+        if isinstance(node, SamplerNode):
+            lineage = lineage or getattr(node.spec, "reads_lineage", False)
+        elif isinstance(node, (Project, Aggregate, UnionAll)):
+            lineage = False
+        elif isinstance(node, Scan) and lineage:
+            attaching.add(address)
         outputs = node.output_columns()
         if not need:
             need = {outputs[0]}
@@ -564,8 +602,8 @@ def required_columns(
             )
         if node.children:
             for i, child_need in enumerate(_child_requirements(node, need)):
-                stack.append((node.children[i], address + (i,), child_need))
-    return required
+                stack.append((node.children[i], address + (i,), child_need, lineage))
+    return required, frozenset(attaching)
 
 
 def compile_plan(
@@ -582,7 +620,7 @@ def compile_plan(
     Raises :class:`PlanError` if the plan carries logical (uncosted)
     sampler state or an unknown operator — compile-time, not mid-run.
     """
-    required = required_columns(plan, root_required)
+    required, attaching = liveness(plan, root_required)
     ops: List[PhysicalOp] = []
     address_to_index: Dict[NodeAddress, int] = {}
     scan_ordinals: Dict[NodeAddress, int] = {}
@@ -608,7 +646,7 @@ def compile_plan(
         if opcode == "scan":
             ordinal = len(scan_ordinals)
             scan_ordinals[address] = ordinal
-            if attach_rowids:
+            if attach_rowids and address in attaching:
                 lineage_column = rowid_column_name(ordinal)
         elif opcode == "aggregate":
             estimation = Estimation.of(node)

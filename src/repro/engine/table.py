@@ -19,6 +19,7 @@ from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.engine.keys import encode_dictionary, same_dictionary
 from repro.engine.partitions import HASH, Partitioner, PartitionStore
 from repro.errors import CatalogError, SchemaError
 
@@ -60,15 +61,29 @@ class Table:
     one. Releasing the segment while such a table is alive is safe — the
     mapping survives until the last view dies — but the *name* is gone, so
     the ref must not be re-shared after release.
+
+    A column may be *dictionary-coded*: its array holds int32 codes into a
+    sorted array of the distinct values (``dictionaries[name]``), so codes
+    compare and sort as the values do. :meth:`column` decodes;
+    :meth:`key_column` hands keyed kernels the codes. Tables derived from
+    this one share its dictionaries by reference, and codes are only ever
+    compared under one dictionary (DESIGN §16).
     """
 
-    __slots__ = ("name", "_columns", "num_rows", "_pin")
+    __slots__ = ("name", "_columns", "num_rows", "_pin", "_dicts")
 
-    def __init__(self, name: str, columns: Mapping[str, np.ndarray]):
+    def __init__(
+        self,
+        name: str,
+        columns: Mapping[str, np.ndarray],
+        dictionaries: Optional[Mapping[str, np.ndarray]] = None,
+    ):
         if not columns:
             raise SchemaError(f"table {name!r} must have at least one column")
         self.name = name
         self._pin = None
+        # Entries for absent columns are dropped: movers pass theirs whole.
+        self._dicts = {c: d for c, d in (dictionaries or {}).items() if c in columns}
         self._columns: Dict[str, np.ndarray] = {}
         length: Optional[int] = None
         for col_name, values in columns.items():
@@ -119,11 +134,30 @@ class Table:
     def has_weights(self) -> bool:
         return WEIGHT_COLUMN in self._columns
 
-    def column(self, name: str) -> np.ndarray:
+    def key_column(self, name: str) -> np.ndarray:
+        """An array with the column's equality and order: the stored one,
+        which for a coded column is its codes (comparable with another
+        table's only when both hold the same :meth:`dictionary`)."""
         try:
             return self._columns[name]
         except KeyError:
             raise SchemaError(f"table {self.name!r} has no column {name!r}") from None
+
+    def dictionary(self, name: str) -> Optional[np.ndarray]:
+        """The sorted distinct values a coded column indexes; None if plain."""
+        return self._dicts.get(name)
+
+    def dictionaries(self) -> Mapping[str, np.ndarray]:
+        return self._dicts
+
+    def column(self, name: str, rows: Optional[np.ndarray] = None) -> np.ndarray:
+        """The column's values, of the given rows only when ``rows`` (an
+        index array or mask) is passed. The one place a code is decoded."""
+        values = self.key_column(name)
+        if rows is not None:
+            values = values[rows]
+        dictionary = self._dicts.get(name)
+        return values if dictionary is None else dictionary[values]
 
     def weights(self) -> np.ndarray:
         """Per-row HT weights; all-ones if no sampler has run."""
@@ -135,24 +169,26 @@ class Table:
     def with_columns(self, new_columns: Mapping[str, np.ndarray], name: Optional[str] = None) -> "Table":
         merged = dict(self._columns)
         merged.update(new_columns)
-        return Table(name or self.name, merged)
+        kept = {c: d for c, d in self._dicts.items() if c not in new_columns}
+        return Table(name or self.name, merged, kept)
 
     def rename_columns(self, mapping: Mapping[str, str], name: Optional[str] = None) -> "Table":
         renamed = {mapping.get(col, col): arr for col, arr in self._columns.items()}
-        return Table(name or self.name, renamed)
+        dicts = {mapping.get(col, col): d for col, d in self._dicts.items()}
+        return Table(name or self.name, renamed, dicts)
 
     def project(self, names: Sequence[str], name: Optional[str] = None) -> "Table":
         """Keep only the given columns, preserving weight/lineage columns."""
-        out = {n: self.column(n) for n in names}
+        out = {n: self.key_column(n) for n in names}
         for reserved in self.reserved_column_names():
             out.setdefault(reserved, self._columns[reserved])
-        return Table(name or self.name, out)
+        return Table(name or self.name, out, self._dicts)
 
     def drop_columns(self, names: Sequence[str], name: Optional[str] = None) -> "Table":
         """Remove the given columns (missing names are ignored)."""
         doomed = set(names)
         kept = {c: arr for c, arr in self._columns.items() if c not in doomed}
-        return Table(name or self.name, kept)
+        return Table(name or self.name, kept, self._dicts)
 
     def drop_lineage(self) -> "Table":
         """Remove all reserved lineage columns (no-op if none present)."""
@@ -162,7 +198,8 @@ class Table:
 
     def take(self, selector: np.ndarray, name: Optional[str] = None) -> "Table":
         """Row subset by boolean mask or index array."""
-        return Table(name or self.name, {c: arr[selector] for c, arr in self._columns.items()})
+        taken = {c: arr[selector] for c, arr in self._columns.items()}
+        return Table(name or self.name, taken, self._dicts)
 
     def slice(self, start: int, stop: int, name: Optional[str] = None) -> "Table":
         """Zero-copy contiguous row range ``[start, stop)``.
@@ -173,6 +210,7 @@ class Table:
         out = Table.__new__(Table)
         out.name = name or self.name
         out._pin = self._pin
+        out._dicts = self._dicts
         out._columns = {c: arr[start:stop] for c, arr in self._columns.items()}
         out.num_rows = int(next(iter(out._columns.values())).shape[0])
         return out
@@ -181,7 +219,7 @@ class Table:
         return self.slice(0, min(n, self.num_rows))
 
     def sort_by(self, keys: Sequence[str], descending: bool = False) -> "Table":
-        order = np.lexsort([self.column(k) for k in reversed(keys)])
+        order = np.lexsort([self.key_column(k) for k in reversed(keys)])
         if descending:
             order = order[::-1]
         return self.take(order)
@@ -220,7 +258,10 @@ class Table:
 
     @staticmethod
     def concat(tables: Sequence["Table"], name: Optional[str] = None) -> "Table":
-        """Vertical concatenation of tables with identical schemas."""
+        """Vertical concatenation of tables with identical schemas. A
+        column stays coded when every input codes it under one dictionary
+        (the same object, or equal content: a process-pool result brings
+        back a copy); under different ones it is decoded."""
         if not tables:
             raise SchemaError("cannot concatenate zero tables")
         first = tables[0]
@@ -228,8 +269,16 @@ class Table:
         for other in tables[1:]:
             if set(other.column_names) != set(schema):
                 raise SchemaError(f"schema mismatch in concat: {schema} vs {other.column_names}")
-        columns = {c: np.concatenate([t.column(c) for t in tables]) for c in schema}
-        return Table(name or first.name, columns)
+        shared = {
+            c: d
+            for c, d in first._dicts.items()
+            if all(same_dictionary(d, t._dicts.get(c)) for t in tables[1:])
+        }
+        columns = {
+            c: np.concatenate([t.key_column(c) if c in shared else t.column(c) for t in tables])
+            for c in schema
+        }
+        return Table(name or first.name, columns, shared)
 
     # -- shared-memory transport ---------------------------------------------
     def to_ref(self, segment_name: Optional[str] = None, keep_open: bool = True):
@@ -248,21 +297,22 @@ class Table:
 
         name = segment_name or arena.new_segment_name("tbl")
         return arena.create_table_segment(
-            name, self.name, self._columns, self.num_rows, keep_open=keep_open
+            name, self.name, self._columns, self.num_rows, keep_open, self._dicts
         )
 
     @classmethod
     def from_ref(cls, ref, name: Optional[str] = None) -> "Table":
         """Rebuild a table from a :class:`repro.memory.TableRef`.
 
-        Numeric columns are zero-copy read-only views into the segment;
-        the views pin the mapping for the table's lifetime (see the class
-        docstring). The segment itself stays live until someone calls
-        :func:`repro.memory.release` on the ref.
+        Numeric columns (a coded column's codes among them) are zero-copy
+        read-only views into the segment; the views pin the mapping for the
+        table's lifetime (see the class docstring). The segment itself
+        stays live until someone calls :func:`repro.memory.release` on the
+        ref. Dictionaries arrive in the ref itself.
         """
         from repro.memory import arena
 
-        table = cls(name or ref.table_name, arena.map_ref(ref))
+        table = cls(name or ref.table_name, arena.map_ref(ref), ref.dictionaries)
         table._pin = ref
         return table
 
@@ -283,23 +333,47 @@ class Table:
 
     def iter_rows(self) -> Iterable[tuple]:
         """Yield rows as tuples in column order (streaming-sampler input)."""
-        arrays = list(self._columns.values())
+        arrays = list(self.to_dict().values())
         for i in range(self.num_rows):
             yield tuple(arr[i] for arr in arrays)
 
     def to_dict(self) -> Dict[str, np.ndarray]:
-        return dict(self._columns)
+        return {c: self.column(c) for c in self._columns}
+
+    def encoded(self) -> "Table":
+        """This table with every string column (dtype kind ``U``/``S``, or
+        objects that are all ``str``) dictionary-coded; itself when there
+        is nothing left to code."""
+        fresh = {
+            c: encode_dictionary(arr)
+            for c, arr in self._columns.items()
+            if c not in self._dicts
+            and (arr.dtype.kind in "US" or (arr.dtype == object and all(map(_is_str, arr))))
+        }
+        if not fresh:
+            return self
+        out = self.with_columns({c: codes for c, (codes, _) in fresh.items()})
+        out._dicts = {**self._dicts, **{c: d for c, (_, d) in fresh.items()}}
+        out._pin = self._pin
+        return out
 
     def estimated_bytes(self) -> int:
-        """Approximate in-memory footprint, used as the 'data size' metric."""
+        """Approximate in-memory footprint of the rows as stored (a coded
+        column counts its 4-byte codes), used as the 'data size' metric."""
         return int(sum(arr.nbytes for arr in self._columns.values()))
 
     def __repr__(self):
         return f"Table({self.name!r}, rows={self.num_rows}, cols={list(self._columns)})"
 
 
+def _is_str(value) -> bool:
+    return isinstance(value, str)
+
+
 class Database:
-    """Catalog of named base tables."""
+    """Catalog of named base tables. What :meth:`register` stores is the
+    table's :meth:`~Table.encoded` form: string columns are coded once per
+    table version, and every query reads the same dictionaries."""
 
     def __init__(self):
         self._tables: Dict[str, Table] = {}
@@ -312,7 +386,7 @@ class Database:
         self.partitions = PartitionStore()
 
     def register(self, table: Table) -> None:
-        self._tables[table.name] = table
+        self._tables[table.name] = table.encoded()
         self.partitions.drop(table.name)
 
     def table(self, name: str) -> Table:

@@ -38,7 +38,7 @@ import os
 import pickle
 import secrets
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from multiprocessing import shared_memory
 from typing import Dict, List, Mapping, Optional, Tuple
 
@@ -85,6 +85,10 @@ class TableRef:
     columns: Tuple[ColumnLayout, ...]
     #: Total segment size in bytes (the data that did NOT cross the pipe).
     nbytes: int
+    #: Dictionary of each dictionary-coded column (the segment holds its
+    #: int32 codes as a raw column): O(distinct values), it rides with the
+    #: descriptor. Arrays neither hash nor compare, so not part of equality.
+    dictionaries: Mapping[str, np.ndarray] = field(default_factory=dict, compare=False)
 
     @property
     def column_names(self) -> Tuple[str, ...]:
@@ -250,8 +254,10 @@ def create_table_segment(
     columns: Mapping[str, np.ndarray],
     num_rows: int,
     keep_open: bool = True,
+    dictionaries: Optional[Mapping[str, np.ndarray]] = None,
 ) -> TableRef:
     """Write a table's columns into a fresh segment; returns its ref.
+    ``dictionaries`` (coded column -> dictionary) go into the ref as given.
 
     ``keep_open=False`` detaches immediately after writing (the worker-side
     result path: the writer never reads the data back, so holding the
@@ -286,6 +292,7 @@ def create_table_segment(
         num_rows=int(num_rows),
         columns=layouts,
         nbytes=total,
+        dictionaries=dict(dictionaries or {}),
     )
     if not keep_open:
         _MANAGER.release(name, unlink=False)

@@ -200,6 +200,8 @@ def render_explain(planner, result, execution) -> str:
         seconds = f"{metric.seconds * 1e3:.2f}ms" if metric is not None else "-"
         label = "  " * len(address) + repr(node)
         cols = f"{len(required[address])}/{len(node.output_columns())}"
+        if metric is not None and metric.coded:
+            cols += f" ({metric.coded} coded)"
         rows.append((format_address(address), label, cols, _fmt_rows(est), actual, seconds))
 
         if isinstance(node, SamplerNode):

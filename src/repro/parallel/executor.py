@@ -84,7 +84,7 @@ from repro.engine.costmodel import cost_plan, prune_cost_credit
 from repro.engine.executor import ExecutionResult, PartialResult, PlanRun, PlanRunner
 from repro.engine.metrics import ClusterConfig, ParallelMetrics, modeled_speedup
 from repro.engine.partitions import HASH, Partitioner
-from repro.engine.physical import PhysicalPlan, plan_fingerprint, required_columns
+from repro.engine.physical import PhysicalPlan, liveness, plan_fingerprint
 from repro.engine.table import WEIGHT_COLUMN, Database, Table, rowid_column_name
 from repro.errors import (
     BudgetExceeded,
@@ -212,6 +212,9 @@ class _QueryContext:
     #: (:func:`~repro.engine.physical.required_columns`): what the scans
     #: ship and what a payload carries.
     required: Dict[NodeAddress, tuple] = field(default_factory=dict)
+    #: What a worker's plan is compiled for: the data columns read of the
+    #: split and, when rows are merged, the lineage that reaches it.
+    payload_columns: tuple = ()
     # -- prune/select
     prune: Any = None  # Optional[ScanPrunePlan]
     #: Partition ordinals that become tasks, in task order.
@@ -361,9 +364,14 @@ class ParallelExecutor:
             return analysis.reason
         ctx.analysis = analysis
         ctx.strategy = analysis.strategy
-        ctx.required = required_columns(ctx.plan)
+        ctx.required, _ = liveness(ctx.plan)
         # Nothing to two-phase without an aggregate; ship rows instead.
         ctx.merge_mode = self.options.merge if analysis.aggregate is not None else "rows"
+        ctx.payload_columns = ctx.required[analysis.split_address]
+        if not ctx.two_phase:
+            ctx.payload_columns += tuple(
+                sorted(_surviving_lineage(analysis.split, analysis.split_scan_ordinals))
+            )
         return None
 
     def _select_partitions(self, ctx: _QueryContext) -> None:
@@ -426,10 +434,12 @@ class ParallelExecutor:
         whole) in the database's partition store; a task's input is the
         resident arrays of the columns the plan reads plus the partition's
         row indices as the occurrence's lineage, so workers see absolute
-        base-row positions.
+        base-row positions, when something reads that lineage: the row
+        merge, or a sampler in the worker's plan.
         """
         analysis, prune, degree = ctx.analysis, ctx.prune, self.parallelism
         store = self.database.partitions
+        _, attaching = liveness(analysis.split, ctx.payload_columns)
         partitions: Dict[str, List[Table]] = {}
         for entry in analysis.scans:
             base = self.database.table(entry.table)
@@ -458,13 +468,12 @@ class ParallelExecutor:
             arrays, materialised = resident.columns(columns)
             ctx.placed_columns += len(columns)
             ctx.materialised_columns += materialised
-            parts = [
-                Table(
-                    wname,
-                    {**{c: arrays[c][pid] for c in columns}, lineage: resident.indices[pid]},
-                )
-                for pid in ((0,) if broadcast else ctx.keep)
-            ]
+            parts = []
+            for pid in (0,) if broadcast else ctx.keep:
+                placed = {c: arrays[c][pid] for c in columns}
+                if entry.address[len(analysis.split_address):] in attaching:
+                    placed[lineage] = resident.indices[pid]
+                parts.append(Table(wname, placed, base.dictionaries()))
             partitions[wname] = parts * len(ctx.keep) if broadcast else parts
         ctx.resident_bytes = store.nbytes()
 
@@ -489,9 +498,7 @@ class ParallelExecutor:
                 analysis.aligned_sampler_addresses,
             )
             ctx.worker_plans.append(
-                self.engine.compile(
-                    worker_plan, exact=True, required=ctx.required[analysis.split_address]
-                )[0]
+                self.engine.compile(worker_plan, exact=True, required=ctx.payload_columns)[0]
             )
         ctx.compile_seconds += perf_counter() - t0
         ctx.runtime = TaskRuntime(
@@ -514,10 +521,7 @@ class ParallelExecutor:
         # result that silently dropped one has to be rejected by validation
         # (and retried), not crash the merge with a cross-partition schema
         # mismatch.
-        analysis = ctx.analysis
-        expected_columns = frozenset(ctx.required[analysis.split_address]) | _surviving_lineage(
-            analysis.split, analysis.split_scan_ordinals
-        )
+        expected_columns = frozenset(ctx.payload_columns)
 
         def run_partition(task: TaskSpec):
             t0 = perf_counter()

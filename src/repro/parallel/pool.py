@@ -184,7 +184,13 @@ class WorkerPool:
             threads.shutdown(wait=False)
 
     def __del__(self):
+        # Nothing refers to the pool, so its threads are idle (a run that
+        # left one busy retired them): wait the moment they take to exit,
+        # so a dropped executor leaves no thread behind to be counted.
+        threads = self._threads
         self.retire()
+        if threads is not None:
+            threads.shutdown(wait=True)
 
     def resolve_mode(self) -> str:
         if self.mode != "auto":

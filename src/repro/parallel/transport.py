@@ -101,8 +101,6 @@ def ship_partitions(
     cleaning up segments already written) if any column cannot be encoded;
     callers then fall back to the pickle transport wholesale.
     """
-    from repro.memory import arena
-
     refs: Dict[str, List[TableRef]] = {}
     names: List[str] = []
     seen: Dict[int, TableRef] = {}  # id(table) -> ref, aliases broadcasts
@@ -117,7 +115,7 @@ def ship_partitions(
                     shipped.append(cached)
                     continue
                 name = _input_segment_name(token, pid, ordinal)
-                ref = arena.create_table_segment(name, part.name, part.to_dict(), part.num_rows)
+                ref = part.to_ref(segment_name=name)
                 names.append(name)
                 seen[id(part)] = ref
                 shipped.append(ref)

@@ -36,6 +36,10 @@ class SamplerSpec:
     #: Short name used in plan summaries and Table 7 style frequency counts.
     kind: str = "abstract"
 
+    #: Whether ``apply`` reads its input's lineage columns: the
+    #: required-columns pass keeps lineage alive below a sampler that does.
+    reads_lineage: bool = False
+
     def apply(self, table: Table) -> Table:
         """Return the sampled table with an updated weight column."""
         raise NotImplementedError

@@ -51,7 +51,7 @@ def stratum_codes(table: Table, columns: Sequence[Union[str, Expr]]) -> np.ndarr
         if isinstance(spec, Expr):
             arrays.append(np.asarray(spec.evaluate(table)))
         else:
-            arrays.append(table.column(spec))
+            arrays.append(table.key_column(spec))
     return group_codes(arrays)[0]
 
 

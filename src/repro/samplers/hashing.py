@@ -8,19 +8,22 @@ full-avalanche 64-bit mixer — keyed by a seed so that *related samplers pick
 the same subspace* (same columns + same seed => same subspace) while
 unrelated samplers are independent.
 
-Everything is vectorized over NumPy arrays. String columns are supported by
-first interning each distinct string through a stable FNV-1a hash (the
-number of distinct strings is small compared to row count in all our
-workloads).
+Everything is vectorized over NumPy arrays. String columns are hashed
+through their dictionary: each distinct string once, by a stable FNV-1a
+hash, gathered by code (the number of distinct strings is small compared to
+row count in all our workloads). A dictionary-coded table column brings its
+dictionary (:func:`hash_rows`); a plain string array gets one built.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
-__all__ = ["mix64", "hash_columns", "universe_fraction"]
+from repro.engine.keys import encode_dictionary
+
+__all__ = ["mix64", "hash_columns", "hash_rows", "universe_fraction"]
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -51,16 +54,28 @@ def _fnv1a(text: str) -> int:
     return h
 
 
-def _to_uint64(column: np.ndarray) -> np.ndarray:
-    """Losslessly map a column to uint64 codes suitable for mixing."""
-    if column.dtype.kind in ("i", "u", "b"):
-        return column.astype(np.uint64)
-    if column.dtype.kind == "f":
-        return column.view(np.uint64) if column.dtype == np.float64 else column.astype(np.float64).view(np.uint64)
-    # Strings / objects: intern distinct values through FNV-1a.
-    uniques, inverse = np.unique(column, return_inverse=True)
-    codes = np.fromiter((_fnv1a(str(u)) for u in uniques), dtype=np.uint64, count=len(uniques))
-    return codes[inverse]
+def _to_uint64(column: np.ndarray, dictionary: Optional[np.ndarray] = None) -> np.ndarray:
+    """Losslessly map a column to uint64 codes suitable for mixing;
+    ``dictionary`` is given when ``column`` holds codes into it."""
+    if dictionary is None:
+        if column.dtype.kind in ("i", "u", "b"):
+            return column.astype(np.uint64)
+        if column.dtype.kind == "f":
+            return column.astype(np.float64, copy=False).view(np.uint64)
+        column, dictionary = encode_dictionary(column)
+    # Strings / objects: each distinct value through FNV-1a, once.
+    hashes = np.fromiter(
+        (_fnv1a(str(u)) for u in dictionary), dtype=np.uint64, count=len(dictionary)
+    )
+    return hashes[column]
+
+
+def _combine(codes: Sequence[np.ndarray], seed: int) -> np.ndarray:
+    acc = mix64(codes[0], seed)
+    for index, column in enumerate(codes[1:], start=1):
+        with np.errstate(over="ignore"):
+            acc = mix64(acc + mix64(column, seed + index), seed)
+    return acc
 
 
 def hash_columns(columns: Sequence[np.ndarray], seed: int = 0) -> np.ndarray:
@@ -72,11 +87,13 @@ def hash_columns(columns: Sequence[np.ndarray], seed: int = 0) -> np.ndarray:
     """
     if not columns:
         raise ValueError("hash_columns requires at least one column")
-    acc = mix64(_to_uint64(np.asarray(columns[0])), seed)
-    for index, column in enumerate(columns[1:], start=1):
-        with np.errstate(over="ignore"):
-            acc = mix64(acc + mix64(_to_uint64(np.asarray(column)), seed + index), seed)
-    return acc
+    return _combine([_to_uint64(np.asarray(column)) for column in columns], seed)
+
+
+def hash_rows(table, names: Sequence[str], seed: int = 0) -> np.ndarray:
+    """:func:`hash_columns` of the named columns of a table: the same hash
+    per row, a coded column's through the dictionary it already has."""
+    return _combine([_to_uint64(table.key_column(n), table.dictionary(n)) for n in names], seed)
 
 
 def universe_fraction(columns: Sequence[np.ndarray], seed: int = 0) -> np.ndarray:

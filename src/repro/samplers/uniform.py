@@ -36,6 +36,7 @@ class UniformSpec(SamplerSpec):
 
     cost_per_row = 0.05
     kind = "uniform"
+    reads_lineage = True
 
     def __init__(self, p: float, seed: int = 0):
         self.p = self.validate_probability(p)

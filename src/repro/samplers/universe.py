@@ -21,7 +21,7 @@ import numpy as np
 from repro.engine.table import Table
 from repro.errors import SamplerError
 from repro.samplers.base import SamplerSpec, attach_weights
-from repro.samplers.hashing import universe_fraction
+from repro.samplers.hashing import hash_rows
 
 __all__ = ["UniverseSpec"]
 
@@ -48,7 +48,7 @@ class UniverseSpec(SamplerSpec):
         self.emit_weight = bool(emit_weight)
 
     def apply(self, table: Table) -> Table:
-        points = universe_fraction([table.column(c) for c in self.columns], self.seed)
+        points = hash_rows(table, self.columns, self.seed).astype(np.float64) / float(2**64)
         mask = points < self.p
         fill = 1.0 / self.p if self.emit_weight else 1.0
         weights = np.full(table.num_rows, fill)

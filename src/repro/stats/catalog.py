@@ -541,7 +541,7 @@ class PartitionCatalog:
         columns: Dict[str, ColumnSummary] = {}
         nbytes = 0
         for name in table.data_column_names():
-            values = table.column(name)[idx]
+            values = table.column(name, idx)
             nbytes += int(values.nbytes)
             columns[name] = ColumnSummary.from_array(values)
         return PartitionSummary(

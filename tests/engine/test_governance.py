@@ -22,7 +22,7 @@ from repro.algebra.builder import from_node, scan
 from repro.algebra.expressions import col
 from repro.algebra.logical import SamplerNode
 from repro.engine.executor import Executor
-from repro.engine.governance import CancellationToken, GovernanceContext, table_nbytes
+from repro.engine.governance import CancellationToken, GovernanceContext
 from repro.engine.table import Table
 from repro.errors import (
     BudgetExceeded,
@@ -109,7 +109,10 @@ class TestTableNbytes:
     def test_counts_column_buffers(self):
         table = Table("t", {"a": np.arange(10, dtype=np.int64),
                             "b": np.ones(10, dtype=np.float64)})
-        assert table_nbytes(table) == 10 * 8 * 2
+        assert table.estimated_bytes() == 10 * 8 * 2
+        # What a governed run is charged: a coded column counts its codes.
+        coded = table.with_columns({"s": np.asarray(["x", "y"] * 5)}).encoded()
+        assert coded.estimated_bytes() == 10 * 8 * 2 + 10 * 4
 
 
 class TestGovernedSerialExecution:

@@ -47,14 +47,21 @@ class TestCompile:
             assert covered == expected
 
     def test_scan_lineage_resolved_at_compile_time(self, sales_db):
-        physical = compile_plan(star(sales_db))
-        scans = [op for op in physical.ops if op.opcode == "scan"]
-        assert sorted(op.lineage_column for op in scans) == [
-            rowid_column_name(0),
-            rowid_column_name(1),
-        ]
-        off = compile_plan(star(sales_db), attach_rowids=False)
-        assert all(op.lineage_column is None for op in off.ops if op.opcode == "scan")
+        def lineage(plan, **how):
+            ops = compile_plan(plan, **how).ops
+            return sorted(str(op.lineage_column) for op in ops if op.opcode == "scan")
+
+        both = [rowid_column_name(0), rowid_column_name(1)]
+        # Nothing reads lineage through an aggregate: no scan attaches it.
+        assert lineage(star(sales_db)) == ["None", "None"]
+        # A consumer that names it (the parallel row merge), or a sampler
+        # that reads it, keeps it alive in every scan below.
+        join = star(sales_db).child
+        assert lineage(join) == ["None", "None"]
+        assert lineage(join, root_required=("s_amount", rowid_column_name(0))) == both
+        sampled = from_node(SamplerNode(join, UniformSpec(0.5))).agg(count("n")).node
+        assert lineage(sampled) == both
+        assert lineage(sampled, attach_rowids=False) == ["None", "None"]
 
     def test_logical_sampler_spec_rejected(self, sales_db):
         class LogicalOnlySpec:
@@ -130,9 +137,9 @@ class TestSelfJoinLineage:
     per-run ``scan_indices`` walk bail out and silently disable lineage.
     Compilation assigns each occurrence its own ordinal instead."""
 
-    def _plan(self, shared):
+    def _plan(self, shared, sampler=None):
         left = (
-            from_node(shared)
+            from_node(shared if sampler is None else SamplerNode(shared, sampler))
             .rename(l_item="s_item", l_cust="s_cust", l_amount="s_amount")
             .node
         )
@@ -141,7 +148,12 @@ class TestSelfJoinLineage:
 
     def test_duplicate_scan_gets_two_lineage_columns(self, sales_db):
         shared = Scan("sales", ("s_item", "s_cust", "s_amount"))
-        physical = compile_plan(self._plan(shared))
+        # Lineage read on both sides: by a sampler under the left's rename
+        # (which cuts it), by the plan's consumer on the right.
+        physical = compile_plan(
+            self._plan(shared, UniformSpec(0.5, seed=3)).child,
+            root_required=("l_item", rowid_column_name(1)),
+        )
         scans = [op for op in physical.ops if op.opcode == "scan"]
         assert len(scans) == 2
         assert scans[0].node is scans[1].node  # same object, both occurrences
@@ -155,13 +167,7 @@ class TestSelfJoinLineage:
         result = Executor(sales_db).execute(self._plan(shared))
         assert result.table.num_rows > 0
         # Sampled self-joins keep per-side lineage identity too.
-        sampled_left = (
-            from_node(SamplerNode(shared, UniformSpec(0.5, seed=3)))
-            .rename(l_item="s_item", l_cust="s_cust", l_amount="s_amount")
-            .node
-        )
-        join = Join(sampled_left, shared, ("l_cust",), ("s_cust",))
-        plan = from_node(join).groupby("l_item").agg(count("n")).build("self2").plan
+        plan = self._plan(shared, UniformSpec(0.5, seed=3))
         assert Executor(sales_db).execute(plan).table.num_rows > 0
 
 

@@ -126,6 +126,27 @@ def test_table_statistics_are_built_per_column_on_demand():
     assert len(uniques) <= 1, f"np.unique( in the table-statistics half at lines {uniques}"
 
 
+def test_one_dictionary_builder_and_one_densifier():
+    """A string column is sorted once, when it is registered: keyed kernels
+    work on its codes. ``np.unique(..., return_inverse=True)`` — a full sort
+    of whatever it is handed — is called by the dictionary builder and by the
+    key encoder's densifier and nowhere else in the execution path; string
+    hashing goes through the builder."""
+    sites = []
+    for package in ("engine", "samplers", "parallel"):
+        for path in sorted((SRC / package).glob("*.py")):
+            for name, node, _ in _functions(ast.parse(path.read_text(encoding="utf-8"))):
+                if any(
+                    keyword.arg == "return_inverse"
+                    for call in _calls(node, "unique")
+                    for keyword in call.keywords
+                ):
+                    sites.append(f"{package}/{path.name}::{name}")
+    assert sites == ["engine/keys.py::encode_dictionary", "engine/keys.py::_dense_codes"], sites
+    hashing = {name: node for name, node, _ in _functions(_parse("samplers/hashing.py"))}
+    assert _calls(hashing["_to_uint64"], "encode_dictionary")
+
+
 def test_rewrite_recursion_is_not_through_closures():
     """A nested function that calls itself is a function<->cell cycle per
     call of its parent: garbage only the cycle collector frees."""
