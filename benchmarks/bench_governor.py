@@ -3,7 +3,10 @@
 Three acceptance bars for the in-flight query governor, end to end:
 
 * **Bounded tail under overload** — drive far more work at the service
-  than its workers can finish inside the per-query deadline. Governed,
+  than its workers can finish inside the per-query deadline. The load is
+  calibrated, not fixed: the heavy query's union width is sized from a
+  single-session timing so that it alone runs ``HEAVY_FACTOR`` times the
+  governed bound, however fast the engine has become. Governed,
   every request resolves (served / degraded / rejected / cancelled —
   nothing unclassified, nothing hung) and the p99 round trip stays within
   the deadline plus one checkpoint's slack. Ungoverned, the same load
@@ -68,12 +71,14 @@ WORKERS = 1
 #: admission EWMA is cold for every request and pre-flight feasibility
 #: checks cannot reject on an estimate.
 QUERY_MIX = tuple(QUERY_BUILDERS)
-#: Union-amplified join tree: ~2 s of real engine work at the default
-#: scale. Submitted first with a head start so it is *dispatched* before
-#: its deadline expires — the case PR-5's queue-expiry drop cannot catch
-#: and only a mid-flight checkpoint can. Ungoverned, the worker grinds it
-#: to completion long past the deadline while everything queues behind.
-HEAVY_REPS = 24
+#: The heavy query's solo runtime, in multiples of the governed bound
+#: (deadline + slack), that its union width is calibrated to reach.
+HEAVY_FACTOR = 3.0
+#: The heavy query runs exact: its plan is cheap whatever the width, so
+#: the width buys engine work that a checkpoint can cut. (A Quickr plan of
+#: a wide union spends most of its time in the planner, where no deadline
+#: reaches, and would bound the governed tail from below.)
+HEAVY_MODE = "exact"
 REQUESTS = len(QUERY_MIX) + 1
 
 _DB = None
@@ -86,23 +91,76 @@ def database():
     return _DB
 
 
-def heavy_builder(db):
-    def one_branch():
+def heavy_builder(reps):
+    """A union of ``reps`` item self-joins of ``store_sales``, each
+    aggregated per store before the union: the engine work grows with the
+    width while the union's input, and so memory, stays a few rows per
+    branch. Submitted first with a head start so it is *dispatched* before
+    its deadline expires — the case the queue-expiry drop cannot catch and
+    only a mid-flight checkpoint can. Ungoverned, the worker grinds it to
+    completion long past the deadline while everything queues behind."""
+
+    def build(db):
+        def one_branch():
+            same_item = (
+                scan(db, "store_sales")
+                .select("ss_item_sk", "ss_quantity")
+                .rename(other_item="ss_item_sk", other_quantity="ss_quantity")
+            )
+            return (
+                scan(db, "store_sales")
+                .join(same_item, on=[("ss_item_sk", "other_item")])
+                .groupby("ss_store_sk")
+                .agg(sum_(col("ss_ext_sales_price"), "total"), count("n"))
+            )
+
+        branches = [one_branch() for _ in range(reps - 1)]
         return (
-            scan(db, "store_sales")
-            .join(scan(db, "item"), on=[("ss_item_sk", "i_item_sk")])
-            .join(scan(db, "date_dim"), on=[("ss_sold_date_sk", "d_date_sk")])
+            one_branch()
+            .union_all(*branches)
+            .groupby("ss_store_sk")
+            .agg(sum_(col("total"), "total"), sum_(col("n"), "n"))
+            .orderby("ss_store_sk")
+            .build("heavy")
         )
 
-    branches = [one_branch() for _ in range(HEAVY_REPS - 1)]
-    return (
-        one_branch()
-        .union_all(*branches)
-        .groupby("i_category", "d_year", "d_moy", "ss_store_sk")
-        .agg(sum_(col("ss_ext_sales_price"), "total"), count("n"))
-        .orderby("i_category")
-        .build("heavy")
-    )
+    return build
+
+
+def solo_seconds(db, builders, names, mode):
+    """Wall seconds of ``names`` run back to back in one session of a
+    fresh ungoverned service: the single-session cost of that load."""
+    service = governed_service(db, enabled=False, builders=builders).start()
+    try:
+        session = service.open_session(tenant="calibration")
+        t0 = time.perf_counter()
+        for name in names:
+            service.execute(session, name, mode=mode, timeout=300.0)
+        return time.perf_counter() - t0
+    finally:
+        service.close()
+
+
+def calibrate(db):
+    """``(builders, report)``: the heavy query at the narrowest union width
+    measured to run at least HEAVY_FACTOR x (deadline + slack) alone, and
+    the single-session timings that chose it."""
+    target = HEAVY_FACTOR * (DEADLINE_MS / 1000.0 + SLACK_SECONDS)
+    reps = 2
+    while True:
+        builders = {**QUERY_BUILDERS, "heavy": heavy_builder(reps)}
+        heavy_s = solo_seconds(db, builders, ["heavy"], HEAVY_MODE)
+        if heavy_s >= target:
+            break
+        # Branches cost about the same; overshoot a little, grow at most 8x.
+        reps = max(reps + 1, int(reps * min(8.0, 1.2 * target / max(heavy_s, 1e-3))))
+    mix_s = solo_seconds(db, builders, QUERY_MIX, "quickr")
+    return builders, {
+        "heavy_reps": reps,
+        "heavy_solo_seconds": round(heavy_s, 4),
+        "mix_solo_seconds": round(mix_s, 4),
+        "target_seconds": target,
+    }
 
 
 def governed_service(db, enabled=True, builders=None, **governor_kwargs):
@@ -122,12 +180,12 @@ def drive_overload(service):
     followers = len(QUERY_MIX)
     barrier = threading.Barrier(followers)
 
-    def run_one(index, name):
+    def run_one(index, name, mode="quickr"):
         session = service.open_session(tenant=f"tenant{index % 4}")
         t0 = time.perf_counter()
         try:
             payload = service.execute(
-                session, name, mode="quickr", deadline_ms=DEADLINE_MS, timeout=120.0
+                session, name, mode=mode, deadline_ms=DEADLINE_MS, timeout=120.0
             )
             # Tag degraded replies with the rung that served them, so the
             # report distinguishes "degraded by sampler coarsening"
@@ -151,7 +209,7 @@ def drive_overload(service):
         barrier.wait()
         run_one(index, QUERY_MIX[index % len(QUERY_MIX)])
 
-    heavy = threading.Thread(target=run_one, args=(0, "heavy"))
+    heavy = threading.Thread(target=run_one, args=(0, "heavy", HEAVY_MODE))
     heavy.start()
     time.sleep(0.15)  # let the heavy query reach the worker first
     threads = [threading.Thread(target=follower, args=(i,)) for i in range(followers)]
@@ -181,7 +239,7 @@ def assert_clean_exit(service, before_threads):
 def test_governed_overload_bounds_p99_vs_ungoverned_baseline():
     db = database()
     runs = {}
-    builders = {**QUERY_BUILDERS, "heavy": heavy_builder}
+    builders, calibration = calibrate(db)
     for label, enabled in (("governed", True), ("ungoverned", False)):
         before = set(threading.enumerate())
         service = governed_service(db, enabled=enabled, builders=builders).start()
@@ -207,10 +265,10 @@ def test_governed_overload_bounds_p99_vs_ungoverned_baseline():
     bound = DEADLINE_MS / 1000.0 + SLACK_SECONDS
     governed, ungoverned = runs["governed"], runs["ungoverned"]
     # The governor's bar: the whole tail resolves near the deadline.
-    assert governed["p99_seconds"] <= bound, runs
+    assert governed["p99_seconds"] <= bound, (runs, calibration)
     # The contrast that motivates it: the ungoverned baseline, identical
     # load, blows through (queueing alone exceeds the deadline).
-    assert ungoverned["p99_seconds"] > bound, runs
+    assert ungoverned["p99_seconds"] > bound, (runs, calibration)
     assert governed["p99_seconds"] < ungoverned["p99_seconds"]
     # The governed run actually exercised the machinery, not a fluke of
     # fast queries: deadlines fired and/or the ladder degraded replies.
@@ -225,7 +283,7 @@ def test_governed_overload_bounds_p99_vs_ungoverned_baseline():
         json.dump(
             bench_envelope(
                 "governor",
-                {"runs": runs},
+                {"runs": runs, "calibration": calibration},
                 scale=SCALE,
                 seed=SEED,
                 deadline_ms=DEADLINE_MS,

@@ -794,16 +794,15 @@ def _cmd_stats_catalog(args) -> int:
         rows = []
         for name in tables:
             layout = catalog.layout(name, args.partitions)
-            rollup = catalog.table_rollup(name, args.partitions)
             summaries = catalog.summaries(name, args.partitions)
             rows.append(
                 {
                     "table": name,
-                    "layout": layout.kind,
-                    "cluster_col": layout.cluster_column or "-",
+                    "layout": layout.strategy,
+                    "cluster_col": next(iter(layout.columns), "-"),
                     "partitions": len(summaries),
-                    "rows": rollup.rows,
-                    "MiB": round(rollup.bytes / (1024 * 1024), 2),
+                    "rows": sum(s.rows for s in summaries),
+                    "MiB": round(sum(s.bytes for s in summaries) / (1024 * 1024), 2),
                 }
             )
         print(format_table(rows, title=f"partition catalog (P={args.partitions})"))
@@ -814,7 +813,7 @@ def _cmd_stats_catalog(args) -> int:
         for name in tables:
             summaries = catalog.summaries(name, args.partitions)
             layout = catalog.layout(name, args.partitions)
-            cluster = layout.cluster_column
+            cluster = next(iter(layout.columns), None)
             rows = []
             for summary in summaries:
                 row = {
@@ -826,9 +825,9 @@ def _cmd_stats_catalog(args) -> int:
                     col = summary.columns[cluster]
                     row[f"{cluster} min"] = col.min_value
                     row[f"{cluster} max"] = col.max_value
-                    row["distinct~"] = col.distinct
+                    row["distinct"] = col.distinct
                 rows.append(row)
-            print(format_table(rows, title=f"{name} ({layout.kind})"))
+            print(format_table(rows, title=f"{name} ({layout.strategy})"))
         return 0
 
     # validate: force summaries to exist, then cross-check against live data.

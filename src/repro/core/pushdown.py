@@ -20,8 +20,8 @@ that operator, with the state adjusted so accuracy is provably no worse
 * ``push_past_union`` — the sampler clones into every branch.
 
 The second half of the module is **prune-predicate extraction**: turning a
-query predicate into per-partition feasibility checks against the summary
-statistics of the partition catalog (:mod:`repro.stats.catalog`). The
+query predicate into per-partition feasibility checks against the exact
+column summaries of the partition catalog (:mod:`repro.stats.catalog`). The
 contract is tri-state collapsed to a sound boolean:
 :func:`partition_feasible` returns ``False`` only when *no row of the
 partition can possibly satisfy the predicate* — every shape the analysis
@@ -363,9 +363,9 @@ def prune_conjuncts(predicate: Expr) -> List[Expr]:
 def partition_feasible(predicate: Expr, columns: Mapping[str, object]) -> bool:
     """Can any row of a partition satisfy ``predicate``?
 
-    ``columns`` maps column names to
-    :class:`~repro.stats.catalog.ColumnSummary`-shaped objects (``min_value``
-    / ``max_value`` / ``null_count`` / ``values``). Returns ``False`` only on
+    ``columns`` maps column names to the partition's
+    :class:`~repro.stats.catalog.ColumnSummary` (only ``min_value`` /
+    ``max_value`` / ``null_count`` / ``values`` are read). Returns ``False`` only on
     proof of infeasibility; unknown expression shapes, missing summaries and
     type mismatches all return ``True`` so the partition is retained.
     """

@@ -24,7 +24,7 @@ and decides, per partition of the round-robin-partitioned scan:
 
 2. **select (weighted)** — under an error budget, a weighted subset of the
    surviving partitions is chosen: inclusion probability
-   ``pi_p ∝ rows_p * (1 + heavy-hitter overlap with the group-by columns)``
+   ``pi_p ∝ rows_p * (1 + frequent values of the group-by columns)``
    (occurrence-weighted, clipped to 1, the heaviest partition always
    included). Each executed partition's rows have their Horvitz-Thompson
    weights multiplied by ``1/pi_p``, so aggregates stay unbiased and the
@@ -413,13 +413,13 @@ def plan_partition_pruning(
         weights = np.empty(len(keep), dtype=np.float64)
         for i, pid in enumerate(keep):
             summary = summaries[pid]
-            overlap = 0
-            for name in group_columns:
-                col_summary = summary.columns.get(name)
-                if col_summary is not None and col_summary.heavy is not None:
-                    overlap += col_summary.heavy.num_entries
+            overlap = sum(
+                summary.columns[name].frequent
+                for name in group_columns
+                if name in summary.columns
+            )
             # Occurrence-weighted: bigger partitions and partitions whose
-            # heavy hitters cover more of the query's group-by space are
+            # frequent values cover more of the query's group-by space are
             # likelier to carry answer mass (Rong et al. §4.2).
             weights[i] = max(1.0, float(summary.rows)) * (1.0 + float(overlap))
         pi = _selection_probabilities(weights, float(selection_fraction))
@@ -440,8 +440,8 @@ def plan_partition_pruning(
         table=entry.table,
         scan_address=entry.address,
         num_partitions=degree,
-        layout_kind=layout.kind,
-        cluster_column=layout.cluster_column,
+        layout_kind=layout.strategy,
+        cluster_column=next(iter(layout.columns), None),
         keep=tuple(keep),
         pruned=tuple(pruned),
         unselected=tuple(unselected),
@@ -457,5 +457,5 @@ def plan_partition_pruning(
         ),
         predicates=tuple(repr(p) for p in predicates),
         semijoins=tuple(label for _, _, label in semijoins),
-        partitioner=layout.partitioner,
+        partitioner=layout,
     )

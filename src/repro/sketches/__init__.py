@@ -1,13 +1,9 @@
-"""One-pass, bounded-memory stream summaries used by the samplers and stats."""
+"""One-pass, bounded-memory stream summaries used by the streaming samplers."""
 
-from repro.sketches.distinct_count import KMVCounter, exact_distinct, exact_distinct_multi
 from repro.sketches.heavy_hitters import DEFAULT_SUPPORT, DEFAULT_TAU, LossyCounter
 from repro.sketches.reservoir import Reservoir
 
 __all__ = [
-    "KMVCounter",
-    "exact_distinct",
-    "exact_distinct_multi",
     "DEFAULT_SUPPORT",
     "DEFAULT_TAU",
     "LossyCounter",

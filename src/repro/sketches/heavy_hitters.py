@@ -15,9 +15,7 @@ are evicted. Frequencies are underestimated by at most tau * N.
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, Hashable, Iterable, List, Sequence, Tuple
-
-import numpy as np
+from typing import Dict, Hashable, Iterable, List, Tuple
 
 from repro.errors import SamplerError
 
@@ -81,9 +79,8 @@ class LossyCounter:
         for value in values:
             self.add(value)
 
-    def _compress(self, bucket: int | None = None) -> None:
-        if bucket is None:
-            bucket = self._current_bucket
+    def _compress(self) -> None:
+        bucket = self._current_bucket
         doomed = [v for v, (cnt, err) in self._entries.items() if cnt + err <= bucket]
         for v in doomed:
             del self._entries[v]
@@ -115,86 +112,3 @@ class LossyCounter:
     def is_heavy(self, value: Hashable) -> bool:
         threshold = (self.support - self.tau) * self._seen
         return self.estimate(value) >= threshold
-
-    def merge(self, other: "LossyCounter") -> "LossyCounter":
-        """Combine two sketches built over disjoint partitions of a stream.
-
-        Needed for the partitionable execution mode: each parallel sampler
-        instance keeps its own sketch and the union must still identify the
-        global heavy hitters. Error slacks add — and a value tracked by only
-        one input inherits the *other* input's eviction bound (it may have
-        occurred up to ``bucket - 1`` times in that stream before being
-        evicted), so :meth:`estimate_upper` stays an upper bound after the
-        merge.
-        """
-        if other.tau != self.tau or other.support != self.support:
-            raise SamplerError("cannot merge sketches with different parameters")
-        merged = LossyCounter(self.tau, self.support)
-        merged._seen = self._seen + other._seen
-        merged._current_bucket = merged._seen // merged._bucket_width + 1
-        slack_self = self._current_bucket - 1
-        slack_other = other._current_bucket - 1
-        values = list(self._entries)
-        values.extend(v for v in other._entries if v not in self._entries)
-        for v in values:
-            mine = self._entries.get(v)
-            theirs = other._entries.get(v)
-            cnt = (mine[0] if mine else 0) + (theirs[0] if theirs else 0)
-            err = (mine[1] if mine is not None else slack_self) + (
-                theirs[1] if theirs is not None else slack_other
-            )
-            merged._entries[v] = (cnt, err)
-        # Evict with the floor(tau * N) threshold, not the (possibly one
-        # past) current bucket index: an evicted value's true count must
-        # stay coverable by ``estimate_upper``'s tau * N fallback.
-        merged._compress(merged._seen // merged._bucket_width)
-        return merged
-
-    # -- bulk construction and serialization (partition catalog) -----------------
-    @classmethod
-    def from_exact_counts(
-        cls,
-        values: Sequence[Hashable],
-        counts: Sequence[int],
-        tau: float = DEFAULT_TAU,
-        support: float = DEFAULT_SUPPORT,
-    ) -> "LossyCounter":
-        """Build a sketch from exact per-value counts in one shot.
-
-        The partition catalog already pays for one ``np.unique`` pass per
-        column; feeding the exact counts here skips the per-row streaming
-        loop. Entries below the ``tau * N`` floor are dropped exactly as the
-        streaming eviction would drop them (any evicted value's true count
-        is at most ``tau * N``), and survivors carry zero slack.
-        """
-        sketch = cls(tau, support)
-        total = int(np.sum(counts)) if len(counts) else 0
-        sketch._seen = total
-        sketch._current_bucket = total // sketch._bucket_width + 1
-        floor_drop = int(tau * total)
-        for value, count in zip(values, counts):
-            count = int(count)
-            if count > floor_drop:
-                key = value.item() if hasattr(value, "item") else value
-                sketch._entries[key] = (count, 0)
-        return sketch
-
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-serializable snapshot; inverse of :meth:`from_dict`."""
-        return {
-            "tau": self.tau,
-            "support": self.support,
-            "seen": self._seen,
-            "bucket": self._current_bucket,
-            "entries": [[v, cnt, err] for v, (cnt, err) in self._entries.items()],
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, Any]) -> "LossyCounter":
-        sketch = cls(float(payload["tau"]), float(payload["support"]))
-        sketch._seen = int(payload["seen"])
-        sketch._current_bucket = int(payload["bucket"])
-        sketch._entries = {
-            value: (int(cnt), int(err)) for value, cnt, err in payload["entries"]
-        }
-        return sketch

@@ -5,9 +5,9 @@ from repro.stats.catalog import (
     ColumnStats,
     ColumnSummary,
     PartitionCatalog,
-    PartitionLayout,
     PartitionSummary,
     TableStats,
+    column_summaries,
 )
 from repro.stats.derivation import NodeStats, StatsDeriver, estimate_selectivity
 
@@ -16,9 +16,9 @@ __all__ = [
     "ColumnStats",
     "ColumnSummary",
     "PartitionCatalog",
-    "PartitionLayout",
     "PartitionSummary",
     "TableStats",
+    "column_summaries",
     "NodeStats",
     "StatsDeriver",
     "estimate_selectivity",

@@ -12,7 +12,6 @@ rescaling — and of the standalone Horvitz-Thompson forms in
 """
 
 import math
-from functools import reduce
 
 import numpy as np
 import pytest
@@ -44,8 +43,6 @@ from repro.engine.operators import execute_aggregate
 from repro.engine.table import WEIGHT_COLUMN, Table, rowid_column_name
 from repro.errors import PlanError
 from repro.parallel import merge_rows
-from repro.sketches.distinct_count import KMVCounter
-from repro.sketches.heavy_hitters import LossyCounter
 
 
 def weighted_table(n=4_000, seed=2):
@@ -353,35 +350,6 @@ class TestPartialAggregate:
                 np.testing.assert_allclose(
                     many.column(c), one.column(c), rtol=1e-12, atol=0.0, equal_nan=True, err_msg=c
                 )
-
-
-class TestSketchFolds:
-    def test_kmv_fold_equals_single_pass(self):
-        gen = np.random.default_rng(4)
-        values = gen.integers(0, 5_000, 20_000)
-        whole = KMVCounter(k=256)
-        whole.add_many(values.tolist())
-        parts = []
-        for chunk in np.array_split(values, 4):
-            c = KMVCounter(k=256)
-            c.add_many(chunk.tolist())
-            parts.append(c)
-        assert reduce(KMVCounter.merge, parts).estimate() == whole.estimate()
-
-    def test_heavy_hitter_fold_finds_the_heavy_value(self):
-        gen = np.random.default_rng(4)
-        values = np.concatenate([np.full(5_000, 77), gen.integers(100, 10_000, 15_000)])
-        gen.shuffle(values)
-        parts = []
-        for chunk in np.array_split(values, 4):
-            c = LossyCounter(tau=0.001, support=0.01)
-            for v in chunk.tolist():
-                c.add(v)
-            parts.append(c)
-        merged = reduce(LossyCounter.merge, parts)
-        assert merged.items_seen == len(values)
-        assert 77 in dict(merged.heavy_hitters())
-        assert merged.estimate(77) >= 5_000 - int(merged.tau * len(values)) * 4
 
 
 class TestMergeRows:

@@ -1,17 +1,20 @@
-"""Unit tests for distinct-count estimation."""
+"""Exact distinct counts of column sets (the planner's C1 support check and
+the join push-down rules' NumDV calls)."""
 
 import numpy as np
-import pytest
 
-from repro.sketches.distinct_count import KMVCounter, exact_distinct, exact_distinct_multi
+from repro.stats.catalog import exact_distinct_multi
 
 
 class TestExact:
     def test_single_column(self):
-        assert exact_distinct(np.array([1, 1, 2, 3, 3, 3])) == 3
+        assert exact_distinct_multi([np.array([1, 1, 2, 3, 3, 3])]) == 3
+        # A NaN equals nothing: each NaN row is a value of its own.
+        assert exact_distinct_multi([np.array([1.0, 1.0, np.nan, np.nan])]) == 3
 
     def test_empty(self):
-        assert exact_distinct(np.array([])) == 0
+        empty = [np.array([], dtype=np.int64), np.array([], dtype=np.float64)]
+        assert exact_distinct_multi(empty) == 0
 
     def test_multi_column(self):
         a = np.array([1, 1, 2, 2])
@@ -21,34 +24,3 @@ class TestExact:
     def test_multi_empty(self):
         assert exact_distinct_multi([]) == 0
         assert exact_distinct_multi([np.array([])]) == 0
-
-
-class TestKMV:
-    def test_small_cardinality_exact(self):
-        counter = KMVCounter(k=256)
-        counter.add_many(range(100))
-        assert counter.estimate() == 100
-
-    def test_large_cardinality_approximate(self, rng):
-        counter = KMVCounter(k=512)
-        values = rng.integers(0, 200_000, 60_000)
-        counter.add_many(values.tolist())
-        truth = len(np.unique(values))
-        assert counter.estimate() == pytest.approx(truth, rel=0.15)
-
-    def test_duplicates_ignored(self):
-        counter = KMVCounter(k=64)
-        for _ in range(10):
-            counter.add_many(range(50))
-        assert counter.estimate() == 50
-
-    def test_merge(self, rng):
-        a, b = KMVCounter(k=256), KMVCounter(k=256)
-        a.add_many(range(0, 3_000))
-        b.add_many(range(2_000, 5_000))
-        merged = a.merge(b)
-        assert merged.estimate() == pytest.approx(5_000, rel=0.2)
-
-    def test_merge_mismatch(self):
-        with pytest.raises(ValueError):
-            KMVCounter(k=64).merge(KMVCounter(k=128))

@@ -62,20 +62,6 @@ class TestMechanics:
         sketch.add_many(stream.tolist())
         assert sketch.is_heavy(0)
 
-    def test_merge_preserves_heavies(self, rng):
-        stream = np.concatenate([np.zeros(2_000, dtype=int), rng.integers(1, 2_000, 18_000)])
-        rng.shuffle(stream)
-        a, b = LossyCounter(tau=1e-3, support=5e-2), LossyCounter(tau=1e-3, support=5e-2)
-        a.add_many(stream[:10_000].tolist())
-        b.add_many(stream[10_000:].tolist())
-        merged = a.merge(b)
-        assert merged.items_seen == 20_000
-        assert 0 in {v for v, _ in merged.heavy_hitters()}
-
-    def test_merge_parameter_mismatch(self):
-        with pytest.raises(SamplerError):
-            LossyCounter(tau=1e-3, support=1e-2).merge(LossyCounter(tau=1e-2, support=1e-1))
-
 
 class TestValidation:
     def test_tau_bounds(self):

@@ -5,7 +5,7 @@ import pytest
 
 from repro.engine.table import Database, Table
 from repro.errors import CatalogError
-from repro.stats.catalog import Catalog
+from repro.stats.catalog import Catalog, PartitionCatalog
 
 
 @pytest.fixture()
@@ -236,17 +236,64 @@ class TestBuiltOnFirstAsk:
         from repro.obs.trace import Tracer, pop_override, push_override
 
         catalog = Catalog(db)
+        partitions = PartitionCatalog(db)
         tracer = Tracer()
         previous = push_override(tracer)
         try:
             catalog.value_skew("t", "x")
             catalog.value_skew("t", "x")
             catalog.distinct("t", ["g", "k"])
+            catalog.distinct("t", ["g"])
+            partitions.summaries("t", 4)
+            partitions.summaries("t", 4)
         finally:
             pop_override(previous)
         spans = [s for s in tracer.find("catalog.collect")]
-        assert [(s.attributes["column"], s.attributes["statistic"]) for s in spans] == [
-            ("x", "moments"),
-            ("g,k", "set_distinct"),
+        # One span per (table, column, partition count), not per partition.
+        assert [
+            (s.attributes["column"], s.attributes["statistic"], s.attributes["partitions"])
+            for s in spans
+        ] == [
+            ("x", "moments", 1),
+            ("g,k", "set_distinct", 1),
+            ("g", "counts", 1),
+            ("k", "counts", 4),
+            ("g", "counts", 4),
+            ("x", "counts", 4),
+            ("label", "counts", 4),
         ]
         assert all(s.attributes["table"] == "t" and s.attributes["rows"] == 10_000 for s in spans)
+
+
+def test_statistics_never_decode_a_coded_column(monkeypatch, rng):
+    """Statistics of a dictionary-coded column are counted on its codes:
+    only the dictionary entries a summary names (min, max, value set,
+    heavy-hitter keys) are ever turned into strings, never a row."""
+    db = Database()
+    db.register(Table("t", {"s": rng.choice(np.array(["ash", "birch", "cedar"]), 5_000),
+                            "i": rng.integers(0, 100, 5_000)}))
+    decoded, column = [], Table.column
+
+    def counting(self, column_name, rows=None):
+        values = column(self, column_name, rows)
+        if self.dictionary(column_name) is not None:
+            decoded.append(len(values))
+        return values
+
+    monkeypatch.setattr(Table, "column", counting)
+    catalog = Catalog(db)
+    stats = catalog.stats("t").column("s")
+    assert stats.distinct == 3
+    assert set(stats.heavy_hitters) == {"ash", "birch", "cedar"}
+    assert catalog.value_skew("t", "s") == 0.0
+    assert catalog.distinct("t", ["s", "i"]) > 3
+    # A coded cluster column is no range to cut: round-robin, still no decode.
+    summaries = PartitionCatalog(db, cluster_columns={"t": "s"}).summaries("t", 4)
+    monkeypatch.undo()
+
+    assert decoded == []
+    for summary in summaries:
+        column_summary = summary.columns["s"]
+        assert (column_summary.min_value, column_summary.max_value) == ("ash", "cedar")
+        assert column_summary.values == ("ash", "birch", "cedar")
+        assert all(type(v) is str for v in column_summary.heavy_hitters)

@@ -91,6 +91,39 @@ class TestObservabilityCommands:
         assert "repro." in capsys.readouterr().err
 
 
+class TestStatsCatalogCommand:
+    ARGS = ["--scale", "0.03", "--partitions", "4", "--tables", "store_sales,item"]
+
+    def test_build_inspect_validate(self, capsys):
+        from repro.workloads.tpcds import generate_tpcds
+
+        db = generate_tpcds(scale=0.03, seed=1)
+        assert main(["stats-catalog", "build", *self.ARGS]) == 0
+        out = capsys.readouterr().out
+        assert "partition catalog (P=4)" in out
+        lines = {line.split()[0]: line.split() for line in out.splitlines() if line.strip()}
+        # table, layout, cluster column, partitions, rows summed over them.
+        assert lines["store_sales"][:5] == [
+            "store_sales", "range-cluster", "ss_sold_date_sk", "4",
+            str(db.table("store_sales").num_rows),
+        ]
+        assert lines["item"][:5] == ["item", "round-robin", "-", "4", str(db.table("item").num_rows)]
+        assert "built: 2 (table, partition-count) pair(s)" in out
+
+        assert main(["stats-catalog", "inspect", *self.ARGS]) == 0
+        out = capsys.readouterr().out
+        assert "store_sales (range-cluster)" in out and "item (round-robin)" in out
+        header = next(line for line in out.splitlines() if "ss_sold_date_sk min" in line)
+        assert header.split()[-1] == "distinct"
+
+        assert main(["stats-catalog", "validate", *self.ARGS]) == 0
+        assert "catalog consistent: 2 table(s) x 4 partition(s)" in capsys.readouterr().out
+
+    def test_unknown_table_fails(self, capsys):
+        assert main(["stats-catalog", "build", "--scale", "0.03", "--tables", "nope"]) == 1
+        assert "unknown table(s): nope" in capsys.readouterr().out
+
+
 class TestBenchReportCommand:
     def test_enveloped_and_legacy_files(self, capsys, tmp_path):
         import json

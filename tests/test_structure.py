@@ -118,12 +118,31 @@ def _table_statistics_half(tree):
 
 def test_table_statistics_are_built_per_column_on_demand():
     """No eager per-table loop over every column, and one way to count
-    values (``keys.value_counts``), not a second ``np.unique`` beside it."""
+    values (``catalog.column_summaries``: codes or ``keys.value_counts``),
+    not a second ``np.unique`` anywhere in the statistics package."""
     half = _table_statistics_half(_parse("stats/catalog.py"))
     loops = [line for node in half for line in _loops_over(node, "data_column_names")]
     assert not loops, f"stats/catalog.py iterates data_column_names() at lines {loops}"
-    uniques = [call.lineno for node in half for call in _calls(node, "unique")]
-    assert len(uniques) <= 1, f"np.unique( in the table-statistics half at lines {uniques}"
+    uniques = [
+        f"stats/{path.name}:{call.lineno}"
+        for path in sorted((SRC / "stats").glob("*.py"))
+        for call in _calls(ast.parse(path.read_text(encoding="utf-8")), "unique")
+    ]
+    assert not uniques, f"np.unique( in the statistics package at {uniques}"
+
+
+def test_statistics_and_optimizer_read_no_sketch():
+    """The planner and the pruner read exact summaries; ``repro.sketches``
+    serves the streaming samplers only."""
+    importers = sorted(
+        f"{package}/{path.name}"
+        for package in ("stats", "optimizer")
+        for path in sorted((SRC / package).glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if (isinstance(node, ast.ImportFrom) and (node.module or "").startswith("repro.sketches"))
+        or (isinstance(node, ast.Import) and any(a.name.startswith("repro.sketches") for a in node.names))
+    )
+    assert not importers, f"modules importing repro.sketches: {importers}"
 
 
 def test_one_dictionary_builder_and_one_densifier():
