@@ -185,12 +185,11 @@ class WorkerPool:
 
     def __del__(self):
         # Nothing refers to the pool, so its threads are idle (a run that
-        # left one busy retired them): wait the moment they take to exit,
-        # so a dropped executor leaves no thread behind to be counted.
-        threads = self._threads
+        # left one busy retired them) and exit on their own. Never join
+        # them here: the collector may run this inside the threading
+        # module's own locks (a starting thread's bootstrap), and a join
+        # there deadlocks.
         self.retire()
-        if threads is not None:
-            threads.shutdown(wait=True)
 
     def resolve_mode(self) -> str:
         if self.mode != "auto":

@@ -242,31 +242,35 @@ def _settle(predicate, seconds=5.0):
     return predicate()
 
 
+def _threads_since(before):
+    """Threads alive now that were not in ``before`` — identities, not a
+    count, so an earlier test's threads still on their way out do not
+    cancel new ones."""
+    return set(threading.enumerate()) - before
+
+
 class TestPoolLifetime:
     def test_threads_exit_with_their_executor(self):
         db = make_sales_db()
         query = totals_by(db, "s_item")
         gc.collect()
-        baseline = threading.active_count()
+        before = set(threading.enumerate())
         for i in range(20):
             executor = parallel_executor(db, pool="process" if i == 19 else "thread")
             executor.execute(query)
             if i < 19:
-                assert threading.active_count() > baseline  # resident while owned
+                assert _threads_since(before)  # resident while owned
             del executor  # no gc.collect(): the pool is freed by reference count
-        assert _settle(lambda: threading.active_count() == baseline), (
-            threading.active_count(),
-            baseline,
-        )
+        assert _settle(lambda: not _threads_since(before)), _threads_since(before)
         assert leaked_system_segments() == []
 
     def test_one_pool_serves_every_query_of_an_executor(self):
         db = make_sales_db()
         executor = parallel_executor(db)
-        baseline = threading.active_count()
+        before = set(threading.enumerate())
         for _ in range(5):
             executor.execute(totals_by(db, "s_item"))
-        assert 1 <= threading.active_count() - baseline <= DEGREE
+        assert 1 <= len(_threads_since(before)) <= DEGREE
 
     def test_a_hang_never_occupies_a_later_querys_slot(self):
         """Two attempts hang for 2 s past a 0.5 s deadline on a two-thread
