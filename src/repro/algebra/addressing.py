@@ -34,7 +34,7 @@ the same plan object re-uses the digest without re-walking the tree.
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, Iterator, Tuple
+from typing import Callable, Dict, Iterator, Tuple
 
 from repro.algebra.expressions import And, BinOp, Cmp, Col, Expr, Func, IfThenElse, IsIn, Lit, Not, Or
 from repro.algebra.logical import (
@@ -70,6 +70,7 @@ NodeAddress = Tuple[int, ...]
 ROOT_ADDRESS: NodeAddress = ()
 
 _CANON_ATTR = "_quickr_canonical_form"
+_TEXT_ATTR = "_quickr_canonical_text"
 _FP_ATTR = "_quickr_fingerprint"
 
 
@@ -185,25 +186,54 @@ def canonical_plan_form(node: LogicalNode) -> tuple:
     cached = node.__dict__.get(_CANON_ATTR)
     if cached is not None:
         return cached
-    form = _node_canon(node)
+    form = _node_canon(node, canonical_plan_form)
     node.__dict__[_CANON_ATTR] = form
     return form
 
 
-def _node_canon(node: LogicalNode) -> tuple:
+class _Text:
+    """Stands in for a child's canonical form: its ``repr`` is the form's."""
+
+    __slots__ = ("text",)
+
+    def __init__(self, text: str):
+        self.text = text
+
+    def __repr__(self) -> str:
+        return self.text
+
+
+def _canonical_text(node: LogicalNode) -> str:
+    """``repr(canonical_plan_form(node))``, built from the children's texts
+    instead of re-printing (and, under an inner join, re-sorting by) every
+    subtree at every level above it."""
+    cached = node.__dict__.get(_TEXT_ATTR)
+    if cached is not None:
+        return cached
+    text = repr(_node_canon(node, _child_text))
+    node.__dict__[_TEXT_ATTR] = text
+    return text
+
+
+def _child_text(node: LogicalNode) -> _Text:
+    return _Text(_canonical_text(node))
+
+
+def _node_canon(node: LogicalNode, child: Callable[[LogicalNode], object]) -> tuple:
+    """``node``'s canonical form, with ``child`` giving each child's."""
     if isinstance(node, Scan):
         return ("scan", node.table, node.output_columns())
     if isinstance(node, Select):
-        return ("select", _expr_canon(node.predicate), canonical_plan_form(node.child))
+        return ("select", _expr_canon(node.predicate), child(node.child))
     if isinstance(node, Project):
         # Output order is part of the schema; entry order is preserved.
         mapping = tuple((name, _expr_canon(expr)) for name, expr in node.mapping.items())
-        return ("project", mapping, canonical_plan_form(node.child))
+        return ("project", mapping, child(node.child))
     if isinstance(node, SamplerNode):
-        return ("sampler", tuple(node.spec.key()), canonical_plan_form(node.child))
+        return ("sampler", tuple(node.spec.key()), child(node.child))
     if isinstance(node, Join):
-        left = (canonical_plan_form(node.left), node.left_keys)
-        right = (canonical_plan_form(node.right), node.right_keys)
+        left = (child(node.left), node.left_keys)
+        right = (child(node.right), node.right_keys)
         if node.how != "inner":
             return ("join", node.how, left, right)
         # Inner joins commute: order the operands canonically, then order the
@@ -227,17 +257,17 @@ def _node_canon(node: LogicalNode) -> tuple:
             bool(getattr(node, "compute_ci", False)),
             rescale,
             getattr(node, "universe_variance", None),
-            canonical_plan_form(node.child),
+            child(node.child),
         )
     if isinstance(node, OrderBy):
-        return ("orderby", node.keys, node.descending, canonical_plan_form(node.child))
+        return ("orderby", node.keys, node.descending, child(node.child))
     if isinstance(node, Limit):
-        return ("limit", node.n, canonical_plan_form(node.child))
+        return ("limit", node.n, child(node.child))
     if isinstance(node, UnionAll):
         # Branch order decides answer row order; keep it.
-        return ("unionall",) + tuple(canonical_plan_form(c) for c in node.children)
+        return ("unionall",) + tuple(child(c) for c in node.children)
     # Unknown node type: structural fallback over class name and children.
-    return ("node", type(node).__name__) + tuple(canonical_plan_form(c) for c in node.children)
+    return ("node", type(node).__name__) + tuple(child(c) for c in node.children)
 
 
 def plan_fingerprint(node: LogicalNode) -> str:
@@ -251,6 +281,6 @@ def plan_fingerprint(node: LogicalNode) -> str:
     cached = node.__dict__.get(_FP_ATTR)
     if cached is not None:
         return cached
-    digest = hashlib.sha256(repr(canonical_plan_form(node)).encode("utf-8")).hexdigest()
+    digest = hashlib.sha256(_canonical_text(node).encode("utf-8")).hexdigest()
     node.__dict__[_FP_ATTR] = digest
     return digest

@@ -61,7 +61,7 @@ class AggSpec:
         The boolean condition for ``*IF`` variants.
     """
 
-    __slots__ = ("kind", "alias", "expr", "cond")
+    __slots__ = ("kind", "alias", "expr", "cond", "_key")
 
     def __init__(self, kind: AggKind, alias: str, expr: Optional[Expr] = None, cond: Optional[Expr] = None):
         if kind in (AggKind.SUM, AggKind.AVG, AggKind.MIN, AggKind.MAX, AggKind.COUNT_DISTINCT) and expr is None:
@@ -74,6 +74,7 @@ class AggSpec:
         self.alias = alias
         self.expr = expr
         self.cond = cond
+        self._key: Optional[tuple] = None
 
     def value_columns(self) -> frozenset:
         """Columns aggregated over — contributors to the QVS."""
@@ -98,12 +99,15 @@ class AggSpec:
         return self.kind in SAMPLEABLE_KINDS
 
     def key(self) -> tuple:
-        return (
-            self.kind.value,
-            self.alias,
-            self.expr.key() if self.expr is not None else None,
-            self.cond.key() if self.cond is not None else None,
-        )
+        """Structural identity, built once (a spec never changes)."""
+        if self._key is None:
+            self._key = (
+                self.kind.value,
+                self.alias,
+                self.expr.key() if self.expr is not None else None,
+                self.cond.key() if self.cond is not None else None,
+            )
+        return self._key
 
     def __repr__(self):
         parts = [self.kind.value]

@@ -18,7 +18,7 @@ which input columns it consumes.
 from __future__ import annotations
 
 import operator
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -61,6 +61,8 @@ _CMP_OPS: dict[str, Callable] = {
 
 class Expr:
     """Base class for scalar expressions."""
+
+    _key: Optional[tuple] = None
 
     def columns(self) -> frozenset:
         """Base column names read by this expression."""
@@ -133,7 +135,17 @@ class Expr:
         return hash(self.key())
 
     def key(self) -> tuple:
-        """A hashable structural identity, used for plan deduplication."""
+        """A hashable structural identity, used for plan deduplication.
+
+        Built once and kept, as :meth:`LogicalNode.key` is: an expression
+        never changes after construction, and a plan key embeds the keys
+        of all its expressions.
+        """
+        if self._key is None:
+            self._key = self._build_key()
+        return self._key
+
+    def _build_key(self) -> tuple:
         raise NotImplementedError
 
     def equals(self, other: "Expr") -> bool:
@@ -160,7 +172,7 @@ class Col(Expr):
     def rename(self, mapping: dict) -> "Col":
         return Col(mapping.get(self.name, self.name))
 
-    def key(self) -> tuple:
+    def _build_key(self) -> tuple:
         return ("col", self.name)
 
     def __repr__(self):
@@ -184,7 +196,7 @@ class Lit(Expr):
     def rename(self, mapping: dict) -> "Lit":
         return self
 
-    def key(self) -> tuple:
+    def _build_key(self) -> tuple:
         return ("lit", self.value)
 
     def __repr__(self):
@@ -216,7 +228,7 @@ class BinOp(Expr):
     def rename(self, mapping: dict) -> "BinOp":
         return BinOp(self.op, self.left.rename(mapping), self.right.rename(mapping))
 
-    def key(self) -> tuple:
+    def _build_key(self) -> tuple:
         return ("binop", self.op, self.left.key(), self.right.key())
 
     def __repr__(self):
@@ -244,7 +256,7 @@ class Cmp(Expr):
     def rename(self, mapping: dict) -> "Cmp":
         return Cmp(self.op, self.left.rename(mapping), self.right.rename(mapping))
 
-    def key(self) -> tuple:
+    def _build_key(self) -> tuple:
         return ("cmp", self.op, self.left.key(), self.right.key())
 
     def __repr__(self):
@@ -271,7 +283,7 @@ class And(Expr):
     def rename(self, mapping: dict) -> "And":
         return And(self.left.rename(mapping), self.right.rename(mapping))
 
-    def key(self) -> tuple:
+    def _build_key(self) -> tuple:
         return ("and", self.left.key(), self.right.key())
 
     def conjuncts(self) -> list:
@@ -308,7 +320,7 @@ class Or(Expr):
     def rename(self, mapping: dict) -> "Or":
         return Or(self.left.rename(mapping), self.right.rename(mapping))
 
-    def key(self) -> tuple:
+    def _build_key(self) -> tuple:
         return ("or", self.left.key(), self.right.key())
 
     def __repr__(self):
@@ -332,7 +344,7 @@ class Not(Expr):
     def rename(self, mapping: dict) -> "Not":
         return Not(self.child.rename(mapping))
 
-    def key(self) -> tuple:
+    def _build_key(self) -> tuple:
         return ("not", self.child.key())
 
     def __repr__(self):
@@ -357,7 +369,7 @@ class IsIn(Expr):
     def rename(self, mapping: dict) -> "IsIn":
         return IsIn(self.child.rename(mapping), self.values)
 
-    def key(self) -> tuple:
+    def _build_key(self) -> tuple:
         return ("isin", self.child.key(), self.values)
 
     def __repr__(self):
@@ -392,7 +404,7 @@ class Func(Expr):
     def rename(self, mapping: dict) -> "Func":
         return Func(self.name, self.fn, [a.rename(mapping) for a in self.args])
 
-    def key(self) -> tuple:
+    def _build_key(self) -> tuple:
         return ("func", self.name) + tuple(a.key() for a in self.args)
 
     def __repr__(self):
@@ -424,7 +436,7 @@ class IfThenElse(Expr):
             self.cond.rename(mapping), self.then.rename(mapping), self.otherwise.rename(mapping)
         )
 
-    def key(self) -> tuple:
+    def _build_key(self) -> tuple:
         return ("if", self.cond.key(), self.then.key(), self.otherwise.key())
 
     def __repr__(self):

@@ -39,6 +39,9 @@ class LogicalNode:
     children: Tuple["LogicalNode", ...] = ()
     _columns: Tuple[str, ...] = ()
     _key: Optional[tuple] = None
+    #: What the node is built from besides its children: the attributes a
+    #: same-schema rebuild copies.
+    _params: Tuple[str, ...] = ()
 
     def output_columns(self) -> Tuple[str, ...]:
         """Names of columns this node produces, in order (derived once, by
@@ -46,7 +49,28 @@ class LogicalNode:
         return self._columns
 
     def with_children(self, children: Sequence["LogicalNode"]) -> "LogicalNode":
-        """Rebuild this node over new children (same arity)."""
+        """Rebuild this node over new children (same arity).
+
+        A constructor's checks read only its parameters and its children's
+        columns, so when every new child has exactly the old one's columns
+        they still hold and the rebuild skips them. It copies ``_params``
+        and the schema, never the whole ``__dict__``: cached fields (the
+        key, and ``addressing``'s canonical form, text and fingerprint)
+        describe the old children.
+        """
+        children = tuple(children)
+        if [c._columns for c in children] != [c._columns for c in self.children]:
+            return self._construct(children)
+        node = object.__new__(type(self))
+        mine, built = self.__dict__, node.__dict__
+        for name in self._params:
+            built[name] = mine[name]
+        built["children"] = children
+        built["_columns"] = self._columns
+        return node
+
+    def _construct(self, children: Tuple["LogicalNode", ...]) -> "LogicalNode":
+        """This node's constructor called over ``children``, checks included."""
         raise NotImplementedError
 
     def key(self) -> tuple:
@@ -120,6 +144,8 @@ class Scan(LogicalNode):
 class Select(LogicalNode):
     """Filter rows by a boolean predicate."""
 
+    _params = ("predicate",)
+
     def __init__(self, child: LogicalNode, predicate: Expr):
         self.children = (child,)
         self.predicate = predicate
@@ -130,7 +156,7 @@ class Select(LogicalNode):
     def child(self) -> LogicalNode:
         return self.children[0]
 
-    def with_children(self, children: Sequence[LogicalNode]) -> "Select":
+    def _construct(self, children: Tuple[LogicalNode, ...]) -> "Select":
         (child,) = children
         return Select(child, self.predicate)
 
@@ -149,6 +175,8 @@ class Project(LogicalNode):
     include identity ``Col`` expressions for the retained columns.
     """
 
+    _params = ("mapping",)
+
     def __init__(self, child: LogicalNode, mapping: dict):
         if not mapping:
             raise PlanError("Project requires at least one output column")
@@ -164,7 +192,7 @@ class Project(LogicalNode):
     def child(self) -> LogicalNode:
         return self.children[0]
 
-    def with_children(self, children: Sequence[LogicalNode]) -> "Project":
+    def _construct(self, children: Tuple[LogicalNode, ...]) -> "Project":
         (child,) = children
         return Project(child, self.mapping)
 
@@ -193,6 +221,8 @@ class Join(LogicalNode):
     ``how`` is one of ``inner``, ``left``, ``right``. Full-outer joins are
     outside Quickr's supported surface (paper Table 1) and are rejected.
     """
+
+    _params = ("left_keys", "right_keys", "how")
 
     SUPPORTED = ("inner", "left", "right")
 
@@ -231,7 +261,7 @@ class Join(LogicalNode):
     def right(self) -> LogicalNode:
         return self.children[1]
 
-    def with_children(self, children: Sequence[LogicalNode]) -> "Join":
+    def _construct(self, children: Tuple[LogicalNode, ...]) -> "Join":
         left, right = children
         return Join(left, right, self.left_keys, self.right_keys, self.how)
 
@@ -251,6 +281,8 @@ class Join(LogicalNode):
 
 class Aggregate(LogicalNode):
     """Group-by aggregation. ``group_by`` may be empty (scalar aggregates)."""
+
+    _params = ("group_by", "aggs")
 
     def __init__(self, child: LogicalNode, group_by: Sequence[str], aggs: Sequence[AggSpec]):
         if not aggs:
@@ -272,7 +304,7 @@ class Aggregate(LogicalNode):
     def child(self) -> LogicalNode:
         return self.children[0]
 
-    def with_children(self, children: Sequence[LogicalNode]) -> "Aggregate":
+    def _construct(self, children: Tuple[LogicalNode, ...]) -> "Aggregate":
         (child,) = children
         return Aggregate(child, self.group_by, self.aggs)
 
@@ -290,6 +322,8 @@ class Aggregate(LogicalNode):
 class OrderBy(LogicalNode):
     """Sort by one or more columns."""
 
+    _params = ("keys", "descending")
+
     def __init__(self, child: LogicalNode, keys: Sequence[str], descending: bool = False):
         if not keys:
             raise PlanError("OrderBy requires at least one key")
@@ -303,7 +337,7 @@ class OrderBy(LogicalNode):
     def child(self) -> LogicalNode:
         return self.children[0]
 
-    def with_children(self, children: Sequence[LogicalNode]) -> "OrderBy":
+    def _construct(self, children: Tuple[LogicalNode, ...]) -> "OrderBy":
         (child,) = children
         return OrderBy(child, self.keys, self.descending)
 
@@ -318,6 +352,8 @@ class Limit(LogicalNode):
     """Keep the first ``n`` rows. Combined with OrderBy on an aggregation
     column this is the paper's main source of "missed groups" (Section 5.3)."""
 
+    _params = ("n",)
+
     def __init__(self, child: LogicalNode, n: int):
         if n <= 0:
             raise PlanError("Limit must be positive")
@@ -329,7 +365,7 @@ class Limit(LogicalNode):
     def child(self) -> LogicalNode:
         return self.children[0]
 
-    def with_children(self, children: Sequence[LogicalNode]) -> "Limit":
+    def _construct(self, children: Tuple[LogicalNode, ...]) -> "Limit":
         (child,) = children
         return Limit(child, self.n)
 
@@ -355,7 +391,7 @@ class UnionAll(LogicalNode):
                 )
         self._columns = first
 
-    def with_children(self, children: Sequence[LogicalNode]) -> "UnionAll":
+    def _construct(self, children: Tuple[LogicalNode, ...]) -> "UnionAll":
         return UnionAll(children)
 
     def _build_key(self) -> tuple:
@@ -371,6 +407,8 @@ class SamplerNode(LogicalNode):
     ``key()`` method for structural identity.
     """
 
+    _params = ("spec",)
+
     def __init__(self, child: LogicalNode, spec):
         if not hasattr(spec, "key"):
             raise PlanError(f"sampler spec {spec!r} must expose a key() method")
@@ -382,7 +420,7 @@ class SamplerNode(LogicalNode):
     def child(self) -> LogicalNode:
         return self.children[0]
 
-    def with_children(self, children: Sequence[LogicalNode]) -> "SamplerNode":
+    def _construct(self, children: Tuple[LogicalNode, ...]) -> "SamplerNode":
         (child,) = children
         return SamplerNode(child, self.spec)
 

@@ -36,6 +36,7 @@ from repro.algebra.analysis import query_column_set
 from repro.algebra.builder import Query
 from repro.algebra.logical import LogicalNode, Scan
 from repro.engine.executor import Executor
+from repro.engine.keys import stable_argsort
 from repro.engine.table import WEIGHT_COLUMN, Database, Table
 from repro.errors import WorkloadError
 from repro.experiments.metrics import answer_structure, compare_answers
@@ -73,7 +74,7 @@ def build_stratified_sample(
     order = rng.permutation(table.num_rows)
     shuffled_codes = codes[order]
     # Rank within stratum after a random shuffle => uniform cap selection.
-    sort_idx = np.argsort(shuffled_codes, kind="stable")
+    sort_idx = stable_argsort(shuffled_codes)
     sorted_codes = shuffled_codes[sort_idx]
     boundary = np.empty(len(sort_idx), dtype=bool)
     boundary[0] = True

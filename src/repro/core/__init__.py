@@ -19,7 +19,6 @@ from repro.core.costing import (
     SamplerDecision,
     choose_physical,
     materialize_plan,
-    strip_passthrough,
 )
 from repro.core.dominance import (
     RULES,
@@ -52,7 +51,6 @@ __all__ = [
     "SamplerDecision",
     "choose_physical",
     "materialize_plan",
-    "strip_passthrough",
     "RULES",
     "DominanceRule",
     "EmpiricalDominance",

@@ -40,7 +40,6 @@ from repro.core.costing import (
     SamplerDecision,
     logical_sampler_sites,
     materialize_plan,
-    strip_passthrough,
 )
 from repro.core.pushdown import alternatives_below
 from repro.core.rewrite import finalize_plan
@@ -159,18 +158,19 @@ class Asalqa:
         with obs_trace.maybe_span("asalqa.cost", query=query.name) as span:
             best_plan, best_cost, best_decisions = None, None, []
             seen_physical: set = set()
+            # Alternatives share most samplers: decide each once per query.
+            decided: Dict[tuple, SamplerDecision] = {}
             for candidate in candidates:
                 physical, decisions = materialize_plan(
-                    candidate, self.deriver, self.options.costing
+                    candidate, self.deriver, self.options.costing, decided
                 )
-                stripped = strip_passthrough(physical)
-                key = stripped.key()
+                key = physical.key()
                 if key in seen_physical:
                     continue
                 seen_physical.add(key)
-                cost = self._cost(stripped)
+                cost = self._cost(physical)
                 if best_cost is None or cost.machine_hours < best_cost.machine_hours:
-                    best_plan, best_cost, best_decisions = stripped, cost, decisions
+                    best_plan, best_cost, best_decisions = physical, cost, decisions
             if span is not None:
                 span.attributes["unique_physical"] = len(seen_physical)
 
@@ -235,6 +235,7 @@ class Asalqa:
     def _explore(self, seeded: LogicalNode) -> List[LogicalNode]:
         """Breadth-first generation of push-down alternatives."""
         tracer = obs_trace.current_tracer()
+        one_side: Dict[tuple, list] = {}  # pushdown's per-query memo
         seen: Dict[tuple, None] = {seeded.key(): None}
         frontier: List[LogicalNode] = [seeded]
         out: List[LogicalNode] = [seeded]
@@ -242,7 +243,7 @@ class Asalqa:
         while frontier and len(out) < limit:
             plan = frontier.pop(0)
             for node, path in logical_sampler_sites(plan):
-                for subtree in alternatives_below(node, self.deriver, self._family_of):
+                for subtree in alternatives_below(node, self.deriver, self._family_of, one_side):
                     alternative = _replace_at(plan, path, subtree)
                     key = alternative.key()
                     if key in seen:

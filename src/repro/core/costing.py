@@ -34,7 +34,7 @@ columns-count, probability and seed, and nested samplers are forbidden.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.algebra.addressing import format_address
@@ -47,7 +47,7 @@ from repro.samplers.uniform import UniformSpec
 from repro.samplers.universe import UniverseSpec
 from repro.stats.derivation import NodeStats, StatsDeriver
 
-__all__ = ["CostingOptions", "SamplerDecision", "choose_physical", "materialize_plan", "strip_passthrough"]
+__all__ = ["CostingOptions", "SamplerDecision", "choose_physical", "materialize_plan"]
 
 #: The paper's hard cap on sampling probability.
 MAX_PROBABILITY = 0.1
@@ -233,6 +233,11 @@ def choose_physical(
     return SamplerDecision(state, PassThroughSpec(), support, c1, c2, "stratification unmet under universe")
 
 
+def _overruled(decision: SamplerDecision, spec: SamplerSpec, why: str = "") -> SamplerDecision:
+    """``decision`` with its spec replaced by the global pass."""
+    return replace(decision, spec=spec, reason=decision.reason + why)
+
+
 def logical_sampler_sites(
     plan: LogicalNode, path: tuple = (), sites: Optional[list] = None
 ) -> List[Tuple[SamplerNode, tuple]]:
@@ -248,8 +253,8 @@ def logical_sampler_sites(
 def _rebuild(
     node: LogicalNode, path: tuple, specs: Dict[tuple, SamplerSpec], on_way: Set[tuple]
 ) -> LogicalNode:
-    """``node`` (at ``path``) with the logical sampler state at each address
-    of ``specs`` replaced by its physical spec.
+    """``node`` (at ``path``) with the logical sampler at each address of
+    ``specs`` replaced by its physical spec, or dropped for a pass-through.
 
     ``on_way`` holds every address at or above one of those: only the way
     down to a sampler is rebuilt, and a subtree without one is returned as
@@ -262,13 +267,16 @@ def _rebuild(
         for index, child in enumerate(node.children)
     ]
     spec = specs.get(path)
-    return node.with_children(children) if spec is None else SamplerNode(children[0], spec)
+    if spec is None:
+        return node.with_children(children)
+    return children[0] if isinstance(spec, PassThroughSpec) else SamplerNode(children[0], spec)
 
 
 def materialize_plan(
     plan: LogicalNode,
     deriver: StatsDeriver,
     options: Optional[CostingOptions] = None,
+    memo: Optional[Dict[tuple, SamplerDecision]] = None,
 ) -> Tuple[LogicalNode, List[SamplerDecision]]:
     """Replace every logical sampler state with a physical sampler.
 
@@ -278,13 +286,20 @@ def materialize_plan(
     any member cannot be a universe sampler. Nested samplers are
     suppressed by making the outer one a pass-through.
 
-    Returns the physical plan and one decision per sampler in pre-order.
+    Returns the physical plan, which holds no pass-through sampler, and one
+    decision per sampler in pre-order.
+
+    ``memo`` (the caller's, one per query) keeps :func:`choose_physical`'s
+    decision per (input, state, seed): alternatives share most samplers.
+    Decisions are therefore shared and never changed: the global pass
+    overrules one with a new decision.
 
     The tree walks are module-level functions: a recursive closure refers
     to itself through its own cell, a cycle that would pin ``deriver`` (and
     through it the catalog and database) until a garbage collection.
     """
     options = options or CostingOptions()
+    memo = {} if memo is None else memo
     tracer = obs_trace.current_tracer()
 
     # First pass: tentative decisions per sampler. Seeds count samplers in
@@ -295,7 +310,12 @@ def materialize_plan(
     decisions: Dict[tuple, SamplerDecision] = {}
     for ordinal, (node, path) in enumerate(samplers, start=1):
         seed = options.seed * 1_000_003 + ordinal
-        decision = choose_physical(node.spec, deriver.stats_for(node.child), options, seed)
+        key = (node.child.key(), node.spec, seed)
+        decision = memo.get(key)
+        if decision is None:
+            decision = memo[key] = choose_physical(
+                node.spec, deriver.stats_for(node.child), options, seed
+            )
         if tracer is not None:
             span = tracer.begin(
                 "asalqa.decision",
@@ -310,29 +330,30 @@ def materialize_plan(
         decisions[path] = decision
 
     # Family coordination.
-    families: Dict[int, List[SamplerDecision]] = {}
-    for decision in decisions.values():
+    families: Dict[int, List[tuple]] = {}
+    for path, decision in decisions.items():
         if decision.state.family is not None:
-            families.setdefault(decision.state.family, []).append(decision)
+            families.setdefault(decision.state.family, []).append(path)
     for family, members in families.items():
-        specs = [decision.spec for decision in members]
+        specs = [decisions[path].spec for path in members]
         if len(members) < 2 or not all(isinstance(s, UniverseSpec) for s in specs):
-            for decision in members:
-                decision.spec = PassThroughSpec()
-                decision.reason += " (universe family unsatisfied)"
+            for path in members:
+                decisions[path] = _overruled(
+                    decisions[path], PassThroughSpec(), " (universe family unsatisfied)"
+                )
         else:
             # Every member's probability is the smallest meeting *its* C1
             # bound; the pair must share one p, so take the largest of the
             # lower bounds (still capped at MAX_PROBABILITY by each member).
             shared_p = max(s.p for s in specs)
             shared_seed = options.seed * 7_000_003 + family
-            for rank, decision in enumerate(members):
+            for rank, (path, spec) in enumerate(zip(members, specs)):
                 # The family shares one key subspace; a joined row's
                 # inclusion probability is p once, so only the first member
                 # emits the 1/p Horvitz-Thompson weight.
-                decision.spec = UniverseSpec(
-                    decision.spec.columns, shared_p, seed=shared_seed, emit_weight=(rank == 0)
-                )
+                decisions[path] = _overruled(decisions[path], UniverseSpec(
+                    spec.columns, shared_p, seed=shared_seed, emit_weight=(rank == 0)
+                ))
 
     # Nested samplers are forbidden (Appendix A). When two samplers end up
     # on the same root-to-leaf path, keep the *deeper* one — it is closer
@@ -343,8 +364,9 @@ def materialize_plan(
         if isinstance(decision.spec, PassThroughSpec):
             continue
         if any(below[: len(path)] == path for below in live):
-            decision.spec = PassThroughSpec()
-            decision.reason += " (outer of nested pair suppressed)"
+            decisions[path] = _overruled(
+                decision, PassThroughSpec(), " (outer of nested pair suppressed)"
+            )
         else:
             live.append(path)
 
@@ -352,18 +374,3 @@ def materialize_plan(
     on_way = {path[:depth] for path in specs for depth in range(len(path) + 1)}
     physical = _rebuild(plan, (), specs, on_way)
     return physical, [decisions[path] for _, path in sites]
-
-
-def strip_passthrough(plan: LogicalNode) -> LogicalNode:
-    """Remove pass-through sampler nodes, yielding the clean final plan.
-
-    A subtree that holds none is returned as it is, not copied, so plans
-    that differ in one place keep sharing the rest, cached keys included.
-    """
-    if isinstance(plan, SamplerNode) and isinstance(plan.spec, PassThroughSpec):
-        return strip_passthrough(plan.child)
-    children = [strip_passthrough(c) for c in plan.children]
-    for stripped, child in zip(children, plan.children):
-        if stripped is not child:
-            return plan.with_children(children)
-    return plan

@@ -32,7 +32,8 @@ answer, it only skips work (Rong et al., §3.1).
 from __future__ import annotations
 
 import itertools
-from typing import Callable, List, Mapping, Optional
+from dataclasses import replace
+from typing import Callable, Dict, List, Mapping, Optional
 
 from repro.algebra.expressions import And, Cmp, Col, Expr, IsIn, Lit, Not, Or
 from repro.algebra.logical import Join, LogicalNode, Project, SamplerNode, Select, UnionAll
@@ -142,8 +143,6 @@ def push_past_project(state: SamplerState, project: Project, deriver: StatsDeriv
             new_value.add(expr.name)
         else:
             new_value |= expr.columns()
-    from dataclasses import replace
-
     new_state = replace(
         state,
         strat_cols=frozenset(new_strat),
@@ -187,9 +186,37 @@ def _one_side_helper(
     right_keys,
     univ_left: frozenset,
     deriver: StatsDeriver,
+    memo: Dict[tuple, List[dict]],
 ) -> List[SamplerState]:
     """OneSideHelper: states for a sampler on ``left`` replacing the sampler
-    above ``left JOIN right``."""
+    above ``left JOIN right``.
+
+    Only the universe requirement differs between a join's one-side and
+    both-sides pushes, so everything else is computed once per side and
+    kept in ``memo`` (the caller's, one per query).
+    """
+    key = (state, left.key(), left.output_columns(), right.key(), left_keys, right_keys)
+    shared = memo.get(key)
+    if shared is None:
+        shared = memo[key] = _one_side_fields(state, left, right, left_keys, right_keys, deriver)
+    alternatives: List[SamplerState] = []
+    for fields in shared:
+        candidate = replace(state, univ_cols=univ_left, **fields)
+        if not candidate.dissonant():
+            alternatives.append(candidate)
+    return alternatives
+
+
+def _one_side_fields(
+    state: SamplerState,
+    left: LogicalNode,
+    right: LogicalNode,
+    left_keys,
+    right_keys,
+    deriver: StatsDeriver,
+) -> List[dict]:
+    """OneSideHelper's universe-independent half: per alternative, the
+    state fields other than the universe requirement."""
     left_stats = deriver.stats_for(left)
     right_stats = deriver.stats_for(right)
     left_cols = set(left.output_columns())
@@ -239,9 +266,7 @@ def _one_side_helper(
     else:
         subsets = [frozenset(), remaining_keys]
 
-    from dataclasses import replace
-
-    alternatives: List[SamplerState] = []
+    alternatives: List[dict] = []
     for chosen in subsets:
         skipped = remaining_keys - chosen
         ds = state.ds * join_selectivity
@@ -252,19 +277,14 @@ def _one_side_helper(
                 right_stats.distinct(_project_colset(skipped, left_keys, right_keys)),
             )
             ds = ds / dv_left * min(dv_left, dv_right)
-        candidate = replace(
-            state,
+        alternatives.append(dict(
             strat_cols=s_left | chosen,
-            univ_cols=univ_left,
             sfm=sfm,
             ds=ds,
             cd_cols=frozenset(cd_left & (s_left | chosen)),
             opt_cols=frozenset(opt_left & (s_left | chosen)),
             value_cols=value_left,
-        )
-        if candidate.dissonant():
-            continue
-        alternatives.append(candidate)
+        ))
     return alternatives
 
 
@@ -273,8 +293,14 @@ def push_past_join(
     join: Join,
     deriver: StatsDeriver,
     family_of: Callable[[Join], int],
+    memo: Optional[Dict[tuple, List[dict]]] = None,
 ) -> List[LogicalNode]:
-    """Figures 6/7: push a sampler below one or both inputs of an equi-join."""
+    """Figures 6/7: push a sampler below one or both inputs of an equi-join.
+
+    ``memo`` keeps the one-side states across calls (see
+    :func:`_one_side_helper`); without one, nothing outlives the call.
+    """
+    memo = {} if memo is None else memo
     alternatives: List[LogicalNode] = []
     left, right = join.left, join.right
     left_cols = set(left.output_columns())
@@ -284,14 +310,14 @@ def push_past_join(
     univ_left = _project_colset(state.univ_cols, join.right_keys, join.left_keys)
     if not (univ_left - left_cols):
         for new_state in _one_side_helper(
-            state, left, right, join.left_keys, join.right_keys, univ_left, deriver
+            state, left, right, join.left_keys, join.right_keys, univ_left, deriver, memo
         ):
             alternatives.append(join.with_children([SamplerNode(left, new_state), right]))
 
     univ_right = _project_colset(state.univ_cols, join.left_keys, join.right_keys)
     if not (univ_right - right_cols):
         for new_state in _one_side_helper(
-            state, right, left, join.right_keys, join.left_keys, univ_right, deriver
+            state, right, left, join.right_keys, join.left_keys, univ_right, deriver, memo
         ):
             alternatives.append(join.with_children([left, SamplerNode(right, new_state)]))
 
@@ -303,16 +329,14 @@ def push_past_join(
     )
     if u_left is not None and u_right is not None and join.how == "inner":
         left_states = _one_side_helper(
-            state, left, right, join.left_keys, join.right_keys, u_left, deriver
+            state, left, right, join.left_keys, join.right_keys, u_left, deriver, memo
         )
         right_states = _one_side_helper(
-            state, right, left, join.right_keys, join.left_keys, u_right, deriver
+            state, right, left, join.right_keys, join.left_keys, u_right, deriver, memo
         )
         for ls in left_states:
             for rs in right_states:
                 family = state.family if state.family is not None else family_of(join)
-                from dataclasses import replace
-
                 ls_fam = replace(ls, family=family)
                 rs_fam = replace(rs, family=family)
                 alternatives.append(
@@ -325,8 +349,10 @@ def alternatives_below(
     sampler: SamplerNode,
     deriver: StatsDeriver,
     family_of: Callable[[Join], int],
+    memo: Optional[Dict[tuple, List[dict]]] = None,
 ) -> List[LogicalNode]:
-    """All one-step push-downs for a sampler node (dispatch by child type)."""
+    """All one-step push-downs for a sampler node (dispatch by child type);
+    ``memo`` as for :func:`push_past_join`."""
     state = sampler.spec
     if not isinstance(state, SamplerState):
         return []
@@ -336,7 +362,7 @@ def alternatives_below(
     if isinstance(child, Project):
         return push_past_project(state, child, deriver)
     if isinstance(child, Join):
-        return push_past_join(state, child, deriver, family_of)
+        return push_past_join(state, child, deriver, family_of, memo)
     if isinstance(child, UnionAll):
         return push_past_union(state, child, deriver)
     return []

@@ -59,7 +59,9 @@ class WeightedAggregate(Aggregate):
         self.universe_rescale = dict(universe_rescale or {})
         self.universe_variance = universe_variance
 
-    def with_children(self, children) -> "WeightedAggregate":
+    _params = Aggregate._params + ("compute_ci", "universe_rescale", "universe_variance")
+
+    def _construct(self, children) -> "WeightedAggregate":
         (child,) = children
         return WeightedAggregate(
             child,

@@ -26,6 +26,7 @@ requirement).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import FrozenSet, Optional
 
 __all__ = ["SamplerState"]
@@ -45,6 +46,12 @@ class SamplerState:
     family: Optional[int] = None
 
     def key(self) -> tuple:
+        return self._key
+
+    @cached_property
+    def _key(self) -> tuple:
+        # Built once per state: the dataclass is frozen, and ``replace``
+        # builds a new instance without this cache.
         return (
             "state",
             tuple(sorted(self.strat_cols)),

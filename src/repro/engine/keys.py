@@ -19,7 +19,7 @@ import numpy as np
 from repro.errors import PlanError
 
 __all__ = [
-    "pack_keys", "group_codes", "dense_span", "value_counts",
+    "pack_keys", "group_codes", "dense_span", "value_counts", "stable_argsort",
     "encode_dictionary", "same_dictionary",
 ]
 
@@ -48,6 +48,42 @@ def value_counts(values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
             present = np.flatnonzero(table)
             return present + lo, table[present]
     return np.unique(values, return_counts=True)
+
+
+def stable_argsort(values: np.ndarray) -> np.ndarray:
+    """Exactly ``np.argsort(values, kind="stable")``, from NumPy's default
+    sort where that gives the same permutation.
+
+    The stable sort of 32- and 64-bit keys is a timsort, several times
+    slower than the default SIMD sort; but a sort of keys without ties has
+    one answer, so the fast sort is exact on them:
+
+    * integers: ``(key - min) * n + row`` has no ties and orders as
+      ``(key, row)`` does; used when it fits int64;
+    * floats: sorted as they are, kept if no two adjacent sorted values
+      are equal (``-0.0 == 0.0`` is a tie) and at most one is NaN (NaNs
+      sort last, in no fixed order among themselves);
+    * anything else, and keys of 16 bits or fewer (whose stable sort is
+      already a radix sort), take the stable sort.
+    """
+    values = np.asarray(values)
+    n = len(values)
+    kind = values.dtype.kind
+    if n > 1 and values.dtype.itemsize > 2:
+        if kind in "iu":
+            lo, hi = int(values.min()), int(values.max())
+            if (hi - lo) * n + n - 1 <= np.iinfo(np.int64).max:
+                if values.dtype == np.uint64:  # ``lo`` may not fit int64
+                    shifted = (values - values.dtype.type(lo)).astype(np.int64)
+                else:
+                    shifted = values.astype(np.int64) - lo
+                return np.argsort(shifted * n + np.arange(n))
+        elif kind == "f":
+            order = np.argsort(values)
+            ordered = values[order]
+            if not (ordered[1:] == ordered[:-1]).any() and not np.isnan(ordered[-2]):
+                return order
+    return np.argsort(values, kind="stable")
 
 
 def encode_dictionary(values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -122,7 +158,7 @@ def group_codes(arrays: Sequence[np.ndarray]) -> Tuple[np.ndarray, np.ndarray, i
         present = first < n
         first_index = first[present]
         return (np.cumsum(present) - 1)[key], first_index, len(first_index)
-    order = np.argsort(key, kind="stable")
+    order = stable_argsort(key)
     sorted_key = key[order]
     boundary = np.ones(n, dtype=bool)
     boundary[1:] = sorted_key[1:] != sorted_key[:-1]

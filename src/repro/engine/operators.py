@@ -25,7 +25,7 @@ from repro.engine.aggregate import (
     finalize_partial,
     partial_aggregate,
 )
-from repro.engine.keys import dense_span, pack_keys, same_dictionary
+from repro.engine.keys import dense_span, pack_keys, same_dictionary, stable_argsort
 from repro.engine.table import WEIGHT_COLUMN, Table
 from repro.errors import PlanError, SchemaError
 
@@ -100,7 +100,7 @@ def _match_pairs(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """All (left_index, right_index) pairs with equal keys (many-to-many),
     in left-row order and, per left row, right-row order."""
-    order = np.argsort(right_key, kind="stable")
+    order = stable_argsort(right_key)
     if dense_span(span, len(left_key) + len(right_key)):
         per_key = np.bincount(right_key, minlength=span)
         lo = (np.cumsum(per_key) - per_key)[left_key]

@@ -41,7 +41,7 @@ import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Hashable, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, Hashable, Iterable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -126,9 +126,9 @@ class OperatorMetrics:
         return out
 
 
-@dataclass(frozen=True)
-class PhysicalOp:
-    """One entry of the compiled operator pipeline."""
+class PhysicalOp(NamedTuple):
+    """One entry of the compiled operator pipeline (immutable; a named
+    tuple because a plan builds one per node on every cold compile)."""
 
     #: Position in the post-order pipeline (execution order).
     index: int
@@ -506,8 +506,14 @@ _OPCODES = (
 )
 
 
+_OPCODE_OF_TYPE = dict(_OPCODES)
+
+
 def _opcode_of(node: LogicalNode) -> str:
-    for klass, opcode in _OPCODES:
+    opcode = _OPCODE_OF_TYPE.get(type(node))
+    if opcode is not None:
+        return opcode
+    for klass, opcode in _OPCODES:  # a subclass, e.g. WeightedAggregate
         if isinstance(node, klass):
             return opcode
     raise PlanError(f"executor cannot handle node {type(node).__name__}")
@@ -665,7 +671,7 @@ def compile_plan(
                 lineage_column=lineage_column,
                 estimation=estimation,
                 columns=columns,
-                drop=tuple(c for c in carried if c not in columns),
+                drop=tuple(c for c in carried if c not in columns) if carried else (),
             )
         )
         del emitted[len(emitted) - arity:]

@@ -48,6 +48,7 @@ import numpy as np
 from repro.algebra.addressing import NodeAddress, format_address, walk_with_addresses
 from repro.algebra.logical import Join, SamplerNode, Select
 from repro.core.pushdown import partition_feasible, prune_conjuncts
+from repro.engine.keys import value_counts
 from repro.engine.partitions import Partitioner
 from repro.parallel.plan import PlanAnalysis, ScanPartitioning, _trace_to_scan
 
@@ -250,7 +251,9 @@ def _collect_semijoin_keys(
                         continue
             try:
                 qualifying = run_subtree(probe, (dim_keys[0],))
-                keys = np.unique(qualifying.column(dim_keys[0]))
+                # The sorted distinct keys: ``value_counts`` counts or sorts,
+                # where a bare ``np.unique`` may take NumPy's slower hash path.
+                keys = value_counts(qualifying.column(dim_keys[0]))[0]
             except Exception:  # noqa: BLE001 - pruning must never fail a query
                 continue
             checks.append(

@@ -33,7 +33,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from repro.algebra.expressions import Expr
-from repro.engine.keys import group_codes
+from repro.engine.keys import group_codes, stable_argsort
 from repro.engine.table import Table
 from repro.errors import SamplerError
 from repro.samplers.base import SamplerSpec, attach_weights
@@ -113,7 +113,7 @@ class DistinctSpec(SamplerSpec):
         # ordered in the narrowest dtype that holds the stratum count; the
         # strata are then contiguous runs starting at the count offsets.
         narrow = np.min_scalar_type(len(counts) - 1)
-        order = np.argsort(codes.astype(narrow), kind="stable")
+        order = stable_argsort(codes.astype(narrow))
         rank = np.empty(n, dtype=np.int64)
         rank[order] = _rank_in_runs(counts)
 
@@ -135,8 +135,8 @@ class DistinctSpec(SamplerSpec):
             small_idx = np.flatnonzero(small)
             # By stratum, then by draw: two stable sorts, the second a radix
             # sort again, give lexsort((draw, stratum))'s permutation.
-            by_draw = small_idx[np.argsort(u[small_idx], kind="stable")]
-            sub_sorted = by_draw[np.argsort(codes[by_draw].astype(narrow), kind="stable")]
+            by_draw = small_idx[stable_argsort(u[small_idx])]
+            sub_sorted = by_draw[stable_argsort(codes[by_draw].astype(narrow))]
             sub_rank = _rank_in_runs(np.bincount(codes[sub_sorted]))
             keep = np.minimum(self.reservoir_size, cand_count)
             chosen = sub_sorted[sub_rank < keep[codes[sub_sorted]]]

@@ -11,7 +11,7 @@ sampler cardinality from the sampler's expected pass fraction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Optional, Tuple
 
 import numpy as np
@@ -83,6 +83,9 @@ class NodeStats:
     rows: float
     lineage: Lineage
     catalog: Catalog
+    #: :meth:`distinct` per column sequence, as asked: the planner asks the
+    #: same node for the same set many times.
+    _distinct: Dict[tuple, float] = field(default_factory=dict, repr=False, compare=False)
 
     def distinct(self, columns) -> float:
         """Estimated distinct count of a column set in this relation.
@@ -96,8 +99,17 @@ class NodeStats:
         sfm corrections that are themselves distinct-count ratios) only
         cancels correctly when NumDV composes multiplicatively. Callers that
         need a cardinality (e.g. aggregate output rows) cap at their site.
+
+        Kept per column *sequence*, not per set: the per-table product runs
+        in the order asked, and two orders may round differently.
         """
-        colset = [c for c in columns]
+        colset = tuple(columns)
+        cached = self._distinct.get(colset)
+        if cached is None:
+            cached = self._distinct[colset] = self._derive_distinct(colset)
+        return cached
+
+    def _derive_distinct(self, colset: tuple) -> float:
         if not colset:
             return 1.0
         if self.rows <= 0:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.algebra.addressing import canonical_plan_form, plan_fingerprint
 from repro.algebra.aggregates import count, sum_
 from repro.algebra.expressions import col
 from repro.algebra.logical import (
@@ -226,3 +227,57 @@ class TestKeyIsBuiltOnce:
         joined = Join(scan_t(), scan_u(), ["a"], ["x"])
         assert joined.output_columns() is joined.output_columns()
         assert joined.output_columns() == ("a", "b", "c", "x", "y")
+
+
+def _same_columns(child):
+    """A different subtree with exactly ``child``'s columns."""
+    return Select(child, col(child.output_columns()[0]) > 0)
+
+
+class TestSameSchemaRebuild:
+    """A rebuild over children with unchanged columns skips the
+    constructor's checks, and copies parameters but never caches."""
+
+    @pytest.mark.parametrize("node", _one_of_each(), ids=lambda n: type(n).__name__)
+    def test_skips_the_constructor_and_keeps_parameters(self, node, monkeypatch):
+        children = [_same_columns(c) for c in node.children]
+        built = type(node)._construct(node, tuple(children))
+
+        def boom(*args, **kwargs):
+            raise AssertionError("same-schema rebuild ran the constructor")
+
+        monkeypatch.setattr(type(node), "__init__", boom)
+        rebuilt = node.with_children(children)
+        assert type(rebuilt) is type(node)
+        assert rebuilt.children == tuple(children)
+        assert rebuilt.output_columns() == node.output_columns()
+        assert rebuilt.key() == built.key()
+        assert plan_fingerprint(rebuilt) == plan_fingerprint(built)
+
+    @pytest.mark.parametrize("node", _one_of_each(), ids=lambda n: type(n).__name__)
+    def test_carries_no_cache_of_its_source(self, node):
+        node.key()
+        canonical_plan_form(node)
+        plan_fingerprint(node)
+        rebuilt = node.with_children([_same_columns(c) for c in node.children])
+        assert not {"_key", "_quickr_canonical_form", "_quickr_fingerprint"} & set(rebuilt.__dict__)
+        assert set(rebuilt.__dict__) == {"children", "_columns", *type(node)._params}
+        assert rebuilt.key() != node.key()
+        assert plan_fingerprint(rebuilt) != plan_fingerprint(node)
+
+    def test_changed_columns_are_still_checked(self):
+        narrow = Scan("t", ("b", "c"))
+        with pytest.raises(SchemaError):
+            Select(scan_t(), col("a") > 1).with_children([narrow])
+        with pytest.raises(SchemaError):
+            Project(scan_t(), {"a": col("a")}).with_children([narrow])
+        with pytest.raises(SchemaError):
+            Join(scan_t(), scan_u(), ["a"], ["x"]).with_children([narrow, scan_u()])
+        with pytest.raises(SchemaError):  # the new right side shares "b"
+            Join(scan_t(), scan_u(), ["a"], ["x"]).with_children([scan_t(), Scan("u", ("x", "b"))])
+        with pytest.raises(SchemaError):
+            Aggregate(scan_t(), ("a",), [count("n")]).with_children([narrow])
+        with pytest.raises(SchemaError):
+            OrderBy(scan_t(), ["a"]).with_children([narrow])
+        with pytest.raises(SchemaError):
+            UnionAll([scan_t(), scan_t()]).with_children([scan_t(), narrow])

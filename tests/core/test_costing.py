@@ -4,12 +4,12 @@ sampler choice, global universe coordination, nesting suppression."""
 import pytest
 
 from repro.algebra.builder import scan
-from repro.algebra.logical import Join, SamplerNode
+from repro.algebra.expressions import col
+from repro.algebra.logical import Join, SamplerNode, Select
 from repro.core.costing import (
     CostingOptions,
     choose_physical,
     materialize_plan,
-    strip_passthrough,
 )
 from repro.core.sampler_state import SamplerState
 from repro.samplers.base import PassThroughSpec
@@ -157,21 +157,43 @@ class TestMaterializePlan:
             ),
         )
         plan = join.with_children([left, right])
-        physical, _ = materialize_plan(plan, deriver)
-        specs = [n.spec for n in physical.walk() if isinstance(n, SamplerNode)]
-        assert all(isinstance(s, PassThroughSpec) for s in specs)
+        physical, decisions = materialize_plan(plan, deriver)
+        assert [type(d.spec) for d in decisions] == [PassThroughSpec, PassThroughSpec]
+        assert physical.key() == join.key()  # pass-throughs are not in the plan
 
     def test_nested_sampler_suppressed_keeping_deeper(self, sales_db, deriver):
         base = scan(sales_db, "sales").node
         inner = SamplerNode(base, SamplerState())
         outer = SamplerNode(inner, SamplerState())
-        physical, _ = materialize_plan(outer, deriver)
-        specs = [n.spec for n in physical.walk() if isinstance(n, SamplerNode)]
-        assert isinstance(specs[0], PassThroughSpec)  # outer suppressed
-        assert not isinstance(specs[1], PassThroughSpec)  # deeper kept
+        physical, decisions = materialize_plan(outer, deriver)
+        assert isinstance(decisions[0].spec, PassThroughSpec)  # outer suppressed
+        assert not isinstance(decisions[1].spec, PassThroughSpec)  # deeper kept
+        assert isinstance(physical, SamplerNode) and physical.spec is decisions[1].spec
+        assert physical.child is base
 
-    def test_strip_passthrough(self, sales_db, deriver):
+    def test_passthrough_samplers_are_dropped(self, sales_db, deriver):
         base = scan(sales_db, "sales").node
-        plan = SamplerNode(base, PassThroughSpec())
-        stripped = strip_passthrough(plan)
-        assert stripped.key() == base.key()
+        # Dissonant: every stratification column is also a universe column.
+        state = SamplerState(strat_cols=frozenset({"s_cust"}), univ_cols=frozenset({"s_cust"}))
+        plan = Select(SamplerNode(base, state), col("s_amount") > 0)
+        physical, (decision,) = materialize_plan(plan, deriver)
+        assert isinstance(decision.spec, PassThroughSpec)
+        assert physical.key() == Select(base, col("s_amount") > 0).key()
+
+    def test_decisions_are_shared_not_changed(self, sales_db, deriver):
+        """A memoised decision is handed out as is; the global pass
+        overrules a family member with a new decision, not by editing."""
+        join = Join(
+            scan(sales_db, "sales").node, scan(sales_db, "returns").node, ["s_cust"], ["r_cust"]
+        )
+        left = SamplerNode(join.left, SamplerState(univ_cols=frozenset({"s_cust"}), family=9))
+        right = SamplerNode(join.right, SamplerState(univ_cols=frozenset({"r_cust"}), family=9))
+        plan = join.with_children([left, right])
+        memo = {}
+        _, first = materialize_plan(plan, deriver, CostingOptions(error_z=0.3), memo)
+        tentative = {id(d): (d.spec, d.reason) for d in memo.values()}
+        _, second = materialize_plan(plan, deriver, CostingOptions(error_z=0.3), memo)
+        assert {id(d): (d.spec, d.reason) for d in memo.values()} == tentative
+        assert [d.spec.key() for d in first] == [d.spec.key() for d in second]
+        shared = {id(d) for d in memo.values()}
+        assert not shared & {id(d) for d in first}  # both members were coordinated

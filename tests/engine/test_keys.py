@@ -248,3 +248,66 @@ class TestValueCounts:
         want_uniques, want_counts = np.unique(values, return_counts=True)
         np.testing.assert_array_equal(uniques, want_uniques)
         np.testing.assert_array_equal(counts, want_counts)
+
+
+def assert_stable_order(values):
+    got = keys.stable_argsort(values)
+    np.testing.assert_array_equal(got, np.argsort(values, kind="stable"))
+    assert got.dtype == np.intp
+
+
+@st.composite
+def small_span(draw, dtype, n):
+    info = np.iinfo(dtype)
+    lo = draw(st.integers(int(info.min), int(info.max) - 40))
+    return np.asarray(draw(st.lists(st.integers(lo, lo + 40), min_size=n, max_size=n)), dtype=dtype)
+
+
+class TestStableArgsort:
+    """``stable_argsort`` is ``np.argsort(kind="stable")`` on every input,
+    whether it took the tie-free fast sort or fell back to the stable one."""
+
+    @given(data=st.data(), dtype=st.sampled_from(["int8", "int32", "int64", "uint64"]),
+           n=st.integers(0, 60))
+    @settings(max_examples=300, deadline=None)
+    def test_integers(self, data, dtype, n):
+        # Extremes make (key - min) * n + row overflow int64 (the fallback);
+        # a narrow span anywhere in the range fits it (the fast sort).
+        assert_stable_order(data.draw(column(dtype, n)))
+        assert_stable_order(data.draw(small_span(dtype, n)))
+
+    @given(values=st.lists(st.sampled_from(FLOATS), max_size=60))
+    @settings(max_examples=200, deadline=None)
+    def test_floats_with_ties_zeros_and_nans(self, values):
+        assert_stable_order(np.asarray(values, dtype=np.float64))
+
+    @given(values=st.lists(st.floats(allow_nan=False, width=32), max_size=60, unique=True),
+           nans=st.integers(0, 3), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_floats_without_ties(self, values, nans, data):
+        values = values + [float("nan")] * nans
+        permuted = data.draw(st.permutations(values))
+        assert_stable_order(np.asarray(permuted, dtype=np.float64))
+        assert_stable_order(np.asarray(permuted, dtype=np.float32))
+
+    @pytest.mark.parametrize("dtype", ["int8", "int64", "uint64", "float64", "bool", "<U2"])
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_empty_and_one_row(self, dtype, n):
+        assert_stable_order(np.zeros(n, dtype=dtype))
+
+    def test_tie_free_keys_skip_the_stable_sort(self, monkeypatch):
+        kinds = []
+        argsort = np.argsort
+
+        def recording(values, *args, kind=None, **kwargs):
+            kinds.append(kind)
+            return argsort(values, *args, kind=kind, **kwargs)
+
+        monkeypatch.setattr(keys.np, "argsort", recording)
+        rng = np.random.default_rng(0)
+        keys.stable_argsort(rng.integers(0, 50, 1000))  # ties, fits int64
+        keys.stable_argsort(rng.random(1000))  # no ties
+        assert kinds == [None, None]
+        keys.stable_argsort(np.array([0.5, 0.5]))  # a tie
+        keys.stable_argsort(np.array([0, 2**63 - 1, 5]))  # composite overflows
+        assert kinds[2:] == [None, "stable", "stable"]

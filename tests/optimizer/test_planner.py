@@ -4,7 +4,7 @@ import pytest
 
 from repro.engine.executor import Executor
 from repro.optimizer.planner import QuickrPlanner
-from repro.workloads.tpcds import query_by_name
+from repro.workloads.tpcds import QUERY_BUILDERS, query_by_name
 
 
 class TestBaselinePlanning:
@@ -102,3 +102,30 @@ class TestSharedPlannerUnderThreads:
         assert len(observed) == len(threads) * len(queries)
         for index, fingerprint in observed:
             assert fingerprint == expected[index], self.QUERIES[index]
+
+
+def _planned(planner, query):
+    result = planner.plan(query)
+    return (
+        result.plan.key(),
+        result.approximable,
+        result.alternatives_explored,
+        result.estimated_cost.machine_hours,
+        result.baseline_cost.machine_hours,
+        [(d.spec.key(), d.reason, d.support, d.c1, d.c2) for d in result.decisions],
+    )
+
+
+class TestDecisionsIgnoreQueryOrder:
+    """The planner's memos live for one query: planning the suite forward
+    and backward with fresh planners gives the same plan, cost and sampler
+    decisions for every query."""
+
+    def test_forward_and_reverse_agree(self, tiny_tpcds):
+        queries = [query_by_name(tiny_tpcds, name) for name in QUERY_BUILDERS]
+        assert len(queries) == 24
+        forward, backward = QuickrPlanner(tiny_tpcds), QuickrPlanner(tiny_tpcds)
+        ahead = {q.name: _planned(forward, q) for q in queries}
+        behind = {q.name: _planned(backward, q) for q in reversed(queries)}
+        for name, planned in ahead.items():
+            assert planned == behind[name], name

@@ -215,6 +215,24 @@ def test_merge_rows_is_a_run_merge():
     assert not sorts, f"merge_rows re-sorts its payloads with {sorts}"
 
 
+def test_stable_sorts_go_through_stable_argsort():
+    """``np.argsort(kind="stable")`` is a timsort on 32- and 64-bit keys;
+    ``keys.stable_argsort`` returns the same permutation from NumPy's SIMD
+    sort. Only it calls the stable sort directly, and ``parallel/merge.py``,
+    whose payloads are sorted runs that timsort merges in linear time."""
+    allowed = {"engine/keys.py", "parallel/merge.py"}
+    sites = []
+    for path in sorted(SRC.rglob("*.py")):
+        relative = path.relative_to(SRC).as_posix()
+        if relative in allowed:
+            continue
+        for call in _calls(ast.parse(path.read_text(encoding="utf-8")), "argsort"):
+            kind = next((kw.value for kw in call.keywords if kw.arg == "kind"), None)
+            if kind is not None and getattr(kind, "value", None) not in ("quicksort", "heapsort"):
+                sites.append(f"{relative}:{call.lineno}")
+    assert not sites, f"stable argsorts outside keys.stable_argsort: {sites}"
+
+
 def test_parallel_pipeline_stays_a_pipeline():
     tree = _parse("parallel/executor.py")
     constructed = [
