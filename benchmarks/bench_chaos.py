@@ -133,7 +133,6 @@ def test_partition_loss_degrades_with_covering_cis():
         parallelism=DEGREE,
         parallel_options=ParallelOptions(
             fault_plan=FaultPlan.lose_partition(1),
-            allow_degraded=True,
             **{**OPTIONS, "retry": RetryPolicy(max_attempts=2, backoff_base=0.01)},
         ),
     )

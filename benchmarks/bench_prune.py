@@ -25,7 +25,8 @@ import os
 import numpy as np
 
 from repro.engine.executor import Executor
-from repro.engine.operators import CI_SUFFIX
+from repro.engine.governance import GovernanceContext
+from repro.obs.accuracy import compare_tables
 from repro.optimizer.planner import QuickrPlanner
 from repro.parallel import ParallelOptions
 from repro.workloads.tpcds import generate_tpcds, queries, query_by_name
@@ -58,30 +59,11 @@ def tables_identical(a, b):
     return all(np.array_equal(a.column(c), b.column(c)) for c in a.column_names)
 
 
-def ci_coverage(estimate, exact):
-    """Fraction of aggregate cells whose CI half-width covers the exact
-    value; group rows are aligned on the non-aggregate key columns."""
-    ci_cols = [c for c in estimate.column_names if c.endswith(CI_SUFFIX)]
-    agg_cols = [c[: -len(CI_SUFFIX)] for c in ci_cols]
-    key_cols = [
-        c for c in estimate.column_names if c not in agg_cols and not c.endswith(CI_SUFFIX)
-    ]
-    exact_by_key = {
-        tuple(exact.column(k)[i] for k in key_cols): i for i in range(exact.num_rows)
-    }
-    covered = checked = 0
-    for i in range(estimate.num_rows):
-        j = exact_by_key.get(tuple(estimate.column(k)[i] for k in key_cols))
-        if j is None:
-            continue
-        for agg, ci in zip(agg_cols, ci_cols):
-            truth = float(exact.column(agg)[j])
-            est = float(estimate.column(agg)[i])
-            half = float(estimate.column(ci)[i])
-            if np.isfinite(truth) and np.isfinite(est):
-                checked += 1
-                covered += bool(abs(est - truth) <= half)
-    return covered, checked
+def selecting(fraction):
+    """A governance context that asks for weighted partition selection."""
+    governance = GovernanceContext()
+    governance.selection_fraction = fraction
+    return governance
 
 
 def test_prune_bars():
@@ -133,15 +115,10 @@ def test_prune_bars():
     )
 
     # -- weighted selection: fewer partitions, CIs still cover truth --------
-    select_exec = Executor(
-        db,
-        parallelism=DEGREE,
-        parallel_options=options(selection_fraction=SELECTION_FRACTION),
-    )
     for name in SELECTION_QUERIES:
         query = query_by_name(db, name)
         plan = planner.plan(query).plan
-        selected = select_exec.execute(plan)
+        selected = pruned_exec.execute(plan, governance=selecting(SELECTION_FRACTION))
         info = selected.parallel.pruning
         assert info is not None and info["partitions_selected"], (
             f"{name}: weighted selection did not engage"
@@ -151,7 +128,8 @@ def test_prune_bars():
             f"{name}: selection executed all {survivors} surviving partitions"
         )
         exact = Executor(db).execute(planner.plan_baseline(query).plan)
-        covered, checked = ci_coverage(selected.table, exact.table)
+        coverage = compare_tables(selected.table, exact.table)
+        checked, covered = coverage.cells_checked, coverage.cells_covered
         report["selection"][name] = {
             "fraction": SELECTION_FRACTION,
             "partitions_executed": info["partitions_executed"],
@@ -166,15 +144,8 @@ def test_prune_bars():
             f"{name}: CIs cover only {covered}/{checked} exact values"
         )
 
-    from repro.experiments.report import bench_envelope
-
     with open(OUTPUT, "w", encoding="utf-8") as fh:
-        json.dump(
-            bench_envelope("prune", report, scale=SCALE, seed=SEED, degree=DEGREE),
-            fh,
-            indent=2,
-            sort_keys=True,
-        )
+        json.dump(report, fh, indent=2, sort_keys=True)
     print(
         f"\nprune bars: {report['selective_skip_fraction']:.0%} of selective-subset "
         f"partitions skipped (bar {SKIP_BAR:.0%}), zero drift on "

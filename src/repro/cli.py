@@ -14,7 +14,6 @@ Usage::
     python -m repro loadgen --sessions 50  # load-test a running service
     python -m repro slo --port 8642        # accuracy calibration + SLO burn report
     python -m repro postmortem postmortems/  # render a flight-recorder bundle
-    python -m repro bench-report           # merge BENCH_*.json into one table
     python -m repro stats-catalog build    # materialize the partition-stats catalog
 
 Every data-touching subcommand accepts ``--log-level`` (attach the
@@ -562,71 +561,6 @@ def _cmd_postmortem(args) -> int:
     return 0
 
 
-def _bench_headline(bench, series) -> str:
-    """One-line summary of a bench artifact's series, keyed by producer."""
-    if bench == "transport":
-        rss = series.get("peak_rss_kb")
-        return (f"shuffle speedup {series.get('speedup_shuffle')}x, "
-                f"tpc-ds {series.get('speedup_tpcds')}x"
-                + (f", peak rss {rss:,} KiB" if rss else ""))
-    if bench == "governor":
-        runs = series.get("runs") or {}
-        parts = [
-            f"{label} p99 {entry.get('p99_seconds')}s"
-            for label, entry in sorted(runs.items())
-            if isinstance(entry, dict)
-        ]
-        attribution = series.get("selection_attribution") or {}
-        if attribution.get("rungs"):
-            parts.append(f"{len(attribution['rungs'])} queries rung-attributed")
-        return ", ".join(parts) or "-"
-    if bench == "prune":
-        skip = series.get("selective_skip_fraction")
-        credit = series.get("machine_hours_credit_total")
-        if skip is None:
-            return "-"
-        return (f"selective skip {skip:.0%}, "
-                f"machine-hours credit {credit:.3f}" if credit is not None
-                else f"selective skip {skip:.0%}")
-    known = [k for k in ("qps", "served", "rejected", "sessions") if k in series]
-    if known:
-        return ", ".join(f"{k}={series[k]}" for k in known)
-    return f"{len(series)} top-level key(s)"
-
-
-def _cmd_bench_report(args) -> int:
-    import glob as globmod
-
-    from repro.experiments.report import format_table, load_bench
-
-    files = list(args.files) or sorted(globmod.glob("BENCH_*.json"))
-    if not files:
-        print("no BENCH_*.json artifacts found; pass paths explicitly")
-        return 1
-    rows = []
-    failures = 0
-    for path in files:
-        try:
-            payload = load_bench(path)
-        except (OSError, ValueError) as exc:
-            rows.append({"file": path, "bench": "ERROR", "schema": "-",
-                         "headline": str(exc)})
-            failures += 1
-            continue
-        meta = payload["meta"]
-        series = payload["series"] if isinstance(payload["series"], dict) else {}
-        rows.append(
-            {
-                "file": path,
-                "bench": meta.get("bench", "?"),
-                "schema": meta.get("schema", "-"),
-                "headline": _bench_headline(meta.get("bench"), series),
-            }
-        )
-    print(format_table(rows, title="bench artifacts"))
-    return 1 if failures else 0
-
-
 def _cmd_trace(args) -> int:
     from repro.experiments.figures import figure2
     from repro.experiments.report import format_table
@@ -641,63 +575,6 @@ def _cmd_trace(args) -> int:
             {"metric": metric, **{f"{p}th": f"{measured[p]:.1f} ({paper[p]:g})" for p in (25, 50, 75, 90, 95)}}
         )
     print(format_table(rows, "Figure 2b percentiles: measured (paper)"))
-    return 0
-
-
-def _cmd_bench_transport(args) -> int:
-    import multiprocessing as mp
-
-    from repro.experiments.report import format_table
-    from repro.experiments.transport import measure_transport, write_report
-    from repro.parallel import available_parallelism, transport
-    from repro.workloads.tpcds import QUERY_BUILDERS, generate_tpcds
-
-    if "fork" not in mp.get_all_start_methods() or not transport.shm_available():
-        print("bench-transport needs fork process workers and POSIX shared memory")
-        return 2
-    names = args.queries.split(",") if args.queries else None
-    if names:
-        unknown = [n for n in names if n not in QUERY_BUILDERS]
-        if unknown:
-            print(f"unknown queries: {', '.join(unknown)}; available: {', '.join(QUERY_BUILDERS)}")
-            return 2
-
-    db = generate_tpcds(scale=args.scale, seed=args.seed, stats=_wants_stats(args))
-    kwargs = dict(
-        degree=args.parallelism,
-        repeat=args.repeat,
-        shuffle_rows=args.shuffle_rows,
-        scale=args.scale,
-    )
-    if names:
-        kwargs["names"] = names
-    report = measure_transport(db, **kwargs)
-
-    rows = []
-    for r in report["queries"] + [report["shuffle"]]:
-        rows.append(
-            {
-                "query": r["query"],
-                "transport": r["transport"],
-                "pickle_s": f"{r['seconds_pickle']:.3f}",
-                "shm_s": f"{r['seconds_shm']:.3f}",
-                "bytes_pickled": f"{r['bytes_pickled']:,}",
-                "bytes_on_pipe": f"{r['bytes_on_pipe_shm']:,}",
-                "identical": "yes" if r["identical"] else "NO",
-            }
-        )
-    print(format_table(rows, title=f"shm vs pickle transport (D={args.parallelism})"))
-    print(
-        f"\nspeedup: tpc-ds {report['speedup_tpcds']}x, "
-        f"transport-bound shuffle {report['speedup_shuffle']}x; "
-        f"peak rss {report['peak_rss_kb']:,} KiB"
-    )
-    cores = available_parallelism()
-    if cores < args.parallelism:
-        print(f"note: only {cores} usable core(s); pickle serialization and worker "
-              "compute contend for the same core, so the measured ratio is a floor")
-    write_report(report, args.out)
-    print(f"wrote {args.out}")
     return 0
 
 
@@ -908,25 +785,6 @@ def build_parser() -> argparse.ArgumentParser:
     speedup.add_argument("--merge", default="rows", choices=["rows", "partial"])
     speedup.set_defaults(func=_cmd_speedup)
 
-    bench_transport = sub.add_parser(
-        "bench-transport", parents=[common],
-        help="compare shared-memory vs pickle result transport at fixed degree "
-             "(per-query wall clock, bytes on the pipe, peak RSS)",
-    )
-    bench_transport.add_argument("--scale", type=float, default=0.15)
-    bench_transport.add_argument("--seed", type=int, default=7)
-    bench_transport.add_argument("--parallelism", type=int, default=4)
-    bench_transport.add_argument("--repeat", type=int, default=1,
-                                 help="timed runs per transport; best is kept")
-    bench_transport.add_argument("--queries", default=None,
-                                 help="comma-separated query names (default: a "
-                                      "transport-heavy subset)")
-    bench_transport.add_argument("--shuffle-rows", type=int, default=1_500_000,
-                                 help="rows in the transport-bound shuffle microbench")
-    bench_transport.add_argument("--out", default="BENCH_exec.json",
-                                 help="where to write the JSON report")
-    bench_transport.set_defaults(func=_cmd_bench_transport)
-
     chaos = sub.add_parser(
         "chaos", parents=[common],
         help="run the workload under seeded fault injection (crashes, stragglers, corruption)",
@@ -1058,15 +916,6 @@ def build_parser() -> argparse.ArgumentParser:
                             help="when PATH is a dump dir, list bundles "
                                  "instead of rendering")
     postmortem.set_defaults(func=_cmd_postmortem)
-
-    bench_report = sub.add_parser(
-        "bench-report",
-        help="merge BENCH_*.json artifacts (shared repro-bench envelope) "
-             "into one summary table",
-    )
-    bench_report.add_argument("files", nargs="*",
-                              help="artifact paths (default: ./BENCH_*.json)")
-    bench_report.set_defaults(func=_cmd_bench_report)
 
     stats = sub.add_parser(
         "stats-catalog", parents=[common],

@@ -151,9 +151,11 @@ class GovernanceContext:
         self.token = token if token is not None else CancellationToken()
         self.checks = 0
         self.peak_live_bytes = 0
-        #: Per-query weighted-partition-selection override (see the
-        #: governor's ``quickr-select`` rung); None leaves the executor's
-        #: own ``selection_fraction`` knob in charge.
+        #: Weighted partition selection for this query: roughly this
+        #: fraction of the partitions that survive exact pruning run, each
+        #: row weighted by its partition's inverse inclusion probability
+        #: (the governor's ``quickr-select`` rung sets it). The only way to
+        #: ask for selection; None runs every surviving partition.
         self.selection_fraction: Optional[float] = None
 
     @classmethod

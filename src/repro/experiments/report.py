@@ -2,19 +2,11 @@
 
 Every benchmark harness prints through these so the output rows read like
 the paper's tables and can be diffed against EXPERIMENTS.md.
-
-This module also owns the shared **bench JSON envelope**: every
-``BENCH_*.json`` artifact is ``{"meta": {...}, "series": {...}}`` with
-``meta.schema == "repro-bench/1"``, so ``repro bench-report`` (and CI)
-can merge artifacts from different benchmarks without per-file parsing
-rules. :func:`load_bench` tolerates pre-envelope files by wrapping them
-on read.
 """
 
 from __future__ import annotations
 
-import json
-from typing import Any, Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -24,9 +16,6 @@ __all__ = [
     "format_table",
     "format_percentile_table",
     "fraction_at_or_above",
-    "BENCH_SCHEMA",
-    "bench_envelope",
-    "load_bench",
 ]
 
 DEFAULT_PERCENTILES = (10, 25, 50, 75, 90, 95)
@@ -87,47 +76,3 @@ def format_percentile_table(
             row[f"{p}th"] = round(v, decimals)
         rows.append(row)
     return format_table(rows, title)
-
-
-# -- the shared bench JSON envelope --------------------------------------------
-
-#: Schema tag carried in every BENCH_*.json written through the envelope.
-BENCH_SCHEMA = "repro-bench/1"
-
-
-def bench_envelope(bench: str, series: Dict[str, Any], **meta: Any) -> Dict[str, Any]:
-    """Wrap one benchmark's measurements in the shared envelope.
-
-    ``bench`` names the producing benchmark (``transport``, ``governor``,
-    ``prune``, ...); ``series`` is the benchmark's own payload, unchanged;
-    extra keyword arguments (scale, degree, seed, ...) land in ``meta``.
-    None-valued meta entries are dropped so callers can forward optional
-    settings (``degree=report.get("degree")``) without cluttering the file.
-    """
-    kept = {k: v for k, v in meta.items() if v is not None}
-    return {
-        "meta": {"schema": BENCH_SCHEMA, "bench": str(bench), **kept},
-        "series": series,
-    }
-
-
-def load_bench(path: str) -> Dict[str, Any]:
-    """Load one ``BENCH_*.json``, enveloping legacy (pre-schema) files.
-
-    A file already in the envelope passes through; a bare payload is
-    wrapped as ``bench="legacy"`` so downstream code can always rely on
-    the ``{"meta", "series"}`` shape.
-    """
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    if (
-        isinstance(payload, dict)
-        and isinstance(payload.get("meta"), dict)
-        and "series" in payload
-        and str(payload["meta"].get("schema", "")).startswith("repro-bench/")
-    ):
-        return payload
-    return {
-        "meta": {"schema": BENCH_SCHEMA, "bench": "legacy", "path": path},
-        "series": payload,
-    }

@@ -62,7 +62,6 @@ a serial run would produce.
 
 from __future__ import annotations
 
-import pickle
 from dataclasses import dataclass, field
 from functools import partial
 from time import perf_counter
@@ -136,28 +135,20 @@ class ParallelOptions:
 
     ``retry`` configures the fault-tolerant task runtime (attempts,
     backoff, speculation); ``fault_plan`` injects deliberate faults (chaos
-    testing); ``allow_degraded`` gates sample-aware graceful degradation —
-    when False a permanently lost partition always falls back to serial
-    re-execution, matching BlinkDB-style apriori-sample behavior.
+    testing). A permanently lost partition of a plan whose survivors are
+    still a valid sample degrades the answer; any other loss re-executes
+    the query serially.
 
-    ``transport`` picks how partition tables move between parent and
-    workers: ``"auto"`` uses shared-memory :class:`~repro.memory.TableRef`
-    descriptors whenever the run actually forks processes (and falls back
-    to pickle otherwise), ``"shm"`` insists on it where possible, and
-    ``"pickle"`` forces whole payloads over the pipe everywhere.
-    ``measure_transport_bytes`` additionally measures the pickled payload
-    sizes on the pickle path (an extra serialization pass per result, so it
-    is off outside benchmarks); the shm path always accounts its bytes.
+    Partition tables move between parent and workers as shared-memory
+    :class:`~repro.memory.TableRef` descriptors whenever the run forks more
+    than one worker process, and by reference (threads) or pickle
+    otherwise (:class:`~repro.parallel.transport.RunTransport`).
 
     ``prune`` consults the database's partition catalog (when one is
     attached) to skip partitions that provably cannot affect the answer;
     it is a pure optimization — databases without a catalog are untouched.
-    ``selection_fraction`` additionally enables *weighted partition
-    selection* on sampled aggregate plans: roughly that fraction of the
-    surviving partitions run, and every executed row's weight is scaled by
-    its partition's inverse inclusion probability (Horvitz-Thompson), so
-    estimates stay unbiased while CIs widen. Per-query governance
-    (``GovernanceContext.selection_fraction``) overrides this knob.
+    Weighted partition selection is asked for per query, through
+    ``GovernanceContext.selection_fraction``.
     """
 
     pool: str = "auto"
@@ -166,27 +157,12 @@ class ParallelOptions:
     max_workers: Optional[int] = None
     retry: RetryPolicy = field(default_factory=RetryPolicy)
     fault_plan: Optional[FaultPlan] = None
-    allow_degraded: bool = True
     task_seed: int = 0
-    transport: str = "auto"
-    measure_transport_bytes: bool = False
     prune: bool = True
-    selection_fraction: Optional[float] = None
 
     def __post_init__(self):
         if self.merge not in _MERGE_MODES:
             raise PlanError(f"unknown merge mode {self.merge!r}; expected one of {_MERGE_MODES}")
-        if self.transport not in shm_transport.TRANSPORT_MODES:
-            raise PlanError(
-                f"unknown transport {self.transport!r}; expected one of "
-                f"{shm_transport.TRANSPORT_MODES}"
-            )
-        if self.selection_fraction is not None and not (
-            0.0 < self.selection_fraction < 1.0
-        ):
-            raise PlanError(
-                f"selection_fraction must be in (0, 1), got {self.selection_fraction}"
-            )
 
 
 @dataclass
@@ -391,8 +367,7 @@ class ParallelExecutor:
                 ctx.analysis,
                 self.database,
                 self.parallelism,
-                selection_fraction=getattr(governance, "selection_fraction", None)
-                or self.options.selection_fraction,
+                selection_fraction=getattr(governance, "selection_fraction", None),
                 run_subtree=lambda node, required: self._engine_run(
                     ctx, node, governance, required=required
                 ).table,
@@ -504,9 +479,7 @@ class ParallelExecutor:
         ctx.runtime = TaskRuntime(
             self.pool, policy=self.options.retry, base_seed=self.options.task_seed
         )
-        ctx.transport = shm_transport.RunTransport(
-            self.options.transport, self.pool, degree, self.registry
-        )
+        ctx.transport = shm_transport.RunTransport(self.pool, degree, self.registry)
         ctx.sources = ctx.transport.ship_inputs(partitions)
 
     def _run_tasks(self, ctx: _QueryContext) -> None:
@@ -574,8 +547,8 @@ class ParallelExecutor:
         """Why a lost partition cannot be absorbed by re-weighting the
         survivors; None when it can.
 
-        Absorbing needs *all* of: degradation enabled; row merge (partial
-        states fold weights in ways a scalar factor cannot undo); a
+        Absorbing needs *all* of: row merge (partial states fold weights
+        in ways a scalar factor cannot undo); a
         round-robin strategy (hash strategies lose a deterministic key
         range, pruned/selected layouts a non-exchangeable slice — the
         survivors are a biased subset); and a plan rooted in uniform or
@@ -583,8 +556,6 @@ class ParallelExecutor:
         minima the lost partition may have held; exact plans have no
         weights to re-scale).
         """
-        if not self.options.allow_degraded:
-            return "degradation disabled"
         if ctx.merge_mode != "rows":
             return "partial-aggregate states cannot be re-weighted after merge"
         if not ctx.strategy.startswith("round-robin"):
@@ -662,10 +633,6 @@ class ParallelExecutor:
             (tid, result) for tid, result in enumerate(report.payloads) if result is not None
         ]
         payloads = [result[2] for _, result in survivors]
-        if self.options.measure_transport_bytes and not ctx.transport.shm:
-            ctx.transport.pipe_bytes = sum(
-                len(pickle.dumps(p, protocol=pickle.HIGHEST_PROTOCOL)) for p in payloads
-            )
 
         # Precursor cardinalities: worker plans mirror the split subtree
         # node-for-node, so worker addresses are precursor-relative and sum

@@ -21,11 +21,14 @@ Two directions, two ownership rules:
   reconstructing its name from the attempt ledger (:func:`sweep_results`,
   plus the pool-recycle hook in :mod:`repro.parallel.tasks`).
 
-Fallback matrix: thread/inline backends share an address space, so tables
-pass by reference and shm would only add copies — they stay on the pickle
-path. A table the arena cannot encode (e.g. an object column holding
-non-strings) falls back to pickling that one payload; the parent accepts
-either form. ``transport="pickle"`` forces the old path everywhere.
+Fallback matrix: a run uses shm exactly when it forks more than one worker
+process and POSIX shared memory works here. Thread/inline backends share an
+address space, so tables pass by reference and shm would only add copies —
+they stay on the pickle path, as does every run on a host without
+``/dev/shm``. An input the arena cannot encode (e.g. an object column
+holding non-strings) sends the whole run back to pickle; a result it cannot
+encode falls back to pickling that one payload, and the parent accepts
+either form.
 """
 
 from __future__ import annotations
@@ -40,7 +43,6 @@ from repro.memory import SEGMENT_PREFIX, TableRef, reap, release
 from repro.obs import log as obs_log
 
 __all__ = [
-    "TRANSPORT_MODES",
     "new_run_token",
     "shm_available",
     "result_segment_name",
@@ -54,9 +56,6 @@ __all__ = [
 ]
 
 _LOG = obs_log.logger("parallel.transport")
-
-#: Valid values of ``ParallelOptions.transport``.
-TRANSPORT_MODES = ("auto", "shm", "pickle")
 
 
 def new_run_token() -> str:
@@ -225,24 +224,17 @@ class RunTransport:
     :meth:`hooks` / :meth:`close` have nothing to do.
     """
 
-    def __init__(self, mode: str, pool, num_tasks: int, registry):
+    def __init__(self, pool, num_tasks: int, registry):
         self.shm = (
-            mode in ("auto", "shm")
-            and pool.resolve_mode() == "process"
+            pool.resolve_mode() == "process"
             and pool.workers_for(num_tasks) > 1
             and shm_available()
         )
-        if mode == "shm" and not self.shm:
-            _LOG.warning(
-                "transport='shm' requested but not usable here (pool mode %s, "
-                "%d worker(s)); using the pickle transport",
-                pool.resolve_mode(),
-                pool.workers_for(num_tasks),
-            )
         self.token = new_run_token() if self.shm else ""
         self.registry = registry
         self.input_segments: List[str] = []
-        #: Bytes that crossed the result pipe / moved through shared memory.
+        #: Bytes that crossed the result pipe / moved through shared memory
+        #: (counted on shm only: a pickled payload is not measured).
         self.pipe_bytes = 0
         self.shared_bytes = 0
 

@@ -39,7 +39,7 @@ def sampled(builder, spec):
     return from_node(SamplerNode(builder.node, spec))
 
 
-def faulted_executor(db, fault_plan, pool="inline", retry=FAST, allow_degraded=True):
+def faulted_executor(db, fault_plan, pool="inline", retry=FAST):
     return Executor(
         db,
         parallelism=DEGREE,
@@ -51,7 +51,6 @@ def faulted_executor(db, fault_plan, pool="inline", retry=FAST, allow_degraded=T
             max_workers=DEGREE + 1,
             retry=retry,
             fault_plan=fault_plan,
-            allow_degraded=allow_degraded,
         ),
     )
 
@@ -218,18 +217,6 @@ class TestGracefulDegradation:
         assert not result.degraded
         assert result.parallel.strategy == "serial-fallback"
         assert "stratum" in result.parallel.reason or "lost" in result.parallel.reason
-        assert_bit_identical(serial, result)
-
-    def test_degradation_can_be_disabled(self, sales_db, uniform_query):
-        serial = Executor(sales_db).execute(uniform_query)
-        result = faulted_executor(
-            sales_db,
-            FaultPlan.lose_partition(1),
-            retry=RetryPolicy(max_attempts=2, backoff_base=0.005),
-            allow_degraded=False,
-        ).execute(uniform_query)
-        assert not result.degraded
-        assert result.parallel.strategy == "serial-fallback"
         assert_bit_identical(serial, result)
 
     def test_partial_merge_mode_reexecutes_serially(self, sales_db, uniform_query):

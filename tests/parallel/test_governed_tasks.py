@@ -47,7 +47,6 @@ def governed_executor(db, pool="thread", fault_plan=None, **overrides):
         max_workers=DEGREE + 1,
         retry=FAST,
         fault_plan=fault_plan,
-        allow_degraded=True,
     )
     options.update(overrides)
     return Executor(db, parallelism=DEGREE, parallel_options=ParallelOptions(**options))
@@ -214,12 +213,8 @@ class TestShmExhaustionFallback:
         # An shm fault makes one result's transport hit ENOSPC; the
         # attempt must still succeed via the pickle fallback, counted.
         fault_plan = FaultPlan([Fault(1, 0, "shm")])
-        executor = governed_executor(
-            sales_db, pool="process", fault_plan=fault_plan, transport="shm"
-        )
-        plain = governed_executor(sales_db, pool="process", transport="shm").execute(
-            uniform_query
-        )
+        executor = governed_executor(sales_db, pool="process", fault_plan=fault_plan)
+        plain = governed_executor(sales_db, pool="process").execute(uniform_query)
         result = executor.execute(uniform_query)
         assert result.parallel.transport == "shm"
         assert not result.degraded  # fallback, not failure

@@ -20,6 +20,7 @@ from repro.algebra.builder import from_node, scan
 from repro.algebra.expressions import col
 from repro.algebra.logical import SamplerNode
 from repro.engine.executor import Executor
+from repro.engine.governance import GovernanceContext
 from repro.parallel import ParallelOptions
 from repro.samplers.uniform import UniformSpec
 from repro.stats import PartitionCatalog
@@ -35,6 +36,13 @@ def options(**overrides):
     base = dict(pool="thread", merge="rows", min_partition_rows=1_000)
     base.update(overrides)
     return ParallelOptions(**base)
+
+
+def selecting(fraction):
+    """A governance context that asks for weighted partition selection."""
+    governance = GovernanceContext()
+    governance.selection_fraction = fraction
+    return governance
 
 
 def assert_bit_identical(a, b):
@@ -180,12 +188,8 @@ class TestWeightedSelection:
     def test_fewer_partitions_reported_and_cis_cover_truth(
         self, selection_db, selection_query
     ):
-        executor = Executor(
-            selection_db,
-            parallelism=DEGREE,
-            parallel_options=options(selection_fraction=0.5),
-        )
-        result = executor.execute(selection_query)
+        executor = Executor(selection_db, parallelism=DEGREE, parallel_options=options())
+        result = executor.execute(selection_query, governance=selecting(0.5))
         info = result.parallel.pruning
         assert info["partitions_selected"] == info["partitions_executed"]
         assert 0 < info["partitions_executed"] < DEGREE
@@ -216,10 +220,8 @@ class TestWeightedSelection:
     def test_selection_is_deterministic_for_a_seed(self, selection_db, selection_query):
         runs = [
             Executor(
-                selection_db,
-                parallelism=DEGREE,
-                parallel_options=options(selection_fraction=0.5, task_seed=9),
-            ).execute(selection_query)
+                selection_db, parallelism=DEGREE, parallel_options=options(task_seed=9)
+            ).execute(selection_query, governance=selecting(0.5))
             for _ in range(2)
         ]
         assert runs[0].parallel.pruning["token"] == runs[1].parallel.pruning["token"]
@@ -239,27 +241,17 @@ class TestWeightedSelection:
             .agg(count("n"))
             .build("distinct_q")
         )
-        executor = Executor(
-            selection_db,
-            parallelism=DEGREE,
-            parallel_options=options(selection_fraction=0.5),
-        )
-        result = executor.execute(query)
+        executor = Executor(selection_db, parallelism=DEGREE, parallel_options=options())
+        result = executor.execute(query, governance=selecting(0.5))
         assert result.parallel.pruning is None
-
-    def test_invalid_fraction_rejected(self):
-        from repro.errors import PlanError
-
-        with pytest.raises(PlanError):
-            ParallelOptions(selection_fraction=1.5)
 
 
 class TestOptOuts:
     def test_no_catalog_means_no_pruning(self, sales_db, selection_query):
         assert sales_db.partition_stats is None
         result = Executor(
-            sales_db, parallelism=DEGREE, parallel_options=options(selection_fraction=0.5)
-        ).execute(selection_query)
+            sales_db, parallelism=DEGREE, parallel_options=options()
+        ).execute(selection_query, governance=selecting(0.5))
         assert result.parallel.pruning is None
         assert result.parallel.strategy == "round-robin[sales]"
 

@@ -279,7 +279,7 @@ class TestPoolLifetime:
         db = make_sales_db()
         query = totals_by(db, "s_item")
         hangs = FaultPlan([Fault(p, 0, "hang", seconds=2.0) for p in (2, 3)])
-        executor = parallel_executor(db, fault_plan=hangs, allow_degraded=True, max_workers=2)
+        executor = parallel_executor(db, fault_plan=hangs, max_workers=2)
         salvaged = executor.execute(query, governance=GovernanceContext.with_timeout(0.5))
         assert isinstance(salvaged, PartialResult)
         assert set(salvaged.lost_partitions) == {2, 3}

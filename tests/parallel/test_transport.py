@@ -1,11 +1,12 @@
 """Shared-memory transport: identity, fault interplay, leak reclamation.
 
-The transport's contract is behavioral invisibility: a D-way process run
-with ``transport="shm"`` must return byte-for-byte what the same run with
-``transport="pickle"`` returns (and what a serial run returns, for plans
-whose parallel execution is bit-identical to begin with) — while moving
-O(schema) bytes over the pipe and leaving zero segments behind, even when
-workers crash mid-handoff.
+The transport's contract is behavioral invisibility: a D-way process run,
+which ships through shared memory, must return byte-for-byte what the same
+options return on the thread pool, which passes tables by reference (and
+what a serial run returns, for plans whose parallel execution is
+bit-identical to begin with) — while moving O(schema) bytes over the pipe
+and leaving zero segments behind, even when workers crash mid-handoff. A
+run whose inputs the arena cannot encode falls back to pickle as a whole.
 """
 
 import multiprocessing as mp
@@ -56,13 +57,9 @@ def identical(t1: Table, t2: Table) -> bool:
     return True
 
 
-def parallel_run(db, plan, transport_mode, fault_plan=None):
+def parallel_run(db, plan, pool="process", fault_plan=None):
     options = ParallelOptions(
-        pool="process",
-        max_workers=DEGREE,
-        transport=transport_mode,
-        task_seed=7,
-        fault_plan=fault_plan,
+        pool=pool, max_workers=DEGREE, task_seed=7, fault_plan=fault_plan
     )
     return ParallelExecutor(db, parallelism=DEGREE, options=options).execute(plan)
 
@@ -75,11 +72,11 @@ def has_distinct(plan) -> bool:
 
 @needs_fork_and_shm
 class TestTpcdsIdentity:
-    """shm vs pickle vs serial on representative TPC-DS plans.
+    """Process+shm vs thread pool vs serial on representative TPC-DS plans.
 
     q01: round-robin uniform (bit-identical to serial); q02: distinct
-    sampler (parallel != serial by design, but shm == pickle must hold);
-    q12: hash partitioning with a broadcast side.
+    sampler (parallel != serial by design, but process == thread must
+    hold); q12: hash partitioning with a broadcast side.
     """
 
     @pytest.mark.parametrize("name", ["q01", "q02", "q12"])
@@ -87,10 +84,11 @@ class TestTpcdsIdentity:
         from repro.workloads.tpcds import query_by_name
 
         plan = QuickrPlanner(tiny_tpcds).plan(query_by_name(tiny_tpcds, name)).plan
-        via_pickle = parallel_run(tiny_tpcds, plan, "pickle")
-        via_shm = parallel_run(tiny_tpcds, plan, "shm")
+        via_threads = parallel_run(tiny_tpcds, plan, pool="thread")
+        via_shm = parallel_run(tiny_tpcds, plan)
+        assert via_threads.parallel.transport == "pickle"
         assert via_shm.parallel.transport == "shm"
-        assert identical(via_pickle.table, via_shm.table)
+        assert identical(via_threads.table, via_shm.table)
         if not has_distinct(plan):
             serial = Executor(tiny_tpcds).execute(plan)
             assert identical(serial.table, via_shm.table)
@@ -99,7 +97,7 @@ class TestTpcdsIdentity:
         from repro.workloads.tpcds import query_by_name
 
         plan = QuickrPlanner(tiny_tpcds).plan(query_by_name(tiny_tpcds, "q01")).plan
-        result = parallel_run(tiny_tpcds, plan, "shm")
+        result = parallel_run(tiny_tpcds, plan)
         metrics = result.parallel
         assert metrics.transport == "shm"
         assert 0 < metrics.result_bytes_on_pipe < 64 * 1024
@@ -109,15 +107,58 @@ class TestTpcdsIdentity:
         from repro.workloads.tpcds import query_by_name
 
         plan = QuickrPlanner(tiny_tpcds).plan(query_by_name(tiny_tpcds, "q01")).plan
-        parallel_run(tiny_tpcds, plan, "shm")
+        parallel_run(tiny_tpcds, plan)
         assert live_segments() == ()
+        assert leaked_system_segments() == []
+
+
+@needs_fork_and_shm
+class TestWholeRunPickleFallback:
+    """An input the arena cannot encode sends the whole run back to the
+    pickle transport, and the answer does not notice."""
+
+    def test_unencodable_input_column_runs_on_pickle(self):
+        from repro.algebra.builder import scan
+        from repro.algebra.expressions import col
+        from repro.engine.table import Database
+
+        rows = 4_000
+        db = Database()
+        db.register(
+            Table(
+                "docs",
+                {
+                    "k": np.arange(rows, dtype=np.int64),
+                    "doc": np.array([{"k": i} for i in range(rows)], dtype=object),
+                },
+            )
+        )
+        query = scan(db, "docs").where(col("k") >= 100).build("docs_q")
+
+        def run(pool):
+            executor = Executor(
+                db,
+                parallelism=DEGREE,
+                parallel_options=ParallelOptions(
+                    pool=pool, max_workers=DEGREE, min_partition_rows=1_000, task_seed=7
+                ),
+            )
+            return executor, executor.execute(query)
+
+        executor, via_process = run("process")
+        assert via_process.parallel.strategy.startswith("round-robin")
+        assert via_process.parallel.transport == "pickle"
+        assert executor.registry.value("transport.shm_fallbacks") == 1.0
+        _, via_threads = run("thread")
+        assert via_process.table.num_rows == rows - 100
+        assert identical(via_threads.table, via_process.table)
         assert leaked_system_segments() == []
 
 
 @needs_fork_and_shm
 class TestChaosWithLiveSegments:
     """Faults injected while segments are in flight: crashes, hangs,
-    corrupt payloads and pickle bombs, on both transports."""
+    corrupt payloads and pickle bombs, on the process and thread pools."""
 
     @pytest.mark.parametrize("seed", [11, 12])
     def test_chaos_identity_and_no_leaks(self, tiny_tpcds, seed):
@@ -125,14 +166,18 @@ class TestChaosWithLiveSegments:
 
         plan = QuickrPlanner(tiny_tpcds).plan(query_by_name(tiny_tpcds, "q01")).plan
         results = {}
-        for mode in ("pickle", "shm"):
+        for pool in ("thread", "process"):
             fault_plan = FaultPlan.random(
                 seed, DEGREE, crashes=1, hangs=1, corruptions=1, pickle_bombs=1
             )
-            results[mode] = parallel_run(tiny_tpcds, plan, mode, fault_plan=fault_plan)
-        assert results["shm"].parallel.faults_injected == 4
-        assert results["shm"].parallel.task_retries >= 1
-        assert identical(results["pickle"].table, results["shm"].table)
+            results[pool] = parallel_run(tiny_tpcds, plan, pool, fault_plan=fault_plan)
+        shm = results["process"].parallel
+        assert shm.transport == "shm"
+        assert shm.faults_injected == 4
+        assert shm.task_retries >= 1
+        assert identical(results["thread"].table, results["process"].table)
+        # q01 is round-robin uniform: the faulted runs still equal serial.
+        assert identical(Executor(tiny_tpcds).execute(plan).table, results["process"].table)
         assert leaked_system_segments() == []
 
     def test_corrupt_result_ships_and_is_rejected(self, tiny_tpcds):
@@ -142,8 +187,8 @@ class TestChaosWithLiveSegments:
 
         plan = QuickrPlanner(tiny_tpcds).plan(query_by_name(tiny_tpcds, "q01")).plan
         fault_plan = FaultPlan.random(3, DEGREE, crashes=0, hangs=0, corruptions=2)
-        chaotic = parallel_run(tiny_tpcds, plan, "shm", fault_plan=fault_plan)
-        clean = parallel_run(tiny_tpcds, plan, "shm")
+        chaotic = parallel_run(tiny_tpcds, plan, fault_plan=fault_plan)
+        clean = parallel_run(tiny_tpcds, plan)
         assert chaotic.parallel.task_retries >= 1
         assert identical(clean.table, chaotic.table)
         assert leaked_system_segments() == []
@@ -214,9 +259,7 @@ class TestServedOverTcp:
         engine = Executor(
             tiny_tpcds,
             parallelism=DEGREE,
-            parallel_options=ParallelOptions(
-                pool="process", max_workers=DEGREE, transport="shm", task_seed=7
-            ),
+            parallel_options=ParallelOptions(pool="process", max_workers=DEGREE, task_seed=7),
         )
         service = QueryService(tiny_tpcds, ServiceConfig(num_workers=1), executor=engine)
         server = QueryServer(service, port=0).start()
@@ -286,10 +329,6 @@ class TestTransportUnits:
         mapped = Table.from_ref(ref2)
         transport.dispose_result((0.0, {}, mapped))  # mapped table form
         assert transport.result_segment_name(token, 0, 1) not in leaked_system_segments()
-
-    def test_transport_mode_validated(self):
-        with pytest.raises(Exception, match="transport"):
-            ParallelOptions(transport="carrier-pigeon")
 
     def test_unencodable_inputs_fall_back_wholesale(self, sales_db):
         """Arena rejection of an *input* table must raise SchemaError so the

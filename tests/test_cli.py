@@ -124,40 +124,6 @@ class TestStatsCatalogCommand:
         assert "unknown table(s): nope" in capsys.readouterr().out
 
 
-class TestBenchReportCommand:
-    def test_enveloped_and_legacy_files(self, capsys, tmp_path):
-        import json
-
-        from repro.experiments.report import bench_envelope
-
-        enveloped = tmp_path / "BENCH_prune.json"
-        enveloped.write_text(json.dumps(bench_envelope(
-            "prune",
-            {"selective_skip_fraction": 0.61,
-             "machine_hours_credit_total": 1.25},
-            scale=0.08,
-        )))
-        legacy = tmp_path / "BENCH_service.json"
-        legacy.write_text(json.dumps({"qps": 42.5, "served": 120}))
-
-        assert main(["bench-report", str(enveloped), str(legacy)]) == 0
-        out = capsys.readouterr().out
-        assert "prune" in out and "repro-bench/1" in out
-        assert "selective skip 61%" in out
-        assert "legacy" in out and "qps=42.5" in out
-
-    def test_unreadable_file_fails(self, capsys, tmp_path):
-        bad = tmp_path / "BENCH_bad.json"
-        bad.write_text("{not json")
-        assert main(["bench-report", str(bad)]) == 1
-        assert "ERROR" in capsys.readouterr().out
-
-    def test_no_files_found(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        assert main(["bench-report"]) == 1
-        assert "no BENCH_*.json artifacts" in capsys.readouterr().out
-
-
 class TestPostmortemCommand:
     @pytest.fixture()
     def dump_dir(self, tmp_path):
