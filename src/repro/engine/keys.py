@@ -19,7 +19,7 @@ import numpy as np
 from repro.errors import PlanError
 
 __all__ = [
-    "pack_keys", "group_codes", "dense_span", "value_counts", "stable_argsort",
+    "pack_keys", "group_codes", "group_ids", "dense_span", "value_counts", "stable_argsort",
     "encode_dictionary", "same_dictionary",
 ]
 
@@ -157,7 +157,30 @@ def group_codes(arrays: Sequence[np.ndarray]) -> Tuple[np.ndarray, np.ndarray, i
         np.minimum.at(first, key, np.arange(n))
         present = first < n
         first_index = first[present]
-        return (np.cumsum(present) - 1)[key], first_index, len(first_index)
+        return _rank_of(key, present), first_index, len(first_index)
+    return _sorted_group_codes(key, nan_rows)
+
+
+def group_ids(arrays: Sequence[np.ndarray]) -> np.ndarray:
+    """``group_codes(arrays)[0]`` without the first-row table: on a dense
+    span, which keys occur is one ``bincount`` rather than a ``minimum.at``
+    scatter (what the distinct sampler's strata need)."""
+    key, span, nan_rows = pack_keys(arrays)
+    if nan_rows is None and dense_span(span, len(key)):
+        return _rank_of(key, np.bincount(key, minlength=span) > 0)
+    return _sorted_group_codes(key, nan_rows)[0]
+
+
+def _rank_of(key: np.ndarray, present: np.ndarray) -> np.ndarray:
+    """Each key's rank among the keys ``present`` marks: its group id."""
+    return (np.cumsum(present) - 1)[key]
+
+
+def _sorted_group_codes(
+    key: np.ndarray, nan_rows: Optional[np.ndarray]
+) -> Tuple[np.ndarray, np.ndarray, int]:
+    """:func:`group_codes` by one sort of the packed key."""
+    n = len(key)
     order = stable_argsort(key)
     sorted_key = key[order]
     boundary = np.ones(n, dtype=bool)

@@ -45,14 +45,14 @@ __all__ = [
 def execute_select(table: Table, predicate: Expr, drop: Sequence[str] = ()) -> Table:
     """Filter rows; ``drop`` names input columns only the predicate read,
     shed (zero-copy) before the gather instead of carried through it."""
-    mask = np.asarray(predicate.evaluate(table), dtype=bool)
+    rows = np.flatnonzero(np.asarray(predicate.evaluate(table), dtype=bool))
     if drop:
         table = table.drop_columns(drop)
-    if mask.all():
+    if len(rows) == table.num_rows:
         # Nothing filtered: the input passes through untouched instead of
         # being gathered into a same-sized copy.
         return table
-    return table.take(mask)
+    return table.take(rows)
 
 
 def execute_project(table: Table, mapping: Dict[str, Expr]) -> Table:
@@ -99,23 +99,38 @@ def _match_pairs(
     left_key: np.ndarray, right_key: np.ndarray, span: int
 ) -> Tuple[np.ndarray, np.ndarray]:
     """All (left_index, right_index) pairs with equal keys (many-to-many),
-    in left-row order and, per left row, right-row order."""
-    order = stable_argsort(right_key)
+    in left-row order and, per left row, right-row order.
+
+    A right (build) side whose keys are unique, as a dimension's are, is
+    probed without expanding runs: on a dense span through a span-sized
+    table of right positions, on a sparse one by one ``searchsorted`` into
+    its sorted keys. Only duplicate build keys pay for the stable sort and
+    the per-match ``repeat``."""
     if dense_span(span, len(left_key) + len(right_key)):
         per_key = np.bincount(right_key, minlength=span)
+        if per_key.max(initial=0) <= 1:
+            hit = np.full(span, -1, dtype=np.intp)
+            hit[right_key] = np.arange(len(right_key))
+            hit = hit[left_key]
+            left_idx = np.flatnonzero(hit >= 0)
+            return left_idx, hit[left_idx]
+        order = stable_argsort(right_key)
         lo = (np.cumsum(per_key) - per_key)[left_key]
         counts = per_key[left_key]
     else:
+        order = stable_argsort(right_key)
         sorted_right = right_key[order]
+        if len(sorted_right) and not (sorted_right[1:] == sorted_right[:-1]).any():
+            at = np.searchsorted(sorted_right, left_key)
+            left_idx = np.flatnonzero(sorted_right[np.minimum(at, len(order) - 1)] == left_key)
+            return left_idx, order[at[left_idx]]
         lo = np.searchsorted(sorted_right, left_key, side="left")
         counts = np.searchsorted(sorted_right, left_key, side="right") - lo
     left_idx = np.repeat(np.arange(len(left_key)), counts)
-    if len(left_idx) == 0:
-        return left_idx, left_idx.copy()
-    # Offsets into the sorted right side, expanded per match.
-    starts = np.repeat(lo, counts)
-    within = np.arange(len(left_idx)) - np.repeat(np.cumsum(counts) - counts, counts)
-    right_idx = order[starts + within]
+    # Match j of left row i is right position lo[i] + (j - first output
+    # row of i), the first output row of i being ends[i] - counts[i].
+    ends = np.cumsum(counts)
+    right_idx = order[np.repeat(lo - ends + counts, counts) + np.arange(len(left_idx))]
     return left_idx, right_idx
 
 

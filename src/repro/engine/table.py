@@ -197,7 +197,12 @@ class Table:
         return self.drop_columns(self.lineage_column_names())
 
     def take(self, selector: np.ndarray, name: Optional[str] = None) -> "Table":
-        """Row subset by boolean mask or index array."""
+        """Row subset by boolean mask or index array. A mask is turned into
+        row indices once: NumPy gathers by index several times faster than
+        by mask, and every column would pay the mask scan again."""
+        selector = np.asarray(selector)
+        if selector.dtype == bool:
+            selector = np.flatnonzero(selector)
         taken = {c: arr[selector] for c, arr in self._columns.items()}
         return Table(name or self.name, taken, self._dicts)
 

@@ -659,7 +659,9 @@ class ParallelExecutor:
                 else payload
                 for payload, pi in zip(payloads, ctx.selection_pis)
             ]
-        merged = merge_rows(payloads)
+        # Lineage orders the rows but nothing above the split reads it (an
+        # aggregate cuts it, and a plan without one is finished lineage-free).
+        merged = merge_rows(payloads, columns=ctx.required[analysis.split_address])
         if lost:
             # Sample-aware degradation: surviving partitions are a valid
             # sample; re-weight and let the variance algebra widen the CIs

@@ -37,13 +37,17 @@ from repro.engine.aggregate import (
     partial_aggregate,
 )
 from repro.engine.keys import pack_keys
-from repro.engine.table import Table
+from repro.engine.table import WEIGHT_COLUMN, Table
 from repro.errors import PlanError
 
 __all__ = ["merge_rows", "inflate_selection_cis"]
 
 
-def merge_rows(tables: Sequence[Table], name: Optional[str] = None) -> Table:
+def merge_rows(
+    tables: Sequence[Table],
+    name: Optional[str] = None,
+    columns: Optional[Sequence[str]] = None,
+) -> Table:
     """Union partition outputs, restoring exact serial row order.
 
     Lineage column names sort into pre-order scan order (significance
@@ -55,6 +59,10 @@ def merge_rows(tables: Sequence[Table], name: Optional[str] = None) -> Table:
     sorted run of it, which a stable timsort merges in O(n log D); input
     that is not (outer-join ``-1`` fills) is still sorted correctly, ties
     staying in concatenation order.
+
+    ``columns`` names what the consumer reads (default: every column): the
+    rows are ordered by all the lineage, but only the named columns and
+    the weight column are gathered into that order.
     """
     if not tables:
         raise PlanError("merge_rows needs at least one partition output")
@@ -66,6 +74,9 @@ def merge_rows(tables: Sequence[Table], name: Optional[str] = None) -> Table:
     else:
         merged = Table.concat(tables, name=name or tables[0].name)
     lineage = merged.lineage_columns()
+    if columns is not None:
+        kept = {*columns, WEIGHT_COLUMN}
+        merged = merged.drop_columns([c for c in merged.column_names if c not in kept])
     if not lineage:
         return merged
     key = pack_keys(lineage)[0]

@@ -107,7 +107,8 @@ def attach_weights(table: Table, mask: np.ndarray, weights: np.ndarray) -> Table
     are kept. Existing weights (from an upstream sampler — not produced by
     ASALQA, which forbids nesting, but supported for generality) multiply.
     """
-    selected = table.take(mask)
-    new_weights = np.asarray(weights, dtype=np.float64)[mask]
+    rows = np.flatnonzero(mask)
+    selected = table.take(rows)
+    new_weights = np.asarray(weights, dtype=np.float64)[rows]
     combined = selected.weights() * new_weights if table.has_weights() else new_weights
     return selected.with_columns({WEIGHT_COLUMN: combined})

@@ -33,7 +33,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from repro.algebra.expressions import Expr
-from repro.engine.keys import group_codes, stable_argsort
+from repro.engine.keys import group_ids, stable_argsort
 from repro.engine.table import Table
 from repro.errors import SamplerError
 from repro.samplers.base import SamplerSpec, attach_weights
@@ -52,7 +52,7 @@ def stratum_codes(table: Table, columns: Sequence[Union[str, Expr]]) -> np.ndarr
             arrays.append(np.asarray(spec.evaluate(table)))
         else:
             arrays.append(table.key_column(spec))
-    return group_codes(arrays)[0]
+    return group_ids(arrays)
 
 
 def _rank_in_runs(lengths: np.ndarray) -> np.ndarray:
@@ -108,17 +108,16 @@ class DistinctSpec(SamplerSpec):
         codes = stratum_codes(table, self.columns)
         counts = np.bincount(codes)  # rows per stratum; codes are dense
 
-        # Rank of each row within its stratum, in stream (row) order. A
+        # The rows in stratum order, stream (row) order within each. A
         # stable sort on 8- or 16-bit keys is a radix sort, so the codes are
         # ordered in the narrowest dtype that holds the stratum count; the
         # strata are then contiguous runs starting at the count offsets.
         narrow = np.min_scalar_type(len(counts) - 1)
         order = stable_argsort(codes.astype(narrow))
-        rank = np.empty(n, dtype=np.int64)
-        rank[order] = _rank_in_runs(counts)
 
         # Frequency-check region: the first delta rows of each stratum.
-        mask = rank < self.delta
+        mask = np.zeros(n, dtype=bool)
+        mask[order[_rank_in_runs(counts) < self.delta]] = True
         weights = np.ones(n, dtype=np.float64)
 
         # Probabilistic region: per stratum, the candidates past delta either
@@ -129,10 +128,9 @@ class DistinctSpec(SamplerSpec):
 
         # Strata whose candidates all fit the reservoir regime: keep an exact
         # uniform subset of size min(S, c) with weight c / min(S, c).
-        small = candidate & in_reservoir
-        if small.any():
+        small_idx = np.flatnonzero(candidate & in_reservoir)
+        if len(small_idx):
             u = rng.random(n)
-            small_idx = np.flatnonzero(small)
             # By stratum, then by draw: two stable sorts, the second a radix
             # sort again, give lexsort((draw, stratum))'s permutation.
             by_draw = small_idx[stable_argsort(u[small_idx])]
@@ -146,10 +144,9 @@ class DistinctSpec(SamplerSpec):
         # Strata past the reservoir regime: marginal inclusion p, weight 1/p.
         large = candidate & ~in_reservoir
         if large.any():
-            bern = rng.random(n) < self.p
-            chosen = large & bern
-            mask[chosen] = True
-            weights[chosen] = 1.0 / self.p
+            large &= rng.random(n) < self.p
+            mask |= large
+            np.putmask(weights, large, 1.0 / self.p)
 
         return attach_weights(table, mask, weights)
 

@@ -1,9 +1,9 @@
 """The background accuracy auditor: exact replays of served answers.
 
 The service promises calibrated error bars; the auditor checks the
-promise against ground truth. A deterministic stride of served
-*approximate* answers (every ``k``-th, ``k ≈ 1/sample_fraction``) is
-enqueued for audit together with the answer actually returned; a single
+promise against ground truth. A deterministic, hash-drawn fraction of
+served *approximate* answers is enqueued for audit together with the
+answer actually returned; a single
 background thread replays each one **exactly** (``plan_baseline``, no
 samplers) on the shared executor and reports the comparison to the
 :class:`~repro.obs.accuracy.AccuracyLedger`, which maintains per
@@ -21,11 +21,12 @@ strictly lowest priority:
 * a replay preempted ``max_attempts`` times is abandoned (counted in the
   ledger as ``accuracy.audits_abandoned``) rather than retried forever.
 
-Sampling bias caveat (documented, deliberate): stride sampling is
-deterministic and cheap but correlated with arrival order — a tenant
-whose queries always land on the same stride phase can be over- or
-under-audited. For the ledger's purpose (aggregate calibration over many
-queries) this is acceptable; DESIGN §15 discusses the trade-off.
+Which answers are audited: the ``i``-th served approximate answer is
+audited when ``mix64(i)`` falls in the first ``sample_fraction`` of the
+64-bit hash space. That is as deterministic as a stride (a replayed
+session audits the same answers) but not periodic, so a query mix that
+repeats with the stride's period does not audit one query forever
+(DESIGN §15).
 """
 
 from __future__ import annotations
@@ -35,11 +36,14 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
+import numpy as np
+
 from repro.algebra.logical import SamplerNode
 from repro.engine.governance import GovernanceContext
 from repro.errors import GovernanceError
 from repro.obs import log as obs_log
 from repro.obs.accuracy import AccuracyLedger, compare_tables
+from repro.samplers.hashing import mix64
 
 _LOG = obs_log.logger("service.auditor")
 
@@ -51,8 +55,8 @@ class AuditorConfig:
     """Knobs of the background accuracy auditor."""
 
     enabled: bool = True
-    #: Fraction of served approximate answers replayed exactly. Realized
-    #: as a deterministic stride: every ``round(1/fraction)``-th answer.
+    #: Fraction of served approximate answers replayed exactly, drawn by a
+    #: hash of each answer's serial number (see the module docstring).
     sample_fraction: float = 0.1
     #: Bounded audit backlog; overflow is dropped (never backpressure).
     max_queue: int = 32
@@ -61,11 +65,10 @@ class AuditorConfig:
     #: Poll interval while waiting for the engine to go idle.
     idle_poll_seconds: float = 0.05
 
-    @property
-    def stride(self) -> int:
-        if self.sample_fraction <= 0:
-            return 0
-        return max(1, int(round(1.0 / self.sample_fraction)))
+    def audits(self, served: int) -> bool:
+        """Whether the ``served``-th approximate answer is audited."""
+        point = int(mix64(np.array([served], dtype=np.uint64))[0])
+        return point < self.sample_fraction * 2.0**64
 
 
 @dataclass
@@ -125,7 +128,7 @@ class QueryAuditor:
 
     # -- lifecycle -------------------------------------------------------------
     def start(self) -> "QueryAuditor":
-        if self._thread is None and self.config.enabled and self.config.stride:
+        if self._thread is None and self.config.enabled and self.config.sample_fraction > 0:
             self._thread = threading.Thread(
                 target=self._run, name="service-auditor", daemon=True
             )
@@ -145,16 +148,17 @@ class QueryAuditor:
                       rung: str, approx_table) -> bool:
         """Called by the service worker after serving one answer.
 
-        Exact answers have nothing to audit; approximate ones hit the
-        stride. Returns True when an audit was enqueued.
+        Exact answers have nothing to audit; approximate ones are drawn
+        by :meth:`AuditorConfig.audits`. Returns True when an audit was
+        enqueued.
         """
-        if not self.config.enabled or self.config.stride == 0:
+        if not self.config.enabled or self.config.sample_fraction <= 0:
             return False
         if mode == "exact" or rung == "exact":
             return False
         with self._lock:
             self._served_approx += 1
-            if self._served_approx % self.config.stride != 0:
+            if not self.config.audits(self._served_approx):
                 return False
             if len(self._queue) >= self.config.max_queue:
                 dropped = True
@@ -193,7 +197,6 @@ class QueryAuditor:
             return {
                 "enabled": self.config.enabled,
                 "sample_fraction": self.config.sample_fraction,
-                "stride": self.config.stride,
                 "served_approx": self._served_approx,
                 "backlog": len(self._queue),
                 "completed": self.audits_completed,

@@ -7,12 +7,14 @@ identical results on every dtype, on spans that force the re-densify step,
 on NaN keys (each its own group, never joined) and on empty inputs.
 """
 
+import collections
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine import keys
+from repro.engine import keys, operators
 from repro.engine.keys import group_codes, pack_keys
 from repro.engine.operators import execute_join
 from repro.engine.table import Table
@@ -91,6 +93,53 @@ def join_sides(draw):
             l_type, r_type = draw(st.sampled_from(NUMERIC)), draw(st.sampled_from(NUMERIC))
         left.append(draw(column(l_type, n_left)))
         right.append(draw(column(r_type, n_right)))
+    return left, right, how
+
+
+def ref_match_pairs(left_key, right_key, span):
+    """``operators._match_pairs`` as it was before unique build sides were
+    probed through a position table: every join stable-sorts its right
+    keys and expands the matches with three ``repeat``s. Kept verbatim as
+    the reference the shipped one must equal, dtypes included."""
+    order = keys.stable_argsort(right_key)
+    if keys.dense_span(span, len(left_key) + len(right_key)):
+        per_key = np.bincount(right_key, minlength=span)
+        lo = (np.cumsum(per_key) - per_key)[left_key]
+        counts = per_key[left_key]
+    else:
+        sorted_right = right_key[order]
+        lo = np.searchsorted(sorted_right, left_key, side="left")
+        counts = np.searchsorted(sorted_right, left_key, side="right") - lo
+    left_idx = np.repeat(np.arange(len(left_key)), counts)
+    if len(left_idx) == 0:
+        return left_idx, left_idx.copy()
+    starts = np.repeat(lo, counts)
+    within = np.arange(len(left_idx)) - np.repeat(np.cumsum(counts) - counts, counts)
+    right_idx = order[starts + within]
+    return left_idx, right_idx
+
+
+#: Far past ``dense_span``'s 65536 floor: joins over these take the sort.
+SPARSE = 1 << 40
+
+
+@st.composite
+def unique_build_sides(draw):
+    """Left and right key columns where the right (build) keys are unique,
+    as a dimension's are: on a dense or a sparse span, either side possibly
+    empty, and NaN keys on either side (a right side with two NaNs is no
+    longer unique: they share the code NaNs are parked on)."""
+    how = draw(st.sampled_from(["inner", "left", "right"]))
+    values = st.integers(0, SPARSE) if draw(st.booleans()) else st.integers(-20, 40)
+    right = draw(st.lists(values, max_size=30, unique=True))
+    probe = st.one_of(values, st.sampled_from(right)) if right else values
+    left = draw(st.lists(probe, max_size=30))
+    left, right = np.asarray(left, dtype=np.int64), np.asarray(right, dtype=np.int64)
+    if draw(st.booleans()):
+        left, right = left.astype(np.float64), right.astype(np.float64)
+        for side, most in ((left, 5), (right, 2)):
+            if len(side):
+                side[draw(st.lists(st.integers(0, len(side) - 1), max_size=most))] = np.nan
     return left, right, how
 
 
@@ -198,6 +247,102 @@ class TestJoinPairs:
         out = execute_join(left, right, ["k"], ["j"])
         assert list(zip(out.column("lid"), out.column("rid"))) == [(0, 1), (2, 0)]
 
+    @given(sides=unique_build_sides())
+    @settings(max_examples=300, deadline=None)
+    def test_unique_build_side_matches_the_sorting_matcher(self, sides):
+        left_key, right_key, how = sides
+        left = Table("l", {"k": left_key, "lid": np.arange(len(left_key))})
+        right = Table("r", {"j": right_key, "rid": np.arange(len(right_key))})
+        packed = operators._join_keys(left, right, ["k"], ["j"])
+        for got, want in zip(operators._match_pairs(*packed), ref_match_pairs(*packed)):
+            np.testing.assert_array_equal(got, want)
+            assert got.dtype == want.dtype
+        out = execute_join(left, right, ["k"], ["j"], how=how)
+        got = [
+            (-1 if np.isnan(i) else int(i), -1 if np.isnan(j) else int(j))
+            for i, j in zip(out.column("lid").astype(float), out.column("rid").astype(float))
+        ]
+        want = ref_join_pairs([left_key], [right_key])
+        assert got == outer_ids(want, len(left_key), len(right_key), how)
+
+    @pytest.mark.parametrize("span, duplicates, sorts, calls", [
+        # A unique build side on a dense span: one position table, no sort.
+        (1_000, False, 0, {"full": 1, "repeat": 0, "searchsorted": 0}),
+        # On a sparse one: the sort, then one searchsorted and no repeat.
+        (SPARSE, False, 1, {"full": 0, "repeat": 0, "searchsorted": 1}),
+        # Duplicate build keys: the sort and two repeats, either span.
+        (1_000, True, 1, {"full": 0, "repeat": 2, "searchsorted": 0}),
+        (SPARSE, True, 1, {"full": 0, "repeat": 2, "searchsorted": 2}),
+    ])
+    def test_probe_path_by_build_side(self, monkeypatch, span, duplicates, sorts, calls):
+        rng = np.random.default_rng(4)
+        right_key = rng.choice(span, 400, replace=False)
+        if duplicates:
+            right_key[::3] = right_key[0]
+        left_key = np.concatenate([rng.choice(right_key, 600), rng.integers(0, span, 200)])
+        counted, sorted_sizes = collections.Counter(), []
+        monkeypatch.setattr(operators, "np", CountingNumpy(counted))
+        monkeypatch.setattr(
+            operators, "stable_argsort",
+            lambda values: sorted_sizes.append(len(values)) or keys.stable_argsort(values),
+        )
+        got = operators._match_pairs(left_key, right_key, span)
+        want = ref_match_pairs(left_key, right_key, span)
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g, w)
+            assert g.dtype == w.dtype
+        assert len(sorted_sizes) == sorts
+        assert {name: counted[name] for name in calls} == calls
+
+    def test_star_sorts_only_duplicate_build_sides(self, monkeypatch):
+        """The 20 `star` queries' exact plans at scale 0.05: every join
+        whose build side has unique keys is probed without a sort."""
+        from repro.engine.executor import Executor
+        from repro.optimizer.planner import QuickrPlanner
+        from repro.workloads.tpcds import QUERY_BUILDERS, generate_tpcds, query_by_name
+
+        database = generate_tpcds(scale=0.05, seed=1)
+        planner, executor = QuickrPlanner(database), Executor(database)
+        joins, sorts, match = [], [0], operators._match_pairs
+
+        def counting_sort(values):
+            sorts[0] += 1
+            return keys.stable_argsort(values)
+
+        def recording(left_key, right_key, span):
+            before = sorts[0]
+            pairs = match(left_key, right_key, span)
+            duplicates = len(np.unique(right_key)) < len(right_key)
+            joins.append((duplicates, sorts[0] > before))
+            return pairs
+
+        monkeypatch.setattr(operators, "stable_argsort", counting_sort)
+        monkeypatch.setattr(operators, "_match_pairs", recording)
+        star = sorted(set(QUERY_BUILDERS) - {"q11", "q12", "q13", "q14"})
+        assert len(star) == 20
+        for name in star:
+            executor.execute(planner.plan_baseline(query_by_name(database, name)).plan)
+        assert [sorted_ for _, sorted_ in joins] == [duplicates for duplicates, _ in joins]
+        assert sum(not duplicates for duplicates, _ in joins) >= 25
+
+
+class CountingNumpy:
+    """``numpy`` for one module, counting calls of its functions by name."""
+
+    def __init__(self, counted):
+        self._counted = counted
+
+    def __getattr__(self, name):
+        attr = getattr(np, name)
+        if not callable(attr) or isinstance(attr, type):
+            return attr
+
+        def counting(*args, **kwargs):
+            self._counted[name] += 1
+            return attr(*args, **kwargs)
+
+        return counting
+
 
 class TestDistinctSampler:
     @given(arrays=key_columns(), delta=st.integers(1, 4), seed=st.integers(0, 5))
@@ -208,7 +353,7 @@ class TestDistinctSampler:
         spec = DistinctSpec(names, delta=delta, p=0.3, seed=seed, reservoir_size=2)
         got = spec.apply(table)
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(distinct, "group_codes", ref_group_codes)
+            patch.setattr(distinct, "group_ids", lambda arrays: ref_group_codes(arrays)[0])
             want = spec.apply(table)
         np.testing.assert_array_equal(got.column("v"), want.column("v"))
         np.testing.assert_array_equal(got.weights(), want.weights())

@@ -60,6 +60,34 @@ class TestRowOps:
         out = make().take(np.array([1, 3]))
         np.testing.assert_array_equal(out.column("a"), [1, 3])
 
+    @pytest.mark.parametrize("rows", [0, 1, 57])
+    @pytest.mark.parametrize("density", ["none", "sparse", "half", "all"])
+    def test_take_mask_is_take_of_its_indices(self, rows, density):
+        """A mask is gathered as its row indices; the result is what
+        masking every stored column gives, codes, weights and lineage too."""
+        rng = np.random.default_rng(rows)
+        table = Table(
+            "t",
+            {
+                "s": rng.choice(np.array(["x", "yy", ""]), rows),
+                "f": rng.normal(size=rows),
+                "i": rng.integers(-5, 5, rows).astype(np.int32),
+                WEIGHT_COLUMN: rng.random(rows) + 1.0,
+                rowid_column_name(0): np.arange(rows, dtype=np.int64),
+            },
+        ).encoded()
+        assert table.dictionary("s") is not None
+        fraction = {"none": 0.0, "sparse": 0.1, "half": 0.5, "all": 1.0}[density]
+        mask = rng.random(rows) < fraction
+        by_mask, by_index = table.take(mask), table.take(np.flatnonzero(mask))
+        for out in (by_mask, by_index):
+            assert out.column_names == table.column_names
+            assert out.dictionary("s") is table.dictionary("s")
+            for name in table.column_names:
+                want = table.key_column(name)[mask]
+                assert out.key_column(name).dtype == want.dtype
+                np.testing.assert_array_equal(out.key_column(name), want)
+
     def test_head(self):
         assert make().head(3).num_rows == 3
         assert make(2).head(5).num_rows == 2

@@ -388,3 +388,18 @@ class TestMergeRows:
         assert merged.column_names == reference.column_names
         for c in reference.column_names:
             np.testing.assert_array_equal(merged.column(c), reference.column(c), err_msg=c)
+
+    @settings(max_examples=60, deadline=None)
+    @given(tables=lineage_payloads(), data=st.data())
+    def test_named_columns_are_the_full_merge_narrowed(self, tables, data):
+        """Lineage orders the rows either way; only the named columns and
+        the weight column are gathered into that order."""
+        tables = [t.with_columns({WEIGHT_COLUMN: np.arange(t.num_rows) + 1.0}) for t in tables]
+        lineage = list(tables[0].lineage_column_names())
+        named = data.draw(st.lists(st.sampled_from(["x", *lineage]), unique=True))
+        full, narrow = merge_rows(tables), merge_rows(tables, columns=named)
+        assert narrow.column_names == tuple(
+            c for c in full.column_names if c in named or c == WEIGHT_COLUMN
+        )
+        for c in narrow.column_names:
+            np.testing.assert_array_equal(narrow.column(c), full.column(c), err_msg=c)

@@ -59,8 +59,9 @@ class TestQ14Payload:
         (merge,) = tracer.find("parallel.merge")
         rows = result.cardinalities[(0,)]
         assert merge.attributes["rows"] == rows
-        # Three data and three lineage columns of eight bytes; nothing else.
-        assert merge.attributes["bytes"] == rows * 8 * 6
+        # Three data columns of eight bytes: the payloads' three lineage
+        # columns order the merge but are not gathered into its output.
+        assert merge.attributes["bytes"] == rows * 8 * 3
         assert {span.attributes["columns"] for span in tracer.find("op.join")} <= {2, 3}
 
     def test_shared_memory_moves_the_narrow_payload(self, planner, tiny_tpcds):

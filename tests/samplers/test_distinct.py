@@ -5,8 +5,9 @@ import collections
 import numpy as np
 import pytest
 
-from repro.algebra.expressions import Func, col
-from repro.engine.table import Table
+from repro.algebra.expressions import Expr, Func, col
+from repro.engine.keys import group_codes
+from repro.engine.table import WEIGHT_COLUMN, Table
 from repro.errors import SamplerError
 from repro.samplers.distinct import DistinctSpec, stratum_codes
 
@@ -122,13 +123,16 @@ class TestStratumCodes:
 
 def _sort_based_apply(spec: DistinctSpec, table: Table) -> Table:
     """The sampler as it was before ranks came from count offsets: a stable
-    int64 argsort of the whole input, per-row frequencies. Kept as the
+    int64 argsort of the whole input, per-row frequencies, strata numbered
+    by ``group_codes`` and every column gathered by the mask. Kept as the
     reference the shipped ``apply`` must match bit for bit."""
-    from repro.samplers.base import attach_weights
-
     n = table.num_rows
     rng = np.random.default_rng(spec.seed)
-    codes = stratum_codes(table, spec.columns)
+    arrays = [
+        np.asarray(c.evaluate(table)) if isinstance(c, Expr) else table.key_column(c)
+        for c in spec.columns
+    ]
+    codes = group_codes(arrays)[0]
     order = np.argsort(codes, kind="stable")
     sorted_codes = codes[order]
     boundaries = np.empty(n, dtype=bool)
@@ -164,7 +168,18 @@ def _sort_based_apply(spec: DistinctSpec, table: Table) -> Table:
         chosen = large & (rng.random(n) < spec.p)
         mask[chosen] = True
         weights[chosen] = 1.0 / spec.p
-    return attach_weights(table, mask, weights)
+    out = {name: table.key_column(name)[mask] for name in table.column_names}
+    out[WEIGHT_COLUMN] = table.weights()[mask] * weights[mask] if table.has_weights() else weights[mask]
+    return Table(table.name, out, table.dictionaries())
+
+
+def assert_matches_reference(spec: DistinctSpec, table: Table) -> Table:
+    got, want = spec.apply(table), _sort_based_apply(spec, table)
+    assert got.column_names == want.column_names
+    for name in want.column_names:
+        assert got.key_column(name).dtype == want.key_column(name).dtype, name
+        np.testing.assert_array_equal(got.column(name), want.column(name), err_msg=name)
+    return got
 
 
 class TestMatchesSortBasedReference:
@@ -182,16 +197,51 @@ class TestMatchesSortBasedReference:
         keys = np.minimum(gen.zipf(1.3, rows) - 1, strata - 1) * 3 - 5
         table = Table("t", {"k": keys, "x": gen.normal(size=rows)})
         spec = DistinctSpec(["k"], delta=delta, p=p, seed=11, reservoir_size=reservoir)
-        got, want = spec.apply(table), _sort_based_apply(spec, table)
-        assert got.column_names == want.column_names
-        for name in want.column_names:
-            assert np.array_equal(got.column(name), want.column(name)), name
+        assert_matches_reference(spec, table)
 
     def test_expression_and_multi_column_strata(self, skewed_table):
         spec = DistinctSpec(
             ["k", Func("bucket", lambda x: np.floor(x / 4.0), [col("x")])],
             delta=2, p=0.2, seed=5, reservoir_size=3,
         )
-        got, want = spec.apply(skewed_table), _sort_based_apply(spec, skewed_table)
-        for name in want.column_names:
-            assert np.array_equal(got.column(name), want.column(name)), name
+        assert_matches_reference(spec, skewed_table)
+
+    def test_expression_strata_over_a_nan_column(self, skewed_table):
+        """Every NaN bucket is a stratum of its own (the sort path)."""
+        x = skewed_table.column("x").copy()
+        x[::7] = np.nan
+        spec = DistinctSpec(
+            ["k", Func("bucket", lambda v: np.floor(v / 4.0), [col("x")])],
+            delta=2, p=0.2, seed=5, reservoir_size=3,
+        )
+        out = assert_matches_reference(spec, skewed_table.with_columns({"x": x}))
+        assert np.isnan(out.column("x")).sum() == np.isnan(x).sum()  # delta >= 1 keeps each
+
+    def test_weighted_input(self, skewed_table):
+        """Upstream weights multiply into the sampler's own."""
+        gen = np.random.default_rng(2)
+        table = skewed_table.with_columns(
+            {WEIGHT_COLUMN: 1.0 / gen.uniform(0.1, 1.0, skewed_table.num_rows)}
+        )
+        spec = DistinctSpec(["k"], delta=3, p=0.1, seed=4, reservoir_size=5)
+        assert_matches_reference(spec, table)
+
+    @pytest.mark.parametrize("regime", ["reservoir", "bernoulli"])
+    def test_one_regime_only(self, regime):
+        """S / p = 100: strata of under 103 rows keep a reservoir, larger
+        ones are Bernoulli-sampled; strata of at most delta rows have no
+        candidates at all. One regime's draw is then never made."""
+        gen = np.random.default_rng(9)
+        if regime == "reservoir":
+            sizes = gen.integers(1, 100, 60)
+        else:
+            sizes = np.concatenate([gen.integers(200, 2_000, 8), [1, 2, 3]])
+        keys = np.repeat(np.arange(len(sizes)) * 7, sizes)
+        gen.shuffle(keys)
+        table = Table("t", {"k": keys, "x": gen.normal(size=len(keys))})
+        spec = DistinctSpec(["k"], delta=3, p=0.1, seed=7, reservoir_size=10)
+        weights = assert_matches_reference(spec, table).weights()
+        if regime == "reservoir":
+            assert not (weights == 10.0).any() and (weights > 1.0).any()
+        else:
+            assert set(np.unique(weights)) == {1.0, 10.0}

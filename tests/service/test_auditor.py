@@ -41,11 +41,12 @@ def served_answer(db, name="q01"):
 
 
 class TestConfig:
-    def test_stride_from_fraction(self):
-        assert AuditorConfig(sample_fraction=1.0).stride == 1
-        assert AuditorConfig(sample_fraction=0.1).stride == 10
-        assert AuditorConfig(sample_fraction=0.34).stride == 3
-        assert AuditorConfig(sample_fraction=0.0).stride == 0
+    def test_fraction_of_answers_audited(self):
+        served = range(1, 20_001)
+        assert all(map(AuditorConfig(sample_fraction=1.0).audits, served))
+        assert not any(map(AuditorConfig(sample_fraction=0.0).audits, served))
+        audited = sum(map(AuditorConfig(sample_fraction=0.1).audits, served))
+        assert abs(audited - 2_000) < 4 * (20_000 * 0.1 * 0.9) ** 0.5
 
     def test_disabled_auditor_never_starts_a_thread(self, tiny_tpcds):
         auditor = make_auditor(
@@ -62,16 +63,23 @@ class TestEnqueue:
         assert not auditor.maybe_enqueue("q01", "quickr", "t", "exact", None)
         assert auditor.backlog == 0
 
-    def test_stride_picks_every_kth(self, tiny_tpcds):
-        auditor = make_auditor(
-            tiny_tpcds, AuditorConfig(enabled=True, sample_fraction=1 / 3)
-        )
-        picked = [
-            auditor.maybe_enqueue(f"q{i:02d}", "quickr", "t", "quickr", None)
-            for i in range(1, 10)
-        ]
-        assert picked == [False, False, True] * 3
-        assert auditor.backlog == 3
+    def test_periodic_mix_audits_every_query(self, tiny_tpcds):
+        """A mix of k queries served round-robin at fraction 1/k: a stride
+        of k would audit the same query every time; the hash draw audits
+        each of them, and the same ones on every replay of the session."""
+        k, rounds = 4, 10
+        config = AuditorConfig(enabled=True, sample_fraction=1 / k, max_queue=k * rounds)
+        names = [f"q{i:02d}" for i in range(1, k + 1)] * rounds
+        picked = []
+        for _ in range(2):
+            auditor = make_auditor(tiny_tpcds, config)
+            picked.append([
+                name for name in names
+                if auditor.maybe_enqueue(name, "quickr", "t", "quickr", None)
+            ])
+        assert picked[0] == picked[1]
+        assert set(picked[0]) == set(names)
+        assert len({name for i, name in enumerate(names, start=1) if i % k == 0}) == 1
 
     def test_queue_overflow_drops_and_counts(self, tiny_tpcds):
         auditor = make_auditor(
@@ -170,7 +178,7 @@ class TestAudit:
 
     def test_summary_shape(self, tiny_tpcds):
         summary = make_auditor(tiny_tpcds).summary()
-        assert summary["enabled"] and summary["stride"] == 1
+        assert summary["enabled"] and summary["sample_fraction"] == 1.0
         assert {"served_approx", "backlog", "completed", "preempted"} <= set(
             summary
         )
