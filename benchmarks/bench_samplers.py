@@ -2,7 +2,7 @@
 
 Appendix A's cost ordering must hold in practice: uniform is cheapest
 (a coin flip), universe pays for a strong hash, distinct pays for the
-sketch and reservoirs.
+stratum counts and reservoirs.
 """
 
 import numpy as np

@@ -303,10 +303,7 @@ def _cmd_serve(args) -> int:
         telemetry_path=args.telemetry,
         telemetry_interval_seconds=args.telemetry_interval,
         postmortem_dir=args.postmortem_dir,
-        audit=AuditorConfig(
-            enabled=args.audit_fraction > 0,
-            sample_fraction=args.audit_fraction,
-        ),
+        audit=AuditorConfig(sample_fraction=args.audit_fraction),
         latency_slo_ms=args.latency_slo_ms,
     )
     service = QueryService(db, config)

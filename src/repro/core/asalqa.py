@@ -64,7 +64,6 @@ class AsalqaOptions:
     max_alternatives: int = 192
     costing: CostingOptions = field(default_factory=CostingOptions)
     cluster: ClusterConfig = field(default_factory=ClusterConfig)
-    compute_ci: bool = True
 
 
 @dataclass
@@ -204,7 +203,7 @@ class Asalqa:
             )
 
         with obs_trace.maybe_span("asalqa.finalize", query=query.name):
-            final = finalize_plan(best_plan, compute_ci=self.options.compute_ci)
+            final = finalize_plan(best_plan)
         _LOG.debug(
             "%s: approximable via %s (%d alternatives explored)",
             query.name,

@@ -5,8 +5,8 @@ runs as ordinary tasks over data that is *already resident* in cluster
 partitions. Two things live here:
 
 * :class:`Partitioner` — the only definition of "row ``i`` goes to
-  partition ``p``" (:meth:`Table.partition` and the partition catalog's
-  layouts are spelled with it). Three strategies: **round-robin** deals
+  partition ``p``" (the parallel executor's splits and the partition
+  catalog's layouts are spelled with it). Three strategies: **round-robin** deals
   rows by position (balanced; right whenever per-row decisions don't need
   related rows together — uniform and universe samplers, filters,
   broadcast joins); **hash** routes by a keyed hash of a column set, so

@@ -20,7 +20,7 @@ from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.engine.keys import encode_dictionary, same_dictionary
-from repro.engine.partitions import HASH, Partitioner, PartitionStore
+from repro.engine.partitions import PartitionStore
 from repro.errors import CatalogError, SchemaError
 
 __all__ = ["WEIGHT_COLUMN", "ROWID_PREFIX", "rowid_column_name", "Table", "Database"]
@@ -229,38 +229,6 @@ class Table:
             order = order[::-1]
         return self.take(order)
 
-    def partition(
-        self,
-        num_partitions: int,
-        by: Optional[Sequence[str]] = None,
-        seed: int = 0,
-    ) -> list:
-        """Split into exactly ``num_partitions`` tables (parallel input),
-        padding with empty ones when the table is small.
-
-        With ``by=None`` the split is round-robin on row position. With
-        ``by=[columns...]`` rows are hash-partitioned on the named column
-        set: every row whose key tuple hashes to partition ``p`` lands in
-        partition ``p``, so equal keys always share a partition. That is the
-        property co-partitioned joins and stratification-aligned distinct
-        samplers need. All reserved columns (``__w__`` weights, ``__rid*``
-        lineage) ride along unchanged, preserving the Horvitz-Thompson
-        weight invariant across the split.
-        """
-        if num_partitions <= 1:
-            return [self]
-        if by is None:
-            return Partitioner(num_partitions).split(self)
-        return Partitioner(num_partitions, HASH, tuple(by), seed).split(self)
-
-    def partition_assignments(
-        self, by: Sequence[str], num_partitions: int, seed: int = 0
-    ) -> np.ndarray:
-        """Per-row hash-partition assignment in ``[0, num_partitions)``."""
-        if not by:
-            raise SchemaError("hash partitioning requires at least one column")
-        return Partitioner(num_partitions, HASH, tuple(by), seed).assignments(self)
-
     @staticmethod
     def concat(tables: Sequence["Table"], name: Optional[str] = None) -> "Table":
         """Vertical concatenation of tables with identical schemas. A
@@ -326,18 +294,8 @@ class Table:
         """The :class:`TableRef` this table was mapped from, or ``None``."""
         return self._pin
 
-    @staticmethod
-    def from_rows(name: str, column_names: Sequence[str], rows: Iterable[tuple]) -> "Table":
-        """Build from an iterable of row tuples (used by streaming samplers)."""
-        materialized = list(rows)
-        if materialized:
-            arrays = [np.asarray(col) for col in zip(*materialized)]
-        else:
-            arrays = [np.asarray([]) for _ in column_names]
-        return Table(name, dict(zip(column_names, arrays)))
-
     def iter_rows(self) -> Iterable[tuple]:
-        """Yield rows as tuples in column order (streaming-sampler input)."""
+        """Yield rows as tuples in column order (decoded values)."""
         arrays = list(self.to_dict().values())
         for i in range(self.num_rows):
             yield tuple(arr[i] for arr in arrays)

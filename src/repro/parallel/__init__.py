@@ -4,7 +4,8 @@ The paper's samplers are single-pass, bounded-memory and partitionable
 (Section 4.1) so sampled plans parallelize like any other first-pass
 operator. This package supplies the pieces:
 
-- :mod:`repro.parallel.partitioner` — round-robin and hash input splits;
+- :class:`Partitioner` (from :mod:`repro.engine.partitions`) — round-robin
+  and hash input splits;
 - :mod:`repro.parallel.plan` — precursor/successor split, strategy choice,
   worker plan rewriting;
 - :mod:`repro.parallel.pool` — the process/thread/inline backends a run opens;
@@ -22,6 +23,7 @@ operator. This package supplies the pieces:
   :class:`~repro.engine.executor.PartialResult` answers.
 """
 
+from repro.engine.partitions import HASH, ROUND_ROBIN, Partitioner
 from repro.parallel.executor import ParallelExecutor, ParallelOptions
 from repro.parallel.faults import (
     FAULT_KINDS,
@@ -31,7 +33,6 @@ from repro.parallel.faults import (
     corrupt_table,
 )
 from repro.parallel.merge import merge_rows
-from repro.parallel.partitioner import HASH, ROUND_ROBIN, Partitioner, co_partitioners
 from repro.parallel.plan import PlanAnalysis, analyze_plan, build_worker_plan
 from repro.parallel.pool import WorkerPool, available_parallelism
 from repro.parallel.tasks import (
@@ -47,7 +48,6 @@ __all__ = [
     "ParallelExecutor",
     "ParallelOptions",
     "Partitioner",
-    "co_partitioners",
     "ROUND_ROBIN",
     "HASH",
     "PlanAnalysis",

@@ -9,7 +9,7 @@ The parallel executor splits a plan into:
   once over the merged partition outputs.
 
 ``analyze_plan`` finds the split point, decides which scans to partition and
-how (see :mod:`repro.parallel.partitioner`), and reports *why* a plan cannot
+how (see :class:`repro.engine.partitions.Partitioner`), and reports *why* a plan cannot
 be parallelized when it can't — the executor then falls back to serial
 execution, mirroring the paper's "default option" philosophy (an
 inapplicable optimization degrades to the baseline, never to an error).

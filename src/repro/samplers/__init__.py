@@ -8,13 +8,6 @@ in a parallel plan (paper Section 4.1).
 from repro.samplers.base import PassThroughSpec, SamplerSpec, attach_weights
 from repro.samplers.distinct import DistinctSpec
 from repro.samplers.hashing import hash_columns, mix64, universe_fraction
-from repro.samplers.streaming import (
-    StreamingDistinct,
-    StreamingUniform,
-    StreamingUniverse,
-    run_partitioned,
-    run_streaming,
-)
 from repro.samplers.uniform import UniformSpec
 from repro.samplers.universe import UniverseSpec
 
@@ -26,11 +19,6 @@ __all__ = [
     "hash_columns",
     "mix64",
     "universe_fraction",
-    "StreamingDistinct",
-    "StreamingUniform",
-    "StreamingUniverse",
-    "run_partitioned",
-    "run_streaming",
     "UniformSpec",
     "UniverseSpec",
 ]

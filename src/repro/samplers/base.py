@@ -9,10 +9,10 @@ Every sampler obeys the paper's operating requirements (Section 4.1):
 * partitionable — running instances on disjoint partitions of the input and
   unioning their outputs mimics a single instance over the whole input.
 
-``apply`` is the vectorized implementation used by the executor. The
-equivalent row-at-a-time implementations (the mode a real cluster would run)
-live in :mod:`repro.samplers.streaming` and are property-tested against
-these.
+``apply`` is the one implementation, vectorized over a table; it runs per
+partition in a parallel plan (``for_partition`` derives the partition-local
+spec). The tests hold it to per-row references: a sort-based one for the
+distinct sampler, the key-hash test for the universe sampler.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ class SamplerSpec:
     """Abstract physical sampler."""
 
     #: Relative CPU cost per input row (Appendix A: uniform is cheapest,
-    #: universe pays for a strong hash, distinct pays for sketch+reservoir).
+    #: universe pays for a strong hash, distinct pays for stratum counts+reservoir).
     cost_per_row: float = 1.0
 
     #: Short name used in plan summaries and Table 7 style frequency counts.

@@ -11,7 +11,7 @@ Strata may be declared on plain columns or on *functions of columns*
 :class:`~repro.algebra.expressions.Expr` objects alongside column names.
 
 The vectorized implementation reproduces the debiased semantics of the
-streaming algorithm: rows past the first ``delta`` of a stratum fall into a
+paper's one-pass algorithm: rows past the first ``delta`` of a stratum fall into a
 "reservoir region" (the next ``reservoir_size / p`` rows) from which an
 exact uniform subset is kept with the correct Horvitz-Thompson weight, and
 any remaining rows are Bernoulli-sampled at ``p``. This matches the paper's
@@ -19,10 +19,10 @@ reservoir construction, with one correction: when a stratum's candidate
 count ``c`` is below the reservoir capacity we weight by ``c / c = 1`` (the
 paper's ``(freq - delta)/S`` formula implicitly assumes ``c >= S``).
 
-Memory bounding via the heavy-hitter sketch, and the delta adjustment for
-degree-of-parallelism, live in the streaming implementation
-(:mod:`repro.samplers.streaming`), which is the faithful cluster-mode
-rendition.
+Strata are counted exactly over dense integer codes: the paper's
+lossy-counting memory bound (track only heavy-hitter strata) is not
+implemented. The delta adjustment for degree-of-parallelism is
+:meth:`DistinctSpec.for_partition`.
 """
 
 from __future__ import annotations

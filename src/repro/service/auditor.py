@@ -54,9 +54,9 @@ __all__ = ["AuditorConfig", "QueryAuditor"]
 class AuditorConfig:
     """Knobs of the background accuracy auditor."""
 
-    enabled: bool = True
     #: Fraction of served approximate answers replayed exactly, drawn by a
-    #: hash of each answer's serial number (see the module docstring).
+    #: hash of each answer's serial number (see the module docstring); 0
+    #: turns the auditor off.
     sample_fraction: float = 0.1
     #: Bounded audit backlog; overflow is dropped (never backpressure).
     max_queue: int = 32
@@ -128,7 +128,7 @@ class QueryAuditor:
 
     # -- lifecycle -------------------------------------------------------------
     def start(self) -> "QueryAuditor":
-        if self._thread is None and self.config.enabled and self.config.sample_fraction > 0:
+        if self._thread is None and self.config.sample_fraction > 0:
             self._thread = threading.Thread(
                 target=self._run, name="service-auditor", daemon=True
             )
@@ -152,7 +152,7 @@ class QueryAuditor:
         by :meth:`AuditorConfig.audits`. Returns True when an audit was
         enqueued.
         """
-        if not self.config.enabled or self.config.sample_fraction <= 0:
+        if self.config.sample_fraction <= 0:
             return False
         if mode == "exact" or rung == "exact":
             return False
@@ -195,7 +195,7 @@ class QueryAuditor:
     def summary(self) -> Dict[str, Any]:
         with self._lock:
             return {
-                "enabled": self.config.enabled,
+                "enabled": self.config.sample_fraction > 0,
                 "sample_fraction": self.config.sample_fraction,
                 "served_approx": self._served_approx,
                 "backlog": len(self._queue),

@@ -99,7 +99,7 @@ class ServiceConfig:
     #: Background exact-replay accuracy auditor (off by default; the CLI's
     #: ``--audit-fraction`` turns it on).
     audit: AuditorConfig = field(
-        default_factory=lambda: AuditorConfig(enabled=False)
+        default_factory=lambda: AuditorConfig(sample_fraction=0.0)
     )
     #: Per-tenant latency SLO fed to the accuracy/SLO ledger; None tracks
     #: only cancellations as violations.

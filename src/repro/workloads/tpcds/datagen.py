@@ -7,7 +7,7 @@ absolute bytes — so the generator preserves:
 * foreign keys from facts to dimensions (date / item / customer / store);
 * Zipf-skewed popularity of items and customers (heavy hitters exist, which
   exercises the catalog's heavy-hitter statistics and the distinct
-  sampler's sketch);
+  sampler's Bernoulli regime);
 * returns that reference actual sales (shared ticket / order numbers), so
   fact-fact joins have realistic match rates;
 * skewed monetary values (lognormal prices, heavy-tailed profit) so SUM
@@ -50,7 +50,7 @@ def _zipf_choice(
     The shift flattens the extreme head: a pure Zipf head value can carry
     >10% of a fact table, which makes self-joins on that key quadratic. With
     the shift, heavy hitters still exist (the catalog and the distinct
-    sampler's sketch see them) but fact-fact joins stay near-linear, as in
+    sampler see them) but fact-fact joins stay near-linear, as in
     real TPC-DS data where key popularity is only mildly skewed.
     """
     ranks = np.arange(1 + shift, n_values + 1 + shift, dtype=np.float64)

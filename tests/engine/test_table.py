@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.engine.partitions import HASH, Partitioner
 from repro.engine.table import WEIGHT_COLUMN, Database, Table, rowid_column_name
-from repro.errors import CatalogError, SchemaError
+from repro.errors import CatalogError, PlanError, SchemaError
 
 
 def make(n=10):
@@ -110,14 +111,14 @@ class TestRowOps:
 class TestPartitionConcat:
     def test_partition_roundtrip(self):
         t = make(17)
-        parts = t.partition(4)
+        parts = Partitioner(4).split(t)
         assert len(parts) == 4
         assert sum(p.num_rows for p in parts) == 17
         merged = Table.concat(parts)
         assert sorted(merged.column("a").tolist()) == list(range(17))
 
     def test_partition_one(self):
-        assert len(make().partition(1)) == 1
+        assert len(Partitioner(1).split(make())) == 1
 
     def test_concat_schema_mismatch(self):
         with pytest.raises(SchemaError):
@@ -129,27 +130,27 @@ class TestPartitionConcat:
 
     def test_hash_partition_covers_input(self):
         t = Table("t", {"k": np.arange(100) % 7, "v": np.arange(100)})
-        parts = t.partition(4, by=["k"])
+        parts = Partitioner(4, HASH, ("k",)).split(t)
         assert sum(p.num_rows for p in parts) == 100
         merged = Table.concat([p for p in parts if p.num_rows])
         assert sorted(merged.column("v").tolist()) == list(range(100))
 
     def test_hash_partition_colocates_equal_keys(self):
         t = Table("t", {"k": np.arange(200) % 13, "v": np.arange(200)})
-        assignments = t.partition_assignments(["k"], 4)
+        assignments = Partitioner(4, HASH, ("k",)).assignments(t)
         # same key value -> same partition index, always
         for key in range(13):
             assert len(set(assignments[t.column("k") == key].tolist())) == 1
 
     def test_hash_partition_seed_changes_layout(self):
         t = Table("t", {"k": np.arange(1000)})
-        a = t.partition_assignments(["k"], 4, seed=0)
-        b = t.partition_assignments(["k"], 4, seed=1)
+        a = Partitioner(4, HASH, ("k",), seed=0).assignments(t)
+        b = Partitioner(4, HASH, ("k",), seed=1).assignments(t)
         assert not np.array_equal(a, b)
 
     def test_hash_partition_requires_columns(self):
-        with pytest.raises(SchemaError):
-            make().partition_assignments([], 4)
+        with pytest.raises(PlanError):
+            Partitioner(4, HASH, ())
 
     def test_partition_preserves_weight_invariant(self):
         gen = np.random.default_rng(0)
@@ -157,8 +158,8 @@ class TestPartitionConcat:
             {WEIGHT_COLUMN: gen.uniform(1, 5, 101)}
         )
         total = float((t.weights() * t.column("x")).sum())
-        for by in (None, ["x"]):
-            parts = t.partition(4, by=by)
+        for partitioner in (Partitioner(4), Partitioner(4, HASH, ("x",))):
+            parts = partitioner.split(t)
             split_total = sum(float((p.weights() * p.column("x")).sum()) for p in parts)
             np.testing.assert_allclose(split_total, total)
 
@@ -186,7 +187,7 @@ class TestLineage:
 
     def test_partition_carries_lineage(self):
         t = make(10).with_columns({rowid_column_name(0): np.arange(10)})
-        parts = t.partition(3)
+        parts = Partitioner(3).split(t)
         recovered = np.sort(np.concatenate([p.column(rowid_column_name(0)) for p in parts]))
         np.testing.assert_array_equal(recovered, np.arange(10))
 
@@ -196,14 +197,6 @@ class TestRowsInterface:
         rows = list(make(3).iter_rows())
         assert rows[0] == (0, 0.0)
         assert len(rows) == 3
-
-    def test_from_rows(self):
-        t = Table.from_rows("t", ["a", "b"], [(1, 2.0), (3, 4.0)])
-        np.testing.assert_array_equal(t.column("a"), [1, 3])
-
-    def test_from_rows_empty(self):
-        t = Table.from_rows("t", ["a"], [])
-        assert t.num_rows == 0
 
     def test_estimated_bytes_positive(self):
         assert make().estimated_bytes() > 0

@@ -40,6 +40,7 @@ from repro.engine.aggregate import (
     partial_aggregate,
 )
 from repro.engine.operators import execute_aggregate
+from repro.engine.partitions import Partitioner
 from repro.engine.table import WEIGHT_COLUMN, Table, rowid_column_name
 from repro.errors import PlanError
 from repro.parallel import merge_rows
@@ -87,7 +88,7 @@ def via_partials(table, group_by, aggs=ALL_AGGS, num_parts=3, cuts=None, **how):
     """The answer through per-part states: round-robin parts by default
     (group order then differs from serial), contiguous ones with ``cuts``."""
     how = Estimation(**how)
-    parts = table.partition(num_parts) if cuts is None else split(table, cuts)
+    parts = Partitioner(num_parts).split(table) if cuts is None else split(table, cuts)
     partials = [partial_aggregate(part, group_by, aggs, how) for part in parts]
     return finalize_partial(merge_partials(partials), aggs, how)
 
@@ -357,14 +358,14 @@ class TestMergeRows:
         t = weighted_table().with_columns(
             {rowid_column_name(0): np.arange(4_000, dtype=np.int64)}
         )
-        parts = t.partition(4)
+        parts = Partitioner(4).split(t)
         merged = merge_rows(list(reversed(parts)))  # arrival order scrambled
         for c in t.column_names:
             np.testing.assert_array_equal(merged.column(c), t.column(c))
 
     def test_without_lineage_is_plain_concat(self):
         t = weighted_table(n=30)
-        merged = merge_rows(t.partition(3))
+        merged = merge_rows(Partitioner(3).split(t))
         assert merged.num_rows == 30
 
     def test_empty_input_rejected(self):

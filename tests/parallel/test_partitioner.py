@@ -5,7 +5,7 @@ import pytest
 
 from repro.engine.table import WEIGHT_COLUMN, Table, rowid_column_name
 from repro.errors import PlanError
-from repro.parallel import HASH, ROUND_ROBIN, Partitioner, co_partitioners
+from repro.parallel import HASH, ROUND_ROBIN, Partitioner
 
 
 def make(n=100):
@@ -78,7 +78,9 @@ class TestCoPartitioners:
         gen = np.random.default_rng(9)
         left = Table("l", {"a": gen.integers(0, 50, 400)})
         right = Table("r", {"b": gen.integers(0, 50, 150)})
-        pl, pr = co_partitioners(4, ["a"], ["b"], seed=3)
+        # Two hash partitioners sharing a count and seed: the hash is keyed by
+        # position in the key list, not by column name.
+        pl, pr = Partitioner(4, HASH, ("a",), seed=3), Partitioner(4, HASH, ("b",), seed=3)
         la, ra = pl.assignments(left), pr.assignments(right)
         route = {}
         for key, dest in zip(left.column("a"), la):

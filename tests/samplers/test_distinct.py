@@ -1,12 +1,14 @@
 """Unit tests for the distinct (stratified) sampler."""
 
 import collections
+import math
 
 import numpy as np
 import pytest
 
 from repro.algebra.expressions import Expr, Func, col
 from repro.engine.keys import group_codes
+from repro.engine.partitions import HASH, Partitioner
 from repro.engine.table import WEIGHT_COLUMN, Table
 from repro.errors import SamplerError
 from repro.samplers.distinct import DistinctSpec, stratum_codes
@@ -111,6 +113,49 @@ class TestValidation:
         t = Table("t", {"k": np.array([], dtype=int)})
         out = DistinctSpec(["k"], delta=1, p=0.5).apply(t)
         assert out.num_rows == 0
+
+
+class TestForPartition:
+    """The degree-of-parallelism correction a parallel run applies: the
+    union of ``D`` partition-local samples still passes ``min(delta, freq)``
+    rows of every stratum."""
+
+    DELTA = 40
+
+    @pytest.fixture()
+    def shuffled_table(self, rng):
+        """30 strata of ~9 to ~260 rows in random order: some below delta,
+        some near it, where an uneven spread over partitions is what the
+        per-instance slack has to absorb."""
+        n = 4_000
+        share = np.arange(1, 31) / np.arange(1, 31).sum()
+        return Table("t", {"k": rng.choice(30, n, p=share), "x": rng.exponential(3.0, n)})
+
+    @pytest.mark.parametrize("aligned", [False, True], ids=["round-robin", "hash"])
+    @pytest.mark.parametrize("degree", [2, 3, 4])
+    def test_union_keeps_the_guarantee(self, shuffled_table, degree, aligned):
+        # One reservoir row and a rare Bernoulli pass: the frequency region
+        # alone has to carry the guarantee.
+        spec = DistinctSpec(["k"], delta=self.DELTA, p=0.01, seed=3, reservoir_size=1)
+        partitioner = Partitioner(degree, HASH, ("k",)) if aligned else Partitioner(degree)
+        parts = partitioner.split(shuffled_table)
+        union = Table.concat(
+            [spec.for_partition(i, degree, aligned).apply(part) for i, part in enumerate(parts)]
+        )
+        kept = collections.Counter(union.column("k").tolist())
+        original = collections.Counter(shuffled_table.column("k").tolist())
+        for key, freq in original.items():
+            assert kept[key] >= min(self.DELTA, freq), f"stratum {key}"
+
+    @pytest.mark.parametrize("degree", [2, 3, 4])
+    def test_delta(self, degree):
+        spec = DistinctSpec(["k"], delta=self.DELTA, p=0.05, seed=3)
+        assert spec.for_partition(0, degree, aligned=True).delta == self.DELTA
+        assert spec.for_partition(0, degree, aligned=False).delta == 2 * math.ceil(self.DELTA / degree)
+
+    def test_one_partition_is_the_spec_itself(self):
+        spec = DistinctSpec(["k"], delta=self.DELTA, p=0.05, seed=3)
+        assert spec.for_partition(0, 1, aligned=False) is spec
 
 
 class TestStratumCodes:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.engine.partitions import HASH, Partitioner
 from repro.engine.table import Table, rowid_column_name
 from repro.errors import SamplerError
 from repro.samplers.uniform import UniformSpec
@@ -78,7 +79,7 @@ class TestCounterBasedDecisions:
         whole = spec.apply(with_lineage(small_table))
         rid = rowid_column_name(0)
         pieces = []
-        for part in with_lineage(small_table).partition(4):
+        for part in Partitioner(4).split(with_lineage(small_table)):
             pieces.append(spec.apply(part))
         union = Table.concat(pieces).sort_by([rid])
         np.testing.assert_array_equal(whole.column(rid), union.column(rid))
@@ -89,7 +90,7 @@ class TestCounterBasedDecisions:
         lineaged = with_lineage(small_table)
         whole = spec.apply(lineaged)
         rid = rowid_column_name(0)
-        pieces = [spec.apply(p) for p in lineaged.partition(3, by=["g"])]
+        pieces = [spec.apply(p) for p in Partitioner(3, HASH, ("g",)).split(lineaged)]
         union = Table.concat(pieces).sort_by([rid])
         np.testing.assert_array_equal(whole.column(rid), union.column(rid))
 

@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 from repro.engine import operators
-from repro.engine.table import Table
+from repro.engine.partitions import HASH, Partitioner
+from repro.engine.table import Database, Table
 from repro.errors import SamplerError
+from repro.samplers.hashing import hash_columns
 from repro.samplers.universe import UniverseSpec
 
 
@@ -45,7 +47,7 @@ class TestSubspaceSelection:
         """Partitionability: decisions are identical across partitions."""
         spec = UniverseSpec(["k"], 0.3, seed=1)
         whole = spec.apply(small_table)
-        parts = [spec.apply(p) for p in small_table.partition(4)]
+        parts = [spec.apply(p) for p in Partitioner(4).split(small_table)]
         merged = sorted(np.concatenate([p.column("x") for p in parts]).tolist())
         assert merged == sorted(whole.column("x").tolist())
 
@@ -129,8 +131,8 @@ class TestPartitionParallel:
         spec_r = UniverseSpec(["j"], 0.2, seed=9, emit_weight=False)
         whole = operators.execute_join(spec_l.apply(left), spec_r.apply(right), ["k"], ["j"])
 
-        lparts = left.partition(4, by=["k"], seed=123)
-        rparts = right.partition(4, by=["j"], seed=123)
+        lparts = Partitioner(4, HASH, ("k",), seed=123).split(left)
+        rparts = Partitioner(4, HASH, ("j",), seed=123).split(right)
         pieces = [
             operators.execute_join(spec_l.apply(lp), spec_r.apply(rp), ["k"], ["j"])
             for lp, rp in zip(lparts, rparts)
@@ -155,3 +157,43 @@ class TestStringKeys:
         t = Table("t", {"a": rng.integers(0, 20, 1000), "b": rng.integers(0, 20, 1000)})
         out = UniverseSpec(["a", "b"], 0.3, seed=6).apply(t)
         assert 0 < out.num_rows < 1000
+
+
+class TestPerRowReference:
+    """The vectorized sampler keeps exactly the rows a per-row test keeps:
+    row ``i`` passes iff the keyed hash of its decoded key values, as a
+    fraction of ``2**64``, is below ``p``."""
+
+    @pytest.fixture()
+    def registered(self, rng):
+        n = 4_000
+        db = Database()
+        db.register(
+            Table(
+                "t",
+                {
+                    "s": rng.choice(np.array(["ant", "bee", "cat", "dog", "eel", "fox"]), n),
+                    "k": rng.integers(0, 30, n),
+                    "x": rng.exponential(3.0, n),
+                },
+            )
+        )
+        table = db.table("t")
+        assert table.dictionary("s") is not None  # the key is coded
+        return table
+
+    @pytest.mark.parametrize("columns", [("s",), ("k",), ("s", "k")])
+    def test_matches_per_row_reference(self, registered, columns):
+        spec = UniverseSpec(columns, 0.3, seed=7)
+        keys = [registered.column(c) for c in columns]
+        keep = np.array(
+            [
+                hash_columns([np.asarray([v[i]]) for v in keys], spec.seed)[0] / float(2**64) < spec.p
+                for i in range(registered.num_rows)
+            ]
+        )
+        out = spec.apply(registered)
+        assert 0 < out.num_rows < registered.num_rows
+        np.testing.assert_array_equal(out.column("x"), registered.column("x")[keep])
+        np.testing.assert_array_equal(out.column("s"), registered.column("s")[keep])
+        assert np.all(out.weights() == 1.0 / spec.p)

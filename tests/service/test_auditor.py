@@ -50,9 +50,10 @@ class TestConfig:
 
     def test_disabled_auditor_never_starts_a_thread(self, tiny_tpcds):
         auditor = make_auditor(
-            tiny_tpcds, AuditorConfig(enabled=False)
+            tiny_tpcds, AuditorConfig(sample_fraction=0.0)
         ).start()
         assert auditor._thread is None
+        assert not auditor.summary()["enabled"]
         auditor.close()
 
 
@@ -68,7 +69,7 @@ class TestEnqueue:
         of k would audit the same query every time; the hash draw audits
         each of them, and the same ones on every replay of the session."""
         k, rounds = 4, 10
-        config = AuditorConfig(enabled=True, sample_fraction=1 / k, max_queue=k * rounds)
+        config = AuditorConfig(sample_fraction=1 / k, max_queue=k * rounds)
         names = [f"q{i:02d}" for i in range(1, k + 1)] * rounds
         picked = []
         for _ in range(2):
@@ -84,7 +85,7 @@ class TestEnqueue:
     def test_queue_overflow_drops_and_counts(self, tiny_tpcds):
         auditor = make_auditor(
             tiny_tpcds,
-            AuditorConfig(enabled=True, sample_fraction=1.0, max_queue=2),
+            AuditorConfig(sample_fraction=1.0, max_queue=2),
         )
         for i in range(4):
             auditor.maybe_enqueue(f"q{i:02d}", "quickr", "t", "quickr", None)
@@ -130,7 +131,7 @@ class TestAudit:
     def test_preempted_audit_requeues_then_abandons(self, tiny_tpcds):
         auditor = make_auditor(
             tiny_tpcds,
-            AuditorConfig(enabled=True, sample_fraction=1.0, max_attempts=2),
+            AuditorConfig(sample_fraction=1.0, max_attempts=2),
         )
         approx = served_answer(tiny_tpcds, "q02")
 
@@ -158,7 +159,7 @@ class TestAudit:
         admission = FakeAdmission(depth=1)
         auditor = make_auditor(
             tiny_tpcds,
-            AuditorConfig(enabled=True, sample_fraction=1.0,
+            AuditorConfig(sample_fraction=1.0,
                           idle_poll_seconds=0.01),
             admission=admission,
         )
@@ -193,7 +194,7 @@ class TestServiceIntegration:
 
         config = ServiceConfig(
             num_workers=2,
-            audit=AuditorConfig(enabled=True, sample_fraction=1.0),
+            audit=AuditorConfig(sample_fraction=1.0),
         )
         service = QueryService(tiny_tpcds, config)
         server = QueryServer(service, port=0).start()
@@ -221,7 +222,7 @@ class TestServiceIntegration:
 
         config = ServiceConfig(
             num_workers=2,
-            audit=AuditorConfig(enabled=True, sample_fraction=1.0),
+            audit=AuditorConfig(sample_fraction=1.0),
         )
         service = QueryService(tiny_tpcds, config)
         server = QueryServer(service, port=0).start()

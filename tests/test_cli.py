@@ -170,7 +170,7 @@ class TestSloCommand:
 
         config = ServiceConfig(
             num_workers=2,
-            audit=AuditorConfig(enabled=True, sample_fraction=1.0),
+            audit=AuditorConfig(sample_fraction=1.0),
             latency_slo_ms=60_000.0,
         )
         service = QueryService(tiny_tpcds, config)

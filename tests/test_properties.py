@@ -5,7 +5,6 @@ These encode the paper's formal guarantees as machine-checked properties:
 * Horvitz-Thompson unbiasedness of all three samplers for SUM/COUNT;
 * the distinct sampler's stratification guarantee for *every* input;
 * exact sample-then-join == join-then-sample for the universe sampler;
-* heavy-hitter sketch error bounds;
 * weighted aggregation recovers exact answers when weights are 1.
 """
 
@@ -21,7 +20,6 @@ from repro.engine.table import WEIGHT_COLUMN, Table
 from repro.samplers.distinct import DistinctSpec
 from repro.samplers.uniform import UniformSpec
 from repro.samplers.universe import UniverseSpec
-from repro.sketches.heavy_hitters import LossyCounter
 
 SETTINGS = dict(max_examples=25, deadline=None)
 
@@ -117,36 +115,6 @@ class TestEstimatorInvariants:
             weighted, ["k"], [sum_(col("x"), "s")], compute_ci=True
         )
         assert np.all(out.column("s__ci") >= 0)
-
-
-class TestSketchInvariants:
-    @given(
-        seed=st.integers(0, 1000),
-        heavy_fraction=st.sampled_from([0.05, 0.1, 0.2]),
-    )
-    @settings(**SETTINGS)
-    def test_lossy_counter_never_misses_heavies(self, seed, heavy_fraction):
-        rng = np.random.default_rng(seed)
-        n = 5_000
-        n_heavy = int(n * heavy_fraction)
-        stream = np.concatenate([np.full(n_heavy, -1), rng.integers(0, 1_000, n - n_heavy)])
-        rng.shuffle(stream)
-        sketch = LossyCounter(tau=1e-3, support=heavy_fraction / 2)
-        sketch.add_many(stream.tolist())
-        assert -1 in {value for value, _ in sketch.heavy_hitters()}
-
-    @given(seed=st.integers(0, 1000))
-    @settings(**SETTINGS)
-    def test_lossy_counter_underestimates_boundedly(self, seed):
-        rng = np.random.default_rng(seed)
-        stream = rng.integers(0, 50, 2_000)
-        sketch = LossyCounter(tau=1e-2, support=5e-2)
-        sketch.add_many(stream.tolist())
-        truth = np.bincount(stream, minlength=50)
-        for value in range(50):
-            estimate = sketch.estimate(value)
-            assert estimate <= truth[value]
-            assert estimate >= truth[value] - sketch.tau * len(stream) - 1
 
 
 class TestExpressionInvariants:
