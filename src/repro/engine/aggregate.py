@@ -44,7 +44,7 @@ import numpy as np
 
 from repro.algebra.aggregates import AggKind, AggSpec
 from repro.algebra.expressions import Col
-from repro.engine.keys import group_codes
+from repro.engine.keys import dense_span, first_appearance_codes, group_codes
 from repro.engine.table import Table
 from repro.errors import PlanError
 
@@ -132,9 +132,12 @@ class _Groups:
     def __init__(self, codes: np.ndarray, count: int):
         self.codes, self.count = codes, count
 
-    def sum(self, values: np.ndarray) -> np.ndarray:
-        """Per-group Σ values, each group's in entry order."""
-        return np.bincount(self.codes, weights=values, minlength=self.count)
+    def sum(self, values: Optional[np.ndarray] = None) -> np.ndarray:
+        """Per-group Σ values, each group's in entry order; without values,
+        the entries per group. Always float64: over no entries
+        ``bincount`` answers int64."""
+        summed = np.bincount(self.codes, weights=values, minlength=self.count)
+        return summed.astype(np.float64, copy=False)
 
     def reduce(self, tag: str, values: np.ndarray) -> np.ndarray:
         """Combine a component by its tag's law: min/max for those two (a
@@ -147,31 +150,62 @@ class _Groups:
         return out
 
 
-def _first_appearance_codes(arrays: Sequence[np.ndarray]) -> Tuple[np.ndarray, np.ndarray, int]:
-    """Group codes renumbered in order of first appearance (the order groups
-    are emitted in), each group's first row, and the group count."""
-    codes, first_index, num_groups = group_codes(arrays)
-    order = np.argsort(first_index)
-    remap = np.empty(num_groups, dtype=np.int64)
-    remap[order] = np.arange(num_groups)
-    return remap[codes], first_index[order], num_groups
+def _distinct_pairs(codes: np.ndarray, values: Sequence[np.ndarray], table=None, names=(),
+                    per_row=False):
+    """The distinct (group code, value...) pairs, numbered in key order, their
+    number, and (``per_row``) each entry's pair code. ``values`` being
+    ``table.key_column`` of ``names`` (codes, perhaps), the pairs hold what
+    those rows decode to: states of inputs under different dictionaries
+    merge."""
+    dense = _dense_pair_key(codes, values)
+    if dense is None:
+        pair_codes, pair_first, num_pairs = group_codes([codes, *values])
+        held = [table.column(n, pair_first) for n in names] or [v[pair_first] for v in values]
+        return _Pairs(codes[pair_first], tuple(held)), pair_codes, num_pairs
+    key, span, lo = dense
+    present = np.bincount(key) > 0
+    pairs = np.flatnonzero(present)
+    held = (pairs % span + lo).astype(values[0].dtype)
+    dictionary = table.dictionary(names[0]) if names else None
+    if dictionary is not None:
+        held = dictionary[held]
+    pair_codes = (np.cumsum(present) - 1)[key] if per_row else None
+    return _Pairs(pairs // span, (held,)), pair_codes, len(pairs)
 
 
-def _distinct_pairs(codes: np.ndarray, values: Sequence[np.ndarray], table=None, names=()):
-    """The distinct (group code, value...) pairs, numbered in key order, and
-    each entry's pair code. ``values`` being ``table.key_column`` of
-    ``names`` (codes, perhaps), the pairs hold what those rows decode to:
-    states of inputs under different dictionaries merge."""
-    pair_codes, pair_first, num_pairs = group_codes([codes, *values])
-    held = [table.column(n, pair_first) for n in names] or [v[pair_first] for v in values]
-    return _Pairs(codes[pair_first], tuple(held)), pair_codes, num_pairs
+def _dense_pair_key(codes: np.ndarray, values: Sequence[np.ndarray]):
+    """Each entry's pair key ``group · span + value − lo``, with the value
+    column's ``span`` and floor ``lo``, when the values are one integer
+    column and the pairs' span is dense; ``None`` for every other shape,
+    whose pairs are grouped instead."""
+    if len(values) != 1 or values[0].dtype.kind not in "iu" or not len(codes):
+        return None
+    column = values[0]
+    lo, hi = int(column.min()), int(column.max())
+    if hi > np.iinfo(np.int64).max:  # a uint64 past int64: no int64 key
+        return None
+    span = hi - lo + 1
+    if not dense_span((int(codes.max()) + 1) * span, len(codes)):
+        return None
+    key = codes * span
+    if column.dtype == np.uint64:  # below 2^63 here, so exact as int64
+        column = column.astype(np.int64)
+    # In place, in the order that keeps every partial sum inside int64.
+    if lo < 0:
+        key += column
+        key -= lo
+    else:
+        key -= lo
+        key += column
+    return key, span, lo
 
 
-def _per_row_contribution(agg: AggSpec, table: Table) -> np.ndarray:
+def _per_row_contribution(agg: AggSpec, table: Table) -> Optional[np.ndarray]:
     """The raw (unweighted) per-row value y_i such that the true aggregate is
-    sum over all rows of y_i. Used for both estimate and variance."""
+    sum over all rows of y_i. Used for both estimate and variance. ``None``
+    for COUNT, whose every y_i is 1."""
     if agg.kind is AggKind.COUNT:
-        return np.ones(table.num_rows)
+        return None
     if agg.kind is AggKind.COUNT_IF:
         return np.asarray(agg.cond.evaluate(table), dtype=np.float64)
     values = np.asarray(agg.expr.evaluate(table), dtype=np.float64)
@@ -183,6 +217,16 @@ def _per_row_contribution(agg: AggSpec, table: Table) -> np.ndarray:
 _SUM_LIKE = (AggKind.SUM, AggKind.COUNT, AggKind.SUM_IF, AggKind.COUNT_IF)
 
 
+def _product(*factors: Optional[np.ndarray]) -> Optional[np.ndarray]:
+    """The product of the factors, left to right, skipping ``None`` (a
+    factor of ones: 1.0·x is x bit for bit); ``None`` if all are."""
+    product = None
+    for factor in factors:
+        if factor is not None:
+            product = factor if product is None else product * factor
+    return product
+
+
 def partial_aggregate(
     table: Table,
     group_by: Sequence[str],
@@ -191,14 +235,15 @@ def partial_aggregate(
 ) -> PartialAggregate:
     """Reduce one input's rows to mergeable per-group state."""
     weighted = table.has_weights()
-    weights = table.weights()
+    # Unweighted rows weigh 1: their sums skip the product.
+    weights = table.weights() if weighted else None
     with_variance = how.compute_ci and weighted
     # w² − w: the HT variance weight of an independently included row.
     spread = weights * weights - weights if with_variance else None
 
     if group_by:
         # Grouped on codes, where coded; only the groups' first rows decode.
-        codes, first_index, num_groups = _first_appearance_codes(
+        codes, first_index, num_groups = first_appearance_codes(
             [table.key_column(k) for k in group_by]
         )
         keys = {k: table.column(k, first_index) for k in group_by}
@@ -215,7 +260,7 @@ def partial_aggregate(
         present = [c for c in how.universe_variance[0] if table.has_column(c)]
         if present:
             state.universe_pairs, pair_codes, num_pairs = _distinct_pairs(
-                codes, [table.key_column(c) for c in present], table, present
+                codes, [table.key_column(c) for c in present], table, present, per_row=True
             )
             universe = _Groups(pair_codes, num_pairs)
 
@@ -223,16 +268,16 @@ def partial_aggregate(
         alias = agg.alias
         if agg.kind in _SUM_LIKE:
             y = _per_row_contribution(agg, table)
-            comps[(alias, "est")] = groups.sum(weights * y)
+            comps[(alias, "est")] = groups.sum(_product(weights, y))
             if universe is not None:
                 state.universe_ysums[alias] = universe.sum(y)
             elif with_variance:
                 # Independent per-row inclusion (uniform/distinct samplers):
                 # Var-hat = Σ (w² − w)·y².
-                comps[(alias, "var")] = groups.sum(spread * y * y)
+                comps[(alias, "var")] = groups.sum(_product(spread, y, y))
         elif agg.kind is AggKind.AVG:
             y = np.asarray(agg.expr.evaluate(table), dtype=np.float64)
-            comps[(alias, "num")] = groups.sum(weights * y)
+            comps[(alias, "num")] = groups.sum(_product(weights, y))
             if ("", "wsum") not in comps:
                 comps[("", "wsum")] = groups.sum(weights)
                 if with_variance:
@@ -262,17 +307,17 @@ def merged_groups(
     if not group_by:
         return {}, [np.zeros(s.num_groups, dtype=np.int64) for s in states], 1
     arrays = [np.concatenate([s.keys[k] for s in states]) for k in group_by]
-    codes, first_index, num_groups = _first_appearance_codes(arrays)
+    codes, first_index, num_groups = first_appearance_codes(arrays)
     keys = {k: arr[first_index] for k, arr in zip(group_by, arrays)}
     splits = np.cumsum([s.num_groups for s in states])[:-1]
     return keys, np.split(codes, splits), num_groups
 
 
-def _merge_pairs(parts: Sequence[_Pairs], codes_per_part: Sequence[np.ndarray]):
+def _merge_pairs(parts: Sequence[_Pairs], codes_per_part: Sequence[np.ndarray], per_row=False):
     """Union of the parts' pairs, their groups renamed to the merged codes."""
     groups = np.concatenate([codes[p.groups] for p, codes in zip(parts, codes_per_part)])
     values = [np.concatenate(column) for column in zip(*(p.values for p in parts))]
-    return _distinct_pairs(groups, values)
+    return _distinct_pairs(groups, values, per_row=per_row)
 
 
 def merge_partials(partials: Sequence[PartialAggregate]) -> PartialAggregate:
@@ -299,7 +344,7 @@ def merge_partials(partials: Sequence[PartialAggregate]) -> PartialAggregate:
         )[0]
     if first.universe_pairs is not None:
         merged.universe_pairs, pair_codes, num_pairs = _merge_pairs(
-            [p.universe_pairs for p in partials], codes_per_part
+            [p.universe_pairs for p in partials], codes_per_part, per_row=True
         )
         pairs = _Groups(pair_codes, num_pairs)
         for alias in first.universe_ysums:

@@ -19,13 +19,19 @@ import numpy as np
 from repro.errors import PlanError
 
 __all__ = [
-    "pack_keys", "group_codes", "group_ids", "dense_span", "value_counts", "stable_argsort",
-    "encode_dictionary", "same_dictionary",
+    "pack_keys", "group_codes", "first_appearance_codes", "group_ids", "dense_span",
+    "value_counts", "stable_argsort", "encode_dictionary", "same_dictionary",
 ]
 
 #: A packed key stays below this, so folding in one more column cannot
 #: overflow int64 before the check that re-densifies.
 _MAX_SPAN = 1 << 62
+
+#: Rows of the first prefix searched for each group's first row. The
+#: prefix doubles until every group present has been met: a key seen in a
+#: prefix has its first row there, and grouped inputs tend to meet all
+#: their groups within a few thousand rows.
+FIRST_ROW_PREFIX = 4096
 
 
 def dense_span(span: int, rows: int) -> bool:
@@ -113,7 +119,7 @@ def _column_codes(col: np.ndarray) -> Tuple[np.ndarray, int]:
         if hi - lo < _MAX_SPAN:
             if col.dtype == np.uint64:  # may not fit int64 before the shift
                 return (col - lo).astype(np.int64), hi - lo + 1
-            return col.astype(np.int64, copy=False) - lo, hi - lo + 1
+            return np.subtract(col, lo, dtype=np.int64), hi - lo + 1
     return _dense_codes(col)
 
 
@@ -138,7 +144,8 @@ def pack_keys(arrays: Sequence[np.ndarray]) -> Tuple[np.ndarray, int, Optional[n
             key, total = _dense_codes(key)
             if total * span > _MAX_SPAN:
                 codes, span = _dense_codes(codes)
-        key = key * span + codes
+        key *= span  # every code array here is a fresh one
+        key += codes
         total *= span
     return key, total, nan_rows
 
@@ -151,23 +158,67 @@ def group_codes(arrays: Sequence[np.ndarray]) -> Tuple[np.ndarray, np.ndarray, i
     of each group (used to emit the group-key columns without re-sorting).
     """
     key, span, nan_rows = pack_keys(arrays)
-    n = len(key)
-    if nan_rows is None and dense_span(span, n):
-        first = np.full(span, n, dtype=np.int64)
-        np.minimum.at(first, key, np.arange(n))
-        present = first < n
-        first_index = first[present]
+    if nan_rows is None and dense_span(span, len(key)):
+        present = _present(key, span)
+        first_index = _first_rows(key, present)[present]
         return _rank_of(key, present), first_index, len(first_index)
     return _sorted_group_codes(key, nan_rows)
 
 
-def group_ids(arrays: Sequence[np.ndarray]) -> np.ndarray:
-    """``group_codes(arrays)[0]`` without the first-row table: on a dense
-    span, which keys occur is one ``bincount`` rather than a ``minimum.at``
-    scatter (what the distinct sampler's strata need)."""
+def first_appearance_codes(arrays: Sequence[np.ndarray]) -> Tuple[np.ndarray, np.ndarray, int]:
+    """:func:`group_codes` with the groups numbered in order of first
+    appearance (the order an aggregate emits them in): the first rows come
+    out ascending. On a dense span the renumbering is a span-sized table
+    and one gather per row."""
     key, span, nan_rows = pack_keys(arrays)
     if nan_rows is None and dense_span(span, len(key)):
-        return _rank_of(key, np.bincount(key, minlength=span) > 0)
+        present = _present(key, span)
+        first_index = np.sort(_first_rows(key, present)[present])
+        rank = np.empty(span, dtype=np.int64)  # read only where present
+        rank[key[first_index]] = np.arange(len(first_index))
+        return rank[key], first_index, len(first_index)
+    codes, first_index, num_groups = _sorted_group_codes(key, nan_rows)
+    order = np.argsort(first_index)
+    remap = np.empty(num_groups, dtype=np.int64)
+    remap[order] = np.arange(num_groups)
+    return remap[codes], first_index[order], num_groups
+
+
+def _present(key: np.ndarray, span: int) -> np.ndarray:
+    """Which keys in ``[0, span)`` occur: one store per row, where a
+    ``bincount`` would also count them."""
+    present = np.zeros(span, dtype=bool)
+    present[key] = True
+    return present
+
+
+def _first_rows(key: np.ndarray, present: np.ndarray) -> np.ndarray:
+    """Each present key's first row in a table over the span (``len(key)``
+    where absent), scattered from prefixes of doubling length until every
+    present key has one. Once the span is larger than the rows scanned so
+    far, checking costs more than it can save, and the rest is scanned at
+    once."""
+    n, span = len(key), len(present)
+    first = np.full(span, n, dtype=np.int64)
+    wanted = np.count_nonzero(present)
+    start, stop = 0, min(FIRST_ROW_PREFIX, n)
+    while start < n:
+        np.minimum.at(first, key[start:stop], np.arange(start, stop))
+        if span > stop:
+            start, stop = stop, n
+        elif np.count_nonzero(first < n) == wanted:
+            break
+        else:
+            start, stop = stop, min(2 * stop, n)
+    return first
+
+
+def group_ids(arrays: Sequence[np.ndarray]) -> np.ndarray:
+    """``group_codes(arrays)[0]`` without the first-row table (what the
+    distinct sampler's strata need)."""
+    key, span, nan_rows = pack_keys(arrays)
+    if nan_rows is None and dense_span(span, len(key)):
+        return _rank_of(key, _present(key, span))
     return _sorted_group_codes(key, nan_rows)[0]
 
 

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engine import keys, operators
-from repro.engine.keys import group_codes, pack_keys
+from repro.engine.keys import FIRST_ROW_PREFIX, first_appearance_codes, group_codes, pack_keys
 from repro.engine.operators import execute_join
 from repro.engine.table import Table
 from repro.samplers import distinct
@@ -143,13 +143,40 @@ def unique_build_sides(draw):
     return left, right, how
 
 
+def ref_first_appearance_codes(arrays):
+    """The reference grouping renumbered by each group's first row."""
+    codes, first_index, num_groups = ref_group_codes(arrays)
+    order = np.argsort(first_index)
+    remap = np.empty(num_groups, dtype=np.int64)
+    remap[order] = np.arange(num_groups)
+    return remap[codes], first_index[order], num_groups
+
+
 def assert_same_grouping(arrays):
-    codes, first_index, num_groups = group_codes(arrays)
-    ref_codes, ref_first, ref_groups = ref_group_codes(arrays)
-    assert num_groups == ref_groups
-    assert codes.dtype == np.int64
-    np.testing.assert_array_equal(codes, ref_codes)
-    np.testing.assert_array_equal(first_index, ref_first)
+    for encoder, reference in ((group_codes, ref_group_codes),
+                               (first_appearance_codes, ref_first_appearance_codes)):
+        codes, first_index, num_groups = encoder(arrays)
+        ref_codes, ref_first, ref_groups = reference(arrays)
+        assert num_groups == ref_groups
+        assert codes.dtype == np.int64
+        np.testing.assert_array_equal(codes, ref_codes)
+        np.testing.assert_array_equal(first_index, ref_first)
+
+
+class ScatterCounter:
+    """``numpy`` for ``keys``, counting the rows its ``np.minimum.at``
+    scatters: the first-row search's work."""
+
+    def __init__(self):
+        self.rows = []
+        self.minimum = self
+
+    def at(self, table, index, values):
+        self.rows.append(len(index))
+        np.minimum.at(table, index, values)
+
+    def __getattr__(self, name):
+        return getattr(np, name)
 
 
 class TestGroupCodes:
@@ -203,6 +230,44 @@ class TestGroupCodes:
         assert 0 <= key.min() and key.max() < span <= 1 << 62
         assert len(calls) == dense_calls
         assert_same_grouping(cols)
+
+
+    @pytest.mark.parametrize("n", [FIRST_ROW_PREFIX - 1, FIRST_ROW_PREFIX, FIRST_ROW_PREFIX + 1,
+                                   10 * FIRST_ROW_PREFIX])
+    def test_around_the_first_row_prefix(self, n):
+        rng = np.random.default_rng(n)
+        arrays = [rng.integers(0, 12, n), rng.integers(-3, 3, n)]
+        assert_same_grouping(arrays)
+        arrays[0][-1] = 12  # a key first met in the last row
+        assert_same_grouping(arrays)
+
+    @pytest.mark.parametrize("n, span, first_met, scattered", [
+        # Every key met within the prefix: one prefix is scattered.
+        (20 * FIRST_ROW_PREFIX, 50, 100, [FIRST_ROW_PREFIX]),
+        # The last key first met just past the prefix: one doubling.
+        (20 * FIRST_ROW_PREFIX, 50, FIRST_ROW_PREFIX + 10, [FIRST_ROW_PREFIX, FIRST_ROW_PREFIX]),
+        # ... and in the last row: the doublings run to the end.
+        (20 * FIRST_ROW_PREFIX, 50, 20 * FIRST_ROW_PREFIX - 1,
+         [FIRST_ROW_PREFIX, FIRST_ROW_PREFIX, 2 * FIRST_ROW_PREFIX, 4 * FIRST_ROW_PREFIX,
+          8 * FIRST_ROW_PREFIX, 4 * FIRST_ROW_PREFIX]),
+        # A span larger than the prefix: the rest is scanned at once.
+        (20 * FIRST_ROW_PREFIX, 3 * FIRST_ROW_PREFIX, 3 * FIRST_ROW_PREFIX,
+         [FIRST_ROW_PREFIX, 19 * FIRST_ROW_PREFIX]),
+    ])
+    def test_first_rows_from_a_growing_prefix(self, monkeypatch, n, span, first_met, scattered):
+        rng = np.random.default_rng(span)
+        key = rng.integers(0, span - 1, n)
+        key[: span - 1] = np.arange(span - 1)  # every other key early
+        key[first_met] = span - 1
+        counter = ScatterCounter()
+        monkeypatch.setattr(keys, "np", counter)
+        for encoder in (group_codes, first_appearance_codes):
+            counter.rows.clear()
+            codes, first_index, num_groups = encoder([key])
+            assert counter.rows == scattered
+            assert num_groups == span and first_index.max() == first_met
+        monkeypatch.undo()
+        assert_same_grouping([key])
 
 
 def outer_ids(pairs, n_left, n_right, how):
