@@ -73,10 +73,6 @@ MAX_EXACT_VALUES = 64
 FREQUENT_VALUE_FRACTION = 1e-3
 
 
-def _scalar(value: Any) -> Any:
-    return value.item() if hasattr(value, "item") else value
-
-
 def _collecting(table: Table, column: str, statistic: str, partitions: int = 1):
     """The span every statistic is built under, so a traced plan shows
     statistics time as its own child."""
@@ -118,21 +114,20 @@ class ColumnSummary:
         rows = int(counts.sum())
         heavy = counts >= max(1, int(HEAVY_HITTER_FRACTION * rows))
         order = np.argsort(counts[heavy])[::-1][:MAX_HEAVY_HITTERS]
-        hitters = zip(uniques[heavy][order], counts[heavy][order])
-        summary = cls(heavy_hitters={_scalar(value): int(count) for value, count in hitters})
+        hitters = zip(uniques[heavy][order].tolist(), counts[heavy][order].tolist())
+        summary = cls(heavy_hitters=dict(hitters))
         if len(uniques) and uniques.dtype.kind == "f" and np.isnan(uniques[-1]):
             summary.null_count = int(counts[-1])
             uniques, counts = uniques[:-1], counts[:-1]
         if len(uniques) == 0:
             summary.values = ()
             return summary
-        summary.min_value = _scalar(uniques[0])
-        summary.max_value = _scalar(uniques[-1])
+        summary.min_value, summary.max_value = uniques[[0, -1]].tolist()
         summary.distinct = len(uniques)
         floor = int(FREQUENT_VALUE_FRACTION * (rows - summary.null_count))
         summary.frequent = int(np.count_nonzero(counts > floor))
         if summary.distinct <= MAX_EXACT_VALUES:
-            summary.values = tuple(_scalar(u) for u in uniques)
+            summary.values = tuple(uniques.tolist())
         return summary
 
     @classmethod

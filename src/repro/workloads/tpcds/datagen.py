@@ -56,7 +56,41 @@ def _zipf_choice(
     ranks = np.arange(1 + shift, n_values + 1 + shift, dtype=np.float64)
     weights = ranks**-alpha
     weights /= weights.sum()
-    return rng.choice(n_values, size=size, p=weights)
+    # ``rng.choice(n_values, size, p=weights)``, element for element: the
+    # same CDF and the same uniforms, inverted without a binary search.
+    cdf = weights.cumsum()
+    cdf /= cdf[-1]
+    return _inverse_cdf(cdf, rng.random(size))
+
+
+#: Cells of the inverse-CDF grid per CDF entry, and their cap (the grid
+#: stays cache-sized; a flatter CDF costs more correction rounds instead).
+_CELLS_PER_VALUE = 4
+_MAX_CELLS = 1 << 16
+
+
+def _inverse_cdf(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``cdf.searchsorted(u, side="right")`` for a CDF ending at 1.0 and
+    ``u`` in [0, 1), through a grid of ``m`` (a power of two) equal cells.
+
+    ``start[g]`` counts the entries ``<= g / m``: an entry ``c`` counts from
+    cell ``ceil(c * m)`` on, and scaling by a power of two is exact. Each
+    ``u`` starts at its cell's count, a lower bound of the answer, and steps
+    up while ``cdf[idx] <= u``; the last entry is 1.0 > ``u``, so no index
+    passes it. Where no cell holds two entries, one step settles every row;
+    the grid's size makes that the common case.
+    """
+    m = min(1 << (_CELLS_PER_VALUE * len(cdf) - 1).bit_length(), _MAX_CELLS)
+    first_cell = np.ceil(cdf * m).astype(np.intp)
+    start = np.cumsum(np.bincount(first_cell, minlength=m + 1)[:m])
+    idx = start[(u * m).astype(np.intp)]
+    step = cdf[idx] <= u
+    idx += step
+    moved = np.flatnonzero(step)
+    while moved.size:
+        moved = moved[cdf[idx[moved]] <= u[moved]]
+        idx[moved] += 1
+    return idx
 
 
 #: Fact tables are physically clustered on their sale/return date — the
