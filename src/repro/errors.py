@@ -28,10 +28,6 @@ class SamplerError(ReproError):
     """A sampler was configured with invalid parameters."""
 
 
-class OptimizerError(ReproError):
-    """Query optimization failed or produced an inconsistent plan."""
-
-
 class CatalogError(ReproError):
     """A table is missing from the catalog or its statistics are stale."""
 

@@ -4,7 +4,9 @@
 from the approximate one. *Aggregation Error* — mean relative error of all
 aggregate values over the groups both answers share. Both are computed by
 aligning the two answer tables on the group-by columns, exactly as the
-paper does "by analyzing the query output".
+paper does "by analyzing the query output": :func:`compare_answers` is
+:mod:`repro.obs.accuracy`'s one comparator, re-exported here beside the
+plan helpers that find an answer's group and aggregate columns.
 
 The paper's LIMIT-100 subtlety is reproduced: with ``full_answer=True``
 the comparison is taken before any ORDER BY + LIMIT (the paper's "full
@@ -13,39 +15,13 @@ answer"), which is how Quickr's zero-missed-groups claim is evaluated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
-
-import numpy as np
+from typing import Tuple
 
 from repro.algebra.aggregates import AggKind
 from repro.algebra.logical import Aggregate, Limit, LogicalNode, OrderBy
-from repro.engine.table import Table
+from repro.obs.accuracy import ErrorMetrics, compare_answers
 
 __all__ = ["ErrorMetrics", "compare_answers", "strip_limit", "answer_structure"]
-
-
-@dataclass
-class ErrorMetrics:
-    """Accuracy of one approximate answer against the exact answer."""
-
-    groups_exact: int
-    groups_missed: int
-    extra_groups: int
-    aggregation_error: float  # mean relative error over shared groups
-    max_aggregation_error: float
-    per_aggregate_error: Dict[str, float]
-
-    @property
-    def missed_fraction(self) -> float:
-        if self.groups_exact == 0:
-            return 0.0
-        return self.groups_missed / self.groups_exact
-
-    def within(self, ratio: float) -> bool:
-        """True when no groups are missed and all aggregates are within
-        ``ratio`` of truth — the paper's accuracy goal with ratio = 0.1."""
-        return self.groups_missed == 0 and self.aggregation_error <= ratio
 
 
 def answer_structure(plan: LogicalNode) -> Tuple[Tuple[str, ...], Tuple[str, ...]]:
@@ -63,59 +39,3 @@ def strip_limit(plan: LogicalNode) -> LogicalNode:
         plan = plan.child
     return plan
 
-
-def _group_map(table: Table, group_cols: Sequence[str], agg_cols: Sequence[str]) -> Dict[tuple, tuple]:
-    if not group_cols:
-        if table.num_rows == 0:
-            return {}
-        return {(): tuple(float(table.column(a)[0]) for a in agg_cols)}
-    keys = [table.column(c) for c in group_cols]
-    values = [table.column(a) for a in agg_cols]
-    out = {}
-    for i in range(table.num_rows):
-        key = tuple(k[i] for k in keys)
-        out[key] = tuple(float(v[i]) for v in values)
-    return out
-
-
-def compare_answers(
-    exact: Table,
-    approx: Table,
-    group_cols: Sequence[str],
-    agg_cols: Sequence[str],
-) -> ErrorMetrics:
-    """Align two answers on the group columns and measure the error."""
-    agg_cols = [a for a in agg_cols if exact.has_column(a) and approx.has_column(a)]
-    exact_map = _group_map(exact, group_cols, agg_cols)
-    approx_map = _group_map(approx, group_cols, agg_cols)
-
-    missed = sum(1 for key in exact_map if key not in approx_map)
-    extra = sum(1 for key in approx_map if key not in exact_map)
-
-    per_agg_errors: Dict[str, List[float]] = {a: [] for a in agg_cols}
-    for key, truth in exact_map.items():
-        got = approx_map.get(key)
-        if got is None:
-            continue
-        for alias, true_value, est in zip(agg_cols, truth, got):
-            if not np.isfinite(true_value) or not np.isfinite(est):
-                continue
-            denom = abs(true_value)
-            if denom < 1e-12:
-                error = 0.0 if abs(est) < 1e-12 else 1.0
-            else:
-                error = abs(est - true_value) / denom
-            per_agg_errors[alias].append(error)
-
-    all_errors = [e for errors in per_agg_errors.values() for e in errors]
-    return ErrorMetrics(
-        groups_exact=len(exact_map),
-        groups_missed=missed,
-        extra_groups=extra,
-        aggregation_error=float(np.mean(all_errors)) if all_errors else 0.0,
-        max_aggregation_error=float(np.max(all_errors)) if all_errors else 0.0,
-        per_aggregate_error={
-            alias: float(np.mean(errors)) if errors else 0.0
-            for alias, errors in per_agg_errors.items()
-        },
-    )

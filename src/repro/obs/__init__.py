@@ -22,9 +22,10 @@ ledger, per-operator rows/time):
 * :mod:`repro.obs.export` — the production telemetry plane's egress:
   OpenMetrics/Prometheus text exposition, a ``/metrics`` scrape endpoint,
   and a periodic JSONL snapshot writer.
-* :mod:`repro.obs.accuracy` — the accuracy/SLO ledger: per-(tenant,
-  sampler-kind, rung) CI-coverage calibration fed by exact-replay audits,
-  plus latency-SLO error-budget burn.
+* :mod:`repro.obs.accuracy` — the one answer comparator (missed groups,
+  aggregation error, CI coverage) and the accuracy/SLO ledger:
+  per-(tenant, sampler-kind, rung) CI-coverage calibration fed by
+  exact-replay audits, plus latency-SLO error-budget burn.
 * :mod:`repro.obs.flight` — the flight recorder: a bounded ring of recent
   queries' spans and decisions, dumped as postmortem bundles on bad
   endings.
@@ -33,7 +34,7 @@ Everything is optional and pay-for-play: with no tracer installed and no
 registry consulted, the instrumented hot paths cost one ``is None`` branch.
 """
 
-from repro.obs.accuracy import AccuracyLedger, AuditComparison, compare_tables
+from repro.obs.accuracy import AccuracyLedger, ErrorMetrics, compare_tables
 from repro.obs.export import (
     MetricsHTTPServer,
     TelemetrySnapshotWriter,
@@ -55,7 +56,7 @@ from repro.obs.trace import (
 
 __all__ = [
     "AccuracyLedger",
-    "AuditComparison",
+    "ErrorMetrics",
     "FlightRecorder",
     "MetricsHTTPServer",
     "MetricsRegistry",

@@ -1,4 +1,13 @@
-"""The accuracy/SLO ledger: is the error bar we returned actually honest?
+"""Answer scoring and the accuracy/SLO ledger: is the error bar we
+returned actually honest?
+
+:func:`compare_answers` is the one comparator of an approximate answer
+with the exact one: it aligns the two on their group columns and returns
+the paper's Section 5.1 metrics (missed groups, aggregation error) and
+the CI coverage of the answer's ``__ci`` columns in one
+:class:`ErrorMetrics`. The evaluation harness, the perf benchmark and the
+auditor all score answers with it; :func:`compare_tables` is the form
+for an answer that names its own aggregates through its ``__ci`` columns.
 
 Quickr's contract is a cheap answer *with a calibrated confidence
 interval*: each aggregate column ``x`` on a sampled answer carries an
@@ -14,7 +23,7 @@ maintains, per ``(tenant, sampler-kind, governor rung)``:
   nominal; systematically lower coverage means the variance estimates
   are optimistic for that slice of traffic.
 * **relative error** — mean/max |approx - exact| / |exact| over audited
-  cells, the headline accuracy number.
+  cells (0 or 1 where the exact value is 0), the headline accuracy number.
 * **missed groups** — group-by rows present exactly but absent from the
   sampled answer (small-group loss, the failure mode CI columns cannot
   express).
@@ -36,84 +45,125 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.engine.aggregate import CI_SUFFIX
+from repro.engine.keys import pack_keys
 from repro.obs.registry import MetricsRegistry
 
-__all__ = ["AuditComparison", "AccuracyLedger", "compare_tables", "CI_SUFFIX"]
-
-#: Suffix of CI half-width columns on sampled answers (mirrors
-#: ``repro.engine.operators.CI_SUFFIX`` without importing the engine).
-CI_SUFFIX = "__ci"
+__all__ = ["ErrorMetrics", "AccuracyLedger", "compare_answers", "compare_tables"]
 
 
-@dataclass
-class AuditComparison:
-    """Outcome of one exact-replay audit of one served answer."""
+@dataclass(frozen=True)
+class ErrorMetrics:
+    """One approximate answer scored against the exact answer: the paper's
+    Section 5.1 metrics plus the audit of its ``__ci`` intervals."""
 
-    query: str
-    tenant: str
-    sampler_kind: str
-    rung: str
-    #: Aggregate cells compared (CI column present, both values finite).
-    cells_checked: int = 0
-    #: Cells whose CI half-width covered the exact value.
-    cells_covered: int = 0
-    #: Group rows in the exact answer with no match in the approximation.
-    groups_missed: int = 0
-    #: Group rows matched between the two answers.
-    groups_matched: int = 0
-    max_rel_error: float = 0.0
-    mean_rel_error: float = 0.0
-    audit_seconds: float = 0.0
+    #: Distinct groups in the exact answer.
+    groups_exact: int
+    #: Exact groups with no row in the approximate answer.
+    groups_missed: int
+    #: Mean and max relative error over the aggregate cells of the groups
+    #: both answers hold (both values finite).
+    aggregation_error: float
+    max_aggregation_error: float
+    #: Of those cells, the ones with a CI column ...
+    cells_checked: int
+    #: ... and the ones whose CI half-width covers the exact value.
+    cells_covered: int
+
+    @property
+    def groups_matched(self) -> int:
+        return self.groups_exact - self.groups_missed
+
+    @property
+    def missed_fraction(self) -> float:
+        if self.groups_exact == 0:
+            return 0.0
+        return self.groups_missed / self.groups_exact
 
 
-def compare_tables(approx, exact) -> AuditComparison:
-    """Compare a sampled answer against its exact replay.
+def _align(exact, approx, group_cols: Sequence[str]) -> Tuple[np.ndarray, np.ndarray]:
+    """``(exact_rows, approx_rows)``: the first row of each exact group, in
+    exact-row order, and the approximate row holding the same group (-1
+    where it is missed). Both answers' keys are packed together, so equal
+    key tuples get equal codes; ``pack_keys`` parks every NaN of a column on
+    one code, so a NaN key matches a NaN key (``group_codes`` would give
+    each NaN row its own group). A key repeated within one answer keeps its
+    first row; a scalar answer is its first row."""
+    if not group_cols:
+        exact_rows = np.arange(min(exact.num_rows, 1))
+        return exact_rows, np.full(len(exact_rows), 0 if approx.num_rows else -1)
+    key, _, _ = pack_keys(
+        [np.concatenate([exact.column(c), approx.column(c)]) for c in group_cols]
+    )
+    codes = np.unique(key, return_inverse=True)[1]
+    n = exact.num_rows
+    exact_codes, exact_rows = np.unique(codes[:n], return_index=True)
+    approx_codes, approx_first = np.unique(codes[n:], return_index=True)
+    approx_row = np.full(len(codes), -1)
+    approx_row[approx_codes] = approx_first
+    order = np.argsort(exact_rows)
+    return exact_rows[order], approx_row[exact_codes[order]]
 
-    Aggregate columns are identified by their ``__ci`` companions; the
-    remaining columns are the group keys rows are aligned on. Returns a
-    comparison with query/tenant/kind/rung left blank for the caller to
-    fill.
-    """
-    out = AuditComparison(query="", tenant="", sampler_kind="", rung="")
-    ci_cols = [c for c in approx.column_names if c.endswith(CI_SUFFIX)]
-    agg_cols = [c[: -len(CI_SUFFIX)] for c in ci_cols]
-    key_cols = [
-        c for c in approx.column_names
-        if c not in agg_cols and not c.endswith(CI_SUFFIX)
-    ]
-    approx_by_key = {
-        tuple(approx.column(k)[i] for k in key_cols): i
-        for i in range(approx.num_rows)
-    }
-    rel_errors: List[float] = []
-    for j in range(exact.num_rows):
-        key = tuple(exact.column(k)[j] for k in key_cols)
-        i = approx_by_key.get(key)
-        if i is None:
-            out.groups_missed += 1
+
+def _relative_error(est: np.ndarray, truth: np.ndarray) -> np.ndarray:
+    """``|est - truth| / |truth|``; where the truth is zero (below 1e-12)
+    the error is 0 for a zero estimate and 1 otherwise (the paper's rule)."""
+    scale = np.abs(truth)
+    zero = scale < 1e-12
+    return np.where(
+        zero,
+        (np.abs(est) >= 1e-12).astype(np.float64),
+        np.abs(est - truth) / np.where(zero, 1.0, scale),
+    )
+
+
+def compare_answers(
+    exact, approx, group_cols: Sequence[str], agg_cols: Sequence[str]
+) -> ErrorMetrics:
+    """Align ``approx`` to ``exact`` on the group columns and score it: the
+    groups it misses, the relative error of every aggregate cell the two
+    share, and how many of its ``__ci`` intervals cover the exact value.
+    The mean error is taken over the aggregates' error vectors joined
+    aggregate by aggregate, each in exact-row order."""
+    exact_rows, approx_rows = _align(exact, approx, group_cols)
+    matched = approx_rows >= 0
+    exact_rows, approx_rows = exact_rows[matched], approx_rows[matched]
+    errors = [np.empty(0)]
+    checked = covered = 0
+    for alias in agg_cols:
+        if not (exact.has_column(alias) and approx.has_column(alias)):
             continue
-        out.groups_matched += 1
-        for agg, ci in zip(agg_cols, ci_cols):
-            if agg not in exact.column_names:
-                continue
-            truth = float(exact.column(agg)[j])
-            est = float(approx.column(agg)[i])
-            half = float(approx.column(ci)[i])
-            if not (np.isfinite(truth) and np.isfinite(est)):
-                continue
-            out.cells_checked += 1
-            if abs(est - truth) <= half:
-                out.cells_covered += 1
-            denom = abs(truth) if abs(truth) > 1e-12 else 1.0
-            rel_errors.append(abs(est - truth) / denom)
-    if rel_errors:
-        out.max_rel_error = float(max(rel_errors))
-        out.mean_rel_error = float(np.mean(rel_errors))
-    return out
+        truth = np.asarray(exact.column(alias), dtype=np.float64)[exact_rows]
+        est = np.asarray(approx.column(alias), dtype=np.float64)[approx_rows]
+        finite = np.isfinite(truth) & np.isfinite(est)
+        truth, est = truth[finite], est[finite]
+        errors.append(_relative_error(est, truth))
+        if approx.has_column(alias + CI_SUFFIX):
+            half = np.asarray(approx.column(alias + CI_SUFFIX), dtype=np.float64)
+            checked += len(est)
+            covered += int(np.count_nonzero(np.abs(est - truth) <= half[approx_rows][finite]))
+    errors = np.concatenate(errors)
+    return ErrorMetrics(
+        groups_exact=len(matched),
+        groups_missed=int(np.count_nonzero(~matched)),
+        aggregation_error=float(np.mean(errors)) if len(errors) else 0.0,
+        max_aggregation_error=float(np.max(errors)) if len(errors) else 0.0,
+        cells_checked=checked,
+        cells_covered=covered,
+    )
+
+
+def compare_tables(approx, exact) -> ErrorMetrics:
+    """:func:`compare_answers` for an answer that carries its own structure:
+    the columns with a ``__ci`` companion are the aggregates, every other
+    column is a group key."""
+    aggs = [c[: -len(CI_SUFFIX)] for c in approx.column_names if c.endswith(CI_SUFFIX)]
+    keys = [c for c in approx.column_names if c not in aggs and not c.endswith(CI_SUFFIX)]
+    return compare_answers(exact, approx, keys, aggs)
 
 
 @dataclass
@@ -176,28 +226,32 @@ class AccuracyLedger:
         self.audits_abandoned = 0
 
     # -- calibration side (auditor thread) -------------------------------------
-    def record_audit(self, comparison: AuditComparison) -> None:
-        key = (comparison.tenant, comparison.sampler_kind, comparison.rung)
+    def record_audit(
+        self,
+        comparison: ErrorMetrics,
+        tenant: str,
+        sampler_kind: str,
+        rung: str,
+        audit_seconds: float,
+    ) -> None:
+        """One finished audit of a served answer in the slice ``(tenant,
+        sampler_kind, rung)``."""
         with self._lock:
-            cell = self._calibration.get(key)
+            cell = self._calibration.get((tenant, sampler_kind, rung))
             if cell is None:
-                cell = self._calibration[key] = _CalibrationCell()
+                cell = self._calibration[(tenant, sampler_kind, rung)] = _CalibrationCell()
             cell.audits += 1
             cell.cells_checked += comparison.cells_checked
             cell.cells_covered += comparison.cells_covered
             cell.groups_missed += comparison.groups_missed
             cell.groups_matched += comparison.groups_matched
-            cell.rel_error_sum += comparison.mean_rel_error * max(
+            cell.rel_error_sum += comparison.aggregation_error * max(
                 1, comparison.cells_checked
             )
-            cell.rel_error_max = max(cell.rel_error_max, comparison.max_rel_error)
-            cell.audit_seconds += comparison.audit_seconds
+            cell.rel_error_max = max(cell.rel_error_max, comparison.max_aggregation_error)
+            cell.audit_seconds += audit_seconds
             coverage = cell.observed_coverage
-        labels = dict(
-            tenant=comparison.tenant,
-            kind=comparison.sampler_kind,
-            rung=comparison.rung,
-        )
+        labels = dict(tenant=tenant, kind=sampler_kind, rung=rung)
         registry = self.registry
         registry.counter("accuracy.audits", **labels).inc()
         registry.counter("accuracy.cells_checked", **labels).inc(
@@ -211,9 +265,7 @@ class AccuracyLedger:
         )
         if coverage is not None:
             registry.gauge("accuracy.observed_coverage", **labels).set(coverage)
-        registry.histogram("accuracy.audit_seconds").observe(
-            comparison.audit_seconds
-        )
+        registry.histogram("accuracy.audit_seconds").observe(audit_seconds)
 
     def record_abandoned(self, reason: str) -> None:
         with self._lock:

@@ -28,13 +28,6 @@ def split_conjuncts(predicate: Expr) -> List[Expr]:
     return [predicate]
 
 
-def _combine(conjuncts: List[Expr]) -> Expr:
-    combined = conjuncts[0]
-    for extra in conjuncts[1:]:
-        combined = And(combined, extra)
-    return combined
-
-
 def _sink(node: LogicalNode, predicate: Expr) -> LogicalNode:
     """Push one conjunct as deep as its column requirements allow."""
     needed = predicate.columns()

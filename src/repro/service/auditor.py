@@ -299,17 +299,15 @@ class QueryAuditor:
             with self._lock:
                 self._inflight = None
         comparison = compare_tables(job.approx, result.table)
-        comparison.query = job.query_name
-        comparison.tenant = job.tenant
-        comparison.sampler_kind = self._sampler_kinds(query)
-        comparison.rung = job.rung
-        comparison.audit_seconds = time.perf_counter() - t0
-        self.ledger.record_audit(comparison)
+        kind = self._sampler_kinds(query)
+        self.ledger.record_audit(
+            comparison, job.tenant, kind, job.rung, time.perf_counter() - t0
+        )
         self.audits_completed += 1
         self.registry.counter("auditor.completed", tenant=job.tenant).inc()
         _LOG.debug(
             "audited %s (%s/%s/%s): coverage %d/%d, %d groups missed",
-            job.query_name, job.tenant, comparison.sampler_kind, job.rung,
+            job.query_name, job.tenant, kind, job.rung,
             comparison.cells_covered, comparison.cells_checked,
             comparison.groups_missed,
         )

@@ -1,35 +1,42 @@
-"""Unit tests for the accuracy analysis (HT estimators, coverage, unrolling)."""
+"""Unit tests for the accuracy analysis: the executed Horvitz-Thompson
+estimator, group coverage under universe sampling, and plan unrolling."""
 
 import numpy as np
 import pytest
 
-from repro.core.accuracy import (
-    analyze_plan,
-    confidence_interval,
-    ht_estimate,
-    ht_variance_independent,
-    ht_variance_universe,
-    miss_probability_distinct,
-    miss_probability_uniform,
-    miss_probability_universe,
-    unroll_plan,
-)
 from repro.algebra.aggregates import sum_
 from repro.algebra.builder import scan
 from repro.algebra.expressions import col
 from repro.algebra.logical import Aggregate, Join, SamplerNode, Select
+from repro.core.accuracy import unroll_plan
+from repro.engine.aggregate import CI_SUFFIX, Z_95
+from repro.engine.operators import execute_aggregate
+from repro.engine.table import WEIGHT_COLUMN, Table
 from repro.samplers.uniform import UniformSpec
 from repro.samplers.universe import UniverseSpec
-from repro.stats.catalog import Catalog
-from repro.stats.derivation import StatsDeriver
+
+
+def ht_sum(values, weights, universe=None):
+    """The executed estimator on one group: the SUM estimate and its
+    variance, read back from the 95 % CI half-width."""
+    cols = {"x": np.asarray(values, dtype=np.float64), WEIGHT_COLUMN: np.asarray(weights)}
+    how = {}
+    if universe is not None:
+        keys, p = universe
+        cols["k"] = np.asarray(keys)
+        how["universe_variance"] = (("k",), p)
+    out = execute_aggregate(Table("t", cols), (), (sum_(col("x"), "s"),), compute_ci=True, **how)
+    return out.column("s")[0], (out.column("s" + CI_SUFFIX)[0] / Z_95) ** 2
 
 
 class TestHtEstimators:
+    """Proposition 3 as :mod:`repro.engine.aggregate` executes it."""
+
     def test_estimate_recovers_sum(self, rng):
         values = rng.normal(10, 2, 1000)
         p = 0.2
         mask = rng.random(1000) < p
-        estimate = ht_estimate(values[mask], np.full(mask.sum(), 1 / p))
+        estimate, _ = ht_sum(values[mask], np.full(mask.sum(), 1 / p))
         assert estimate == pytest.approx(values.sum(), rel=0.15)
 
     def test_variance_independent_matches_empirical(self, rng):
@@ -40,49 +47,36 @@ class TestHtEstimators:
         estimates, predicted = [], []
         for _ in range(200):
             mask = rng.random(2_000) < p
-            weights = np.full(int(mask.sum()), 1 / p)
-            estimates.append(ht_estimate(values[mask], weights))
-            predicted.append(ht_variance_independent(values[mask], weights))
+            estimate, variance = ht_sum(values[mask], np.full(int(mask.sum()), 1 / p))
+            estimates.append(estimate)
+            predicted.append(variance)
         assert np.mean(predicted) == pytest.approx(np.var(estimates), rel=0.3)
 
     def test_variance_universe_counts_correlation(self):
-        values = np.array([1.0, 1.0, 2.0])
-        keys = np.array([7, 7, 9])
         p = 0.5
         # (1-p)/p^2 * ((1+1)^2 + 2^2) = 2 * 8 = 16
-        assert ht_variance_universe(values, keys, p) == pytest.approx(16.0)
+        _, variance = ht_sum([1.0, 1.0, 2.0], [1 / p] * 3, universe=([7, 7, 9], p))
+        assert variance == pytest.approx(16.0)
 
     def test_variance_nonnegative(self, rng):
-        values = rng.normal(size=100)
-        weights = np.full(100, 5.0)
-        assert ht_variance_independent(values, weights) >= 0
+        _, variance = ht_sum(rng.normal(size=100), np.full(100, 5.0))
+        assert variance >= 0
 
     def test_confidence_interval_symmetric(self):
-        lo, hi = confidence_interval(100.0, 25.0)
-        assert hi - 100.0 == pytest.approx(100.0 - lo)
-        assert hi == pytest.approx(100.0 + 1.96 * 5.0)
+        """The answer carries the half-width: the interval is symmetric by
+        construction, ``z * sqrt(variance)`` wide on each side."""
+        weights = np.full(4, 2.0)
+        values = np.array([1.0, 2.0, 3.0, 4.0])
+        t = Table("t", {"x": values, WEIGHT_COLUMN: weights})
+        out = execute_aggregate(t, (), (sum_(col("x"), "s"),), compute_ci=True)
+        # sum (w^2 - w) y^2 = 2 * 30 = 60
+        assert out.column("s")[0] == pytest.approx(20.0)
+        assert out.column("s" + CI_SUFFIX)[0] == pytest.approx(Z_95 * np.sqrt(60.0))
 
 
 class TestMissProbabilities:
-    def test_uniform(self):
-        assert miss_probability_uniform(0.1, 0) == 1.0
-        assert miss_probability_uniform(0.1, 1) == pytest.approx(0.9)
-        assert miss_probability_uniform(0.1, 300) < 1e-13
-
-    def test_distinct_with_group_stratification_never_misses(self):
-        assert miss_probability_distinct(0.01, 5, stratified_on_group=True) == 0.0
-
-    def test_distinct_without_stratification_like_uniform(self):
-        assert miss_probability_distinct(0.1, 10, False) == miss_probability_uniform(0.1, 10)
-
-    def test_universe_uses_key_values(self):
-        # Fewer distinct key values per group => higher miss probability.
-        assert miss_probability_universe(0.1, 2) > miss_probability_universe(0.1, 50)
-
     def test_universe_empirical(self, rng):
         """Miss probability for a group spanning g key values ~ (1-p)^g."""
-        from repro.engine.table import Table
-
         p, g = 0.3, 5
         misses = 0
         trials = 300
@@ -132,24 +126,3 @@ class TestUnrolling:
         plan = scan(sales_db, "sales").groupby("s_item").agg(sum_(col("s_amount"), "r")).build("q").plan
         assert unroll_plan(plan) is None
 
-
-class TestAnalyzePlan:
-    def test_report_fields(self, sales_db):
-        deriver = StatsDeriver(Catalog(sales_db))
-        base = scan(sales_db, "sales").node
-        plan = Aggregate(
-            SamplerNode(base, UniformSpec(0.1, seed=1)), ("s_item",), [sum_(col("s_amount"), "rev")]
-        )
-        report = analyze_plan(plan, deriver)
-        assert report.groups == 40
-        assert report.support_per_group == pytest.approx(500, rel=0.1)
-        assert report.miss_probability < 1e-6
-        assert 0 < report.relative_standard_error < 1
-
-    def test_meets_goal(self, sales_db):
-        deriver = StatsDeriver(Catalog(sales_db))
-        base = scan(sales_db, "sales").node
-        plan = Aggregate(
-            SamplerNode(base, UniformSpec(0.1, seed=1)), ("s_item",), [sum_(col("s_amount"), "rev")]
-        )
-        assert analyze_plan(plan, deriver).meets_goal(max_error=0.2)

@@ -7,10 +7,10 @@ from repro.algebra.aggregates import sum_
 from repro.algebra.builder import scan
 from repro.algebra.expressions import col
 from repro.algebra.logical import Aggregate, SamplerNode
-from repro.core.dominance import RULES, core_of, empirical_dominance, reseed_plan
 from repro.samplers.distinct import DistinctSpec
 from repro.samplers.uniform import UniformSpec
 from repro.samplers.universe import UniverseSpec
+from tests.core.dominance import RULES, core_of, empirical_dominance, reseed_plan
 
 
 class TestRuleTable:

@@ -29,14 +29,14 @@ class TestCompareTables:
         )
         assert cmp.cells_checked == 2 and cmp.cells_covered == 2
         assert cmp.groups_matched == 2 and cmp.groups_missed == 0
-        assert cmp.max_rel_error == pytest.approx(0.5 / 10.5)
+        assert cmp.max_aggregation_error == pytest.approx(0.5 / 10.5)
 
     def test_ci_miss_counted(self):
         cmp = compare_tables(
             approx_table([10.0], ci=[0.1]), exact_table([12.0])
         )
         assert cmp.cells_checked == 1 and cmp.cells_covered == 0
-        assert cmp.mean_rel_error == pytest.approx(2.0 / 12.0)
+        assert cmp.aggregation_error == pytest.approx(2.0 / 12.0)
 
     def test_missed_groups(self):
         # Exact has three groups; the sample only kept two.
@@ -52,6 +52,26 @@ class TestCompareTables:
         )
         assert cmp.cells_checked == 0
 
+    def test_nan_group_key_matches_itself(self):
+        # Keys match by value, NaN included: Python hashes a NaN scalar by
+        # identity, so rows keyed on their scalars would miss this group.
+        keys = [1.0, np.nan]
+        cmp = compare_tables(
+            approx_table([10.0, 20.0], ci=[1.0, 1.0], keys=keys),
+            exact_table([10.0, 20.0], keys=np.array(keys)),
+        )
+        assert cmp.groups_missed == 0 and cmp.groups_matched == 2
+        assert cmp.cells_checked == 2 and cmp.cells_covered == 2
+
+    def test_zero_truth_scores_zero_or_one(self):
+        # The paper's rule, the one compare_answers applies: an exact 0
+        # scores 0 for an estimate of 0 and 1 for any other, not |est|.
+        cmp = compare_tables(
+            approx_table([0.5, 0.0], ci=[1.0, 1.0]), exact_table([0.0, 0.0])
+        )
+        assert cmp.max_aggregation_error == 1.0
+        assert cmp.aggregation_error == 0.5
+
 
 class TestLedgerCalibration:
     def test_audits_aggregate_per_slice(self):
@@ -61,8 +81,7 @@ class TestLedgerCalibration:
                 approx_table([10.0, 20.0], ci=[1.0, 1.0]),
                 exact_table([10.5, 19.5]),
             )
-            cmp.tenant, cmp.sampler_kind, cmp.rung = "ads", "uniform", "quickr"
-            ledger.record_audit(cmp)
+            ledger.record_audit(cmp, "ads", "uniform", "quickr", 0.0)
         report = ledger.report()
         [row] = report["calibration"]
         assert (row["tenant"], row["sampler_kind"], row["rung"]) == (
@@ -78,8 +97,7 @@ class TestLedgerCalibration:
         cmp = compare_tables(
             approx_table([10.0], ci=[0.01]), exact_table([12.0])
         )
-        cmp.tenant, cmp.sampler_kind, cmp.rung = "t", "uniform", "quickr"
-        ledger.record_audit(cmp)
+        ledger.record_audit(cmp, "t", "uniform", "quickr", 0.0)
         labels = dict(tenant="t", kind="uniform", rung="quickr")
         assert registry.value("accuracy.audits", **labels) == 1
         assert registry.value("accuracy.observed_coverage", **labels) == 0.0

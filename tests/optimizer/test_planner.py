@@ -40,7 +40,7 @@ class TestQuickrPlanning:
         query = query_by_name(tiny_tpcds, "q02")
         result = planner.plan(query)
         baseline = planner.plan_baseline(query)
-        from repro.core.dominance import core_of
+        from tests.core.dominance import core_of
 
         if result.approximable:
             # Stripping samplers from the Quickr plan should give a plan over

@@ -7,8 +7,7 @@ exactly; and ``partial_aggregate -> merge_partials -> finalize_partial``
 ``execute_aggregate``) and for any split into several, the answer of a
 row-at-a-time Python reference kept here — estimates, confidence
 intervals, the AVG delta method, universe variance and COUNT DISTINCT
-rescaling — and of the standalone Horvitz-Thompson forms in
-:mod:`repro.core.accuracy`.
+rescaling — and of the standalone Horvitz-Thompson forms kept here too.
 """
 
 import math
@@ -30,7 +29,6 @@ from repro.algebra.aggregates import (
     sum_if,
 )
 from repro.algebra.expressions import col
-from repro.core.accuracy import ht_estimate, ht_variance_independent, ht_variance_universe
 from repro.engine.aggregate import (
     CI_SUFFIX,
     Z_95,
@@ -91,6 +89,25 @@ def via_partials(table, group_by, aggs=ALL_AGGS, num_parts=3, cuts=None, **how):
     parts = Partitioner(num_parts).split(table) if cuts is None else split(table, cuts)
     partials = [partial_aggregate(part, group_by, aggs, how) for part in parts]
     return finalize_partial(merge_partials(partials), aggs, how)
+
+
+def ht_estimate(values, weights):
+    """Proposition 3's unbiased estimate of the population sum."""
+    return float(np.sum(values * weights))
+
+
+def ht_variance_independent(values, weights):
+    """Its variance when rows were kept independently (uniform or
+    distinct samplers): sum_i (w_i^2 - w_i) y_i^2."""
+    return float(np.sum((weights * weights - weights) * values * values))
+
+
+def ht_variance_universe(values, key_codes, p):
+    """Its variance under universe sampling: rows sharing a key value are
+    perfectly correlated, so (1-p)/p^2 * sum_g (sum_{i in g} y_i)^2."""
+    _, inverse = np.unique(key_codes, return_inverse=True)
+    sums = np.bincount(inverse, weights=values)
+    return float((1.0 - p) / (p * p) * np.sum(sums * sums))
 
 
 def naive_aggregate(table, group_by, aggs, compute_ci=False,

@@ -1,8 +1,8 @@
 """Structural ratchet: debt the execution-pipeline refactor paid stays paid.
 
 AST-based, so it reads the source rather than importing it. Each limit may
-only tighten; only the reachability rule has an exception list, each entry
-with its reason.
+only tighten; only the two reachability rules have exception lists, each
+entry with its reason.
 """
 
 import ast
@@ -365,7 +365,6 @@ def test_estimation_annotations_are_read_in_one_function():
 #: purpose; every other module must be reachable (or wired in, or deleted).
 UNREACHED_ON_PURPOSE = {
     "repro.baselines.blinkdb": "the paper's Table 6 baseline; bench_table6_blinkdb.py drives it",
-    "repro.core.dominance": "the Props 5-9 empirical dominance checker; the tests drive it",
 }
 
 
@@ -429,3 +428,87 @@ def test_every_module_is_reachable_from_the_entry_points():
     }
     unreached = sorted(modules - reached)
     assert unreached == sorted(UNREACHED_ON_PURPOSE), f"modules no entry point imports: {unreached}"
+
+
+#: Top-level functions and classes only the tests use, kept on purpose;
+#: every other one must be reachable from the package's own code, the
+#: benchmarks or the examples (or be deleted).
+TEST_ONLY_ON_PURPOSE = {
+    "repro.algebra.addressing.canonical_plan_form": "the tuple plan_fingerprint's text encodes",
+    "repro.algebra.addressing.node_at": "inverse of preorder_paths; tests resolve addresses",
+    "repro.algebra.addressing.parse_address": "inverse of format_address; tests round-trip",
+    "repro.algebra.analysis.count_samplers": "sibling of the plan counters; tests use it",
+    "repro.experiments.report.format_percentile_table": "the paper's percentile-table layout",
+    "repro.memory.arena.manager": "test fixtures release every segment through it",
+    "repro.samplers.hashing.universe_fraction": "the universe hash as a point in [0, 1)",
+}
+
+
+def _binds(node):
+    """Names a top-level statement binds (definitions and assignments)."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        return [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return []
+
+
+def test_every_function_and_class_is_used_outside_the_tests():
+    """Follow uses from the package's entry modules, every top-level
+    statement that binds no name, the benchmarks and the examples. A bare
+    name resolves through its module's definitions and imports; ``x.name``
+    reaches every definition called ``name`` (an over-approximation, so a
+    name this misses really is unused)."""
+    trees = {
+        ".".join(path.relative_to(SRC.parent).with_suffix("").parts).removesuffix(".__init__"):
+        ast.parse(path.read_text(encoding="utf-8"))
+        for path in SRC.rglob("*.py")
+    }
+    definitions, named, aliases = {}, {}, {}
+    for module, tree in trees.items():
+        for node in tree.body:
+            for name in _binds(node):
+                definitions[(module, name)] = node
+                named.setdefault(name, []).append((module, name))
+            if isinstance(node, ast.ImportFrom):
+                for a in node.names:
+                    aliases[(module, a.asname or a.name)] = (
+                        _defining_module(node.module, a.name), a.name
+                    )
+
+    def uses(module, node):
+        found = []
+        for n in ast.walk(node):
+            if isinstance(n, ast.Attribute):
+                found.extend(named.get(n.attr, ()))
+            elif isinstance(n, ast.ImportFrom):
+                found.extend((_defining_module(n.module, a.name), a.name) for a in n.names)
+            elif isinstance(n, ast.Name):
+                found.append(aliases.get((module, n.id), (module, n.id)))
+        return found
+
+    frontier = [
+        use
+        for module, tree in trees.items()
+        for node in tree.body
+        if module in ("repro", "repro.__main__")
+        or not (_binds(node) or isinstance(node, (ast.Import, ast.ImportFrom)))
+        for use in uses(module, node)
+    ]
+    repo = SRC.parents[1]
+    for path in [*(repo / "benchmarks").rglob("*.py"), *(repo / "examples").glob("*.py")]:
+        frontier.extend(uses(None, ast.parse(path.read_text(encoding="utf-8"))))
+    reached = set()
+    while frontier:
+        key = frontier.pop()
+        if key in definitions and key not in reached:
+            reached.add(key)
+            frontier.extend(uses(key[0], definitions[key]))
+    test_only = sorted(
+        f"{module}.{name}"
+        for (module, name), node in definitions.items()
+        if (module, name) not in reached
+        and isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+    )
+    assert test_only == sorted(TEST_ONLY_ON_PURPOSE), f"used only by the tests: {test_only}"
