@@ -71,7 +71,7 @@ def test_figure8a_parallel_speedup(benchmark, tpcds_db, tpcds_queries):
     parallel_exec = Executor(
         tpcds_db,
         parallelism=DEGREE,
-        parallel_options=ParallelOptions(pool="auto", merge="rows"),
+        parallel_options=ParallelOptions(pool="thread", merge="rows"),
     )
 
     t0 = perf_counter()

@@ -31,8 +31,11 @@ MIN_SPEEDUP = 1.3
 
 
 def run_suite(planner, executor, workload):
-    for query in workload:
-        executor.execute(planner.plan(query).plan)
+    """Plan and execute every query; returns the planning results."""
+    planned = [planner.plan(query) for query in workload]
+    for result in planned:
+        executor.execute(result.plan)
+    return planned
 
 
 def test_warm_cache_repeated_suite_speedup():
@@ -52,30 +55,30 @@ def test_warm_cache_repeated_suite_speedup():
     # Warm: one planner + one executor, caches primed by a first pass.
     planner = QuickrPlanner(db)
     executor = Executor(db)
-    run_suite(planner, executor, workload)
+    memo = run_suite(planner, executor, workload)
+    memo_entries = len(planner._plan_cache)
     # Harvest boundary: the priming pass's misses and timings must not
     # bleed into the warm-phase numbers (cache *entries* survive the reset,
     # only the statistics zero out).
     priming = executor.reset_metrics()
-    planner.reset_cache_stats()
     assert priming["timings"]["compile_seconds"] > 0.0
     assert executor.timings()["compile_seconds"] == 0.0
 
-    warm_times = []
+    warm_times, warm_plans = [], []
     for _ in range(ROUNDS):
         start = time.perf_counter()
-        run_suite(planner, executor, workload)
+        warm_plans.append(run_suite(planner, executor, workload))
         warm_times.append(time.perf_counter() - start)
 
-    # Every warm query hit both caches — and with the reset above these
-    # counters now cover exactly the measured rounds, so equality (not >=)
-    # on misses proves the priming pass didn't leak in.
-    assert planner.plan_cache_hits >= ROUNDS * len(workload)
-    assert planner.plan_cache_misses == 0
-    assert executor.plan_cache.hits >= ROUNDS * len(workload)
-    assert executor.plan_cache.misses == 0
-    registry_hits = executor.registry.total("plan_cache.hits")
-    assert registry_hits >= ROUNDS * len(workload)
+    # Every warm query hit both caches. The planner's memo handed back the
+    # very objects the priming pass stored and grew by nothing; the
+    # executor's registry counters cover exactly the measured rounds, so
+    # zero misses proves the priming pass didn't leak in.
+    assert all(a is b for plans in warm_plans for a, b in zip(plans, memo))
+    assert len(planner._plan_cache) == memo_entries
+    cache = executor.timings()["plan_cache"]
+    assert cache["hits"] == ROUNDS * len(workload)
+    assert cache["misses"] == 0
 
     cold, warm = min(cold_times), min(warm_times)
     speedup = cold / warm

@@ -148,10 +148,6 @@ class Expr:
     def _build_key(self) -> tuple:
         raise NotImplementedError
 
-    def equals(self, other: "Expr") -> bool:
-        """Structural equality (``==`` is taken by the SQL-style builder)."""
-        return isinstance(other, Expr) and self.key() == other.key()
-
 
 class Col(Expr):
     """Reference to a column by name."""

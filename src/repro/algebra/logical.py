@@ -265,12 +265,6 @@ class Join(LogicalNode):
         left, right = children
         return Join(left, right, self.left_keys, self.right_keys, self.how)
 
-    def key_mapping_left_to_right(self) -> dict:
-        return dict(zip(self.left_keys, self.right_keys))
-
-    def key_mapping_right_to_left(self) -> dict:
-        return dict(zip(self.right_keys, self.left_keys))
-
     def _build_key(self) -> tuple:
         return ("join", self.how, self.left_keys, self.right_keys, self.left.key(), self.right.key())
 

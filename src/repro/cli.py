@@ -778,7 +778,7 @@ def build_parser() -> argparse.ArgumentParser:
     speedup.add_argument("--scale", type=float, default=0.3)
     speedup.add_argument("--seed", type=int, default=1)
     speedup.add_argument("--parallelism", type=int, default=4)
-    speedup.add_argument("--pool", default="auto", choices=["auto", "process", "thread", "inline"])
+    speedup.add_argument("--pool", default="thread", choices=["process", "thread", "inline"])
     speedup.add_argument("--merge", default="rows", choices=["rows", "partial"])
     speedup.set_defaults(func=_cmd_speedup)
 
@@ -789,7 +789,7 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--scale", type=float, default=0.3)
     chaos.add_argument("--seed", type=int, default=7, help="fault placement + task seed")
     chaos.add_argument("--parallelism", type=int, default=4)
-    chaos.add_argument("--pool", default="thread", choices=["auto", "process", "thread", "inline"])
+    chaos.add_argument("--pool", default="thread", choices=["process", "thread", "inline"])
     chaos.add_argument("--crashes", type=int, default=1, help="injected crashes per query")
     chaos.add_argument("--hangs", type=int, default=1, help="injected stragglers per query")
     chaos.add_argument("--corruptions", type=int, default=0,

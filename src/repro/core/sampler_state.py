@@ -68,18 +68,8 @@ class SamplerState:
     def with_strat(self, columns) -> "SamplerState":
         return replace(self, strat_cols=self.strat_cols | frozenset(columns))
 
-    def with_univ(self, columns, family: Optional[int] = None) -> "SamplerState":
-        return replace(
-            self,
-            univ_cols=frozenset(columns),
-            family=family if family is not None else self.family,
-        )
-
     def scaled_ds(self, factor: float) -> "SamplerState":
         return replace(self, ds=self.ds * factor)
-
-    def scaled_sfm(self, factor: float) -> "SamplerState":
-        return replace(self, sfm=self.sfm * factor)
 
     def renamed(self, mapping: dict) -> "SamplerState":
         """Rename all column references (pushing through projections/joins)."""

@@ -443,7 +443,13 @@ class Executor(PlanRunner):
         out = {
             "compile_seconds": registry.histogram("executor.compile_seconds").total,
             "execute_seconds": registry.histogram("executor.execute_seconds").total,
-            "plan_cache": self.plan_cache.stats(),
+            "plan_cache": {
+                **self.plan_cache.stats(),
+                **{
+                    key: int(registry.total(f"plan_cache.{key}"))
+                    for key in ("hits", "misses", "evictions")
+                },
+            },
         }
         if self.parallelism > 1:
             ledger = {
@@ -474,7 +480,6 @@ class Executor(PlanRunner):
         from zero instead of bleeding across phases.
         """
         final = {"timings": self.timings()}
-        self.plan_cache.reset_stats()
         # The registry harvest is the atomic drain, not snapshot-then-zero:
         # a counter increment racing this call lands either in the snapshot
         # returned here or in the next one, never in neither.

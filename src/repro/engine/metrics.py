@@ -239,14 +239,6 @@ class ParallelMetrics:
     materialised_columns: int = 0
     resident_bytes: int = 0
 
-    def task_latency_percentiles(self) -> dict:
-        """p50/p95/max of the winning task attempt durations (seconds)."""
-        if not self.worker_seconds:
-            return {}
-        ordered = sorted(self.worker_seconds)
-        pick = lambda q: ordered[min(len(ordered) - 1, int(q * len(ordered)))]  # noqa: E731
-        return {"p50": pick(0.50), "p95": pick(0.95), "max": ordered[-1]}
-
     def summary(self) -> dict:
         out = {
             "parallelism": self.parallelism,

@@ -712,10 +712,11 @@ def _find_morsel_chains(ops: List[PhysicalOp]) -> Dict[int, Tuple[int, ...]]:
 class PlanCache:
     """Fingerprint-keyed LRU cache of compiled plans.
 
-    ``capacity=0`` disables caching (every lookup misses). Hit, miss and
-    eviction counts are kept for reporting. Keys are any hashable and
-    values opaque, so the planner memoises its (kind, fingerprint)-keyed
-    planning results in one of these too.
+    ``capacity=0`` disables caching (every lookup misses). It counts
+    nothing: the executor counts its traffic into the metrics registry
+    where it compiles. Keys are any hashable and values opaque, so the
+    planner memoises its (kind, fingerprint)-keyed planning results in one
+    of these too.
 
     Thread-safe: the query service shares one cache across every session's
     worker thread, and an LRU is mutate-on-read (``move_to_end``), so *all*
@@ -724,20 +725,14 @@ class PlanCache:
     """
 
     capacity: int = 128
-    hits: int = 0
-    misses: int = 0
-    evictions: int = 0
     _entries: "OrderedDict[Hashable, Any]" = field(default_factory=OrderedDict)
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
     def get(self, fingerprint: Hashable) -> Optional[Any]:
         with self._lock:
             entry = self._entries.get(fingerprint)
-            if entry is None:
-                self.misses += 1
-                return None
-            self._entries.move_to_end(fingerprint)
-            self.hits += 1
+            if entry is not None:
+                self._entries.move_to_end(fingerprint)
             return entry
 
     def put(self, fingerprint: Hashable, physical: Any) -> int:
@@ -752,7 +747,6 @@ class PlanCache:
             while len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)
                 evicted += 1
-            self.evictions += evicted
         return evicted
 
     def __len__(self) -> int:
@@ -763,20 +757,5 @@ class PlanCache:
         with self._lock:
             self._entries.clear()
 
-    def reset_stats(self) -> None:
-        """Zero the hit/miss/eviction counters without dropping entries —
-        the harvest boundary between a warm-up pass and a measured pass."""
-        with self._lock:
-            self.hits = 0
-            self.misses = 0
-            self.evictions = 0
-
     def stats(self) -> dict:
-        with self._lock:
-            return {
-                "size": len(self._entries),
-                "capacity": self.capacity,
-                "hits": self.hits,
-                "misses": self.misses,
-                "evictions": self.evictions,
-            }
+        return {"size": len(self), "capacity": self.capacity}

@@ -376,8 +376,5 @@ class Database:
     def total_rows(self) -> int:
         return sum(t.num_rows for t in self._tables.values())
 
-    def total_bytes(self) -> int:
-        return sum(t.estimated_bytes() for t in self._tables.values())
-
     def __repr__(self):
         return f"Database({list(self._tables)})"

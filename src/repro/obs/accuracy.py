@@ -35,15 +35,17 @@ target of ``slo_target`` (e.g. 0.99 = 1% allowed violations), the burn
 rate is ``observed_violation_rate / allowed_rate`` — burn > 1 means the
 budget is being spent faster than the SLO allows.
 
-Everything the ledger learns is mirrored into the metrics registry
-(``accuracy.*`` and ``slo.*`` instruments), so the scrape endpoint and
-the JSONL telemetry stream carry calibration state without extra wiring,
-and :meth:`AccuracyLedger.report` renders the ``repro slo`` view.
+The ledger keeps nothing of its own. Everything it learns is written to
+the metrics registry (``accuracy.*`` and ``slo.*`` instruments), so the
+scrape endpoint, the JSONL telemetry stream and
+:meth:`AccuracyLedger.report` (the ``repro slo`` view) read the same
+numbers, and a registry harvest zeroes all three together.
 """
 
 from __future__ import annotations
 
 import threading
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Any, Dict, Optional, Sequence, Tuple
 
@@ -51,7 +53,7 @@ import numpy as np
 
 from repro.engine.aggregate import CI_SUFFIX
 from repro.engine.keys import pack_keys
-from repro.obs.registry import MetricsRegistry
+from repro.obs.registry import OVERFLOW_LABELS, MetricsRegistry
 
 __all__ = ["ErrorMetrics", "AccuracyLedger", "compare_answers", "compare_tables"]
 
@@ -166,41 +168,28 @@ def compare_tables(approx, exact) -> ErrorMetrics:
     return compare_answers(exact, approx, keys, aggs)
 
 
-@dataclass
-class _CalibrationCell:
-    """Running calibration totals for one (tenant, kind, rung)."""
-
-    audits: int = 0
-    cells_checked: int = 0
-    cells_covered: int = 0
-    groups_missed: int = 0
-    groups_matched: int = 0
-    rel_error_sum: float = 0.0
-    rel_error_max: float = 0.0
-    audit_seconds: float = 0.0
-
-    @property
-    def observed_coverage(self) -> Optional[float]:
-        if self.cells_checked == 0:
-            return None
-        return self.cells_covered / self.cells_checked
-
-
-@dataclass
-class _TenantSLO:
-    """Latency-SLO accounting for one tenant."""
-
-    requests: int = 0
-    violations: int = 0
-    cancelled: int = 0
-    latency_sum: float = 0.0
+def _cell(labels: Dict[str, str]) -> Tuple[bool, str, str, str]:
+    """Sort key and name of one calibration cell: ``(overflowed, tenant,
+    kind, rung)``. A cell past the registry's label cap is the one
+    ``{overflow="true"}`` series, reported as tenant, kind and rung
+    ``"overflow"`` after every named cell."""
+    return (
+        labels == OVERFLOW_LABELS,
+        labels.get("tenant", "overflow"),
+        labels.get("kind", "overflow"),
+        labels.get("rung", "overflow"),
+    )
 
 
 class AccuracyLedger:
     """Per-(tenant, sampler-kind, rung) calibration plus SLO burn.
 
-    Thread-safe; written by the auditor thread and the service workers,
-    read by the scrape endpoint and ``repro slo``.
+    Keeps no tallies of its own: every record is a group of registry
+    writes, and :meth:`report` reads them back. The lock spans each write
+    group and the read, so a report never sees half an audit (more cells
+    covered than checked) or half a request. Written by the auditor
+    thread and the service workers, read by the scrape endpoint and
+    ``repro slo``.
     """
 
     def __init__(
@@ -219,11 +208,6 @@ class AccuracyLedger:
         self.latency_slo_ms = latency_slo_ms
         self.slo_target = float(slo_target)
         self._lock = threading.Lock()
-        self._calibration: Dict[Tuple[str, str, str], _CalibrationCell] = {}
-        self._slo: Dict[str, _TenantSLO] = {}
-        #: Audits the auditor could not finish (preempted past the retry
-        #: cap, or the replay itself failed).
-        self.audits_abandoned = 0
 
     # -- calibration side (auditor thread) -------------------------------------
     def record_audit(
@@ -236,40 +220,30 @@ class AccuracyLedger:
     ) -> None:
         """One finished audit of a served answer in the slice ``(tenant,
         sampler_kind, rung)``."""
-        with self._lock:
-            cell = self._calibration.get((tenant, sampler_kind, rung))
-            if cell is None:
-                cell = self._calibration[(tenant, sampler_kind, rung)] = _CalibrationCell()
-            cell.audits += 1
-            cell.cells_checked += comparison.cells_checked
-            cell.cells_covered += comparison.cells_covered
-            cell.groups_missed += comparison.groups_missed
-            cell.groups_matched += comparison.groups_matched
-            cell.rel_error_sum += comparison.aggregation_error * max(
-                1, comparison.cells_checked
-            )
-            cell.rel_error_max = max(cell.rel_error_max, comparison.max_aggregation_error)
-            cell.audit_seconds += audit_seconds
-            coverage = cell.observed_coverage
         labels = dict(tenant=tenant, kind=sampler_kind, rung=rung)
         registry = self.registry
-        registry.counter("accuracy.audits", **labels).inc()
-        registry.counter("accuracy.cells_checked", **labels).inc(
-            comparison.cells_checked
-        )
-        registry.counter("accuracy.cells_covered", **labels).inc(
-            comparison.cells_covered
-        )
-        registry.counter("accuracy.groups_missed", **labels).inc(
-            comparison.groups_missed
-        )
-        if coverage is not None:
-            registry.gauge("accuracy.observed_coverage", **labels).set(coverage)
-        registry.histogram("accuracy.audit_seconds").observe(audit_seconds)
+        with self._lock:
+            for name, amount in (
+                ("accuracy.audits", 1),
+                ("accuracy.cells_checked", comparison.cells_checked),
+                ("accuracy.cells_covered", comparison.cells_covered),
+                ("accuracy.groups_missed", comparison.groups_missed),
+                ("accuracy.groups_matched", comparison.groups_matched),
+                # Weighted by the cells it averages over, so the report's
+                # sum / cells_checked is a per-cell mean.
+                ("accuracy.rel_error_sum",
+                 comparison.aggregation_error * max(1, comparison.cells_checked)),
+            ):
+                registry.counter(name, **labels).inc(amount)
+            worst = registry.gauge("accuracy.max_rel_error", **labels)
+            worst.set(max(worst.snapshot() or 0.0, comparison.max_aggregation_error))
+            registry.histogram("accuracy.audit_seconds", **labels).observe(audit_seconds)
+            checked = registry.counter("accuracy.cells_checked", **labels).snapshot()
+            if checked:
+                covered = registry.counter("accuracy.cells_covered", **labels).snapshot()
+                registry.gauge("accuracy.observed_coverage", **labels).set(covered / checked)
 
     def record_abandoned(self, reason: str) -> None:
-        with self._lock:
-            self.audits_abandoned += 1
         self.registry.counter("accuracy.audits_abandoned", reason=reason).inc()
 
     # -- SLO side (service workers) --------------------------------------------
@@ -283,79 +257,109 @@ class AccuracyLedger:
             and latency_seconds is not None
             and latency_seconds * 1000.0 > self.latency_slo_ms
         )
-        violation = cancelled or over_slo
+        registry = self.registry
         with self._lock:
-            slo = self._slo.get(tenant)
-            if slo is None:
-                slo = self._slo[tenant] = _TenantSLO()
-            slo.requests += 1
+            requests = registry.counter("slo.requests", tenant=tenant)
+            requests.inc()
             if latency_seconds is not None:
-                slo.latency_sum += latency_seconds
-            if cancelled:
-                slo.cancelled += 1
-            if violation:
-                slo.violations += 1
-            burn = self._burn_locked(slo)
-        self.registry.counter("slo.requests", tenant=tenant).inc()
-        if violation:
-            self.registry.counter(
-                "slo.violations",
-                tenant=tenant,
-                reason="cancelled" if cancelled else "latency",
-            ).inc()
-        if burn is not None:
-            self.registry.gauge("slo.error_budget_burn", tenant=tenant).set(burn)
+                registry.counter("slo.latency_seconds", tenant=tenant).inc(latency_seconds)
+            if cancelled or over_slo:
+                registry.counter(
+                    "slo.violations", tenant=tenant,
+                    reason="cancelled" if cancelled else "latency",
+                ).inc()
+            violations = sum(
+                registry.value("slo.violations", tenant=tenant, reason=reason) or 0.0
+                for reason in ("cancelled", "latency")
+            )
+            registry.gauge("slo.error_budget_burn", tenant=tenant).set(
+                self._burn(requests.snapshot(), violations)
+            )
 
-    def _burn_locked(self, slo: _TenantSLO) -> Optional[float]:
-        if slo.requests == 0:
-            return None
-        allowed = 1.0 - self.slo_target
-        return (slo.violations / slo.requests) / allowed
+    def _burn(self, requests: float, violations: float) -> float:
+        return (violations / requests) / (1.0 - self.slo_target)
 
     # -- reporting -------------------------------------------------------------
     def report(self) -> Dict[str, Any]:
-        """The ``repro slo`` payload: calibration rows + per-tenant burn."""
+        """The ``repro slo`` payload: calibration rows + per-tenant burn,
+        read off the registry (slices with no record since the last
+        harvest are left out)."""
         with self._lock:
-            calibration = [
-                {
-                    "tenant": tenant,
-                    "sampler_kind": kind,
-                    "rung": rung,
-                    "audits": cell.audits,
-                    "cells_checked": cell.cells_checked,
-                    "cells_covered": cell.cells_covered,
-                    "observed_coverage": cell.observed_coverage,
-                    "nominal_coverage": self.nominal_coverage,
-                    "groups_matched": cell.groups_matched,
-                    "groups_missed": cell.groups_missed,
-                    "mean_rel_error": (
-                        cell.rel_error_sum / cell.cells_checked
-                        if cell.cells_checked else None
-                    ),
-                    "max_rel_error": cell.rel_error_max,
-                    "audit_seconds": round(cell.audit_seconds, 4),
-                }
-                for (tenant, kind, rung), cell in sorted(self._calibration.items())
-            ]
-            slo = {
-                tenant: {
-                    "requests": entry.requests,
-                    "violations": entry.violations,
-                    "cancelled": entry.cancelled,
-                    "mean_latency_ms": (
-                        round(entry.latency_sum / entry.requests * 1000.0, 3)
-                        if entry.requests else None
-                    ),
-                    "error_budget_burn": self._burn_locked(entry),
-                }
-                for tenant, entry in sorted(self._slo.items())
-            }
-            abandoned = self.audits_abandoned
+            series: Dict[str, list] = {}
+            for _, name, labels, instrument in self.registry.instruments():
+                if name.startswith(("accuracy.", "slo.")):
+                    series.setdefault(name, []).append((labels, instrument.snapshot()))
+        calibration = self._calibration_rows(series)
+        slo = self._slo_rows(series)
+        abandoned = sum(value for _, value in series.get("accuracy.audits_abandoned", ()))
         return {
             "nominal_coverage": self.nominal_coverage,
             "latency_slo_ms": self.latency_slo_ms,
             "slo_target": self.slo_target,
             "calibration": calibration,
             "slo": slo,
-            "audits_abandoned": abandoned,
+            "audits_abandoned": int(abandoned),
         }
+
+    def _calibration_rows(self, series: Dict[str, list]) -> list:
+        """One row per cell with audits since the last harvest."""
+        by_cell = {
+            name: {_cell(labels): value for labels, value in rows}
+            for name, rows in series.items()
+        }
+
+        def read(name, cell, default=0):
+            value = by_cell.get(name, {}).get(cell)
+            return default if value is None else value
+
+        rows = []
+        for cell, audits in sorted(by_cell.get("accuracy.audits", {}).items()):
+            if not audits:
+                continue
+            checked = int(read("accuracy.cells_checked", cell))
+            covered = int(read("accuracy.cells_covered", cell))
+            rows.append({
+                "tenant": cell[1],
+                "sampler_kind": cell[2],
+                "rung": cell[3],
+                "audits": int(audits),
+                "cells_checked": checked,
+                "cells_covered": covered,
+                "observed_coverage": covered / checked if checked else None,
+                "nominal_coverage": self.nominal_coverage,
+                "groups_matched": int(read("accuracy.groups_matched", cell)),
+                "groups_missed": int(read("accuracy.groups_missed", cell)),
+                "mean_rel_error": (
+                    read("accuracy.rel_error_sum", cell) / checked if checked else None
+                ),
+                "max_rel_error": read("accuracy.max_rel_error", cell, 0.0),
+                "audit_seconds": round(
+                    read("accuracy.audit_seconds", cell, {}).get("sum", 0.0), 4
+                ),
+            })
+        return rows
+
+    def _slo_rows(self, series: Dict[str, list]) -> Dict[str, Dict[str, Any]]:
+        """Per-tenant totals over the tenant's label sets (violations carry
+        a reason label; the cancelled ones are counted apart too)."""
+        tally: Dict[str, Dict[str, float]] = defaultdict(lambda: defaultdict(float))
+        for name in ("slo.requests", "slo.latency_seconds", "slo.violations"):
+            for labels, value in series.get(name, ()):
+                entry = tally[labels.get("tenant", "overflow")]
+                entry[name] += value
+                if labels.get("reason") == "cancelled":
+                    entry["cancelled"] += value
+        out = {}
+        for tenant, entry in sorted(tally.items()):
+            requests, violations = int(entry["slo.requests"]), int(entry["slo.violations"])
+            if requests:
+                out[tenant] = {
+                    "requests": requests,
+                    "violations": violations,
+                    "cancelled": int(entry["cancelled"]),
+                    "mean_latency_ms": round(
+                        entry["slo.latency_seconds"] / requests * 1000.0, 3
+                    ),
+                    "error_budget_burn": self._burn(requests, violations),
+                }
+        return out

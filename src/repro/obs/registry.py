@@ -42,7 +42,6 @@ metric and the ``registry.labelset_overflow`` counter records the spill.
 
 from __future__ import annotations
 
-import json
 import threading
 from bisect import bisect_left
 from typing import Any, Dict, List, Optional, Sequence, Tuple
@@ -345,9 +344,6 @@ class MetricsRegistry:
         landing between the two steps.)
         """
         return self._harvest(lambda instrument: instrument.drain())
-
-    def to_json(self, indent: Optional[int] = 2) -> str:
-        return json.dumps(self.snapshot(), indent=indent, sort_keys=True)
 
     # -- conveniences ---------------------------------------------------------
     def value(self, name: str, **labels: Any) -> Any:

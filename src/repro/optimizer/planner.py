@@ -73,19 +73,6 @@ class QuickrPlanner:
         # planning itself stays outside the lock.
         self._plan_cache = PlanCache(capacity=int(plan_cache_size))
 
-    @property
-    def plan_cache_hits(self) -> int:
-        return self._plan_cache.hits
-
-    @property
-    def plan_cache_misses(self) -> int:
-        return self._plan_cache.misses
-
-    def reset_cache_stats(self) -> None:
-        """Zero the hit/miss counters (entries stay cached) — a harvest
-        boundary for benchmarks that separate cold and warm phases."""
-        self._plan_cache.reset_stats()
-
     # -- relational preparation shared by both planners ----------------------
     def prepare(self, query: Query) -> Query:
         with maybe_span("planner.normalize", query=query.name):

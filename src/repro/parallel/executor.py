@@ -151,7 +151,7 @@ class ParallelOptions:
     ``GovernanceContext.selection_fraction``.
     """
 
-    pool: str = "auto"
+    pool: str = "thread"
     merge: str = "rows"
     min_partition_rows: int = DEFAULT_MIN_PARTITION_ROWS
     max_workers: Optional[int] = None
@@ -715,7 +715,7 @@ class ParallelExecutor:
         metrics = ParallelMetrics(
             parallelism=self.parallelism,
             strategy=ctx.strategy,
-            pool_mode=ctx.runtime.pool.resolve_mode(),
+            pool_mode=ctx.runtime.pool.mode,
             merge_mode=ctx.merge_mode,
             partitioned_tables=analysis.partitioned_tables,
             wall_clock_seconds=elapsed,

@@ -9,8 +9,9 @@ by the one scheduler loop of :class:`~repro.parallel.tasks.TaskRuntime`:
   task spec crosses the pipe per task. That keeps plans picklable-free
   (plans may close over arbitrary predicates) while results (tables,
   partial aggregates) still return via pickle.
-* ``thread`` — a thread pool; real concurrency only where NumPy releases
-  the GIL, but portable and cheap. The fallback where fork is unavailable.
+* ``thread`` — the default: a thread pool; real concurrency only where
+  NumPy releases the GIL, but portable and cheap, and on a small host
+  faster per query than forking a process pool for every run.
   The threads are *resident*: a :class:`WorkerPool` starts them once and
   every run borrows them through a lease, so an
   :class:`~repro.engine.executor.Executor` that keeps its pool pays for
@@ -23,8 +24,6 @@ by the one scheduler loop of :class:`~repro.parallel.tasks.TaskRuntime`:
   single worker resolves to (a one-worker pool cannot overlap anything,
   and forking for it made D-way runs on 1-core CI strictly slower than
   serial).
-
-``auto`` picks ``process`` when the platform supports fork, else ``thread``.
 
 The fork-published global is a process-wide singleton, so process-mode use
 is serialized behind :data:`_PAYLOAD_LOCK`: a second concurrent (or
@@ -152,9 +151,9 @@ class WorkerPool:
     thread backend's resident threads (started on first use, retired by
     :meth:`retire` or when the pool is dropped)."""
 
-    MODES = ("auto", "process", "thread", "inline")
+    MODES = ("process", "thread", "inline")
 
-    def __init__(self, mode: str = "auto", max_workers: Optional[int] = None):
+    def __init__(self, mode: str = "thread", max_workers: Optional[int] = None):
         self._lock = threading.Lock()
         self._threads: Optional[ThreadPoolExecutor] = None
         if mode not in self.MODES:
@@ -191,11 +190,6 @@ class WorkerPool:
         # there deadlocks.
         self.retire()
 
-    def resolve_mode(self) -> str:
-        if self.mode != "auto":
-            return self.mode
-        return "process" if _fork_available() else "thread"
-
     def workers_for(self, num_items: int) -> int:
         """Worker count for a run over ``num_items`` inputs."""
         return max(1, min(self.max_workers or available_parallelism(), num_items))
@@ -210,11 +204,10 @@ class WorkerPool:
         and how many attempts the backend admits at once (None = it queues
         whatever it is given).
         """
-        mode = self.resolve_mode()
         workers = self.workers_for(num_items)
-        if mode == "inline" or workers == 1:
+        if self.mode == "inline" or workers == 1:
             yield _CallerThreadExecutor, fn, 1
-        elif mode == "thread":
+        elif self.mode == "thread":
             yield partial(_ThreadLease, self), fn, None
         else:
             if not _fork_available():

@@ -168,10 +168,6 @@ class TaskReport:
         return tuple(o.partition for o in self.outcomes if not o.succeeded)
 
     @property
-    def all_succeeded(self) -> bool:
-        return not self.failed_partitions
-
-    @property
     def total_retries(self) -> int:
         return sum(o.retries for o in self.outcomes)
 

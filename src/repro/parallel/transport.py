@@ -226,7 +226,7 @@ class RunTransport:
 
     def __init__(self, pool, num_tasks: int, registry):
         self.shm = (
-            pool.resolve_mode() == "process"
+            pool.mode == "process"
             and pool.workers_for(num_tasks) > 1
             and shm_available()
         )

@@ -123,8 +123,6 @@ class QueryAuditor:
         #: planned, during which ``wait_drained`` would report idle.
         self._busy = False
         self._served_approx = 0
-        self.audits_completed = 0
-        self.audits_preempted = 0
 
     # -- lifecycle -------------------------------------------------------------
     def start(self) -> "QueryAuditor":
@@ -193,15 +191,18 @@ class QueryAuditor:
             return len(self._queue)
 
     def summary(self) -> Dict[str, Any]:
+        """The draw index and backlog, plus the audit counts the registry
+        holds (``auditor.completed`` and ``auditor.preempted``)."""
         with self._lock:
-            return {
-                "enabled": self.config.sample_fraction > 0,
-                "sample_fraction": self.config.sample_fraction,
-                "served_approx": self._served_approx,
-                "backlog": len(self._queue),
-                "completed": self.audits_completed,
-                "preempted": self.audits_preempted,
-            }
+            served, backlog = self._served_approx, len(self._queue)
+        return {
+            "enabled": self.config.sample_fraction > 0,
+            "sample_fraction": self.config.sample_fraction,
+            "served_approx": served,
+            "backlog": backlog,
+            "completed": int(self.registry.total("auditor.completed")),
+            "preempted": int(self.registry.total("auditor.preempted")),
+        }
 
     def wait_drained(self, timeout: float) -> bool:
         """Test helper: block until the backlog is empty and nothing is
@@ -278,7 +279,6 @@ class QueryAuditor:
         except GovernanceError:
             # Preempted by live traffic (or shutdown): requeue or abandon.
             job.attempts += 1
-            self.audits_preempted += 1
             self.registry.counter("auditor.preempted").inc()
             if self._stop.is_set() or job.attempts >= self.config.max_attempts:
                 self.ledger.record_abandoned("preempted")
@@ -303,7 +303,6 @@ class QueryAuditor:
         self.ledger.record_audit(
             comparison, job.tenant, kind, job.rung, time.perf_counter() - t0
         )
-        self.audits_completed += 1
         self.registry.counter("auditor.completed", tenant=job.tenant).inc()
         _LOG.debug(
             "audited %s (%s/%s/%s): coverage %d/%d, %d groups missed",

@@ -41,8 +41,7 @@ the policy layer for queries already running. It owns two things:
 
 Downgrade triggers, in the order they are checked:
 
-* **pressure** (pre-flight) — the run queue is nearly full or the
-  process's mapped shared memory is above the watermark; start one rung
+* **pressure** (pre-flight) — the run queue is nearly full; start one rung
   lower so the cluster sheds load by answering approximately rather than
   by queueing exactly.
 * **infeasible-deadline** (pre-flight, re-checked between rungs) — the
@@ -96,9 +95,6 @@ class GovernorConfig:
     default_memory_budget_bytes: Optional[int] = None
     #: Queue fill fraction above which new queries start one rung lower.
     queue_pressure_fraction: float = 0.75
-    #: Process-mapped shared-memory bytes above which the same applies;
-    #: None disables the memory watermark.
-    memory_pressure_bytes: Optional[int] = None
     #: Multiplier applied to every uniform sampler's rate at the
     #: ``quickr-coarse`` rung.
     coarsen_factor: float = 0.25
@@ -176,15 +172,6 @@ class QueryGovernor:
         )
         if depth >= threshold:
             return f"queue depth {depth} >= {threshold:.0f}"
-        if self.config.memory_pressure_bytes is not None:
-            from repro.memory import memory_stats
-
-            mapped = memory_stats().get("bytes_mapped", 0)
-            if mapped >= self.config.memory_pressure_bytes:
-                return (
-                    f"mapped shared memory {mapped} B >= "
-                    f"{self.config.memory_pressure_bytes} B"
-                )
         return None
 
     # -- ladder mechanics -----------------------------------------------------

@@ -284,7 +284,6 @@ class QueryService:
             time.monotonic() + resolved_deadline / 1000.0
             if resolved_deadline is not None else None
         )
-        session.record_submitted()
         self.registry.counter("service.requests", tenant=session.tenant).inc()
         # Live traffic always outranks the background auditor: a replay in
         # flight yields at its next engine checkpoint and requeues.
@@ -309,7 +308,6 @@ class QueryService:
         try:
             self.admission.submit(ticket)
         except AdmissionRejected as exc:
-            session.record_rejected()
             ticket.flight.note("admission", "rejected",
                                reason=exc.reason, detail=str(exc))
             self.flight.finish(ticket.flight, f"rejected.{exc.reason}")
@@ -346,13 +344,8 @@ class QueryService:
         if not ticket.wait(timeout):
             raise ReproError(f"query {query_name!r} timed out waiting for the service")
         if ticket.rejection is not None:
-            session.record_rejected()
             raise ticket.rejection
         if ticket.error is not None:
-            if not isinstance(ticket.error, GovernanceError):
-                # Governance endings were already recorded as cancelled
-                # by the worker; don't double-book them as failures.
-                session.record_failed()
             raise ticket.error
         return ticket.result
 
@@ -433,7 +426,6 @@ class QueryService:
             # The contract fired and nothing was salvageable: the query is
             # over, typed — never a hang, never a worker kept busy.
             self._capture_spans(ticket, query_tracer, previous)
-            session.record_cancelled()
             self.registry.counter(
                 "service.governor.cancelled", reason=exc.reason_code
             ).inc()
@@ -446,7 +438,6 @@ class QueryService:
             return None
         except BaseException as exc:  # noqa: BLE001 - reported to the client
             self._capture_spans(ticket, query_tracer, previous)
-            session.record_failed()
             self._finish_query(
                 ticket, "failed",
                 ticket.queue_wait_seconds + (time.perf_counter() - t0),
@@ -466,9 +457,6 @@ class QueryService:
                 and result.table.num_rows <= self.config.max_result_rows
             ),
         )
-        session.record_served(wire["digest"], result.table.num_rows, execute_seconds)
-        if degraded_info is not None:
-            session.record_degraded()
         rung = (
             degraded_info["rung"] if degraded_info is not None
             else ("exact" if ticket.mode == "exact" else "quickr")
@@ -513,11 +501,25 @@ class QueryService:
         server = self._metrics_server
         return server.address if server is not None else None
 
+    def _session_counts(self) -> Dict[str, Any]:
+        """Live sessions per tenant; ``opened`` is the ``service.sessions``
+        counter and ``closed`` is opened minus live (floored at zero after a
+        harvest, when sessions opened before it may still be live)."""
+        by_tenant = self.sessions.by_tenant()
+        live = sum(by_tenant.values())
+        opened = int(self.registry.total("service.sessions"))
+        return {
+            "live": live,
+            "opened": opened,
+            "closed": max(0, opened - live),
+            "by_tenant": by_tenant,
+        }
+
     def stats(self) -> Dict[str, Any]:
         return {
-            "sessions": self.sessions.summary(),
+            "sessions": self._session_counts(),
             "admission": self.admission.summary(),
-            "plan_cache": self.executor.plan_cache.stats(),
+            "plan_cache": self.executor.timings()["plan_cache"],
             "runtime_estimates": self.admission.estimator.snapshot(),
             "queries": {
                 "served": self.registry.total("service.admitted"),
@@ -821,7 +823,6 @@ class _Connection:
                 ticket.wait(30.0)
                 return False
         if ticket.rejection is not None:
-            session.record_rejected()
             exc = ticket.rejection
             self.respond(protocol.error_response(
                 request_id, f"rejected.{exc.reason}", str(exc),
@@ -831,13 +832,11 @@ class _Connection:
         if ticket.error is not None:
             error = ticket.error
             if isinstance(error, GovernanceError):
-                # session.queries_cancelled was recorded by the worker.
                 self.respond(protocol.error_response(
                     request_id, f"cancelled.{error.reason_code}", str(error),
                     retryable=error.reason_code not in ("deadline",),
                 ))
                 return True
-            session.record_failed()
             self.respond(protocol.error_response(
                 request_id, "execution", f"{type(error).__name__}: {error}"
             ))

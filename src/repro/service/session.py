@@ -13,9 +13,8 @@ from __future__ import annotations
 
 import itertools
 import threading
-import time
-from dataclasses import dataclass, field
-from typing import Any, Dict, Optional
+from dataclasses import dataclass
+from typing import Dict, Optional
 
 __all__ = ["Session", "SessionManager", "DEFAULT_TENANT"]
 
@@ -28,7 +27,8 @@ MODES = ("quickr", "exact")
 
 @dataclass
 class Session:
-    """One client connection's identity and defaults."""
+    """One client connection's identity and defaults. What its queries
+    did is counted in the service's metrics registry, by tenant."""
 
     session_id: str
     tenant: str = DEFAULT_TENANT
@@ -36,73 +36,12 @@ class Session:
     default_mode: str = "quickr"
     #: Default per-query deadline (milliseconds); None = no deadline.
     default_deadline_ms: Optional[float] = None
-    created_at: float = field(default_factory=time.monotonic)
-    # Rolling outcome counters, reported by the ``stats`` op.
-    queries_submitted: int = 0
-    queries_served: int = 0
-    queries_rejected: int = 0
-    queries_failed: int = 0
-    #: Served, but down the degradation ladder (reply carried ``degraded``).
-    queries_degraded: int = 0
-    #: Ended by the governance contract (cancel / deadline / budget) with
-    #: nothing salvageable.
-    queries_cancelled: int = 0
-    #: Digest + shape of the most recent served answer (not the rows — a
-    #: session is not a result cache, the PlanCache below is).
-    last_result: Optional[Dict[str, Any]] = None
-    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
     def resolve_mode(self, requested: Optional[str]) -> str:
         return requested if requested is not None else self.default_mode
 
     def resolve_deadline_ms(self, requested: Optional[float]) -> Optional[float]:
         return requested if requested is not None else self.default_deadline_ms
-
-    def record_submitted(self) -> None:
-        with self._lock:
-            self.queries_submitted += 1
-
-    def record_served(self, digest: str, num_rows: int, execute_seconds: float) -> None:
-        with self._lock:
-            self.queries_served += 1
-            self.last_result = {
-                "digest": digest,
-                "num_rows": num_rows,
-                "execute_seconds": execute_seconds,
-            }
-
-    def record_rejected(self) -> None:
-        with self._lock:
-            self.queries_rejected += 1
-
-    def record_failed(self) -> None:
-        with self._lock:
-            self.queries_failed += 1
-
-    def record_degraded(self) -> None:
-        with self._lock:
-            self.queries_degraded += 1
-
-    def record_cancelled(self) -> None:
-        with self._lock:
-            self.queries_cancelled += 1
-
-    def summary(self) -> Dict[str, Any]:
-        with self._lock:
-            return {
-                "session_id": self.session_id,
-                "tenant": self.tenant,
-                "default_mode": self.default_mode,
-                "default_deadline_ms": self.default_deadline_ms,
-                "age_seconds": time.monotonic() - self.created_at,
-                "queries_submitted": self.queries_submitted,
-                "queries_served": self.queries_served,
-                "queries_rejected": self.queries_rejected,
-                "queries_failed": self.queries_failed,
-                "queries_degraded": self.queries_degraded,
-                "queries_cancelled": self.queries_cancelled,
-                "last_result": dict(self.last_result) if self.last_result else None,
-            }
 
 
 class SessionManager:
@@ -112,8 +51,6 @@ class SessionManager:
         self._lock = threading.Lock()
         self._sessions: Dict[str, Session] = {}
         self._counter = itertools.count(1)
-        self.sessions_opened = 0
-        self.sessions_closed = 0
 
     def open(
         self,
@@ -132,13 +69,11 @@ class SessionManager:
                 default_deadline_ms=default_deadline_ms,
             )
             self._sessions[session_id] = session
-            self.sessions_opened += 1
         return session
 
     def close(self, session_id: str) -> None:
         with self._lock:
-            if self._sessions.pop(session_id, None) is not None:
-                self.sessions_closed += 1
+            self._sessions.pop(session_id, None)
 
     def get(self, session_id: str) -> Optional[Session]:
         with self._lock:
@@ -149,23 +84,9 @@ class SessionManager:
             return len(self._sessions)
 
     def by_tenant(self) -> Dict[str, int]:
-        """Live session count per tenant."""
+        """Live session count per tenant, in tenant order."""
         with self._lock:
             out: Dict[str, int] = {}
             for session in self._sessions.values():
                 out[session.tenant] = out.get(session.tenant, 0) + 1
-        return out
-
-    def summary(self) -> Dict[str, Any]:
-        with self._lock:
-            sessions = list(self._sessions.values())
-            opened, closed = self.sessions_opened, self.sessions_closed
-        return {
-            "live": len(sessions),
-            "opened": opened,
-            "closed": closed,
-            "by_tenant": {
-                tenant: sum(1 for s in sessions if s.tenant == tenant)
-                for tenant in sorted({s.tenant for s in sessions})
-            },
-        }
+        return dict(sorted(out.items()))

@@ -226,9 +226,6 @@ class ColumnStats:
     def heavy_hitters(self) -> Dict:
         return self.summary.heavy_hitters
 
-    def heavy_hitter_mass(self) -> float:
-        return float(sum(self.heavy_hitters.values()))
-
     def built(self) -> Tuple[str, ...]:
         """Which statistics have been computed so far."""
         built = {"moments": "_moments", "counts": "summary"}

@@ -117,10 +117,6 @@ class TestStructuralIdentity:
     def test_key_distinguishes(self):
         assert (col("a") + 1).key() != (col("a") + 2).key()
 
-    def test_equals_helper(self):
-        assert (col("a") + 1).equals(col("a") + 1)
-        assert not (col("a") + 1).equals(col("a") - 1)
-
     def test_hashable(self):
         assert len({col("a"), col("a"), col("b")}) == 2
 

@@ -95,11 +95,6 @@ class TestJoin:
         with pytest.raises(SchemaError):
             Join(scan_t(), Scan("t2", ("a", "z")), ["a"], ["z"])
 
-    def test_key_mappings(self):
-        node = Join(scan_t(), scan_u(), ["a", "b"], ["x", "y"])
-        assert node.key_mapping_left_to_right() == {"a": "x", "b": "y"}
-        assert node.key_mapping_right_to_left() == {"x": "a", "y": "b"}
-
 
 class TestAggregate:
     def test_schema(self):

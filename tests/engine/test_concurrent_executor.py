@@ -87,7 +87,7 @@ class TestConcurrentExecutor:
         self._run_threads(worker)
         total = NUM_THREADS * ROUNDS
         assert registry.value("executor.queries") == total
-        stats = executor.plan_cache.stats()
+        stats = executor.timings()["plan_cache"]
         # Every execute() performs exactly one cache lookup.
         assert stats["hits"] + stats["misses"] == total
         assert stats["hits"] >= total - NUM_THREADS  # at worst one miss per thread

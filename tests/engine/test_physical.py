@@ -173,22 +173,18 @@ class TestSelfJoinLineage:
 
 class TestPlanCache:
     def test_hit_miss_eviction_counters(self):
+        # The cache counts nothing itself: a hit is a returned entry, a miss
+        # None, and put() says how many it evicted (the executor counts all
+        # three into its registry).
         cache = PlanCache(capacity=2)
         a, b, c = (object(), object(), object())
         assert cache.get("a") is None
-        cache.put("a", a)
-        cache.put("b", b)
+        assert cache.put("a", a) == 0 and cache.put("b", b) == 0
         assert cache.get("a") is a
-        cache.put("c", c)  # evicts "b" (LRU; "a" was just touched)
+        assert cache.put("c", c) == 1  # evicts "b" (LRU; "a" was just touched)
         assert cache.get("b") is None
         assert cache.get("a") is a and cache.get("c") is c
-        assert cache.stats() == {
-            "size": 2,
-            "capacity": 2,
-            "hits": 3,
-            "misses": 2,
-            "evictions": 1,
-        }
+        assert cache.stats() == {"size": 2, "capacity": 2}
 
     def test_capacity_zero_disables(self):
         cache = PlanCache(capacity=0)
@@ -207,7 +203,7 @@ class TestPlanCache:
         cache = PlanCache(capacity=8)
         num_threads, iterations = 8, 500
         barrier = threading.Barrier(num_threads)
-        errors = []
+        errors, lookups = [], []
 
         def worker(index):
             try:
@@ -216,6 +212,7 @@ class TestPlanCache:
                     key = f"k{(index + step) % 16}"  # 16 keys > capacity: evictions
                     if cache.get(key) is None:
                         cache.put(key, object())
+                    lookups.append(key)
             except Exception as exc:  # noqa: BLE001
                 errors.append(exc)
 
@@ -228,8 +225,8 @@ class TestPlanCache:
             t.join()
         assert not errors
         stats = cache.stats()
-        # Every loop iteration performs exactly one lookup.
-        assert stats["hits"] + stats["misses"] == num_threads * iterations
+        # Every loop iteration completed its lookup.
+        assert len(lookups) == num_threads * iterations
         assert stats["size"] <= 8
         assert len(cache) == stats["size"]
 

@@ -218,4 +218,3 @@ class TestDatabase:
         db = Database()
         db.register(make())
         assert db.total_rows() == 10
-        assert db.total_bytes() > 0

@@ -93,7 +93,7 @@ class TestHarvest:
         registry.counter("queries").inc(3)
         registry.gauge("rate", address="r").set(0.5)
         registry.histogram("seconds").observe(0.1)
-        snap = json.loads(registry.to_json())
+        snap = json.loads(json.dumps(registry.snapshot()))
         assert snap["counter"]["queries"][0]["value"] == 3.0
         assert snap["gauge"]["rate"][0] == {"labels": {"address": "r"}, "value": 0.5}
         assert snap["histogram"]["seconds"][0]["count"] == 1

@@ -60,7 +60,7 @@ class TestWorkerSpansSurviveEveryBackend:
     def test_work_spans_adopted_under_attempts(self, tracer, mode):
         workers = None if mode == "inline" else DEGREE
         report = runtime(mode, workers).run(lambda spec: spec.partition * 10, DEGREE)
-        assert report.all_succeeded
+        assert not report.failed_partitions
 
         attempts = tracer.find("task.attempt")
         works = tracer.find("task.work")
@@ -90,7 +90,7 @@ class TestWorkerSpansSurviveEveryBackend:
 
         workers = None if mode == "inline" else DEGREE
         report = runtime(mode, workers).run(flaky, 2)
-        assert report.all_succeeded
+        assert not report.failed_partitions
         spans = sorted(
             attempts_by_partition(tracer)[1], key=lambda s: s.attributes["attempt"]
         )
@@ -107,7 +107,7 @@ class TestSpeculation:
             return (spec.partition, spec.attempt)
 
         report = runtime("thread", workers=5).run(slow_first_attempt, DEGREE)
-        assert report.all_succeeded
+        assert not report.failed_partitions
         assert report.outcomes[1].won_by_speculation
 
         spans = attempts_by_partition(tracer)[1]

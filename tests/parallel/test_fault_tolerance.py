@@ -299,7 +299,8 @@ class TestMetricsAndStats:
         assert timings["compile_seconds"] == compiled["sum"] > 0.0
         assert timings["execute_seconds"] == executed["sum"] > 0.0
         cache = timings["plan_cache"]
-        assert cache == executor.plan_cache.stats() and cache["size"] > 0
+        assert executor.plan_cache.stats() == {"size": cache["size"], "capacity": 128}
+        assert cache["size"] > 0
         assert cache["hits"] == registry.value("plan_cache.hits") > 0
         assert cache["misses"] == registry.value("plan_cache.misses") > 0
 
@@ -311,8 +312,9 @@ class TestMetricsAndStats:
         assert registry.total("parallel.queries") == registry.total("executor.queries") == 0
 
     def test_latency_percentiles_present(self, sales_db, uniform_query):
-        result = faulted_executor(sales_db, None).execute(uniform_query)
-        pct = result.parallel.task_latency_percentiles()
+        executor = faulted_executor(sales_db, None)
+        executor.execute(uniform_query)
+        pct = executor.timings()["fault_tolerance"]["task_latency_s"]
         assert set(pct) == {"p50", "p95", "max"}
         assert pct["p50"] <= pct["max"]
 

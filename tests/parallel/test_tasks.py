@@ -68,13 +68,13 @@ class TestRuntime:
 
     def test_all_succeed(self, mode):
         report = runtime(mode, workers=2).run(lambda spec: spec.partition * 10, 4)
-        assert report.all_succeeded
+        assert not report.failed_partitions
         assert report.payloads == [0, 10, 20, 30]
         assert report.total_retries == 0
 
     def test_retry_then_success(self, mode):
         report = runtime(mode, workers=2).run(_fail_even_first_attempt, 4)
-        assert report.all_succeeded
+        assert not report.failed_partitions
         assert report.payloads == [0, 1, 2, 3]
         assert report.total_retries == 2
         outcome = report.outcomes[2]
@@ -105,7 +105,7 @@ class TestRuntime:
                 raise ValueError("corrupt payload")
 
         report = runtime(mode, workers=2).run(lambda spec: spec.attempt, 2, validate=validate)
-        assert report.all_succeeded
+        assert not report.failed_partitions
         assert report.payloads == [1, 1]
         assert report.outcomes[0].attempts == 2
         assert report.outcomes[0].errors[0].kind == "validation"
@@ -117,7 +117,7 @@ class TestRuntime:
             return "ok"
 
         report = runtime(mode, workers=2).run(work, 2)
-        assert report.all_succeeded
+        assert not report.failed_partitions
         assert report.total_retries == 0
         for outcome in report.outcomes:
             assert outcome.attempts == 2
@@ -171,7 +171,7 @@ class TestConcurrentRuntime:
         start = time.perf_counter()
         report = runtime("thread", workers=5).run(slow_first_attempt, 4)
         elapsed = time.perf_counter() - start
-        assert report.all_succeeded
+        assert not report.failed_partitions
         assert report.speculative_launches >= 1
         assert report.outcomes[1].won_by_speculation
         assert report.payloads[1] == (1, 1)  # the duplicate's attempt won
@@ -189,7 +189,7 @@ class TestConcurrentRuntime:
             return spec.partition
 
         report = runtime("thread", workers=4, policy=policy).run(slow, 3)
-        assert report.all_succeeded
+        assert not report.failed_partitions
         assert report.speculative_launches == 0
 
 
@@ -199,7 +199,7 @@ class TestSingleWorkerShortCircuit:
         report = TaskRuntime(WorkerPool("process", 1), policy=FAST).run(
             lambda spec: pids.append(os.getpid()) or spec.partition, 2
         )
-        assert report.all_succeeded
+        assert not report.failed_partitions
         assert pids == [os.getpid()] * 2  # no fork happened
 
 
@@ -221,7 +221,7 @@ class TestPoolHardening:
             with pytest.raises(PlanError, match="re-entrant process-mode"):
                 runtime("process", workers=2).run(lambda spec: spec.partition, 2)
         # The refused run left the payload to its holder and the lock free.
-        assert runtime("process", workers=2).run(_fail_even_first_attempt, 2).all_succeeded
+        assert not runtime("process", workers=2).run(_fail_even_first_attempt, 2).failed_partitions
 
 
 # Module-level so the process pool's fork image can reach them; keyed on the

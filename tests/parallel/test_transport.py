@@ -227,7 +227,7 @@ class TestWorkerDeathReclamation:
                 reap(transport.result_segment_name(token, spec.partition, spec.attempt))
             ),
         )
-        assert report.all_succeeded
+        assert not report.failed_partitions
         # The dead attempt's orphan was scrubbed by the reap hook (or had
         # not hit shm yet); either way nothing survives the sweep.
         for outcome in report.outcomes:

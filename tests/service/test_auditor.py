@@ -101,7 +101,7 @@ class TestAudit:
         job = auditor._next_job()
         assert job is not None
         auditor._audit(job)
-        assert auditor.audits_completed == 1
+        assert auditor.summary()["completed"] == 1
         [row] = auditor.ledger.report()["calibration"]
         assert row["tenant"] == "ads" and row["rung"] == "quickr"
         assert row["sampler_kind"] not in ("", "unknown")
@@ -114,7 +114,7 @@ class TestAudit:
             approx = served_answer(tiny_tpcds, "q02")
             auditor.maybe_enqueue("q02", "quickr", "t", "quickr", approx)
             assert auditor.wait_drained(timeout=30.0)
-            assert auditor.audits_completed == 1
+            assert auditor.summary()["completed"] == 1
         finally:
             auditor.close()
 
@@ -148,12 +148,12 @@ class TestAudit:
         auditor.maybe_enqueue("q02", "quickr", "t", "quickr", approx)
         job = auditor._next_job()
         auditor._audit(job)  # attempt 1: preempted, requeued
-        assert auditor.backlog == 1 and auditor.audits_preempted == 1
+        assert auditor.backlog == 1 and auditor.summary()["preempted"] == 1
         job = auditor._next_job()
         auditor._audit(job)  # attempt 2: hits max_attempts, abandoned
         assert auditor.backlog == 0
         assert auditor.ledger.report()["audits_abandoned"] == 1
-        assert auditor.audits_completed == 0
+        assert auditor.summary()["completed"] == 0
 
     def test_idle_gate_waits_for_live_queue(self, tiny_tpcds):
         admission = FakeAdmission(depth=1)

@@ -255,7 +255,7 @@ class TestServiceIntegration:
             assert payload["degraded"]["rung"] == "quickr-coarse"
             assert payload["degraded"]["reason"] == "pressure"
             assert payload["stats"]["degraded"] is True
-            assert session.queries_degraded == 1
+            assert service.registry.total("service.governor.degraded_replies") == 1
             # Exact-mode queries have no sampler rungs below them here,
             # and q07's quickr plan has no uniform sampler: both undegraded.
             clean = service.execute(session, "q07", mode="quickr", timeout=60.0)
@@ -273,8 +273,7 @@ class TestServiceIntegration:
             # deadline: the first checkpoint after it must trip, typed.
             with pytest.raises(DeadlineExceeded):
                 service.execute(session, "slow", deadline_ms=50.0, timeout=30.0)
-            assert session.queries_cancelled == 1
-            assert session.queries_failed == 0
+            assert service.ledger.report()["slo"]["default"]["cancelled"] == 1
             assert service.registry.value(
                 "service.governor.cancelled", reason="deadline"
             ) == 1.0

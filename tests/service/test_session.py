@@ -20,8 +20,7 @@ class TestSessionManager:
         session = manager.open()
         manager.close(session.session_id)
         manager.close(session.session_id)
-        assert manager.live() == 0
-        assert manager.summary()["closed"] == 1
+        assert manager.live() == 0 and manager.get(session.session_id) is None
 
     def test_default_tenant(self):
         session = SessionManager().open()
@@ -51,9 +50,7 @@ class TestSessionManager:
             t.start()
         for t in threads:
             t.join()
-        assert manager.live() == 0
-        summary = manager.summary()
-        assert summary["opened"] == summary["closed"] == 800
+        assert manager.live() == 0 and manager.by_tenant() == {}
 
 
 class TestSession:
@@ -65,16 +62,3 @@ class TestSession:
         assert session.resolve_mode("quickr") == "quickr"
         assert session.resolve_deadline_ms(None) == 500
         assert session.resolve_deadline_ms(100) == 100
-
-    def test_counters_and_last_result(self):
-        session = SessionManager().open(tenant="a")
-        session.record_submitted()
-        session.record_served("abc123", 42, 0.5)
-        session.record_submitted()
-        session.record_rejected()
-        summary = session.summary()
-        assert summary["queries_submitted"] == 2
-        assert summary["queries_served"] == 1
-        assert summary["queries_rejected"] == 1
-        assert summary["last_result"]["digest"] == "abc123"
-        assert summary["last_result"]["num_rows"] == 42

@@ -1,11 +1,12 @@
 """Structural ratchet: debt the execution-pipeline refactor paid stays paid.
 
 AST-based, so it reads the source rather than importing it. Each limit may
-only tighten; only the two reachability rules have exception lists, each
-entry with its reason.
+only tighten; only the reachability rules and the tally rule have exception
+lists, each entry with its reason.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
@@ -512,3 +513,96 @@ def test_every_function_and_class_is_used_outside_the_tests():
         and isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
     )
     assert test_only == sorted(TEST_ONLY_ON_PURPOSE), f"used only by the tests: {test_only}"
+
+
+#: Methods only the tests call (or nothing in the repository does), kept on
+#: purpose; every other method's name must be read somewhere in the
+#: package, the benchmarks or the examples.
+METHODS_TEST_ONLY_ON_PURPOSE = {
+    "repro.obs.export._Handler.do_GET": "http.server calls it for each GET",
+    "repro.obs.export._Handler.log_message": "http.server calls it; routed to the debug log",
+    "repro.service.auditor.QueryAuditor.wait_drained": "documented test helper",
+    "repro.memory.arena.SegmentManager.release_all": "test fixtures release every segment",
+    "repro.stats.catalog.ColumnSummary.from_array": "the reference summary the catalog is held to",
+    "repro.stats.catalog.Catalog.collected_tables": "tests check statistics are built on demand",
+    "repro.engine.partitions.ResidentPartitions.resident_columns":
+        "tests check which columns a partition set has copied",
+}
+
+
+def _module_name(path):
+    return ".".join(path.relative_to(SRC.parent).with_suffix("").parts).removesuffix(".__init__")
+
+
+def _name_reads(tree):
+    """How often each name is read, as ``x.name`` or as a bare ``name``."""
+    return Counter(
+        node.attr if isinstance(node, ast.Attribute) else node.id
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Attribute, ast.Name))
+    )
+
+
+def test_every_method_is_used_outside_the_tests():
+    """The method-level twin of the rule above, with the same name-based
+    over-approximation: a method is used when its name is read anywhere in
+    the package, the benchmarks or the examples outside its own body. The
+    language calls the dunder methods."""
+    reads, methods = Counter(), []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        reads += _name_reads(tree)
+        methods += [
+            (f"{_module_name(path)}.{cls.name}.{item.name}", item)
+            for cls in ast.walk(tree)
+            if isinstance(cls, ast.ClassDef)
+            for item in cls.body
+            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not (item.name.startswith("__") and item.name.endswith("__"))
+        ]
+    repo = SRC.parents[1]
+    for path in [*(repo / "benchmarks").rglob("*.py"), *(repo / "examples").glob("*.py")]:
+        reads += _name_reads(ast.parse(path.read_text(encoding="utf-8")))
+    unused = sorted(
+        name for name, node in methods if reads[node.name] <= _name_reads(node)[node.name]
+    )
+    assert unused == sorted(METHODS_TEST_ONLY_ON_PURPOSE), f"methods only tests use: {unused}"
+
+
+#: ``self.<attr> +=`` / ``-=`` outside the metrics registry, by file and
+#: attribute: state that is not a cumulative metric. A count a report or
+#: the scrape shows lives in the registry, once.
+NOT_A_TALLY = {
+    "obs/trace.py:_next_id": "span id generator",
+    "obs/flight.py:_next_id": "query id generator",
+    "service/client.py:_next_id": "request id generator",
+    "service/admission.py:_queued_total": "the run queue's current depth, not a count",
+    "engine/physical.py:live_bytes": "one execution's live intermediate bytes",
+    "engine/partitions.py:nbytes": "the bytes one partition set holds",
+    "engine/governance.py:checks": "one query's checkpoint count",
+    "parallel/transport.py:pipe_bytes": "one run's bytes, copied into its ParallelMetrics",
+    "parallel/transport.py:shared_bytes": "one run's bytes, copied into its ParallelMetrics",
+    "service/auditor.py:_served_approx": "the draw index that picks which answers to audit",
+    "obs/flight.py:dumped": "postmortem bundles on disk; the registry does not hold it",
+    "obs/export.py:lines_written": "telemetry lines written; the registry does not hold it",
+}
+
+
+def test_no_tally_beside_the_registry():
+    """The metrics registry is the one cumulative store: a second
+    ``self.hits += 1`` beside it is a second number that can disagree with
+    the scrape after a harvest or past the label cap."""
+    found = set()
+    for path in sorted(SRC.rglob("*.py")):
+        relative = path.relative_to(SRC).as_posix()
+        if relative == "obs/registry.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (
+                isinstance(node, ast.AugAssign)
+                and isinstance(node.op, (ast.Add, ast.Sub))
+                and isinstance(node.target, ast.Attribute)
+                and getattr(node.target.value, "id", None) == "self"
+            ):
+                found.add(f"{relative}:{node.target.attr}")
+    assert sorted(found) == sorted(NOT_A_TALLY), f"tallies beside the registry: {sorted(found)}"
