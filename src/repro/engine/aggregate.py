@@ -53,7 +53,9 @@ __all__ = [
     "Z_95",
     "Estimation",
     "PartialAggregate",
+    "key_columns",
     "partial_aggregate",
+    "repeated",
     "merge_partials",
     "merged_groups",
     "finalize_partial",
@@ -227,13 +229,46 @@ def _product(*factors: Optional[np.ndarray]) -> Optional[np.ndarray]:
     return product
 
 
+def key_columns(
+    group_by: Sequence[str], aggs: Sequence[AggSpec], how: Estimation = Estimation()
+) -> Optional[Tuple[str, ...]]:
+    """The columns an aggregate tells rows apart by: its group columns, the
+    columns its COUNT DISTINCTs count and the universe columns its variance
+    groups on (those its input carries). ``None`` when a COUNT DISTINCT
+    counts a computed value, which only its own rows know."""
+    names = list(group_by)
+    for agg in aggs:
+        if agg.kind is AggKind.COUNT_DISTINCT:
+            if not isinstance(agg.expr, Col):
+                return None
+            names.append(agg.expr.name)
+    if how.universe_variance is not None:
+        names += how.universe_variance[0]
+    return tuple(dict.fromkeys(names))
+
+
+def repeated(values: np.ndarray, counts: Optional[np.ndarray]) -> np.ndarray:
+    """Each value ``counts`` times (``None``: once), in order."""
+    return values if counts is None else np.repeat(values, counts)
+
+
 def partial_aggregate(
     table: Table,
     group_by: Sequence[str],
     aggs: Sequence[AggSpec],
     how: Estimation = Estimation(),
+    probe: Optional[Tuple[Table, Optional[np.ndarray]]] = None,
 ) -> PartialAggregate:
-    """Reduce one input's rows to mergeable per-group state."""
+    """Reduce one input's rows to mergeable per-group state.
+
+    ``probe`` is given when ``table`` is an inner join's output left
+    unbuilt (:class:`~repro.engine.operators.JoinedRows`): ``(rows,
+    counts)``, a table of the probe rows that match holding the
+    :func:`key_columns`, and how many output rows each one is (``None``:
+    one). Group codes and pairs are found on those rows and repeated;
+    measures and weights are still read per output row, so every sum adds
+    the same values in the same order as over the built table."""
+    keyed, counts = probe if probe is not None else (table, None)
     weighted = table.has_weights()
     # Unweighted rows weigh 1: their sums skip the product.
     weights = table.weights() if weighted else None
@@ -244,14 +279,14 @@ def partial_aggregate(
     if group_by:
         # Grouped on codes, where coded; only the groups' first rows decode.
         codes, first_index, num_groups = first_appearance_codes(
-            [table.key_column(k) for k in group_by]
+            [keyed.key_column(k) for k in group_by]
         )
-        keys = {k: table.column(k, first_index) for k in group_by}
+        keys = {k: keyed.column(k, first_index) for k in group_by}
     else:
-        codes = np.zeros(table.num_rows, dtype=np.int64)
+        codes = np.zeros(keyed.num_rows, dtype=np.int64)
         num_groups = 1  # scalar aggregates always emit one group
         keys = {}
-    groups = _Groups(codes, num_groups)
+    groups = _Groups(repeated(codes, counts), num_groups)
     state = PartialAggregate(tuple(group_by), weighted, table.num_rows, num_groups, keys)
     comps = state.comps
 
@@ -260,9 +295,9 @@ def partial_aggregate(
         present = [c for c in how.universe_variance[0] if table.has_column(c)]
         if present:
             state.universe_pairs, pair_codes, num_pairs = _distinct_pairs(
-                codes, [table.key_column(c) for c in present], table, present, per_row=True
+                codes, [keyed.key_column(c) for c in present], keyed, present, per_row=True
             )
-            universe = _Groups(pair_codes, num_pairs)
+            universe = _Groups(repeated(pair_codes, counts), num_pairs)
 
     for agg in aggs:
         alias = agg.alias
@@ -291,8 +326,8 @@ def partial_aggregate(
             comps[(alias, tag)] = groups.reduce(tag, values)
         elif agg.kind is AggKind.COUNT_DISTINCT:
             names = [agg.expr.name] if isinstance(agg.expr, Col) else []
-            values = [table.key_column(n) for n in names] or [np.asarray(agg.expr.evaluate(table))]
-            state.distinct[alias] = _distinct_pairs(codes, values, table, names)[0]
+            values = [keyed.key_column(n) for n in names] or [np.asarray(agg.expr.evaluate(keyed))]
+            state.distinct[alias] = _distinct_pairs(codes, values, keyed, names)[0]
         else:
             raise PlanError(f"unknown aggregate kind {agg.kind}")
     return state

@@ -12,7 +12,7 @@ confidence-interval column computed in the same pass.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -23,7 +23,9 @@ from repro.engine.aggregate import (
     Z_95,
     Estimation,
     finalize_partial,
+    key_columns,
     partial_aggregate,
+    repeated,
 )
 from repro.engine.keys import dense_span, pack_keys, same_dictionary, stable_argsort
 from repro.engine.table import WEIGHT_COLUMN, Table
@@ -33,6 +35,8 @@ __all__ = [
     "execute_select",
     "execute_project",
     "execute_join",
+    "execute_join_unbuilt",
+    "JoinedRows",
     "execute_aggregate",
     "execute_orderby",
     "execute_limit",
@@ -95,25 +99,53 @@ def _join_keys(
     return key[:n_left], key[n_left:], span
 
 
-def _match_pairs(
-    left_key: np.ndarray, right_key: np.ndarray, span: int
-) -> Tuple[np.ndarray, np.ndarray]:
-    """All (left_index, right_index) pairs with equal keys (many-to-many),
-    in left-row order and, per left row, right-row order.
+class _Matches(NamedTuple):
+    """Which build (right) rows each probe (left) row matches.
+
+    ``rows`` are the probe rows with a match, ascending; ``counts`` how
+    many each has (``None``: exactly one); ``starts`` where each one's
+    matches begin in ``order``, the build rows sorted by key (``None``: the
+    build rows as they are)."""
+
+    rows: np.ndarray
+    counts: Optional[np.ndarray]
+    starts: np.ndarray
+    order: Optional[np.ndarray]
+
+    def num_pairs(self) -> int:
+        return len(self.rows) if self.counts is None else int(self.counts.sum())
+
+    def probe_index(self) -> np.ndarray:
+        """The probe row of each match, in output order."""
+        return self.rows if self.counts is None else np.repeat(self.rows, self.counts)
+
+    def build_index(self) -> np.ndarray:
+        """The build row of each match, in output order: per probe row, in
+        build-row order."""
+        if self.counts is None:
+            return self.starts if self.order is None else self.order[self.starts]
+        # Match j of probe row i is at starts[i] + (j - first output row of
+        # i), the first output row of i being ends[i] - counts[i].
+        ends = np.cumsum(self.counts)
+        within = np.repeat(self.starts - ends + self.counts, self.counts)
+        return self.order[within + np.arange(len(within))]
+
+
+def _probe(left_key: np.ndarray, right_key: np.ndarray, span: int) -> _Matches:
+    """The matches of every left key among the right keys (many-to-many).
 
     A right (build) side whose keys are unique, as a dimension's are, is
     probed without expanding runs: on a dense span through a span-sized
     table of right positions, on a sparse one by one ``searchsorted`` into
-    its sorted keys. Only duplicate build keys pay for the stable sort and
-    the per-match ``repeat``."""
+    its sorted keys. Only duplicate build keys pay for the stable sort."""
     if dense_span(span, len(left_key) + len(right_key)):
         per_key = np.bincount(right_key, minlength=span)
         if per_key.max(initial=0) <= 1:
             hit = np.full(span, -1, dtype=np.intp)
             hit[right_key] = np.arange(len(right_key))
             hit = hit[left_key]
-            left_idx = np.flatnonzero(hit >= 0)
-            return left_idx, hit[left_idx]
+            rows = np.flatnonzero(hit >= 0)
+            return _Matches(rows, None, hit[rows], None)
         order = stable_argsort(right_key)
         lo = (np.cumsum(per_key) - per_key)[left_key]
         counts = per_key[left_key]
@@ -122,16 +154,21 @@ def _match_pairs(
         sorted_right = right_key[order]
         if len(sorted_right) and not (sorted_right[1:] == sorted_right[:-1]).any():
             at = np.searchsorted(sorted_right, left_key)
-            left_idx = np.flatnonzero(sorted_right[np.minimum(at, len(order) - 1)] == left_key)
-            return left_idx, order[at[left_idx]]
+            rows = np.flatnonzero(sorted_right[np.minimum(at, len(order) - 1)] == left_key)
+            return _Matches(rows, None, at[rows], order)
         lo = np.searchsorted(sorted_right, left_key, side="left")
         counts = np.searchsorted(sorted_right, left_key, side="right") - lo
-    left_idx = np.repeat(np.arange(len(left_key)), counts)
-    # Match j of left row i is right position lo[i] + (j - first output
-    # row of i), the first output row of i being ends[i] - counts[i].
-    ends = np.cumsum(counts)
-    right_idx = order[np.repeat(lo - ends + counts, counts) + np.arange(len(left_idx))]
-    return left_idx, right_idx
+    rows = np.flatnonzero(counts)
+    return _Matches(rows, counts[rows], lo[rows], order)
+
+
+def _match_pairs(
+    left_key: np.ndarray, right_key: np.ndarray, span: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """All (left_index, right_index) pairs with equal keys, in left-row
+    order and, per left row, right-row order."""
+    matches = _probe(left_key, right_key, span)
+    return matches.probe_index(), matches.build_index()
 
 
 def _padded(values: np.ndarray, fill_rows: int, fill=None) -> np.ndarray:
@@ -146,6 +183,20 @@ def _padded(values: np.ndarray, fill_rows: int, fill=None) -> np.ndarray:
         else:
             values, fill = values.astype(np.float64), np.nan
     return np.concatenate([values, np.full(fill_rows, fill, dtype=values.dtype)])
+
+
+def _lineage_names(left: Table, right: Table) -> Tuple[str, ...]:
+    """The lineage columns a join's output carries: an output row's
+    identity is the pair of its input rows' identities. Names are disjoint
+    by construction (one per scan)."""
+    left_lineage, right_lineage = left.lineage_column_names(), right.lineage_column_names()
+    clash = set(left_lineage) & set(right_lineage)
+    if clash:
+        raise SchemaError(
+            f"join inputs share lineage columns {sorted(clash)}; a scan node "
+            "appears on both sides of the join"
+        )
+    return left_lineage + right_lineage
 
 
 def execute_join(
@@ -165,7 +216,19 @@ def execute_join(
     """
     if how not in ("inner", "left", "right"):
         raise PlanError(f"unsupported join type {how!r}")
-    left_idx, right_idx = _match_pairs(*_join_keys(left, right, left_keys, right_keys))
+    pairs = _match_pairs(*_join_keys(left, right, left_keys, right_keys))
+    return _joined_table(left, right, *pairs, how, columns)
+
+
+def _joined_table(
+    left: Table,
+    right: Table,
+    left_idx: np.ndarray,
+    right_idx: np.ndarray,
+    how: str,
+    columns: Optional[Sequence[str]],
+) -> Table:
+    """:func:`execute_join`'s output from its matched (left, right) pairs."""
     # Outer joins append the outer side's unmatched rows; the inner side's
     # columns are padded with fill values for them.
     left_fill = right_fill = 0
@@ -196,16 +259,7 @@ def execute_join(
         columns = left.data_column_names() + right.data_column_names()
     out: Dict[str, np.ndarray] = {name: gather(name) for name in columns}
 
-    # Lineage rides along: an output row's identity is the pair of its input
-    # rows' identities. Names are disjoint by construction (one per scan).
-    left_lineage, right_lineage = left.lineage_column_names(), right.lineage_column_names()
-    clash = set(left_lineage) & set(right_lineage)
-    if clash:
-        raise SchemaError(
-            f"join inputs share lineage columns {sorted(clash)}; a scan node "
-            "appears on both sides of the join"
-        )
-    for name in left_lineage + right_lineage:
+    for name in _lineage_names(left, right):
         # Unmatched rows have no partner; -1 marks the absent lineage.
         out[name] = gather(name, fill=-1)
 
@@ -215,6 +269,132 @@ def execute_join(
         rw = _padded(right.weights()[right_idx], right_fill, 1.0) if right.has_weights() else 1.0
         out[WEIGHT_COLUMN] = np.asarray(lw * rw, dtype=np.float64)
     return Table(f"{left.name}_join_{right.name}", out, dictionaries)
+
+
+def _self_equal(values: np.ndarray) -> bool:
+    """Whether every value equals itself: no float NaN, and not an object
+    column, whose values cannot be told apart from NaN cheaply."""
+    kind = values.dtype.kind
+    return kind in "biuUS" or (kind == "f" and not np.isnan(values).any())
+
+
+class JoinedRows:
+    """An inner join's output left unbuilt, for the aggregate right above
+    the join to read (DESIGN §18).
+
+    Its rows are the join's, in the join's order: the probe (left) rows
+    that match, each repeated by its match count. A column is made when
+    first read, with the bits :func:`execute_join` would have gathered: a
+    probe column by repeating its matched rows, a build column by a gather
+    whose build indices are computed on the first such read. Row count,
+    dictionaries and :meth:`estimated_bytes` are those of the table the
+    join would have built, so a run records and charges it as that table.
+    """
+
+    def __init__(self, left: Table, right: Table, matches: _Matches, columns: Sequence[str]):
+        self.name = f"{left.name}_join_{right.name}"
+        self.num_rows = matches.num_pairs()
+        self._left, self._right, self._matches = left, right, matches
+        self._carried = set(columns).union(_lineage_names(left, right))
+        self._build_index: Optional[np.ndarray] = None
+        #: Columns made so far, per output row and per matched probe row.
+        self._made: Dict[str, np.ndarray] = {}
+        self._matched: Dict[str, np.ndarray] = {}
+
+    def _side(self, name: str) -> Table:
+        return self._left if self._left.has_column(name) else self._right
+
+    def _probe_column(self, name: str) -> np.ndarray:
+        """A probe column's values on the probe rows that match."""
+        if name not in self._matched:
+            self._matched[name] = self._left.key_column(name)[self._matches.rows]
+        return self._matched[name]
+
+    def _build_rows(self) -> np.ndarray:
+        if self._build_index is None:
+            self._build_index = self._matches.build_index()
+        return self._build_index
+
+    def has_column(self, name: str) -> bool:
+        return name in self._carried
+
+    def has_weights(self) -> bool:
+        return self._left.has_weights() or self._right.has_weights()
+
+    def dictionary(self, name: str) -> Optional[np.ndarray]:
+        return self._side(name).dictionary(name) if name in self._carried else None
+
+    def dictionaries(self) -> Dict[str, np.ndarray]:
+        coded = {name: self.dictionary(name) for name in self._carried}
+        return {name: values for name, values in coded.items() if values is not None}
+
+    def key_column(self, name: str) -> np.ndarray:
+        if name not in self._made:
+            if name not in self._carried:
+                raise SchemaError(f"table {self.name!r} has no column {name!r}")
+            if self._left.has_column(name):
+                values = repeated(self._probe_column(name), self._matches.counts)
+            else:
+                values = self._right.key_column(name)[self._build_rows()]
+            self._made[name] = values
+        return self._made[name]
+
+    def column(self, name: str, rows: Optional[np.ndarray] = None) -> np.ndarray:
+        values = self.key_column(name)
+        if rows is not None:
+            values = values[rows]
+        dictionary = self.dictionary(name)
+        return values if dictionary is None else dictionary[values]
+
+    def weights(self) -> np.ndarray:
+        """The join's weight column: the two sides' weights multiplied, a
+        side without weights counting as 1."""
+        if not self.has_weights():
+            return np.ones(self.num_rows)
+        left, right = self._left, self._right
+        lw = rw = 1.0
+        if left.has_weights():
+            lw = repeated(left.weights()[self._matches.rows], self._matches.counts)
+        if right.has_weights():
+            rw = right.weights()[self._build_rows()]
+        return np.asarray(lw * rw, dtype=np.float64)
+
+    def estimated_bytes(self) -> int:
+        """What the built table's :meth:`Table.estimated_bytes` would be."""
+        width = sum(self._side(name).key_column(name).dtype.itemsize for name in self._carried)
+        return self.num_rows * (width + (8 if self.has_weights() else 0))
+
+    def probe_rows(self, names: Sequence[str]):
+        """``(rows, counts)`` for :func:`~repro.engine.aggregate.partial_aggregate`:
+        a table of the named columns this carries over the probe rows that
+        match, and each one's match count. ``None`` when there is nothing
+        to key on, or a named column is a build column or holds a value
+        unequal to itself: each repeat of a NaN is a group of its own."""
+        names = [name for name in names if name in self._carried]
+        if not names or not all(self._left.has_column(name) for name in names):
+            return None
+        columns = {name: self._probe_column(name) for name in names}
+        if not all(map(_self_equal, columns.values())):
+            return None
+        return Table(self.name, columns, self._left.dictionaries()), self._matches.counts
+
+
+def execute_join_unbuilt(
+    left: Table,
+    right: Table,
+    left_keys: Sequence[str],
+    right_keys: Sequence[str],
+    columns: Sequence[str],
+) -> Union[Table, JoinedRows]:
+    """:func:`execute_join` (inner) for an aggregate to read. When some
+    probe row matches more than once, the output is left unbuilt. When none
+    does, there is no fan-out to save: the output is the matched probe
+    rows, and the aggregate reads every column of it, so it is built."""
+    matches = _probe(*_join_keys(left, right, left_keys, right_keys))
+    if matches.num_pairs() == len(matches.rows):
+        pairs = matches.probe_index(), matches.build_index()
+        return _joined_table(left, right, *pairs, "inner", columns)
+    return JoinedRows(left, right, matches, columns)
 
 
 def execute_aggregate(
@@ -227,9 +407,14 @@ def execute_aggregate(
 ) -> Table:
     """Grouped aggregation with Horvitz-Thompson estimation: the one-input
     case of :mod:`repro.engine.aggregate`, which documents the estimators
-    and the three annotations (:class:`~repro.engine.aggregate.Estimation`)."""
+    and the three annotations (:class:`~repro.engine.aggregate.Estimation`).
+    ``table`` may be a :class:`JoinedRows`: groups and pairs are then
+    found on its probe rows."""
     how = Estimation(compute_ci, universe_rescale, universe_variance)
-    state = partial_aggregate(table, group_by, aggs, how)
+    probe, names = None, key_columns(group_by, aggs, how)
+    if isinstance(table, JoinedRows) and names is not None:
+        probe = table.probe_rows(names)
+    state = partial_aggregate(table, group_by, aggs, how, probe)
     return finalize_partial(state, aggs, how, name=f"{table.name}_agg")
 
 

@@ -41,7 +41,9 @@ import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Hashable, Iterable, List, NamedTuple, Optional, Tuple
+from typing import (
+    Any, Callable, Dict, FrozenSet, Hashable, Iterable, List, NamedTuple, Optional, Tuple,
+)
 
 import numpy as np
 
@@ -59,7 +61,7 @@ from repro.algebra.logical import (
     UnionAll,
 )
 from repro.engine import operators
-from repro.engine.aggregate import Estimation
+from repro.engine.aggregate import Estimation, key_columns
 from repro.engine.table import ROWID_PREFIX, Database, Table, rowid_column_name
 from repro.errors import PlanError, TaskCancelled
 
@@ -182,6 +184,10 @@ class PhysicalPlan:
     #: predecessor. Detected at compile time; executed morsel-wise at run
     #: time when the chain input is large enough.
     morsel_chains: Dict[int, Tuple[int, ...]] = field(default_factory=dict)
+    #: Inner joins whose reader, an aggregate, tells rows apart by probe-side
+    #: columns only: they run unbuilt (:func:`_find_unbuilt_joins`) unless
+    #: an override lands at or below them.
+    unbuilt_joins: FrozenSet[int] = frozenset()
 
     @property
     def num_operators(self) -> int:
@@ -254,7 +260,7 @@ class PhysicalPlan:
                 rows_in = database.table(op.node.table).num_rows
             else:
                 rows_in = sum(t.num_rows for t in inputs)
-            table = self._dispatch(op, inputs, database)
+            table = self._dispatch(op, inputs, database, run)
         # Each slot feeds exactly one parent; release inputs eagerly so
         # peak memory tracks the live frontier, not the whole plan.
         for slot in op.child_slots:
@@ -316,7 +322,7 @@ class PhysicalPlan:
             for i, op in enumerate(members):
                 started = time.perf_counter() if run.observe else 0.0
                 rows_in[i] += table.num_rows
-                table = self._dispatch(op, [table], database)
+                table = self._dispatch(op, [table], database, run)
                 rows_out[i] += table.num_rows
                 if run.observe:
                     seconds[i] += time.perf_counter() - started
@@ -330,7 +336,9 @@ class PhysicalPlan:
             run.record(op, rows_in[i], rows_out[i], seconds[i], morsels=num_morsels)
 
     # -- operator dispatch ----------------------------------------------------
-    def _dispatch(self, op: PhysicalOp, inputs: List[Table], database: Database) -> Table:
+    def _dispatch(
+        self, op: PhysicalOp, inputs: List[Table], database: Database, run: "_RunState"
+    ) -> Table:
         node = op.node
         if op.opcode == "scan":
             out = database.table(node.table).project(op.columns)
@@ -346,6 +354,10 @@ class PhysicalPlan:
                 inputs[0], {name: node.mapping[name] for name in op.columns}
             )
         if op.opcode == "join":
+            if op.index in self.unbuilt_joins and not run.overridden_within(op):
+                return operators.execute_join_unbuilt(
+                    inputs[0], inputs[1], node.left_keys, node.right_keys, op.columns
+                )
             return operators.execute_join(
                 inputs[0], inputs[1], node.left_keys, node.right_keys, node.how, op.columns
             )
@@ -380,12 +392,14 @@ class _RunState:
         ops = plan.ops
         self.overrides = overrides
         self.skipped = bytearray(len(ops))
+        self.override_roots: List[int] = []
         for address in overrides or ():
             root = plan.address_to_index.get(address)
             if root is None:
                 raise PlanError(
                     f"override address {format_address(address)} is not in this plan"
                 )
+            self.override_roots.append(root)
             for i in range(ops[root].subtree_start, root):
                 self.skipped[i] = 1
         self.slots: List[Optional[Table]] = [None] * len(ops)
@@ -398,6 +412,10 @@ class _RunState:
         self.governance = governance
         self.slot_bytes: List[int] = [0] * len(ops) if governance is not None else []
         self.live_bytes = 0
+
+    def overridden_within(self, op: PhysicalOp) -> bool:
+        """Whether an override lands at ``op`` or anywhere below it."""
+        return any(op.subtree_start <= root <= op.index for root in self.override_roots)
 
     def checkpoint(self, op: PhysicalOp, morsel: Optional[int] = None, extra_bytes: int = 0):
         """The cooperative boundary before ``op`` (or before one morsel of
@@ -686,6 +704,7 @@ def compile_plan(
         scan_ordinals=scan_ordinals,
         attach_rowids=attach_rowids,
         morsel_chains=_find_morsel_chains(ops),
+        unbuilt_joins=_find_unbuilt_joins(ops),
     )
 
 
@@ -706,6 +725,29 @@ def _find_morsel_chains(ops: List[PhysicalOp]) -> Dict[int, Tuple[int, ...]]:
             else:
                 runs.append([op.index])
     return {run[0]: tuple(run) for run in runs if len(run) >= 2}
+
+
+def _find_unbuilt_joins(ops: List[PhysicalOp]) -> FrozenSet[int]:
+    """Inner joins an aggregate reads whose output need not be built.
+
+    An aggregate tells rows apart by its :func:`~repro.engine.aggregate.key_columns`;
+    when the join carries none of them from its build side, groups and
+    pairs are found on the probe rows and the join's fan-out is a repeat
+    count per probe row (DESIGN §18). Outer joins, whose fill rows no
+    probe row stands for, and build-side keys keep the built join.
+    """
+    unbuilt = set()
+    for op in ops:
+        if op.opcode != "aggregate" or ops[op.index - 1].opcode != "join":
+            continue
+        join = ops[op.index - 1]
+        names = key_columns(op.node.group_by, op.node.aggs, op.estimation)
+        if join.node.how != "inner" or names is None:
+            continue
+        probe = set(join.node.left.output_columns())
+        if all(name in probe for name in names if name in join.columns):
+            unbuilt.add(join.index)
+    return frozenset(unbuilt)
 
 
 @dataclass

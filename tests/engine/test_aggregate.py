@@ -187,8 +187,9 @@ class TestSums:
 
 class TestFig1ExactAggregate:
     """The paper's Fig. 1 query (q12) exact at scale 0.05: its aggregate
-    finds first rows within two prefixes, builds no weight vector for its
-    unweighted input and reads its COUNT DISTINCT pairs off the dense key."""
+    reads the top join unbuilt, finds first rows within two prefixes,
+    builds no weight vector for its unweighted input and reads its COUNT
+    DISTINCT pairs off the dense key."""
 
     def test_paths(self, monkeypatch):
         from repro.engine.executor import Executor
@@ -200,8 +201,9 @@ class TestFig1ExactAggregate:
         counter, seen = ScatterCounter(), collections.Counter()
         monkeypatch.setattr(keys, "np", counter)
         monkeypatch.setattr(aggregate, "np", counter)
-        inputs, weights_built = [], []
+        inputs, weights_built, tables_built = [], [], []
         real_partial, real_dense = aggregate.partial_aggregate, aggregate._dense_pair_key
+        real_init = Table.__init__
 
         def partial(table, *args, **kwargs):
             inputs.append((table.num_rows, table.has_weights()))
@@ -216,14 +218,20 @@ class TestFig1ExactAggregate:
             weights_built.append(self.num_rows)
             return np.ones(self.num_rows)
 
+        def init(self, *args, **kwargs):
+            real_init(self, *args, **kwargs)
+            tables_built.append(self.num_rows)
+
         import repro.engine.operators as operators
         monkeypatch.setattr(operators, "partial_aggregate", partial)
         monkeypatch.setattr(aggregate, "_dense_pair_key", dense)
         monkeypatch.setattr(Table, "weights", weights)
-        Executor(database).execute(plan)
+        monkeypatch.setattr(Table, "__init__", init)
+        result = Executor(database).execute(plan)
 
         [(rows, weighted)] = inputs
-        assert rows > 100_000 and not weighted
+        assert rows == result.cardinalities[(0,)] > 100_000 and not weighted
+        assert max(tables_built) < rows  # the join's output is never built
         assert 0 < sum(counter.rows) <= 2 * FIRST_ROW_PREFIX
         assert rows not in weights_built
         assert seen == {"decoded": 1}
