@@ -12,7 +12,7 @@ confidence-interval column computed in the same pass.
 
 from __future__ import annotations
 
-from typing import Dict, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -28,7 +28,7 @@ from repro.engine.aggregate import (
     repeated,
 )
 from repro.engine.keys import dense_span, pack_keys, same_dictionary, stable_argsort
-from repro.engine.table import WEIGHT_COLUMN, Table
+from repro.engine.table import ROWID_PREFIX, WEIGHT_COLUMN, Table
 from repro.errors import PlanError, SchemaError
 
 __all__ = [
@@ -37,6 +37,9 @@ __all__ = [
     "execute_join",
     "execute_join_unbuilt",
     "JoinedRows",
+    "JoinParts",
+    "MATCH_COLUMN",
+    "segment_rows",
     "execute_aggregate",
     "execute_orderby",
     "execute_limit",
@@ -124,11 +127,18 @@ class _Matches(NamedTuple):
         build-row order."""
         if self.counts is None:
             return self.starts if self.order is None else self.order[self.starts]
-        # Match j of probe row i is at starts[i] + (j - first output row of
-        # i), the first output row of i being ends[i] - counts[i].
-        ends = np.cumsum(self.counts)
-        within = np.repeat(self.starts - ends + self.counts, self.counts)
-        return self.order[within + np.arange(len(within))]
+        return self.order[segment_rows(self.starts, self.counts)]
+
+
+def segment_rows(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Rows ``starts[i]`` to ``starts[i] + counts[i] - 1`` for each ``i``,
+    one segment after another."""
+    # Row j of segment i is starts[i] + (j - first output row of i), the
+    # first output row of i being ends[i] - counts[i].
+    ends = np.cumsum(counts)
+    within = np.repeat(starts - ends + counts, counts)
+    within += np.arange(len(within))
+    return within
 
 
 def _probe(left_key: np.ndarray, right_key: np.ndarray, span: int) -> _Matches:
@@ -278,51 +288,107 @@ def _self_equal(values: np.ndarray) -> bool:
     return kind in "biuUS" or (kind == "f" and not np.isnan(values).any())
 
 
+#: Reserved column of a :class:`JoinParts` probe table: how many output
+#: rows each probe row is.
+MATCH_COLUMN = "__matches__"
+
+
+class JoinParts(NamedTuple):
+    """An unbuilt inner join's output as two plain tables, for a partition
+    to ship and the parallel merge to order (DESIGN §7).
+
+    ``probe`` holds the probe rows that match: the probe columns the join
+    carries, lineage included, their weight and each one's match count
+    (:data:`MATCH_COLUMN`). ``build`` holds one row per match, in output
+    order: the build columns the join carries bar lineage, and the build
+    weight; ``None`` when it would hold no column."""
+
+    probe: Table
+    build: Optional[Table]
+
+
+class _Picked:
+    """The rows of ``table`` at ``pick()`` (no ``pick``: all of them, as
+    they are), a column at a time as read; ``pick`` runs on the first read."""
+
+    def __init__(self, table: Table, pick: Optional[Callable[[], np.ndarray]] = None):
+        self.table = table
+        self._pick = pick
+        self._rows: Optional[np.ndarray] = None
+        self._made: Dict[str, np.ndarray] = {}
+
+    def _take(self, values: np.ndarray) -> np.ndarray:
+        if self._pick is None:
+            return values
+        if self._rows is None:
+            self._rows = self._pick()
+        return values[self._rows]
+
+    def key_column(self, name: str) -> np.ndarray:
+        if name not in self._made:
+            self._made[name] = self._take(self.table.key_column(name))
+        return self._made[name]
+
+    def weights(self) -> np.ndarray:
+        return self._take(self.table.weights())
+
+
 class JoinedRows:
     """An inner join's output left unbuilt, for the aggregate right above
     the join to read (DESIGN §18).
 
     Its rows are the join's, in the join's order: the probe (left) rows
-    that match, each repeated by its match count. A column is made when
-    first read, with the bits :func:`execute_join` would have gathered: a
-    probe column by repeating its matched rows, a build column by a gather
-    whose build indices are computed on the first such read. Row count,
-    dictionaries and :meth:`estimated_bytes` are those of the table the
-    join would have built, so a run records and charges it as that table.
+    that match, each repeated by its match count, beside their matches'
+    build (right) rows. A column is made when first read, with the bits
+    :func:`execute_join` would have gathered: a probe column by repeating
+    its matched rows, a build column by a gather whose build indices are
+    computed on the first such read. Row count, dictionaries and
+    :meth:`estimated_bytes` are those of the table the join would have
+    built, so a run records and charges it as that table.
+
+    :func:`execute_join_unbuilt` makes one over the join's inputs;
+    :meth:`from_parts` over matches already picked (:class:`JoinParts`).
     """
 
-    def __init__(self, left: Table, right: Table, matches: _Matches, columns: Sequence[str]):
-        self.name = f"{left.name}_join_{right.name}"
-        self.num_rows = matches.num_pairs()
-        self._left, self._right, self._matches = left, right, matches
-        self._carried = set(columns).union(_lineage_names(left, right))
-        self._build_index: Optional[np.ndarray] = None
-        #: Columns made so far, per output row and per matched probe row.
+    def __init__(
+        self,
+        name: str,
+        probe: _Picked,
+        counts: np.ndarray,
+        build: Optional[_Picked],
+        carried: Sequence[str],
+    ):
+        self.name = name
+        self.num_rows = int(counts.sum())
+        self.num_probe_rows = len(counts)
+        self._probe, self._counts, self._build = probe, counts, build
+        self._carried = tuple(carried)
+        #: Columns made so far, per output row.
         self._made: Dict[str, np.ndarray] = {}
-        self._matched: Dict[str, np.ndarray] = {}
 
-    def _side(self, name: str) -> Table:
-        return self._left if self._left.has_column(name) else self._right
+    @classmethod
+    def from_parts(cls, parts: JoinParts, columns: Sequence[str]) -> "JoinedRows":
+        """The join whose matches ``parts`` holds, carrying ``columns``."""
+        probe, build = parts
+        counts = probe.key_column(MATCH_COLUMN)
+        return cls(
+            probe.name, _Picked(probe), counts, None if build is None else _Picked(build), columns
+        )
 
-    def _probe_column(self, name: str) -> np.ndarray:
-        """A probe column's values on the probe rows that match."""
-        if name not in self._matched:
-            self._matched[name] = self._left.key_column(name)[self._matches.rows]
-        return self._matched[name]
+    def _sides(self) -> Tuple[_Picked, ...]:
+        return (self._probe,) if self._build is None else (self._probe, self._build)
 
-    def _build_rows(self) -> np.ndarray:
-        if self._build_index is None:
-            self._build_index = self._matches.build_index()
-        return self._build_index
+    def _side(self, name: str) -> _Picked:
+        return self._probe if self._probe.table.has_column(name) else self._build
 
     def has_column(self, name: str) -> bool:
         return name in self._carried
 
     def has_weights(self) -> bool:
-        return self._left.has_weights() or self._right.has_weights()
+        return any(side.table.has_weights() for side in self._sides())
 
     def dictionary(self, name: str) -> Optional[np.ndarray]:
-        return self._side(name).dictionary(name) if name in self._carried else None
+        return self._side(name).table.dictionary(name) if name in self._carried else None
 
     def dictionaries(self) -> Dict[str, np.ndarray]:
         coded = {name: self.dictionary(name) for name in self._carried}
@@ -332,11 +398,9 @@ class JoinedRows:
         if name not in self._made:
             if name not in self._carried:
                 raise SchemaError(f"table {self.name!r} has no column {name!r}")
-            if self._left.has_column(name):
-                values = repeated(self._probe_column(name), self._matches.counts)
-            else:
-                values = self._right.key_column(name)[self._build_rows()]
-            self._made[name] = values
+            side = self._side(name)
+            values = side.key_column(name)
+            self._made[name] = repeated(values, self._counts) if side is self._probe else values
         return self._made[name]
 
     def column(self, name: str, rows: Optional[np.ndarray] = None) -> np.ndarray:
@@ -351,18 +415,24 @@ class JoinedRows:
         side without weights counting as 1."""
         if not self.has_weights():
             return np.ones(self.num_rows)
-        left, right = self._left, self._right
         lw = rw = 1.0
-        if left.has_weights():
-            lw = repeated(left.weights()[self._matches.rows], self._matches.counts)
-        if right.has_weights():
-            rw = right.weights()[self._build_rows()]
+        if self._probe.table.has_weights():
+            lw = repeated(self._probe.weights(), self._counts)
+        if self._build is not None and self._build.table.has_weights():
+            rw = self._build.weights()
         return np.asarray(lw * rw, dtype=np.float64)
 
     def estimated_bytes(self) -> int:
         """What the built table's :meth:`Table.estimated_bytes` would be."""
-        width = sum(self._side(name).key_column(name).dtype.itemsize for name in self._carried)
+        width = sum(
+            self._side(name).table.key_column(name).dtype.itemsize for name in self._carried
+        )
         return self.num_rows * (width + (8 if self.has_weights() else 0))
+
+    def parts_bytes(self) -> int:
+        """Bytes of the tables this picks its rows from: for one made
+        :meth:`from_parts`, what was built instead of the output."""
+        return sum(side.table.estimated_bytes() for side in self._sides())
 
     def probe_rows(self, names: Sequence[str]):
         """``(rows, counts)`` for :func:`~repro.engine.aggregate.partial_aggregate`:
@@ -371,12 +441,43 @@ class JoinedRows:
         to key on, or a named column is a build column or holds a value
         unequal to itself: each repeat of a NaN is a group of its own."""
         names = [name for name in names if name in self._carried]
-        if not names or not all(self._left.has_column(name) for name in names):
+        if not names or not all(self._probe.table.has_column(name) for name in names):
             return None
-        columns = {name: self._probe_column(name) for name in names}
+        columns = {name: self._probe.key_column(name) for name in names}
         if not all(map(_self_equal, columns.values())):
             return None
-        return Table(self.name, columns, self._left.dictionaries()), self._matches.counts
+        return Table(self.name, columns, self._probe.table.dictionaries()), self._counts
+
+    def parts(self) -> JoinParts:
+        """The matches as two plain tables, for a partition to ship. The
+        build side's lineage stays behind: ordering the probe rows orders
+        the output (:func:`~repro.parallel.merge.merge_matches`)."""
+        probe = self._picked_columns(self._probe)
+        probe[MATCH_COLUMN] = self._counts
+        build = {} if self._build is None else self._picked_columns(self._build, lineage=False)
+        return JoinParts(
+            Table(self.name, probe, self._probe.table.dictionaries()),
+            Table(self.name, build, self._build.table.dictionaries()) if build else None,
+        )
+
+    def _picked_columns(self, side: _Picked, lineage: bool = True) -> Dict[str, np.ndarray]:
+        """What this carries of ``side``, its weight included, per picked row."""
+        names = [
+            name
+            for name in self._carried
+            if self._side(name) is side and (lineage or not name.startswith(ROWID_PREFIX))
+        ]
+        columns = {name: side.key_column(name) for name in names}
+        if side.table.has_weights():
+            columns[WEIGHT_COLUMN] = side.weights()
+        return columns
+
+    def built(self) -> Table:
+        """The table the join would have built."""
+        columns = {name: self.key_column(name) for name in self._carried}
+        if self.has_weights():
+            columns[WEIGHT_COLUMN] = self.weights()
+        return Table(self.name, columns, self.dictionaries())
 
 
 def execute_join_unbuilt(
@@ -394,7 +495,13 @@ def execute_join_unbuilt(
     if matches.num_pairs() == len(matches.rows):
         pairs = matches.probe_index(), matches.build_index()
         return _joined_table(left, right, *pairs, "inner", columns)
-    return JoinedRows(left, right, matches, columns)
+    return JoinedRows(
+        f"{left.name}_join_{right.name}",
+        _Picked(left, lambda: matches.rows),
+        matches.counts,
+        _Picked(right, matches.build_index),
+        tuple(columns) + _lineage_names(left, right),
+    )
 
 
 def execute_aggregate(

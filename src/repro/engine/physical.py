@@ -40,7 +40,7 @@ from __future__ import annotations
 import threading
 import time
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import (
     Any, Callable, Dict, FrozenSet, Hashable, Iterable, List, NamedTuple, Optional, Tuple,
 )
@@ -73,6 +73,7 @@ __all__ = [
     "PlanCache",
     "compile_plan",
     "liveness",
+    "reads_probe_keys",
     "required_columns",
 ]
 
@@ -192,6 +193,11 @@ class PhysicalPlan:
     @property
     def num_operators(self) -> int:
         return len(self.ops)
+
+    def with_root_unbuilt(self) -> "PhysicalPlan":
+        """This plan with its root, an inner join :func:`reads_probe_keys`
+        admits for a reader outside the plan, run unbuilt."""
+        return replace(self, unbuilt_joins=self.unbuilt_joins | {len(self.ops) - 1})
 
     def execute(
         self,
@@ -728,26 +734,35 @@ def _find_morsel_chains(ops: List[PhysicalOp]) -> Dict[int, Tuple[int, ...]]:
 
 
 def _find_unbuilt_joins(ops: List[PhysicalOp]) -> FrozenSet[int]:
-    """Inner joins an aggregate reads whose output need not be built.
-
-    An aggregate tells rows apart by its :func:`~repro.engine.aggregate.key_columns`;
-    when the join carries none of them from its build side, groups and
-    pairs are found on the probe rows and the join's fan-out is a repeat
-    count per probe row (DESIGN §18). Outer joins, whose fill rows no
-    probe row stands for, and build-side keys keep the built join.
-    """
+    """Inner joins an aggregate reads whose output need not be built
+    (:func:`reads_probe_keys`)."""
     unbuilt = set()
     for op in ops:
         if op.opcode != "aggregate" or ops[op.index - 1].opcode != "join":
             continue
         join = ops[op.index - 1]
-        names = key_columns(op.node.group_by, op.node.aggs, op.estimation)
-        if join.node.how != "inner" or names is None:
-            continue
-        probe = set(join.node.left.output_columns())
-        if all(name in probe for name in names if name in join.columns):
+        if reads_probe_keys(join.node, join.columns, op.node, op.estimation):
             unbuilt.add(join.index)
     return frozenset(unbuilt)
+
+
+def reads_probe_keys(
+    join: Join, columns: Iterable[str], aggregate: Aggregate, how: Estimation
+) -> bool:
+    """Whether ``aggregate``, reading ``columns`` of ``join``, may read the
+    join unbuilt.
+
+    An aggregate tells rows apart by its :func:`~repro.engine.aggregate.key_columns`;
+    when an inner join carries none of them from its build side, groups and
+    pairs are found on the probe rows and the join's fan-out is a repeat
+    count per probe row (DESIGN §18). Outer joins, whose fill rows no
+    probe row stands for, and build-side keys keep the built join.
+    """
+    names = key_columns(aggregate.group_by, aggregate.aggs, how)
+    if join.how != "inner" or names is None:
+        return False
+    probe, read = set(join.left.output_columns()), set(columns)
+    return all(name in probe for name in names if name in read)
 
 
 @dataclass

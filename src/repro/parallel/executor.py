@@ -71,7 +71,7 @@ import numpy as np
 
 from repro.algebra.addressing import NodeAddress
 from repro.algebra.builder import Query
-from repro.algebra.logical import LogicalNode, Project
+from repro.algebra.logical import Join, LogicalNode, Project
 from repro.engine.aggregate import (
     Estimation,
     PartialAggregate,
@@ -82,8 +82,9 @@ from repro.engine.aggregate import (
 from repro.engine.costmodel import cost_plan, prune_cost_credit
 from repro.engine.executor import ExecutionResult, PartialResult, PlanRun, PlanRunner
 from repro.engine.metrics import ClusterConfig, ParallelMetrics, modeled_speedup
+from repro.engine.operators import MATCH_COLUMN, JoinedRows, JoinParts
 from repro.engine.partitions import HASH, Partitioner
-from repro.engine.physical import PhysicalPlan, liveness, plan_fingerprint
+from repro.engine.physical import PhysicalPlan, liveness, plan_fingerprint, reads_probe_keys
 from repro.engine.table import WEIGHT_COLUMN, Database, Table, rowid_column_name
 from repro.errors import (
     BudgetExceeded,
@@ -95,7 +96,7 @@ from repro.errors import (
 from repro.obs import log as obs_log
 from repro.obs import trace as obs_trace
 from repro.parallel.faults import FaultPlan, corrupt_table
-from repro.parallel.merge import inflate_selection_cis, merge_rows
+from repro.parallel.merge import inflate_selection_cis, merge_matches, merge_rows
 from repro.parallel.plan import (
     DEFAULT_MIN_PARTITION_ROWS,
     PARTITION_HASH_SEED,
@@ -191,6 +192,9 @@ class _QueryContext:
     #: What a worker's plan is compiled for: the data columns read of the
     #: split and, when rows are merged, the lineage that reaches it.
     payload_columns: tuple = ()
+    #: Whether workers ship the split's matches (:func:`_ships_matches`):
+    #: then only the probe side's lineage reaches the payload.
+    matched: bool = False
     # -- prune/select
     prune: Any = None  # Optional[ScanPrunePlan]
     #: Partition ordinals that become tasks, in task order.
@@ -307,10 +311,14 @@ class ParallelExecutor:
                 with obs_trace.maybe_span("parallel.merge", mode=ctx.merge_mode) as span:
                     self._merge(ctx)
                     if span is not None:
-                        # What the merge hands the upper plan.
+                        # What the merge hands the upper plan, and the rows
+                        # it ordered to do so.
                         (merged,) = ctx.overrides.values()
+                        matched = isinstance(merged, JoinedRows)
                         span.attributes.update(
-                            rows=merged.num_rows, bytes=merged.estimated_bytes()
+                            rows=merged.num_rows,
+                            probe_rows=merged.num_probe_rows if matched else merged.num_rows,
+                            bytes=merged.parts_bytes() if matched else merged.estimated_bytes(),
                         )
                 result = self._finish(ctx)
             else:
@@ -345,9 +353,15 @@ class ParallelExecutor:
         ctx.merge_mode = self.options.merge if analysis.aggregate is not None else "rows"
         ctx.payload_columns = ctx.required[analysis.split_address]
         if not ctx.two_phase:
-            ctx.payload_columns += tuple(
-                sorted(_surviving_lineage(analysis.split, analysis.split_scan_ordinals))
-            )
+            lineage = _surviving_lineage(analysis.split, analysis.split_scan_ordinals)
+            ctx.matched = _ships_matches(analysis, ctx.payload_columns, lineage)
+            if ctx.matched:
+                lineage = {  # the probe side's: its rows' identities order the merge
+                    rowid_column_name(ordinal)
+                    for address, ordinal in analysis.split_scan_ordinals.items()
+                    if address[0] == 0
+                }
+            ctx.payload_columns += tuple(sorted(lineage))
         return None
 
     def _select_partitions(self, ctx: _QueryContext) -> None:
@@ -472,9 +486,8 @@ class ParallelExecutor:
                 degree,
                 analysis.aligned_sampler_addresses,
             )
-            ctx.worker_plans.append(
-                self.engine.compile(worker_plan, exact=True, required=ctx.payload_columns)[0]
-            )
+            physical = self.engine.compile(worker_plan, exact=True, required=ctx.payload_columns)[0]
+            ctx.worker_plans.append(physical.with_root_unbuilt() if ctx.matched else physical)
         ctx.compile_seconds += perf_counter() - t0
         ctx.runtime = TaskRuntime(
             self.pool, policy=self.options.retry, base_seed=self.options.task_seed
@@ -487,7 +500,7 @@ class ParallelExecutor:
         engine, runtime, transport = self.engine, ctx.runtime, ctx.transport
         fault_plan, governance = self.options.fault_plan, ctx.governance
         worker_plans, sources = ctx.worker_plans, ctx.sources
-        aggregate, two_phase = ctx.analysis.aggregate, ctx.two_phase
+        aggregate, two_phase, matched = ctx.analysis.aggregate, ctx.two_phase, ctx.matched
         # Rows-mode payloads must carry the columns the rest of the query
         # reads of the split *and* the lineage columns that survive it —
         # merge_rows needs both to restore the serial row order. A corrupt
@@ -521,6 +534,8 @@ class ParallelExecutor:
                 payload = partial_aggregate(
                     payload, aggregate.group_by, aggregate.aggs, Estimation.of(aggregate)
                 )
+            elif matched and isinstance(payload, JoinedRows):
+                payload = payload.parts()
             result = (perf_counter() - t0, run.cardinalities, payload)
             if fault_plan is not None:
                 result = fault_plan.after_work(
@@ -648,6 +663,25 @@ class ParallelExecutor:
                 merge_partials(payloads), aggregate.aggs, Estimation.of(aggregate)
             )
             return
+        if ctx.matched:
+            matches = [p for p in payloads if isinstance(p, JoinParts)]
+            if matches and not lost and not ctx.selecting and all(
+                isinstance(p, JoinParts) or p.num_rows == 0 for p in payloads
+            ):
+                ctx.overrides[analysis.split_address] = merge_matches(
+                    matches, ctx.required[analysis.split_address]
+                )
+                return
+            # A partition whose join did not fan out shipped its rows, and
+            # selection and degradation re-weight rows: build every output,
+            # with the lineage of the probe side only.
+            kept = {*ctx.payload_columns, WEIGHT_COLUMN}
+            payloads = [
+                JoinedRows.from_parts(p, ctx.payload_columns).built()
+                if isinstance(p, JoinParts)
+                else p.drop_columns([c for c in p.column_names if c not in kept])
+                for p in payloads
+            ]
         if ctx.selecting:
             # Horvitz-Thompson fold: a row that ran in a partition drawn
             # with inclusion probability pi represents 1/pi partitions'
@@ -848,6 +882,8 @@ def _result_problem(result, two_phase: bool, expected_columns: frozenset) -> Opt
         if not isinstance(payload, PartialAggregate):
             return f"expected a PartialAggregate, got {type(payload).__name__}"
         return None
+    if isinstance(payload, JoinParts):
+        return _matches_problem(payload, expected_columns)
     if not isinstance(payload, Table):
         return f"expected a Table, got {type(payload).__name__}"
     missing = expected_columns - set(payload.column_names)
@@ -855,6 +891,25 @@ def _result_problem(result, two_phase: bool, expected_columns: frozenset) -> Opt
         return f"partition output is missing columns {sorted(missing)}"
     if payload.has_weights() and not np.isfinite(payload.weights()).all():
         return "partition output carries non-finite sample weights"
+    return None
+
+
+def _matches_problem(parts: JoinParts, expected_columns: frozenset) -> Optional[str]:
+    """What is wrong with a partition's matches; None when they are acceptable."""
+    probe, build = parts
+    tables = [probe] if build is None else [probe, build]
+    if not all(isinstance(table, Table) for table in tables):
+        return "partition matches are not tables"
+    if not probe.has_column(MATCH_COLUMN):
+        return "partition matches carry no match counts"
+    missing = expected_columns - {name for table in tables for name in table.column_names}
+    if missing:
+        return f"partition matches are missing columns {sorted(missing)}"
+    counts = probe.key_column(MATCH_COLUMN)
+    if (counts < 1).any() or (build is not None and build.num_rows != counts.sum()):
+        return "partition match counts do not add up to its build rows"
+    if any(t.has_weights() and not np.isfinite(t.weights()).all() for t in tables):
+        return "partition matches carry non-finite sample weights"
     return None
 
 
@@ -886,10 +941,34 @@ def _surviving_lineage(split, split_scan_ordinals: Dict[NodeAddress, int]) -> fr
     return frozenset(surviving)
 
 
+def _ships_matches(analysis: PlanAnalysis, columns: tuple, lineage: frozenset) -> bool:
+    """Whether workers ship the split's matches instead of its output.
+
+    The split must be an inner join the aggregate above reads unbuilt
+    (:func:`~repro.engine.physical.reads_probe_keys`). Each probe row must
+    live in one partition, beside all its matches: the probe side holds a
+    partitioned scan. The build side then holds none, or the split is the
+    join whose two sides are hash co-partitioned on its keys, as no other
+    strategy partitions two scans. And every scan's lineage must reach the
+    split, so that ordering the probe rows orders the output as
+    :func:`~repro.parallel.merge.merge_rows` would.
+    """
+    split, aggregate = analysis.split, analysis.aggregate
+    if aggregate is None or not isinstance(split, Join):
+        return False
+    if not reads_probe_keys(split, columns, aggregate, Estimation.of(aggregate)):
+        return False
+    depth = len(analysis.split_address)
+    sides = {scan.address[depth] for scan in analysis.scans if scan.mode != "broadcast"}
+    return 0 in sides and len(lineage) == len(analysis.split_scan_ordinals)
+
+
 def _corrupt_result(result):
     """Corrupter for injected ``corrupt`` faults: damage the payload member
     of the worker's (seconds, cardinalities, payload) result."""
     seconds, cards, payload = result
     if isinstance(payload, Table):
         return (seconds, cards, corrupt_table(payload))
+    if isinstance(payload, JoinParts):
+        return (seconds, cards, payload._replace(probe=corrupt_table(payload.probe)))
     return (seconds, cards, None)  # partial state: replaced by junk

@@ -12,6 +12,12 @@ Two merge modes, trading exactness of *reproduction* against shuffle size:
   paper's argument for why sampled plans keep their wins through the
   shuffle).
 
+  When the split's root is an inner join the aggregate above reads
+  unbuilt, partitions ship the join's matches instead of its output
+  (:class:`~repro.engine.operators.JoinParts`) and :func:`merge_matches`
+  orders the probe rows, each carrying its segment of build rows: the
+  same order, from P probe rows instead of N output rows.
+
 * **partial-aggregate merge** — each worker reduces its partition to the
   mergeable state of :mod:`repro.engine.aggregate`; the parent merges the
   states by group value and finalizes. This is the classic two-phase
@@ -37,10 +43,11 @@ from repro.engine.aggregate import (
     partial_aggregate,
 )
 from repro.engine.keys import pack_keys
+from repro.engine.operators import MATCH_COLUMN, JoinedRows, JoinParts, segment_rows
 from repro.engine.table import WEIGHT_COLUMN, Table
 from repro.errors import PlanError
 
-__all__ = ["merge_rows", "inflate_selection_cis"]
+__all__ = ["merge_rows", "merge_matches", "inflate_selection_cis"]
 
 
 def merge_rows(
@@ -83,6 +90,37 @@ def merge_rows(
     if (key[1:] >= key[:-1]).all():
         return merged  # already one sorted run
     return merged.take(np.argsort(key, kind="stable"))
+
+
+def merge_matches(parts: Sequence[JoinParts], columns: Sequence[str]) -> JoinedRows:
+    """Union partition matches of one inner join, restoring exact serial
+    row order, as the join's output left unbuilt carrying ``columns``.
+
+    Each probe row and all its matches sit in one partition, the matches
+    in build-row order, so the output :func:`merge_rows` would give is
+    the probe rows ordered by their lineage, each followed by its segment
+    of build rows. Only the P probe rows are ordered; the segments follow
+    with one gather per build column.
+    """
+    if not parts:
+        raise PlanError("merge_matches needs at least one partition's matches")
+    probe = _union([part.probe for part in parts])
+    build = None if parts[0].build is None else _union([part.build for part in parts])
+    lineage = probe.lineage_columns()
+    probe = probe.drop_lineage()
+    key = pack_keys(lineage)[0] if lineage else None
+    if key is not None and not (key[1:] >= key[:-1]).all():
+        order = np.argsort(key, kind="stable")
+        if build is not None:
+            counts = probe.key_column(MATCH_COLUMN)
+            starts = np.cumsum(counts) - counts
+            build = build.take(segment_rows(starts[order], counts[order]))
+        probe = probe.take(order)
+    return JoinedRows.from_parts(JoinParts(probe, build), columns)
+
+
+def _union(tables: Sequence[Table]) -> Table:
+    return tables[0] if len(tables) == 1 else Table.concat(tables)
 
 
 # -- weighted-selection CI inflation --------------------------------------------

@@ -19,7 +19,9 @@ Two directions, two ownership rules:
   crash-safety story: a worker that dies while holding a segment never
   delivers the ref, but the parent can still reap the orphan by
   reconstructing its name from the attempt ledger (:func:`sweep_results`,
-  plus the pool-recycle hook in :mod:`repro.parallel.tasks`).
+  plus the pool-recycle hook in :mod:`repro.parallel.tasks`). A result
+  that is an unbuilt join's matches (:class:`~repro.engine.operators.JoinParts`)
+  is two tables, and ships as two segments, one per part.
 
 Fallback matrix: a run uses shm exactly when it forks more than one worker
 process and POSIX shared memory works here. Thread/inline backends share an
@@ -35,8 +37,10 @@ from __future__ import annotations
 
 import errno
 import secrets
+from itertools import product
 from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
 
+from repro.engine.operators import JoinParts
 from repro.engine.table import Table
 from repro.errors import SchemaError
 from repro.memory import SEGMENT_PREFIX, TableRef, reap, release
@@ -83,9 +87,25 @@ def _input_segment_name(token: str, partition: int, ordinal: int) -> str:
     return f"{SEGMENT_PREFIX}{token}_i{partition}_{ordinal}"
 
 
-def result_segment_name(token: str, partition: int, attempt: int) -> str:
-    """Deterministic result-segment name for one (partition, attempt)."""
-    return f"{SEGMENT_PREFIX}{token}_r{partition}a{attempt}"
+#: Tables a result payload may consist of (:class:`JoinParts` has two).
+_RESULT_PARTS = len(JoinParts._fields)
+
+
+def result_segment_name(token: str, partition: int, attempt: int, part: int = 0) -> str:
+    """Deterministic result-segment name for one (partition, attempt) and
+    one table of its payload."""
+    return f"{SEGMENT_PREFIX}{token}_r{partition}a{attempt}" + (f"p{part}" if part else "")
+
+
+def _members(payload) -> tuple:
+    """The tables (or refs) a result payload ships as."""
+    return tuple(payload) if isinstance(payload, JoinParts) else (payload,)
+
+
+def _mapped(payload, fn):
+    """``payload`` with ``fn(part, member)`` for each of its :func:`_members`."""
+    mapped = [fn(part, member) for part, member in enumerate(_members(payload))]
+    return JoinParts(*mapped) if isinstance(payload, JoinParts) else mapped[0]
 
 
 def ship_partitions(
@@ -133,7 +153,12 @@ def open_partition(source: Union[Table, TableRef]) -> Table:
 
 
 def ship_result(
-    table: Table, token: str, partition: int, attempt: int, simulate_exhaustion: bool = False
+    table: Table,
+    token: str,
+    partition: int,
+    attempt: int,
+    simulate_exhaustion: bool = False,
+    part: int = 0,
 ):
     """Worker-side result shipping: segment in, ref out.
 
@@ -147,7 +172,7 @@ def ship_result(
     ``"shm"``): it raises the same ``ENOSPC`` a full arena would, routed
     through the same fallback path.
     """
-    name = result_segment_name(token, partition, attempt)
+    name = result_segment_name(token, partition, attempt, part)
     try:
         if simulate_exhaustion:
             raise OSError(errno.ENOSPC, "injected shared-memory exhaustion")
@@ -174,11 +199,11 @@ def dispose_result(result) -> None:
     """
     if not (isinstance(result, tuple) and len(result) == 3):
         return
-    payload = result[2]
-    if isinstance(payload, TableRef):
-        release(payload)
-    elif isinstance(payload, Table) and payload.backing_ref is not None:
-        release(payload.backing_ref)
+    for member in _members(result[2]):
+        if isinstance(member, TableRef):
+            release(member)
+        elif isinstance(member, Table) and member.backing_ref is not None:
+            release(member.backing_ref)
 
 
 def sweep_results(token: str, attempts_per_partition: Iterable[int], keep: Set[str]) -> int:
@@ -193,8 +218,8 @@ def sweep_results(token: str, attempts_per_partition: Iterable[int], keep: Set[s
     """
     reaped = 0
     for partition, attempts in enumerate(attempts_per_partition):
-        for attempt in range(attempts):
-            name = result_segment_name(token, partition, attempt)
+        for attempt, part in product(range(attempts), range(_RESULT_PARTS)):
+            name = result_segment_name(token, partition, attempt, part)
             if name in keep:
                 continue
             if reap(name):
@@ -261,22 +286,23 @@ class RunTransport:
         return refs
 
     def ship_task_result(self, result, task, simulate_exhaustion: bool = False):
-        """Worker side: move a table payload into shared memory so only its
-        ref crosses the pipe. The (possibly fault-corrupted) table ships as
-        is, so validation still sees exactly what the worker produced;
-        non-table payloads (partial states, injected junk) take the pipe."""
-        if not (
-            self.shm
-            and isinstance(result, tuple)
-            and len(result) == 3
-            and isinstance(result[2], Table)
-        ):
+        """Worker side: move a payload's tables into shared memory so only
+        their refs cross the pipe. The (possibly fault-corrupted) tables
+        ship as they are, so validation still sees exactly what the worker
+        produced; anything else (partial states, injected junk) takes the
+        pipe."""
+        if not (self.shm and isinstance(result, tuple) and len(result) == 3):
             return result
-        ref = ship_result(
-            result[2], self.token, task.partition, task.attempt,
-            simulate_exhaustion=simulate_exhaustion,
-        )
-        return (result[0], result[1], ref)
+
+        def ship(part, member):
+            if not isinstance(member, Table):
+                return member
+            return ship_result(
+                member, self.token, task.partition, task.attempt,
+                simulate_exhaustion=simulate_exhaustion, part=part,
+            )
+
+        return (result[0], result[1], _mapped(result[2], ship))
 
     def hooks(self) -> dict:
         """Parent-side ``TaskRuntime.run`` hooks: map refs back into tables
@@ -291,20 +317,23 @@ class RunTransport:
     def _receive(self, result, task):
         if not (isinstance(result, tuple) and len(result) == 3):
             return result  # malformed shape; validation rejects it
-        if isinstance(result[2], TableRef):
-            ref = result[2]
-            self.pipe_bytes += ref.schema_bytes()
-            self.shared_bytes += ref.nbytes
-            return (result[0], result[1], Table.from_ref(ref))
-        if isinstance(result[2], Table):
+        return (result[0], result[1], _mapped(result[2], self._open))
+
+    def _open(self, part, member):
+        if isinstance(member, TableRef):
+            self.pipe_bytes += member.schema_bytes()
+            self.shared_bytes += member.nbytes
+            return Table.from_ref(member)
+        if isinstance(member, Table):
             # A whole table on a run that shipped refs means the worker's
             # shm shipping fell back to pickle (unencodable columns or an
             # exhausted arena) — the attempt survived on the slow path.
             self.registry.counter("transport.shm_fallbacks").inc()
-        return result
+        return member
 
     def _reap(self, task) -> None:
-        reap(result_segment_name(self.token, task.partition, task.attempt))
+        for part in range(_RESULT_PARTS):
+            reap(result_segment_name(self.token, task.partition, task.attempt, part))
 
     def close(self, report) -> None:
         """End of run. Winning payloads were mapped into parent-side tables

@@ -164,7 +164,7 @@ class TestOperatorPair:
         columns = left.data_column_names() + right.data_column_names()
         joined = execute_join_unbuilt(left, right, ["lk"], ["rk"], columns)
         assert isinstance(joined, JoinedRows)
-        assert 0 < len(joined._matches.rows) < left.num_rows / 4
+        assert 0 < joined.num_probe_rows < left.num_rows / 4
         both(left, right, ("g",), ALL_KINDS)
 
     @pytest.mark.parametrize("case", ["left", "right", "disjoint"])

@@ -49,6 +49,11 @@ def tracer():
 
 
 class TestQ14Payload:
+    """q14's split is an inner join whose aggregate keys on probe-side
+    columns only (``ss_customer_sk``, ``d_year``), so partitions ship its
+    matches: per probe row the two probe columns it reads, and per output
+    row the one build column (``cs_sales_price``)."""
+
     def test_payload_carries_what_the_aggregate_reads(self, planner, tiny_tpcds, tracer):
         plan = plans_for(planner, tiny_tpcds, "q14")["baseline"]
         result = parallel_executor(tiny_tpcds, "thread").execute(plan)
@@ -58,20 +63,30 @@ class TestQ14Payload:
         assert query.attributes["columns"] == 3  # of the join's 26
         (merge,) = tracer.find("parallel.merge")
         rows = result.cardinalities[(0,)]
+        probe_rows = merge.attributes["probe_rows"]
         assert merge.attributes["rows"] == rows
-        # Three data columns of eight bytes: the payloads' three lineage
-        # columns order the merge but are not gathered into its output.
-        assert merge.attributes["bytes"] == rows * 8 * 3
+        assert probe_rows * 3 < rows  # the join fans out
+        # Two data columns and the match count of eight bytes a probe row,
+        # one data column a match: the probe rows' lineage orders the merge
+        # but is not gathered into its output, and no lineage of the build
+        # side crosses.
+        assert merge.attributes["bytes"] == probe_rows * 8 * 3 + rows * 8
+        assert merge.attributes["bytes"] < rows * 8 * 2
         assert {span.attributes["columns"] for span in tracer.find("op.join")} <= {2, 3}
 
-    def test_shared_memory_moves_the_narrow_payload(self, planner, tiny_tpcds):
+    def test_shared_memory_moves_the_narrow_payload(self, planner, tiny_tpcds, tracer):
         plan = plans_for(planner, tiny_tpcds, "q14")["baseline"]
         result = parallel_executor(tiny_tpcds, "process").execute(plan)
         if result.parallel.transport != "shm":
             pytest.skip("no usable shared memory here")
         rows = result.cardinalities[(0,)]
-        # Six 8-byte columns a row (29 before) plus per-column alignment.
-        assert rows * 8 * 6 <= result.parallel.result_bytes_shared <= rows * 8 * 6 + 64 * 6 * DEGREE
+        (merge,) = tracer.find("parallel.merge")
+        # Five 8-byte columns a probe row (two data, two lineage, the match
+        # count) and one a match (six a row before), plus per-column
+        # alignment of the six columns the two tables hold.
+        shipped = merge.attributes["probe_rows"] * 8 * 5 + rows * 8
+        assert shipped <= result.parallel.result_bytes_shared <= shipped + 64 * 6 * DEGREE
+        assert result.parallel.result_bytes_shared < rows * 8 * 2
 
 
 @pytest.mark.parametrize("name", QUERY_NAMES)
