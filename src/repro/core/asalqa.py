@@ -32,7 +32,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.algebra.addressing import format_address
 from repro.algebra.builder import Query
 from repro.algebra.logical import Join, LogicalNode, SamplerNode
 from repro.core.costing import (
@@ -233,7 +232,6 @@ class Asalqa:
 
     def _explore(self, seeded: LogicalNode) -> List[LogicalNode]:
         """Breadth-first generation of push-down alternatives."""
-        tracer = obs_trace.current_tracer()
         one_side: Dict[tuple, list] = {}  # pushdown's per-query memo
         seen: Dict[tuple, None] = {seeded.key(): None}
         frontier: List[LogicalNode] = [seeded]
@@ -248,20 +246,6 @@ class Asalqa:
                     if key in seen:
                         continue
                     seen[key] = None
-                    if tracer is not None:
-                        # One span per accepted rule firing: the sampler at
-                        # ``path`` pushed past the operator now rooting the
-                        # replaced subtree, landing at the ``after`` addresses.
-                        span = tracer.begin(
-                            "asalqa.pushdown",
-                            rule=f"push_past_{type(subtree).__name__.lower()}",
-                            before=format_address(path),
-                            after=",".join(
-                                format_address(path + sub)
-                                for _, sub in logical_sampler_sites(subtree)
-                            ),
-                        )
-                        tracer.end(span)
                     frontier.append(alternative)
                     out.append(alternative)
                     if len(out) >= limit:

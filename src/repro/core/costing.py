@@ -37,10 +37,8 @@ import math
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.algebra.addressing import format_address
 from repro.algebra.logical import LogicalNode, SamplerNode
 from repro.core.sampler_state import SamplerState
-from repro.obs import trace as obs_trace
 from repro.samplers.base import PassThroughSpec, SamplerSpec
 from repro.samplers.distinct import DistinctSpec
 from repro.samplers.uniform import UniformSpec
@@ -300,7 +298,6 @@ def materialize_plan(
     """
     options = options or CostingOptions()
     memo = {} if memo is None else memo
-    tracer = obs_trace.current_tracer()
 
     # First pass: tentative decisions per sampler. Seeds count samplers in
     # post-order, which is ascending address once every address is made to
@@ -316,17 +313,6 @@ def materialize_plan(
             decision = memo[key] = choose_physical(
                 node.spec, deriver.stats_for(node.child), options, seed
             )
-        if tracer is not None:
-            span = tracer.begin(
-                "asalqa.decision",
-                address=format_address(path),
-                kind=decision.spec.kind,
-                c1=decision.c1,
-                c2=decision.c2,
-                support=round(decision.support, 2),
-                reason=decision.reason,
-            )
-            tracer.end(span)
         decisions[path] = decision
 
     # Family coordination.

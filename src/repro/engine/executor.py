@@ -161,10 +161,6 @@ class PlanRunner:
         Catalog of base tables (the default ``run`` target).
     config:
         Cluster cost-model knobs.
-    attach_rowids:
-        Attach per-scan lineage columns during execution (default True).
-        Lineage is what makes uniform-sampler decisions partition-invariant;
-        disabling it restores purely positional randomness.
     plan_cache_size:
         Capacity of the fingerprint-keyed compiled-plan LRU (0 disables
         caching).
@@ -173,25 +169,17 @@ class PlanRunner:
         records into (plan-cache traffic, compile vs. execute time,
         per-sampler telemetry, parallel fault counters) — the only
         cumulative store. A fresh private registry is created when omitted.
-    morsel_rows:
-        Batch size for fused streamable chains, forwarded to
-        :meth:`PhysicalPlan.execute` (None = engine default, 0 disables
-        morsel-driven execution).
     """
 
     def __init__(
         self,
         database: Database,
         config: Optional[ClusterConfig] = None,
-        attach_rowids: bool = True,
         plan_cache_size: int = 128,
         registry: Optional[MetricsRegistry] = None,
-        morsel_rows: Optional[int] = None,
     ):
         self.database = database
         self.config = config or ClusterConfig()
-        self.attach_rowids = bool(attach_rowids)
-        self.morsel_rows = morsel_rows
         self.plan_cache = PlanCache(capacity=int(plan_cache_size))
         self.registry = registry if registry is not None else MetricsRegistry()
         # What registering the database's tables dictionary-coded.
@@ -225,10 +213,7 @@ class PlanRunner:
         self.registry.counter("plan_cache.hits" if hit else "plan_cache.misses").inc()
         if hit and not (exact and physical.logical.key() != plan.key()):
             return physical, True
-        physical = compile_plan(
-            plan, attach_rowids=self.attach_rowids, fingerprint=fingerprint,
-            root_required=required,
-        )
+        physical = compile_plan(plan, fingerprint=fingerprint, root_required=required)
         if not hit:
             evicted = self.plan_cache.put(key, physical)
             if evicted:
@@ -258,9 +243,9 @@ class PlanRunner:
         :meth:`PhysicalPlan.execute` (parallel workers use it to stop
         speculative losers early); ``governance`` (a
         :class:`~repro.engine.governance.GovernanceContext`) adds the typed
-        deadline/budget/cancel checks at the same operator and morsel
-        boundaries. ``top_level`` marks the run that *is* the query: it gets
-        the ``query.compile`` / ``query.execute`` spans and per-operator
+        deadline/budget/cancel checks at the same operator boundaries.
+        ``top_level`` marks the run that *is* the query: it gets the
+        ``query.compile`` / ``query.execute`` spans and per-operator
         metrics. ``required`` is forwarded to :meth:`compile`.
         """
         tracer = obs_trace.current_tracer()
@@ -289,7 +274,6 @@ class PlanRunner:
                 record_metrics=top_level,
                 should_abort=should_abort,
                 tracer=tracer,
-                morsel_rows=self.morsel_rows,
                 governance=governance,
             )
         return PlanRun(
@@ -342,9 +326,6 @@ class PlanRunner:
         registry = self.registry
         registry.counter("executor.queries").inc()
         self.record_phase(run.compile_seconds, run.execute_seconds)
-        morsels = sum(op.morsels for op in run.operators)
-        if morsels:
-            registry.counter("memory.morsels_executed").inc(morsels)
         short = run.physical.fingerprint[:12]
         for op in run.operators:
             if op.sampler is None:
@@ -388,12 +369,10 @@ class Executor(PlanRunner):
         config: Optional[ClusterConfig] = None,
         parallelism: int = 1,
         parallel_options=None,
-        attach_rowids: bool = True,
         plan_cache_size: int = 128,
         registry: Optional[MetricsRegistry] = None,
-        morsel_rows: Optional[int] = None,
     ):
-        super().__init__(database, config, attach_rowids, plan_cache_size, registry, morsel_rows)
+        super().__init__(database, config, plan_cache_size, registry)
         self.parallelism = int(parallelism)
         self.parallel_options = parallel_options
         #: The one worker pool every parallel query of this executor runs
@@ -414,7 +393,7 @@ class Executor(PlanRunner):
 
         ``governance`` (a :class:`~repro.engine.governance.GovernanceContext`)
         makes the run cancellable/deadlined/memory-budgeted: it is checked
-        at every operator and morsel boundary (serially) or task boundary
+        at every operator boundary (serially) or task boundary
         (parallel) and raises the typed
         :class:`~repro.errors.GovernanceError` when violated.
         """

@@ -5,10 +5,10 @@ Admission control (:mod:`repro.service.admission`) protects the service
 is running. A :class:`GovernanceContext` travels with a query from the
 service front-end down through :class:`~repro.engine.executor.Executor`,
 :class:`~repro.parallel.executor.ParallelExecutor` and into the physical
-plan's operator/morsel loop, which polls :meth:`GovernanceContext.check`
+plan's operator loop, which polls :meth:`GovernanceContext.check`
 at every cooperative checkpoint:
 
-* between physical operators and between morsels of a fused chain
+* between physical operators
   (:meth:`~repro.engine.physical.PhysicalPlan.execute`);
 * between task launches/completions in the parallel scheduler
   (:class:`~repro.parallel.tasks.TaskRuntime`);
@@ -26,8 +26,8 @@ partial state is discarded. The service's governor catches these and
 walks the degradation ladder instead of failing the query.
 
 Everything here is cooperative and cheap: a checkpoint is one monotonic
-clock read plus two comparisons, so checkpoints can sit on the morsel
-boundary without measurable overhead. Deadlines are *absolute monotonic*
+clock read plus two comparisons, so checkpoints can sit on every
+operator boundary without measurable overhead. Deadlines are *absolute monotonic*
 times — ``CLOCK_MONOTONIC`` is system-wide on Linux, so a deadline
 captured in the service thread keeps meaning inside forked pool workers.
 Cancellation tokens are shared objects: they propagate instantly to
@@ -61,7 +61,7 @@ class CancellationToken:
     workers (which poll it). For *fork* pool workers the flag lives in a
     one-byte anonymous ``MAP_SHARED`` mapping: the child inherits the
     mapping (not a copy), so a post-fork ``cancel`` in the parent is
-    visible at the child's next morsel-boundary poll — the reason string
+    visible at the child's next operator-boundary poll — the reason string
     stays parent-side, only the boolean crosses.
     """
 

@@ -66,7 +66,6 @@ from repro.engine.table import ROWID_PREFIX, Database, Table, rowid_column_name
 from repro.errors import PlanError, TaskCancelled
 
 __all__ = [
-    "DEFAULT_MORSEL_ROWS",
     "OperatorMetrics",
     "PhysicalOp",
     "PhysicalPlan",
@@ -76,18 +75,6 @@ __all__ = [
     "reads_probe_keys",
     "required_columns",
 ]
-
-#: Default morsel size (rows) for fused select/project chains. 64 Ki rows of
-#: float64 is 512 KiB per column — a handful of columns stay L2/L3-resident
-#: through the whole chain instead of streaming each operator over the full
-#: partition.
-DEFAULT_MORSEL_ROWS = 65536
-
-#: Opcodes eligible for morsel-driven fusion: unary, streamable, row-local
-#: (output row *i* depends only on input row *i*). Samplers are excluded —
-#: the distinct sampler keeps per-stratum running state across rows, so its
-#: decisions are stream-order-global, not morsel-local.
-_STREAMABLE = ("select", "project")
 
 #: Opcodes that pass their input's columns through and read some of their
 #: own: what only they read is shed from their output (``PhysicalOp.drop``).
@@ -106,9 +93,6 @@ class OperatorMetrics:
     #: Samplers only: accuracy telemetry — kind, target probability,
     #: effective pass rate and output Horvitz-Thompson weight mass.
     sampler: Optional[dict] = None
-    #: Morsel-driven operators only: number of row-range batches executed
-    #: (0 = the operator ran once over its whole input).
-    morsels: int = 0
     #: How many columns of the materialised output are dictionary-coded.
     coded: int = 0
 
@@ -122,11 +106,14 @@ class OperatorMetrics:
         }
         if self.sampler is not None:
             out["sampler"] = dict(self.sampler)
-        if self.morsels:
-            out["morsels"] = self.morsels
         if self.coded:
             out["coded"] = self.coded
         return out
+
+    #: Every operator runs once over its whole input. Kept as a constant,
+    #: not a field, only because ``benchmarks/perf/run.py`` sums it into
+    #: its ``op.morsels`` ledger row.
+    morsels = 0
 
 
 class PhysicalOp(NamedTuple):
@@ -179,12 +166,6 @@ class PhysicalPlan:
     address_to_index: Dict[NodeAddress, int]
     #: Scan occurrence address -> pre-order scan ordinal.
     scan_ordinals: Dict[NodeAddress, int]
-    attach_rowids: bool = True
-    #: Morsel-fusable chains, keyed by first member index: maximal runs of
-    #: consecutive streamable unary ops (select/project) each consuming its
-    #: predecessor. Detected at compile time; executed morsel-wise at run
-    #: time when the chain input is large enough.
-    morsel_chains: Dict[int, Tuple[int, ...]] = field(default_factory=dict)
     #: Inner joins whose reader, an aggregate, tells rows apart by probe-side
     #: columns only: they run unbuilt (:func:`_find_unbuilt_joins`) unless
     #: an override lands at or below them.
@@ -206,7 +187,6 @@ class PhysicalPlan:
         record_metrics: bool = False,
         should_abort: Optional[Callable[[], bool]] = None,
         tracer=None,
-        morsel_rows: Optional[int] = None,
         governance=None,
     ) -> Tuple[Table, Dict[NodeAddress, int], Tuple[OperatorMetrics, ...]]:
         """Run the pipeline against ``database``.
@@ -214,7 +194,7 @@ class PhysicalPlan:
         ``overrides`` maps a node address to a pre-computed table: that
         operator's subtree is skipped and the table used as its output (the
         parallel executor splices merged partition results in this way).
-        ``should_abort`` is polled between operators (and between morsels);
+        ``should_abort`` is polled between operators;
         when it turns true the run raises :class:`TaskCancelled` — the
         cooperative-cancellation hook the task scheduler uses to stop
         speculative losers without waiting out the whole pipeline.
@@ -227,27 +207,17 @@ class PhysicalPlan:
         ``tracer`` (a :class:`repro.obs.trace.Tracer`) records one span per
         executed operator, carrying its address, rows-in/rows-out and — for
         samplers — the effective rate vs. target ``p`` and output weight
-        mass. ``morsel_rows`` sets the batch size for fused streamable
-        chains (None = :data:`DEFAULT_MORSEL_ROWS`; 0 disables fusion).
+        mass.
         Returns the raw root table (lineage intact), per-address output
         cardinalities, and per-operator metrics (empty unless requested).
         """
         ops = self.ops
-        morsel_rows = DEFAULT_MORSEL_ROWS if morsel_rows is None else int(morsel_rows)
         run = _RunState(self, overrides, record_metrics, should_abort, tracer, governance)
-        index = 0
-        while index < len(ops):
-            op = ops[index]
-            index += 1
+        for op in ops:
             if run.skipped[op.index]:
                 continue
             run.checkpoint(op)
-            chain = self.morsel_chains.get(op.index) if morsel_rows > 0 else None
-            if chain is not None and self._chain_runnable(chain, run, morsel_rows):
-                self._execute_chain(chain, run, database, morsel_rows)
-                index = chain[-1] + 1
-            else:
-                self._execute_op(op, run, database)
+            self._execute_op(op, run, database)
         result = run.slots[len(ops) - 1]
         assert result is not None
         return result, run.cardinalities, tuple(run.metrics)
@@ -278,68 +248,6 @@ class PhysicalPlan:
                 sampler_stats = _sampler_stats(op.node.spec, rows_in, table)
             seconds = time.perf_counter() - started
         run.record(op, rows_in, table.num_rows, seconds, span=span, sampler=sampler_stats)
-
-    # -- morsel-driven chain execution ----------------------------------------
-    def _chain_runnable(self, chain, run: "_RunState", morsel_rows: int) -> bool:
-        """Whether a compiled chain can actually run fused for this call.
-
-        A chain falls back to one-op-at-a-time execution when any member is
-        masked out or overridden (the parallel executor splices results at
-        arbitrary addresses) or when the input is small enough that a single
-        pass already fits in cache.
-        """
-        if any(run.skipped[m] for m in chain):
-            return False
-        if run.overrides and any(self.ops[m].address in run.overrides for m in chain):
-            return False
-        source = run.slots[self.ops[chain[0]].child_slots[0]]
-        return source is not None and source.num_rows > morsel_rows
-
-    def _execute_chain(
-        self, chain: Tuple[int, ...], run: "_RunState", database: Database, morsel_rows: int
-    ) -> None:
-        """Run a fused select/project chain morsel-by-morsel.
-
-        Each morsel is a zero-copy row-range view of the chain's input; the
-        whole chain runs over one morsel before the next is touched, so the
-        working set stays cache-resident. Because every member is row-local
-        (see :data:`_STREAMABLE`), concatenating the per-morsel outputs is
-        bit-identical to running each operator over the full input.
-        Every morsel boundary is a checkpoint — the tightest
-        cooperative-cancellation grain the engine has — against the run's
-        slot frontier plus the bytes this chain has accumulated so far.
-        """
-        members = [self.ops[m] for m in chain]
-        source_slot = members[0].child_slots[0]
-        source = run.slots[source_slot]
-        assert source is not None
-
-        n = len(members)
-        rows_in = [0] * n
-        rows_out = [0] * n
-        seconds = [0.0] * n
-        pieces: List[Table] = []
-        piece_bytes = 0
-        num_morsels = 0
-        for start in range(0, source.num_rows, morsel_rows):
-            run.checkpoint(members[0], morsel=num_morsels, extra_bytes=piece_bytes)
-            num_morsels += 1
-            table = source.slice(start, start + morsel_rows)
-            for i, op in enumerate(members):
-                started = time.perf_counter() if run.observe else 0.0
-                rows_in[i] += table.num_rows
-                table = self._dispatch(op, [table], database, run)
-                rows_out[i] += table.num_rows
-                if run.observe:
-                    seconds[i] += time.perf_counter() - started
-            pieces.append(table)
-            if run.governance is not None:
-                piece_bytes += table.estimated_bytes()
-
-        run.release(source_slot)
-        run.store(chain[-1], Table.concat(pieces, name=pieces[-1].name))
-        for i, op in enumerate(members):
-            run.record(op, rows_in[i], rows_out[i], seconds[i], morsels=num_morsels)
 
     # -- operator dispatch ----------------------------------------------------
     def _dispatch(
@@ -389,9 +297,8 @@ class _RunState:
 
     Owns the slots, the override mask, the cardinalities and metrics, and
     — only when a governance context is present — the live-frontier memory
-    ledger (bytes of each materialized slot), so both execution grains
-    (whole operator, morsel of a fused chain) checkpoint, account and
-    report through the same three methods.
+    ledger (bytes of each materialized slot), which every operator
+    checkpoints, accounts and reports through.
     """
 
     def __init__(self, plan, overrides, record_metrics, should_abort, tracer, governance):
@@ -423,19 +330,15 @@ class _RunState:
         """Whether an override lands at ``op`` or anywhere below it."""
         return any(op.subtree_start <= root <= op.index for root in self.override_roots)
 
-    def checkpoint(self, op: PhysicalOp, morsel: Optional[int] = None, extra_bytes: int = 0):
-        """The cooperative boundary before ``op`` (or before one morsel of
-        the chain it heads): poll ``should_abort``, then check the contract
-        against the live bytes plus what the caller holds outside the slots."""
+    def checkpoint(self, op: PhysicalOp) -> None:
+        """The cooperative boundary before ``op``: poll ``should_abort``,
+        then check the contract against the live bytes."""
         if self.should_abort is not None and self.should_abort():
-            where = format_address(op.address)
             raise TaskCancelled(
-                f"execution aborted before operator {where}"
-                if morsel is None
-                else f"execution aborted at morsel {morsel} of chain {where}"
+                f"execution aborted before operator {format_address(op.address)}"
             )
         if self.governance is not None:
-            self.governance.check(self.live_bytes + extra_bytes)
+            self.governance.check(self.live_bytes)
 
     def release(self, slot: int) -> None:
         self.slots[slot] = None
@@ -453,26 +356,24 @@ class _RunState:
             self.live_bytes += produced
             self.governance.check(self.live_bytes)
 
-    def record(self, op, rows_in, rows_out, seconds, span=None, sampler=None, morsels=0):
+    def record(self, op, rows_in, rows_out, seconds, span=None, sampler=None):
         """What ``op`` did: its cardinality always; its ``op.<opcode>`` span
         and :class:`OperatorMetrics` when someone is watching."""
         self.cardinalities[op.address] = rows_out
-        # The materialised output (a fused chain's inner members have none).
-        out = self.slots[op.index] if self.observe else None
-        coded = len(out.dictionaries()) if out is not None else 0
+        if not self.observe:
+            return
+        out = self.slots[op.index]
+        coded = len(out.dictionaries())
         if self.tracer is not None:
-            attrs = {"rows_in": rows_in, "rows_out": rows_out}
-            if out is not None:
-                # Bytes as a governed run is charged them: 4 a row per code.
-                attrs.update(coded=coded, bytes=out.estimated_bytes())
-            if morsels:
-                attrs["morsels"] = morsels
+            # Bytes as a governed run is charged them: 4 a row per code.
+            attrs = {
+                "rows_in": rows_in, "rows_out": rows_out,
+                "coded": coded, "bytes": out.estimated_bytes(),
+            }
             if self.overrides and op.address in self.overrides:
                 attrs["override"] = True
             if sampler is not None:
                 attrs.update(sampler)
-            if span is None:  # a chain member: reported when its chain ends
-                span = _begin_op_span(self.tracer, op)
             self.tracer.end(span, **attrs)
         if self.record_metrics:
             self.metrics.append(
@@ -483,7 +384,6 @@ class _RunState:
                     rows_out=rows_out,
                     seconds=seconds,
                     sampler=sampler,
-                    morsels=morsels,
                     coded=coded,
                 )
             )
@@ -638,7 +538,6 @@ def liveness(
 
 def compile_plan(
     plan: LogicalNode,
-    attach_rowids: bool = True,
     fingerprint: Optional[str] = None,
     root_required: Optional[Iterable[str]] = None,
 ) -> PhysicalPlan:
@@ -676,7 +575,7 @@ def compile_plan(
         if opcode == "scan":
             ordinal = len(scan_ordinals)
             scan_ordinals[address] = ordinal
-            if attach_rowids and address in attaching:
+            if address in attaching:
                 lineage_column = rowid_column_name(ordinal)
         elif opcode == "aggregate":
             estimation = Estimation.of(node)
@@ -708,29 +607,8 @@ def compile_plan(
         ops=tuple(ops),
         address_to_index=address_to_index,
         scan_ordinals=scan_ordinals,
-        attach_rowids=attach_rowids,
-        morsel_chains=_find_morsel_chains(ops),
         unbuilt_joins=_find_unbuilt_joins(ops),
     )
-
-
-def _find_morsel_chains(ops: List[PhysicalOp]) -> Dict[int, Tuple[int, ...]]:
-    """Maximal runs of consecutive streamable unary ops, keyed by first index.
-
-    Post-order guarantees a unary operator's child sits at ``index - 1``, so
-    a filter→project chain is literally a contiguous slice of the pipeline.
-    Single streamable ops are not worth fusing (one morselized pass plus a
-    concat is strictly more work than one whole-input pass); only chains of
-    two or more become morsel-driven.
-    """
-    runs: List[List[int]] = []
-    for op in ops:
-        if op.opcode in _STREAMABLE and op.child_slots == (op.index - 1,):
-            if runs and runs[-1][-1] == op.index - 1:
-                runs[-1].append(op.index)
-            else:
-                runs.append([op.index])
-    return {run[0]: tuple(run) for run in runs if len(run) >= 2}
 
 
 def _find_unbuilt_joins(ops: List[PhysicalOp]) -> FrozenSet[int]:

@@ -210,7 +210,7 @@ class Table:
         """Zero-copy contiguous row range ``[start, stop)``.
 
         Basic slicing never copies, so the result's columns are views into
-        this table's buffers (the morsel driver's unit of execution).
+        this table's buffers.
         """
         out = Table.__new__(Table)
         out.name = name or self.name

@@ -88,7 +88,7 @@ class DegradedResultError(ExecutionError):
 class GovernanceError(ExecutionError):
     """An in-flight query was stopped by its governance contract.
 
-    Raised cooperatively at morsel/operator/task boundaries when a query's
+    Raised cooperatively at operator/task boundaries when a query's
     :class:`~repro.engine.governance.GovernanceContext` says it must no
     longer run — the client cancelled it, its deadline passed, or it blew
     its memory budget. ``reason_code`` is the short machine-readable cause

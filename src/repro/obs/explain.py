@@ -151,15 +151,10 @@ def _resident_footer(execution) -> str:
 
 
 def _memory_footer(registry) -> str:
-    """One line of ``memory.*`` telemetry: arena occupancy after the run
-    plus the cumulative morsel count this executor has recorded."""
+    """One line of ``memory.*`` telemetry: arena occupancy after the run."""
     live = registry.gauge("memory.live_segments").value
     mapped = registry.gauge("memory.bytes_mapped").value
-    morsels = registry.counter("memory.morsels_executed").value
-    return (
-        f"memory: {int(live)} live segment(s), {int(mapped):,} bytes mapped, "
-        f"{int(morsels):,} morsel(s) executed"
-    )
+    return f"memory: {int(live)} live segment(s), {int(mapped):,} bytes mapped"
 
 
 def render_explain(planner, result, execution) -> str:

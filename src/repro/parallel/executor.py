@@ -521,7 +521,7 @@ class ParallelExecutor:
             # fork-time copy for processes) *and* the governance contract —
             # whose token flag and monotonic deadline stay meaningful after
             # fork — so a cancel/deadline stops every backend at the next
-            # operator/morsel boundary. The context also caps each worker's
+            # operator boundary. The context also caps each worker's
             # partition-local live bytes.
             run = engine.run(
                 worker_plans[task.partition],

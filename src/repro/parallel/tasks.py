@@ -682,7 +682,7 @@ class _Scheduler:
 
         Running thread workers see the abandoned set, and fork workers see
         the token's shared mmap byte / the absolute monotonic deadline —
-        all abort at their next morsel boundary, so the straggler wait at
+        all abort at their next operator boundary, so the straggler wait at
         shutdown stays short. Completed payloads remain in the outcomes.
         """
         exc = self.abort

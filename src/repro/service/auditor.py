@@ -16,7 +16,7 @@ strictly lowest priority:
   — audits wait for an idle engine;
 * every replay runs under its own :class:`GovernanceContext` whose token
   the service fires (``auditor-yield``) the moment a new live query is
-  submitted; the engine unwinds at its next morsel/task checkpoint and
+  submitted; the engine unwinds at its next operator/task checkpoint and
   the audit goes back in the queue;
 * a replay preempted ``max_attempts`` times is abandoned (counted in the
   ledger as ``accuracy.audits_abandoned``) rather than retried forever.

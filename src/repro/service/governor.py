@@ -7,7 +7,7 @@ the policy layer for queries already running. It owns two things:
   :class:`~repro.engine.governance.GovernanceContext` — absolute
   monotonic deadline, memory budget, shared cancellation token — created
   at submit time (so a still-queued query is cancellable) and threaded
-  through the engine, which polls it at every morsel/operator/task
+  through the engine, which polls it at every operator/task
   boundary.
 * **The degradation ladder.** When that contract trips — or is clearly
   about to — the governor re-plans one rung down instead of failing the

@@ -806,7 +806,7 @@ class _Connection:
             return True
         # Wait for the ticket while watching the socket: a client that
         # disconnects mid-query fires the cancellation token, and the
-        # engine stops at its next morsel/task boundary instead of
+        # engine stops at its next operator/task boundary instead of
         # finishing an answer nobody is waiting for.
         while not ticket.wait(0.05):
             if self._peer_closed():

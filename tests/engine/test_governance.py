@@ -7,8 +7,8 @@ The invariants under test:
 * contract violations surface as the typed taxonomy
   (:class:`QueryCancelled` / :class:`DeadlineExceeded` /
   :class:`BudgetExceeded`), never a generic failure or a hang;
-* cancellation is honored at the next morsel boundary — the whole point
-  of cooperative checkpoints riding the morsel loop.
+* cancellation is honored at the next operator boundary — the whole
+  point of cooperative checkpoints riding the operator loop.
 """
 
 import threading
@@ -126,7 +126,7 @@ class TestGovernedSerialExecution:
             np.testing.assert_array_equal(
                 plain.table.column(name), governed.table.column(name)
             )
-        # The morsel/operator loop actually polled the contract.
+        # The operator loop actually polled the contract.
         assert ctx.checks > 0
         assert ctx.peak_live_bytes > 0
 
@@ -151,11 +151,11 @@ class TestGovernedSerialExecution:
         with pytest.raises(BudgetExceeded):
             executor.execute(grouped_query, governance=ctx)
 
-    def test_mid_flight_cancel_stops_at_morsel_boundary(self, sales_db, grouped_query):
-        # Tiny morsels = many checkpoints; fire the token from another
-        # thread and require the unwind within a tight bound. Real work
-        # (not sleeps) between checkpoints is what makes the bound honest.
-        executor = Executor(sales_db, morsel_rows=256)
+    def test_mid_flight_cancel_stops_at_operator_boundary(self, sales_db, grouped_query):
+        # Fire the token from another thread and require the unwind within
+        # a tight bound. Real work (not sleeps) between checkpoints is what
+        # makes the bound honest.
+        executor = Executor(sales_db)
         ctx = GovernanceContext()
         fired_at = []
 
@@ -171,4 +171,4 @@ class TestGovernedSerialExecution:
                 executor.execute(grouped_query, governance=ctx)
         stopped_at = time.perf_counter()
         trigger.join()
-        assert stopped_at - fired_at[0] < 0.25  # one morsel boundary, not one query
+        assert stopped_at - fired_at[0] < 0.25  # one operator boundary, not one query

@@ -304,7 +304,7 @@ def run_both_ways(physical, db, **kwargs):
 
 def metric_rows(metrics):
     return [
-        (m.address, m.description, m.rows_in, m.rows_out, m.coded, m.morsels, m.sampler)
+        (m.address, m.description, m.rows_in, m.rows_out, m.coded, m.sampler)
         for m in metrics
     ]
 

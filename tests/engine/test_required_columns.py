@@ -157,25 +157,23 @@ class TestPerOperatorRules:
 
 class TestPlansThatReadNoColumn:
     """``COUNT(*)`` reads no data column; the table it counts must still
-    have its rows (with lineage off there is no reserved column to hold
-    the count either)."""
+    have its rows (nothing reads lineage through an aggregate, so no scan
+    attaches a reserved column to hold the count either)."""
 
     @staticmethod
-    def executor(database, attach_rowids, degree):
+    def executor(database, degree):
         if degree == 1:
-            return Executor(database, attach_rowids=attach_rowids)
+            return Executor(database)
         return Executor(
             database,
-            attach_rowids=attach_rowids,
             parallelism=degree,
             parallel_options=ParallelOptions(pool="thread", min_partition_rows=1_000),
         )
 
     @pytest.mark.parametrize("degree", (1, 2))
-    @pytest.mark.parametrize("attach_rowids", (True, False))
-    def test_scalar_and_grouped_count_star(self, sales_db, attach_rowids, degree):
+    def test_scalar_and_grouped_count_star(self, sales_db, degree):
         joined = scan(sales_db, "sales").join(scan(sales_db, "item"), on=[("s_item", "i_item")])
-        executor = self.executor(sales_db, attach_rowids, degree)
+        executor = self.executor(sales_db, degree)
         sales = sales_db.table("sales")
 
         scalar = joined.agg(count("n")).node

@@ -13,10 +13,10 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 
 MAX_FUNCTION_LINES = 120
 
-#: ``PhysicalPlan.execute`` has 8 (with ``self``) and is the widest; what an
-#: execution shares between its steps travels in the run state, not in
-#: ever longer argument lists.
-MAX_PHYSICAL_PARAMETERS = 8
+#: ``PhysicalPlan.execute`` and ``_RunState.record`` have 7 (with ``self``)
+#: and are the widest; what an execution shares between its steps travels
+#: in the run state, not in ever longer argument lists.
+MAX_PHYSICAL_PARAMETERS = 7
 
 #: ``ParallelOptions`` had 13 fields before ``measure_serial_baseline``
 #: went, and 12 before the four knobs only tests and benchmarks set (the
@@ -24,6 +24,12 @@ MAX_PHYSICAL_PARAMETERS = 8
 #: degradation switch) went; a new knob needs two existing callers that
 #: want different values.
 MAX_PARALLEL_OPTIONS = 8
+
+#: Settable values of the engine's constructors (``self`` not counted).
+#: ``Executor`` had 8 and ``PlanRunner`` 6 before ``attach_rowids`` and
+#: ``morsel_rows``, which only tests set, went; a new knob needs two
+#: non-test callers that want different values.
+MAX_ENGINE_PARAMETERS = {"PlanRunner.__init__": 4, "Executor.__init__": 6}
 
 
 def _functions(tree):
@@ -299,6 +305,17 @@ def test_parallel_options_do_not_grow():
         stmt.target.id for stmt in options.body if isinstance(stmt, ast.AnnAssign)
     ]
     assert len(fields) <= MAX_PARALLEL_OPTIONS, fields
+
+
+def test_engine_constructors_do_not_grow():
+    widths = {
+        name: len(node.args.args) - 1 + len(node.args.kwonlyargs)
+        for name, node, _ in _functions(_parse("engine/executor.py"))
+        if name in MAX_ENGINE_PARAMETERS
+    }
+    assert widths.keys() == MAX_ENGINE_PARAMETERS.keys(), widths
+    wide = {name: n for name, n in widths.items() if n > MAX_ENGINE_PARAMETERS[name]}
+    assert not wide, f"engine constructors over their ceiling: {wide}"
 
 
 def _functions_under(*packages):
