@@ -34,7 +34,7 @@ the same plan object re-uses the digest without re-walking the tree.
 from __future__ import annotations
 
 import hashlib
-from typing import Callable, Dict, Iterator, Tuple
+from typing import Callable, Dict, Iterator, Optional, Tuple
 
 from repro.algebra.expressions import And, BinOp, Cmp, Col, Expr, Func, IfThenElse, IsIn, Lit, Not, Or
 from repro.algebra.logical import (
@@ -59,6 +59,7 @@ __all__ = [
     "parse_address",
     "node_at",
     "scan_ordinals",
+    "trace_to_scan",
     "canonical_plan_form",
     "plan_fingerprint",
 ]
@@ -136,6 +137,40 @@ def scan_ordinals(plan: LogicalNode) -> Dict[NodeAddress, int]:
 
 _COMMUTATIVE_BINOPS = frozenset({"+", "*"})
 _COMMUTATIVE_CMPS = frozenset({"==", "!="})
+
+
+def trace_to_scan(
+    node: LogicalNode, address: NodeAddress, columns: Tuple[str, ...]
+) -> Optional[Tuple[NodeAddress, Scan, Tuple[str, ...]]]:
+    """Follow pass-through columns down to a single scan occurrence.
+
+    Returns the scan's address, the scan, and the column names *at the scan*
+    that carry the given output columns — or None when the columns are
+    computed, split across inputs, or renamed through a non-identity
+    projection.
+    """
+    if isinstance(node, Scan):
+        if set(columns) <= set(node.output_columns()):
+            return address, node, columns
+        return None
+    if isinstance(node, (Select, SamplerNode)):
+        return trace_to_scan(node.children[0], address + (0,), columns)
+    if isinstance(node, Project):
+        passthrough = node.identity_passthrough()
+        if not all(c in passthrough for c in columns):
+            return None
+        return trace_to_scan(
+            node.child, address + (0,), tuple(passthrough[c] for c in columns)
+        )
+    if isinstance(node, Join):
+        left_cols = set(node.left.output_columns())
+        if set(columns) <= left_cols:
+            return trace_to_scan(node.left, address + (0,), columns)
+        right_cols = set(node.right.output_columns())
+        if set(columns) <= right_cols:
+            return trace_to_scan(node.right, address + (1,), columns)
+        return None
+    return None
 
 
 def _flatten(expr: Expr, kind: type) -> list:

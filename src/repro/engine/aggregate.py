@@ -27,21 +27,28 @@ Pairs name their group by its dense code in the state, never by the key
 columns again, so finalizing is one ``bincount`` and merging remaps the
 codes with the per-input group codes it computes anyway.
 
-Summation order is part of the contract. Groups are numbered by first
-appearance and every per-group sum runs in row order (``bincount``); the
-universe term runs in (group, universe value) key order. One input
-therefore reproduces itself bit for bit; several inputs agree with one up
-to floating-point reassociation, with groups in order of first appearance
-across the inputs.
+Groups are numbered by first appearance. An unweighted sum whose every
+term is a whole number is exact in any order, so it has no summation order
+to keep: COUNT and COUNT_IF, and SUM, SUM_IF or AVG of a declared decimal
+column (:func:`decimal_scales`), which sums the column's whole units,
+``rint(10^s · y)``, and divides once when finalizing. Such sums read an
+unbuilt join per probe row. Every other sum keeps row order: each
+per-group sum runs in row order (``bincount``), the universe term in
+(group, universe value) key order. One input therefore reproduces itself
+bit for bit; several inputs agree with one exactly on the whole-number
+sums and up to floating-point reassociation on the rest, with groups in
+order of first appearance across the inputs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.algebra.addressing import trace_to_scan
 from repro.algebra.aggregates import AggKind, AggSpec
 from repro.algebra.expressions import Col
 from repro.engine.keys import dense_span, first_appearance_codes, group_codes
@@ -53,6 +60,7 @@ __all__ = [
     "Z_95",
     "Estimation",
     "PartialAggregate",
+    "decimal_scales",
     "key_columns",
     "partial_aggregate",
     "repeated",
@@ -81,15 +89,43 @@ class Estimation(NamedTuple):
     #: universe sampler: variance then accounts for the perfect correlation
     #: of rows within a key-subspace value.
     universe_variance: Optional[Tuple[Tuple[str, ...], float]] = None
+    #: Alias -> scale of each sum of a declared decimal column
+    #: (:func:`decimal_scales`): unweighted, it sums whole units.
+    decimals: Optional[Dict[str, int]] = None
 
     @classmethod
-    def of(cls, node) -> "Estimation":
-        """The annotations of a plan node; a plain ``Aggregate`` has none."""
+    def of(cls, node, database=None) -> "Estimation":
+        """The annotations of a plan node (a plain ``Aggregate`` has none),
+        and the decimals of ``database`` that its sums read."""
         return cls(
             getattr(node, "compute_ci", False),
             getattr(node, "universe_rescale", None),
             getattr(node, "universe_variance", None),
+            None if database is None else decimal_scales(node, database),
         )
+
+
+#: The aggregates whose measure may be a declared decimal column.
+_DECIMAL_KINDS = (AggKind.SUM, AggKind.SUM_IF, AggKind.AVG)
+
+
+def decimal_scales(node, database) -> Optional[Dict[str, int]]:
+    """Alias -> scale of each SUM, SUM_IF or AVG of the aggregate ``node``
+    whose measure is a bare column carried unchanged (renamed, perhaps)
+    from a base column ``database`` declares decimal
+    (:meth:`~repro.engine.table.Database.decimal_scale`); ``None`` when
+    there is none. A computed column, an aggregate's output among them,
+    keeps the float sum."""
+    scales = {}
+    for agg in node.aggs:
+        if agg.kind in _DECIMAL_KINDS and isinstance(agg.expr, Col):
+            traced = trace_to_scan(node.child, (), (agg.expr.name,))
+            if traced is not None:
+                _, scan, (name,) = traced
+                scale = database.decimal_scale(scan.table, name)
+                if scale is not None:
+                    scales[agg.alias] = scale
+    return scales or None
 
 
 class _Pairs(NamedTuple):
@@ -123,6 +159,9 @@ class PartialAggregate:
     #: order, and alias -> Σ y per pair.
     universe_pairs: Optional[_Pairs] = None
     universe_ysums: Dict[str, np.ndarray] = field(default_factory=dict)
+    #: Alias -> scale of the sums held in whole units of ``10^-scale``
+    #: (exact integers in float64), which finalizing divides back.
+    scales: Dict[str, int] = field(default_factory=dict)
 
 
 _EXTREMES = {"min": (np.minimum, np.inf), "max": (np.maximum, -np.inf)}
@@ -150,6 +189,36 @@ class _Groups:
         out = np.full(self.count, identity)
         ufunc.at(out, self.codes, values)
         return out
+
+
+class _Input:
+    """An aggregate's input and its groups: ``keyed`` codes the group of
+    each keyed row, a row of ``table`` or, when ``table`` is an unbuilt
+    join, a probe row that matches, standing for ``counts`` output rows."""
+
+    def __init__(self, table, keyed: _Groups, counts: Optional[np.ndarray]):
+        self.table, self.keyed, self.counts = table, keyed, counts
+
+    @cached_property
+    def rows(self) -> _Groups:
+        """The groups of the output rows (made when first needed)."""
+        return _Groups(repeated(self.keyed.codes, self.counts), self.keyed.count)
+
+    def whole_sum(self, agg: AggSpec, scale: Optional[int]) -> np.ndarray:
+        """Per-group Σ y of an unweighted SUM-like aggregate, or of an
+        AVG's numerator, ``y`` in whole units when ``scale`` is given. Over
+        an unbuilt join a sum of whole numbers reads one term per probe row
+        (:meth:`~repro.engine.operators.JoinedRows.side_sums`); every
+        other sum reads the output rows in order."""
+        if self.counts is not None and (scale is not None or agg.kind in _WHOLE):
+            if agg.kind is AggKind.COUNT:
+                return self.keyed.sum(self.counts)
+            terms = self.table.side_sums(
+                agg.columns(), lambda side: _per_row_contribution(agg, side, scale)
+            )
+            if terms is not None:
+                return self.keyed.sum(terms)
+        return self.rows.sum(_per_row_contribution(agg, self.table, scale))
 
 
 def _distinct_pairs(codes: np.ndarray, values: Sequence[np.ndarray], table=None, names=(),
@@ -202,21 +271,33 @@ def _dense_pair_key(codes: np.ndarray, values: Sequence[np.ndarray]):
     return key, span, lo
 
 
-def _per_row_contribution(agg: AggSpec, table: Table) -> Optional[np.ndarray]:
+def _per_row_contribution(
+    agg: AggSpec, table: Table, scale: Optional[int] = None
+) -> Optional[np.ndarray]:
     """The raw (unweighted) per-row value y_i such that the true aggregate is
-    sum over all rows of y_i. Used for both estimate and variance. ``None``
-    for COUNT, whose every y_i is 1."""
+    sum over all rows of y_i, in whole units of ``10^-scale`` when ``scale``
+    is given. Used for both estimate and variance. ``None`` for COUNT,
+    whose every y_i is 1."""
     if agg.kind is AggKind.COUNT:
         return None
     if agg.kind is AggKind.COUNT_IF:
         return np.asarray(agg.cond.evaluate(table), dtype=np.float64)
     values = np.asarray(agg.expr.evaluate(table), dtype=np.float64)
+    if scale is not None:
+        values = values * 10.0**scale
+        np.rint(values, out=values)
     if agg.kind is AggKind.SUM_IF:
         return values * np.asarray(agg.cond.evaluate(table), dtype=np.float64)
     return values
 
 
 _SUM_LIKE = (AggKind.SUM, AggKind.COUNT, AggKind.SUM_IF, AggKind.COUNT_IF)
+
+#: Sum-like aggregates whose every term is a whole number.
+_WHOLE = (AggKind.COUNT, AggKind.COUNT_IF)
+
+#: An AVG's denominator, unweighted: the rows per group.
+_COUNT = AggSpec(AggKind.COUNT, "")
 
 
 def _product(*factors: Optional[np.ndarray]) -> Optional[np.ndarray]:
@@ -264,10 +345,11 @@ def partial_aggregate(
     ``probe`` is given when ``table`` is an inner join's output left
     unbuilt (:class:`~repro.engine.operators.JoinedRows`): ``(rows,
     counts)``, a table of the probe rows that match holding the
-    :func:`key_columns`, and how many output rows each one is (``None``:
-    one). Group codes and pairs are found on those rows and repeated;
-    measures and weights are still read per output row, so every sum adds
-    the same values in the same order as over the built table."""
+    :func:`key_columns`, and how many output rows each one is. Group codes
+    and pairs are found on those rows. An unweighted sum of whole numbers
+    reads one term per probe row; every other sum, and every weight, is
+    read per output row, adding the same values in the same order as over
+    the built table."""
     keyed, counts = probe if probe is not None else (table, None)
     weighted = table.has_weights()
     # Unweighted rows weigh 1: their sums skip the product.
@@ -286,8 +368,12 @@ def partial_aggregate(
         codes = np.zeros(keyed.num_rows, dtype=np.int64)
         num_groups = 1  # scalar aggregates always emit one group
         keys = {}
-    groups = _Groups(repeated(codes, counts), num_groups)
-    state = PartialAggregate(tuple(group_by), weighted, table.num_rows, num_groups, keys)
+    grouped = _Input(table, _Groups(codes, num_groups), counts)
+    # Weighted sums stay float: only unweighted ones sum whole units.
+    scales = {} if weighted else dict(how.decimals or {})
+    state = PartialAggregate(
+        tuple(group_by), weighted, table.num_rows, num_groups, keys, scales=scales
+    )
     comps = state.comps
 
     universe = None
@@ -302,28 +388,36 @@ def partial_aggregate(
     for agg in aggs:
         alias = agg.alias
         if agg.kind in _SUM_LIKE:
+            if not weighted:
+                comps[(alias, "est")] = grouped.whole_sum(agg, scales.get(alias))
+                continue
             y = _per_row_contribution(agg, table)
-            comps[(alias, "est")] = groups.sum(_product(weights, y))
+            comps[(alias, "est")] = grouped.rows.sum(_product(weights, y))
             if universe is not None:
                 state.universe_ysums[alias] = universe.sum(y)
             elif with_variance:
                 # Independent per-row inclusion (uniform/distinct samplers):
                 # Var-hat = Σ (w² − w)·y².
-                comps[(alias, "var")] = groups.sum(_product(spread, y, y))
+                comps[(alias, "var")] = grouped.rows.sum(_product(spread, y, y))
         elif agg.kind is AggKind.AVG:
+            if not weighted:
+                comps[(alias, "num")] = grouped.whole_sum(agg, scales.get(alias))
+                if ("", "wsum") not in comps:
+                    comps[("", "wsum")] = grouped.whole_sum(_COUNT, None)
+                continue
             y = np.asarray(agg.expr.evaluate(table), dtype=np.float64)
-            comps[(alias, "num")] = groups.sum(_product(weights, y))
+            comps[(alias, "num")] = grouped.rows.sum(weights * y)
             if ("", "wsum") not in comps:
-                comps[("", "wsum")] = groups.sum(weights)
+                comps[("", "wsum")] = grouped.rows.sum(weights)
                 if with_variance:
-                    comps[("", "wvar")] = groups.sum(spread)
+                    comps[("", "wvar")] = grouped.rows.sum(spread)
             if with_variance:
-                comps[(alias, "varnum")] = groups.sum(spread * y * y)
-                comps[(alias, "cov")] = groups.sum(spread * y)
+                comps[(alias, "varnum")] = grouped.rows.sum(spread * y * y)
+                comps[(alias, "cov")] = grouped.rows.sum(spread * y)
         elif agg.kind in (AggKind.MIN, AggKind.MAX):
             tag = "min" if agg.kind is AggKind.MIN else "max"
             values = np.asarray(agg.expr.evaluate(table), dtype=np.float64)
-            comps[(alias, tag)] = groups.reduce(tag, values)
+            comps[(alias, tag)] = grouped.rows.reduce(tag, values)
         elif agg.kind is AggKind.COUNT_DISTINCT:
             names = [agg.expr.name] if isinstance(agg.expr, Col) else []
             values = [keyed.key_column(n) for n in names] or [np.asarray(agg.expr.evaluate(keyed))]
@@ -361,6 +455,8 @@ def merge_partials(partials: Sequence[PartialAggregate]) -> PartialAggregate:
     if not partials:
         raise PlanError("merge_partials needs at least one partial state")
     first = partials[0]
+    if any(p.scales != first.scales for p in partials):
+        raise PlanError("cannot merge aggregate states that sum in different units")
     keys, codes_per_part, num_groups = merged_groups(partials)
     merged = PartialAggregate(
         first.group_by,
@@ -368,6 +464,7 @@ def merge_partials(partials: Sequence[PartialAggregate]) -> PartialAggregate:
         sum(p.rows for p in partials),
         num_groups,
         keys,
+        scales=first.scales,
     )
     groups = _Groups(np.concatenate(codes_per_part), num_groups)
     for comp in first.comps:
@@ -396,8 +493,9 @@ def finalize_partial(
 ) -> Table:
     """Turn a state into the aggregate's output table.
 
-    Without weights the answers are exact. With weights, each aggregate is
-    rewritten per the paper's Table 8:
+    Without weights the answers are exact: a sum held in whole units is
+    divided back once, so it is the decimal total correctly rounded. With
+    weights, each aggregate is rewritten per the paper's Table 8:
 
     ====================  =============================================
     true value            estimate over the sample
@@ -419,8 +517,11 @@ def finalize_partial(
     for agg in aggs:
         alias = agg.alias
         variance: Optional[np.ndarray] = None
+        unit = 10.0 ** state.scales[alias] if alias in state.scales else None
         if agg.kind in _SUM_LIKE:
             estimate = comps[(alias, "est")]
+            if unit is not None:
+                estimate = estimate / unit
             if alias in state.universe_ysums:
                 p = how.universe_variance[1]
                 sums = state.universe_ysums[alias]
@@ -431,8 +532,10 @@ def finalize_partial(
                 variance = comps.get((alias, "var"))
         elif agg.kind is AggKind.AVG:
             weight_sum = comps[("", "wsum")]
+            # One division of whole units by whole rows: one rounding.
+            divisor = weight_sum if unit is None else weight_sum * unit
             with np.errstate(invalid="ignore", divide="ignore"):
-                estimate = np.where(weight_sum > 0, comps[(alias, "num")] / weight_sum, np.nan)
+                estimate = np.where(weight_sum > 0, comps[(alias, "num")] / divisor, np.nan)
             if (alias, "varnum") in comps:
                 # Delta-method variance of the ratio estimator.
                 var_num, cov = comps[(alias, "varnum")], comps[(alias, "cov")]

@@ -336,10 +336,16 @@ def _is_str(value) -> bool:
 class Database:
     """Catalog of named base tables. What :meth:`register` stores is the
     table's :meth:`~Table.encoded` form: string columns are coded once per
-    table version, and every query reads the same dictionaries."""
+    table version, and every query reads the same dictionaries.
+
+    A table may declare decimal columns, as SQL's ``decimal(p, s)`` does:
+    every value is a whole number of ``10^-s`` units. The declaration is
+    schema, not something checked or inferred: compiled aggregates that sum
+    such a column sum its units exactly (DESIGN §18)."""
 
     def __init__(self):
         self._tables: Dict[str, Table] = {}
+        self._scales: Dict[str, Dict[str, int]] = {}
         #: Optional :class:`repro.stats.catalog.PartitionCatalog` attached
         #: by datagen/load; the prune/select pass is a no-op without it.
         self.partition_stats = None
@@ -348,9 +354,20 @@ class Database:
         #: never points back here.
         self.partitions = PartitionStore()
 
-    def register(self, table: Table) -> None:
+    def register(self, table: Table, decimals: Mapping[str, int] = MappingProxyType({})) -> None:
+        """Store ``table``; ``decimals`` maps each of its decimal columns
+        to its scale (digits after the point)."""
+        undeclared = set(decimals) - set(table.data_column_names())
+        if undeclared:
+            raise SchemaError(f"table {table.name!r} has no columns {sorted(undeclared)}")
         self._tables[table.name] = table.encoded()
+        self._scales[table.name] = dict(decimals)
         self.partitions.drop(table.name)
+
+    def decimal_scale(self, table: str, column: str) -> Optional[int]:
+        """The declared scale of a decimal column; ``None`` for any other
+        column, and for a table this catalog does not hold."""
+        return self._scales.get(table, {}).get(column)
 
     def table(self, name: str) -> Table:
         try:

@@ -45,12 +45,12 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.algebra.addressing import NodeAddress, format_address, walk_with_addresses
+from repro.algebra.addressing import NodeAddress, format_address, trace_to_scan, walk_with_addresses
 from repro.algebra.logical import Join, SamplerNode, Select
 from repro.core.pushdown import partition_feasible, prune_conjuncts
 from repro.engine.keys import value_counts
 from repro.engine.partitions import Partitioner
-from repro.parallel.plan import PlanAnalysis, ScanPartitioning, _trace_to_scan
+from repro.parallel.plan import PlanAnalysis, ScanPartitioning
 
 __all__ = ["ScanPrunePlan", "plan_partition_pruning", "PRUNE_INVARIANT_KINDS"]
 
@@ -177,7 +177,7 @@ def _collect_direct_predicates(
             cols = tuple(sorted(conjunct.columns()))
             if not cols:
                 continue
-            traced = _trace_to_scan(node.child, address + (0,), cols)
+            traced = trace_to_scan(node.child, address + (0,), cols)
             if traced is None or traced[0] != entry.address:
                 continue
             mapping = dict(zip(cols, traced[2]))
@@ -217,7 +217,7 @@ def _collect_semijoin_keys(
         for fact_side, fact_keys, dim_side, dim_keys, child in sides:
             if len(fact_keys) != 1 or len(dim_keys) != 1:
                 continue
-            traced = _trace_to_scan(fact_side, address + (child,), tuple(fact_keys))
+            traced = trace_to_scan(fact_side, address + (child,), tuple(fact_keys))
             if traced is None or traced[0] != entry.address:
                 continue
             if any(isinstance(n, SamplerNode) for n in dim_side.walk()):
@@ -241,7 +241,7 @@ def _collect_semijoin_keys(
                     cols = tuple(sorted(conjunct.columns()))
                     if not cols:
                         continue
-                    dim_traced = _trace_to_scan(dim_side, dim_addr, cols)
+                    dim_traced = trace_to_scan(dim_side, dim_addr, cols)
                     if dim_traced is None or dim_traced[0] not in dim_scans:
                         continue
                     try:

@@ -69,10 +69,14 @@ def merge_rows(
 
     ``columns`` names what the consumer reads (default: every column): the
     rows are ordered by all the lineage, but only the named columns and
-    the weight column are gathered into that order.
+    the weight column are gathered into that order. Rows of two or more
+    partitions without lineage have no serial order to restore: that is a
+    :class:`PlanError`, not a concatenation.
     """
     if not tables:
         raise PlanError("merge_rows needs at least one partition output")
+    if sum(t.num_rows > 0 for t in tables) > 1 and not tables[0].has_lineage():
+        raise PlanError("merge_rows got several partitions' rows but no lineage to order them")
     if len(tables) == 1:
         # Single survivor: its rows are already the whole stream (modulo the
         # ordering below) — skip the concat copy. With the shm transport

@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.algebra.addressing import NodeAddress, scan_ordinals, walk_with_addresses
+from repro.algebra.addressing import NodeAddress, scan_ordinals, trace_to_scan, walk_with_addresses
 from repro.algebra.builder import Query
 from repro.algebra.logical import (
     Aggregate,
@@ -166,40 +166,6 @@ def _find_split(
     return None, (), None, None, "nested aggregates with no partitionable precursor"
 
 
-def _trace_to_scan(
-    node: LogicalNode, address: NodeAddress, columns: Tuple[str, ...]
-) -> Optional[Tuple[NodeAddress, Scan, Tuple[str, ...]]]:
-    """Follow pass-through columns down to a single scan occurrence.
-
-    Returns the scan's address, the scan, and the column names *at the scan*
-    that carry the given output columns — or None when the columns are
-    computed, split across inputs, or renamed through a non-identity
-    projection.
-    """
-    if isinstance(node, Scan):
-        if set(columns) <= set(node.output_columns()):
-            return address, node, columns
-        return None
-    if isinstance(node, (Select, SamplerNode)):
-        return _trace_to_scan(node.children[0], address + (0,), columns)
-    if isinstance(node, Project):
-        passthrough = node.identity_passthrough()
-        if not all(c in passthrough for c in columns):
-            return None
-        return _trace_to_scan(
-            node.child, address + (0,), tuple(passthrough[c] for c in columns)
-        )
-    if isinstance(node, Join):
-        left_cols = set(node.left.output_columns())
-        if set(columns) <= left_cols:
-            return _trace_to_scan(node.left, address + (0,), columns)
-        right_cols = set(node.right.output_columns())
-        if set(columns) <= right_cols:
-            return _trace_to_scan(node.right, address + (1,), columns)
-        return None
-    return None
-
-
 def analyze_plan(
     plan,
     database: Database,
@@ -271,7 +237,7 @@ def analyze_plan(
             plain = node.spec.plain_column_names()
             if not plain:
                 continue
-            traced = _trace_to_scan(node.child, address + (0,), plain)
+            traced = trace_to_scan(node.child, address + (0,), plain)
             if traced is None:
                 continue
             scan_address, _, source_cols = traced
@@ -297,8 +263,8 @@ def analyze_plan(
     for address, node in walk_with_addresses(split, split_address):
         if not isinstance(node, Join):
             continue
-        left_traced = _trace_to_scan(node.left, address + (0,), node.left_keys)
-        right_traced = _trace_to_scan(node.right, address + (1,), node.right_keys)
+        left_traced = trace_to_scan(node.left, address + (0,), node.left_keys)
+        right_traced = trace_to_scan(node.right, address + (1,), node.right_keys)
         if left_traced is None or right_traced is None:
             continue
         (laddr, _, lcols), (raddr, _, rcols) = left_traced, right_traced

@@ -219,8 +219,10 @@ class ColumnStats:
 
     @property
     def distinct(self) -> int:
-        """Distinct values, all NaNs counted as one."""
-        return self.summary.distinct + (self.summary.null_count > 0)
+        """Distinct values, each NaN a value of its own: a NaN equals
+        nothing, and the aggregate groups and counts it so
+        (:func:`exact_distinct_multi` agrees)."""
+        return self.summary.distinct + self.summary.null_count
 
     @property
     def heavy_hitters(self) -> Dict:

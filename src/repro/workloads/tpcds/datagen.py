@@ -11,7 +11,9 @@ absolute bytes — so the generator preserves:
 * returns that reference actual sales (shared ticket / order numbers), so
   fact-fact joins have realistic match rates;
 * skewed monetary values (lognormal prices, heavy-tailed profit) so SUM
-  aggregates exhibit the value-skew error mode the paper discusses.
+  aggregates exhibit the value-skew error mode the paper discusses. Each
+  is rounded to cents and declared ``decimal(7,2)``, as TPC-DS declares
+  them.
 """
 
 from __future__ import annotations
@@ -27,6 +29,12 @@ __all__ = ["generate_tpcds", "scaled_rows"]
 _STATES = np.asarray(["CA", "TX", "NY", "WA", "IL", "FL", "GA", "OH", "MI", "NC"])
 _CATEGORIES = np.asarray(["Books", "Electronics", "Home", "Jewelry", "Men", "Music", "Shoes", "Sports", "Women", "Children"])
 _COLORS = np.asarray(["red", "blue", "green", "black", "white", "yellow", "purple", "navy", "maroon", "beige"])
+
+
+def _cents(*columns: str) -> dict:
+    """The ``decimals`` declaration of money columns: two digits after the
+    point (TPC-DS's ``decimal(7,2)``)."""
+    return dict.fromkeys(columns, 2)
 
 
 def scaled_rows(table: str, scale: float) -> int:
@@ -140,7 +148,8 @@ def generate_tpcds(scale: float = 1.0, seed: int = 42, stats: bool = True) -> Da
                 "i_manager_id": rng.integers(1, 40, n_item),
                 "i_current_price": np.round(rng.lognormal(2.5, 0.8, n_item), 2),
             },
-        )
+        ),
+        decimals=_cents("i_current_price"),
     )
 
     date_sk = np.arange(n_date)
@@ -227,7 +236,10 @@ def generate_tpcds(scale: float = 1.0, seed: int = 42, stats: bool = True) -> Da
                 "ss_wholesale_cost": ss_wholesale,
                 "ss_net_profit": np.round((ss_price - ss_wholesale) * ss_quantity, 2),
             },
-        )
+        ),
+        decimals=_cents(
+            "ss_sales_price", "ss_ext_sales_price", "ss_wholesale_cost", "ss_net_profit"
+        ),
     )
 
     # Store returns reverse a subset of store sales (same ticket/item/customer).
@@ -250,7 +262,8 @@ def generate_tpcds(scale: float = 1.0, seed: int = 42, stats: bool = True) -> Da
                 "sr_return_amt": np.round(ss.column("ss_sales_price")[returned] * return_qty, 2),
                 "sr_net_loss": np.round(rng.exponential(25, len(returned)), 2),
             },
-        )
+        ),
+        decimals=_cents("sr_return_amt", "sr_net_loss"),
     )
 
     # -- catalog channel ------------------------------------------------------------
@@ -271,7 +284,8 @@ def generate_tpcds(scale: float = 1.0, seed: int = 42, stats: bool = True) -> Da
                 "cs_ext_sales_price": np.round(cs_price * cs_quantity, 2),
                 "cs_net_profit": np.round(cs_price * cs_quantity * rng.normal(0.12, 0.2, n_cs), 2),
             },
-        )
+        ),
+        decimals=_cents("cs_sales_price", "cs_ext_sales_price", "cs_net_profit"),
     )
 
     # -- web channel ------------------------------------------------------------------
@@ -290,7 +304,8 @@ def generate_tpcds(scale: float = 1.0, seed: int = 42, stats: bool = True) -> Da
                 "ws_sales_price": ws_price,
                 "ws_net_profit": np.round(ws_price * ws_quantity * rng.normal(0.1, 0.25, n_ws), 2),
             },
-        )
+        ),
+        decimals=_cents("ws_sales_price", "ws_net_profit"),
     )
 
     n_wr = scaled_rows("web_returns", scale)
@@ -311,7 +326,8 @@ def generate_tpcds(scale: float = 1.0, seed: int = 42, stats: bool = True) -> Da
                     ws.column("ws_sales_price")[wr_src] * rng.integers(1, 10, len(wr_src)), 2
                 ),
             },
-        )
+        ),
+        decimals=_cents("wr_return_amt"),
     )
 
     # Sanity: every table exposes exactly the documented schema.

@@ -25,6 +25,7 @@ from repro.algebra.logical import (
     UnionAll,
 )
 from repro.engine import operators
+from repro.engine.aggregate import decimal_scales
 from repro.engine.costmodel import cost_plan
 from repro.engine.executor import Executor
 from repro.engine.table import rowid_column_name
@@ -93,6 +94,9 @@ class ReferenceExecutor:
                 compute_ci=getattr(node, "compute_ci", False),
                 universe_rescale=getattr(node, "universe_rescale", None),
                 universe_variance=getattr(node, "universe_variance", None),
+                # The one schema input the old executor had no notion of:
+                # sums of declared decimal columns are summed in cents.
+                decimals=decimal_scales(node, self.database),
             )
         if isinstance(node, OrderBy):
             return operators.execute_orderby(

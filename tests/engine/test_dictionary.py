@@ -28,7 +28,7 @@ from repro.algebra.expressions import col
 from repro.algebra.logical import SamplerNode
 from repro.core.rewrite import WeightedAggregate
 from repro.engine.operators import execute_join, execute_union_all
-from repro.engine.table import Database, Table
+from repro.engine.table import Database, Table, rowid_column_name
 from repro.memory import release
 from repro.parallel import ParallelOptions
 from repro.parallel.merge import merge_rows
@@ -188,10 +188,12 @@ class TestMixedDictionaries:
         assert halves.dictionary("k") is self.left.dictionary("k")
 
     def test_partition_merge_accepts_a_copy_of_the_dictionary(self):
-        # What a process-pool worker sends back: equal content, other object.
-        copy = pickle.loads(pickle.dumps(self.left.take(np.asarray([1, 3]))))
+        # What a process-pool worker sends back: equal content, other object;
+        # each partition's rows carry their lineage, as payloads do.
+        left = self.left.with_columns({rowid_column_name(0): np.arange(4, dtype=np.int64)})
+        copy = pickle.loads(pickle.dumps(left.take(np.asarray([1, 3]))))
         assert copy.dictionary("k") is not self.left.dictionary("k")
-        merged = merge_rows([self.left.take(np.asarray([0, 2])), copy])
+        merged = merge_rows([left.take(np.asarray([0, 2])), copy])
         assert merged.dictionary("k") is self.left.dictionary("k")
         assert merged.column("k").tolist() == ["a", "c", "c", ""]
 

@@ -31,7 +31,6 @@ from repro.parallel import executor as parallel_executor
 from repro.parallel.tasks import RetryPolicy
 from repro.samplers.distinct import DistinctSpec
 from repro.service.protocol import table_digest
-from tests.engine.test_compiled_equivalence import assert_same_rows
 
 FAST = RetryPolicy(backoff_base=0.005, backoff_max=0.05, poll_interval=0.005, speculate=False)
 
@@ -68,15 +67,12 @@ def both_ways(db, plan, monkeypatch, governance=None, **options):
     return matched, built
 
 
-def assert_like_built_and_serial(db, plan, matched, built, serial_bits=True):
+def assert_like_built_and_serial(db, plan, matched, built):
     assert table_digest(matched.table) == table_digest(built.table)
     assert matched.cardinalities == built.cardinalities
     assert matched.cost == built.cost
     serial = Executor(db).execute(plan).table
-    if serial_bits:
-        assert table_digest(matched.table) == table_digest(serial)
-    else:
-        assert_same_rows(serial, matched.table, "serial")
+    assert table_digest(matched.table) == table_digest(serial)
 
 
 # -- TPC-DS: the fact-fact joins --------------------------------------------------
@@ -200,9 +196,17 @@ class TestShapes:
         assert merges == ["merge_matches", "merge_rows"]
         assert_like_built_and_serial(db, plan, matched, built)
 
-    @pytest.mark.parametrize(
-        "shape", ["build-partitioned", "build-group", "left-outer", "probe-projected"]
-    )
+    def test_a_projected_probe_side_ships_matches(self, merges, monkeypatch):
+        # A project carries the lineage the merge orders by: probe rows
+        # below one keep their order, and the answer its serial bits.
+        rng = np.random.default_rng(2)
+        db = two_tables(rng.integers(0, 200, 3000), rng.integers(0, 200, 600))
+        plan = query(db, probe=scan(db, "l").derive(x2=col("x") * 2.0))
+        matched, built = both_ways(db, plan, monkeypatch)
+        assert merges == ["merge_matches", "merge_rows"]
+        assert_like_built_and_serial(db, plan, matched, built)
+
+    @pytest.mark.parametrize("shape", ["build-partitioned", "build-group", "left-outer"])
     def test_other_shapes_ship_built_rows(self, merges, monkeypatch, shape):
         rng = np.random.default_rng(2)
         left_keys, right_keys = rng.integers(0, 200, 3000), rng.integers(0, 200, 600)
@@ -215,16 +219,10 @@ class TestShapes:
             db,
             group_by=("b",) if shape == "build-group" else ("g",),
             how="left" if shape == "left-outer" else "inner",
-            # A project cuts the lineage below it: probe rows lose their order.
-            probe=scan(db, "l").derive(x2=col("x") * 2.0) if shape == "probe-projected" else None,
         )
         matched, built = both_ways(db, plan, monkeypatch)
         assert "merge_matches" not in merges
-        # Without the probe side's lineage the built merge orders rows by
-        # the build side's alone, so its sums may differ in the last bits.
-        assert_like_built_and_serial(
-            db, plan, matched, built, serial_bits=shape != "probe-projected"
-        )
+        assert_like_built_and_serial(db, plan, matched, built)
         if shape == "build-partitioned":
             assert matched.parallel.strategy.startswith("round-robin[r]")
         if shape == "left-outer":

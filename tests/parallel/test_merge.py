@@ -336,23 +336,31 @@ class TestPartialAggregate:
         group_by=st.sampled_from([(), ("g",), ("g", "h")]),
         weighted=st.booleans(),
         universe=st.sampled_from([{}, UNIVERSE]),
+        decimal=st.booleans(),
     )
     def test_any_split_merges_to_the_one_part_answer(
-        self, seed, rows, cuts, group_by, weighted, universe
+        self, seed, rows, cuts, group_by, weighted, universe, decimal
     ):
         # Contiguous parts — some empty, some missing groups — so the
         # merged group order is the one-part order. Values are positive:
         # the relative bound is on reassociated sums, not on cancellation.
+        # ``decimal`` declares ``x`` a cents column: its unweighted sums
+        # are then exact, in any split.
         t = weighted_table(n=rows, seed=seed)
-        t = t.with_columns({"x": np.abs(t.column("x")) + 1.0})
+        x = np.abs(t.column("x")) + 1.0
+        t = t.with_columns({"x": np.round(x, 2) if decimal else x})
         t = t if weighted else unweighted(t)
         how = dict(compute_ci=True, **universe)
+        if decimal:
+            how["decimals"] = {"s": 2, "a": 2, "si": 2}
         one = execute_aggregate(t, group_by, ALL_AGGS, **how)
         many = via_partials(t, group_by, cuts=sorted(int(c * rows) for c in cuts), **how)
         assert one.column_names == many.column_names
         bit_equal = {*group_by, "mn", "mx", "d", "mn__ci", "mx__ci", "d__ci"}
         if not weighted:
             bit_equal |= {"n", "ci"}
+            if decimal:
+                bit_equal |= {"s", "a", "si"}
         for c in one.column_names:
             if c in bit_equal:
                 np.testing.assert_array_equal(many.column(c), one.column(c), err_msg=c)
@@ -380,10 +388,15 @@ class TestMergeRows:
         for c in t.column_names:
             np.testing.assert_array_equal(merged.column(c), t.column(c))
 
-    def test_without_lineage_is_plain_concat(self):
+    def test_without_lineage_is_rejected(self):
+        # Several partitions' rows and nothing to order them by: a
+        # concatenation would be one arbitrary order (the q10/q24 drift).
         t = weighted_table(n=30)
-        merged = merge_rows(Partitioner(3).split(t))
-        assert merged.num_rows == 30
+        with pytest.raises(PlanError, match="no lineage"):
+            merge_rows(Partitioner(3).split(t))
+        # One partition with rows is already in order.
+        only = Partitioner(3).split(t)[0]
+        assert merge_rows([only, only.take(np.asarray([], dtype=np.int64))]).num_rows == only.num_rows
 
     def test_empty_input_rejected(self):
         with pytest.raises(PlanError):

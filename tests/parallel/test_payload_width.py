@@ -22,10 +22,6 @@ from tests.engine.test_compiled_equivalence import QUERY_NAMES, assert_same_rows
 
 DEGREE = 2
 
-#: Exact plans whose row-merge answer differs from the serial one in the
-#: last float bits (ROADMAP item 1(ii)); the list may shrink, not grow.
-KNOWN_FLOAT_ORDER = {("q10", "baseline"), ("q24", "baseline")}
-
 
 @pytest.fixture(scope="module")
 def planner(tiny_tpcds):
@@ -100,9 +96,6 @@ def test_every_pool_and_merge_answers_like_serial(planner, tiny_tpcds, name):
         reference = serial.execute(plan).table
         for pool in ("thread", "process"):
             answer = parallel_executor(tiny_tpcds, pool).execute(plan).table
-            if (name, kind) in KNOWN_FLOAT_ORDER:
-                assert_same_rows(reference, answer, f"{name}/{kind}/{pool}")
-            else:
-                assert table_digest(answer) == table_digest(reference), f"{name}/{kind}/{pool}"
+            assert table_digest(answer) == table_digest(reference), f"{name}/{kind}/{pool}"
         partial = parallel_executor(tiny_tpcds, "thread", merge="partial").execute(plan).table
         assert_same_rows(reference, partial, f"{name}/{kind}/partial")

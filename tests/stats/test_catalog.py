@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.algebra.aggregates import count
+from repro.engine.operators import execute_aggregate
 from repro.engine.table import Database, Table
 from repro.errors import CatalogError
 from repro.stats.catalog import Catalog, PartitionCatalog
@@ -110,7 +112,8 @@ def _eager_collect(table):
             stats["max_value"] = float(np.max(as_float))
         if n > 0:
             uniques, counts = np.unique(values, return_counts=True)
-            stats["distinct"] = len(uniques)
+            # A NaN equals nothing: each one is a distinct value.
+            stats["distinct"] = len(np.unique(values, equal_nan=False))
             heavy = counts >= threshold
             if heavy.any():
                 order = np.argsort(counts[heavy])[::-1][:MAX_HEAVY_HITTERS]
@@ -182,6 +185,14 @@ class TestLazyEqualsEager:
         t = Table("t", {"a": np.array([1.0, 1.0, np.nan, np.nan, 2.0]), "b": np.array([5, 5, 5, 5, 6])})
         # (1,5) twice, (2,6), and two NaN rows that equal nothing.
         assert Catalog(_db_of(t)).distinct("t", ["a", "b"]) == 4
+
+    def test_one_nan_rule_for_a_column_and_a_column_set(self):
+        # Each NaN row is a value of its own, as it is a group of its own
+        # to the aggregate: one column and a set with a constant agree.
+        t = Table("t", {"a": np.array([1.0, np.nan, np.nan, 2.0, np.nan]), "b": np.full(5, 7)})
+        catalog = Catalog(_db_of(t))
+        groups = execute_aggregate(t, ["a"], [count("n")]).num_rows
+        assert catalog.distinct("t", ["a"]) == catalog.distinct("t", ["a", "b"]) == groups == 5
 
 
 def _built(catalog):
