@@ -315,7 +315,7 @@ class TestCompiledPlans:
         "compute_ci": True, "universe_rescale": {"dc": 3.0}, "universe_variance": (("c",), 0.3),
     }])
     def test_same_table_cardinalities_and_operator_rows(self, two_tables, group_by, weighted):
-        physical = compile_plan(plan_of(two_tables, group_by, ALL_KINDS, weighted=weighted))
+        physical = compile_plan(plan_of(two_tables, group_by, ALL_KINDS, weighted=weighted), two_tables)
         (join,) = [op for op in physical.ops if op.opcode == "join"]
         assert physical.unbuilt_joins == {join.index}
         (got, got_cards, got_ops), (want, want_cards, want_ops) = run_both_ways(
@@ -346,7 +346,7 @@ class TestCompiledPlans:
             aggs = (count_distinct(col("c") * 2, "d2"), count("n"))
         else:
             how = "left"
-        physical = compile_plan(plan_of(two_tables, group_by, aggs, how, weighted))
+        physical = compile_plan(plan_of(two_tables, group_by, aggs, how, weighted), two_tables)
         assert physical.unbuilt_joins == frozenset()
 
     def test_only_the_join_right_below_an_aggregate(self, two_tables):
@@ -359,13 +359,13 @@ class TestCompiledPlans:
             .build("filtered")
             .plan
         )
-        assert compile_plan(plan).unbuilt_joins == frozenset()
+        assert compile_plan(plan, two_tables).unbuilt_joins == frozenset()
 
     def test_override_at_or_below_the_join_builds_it(self, two_tables, monkeypatch):
-        physical = compile_plan(plan_of(two_tables, ("g",), ALL_KINDS))
+        physical = compile_plan(plan_of(two_tables, ("g",), ALL_KINDS), two_tables)
         want, _, _ = physical.execute(two_tables)
         join_address = (0,)
-        join_output, _, _ = compile_plan(physical.logical.child).execute(two_tables)
+        join_output, _, _ = compile_plan(physical.logical.child, two_tables).execute(two_tables)
         unbuilt = []
         real = operators.execute_join_unbuilt
         monkeypatch.setattr(
@@ -386,7 +386,7 @@ class TestCompiledPlans:
     def test_traced_join_span_reports_the_built_bytes(self, two_tables):
         from repro.obs.trace import Tracer
 
-        physical = compile_plan(plan_of(two_tables, ("h",), ALL_KINDS))
+        physical = compile_plan(plan_of(two_tables, ("h",), ALL_KINDS), two_tables)
         spans = []
         for build in (False, True):
             tracer = Tracer()
@@ -423,7 +423,7 @@ class TestGovernance:
         """q12 exact: the budget one byte under the built plan's peak, which
         its top join's output sets. Both ways raise at that store, and the
         contract saw the same peak."""
-        physical = compile_plan(planned(tpcds, "q12", "exact"))
+        physical = compile_plan(planned(tpcds, "q12", "exact"), tpcds)
         assert physical.unbuilt_joins
         built = dataclasses.replace(physical, unbuilt_joins=frozenset())
         free = GovernanceContext()

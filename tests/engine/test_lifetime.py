@@ -61,7 +61,7 @@ def test_compile_and_execute_leave_nothing_for_the_cycle_collector():
     gc.disable()
     try:
         for plan in plans:
-            compile_plan(plan).execute(db)
+            compile_plan(plan, db).execute(db)
         assert gc.collect() == 0
     finally:
         gc.enable()

@@ -27,7 +27,7 @@ def star(db):
 
 class TestCompile:
     def test_postorder_pipeline(self, sales_db):
-        physical = compile_plan(star(sales_db))
+        physical = compile_plan(star(sales_db), sales_db)
         # Root is last; every child slot precedes its consumer.
         assert physical.ops[-1].address == ()
         for op in physical.ops:
@@ -35,7 +35,7 @@ class TestCompile:
             assert op.subtree_start <= op.index
 
     def test_subtree_ranges_are_contiguous(self, sales_db):
-        physical = compile_plan(star(sales_db))
+        physical = compile_plan(star(sales_db), sales_db)
         for op in physical.ops:
             covered = {physical.ops[i].address for i in range(op.subtree_start, op.index + 1)}
             # Exactly the addresses prefixed by op.address.
@@ -48,7 +48,7 @@ class TestCompile:
 
     def test_scan_lineage_resolved_at_compile_time(self, sales_db):
         def lineage(plan, **how):
-            ops = compile_plan(plan, **how).ops
+            ops = compile_plan(plan, sales_db, **how).ops
             return sorted(str(op.lineage_column) for op in ops if op.opcode == "scan")
 
         both = [rowid_column_name(0), rowid_column_name(1)]
@@ -69,12 +69,12 @@ class TestCompile:
 
         plan = SamplerNode(scan(sales_db, "sales").node, LogicalOnlySpec())
         with pytest.raises(PlanError, match="logical"):
-            compile_plan(plan)
+            compile_plan(plan, sales_db)
 
 
 class TestExecute:
     def test_metrics_in_execution_order(self, sales_db):
-        physical = compile_plan(star(sales_db))
+        physical = compile_plan(star(sales_db), sales_db)
         _, cards, metrics = physical.execute(sales_db, record_metrics=True)
         assert [m.address for m in metrics] == [op.address for op in physical.ops]
         for m in metrics:
@@ -88,7 +88,7 @@ class TestExecute:
                 assert m.rows_in == sales_db.table(op.node.table).num_rows
 
     def test_no_metrics_unless_requested(self, sales_db):
-        physical = compile_plan(star(sales_db))
+        physical = compile_plan(star(sales_db), sales_db)
         _, _, metrics = physical.execute(sales_db)
         assert metrics == ()
 
@@ -101,7 +101,7 @@ class TestExecute:
             .build("q")
             .plan
         )
-        physical = compile_plan(plan)
+        physical = compile_plan(plan, sales_db)
         spliced = Table(
             "pre",
             {"s_item": np.array([7, 7, 8]), "s_amount": np.array([1.0, 2.0, 3.0])},
@@ -116,14 +116,14 @@ class TestExecute:
         )
 
     def test_override_address_must_exist(self, sales_db):
-        physical = compile_plan(star(sales_db))
+        physical = compile_plan(star(sales_db), sales_db)
         bogus = Table("x", {"a": np.array([1])})
         with pytest.raises(PlanError, match="override address"):
             physical.execute(sales_db, overrides={(5, 5): bogus})
 
     def test_matches_executor_answer(self, sales_db):
         plan = star(sales_db)
-        table, _, _ = compile_plan(plan).execute(sales_db)
+        table, _, _ = compile_plan(plan, sales_db).execute(sales_db)
         reference = Executor(sales_db).execute(plan).answer
         stripped = table.drop_lineage()
         assert stripped.column_names == reference.column_names
@@ -147,10 +147,11 @@ class TestSelfJoinLineage:
 
     def test_duplicate_scan_gets_two_lineage_columns(self, sales_db):
         shared = Scan("sales", ("s_item", "s_cust", "s_amount"))
-        # Lineage read on both sides: by a sampler under the left's rename
-        # (which cuts it), by the plan's consumer on the right.
+        # Lineage read on both sides: by a sampler under the left's rename,
+        # and by the plan's consumer.
         physical = compile_plan(
             self._plan(shared, UniformSpec(0.5, seed=3)).child,
+            sales_db,
             root_required=("l_item", rowid_column_name(1)),
         )
         scans = [op for op in physical.ops if op.opcode == "scan"]
