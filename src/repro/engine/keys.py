@@ -19,13 +19,13 @@ import numpy as np
 from repro.errors import PlanError
 
 __all__ = [
-    "pack_keys", "group_codes", "first_appearance_codes", "group_ids", "dense_span",
+    "MAX_SPAN", "pack_keys", "group_codes", "first_appearance_codes", "group_ids", "dense_span",
     "value_counts", "stable_argsort", "encode_dictionary", "same_dictionary",
 ]
 
 #: A packed key stays below this, so folding in one more column cannot
 #: overflow int64 before the check that re-densifies.
-_MAX_SPAN = 1 << 62
+MAX_SPAN = 1 << 62
 
 #: Rows of the first prefix searched for each group's first row. The
 #: prefix doubles until every group present has been met: a key seen in a
@@ -116,7 +116,7 @@ def _column_codes(col: np.ndarray) -> Tuple[np.ndarray, int]:
     """Order-preserving codes in ``[0, span)`` for one key column."""
     if col.dtype.kind in "biu" and len(col):
         lo, hi = int(col.min()), int(col.max())
-        if hi - lo < _MAX_SPAN:
+        if hi - lo < MAX_SPAN:
             if col.dtype == np.uint64:  # may not fit int64 before the shift
                 return (col - lo).astype(np.int64), hi - lo + 1
             return np.subtract(col, lo, dtype=np.int64), hi - lo + 1
@@ -140,9 +140,9 @@ def pack_keys(arrays: Sequence[np.ndarray]) -> Tuple[np.ndarray, int, Optional[n
         if key is None:
             key, total = codes, span
             continue
-        if total * span > _MAX_SPAN:
+        if total * span > MAX_SPAN:
             key, total = _dense_codes(key)
-            if total * span > _MAX_SPAN:
+            if total * span > MAX_SPAN:
                 codes, span = _dense_codes(codes)
         key *= span  # every code array here is a fresh one
         key += codes

@@ -27,7 +27,9 @@ from repro.engine.aggregate import (
     partial_aggregate,
     repeated,
 )
-from repro.engine.keys import dense_span, pack_keys, same_dictionary, stable_argsort
+from repro.engine.keys import (
+    MAX_SPAN, dense_span, pack_keys, same_dictionary, stable_argsort, value_counts,
+)
 from repro.engine.table import ROWID_PREFIX, WEIGHT_COLUMN, Table
 from repro.errors import PlanError, SchemaError
 
@@ -88,11 +90,18 @@ def _join_keys(
     key pair is read as stored when both sides are plain or coded under one
     dictionary; codes of two dictionaries are never compared: decoded."""
     n_left = left.num_rows
-    combined = []
+    pairs = []
     for l_name, r_name in zip(left_keys, right_keys):
         shared = same_dictionary(left.dictionary(l_name), right.dictionary(r_name))
         read = Table.key_column if shared else Table.column
-        l_col, r_col = read(left, l_name), read(right, r_name)
+        pairs.append((read(left, l_name), read(right, r_name)))
+    if len(pairs) == 1:
+        offset = _integer_offset(*pairs[0])
+        if offset is not None:
+            lo, span = offset
+            return tuple(np.subtract(c, lo, dtype=np.int64) for c in pairs[0]) + (span,)
+    combined = []
+    for l_col, r_col in pairs:
         common = np.result_type(l_col.dtype, r_col.dtype)
         combined.append(
             np.concatenate([l_col.astype(common, copy=False), r_col.astype(common, copy=False)])
@@ -105,21 +114,33 @@ def _join_keys(
     return key[:n_left], key[n_left:], span
 
 
+def _integer_offset(l_col: np.ndarray, r_col: np.ndarray) -> Optional[Tuple[int, int]]:
+    """``(lo, span)`` when one key column pair holds integers on both sides
+    whose codes are ``value - lo`` in ``[0, span)``: the codes
+    :func:`~repro.engine.keys.pack_keys` gives their concatenation, made
+    without concatenating. ``None`` for any other pair."""
+    if not (len(l_col) and len(r_col)) or not all(
+        c.dtype.kind in "iu" and np.can_cast(c.dtype, np.int64) for c in (l_col, r_col)
+    ):
+        return None
+    lo = min(int(l_col.min()), int(r_col.min()))
+    span = max(int(l_col.max()), int(r_col.max())) - lo + 1
+    return (lo, span) if span <= MAX_SPAN else None
+
+
 class _Matches(NamedTuple):
     """Which build (right) rows each probe (left) row matches.
 
-    ``rows`` are the probe rows with a match, ascending; ``counts`` how
-    many each has (``None``: exactly one); ``starts`` where each one's
-    matches begin in ``order``, the build rows sorted by key (``None``: the
-    build rows as they are)."""
+    ``rows`` are the probe rows with a match, ascending (``None`` where
+    only the build rows are asked for); ``counts`` how many each has
+    (``None``: exactly one); ``starts`` where each one's matches begin in
+    ``order``, the build rows sorted by key (``None``: the build rows as
+    they are)."""
 
-    rows: np.ndarray
+    rows: Optional[np.ndarray]
     counts: Optional[np.ndarray]
     starts: np.ndarray
     order: Optional[np.ndarray]
-
-    def num_pairs(self) -> int:
-        return len(self.rows) if self.counts is None else int(self.counts.sum())
 
     def probe_index(self) -> np.ndarray:
         """The probe row of each match, in output order."""
@@ -164,7 +185,9 @@ def _probe(left_key: np.ndarray, right_key: np.ndarray, span: int) -> _Matches:
     A right (build) side whose keys are unique, as a dimension's are, is
     probed without expanding runs: on a dense span through a span-sized
     table of right positions, on a sparse one by one ``searchsorted`` into
-    its sorted keys. Only duplicate build keys pay for the stable sort."""
+    its sorted keys. Only duplicate build keys pay for the stable sort.
+    A built join reads every match's build row, so it sorts up front; a
+    join left unbuilt counts per key instead (:class:`_KeyMatches`)."""
     if dense_span(span, len(left_key) + len(right_key)):
         per_key = np.bincount(right_key, minlength=span)
         if per_key.max(initial=0) <= 1:
@@ -187,6 +210,93 @@ def _probe(left_key: np.ndarray, right_key: np.ndarray, span: int) -> _Matches:
         counts = np.searchsorted(sorted_right, left_key, side="right") - lo
     rows = np.flatnonzero(counts)
     return _Matches(rows, counts[rows], lo[rows], order)
+
+
+class _KeyMatches:
+    """An inner join's matches kept per key: how many build (right) rows
+    hold each key, and the key slot of each probe (left) row that matches.
+
+    A probe row's match count is a gather from the per-key counts, and a
+    build-side sum one ``bincount`` per key gathered the same way
+    (:meth:`sums`): neither sorts. The build rows sorted by key, which say
+    *which* build rows a probe row matches, are made only when asked
+    (:meth:`build_index`). A key's slot is the key itself on a dense span,
+    and its rank among the ``distinct`` build keys on a sparse one.
+    ``copies`` is, per probe row, how many times over its matches repeat
+    (``None``: once): the multiplicity a lower join left unbuilt gives the
+    row."""
+
+    def __init__(
+        self,
+        right_key: np.ndarray,
+        distinct: Optional[np.ndarray],
+        per_key: np.ndarray,
+        slots: np.ndarray,
+        copies: Optional[np.ndarray],
+    ):
+        self._right_key, self._distinct, self._per_key = right_key, distinct, per_key
+        self._slots, self._copies = slots, copies
+
+    @classmethod
+    def probe(
+        cls, left_key: np.ndarray, right_key: np.ndarray, span: int,
+        copies: Optional[np.ndarray] = None,
+    ) -> Tuple[np.ndarray, np.ndarray, "_KeyMatches"]:
+        """``(rows, counts, matches)``: the probe rows that match,
+        ascending, how many output rows each is, and the matches.
+        ``copies`` is each probe row's multiplicity, if it has one: a row
+        is then its matches times its copies. On a dense span the build
+        keys are counted into a span-sized table, on a sparse one per
+        distinct key, found by ``searchsorted``."""
+        distinct = None
+        if dense_span(span, len(left_key) + len(right_key)):
+            per_key = np.bincount(right_key, minlength=span)
+            counts, slots = per_key[left_key], left_key
+        else:
+            distinct, per_key = value_counts(right_key)
+            slots = np.searchsorted(distinct, left_key)
+            counts = np.zeros(len(left_key), dtype=np.intp)
+            if len(distinct):
+                np.minimum(slots, len(distinct) - 1, out=slots)
+                hit = distinct[slots] == left_key
+                counts[hit] = per_key[slots[hit]]
+        rows = np.flatnonzero(counts)
+        counts = counts[rows]
+        if copies is not None:
+            copies = copies[rows]
+            counts = counts * copies
+        return rows, counts, cls(right_key, distinct, per_key, slots[rows], copies)
+
+    def _build_slots(self) -> np.ndarray:
+        """The key slot of each build row."""
+        if self._distinct is None:
+            return self._right_key
+        return np.searchsorted(self._distinct, self._right_key)
+
+    def single_rows(self) -> np.ndarray:
+        """The build row of each probe row that matches, when each matches
+        exactly one: the last build row of its key, the only one."""
+        last = np.zeros(len(self._per_key), dtype=np.intp)
+        last[self._build_slots()] = np.arange(len(self._right_key))
+        return last[self._slots]
+
+    def sums(self, per_build: np.ndarray) -> np.ndarray:
+        """Per probe row that matches, the sum of ``per_build`` over its
+        output rows: its key's sum, times its copies. Each key's sum adds
+        the key's build rows in row order, as a sorted segment would."""
+        per_key = np.bincount(self._build_slots(), weights=per_build, minlength=len(self._per_key))
+        sums = per_key[self._slots]
+        return sums if self._copies is None else sums * self._copies
+
+    def build_index(self) -> np.ndarray:
+        """The build row of each output row, in output order: per probe
+        row, its matches in build-row order, ``copies`` times over. The one
+        place an unbuilt join sorts its build keys."""
+        counts = self._per_key[self._slots]
+        starts = (np.cumsum(self._per_key) - self._per_key)[self._slots]
+        if self._copies is not None:
+            starts, counts = np.repeat(starts, self._copies), np.repeat(counts, self._copies)
+        return _Matches(None, counts, starts, stable_argsort(self._right_key)).build_index()
 
 
 def _match_pairs(
@@ -243,6 +353,8 @@ def execute_join(
     """
     if how not in ("inner", "left", "right"):
         raise PlanError(f"unsupported join type {how!r}")
+    if isinstance(left, JoinedRows):  # a lower join left unbuilt, this one not
+        left = left.built()
     pairs = _match_pairs(*_join_keys(left, right, left_keys, right_keys))
     return _joined_table(left, right, *pairs, how, columns)
 
@@ -334,12 +446,15 @@ class _Picked:
         self._rows: Optional[np.ndarray] = None
         self._made: Dict[str, np.ndarray] = {}
 
-    def _take(self, values: np.ndarray) -> np.ndarray:
-        if self._pick is None:
-            return values
-        if self._rows is None:
+    def rows(self) -> Optional[np.ndarray]:
+        """The rows picked (``None``: all of them)."""
+        if self._rows is None and self._pick is not None:
             self._rows = self._pick()
-        return values[self._rows]
+        return self._rows
+
+    def _take(self, values: np.ndarray) -> np.ndarray:
+        rows = self.rows()
+        return values if rows is None else values[rows]
 
     def key_column(self, name: str) -> np.ndarray:
         if name not in self._made:
@@ -352,22 +467,23 @@ class _Picked:
 
 class JoinedRows:
     """An inner join's output left unbuilt, for the aggregate right above
-    the join to read (DESIGN §18).
+    the join, or the join whose probe input it is, to read (DESIGN §18).
 
     Its rows are the join's, in the join's order: the probe (left) rows
     that match, each repeated by its match count, beside their matches'
     build (right) rows. A column is made when first read, with the bits
     :func:`execute_join` would have gathered: a probe column by repeating
     its matched rows, a build column by a gather whose build indices are
-    computed on the first such read. Row count, dictionaries and
-    :meth:`estimated_bytes` are those of the table the join would have
-    built, so a run records and charges it as that table.
+    computed on the first such read. A build key column the join carries
+    may be read off its probe partner (``aliases``: build name -> probe
+    name), which holds the same bits on every output row. Row count,
+    dictionaries and :meth:`estimated_bytes` are those of the table the
+    join would have built, so a run records and charges it as that table.
 
     :func:`execute_join_unbuilt` makes one over the join's inputs;
     :meth:`from_parts` over matches already picked (:class:`JoinParts`).
-    ``starts`` and ``order`` say where each probe row's matches are in the
-    build table: rows ``order[starts[i] : starts[i] + counts[i]]``
-    (``order`` ``None``: the build rows as they are).
+    ``build_sums`` maps a value per build row to its sum over each probe
+    row's output rows.
     """
 
     def __init__(
@@ -377,14 +493,15 @@ class JoinedRows:
         counts: np.ndarray,
         build: Optional[_Picked],
         carried: Sequence[str],
-        starts: np.ndarray,
-        order: Optional[np.ndarray] = None,
+        build_sums: Callable[[np.ndarray], np.ndarray],
+        aliases: Optional[Dict[str, str]] = None,
     ):
         self.name = name
         self.num_rows = int(counts.sum())
         self.num_probe_rows = len(counts)
         self._probe, self._counts, self._build = probe, counts, build
-        self._starts, self._order = starts, order
+        self._build_sums = build_sums
+        self._aliases = aliases or {}
         self._carried = tuple(carried)
         #: Columns made so far, per output row.
         self._made: Dict[str, np.ndarray] = {}
@@ -394,20 +511,27 @@ class JoinedRows:
         """The join whose matches ``parts`` holds, carrying ``columns``."""
         probe, build = parts
         counts = probe.key_column(MATCH_COLUMN)
+        starts = np.cumsum(counts) - counts
         return cls(
             probe.name,
             _Picked(probe),
             counts,
             None if build is None else _Picked(build),
             columns,
-            np.cumsum(counts) - counts,
+            lambda per_build: segment_sums(per_build, starts, counts),
         )
 
     def _sides(self) -> Tuple[_Picked, ...]:
         return (self._probe,) if self._build is None else (self._probe, self._build)
 
-    def _side(self, name: str) -> _Picked:
-        return self._probe if self._probe.table.has_column(name) else self._build
+    def _source(self, name: str) -> Tuple[_Picked, str]:
+        """The side a column is read from, and its name there."""
+        if name in self._aliases:
+            return self._probe, self._aliases[name]
+        return (self._probe if self._probe.table.has_column(name) else self._build), name
+
+    def _on_probe(self, name: str) -> bool:
+        return self._source(name)[0] is self._probe
 
     def has_column(self, name: str) -> bool:
         return name in self._carried
@@ -416,7 +540,10 @@ class JoinedRows:
         return any(side.table.has_weights() for side in self._sides())
 
     def dictionary(self, name: str) -> Optional[np.ndarray]:
-        return self._side(name).table.dictionary(name) if name in self._carried else None
+        if name not in self._carried:
+            return None
+        side, stored = self._source(name)
+        return side.table.dictionary(stored)
 
     def dictionaries(self) -> Dict[str, np.ndarray]:
         coded = {name: self.dictionary(name) for name in self._carried}
@@ -426,8 +553,8 @@ class JoinedRows:
         if name not in self._made:
             if name not in self._carried:
                 raise SchemaError(f"table {self.name!r} has no column {name!r}")
-            side = self._side(name)
-            values = side.key_column(name)
+            side, stored = self._source(name)
+            values = side.key_column(stored)
             self._made[name] = repeated(values, self._counts) if side is self._probe else values
         return self._made[name]
 
@@ -453,7 +580,8 @@ class JoinedRows:
     def estimated_bytes(self) -> int:
         """What the built table's :meth:`Table.estimated_bytes` would be."""
         width = sum(
-            self._side(name).table.key_column(name).dtype.itemsize for name in self._carried
+            side.table.key_column(stored).dtype.itemsize
+            for side, stored in map(self._source, self._carried)
         )
         return self.num_rows * (width + (8 if self.has_weights() else 0))
 
@@ -462,6 +590,25 @@ class JoinedRows:
         :meth:`from_parts`, what was built instead of the output."""
         return sum(side.table.estimated_bytes() for side in self._sides())
 
+    def probe_side(self) -> Optional[Tuple[Table, Optional[np.ndarray], np.ndarray]]:
+        """``(table, rows, counts)`` for a join above to probe: the table
+        the probe rows are picked from, which rows (``None``: all), and how
+        many output rows each one is. ``None`` when this carries a build
+        column or weight, which a join above would have to read per output
+        row."""
+        if any(not self._probe.table.has_column(name) for name in self._carried):
+            return None
+        if self._build is not None and self._build.table.has_weights():
+            return None
+        return self._probe.table, self._probe.rows(), self._counts
+
+    def _probe_table(self, names: Sequence[str]) -> Table:
+        """The named columns over the probe rows that match."""
+        stored = {name: self._source(name)[1] for name in names}
+        columns = {name: self._probe.key_column(source) for name, source in stored.items()}
+        coded = {name: self._probe.table.dictionary(source) for name, source in stored.items()}
+        return Table(self.name, columns, {k: v for k, v in coded.items() if v is not None})
+
     def probe_rows(self, names: Sequence[str]):
         """``(rows, counts)`` for :func:`~repro.engine.aggregate.partial_aggregate`:
         a table of the named columns this carries over the probe rows that
@@ -469,12 +616,12 @@ class JoinedRows:
         to key on, or a named column is a build column or holds a value
         unequal to itself: each repeat of a NaN is a group of its own."""
         names = [name for name in names if name in self._carried]
-        if not names or not all(self._probe.table.has_column(name) for name in names):
+        if not names or not all(map(self._on_probe, names)):
             return None
-        columns = {name: self._probe.key_column(name) for name in names}
-        if not all(map(_self_equal, columns.values())):
+        keyed = self._probe_table(names)
+        if not all(_self_equal(keyed.key_column(name)) for name in names):
             return None
-        return Table(self.name, columns, self._probe.table.dictionaries()), self._counts
+        return keyed, self._counts
 
     def side_sums(
         self, names: Iterable[str], values: Callable[[Table], np.ndarray]
@@ -482,21 +629,16 @@ class JoinedRows:
         """Per probe row that matches, the sum over its output rows of
         ``values``, read off a table of one side holding the columns
         ``names``: the probe row's value times its match count, or the sum
-        of its matches' build values. ``None`` unless one side holds every
-        one of ``names``. The sums reassociate, so they are exact only over
-        whole numbers (DESIGN §18)."""
+        of its matches' build values (``build_sums``). ``None`` unless one
+        side holds every one of ``names``. The sums reassociate, so they
+        are exact only over whole numbers (DESIGN §18)."""
         names = list(names)
         if not names:
             return None
-        if all(self._probe.table.has_column(name) for name in names):
-            columns = {name: self._probe.key_column(name) for name in names}
-            side = Table(self.name, columns, self._probe.table.dictionaries())
-            return values(side) * self._counts
+        if all(map(self._on_probe, names)):
+            return values(self._probe_table(names)) * self._counts
         if self._build is not None and all(self._build.table.has_column(n) for n in names):
-            per_build = values(self._build.table)
-            if self._order is not None:
-                per_build = per_build[self._order]
-            return segment_sums(per_build, self._starts, self._counts)
+            return self._build_sums(values(self._build.table))
         return None
 
     def parts(self) -> JoinParts:
@@ -506,19 +648,18 @@ class JoinedRows:
         probe = self._picked_columns(self._probe)
         probe[MATCH_COLUMN] = self._counts
         build = {} if self._build is None else self._picked_columns(self._build, lineage=False)
+        coded = self.dictionaries()
         return JoinParts(
-            Table(self.name, probe, self._probe.table.dictionaries()),
-            Table(self.name, build, self._build.table.dictionaries()) if build else None,
+            Table(self.name, probe, coded), Table(self.name, build, coded) if build else None
         )
 
     def _picked_columns(self, side: _Picked, lineage: bool = True) -> Dict[str, np.ndarray]:
         """What this carries of ``side``, its weight included, per picked row."""
-        names = [
-            name
-            for name in self._carried
-            if self._side(name) is side and (lineage or not name.startswith(ROWID_PREFIX))
-        ]
-        columns = {name: side.key_column(name) for name in names}
+        columns = {
+            name: side.key_column(stored)
+            for name, (source, stored) in zip(self._carried, map(self._source, self._carried))
+            if source is side and (lineage or not name.startswith(ROWID_PREFIX))
+        }
         if side.table.has_weights():
             columns[WEIGHT_COLUMN] = side.weights()
         return columns
@@ -531,29 +672,74 @@ class JoinedRows:
         return Table(self.name, columns, self.dictionaries())
 
 
+def _aliases(
+    left: Table, right: Table, left_keys: Sequence[str], right_keys: Sequence[str],
+    columns: Sequence[str],
+) -> Dict[str, str]:
+    """The build key columns a join carries that read the same off their
+    probe partners: on every output row the two hold one value, and under
+    one integer dtype and one dictionary (or none) the same bits. Float
+    keys are left out, as ``-0.0`` joins ``0.0``, and so are plain
+    strings, whose equal values may be stored unequally."""
+    aliases = {}
+    for l_name, r_name in zip(left_keys, right_keys):
+        l_col, r_col = left.key_column(l_name), right.key_column(r_name)
+        if (
+            r_name in columns
+            and l_col.dtype == r_col.dtype
+            and l_col.dtype.kind in "biu"
+            and same_dictionary(left.dictionary(l_name), right.dictionary(r_name))
+        ):
+            aliases[r_name] = l_name
+    return aliases
+
+
 def execute_join_unbuilt(
-    left: Table,
+    left: Union[Table, JoinedRows],
     right: Table,
     left_keys: Sequence[str],
     right_keys: Sequence[str],
     columns: Sequence[str],
 ) -> Union[Table, JoinedRows]:
-    """:func:`execute_join` (inner) for an aggregate to read. When some
-    probe row matches more than once, the output is left unbuilt. When none
-    does, there is no fan-out to save: the output is the matched probe
-    rows, and the aggregate reads every column of it, so it is built."""
-    matches = _probe(*_join_keys(left, right, left_keys, right_keys))
-    if matches.num_pairs() == len(matches.rows):
-        pairs = matches.probe_index(), matches.build_index()
-        return _joined_table(left, right, *pairs, "inner", columns)
+    """:func:`execute_join` (inner) for an aggregate, or a join above, to
+    read. Matches are counted per key (:class:`_KeyMatches`); the build
+    side is sorted only when a build column is read per output row.
+
+    ``left`` may itself be a join left unbuilt that carries only probe
+    columns, the lower join of a stack (DESIGN §18): its probe rows are
+    probed, and each stands for the product of its two match counts,
+    ``a·b`` output rows, in the order the built joins would give them.
+    When no probe row of a plain ``left`` matches more than once, there is
+    no fan-out to save: the output is the matched probe rows, and the
+    aggregate reads every column of it, so it is built."""
+    name, rows, copies = f"{left.name}_join_{right.name}", None, None
+    if isinstance(left, JoinedRows):
+        stacked = left.probe_side()
+        if stacked is None:
+            left = left.built()
+        else:
+            left, rows, copies = stacked
+    keyed = left
+    if rows is not None:
+        probed = {key: left.key_column(key)[rows] for key in left_keys}
+        keyed = Table(left.name, probed, left.dictionaries())
+    matched, counts, matches = _KeyMatches.probe(
+        *_join_keys(keyed, right, left_keys, right_keys), copies
+    )
+    if copies is None and counts.max(initial=0) <= 1:
+        build_rows = matches.single_rows()
+        del counts, matches  # a probe row long each: not live through the gathers
+        return _joined_table(left, right, matched, build_rows, "inner", columns)
+    if rows is not None:
+        matched = rows[matched]
     return JoinedRows(
-        f"{left.name}_join_{right.name}",
-        _Picked(left, lambda: matches.rows),
-        matches.counts,
+        name,
+        _Picked(left, lambda: matched),
+        counts,
         _Picked(right, matches.build_index),
         tuple(columns) + _lineage_names(left, right),
-        matches.starts,
-        matches.order,
+        matches.sums,
+        _aliases(left, right, left_keys, right_keys, columns),
     )
 
 

@@ -168,8 +168,10 @@ class PhysicalPlan:
     #: Scan occurrence address -> pre-order scan ordinal.
     scan_ordinals: Dict[NodeAddress, int]
     #: Inner joins whose reader, an aggregate, tells rows apart by probe-side
-    #: columns only: they run unbuilt (:func:`_find_unbuilt_joins`) unless
-    #: an override lands at or below them.
+    #: columns only, and the joins stacked on their probe inputs that carry
+    #: nothing of their build sides: they run unbuilt
+    #: (:func:`_find_unbuilt_joins`) unless an override lands at or below
+    #: them.
     unbuilt_joins: FrozenSet[int] = frozenset()
 
     @property
@@ -620,7 +622,9 @@ def compile_plan(
 
 def _find_unbuilt_joins(ops: List[PhysicalOp]) -> FrozenSet[int]:
     """Inner joins an aggregate reads whose output need not be built
-    (:func:`reads_probe_keys`)."""
+    (:func:`reads_probe_keys`), and under each the joins stacked on its
+    probe input whose match counts it multiplies through
+    (:func:`_multiplies_through`)."""
     unbuilt = set()
     for op in ops:
         if op.opcode != "aggregate" or ops[op.index - 1].opcode != "join":
@@ -628,7 +632,25 @@ def _find_unbuilt_joins(ops: List[PhysicalOp]) -> FrozenSet[int]:
         join = ops[op.index - 1]
         if reads_probe_keys(join.node, join.columns, op.node, op.estimation):
             unbuilt.add(join.index)
+            below = ops[join.child_slots[0]]
+            while _multiplies_through(below, ops):
+                unbuilt.add(below.index)
+                below = ops[below.child_slots[0]]
     return frozenset(unbuilt)
+
+
+def _multiplies_through(op: PhysicalOp, ops: List[PhysicalOp]) -> bool:
+    """Whether ``op``, the probe input of a join left unbuilt, may be left
+    unbuilt too: an inner join that carries no column, weight or lineage
+    of its build side, so the join above reads only its probe rows and
+    how many output rows each is (DESIGN §18)."""
+    if op.opcode != "join" or op.node.how != "inner":
+        return False
+    build = ops[op.child_slots[1]]
+    return set(op.columns) <= set(op.node.left.output_columns()) and not any(
+        below.opcode == "sampler" or below.lineage_column is not None
+        for below in ops[build.subtree_start:build.index + 1]
+    )
 
 
 def reads_probe_keys(
@@ -640,13 +662,17 @@ def reads_probe_keys(
     An aggregate tells rows apart by its :func:`~repro.engine.aggregate.key_columns`;
     when an inner join carries none of them from its build side, groups and
     pairs are found on the probe rows and the join's fan-out is a repeat
-    count per probe row (DESIGN §18). Outer joins, whose fill rows no
-    probe row stands for, and build-side keys keep the built join.
+    count per probe row (DESIGN §18). A build key column counts as a probe
+    column: on every output row it equals its probe partner, and where the
+    two share a dtype and a dictionary the unbuilt join reads the partner
+    (otherwise the column, correct either way, per output row). Outer
+    joins, whose fill rows no probe row stands for, and other build-side
+    keys keep the built join.
     """
     names = key_columns(aggregate.group_by, aggregate.aggs, how)
     if join.how != "inner" or names is None:
         return False
-    probe, read = set(join.left.output_columns()), set(columns)
+    probe, read = set(join.left.output_columns()) | set(join.right_keys), set(columns)
     return all(name in probe for name in names if name in read)
 
 

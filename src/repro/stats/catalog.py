@@ -90,8 +90,7 @@ def _collecting(table: Table, column: str, statistic: str, partitions: int = 1):
 class ColumnSummary:
     """Exact statistics of one column over some rows, all read off the
     rows' value counts. NaN is the column's null: it is counted apart from
-    the values, except among the planner's heavy hitters, which take all
-    NaNs as one value."""
+    the values, and is never a heavy hitter (no lookup of it could hit)."""
 
     min_value: Optional[Any] = None
     max_value: Optional[Any] = None
@@ -101,8 +100,9 @@ class ColumnSummary:
     #: Exact distinct values when there are at most MAX_EXACT_VALUES of
     #: them; None means "too many to enumerate", never "empty".
     values: Optional[Tuple[Any, ...]] = None
-    #: Value -> count of the values covering at least HEAVY_HITTER_FRACTION
-    #: of the rows, most frequent first, at most MAX_HEAVY_HITTERS of them.
+    #: Value -> count of the non-null values covering at least
+    #: HEAVY_HITTER_FRACTION of the rows, most frequent first, at most
+    #: MAX_HEAVY_HITTERS of them.
     heavy_hitters: Dict[Any, int] = field(default_factory=dict)
     #: How many non-null values are frequent (FREQUENT_VALUE_FRACTION).
     frequent: int = 0
@@ -112,13 +112,15 @@ class ColumnSummary:
         """The summary of rows whose distinct values, ascending with all
         NaNs as one last value, occur ``counts`` times."""
         rows = int(counts.sum())
-        heavy = counts >= max(1, int(HEAVY_HITTER_FRACTION * rows))
-        order = np.argsort(counts[heavy])[::-1][:MAX_HEAVY_HITTERS]
-        hitters = zip(uniques[heavy][order].tolist(), counts[heavy][order].tolist())
-        summary = cls(heavy_hitters=dict(hitters))
+        summary = cls()
         if len(uniques) and uniques.dtype.kind == "f" and np.isnan(uniques[-1]):
             summary.null_count = int(counts[-1])
             uniques, counts = uniques[:-1], counts[:-1]
+        heavy = counts >= max(1, int(HEAVY_HITTER_FRACTION * rows))
+        order = np.argsort(counts[heavy])[::-1][:MAX_HEAVY_HITTERS]
+        summary.heavy_hitters = dict(
+            zip(uniques[heavy][order].tolist(), counts[heavy][order].tolist())
+        )
         if len(uniques) == 0:
             summary.values = ()
             return summary

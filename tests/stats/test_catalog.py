@@ -114,6 +114,9 @@ def _eager_collect(table):
             uniques, counts = np.unique(values, return_counts=True)
             # A NaN equals nothing: each one is a distinct value.
             stats["distinct"] = len(np.unique(values, equal_nan=False))
+            # ...and it is the column's null, never a heavy hitter.
+            if uniques.dtype.kind == "f":
+                uniques, counts = uniques[~np.isnan(uniques)], counts[~np.isnan(uniques)]
             heavy = counts >= threshold
             if heavy.any():
                 order = np.argsort(counts[heavy])[::-1][:MAX_HEAVY_HITTERS]
@@ -193,6 +196,14 @@ class TestLazyEqualsEager:
         catalog = Catalog(_db_of(t))
         groups = execute_aggregate(t, ["a"], [count("n")]).num_rows
         assert catalog.distinct("t", ["a"]) == catalog.distinct("t", ["a", "b"]) == groups == 5
+
+    def test_nan_is_never_a_heavy_hitter(self):
+        # NaN is the column's null: counted apart, and no ``col == nan``
+        # lookup could hit it, so it takes no heavy-hitter slot.
+        t = Table("t", {"a": np.array([np.nan] * 60 + [1.0] * 30 + [2.0] * 10)})
+        column = Catalog(_db_of(t)).stats("t").column("a")
+        assert column.heavy_hitters == {1.0: 30, 2.0: 10}
+        assert column.summary.null_count == 60
 
 
 def _built(catalog):
