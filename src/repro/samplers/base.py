@@ -11,8 +11,14 @@ Every sampler obeys the paper's operating requirements (Section 4.1):
 
 ``apply`` is the one implementation, vectorized over a table; it runs per
 partition in a parallel plan (``for_partition`` derives the partition-local
-spec). The tests hold it to per-row references: a sort-based one for the
-distinct sampler, the key-hash test for the universe sampler.
+spec). Each decides per row only what must be decided per row: a hash
+compare (uniform), a gather of a per-value decision (universe), a gather
+of a per-stratum regime (distinct), and it makes weights for the kept
+rows alone (:func:`attach_weights`). The tests hold every kind to per-row
+references — a sort-based one for the distinct sampler, the key-hash
+test for the universe sampler, the float threshold at its rounding
+boundary for both hash samplers — and to a seed-fixed fixture of kept rows
+and weights (``tests/samplers/test_sampler_bits.py``; DESIGN §20).
 """
 
 from __future__ import annotations
@@ -100,15 +106,21 @@ class PassThroughSpec(SamplerSpec):
         return "PassThrough()"
 
 
-def attach_weights(table: Table, mask: np.ndarray, weights: np.ndarray) -> Table:
-    """Filter ``table`` by ``mask`` and multiply in new HT ``weights``.
+def attach_weights(table: Table, selector: np.ndarray, weights) -> Table:
+    """Keep the rows of ``table`` that ``selector`` names (a row mask, or
+    ascending row indices) and multiply in their HT ``weights``.
 
-    ``weights`` is aligned with the *input* rows; only the surviving entries
-    are kept. Existing weights (from an upstream sampler — not produced by
-    ASALQA, which forbids nesting, but supported for generality) multiply.
+    ``weights`` is one weight for every kept row (a float) or one per kept
+    row, in row order: no weight is made for a row that is dropped.
+    Existing weights (from an upstream sampler — not produced by ASALQA,
+    which forbids nesting, but supported for generality) multiply.
     """
-    rows = np.flatnonzero(mask)
+    rows = np.flatnonzero(selector) if selector.dtype == bool else selector
     selected = table.take(rows)
-    new_weights = np.asarray(weights, dtype=np.float64)[rows]
-    combined = selected.weights() * new_weights if table.has_weights() else new_weights
+    if table.has_weights():
+        combined = selected.weights() * weights
+    elif np.ndim(weights) == 0:
+        combined = np.full(len(rows), weights, dtype=np.float64)
+    else:
+        combined = np.asarray(weights, dtype=np.float64)
     return selected.with_columns({WEIGHT_COLUMN: combined})

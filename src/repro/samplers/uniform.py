@@ -13,6 +13,11 @@ decision then depends only on the row's identity, never on how the input
 was split, so a partition-parallel run keeps exactly the same rows as a
 serial run under the same seed. Without lineage (direct ``apply`` on a bare
 table) the classic positional RNG stream is used.
+
+Per row, the lineage sampler runs one in-place hash and one integer compare
+against :func:`~repro.samplers.hashing.hash_threshold` (the same decision
+as comparing the hash, cast to float, with ``p * 2**64``); the kept rows
+alone get the weight.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ import numpy as np
 
 from repro.engine.table import Table
 from repro.samplers.base import SamplerSpec, attach_weights
-from repro.samplers.hashing import hash_columns
+from repro.samplers.hashing import hash_columns, hash_threshold
 
 __all__ = ["UniformSpec"]
 
@@ -45,13 +50,11 @@ class UniformSpec(SamplerSpec):
     def apply(self, table: Table) -> Table:
         lineage = table.lineage_columns()
         if lineage:
-            points = hash_columns(lineage, self.seed ^ _UNIFORM_SALT).astype(np.float64)
-            mask = points < self.p * float(2**64)
+            mask = hash_columns(lineage, self.seed ^ _UNIFORM_SALT) < hash_threshold(self.p)
         else:
             rng = np.random.default_rng(self.seed)
             mask = rng.random(table.num_rows) < self.p
-        weights = np.full(table.num_rows, 1.0 / self.p)
-        return attach_weights(table, mask, weights)
+        return attach_weights(table, mask, 1.0 / self.p)
 
     def expected_fraction(self) -> float:
         return self.p

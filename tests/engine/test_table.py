@@ -142,6 +142,13 @@ class TestPartitionConcat:
         for key in range(13):
             assert len(set(assignments[t.column("k") == key].tolist())) == 1
 
+    def test_hash_partition_colocates_signed_zeros(self):
+        """``-0.0`` and ``0.0`` are one join key, so one partition."""
+        t = Table("t", {"k": np.array([0.0, -0.0] * 50), "v": np.arange(100)})
+        for seed in range(8):
+            assignments = Partitioner(4, HASH, ("k",), seed=seed).assignments(t)
+            assert len(set(assignments.tolist())) == 1
+
     def test_hash_partition_seed_changes_layout(self):
         t = Table("t", {"k": np.arange(1000)})
         a = Partitioner(4, HASH, ("k",), seed=0).assignments(t)

@@ -39,6 +39,13 @@ class TestHashColumns:
         out = hash_columns([values], 0)
         assert out[0] == out[2] and out[0] != out[1]
 
+    def test_signed_zeros_hash_alike(self):
+        """``-0.0 == 0.0`` for every join and group-by, so for the hash too."""
+        out = hash_columns([np.array([0.0, -0.0, 1.0, np.nan])], 3)
+        assert out[0] == out[1] and out[0] != out[2]
+        pair = hash_columns([np.array([-0.0, 0.0]), np.array([7, 7])], 3)
+        assert pair[0] == pair[1]
+
     def test_string_columns_stable(self):
         values = np.array(["x", "y", "x"])
         out = hash_columns([values], 0)

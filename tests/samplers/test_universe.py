@@ -104,6 +104,27 @@ class TestJoinEquivalence:
         assert np.mean(estimates) == pytest.approx(truth, abs=4 * np.std(estimates) / np.sqrt(60))
 
 
+class TestSignedZeroKeys:
+    def test_sampled_join_keeps_zero_on_both_sides_or_neither(self):
+        """The join matches ``-0.0`` with ``0.0``, so a shared subspace keeps
+        both or neither: sample-then-join is join-then-sample for every
+        seed."""
+        left = Table("l", {"k": np.array([0.0, -0.0, 1.5, 2.5] * 25), "v": np.arange(100.0)})
+        right = Table("r", {"j": np.array([-0.0, 1.5, 0.0, 3.5] * 5), "w": np.arange(20.0)})
+        full_join = operators.execute_join(left, right, ["k"], ["j"])
+        kept_zero = 0
+        for seed in range(40):
+            sl = UniverseSpec(["k"], 0.5, seed=seed).apply(left)
+            sr = UniverseSpec(["j"], 0.5, seed=seed, emit_weight=False).apply(right)
+            joined = operators.execute_join(sl, sr, ["k"], ["j"])
+            sampled = UniverseSpec(["k"], 0.5, seed=seed).apply(full_join)
+            assert joined.num_rows == sampled.num_rows
+            zeros = (sl.column("k") == 0.0).sum()
+            assert zeros in (0, 50)
+            kept_zero += zeros > 0
+        assert 0 < kept_zero < 40
+
+
 class TestCountDistinctRescale:
     def test_distinct_count_scales_by_inverse_p(self, small_table):
         """The paper's insight: distinct keys in the subspace, divided by p,
