@@ -20,7 +20,7 @@ from repro.errors import PlanError
 
 __all__ = [
     "MAX_SPAN", "pack_keys", "group_codes", "first_appearance_codes", "group_ids", "dense_span",
-    "value_counts", "stable_argsort", "encode_dictionary", "same_dictionary",
+    "value_counts", "count_distinct", "stable_argsort", "encode_dictionary", "same_dictionary",
 ]
 
 #: A packed key stays below this, so folding in one more column cannot
@@ -54,6 +54,17 @@ def value_counts(values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
             present = np.flatnonzero(table)
             return present + lo, table[present]
     return np.unique(values, return_counts=True)
+
+
+def count_distinct(key: np.ndarray, span: int) -> int:
+    """How many distinct values packed keys in ``[0, span)`` hold: marked
+    in a span-sized table where the span is dense, else counted off one
+    sort of the values (as uint32 where they fit, whose sort is several
+    times as fast as :func:`value_counts`' ``np.unique``)."""
+    if dense_span(span, len(key)):
+        return int(np.count_nonzero(_present(key, span)))
+    ordered = np.sort(key.astype(np.uint32) if span <= 2**32 else key)
+    return int(np.count_nonzero(ordered[1:] != ordered[:-1])) + int(len(ordered) > 0)
 
 
 def stable_argsort(values: np.ndarray) -> np.ndarray:

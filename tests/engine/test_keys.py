@@ -460,6 +460,25 @@ class TestValueCounts:
         np.testing.assert_array_equal(counts, want_counts)
 
 
+class TestCountDistinct:
+    """``count_distinct`` is ``len(np.unique(key))`` whichever way it
+    counts: a table over a dense span, a uint32 sort, an int64 sort."""
+
+    @pytest.mark.parametrize(
+        "key, span",
+        [
+            (np.array([3, 1, 3, 0, 1]), 4),  # dense
+            (np.array([0, 1 << 31, 5, 1 << 31, 5]), (1 << 32)),  # uint32 sort
+            (np.array([0, 1 << 40, 5, 1 << 40]), (1 << 41)),  # int64 sort
+            (np.array([], dtype=np.int64), 1 << 40),
+            (np.array([9]), 1 << 40),
+        ],
+        ids=["dense", "uint32", "int64", "empty", "one"],
+    )
+    def test_matches_np_unique(self, key, span):
+        assert keys.count_distinct(key, span) == len(np.unique(key))
+
+
 def assert_stable_order(values):
     got = keys.stable_argsort(values)
     np.testing.assert_array_equal(got, np.argsort(values, kind="stable"))
