@@ -34,7 +34,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 import numpy as np
 
@@ -86,7 +86,7 @@ class QueryAuditor:
     """Replays a sampled fraction of served answers exactly, off-peak.
 
     Collaborators are passed in explicitly (planner, executor, admission,
-    ledger, registry, query builders, database) so tests can drive audits
+    ledger, registry, the name → Query reader) so tests can drive audits
     without a running server, and so this module never imports the
     service core (no cycle).
     """
@@ -99,8 +99,7 @@ class QueryAuditor:
         admission,
         ledger: AccuracyLedger,
         registry,
-        query_builders: Dict[str, Any],
-        database,
+        query_for: Callable[[str], Any],
     ):
         self.config = config
         self.planner = planner
@@ -108,8 +107,8 @@ class QueryAuditor:
         self.admission = admission
         self.ledger = ledger
         self.registry = registry
-        self.query_builders = dict(query_builders)
-        self.database = database
+        #: name → Query; the service passes its build-once map's reader.
+        self.query_for = query_for
         self._lock = threading.Lock()
         self._queue: List[_AuditJob] = []
         self._wake = threading.Event()
@@ -264,7 +263,7 @@ class QueryAuditor:
 
     def _audit(self, job: _AuditJob) -> None:
         try:
-            query = self.query_builders[job.query_name](self.database)
+            query = self.query_for(job.query_name)
             exact_plan = self.planner.plan_baseline(query).plan
         except Exception as exc:  # noqa: BLE001 - audit must not kill the thread
             _LOG.warning("audit of %s failed to plan: %s", job.query_name, exc)

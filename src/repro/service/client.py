@@ -1,7 +1,8 @@
 """Client library for the query service.
 
 :class:`ServiceClient` is a thin blocking wrapper over one TCP connection:
-``hello`` opens a session (tenant + defaults), ``query`` submits one query
+``hello`` opens a session (tenant + defaults) and refuses a server that
+speaks another protocol version, ``query`` submits one query
 and returns a :class:`QueryReply` with the reconstructed answer table —
 digest-verified end to end — and the server's timing breakdown. Admission
 rejections surface as :class:`~repro.errors.AdmissionRejected` with the
@@ -59,6 +60,8 @@ class ServiceClient:
     def __init__(self, host: str = "127.0.0.1", port: int = 8642,
                  timeout: Optional[float] = 60.0):
         self._sock = socket.create_connection((host, port), timeout=timeout)
+        # A request is one small frame; send it now, not after the last ACK.
+        self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._reader = protocol.read_messages(self._sock)
         self._next_id = 0
         self.session_id: Optional[str] = None
@@ -102,6 +105,12 @@ class ServiceClient:
         if deadline_ms is not None:
             defaults["deadline_ms"] = deadline_ms
         response = self._call("hello", tenant=tenant, defaults=defaults)
+        version = response.get("protocol_version")
+        if version != protocol.PROTOCOL_VERSION:
+            raise ProtocolError(
+                f"server speaks protocol version {version!r}; this client speaks "
+                f"{protocol.PROTOCOL_VERSION}"
+            )
         self.session_id = response["session_id"]
         self.tenant = response["tenant"]
         self.queries = tuple(response.get("queries", ()))

@@ -32,6 +32,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.algebra.builder import Query
 from repro.engine.executor import Executor
 from repro.engine.table import Database
 from repro.errors import AdmissionRejected, GovernanceError, ProtocolError, ReproError
@@ -108,6 +109,26 @@ class ServiceConfig:
     slo_target: float = 0.99
 
 
+class _QueryBook:
+    """name → Query, each built on its first request and reused for every
+    later request, governor rung and audit replay, so the planner's memo
+    reads the fingerprint cached on the plan instead of hashing a fresh
+    tree. Builders are pure: two threads racing on a first build both get
+    the Query stored first. Holds no reference to the service, so handing
+    :meth:`get` to the auditor makes no reference cycle."""
+
+    def __init__(self, builders: Dict[str, Any], database: Database):
+        self.builders = builders
+        self.database = database
+        self._built: Dict[str, Query] = {}
+
+    def get(self, name: str) -> Query:
+        query = self._built.get(name)
+        if query is None:
+            query = self._built.setdefault(name, self.builders[name](self.database))
+        return query
+
+
 class QueryService:
     """Transport-free service core: sessions + admission + shared engine."""
 
@@ -143,6 +164,7 @@ class QueryService:
             from repro.workloads.tpcds import QUERY_BUILDERS
 
             self._query_builders = dict(QUERY_BUILDERS)
+        self._queries = _QueryBook(self._query_builders, database)
         # Telemetry plane: flight recorder, accuracy/SLO ledger, auditor,
         # and (lazily started) scrape endpoint + snapshot writer.
         self.flight = FlightRecorder(
@@ -157,7 +179,7 @@ class QueryService:
         )
         self.auditor = QueryAuditor(
             self.config.audit, self.planner, self.executor, self.admission,
-            self.ledger, self.registry, self._query_builders, self.database,
+            self.ledger, self.registry, self._queries.get,
         )
         self._metrics_server: Optional[MetricsHTTPServer] = None
         self._telemetry: Optional[TelemetrySnapshotWriter] = None
@@ -413,7 +435,7 @@ class QueryService:
                 "service.execute", session=session.session_id, tenant=ticket.tenant,
                 query=ticket.query_name, mode=ticket.mode,
             ):
-                query = self._query_builders[ticket.query_name](self.database)
+                query = self._queries.get(ticket.query_name)
                 if ticket.governance is not None:
                     result, degraded_info = self.governor.run(ticket, query)
                 else:
@@ -643,6 +665,9 @@ class QueryServer:
                 continue
             except OSError:
                 return  # listener closed during shutdown
+            # An answer frame can span several segments; send its tail
+            # without waiting for the client's delayed ACK.
+            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             with self._conn_lock:
                 self._connections.append(conn)
             thread = threading.Thread(

@@ -29,8 +29,7 @@ def make_auditor(db, config=None, admission=None, registry=None):
         admission or FakeAdmission(),
         AccuracyLedger(registry),
         registry,
-        QUERY_BUILDERS,
-        db,
+        lambda name: QUERY_BUILDERS[name](db),
     )
 
 

@@ -1,13 +1,32 @@
 """Wire-protocol tests: framing, table serialization, digest integrity."""
 
+import base64
+import itertools
 import socket
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.engine.table import Table
 from repro.errors import ProtocolError
 from repro.service import protocol
+
+
+class ChunkedSocket:
+    """Hands out ``data`` in ``recv`` chunks of the given size(s), cycling
+    through a list of sizes, then EOF."""
+
+    def __init__(self, data, sizes):
+        self.data, self.pos = data, 0
+        self.sizes = itertools.cycle(sizes if isinstance(sizes, list) else [sizes])
+
+    def recv(self, bufsize):
+        chunk = self.data[self.pos:self.pos + min(bufsize, next(self.sizes))]
+        self.pos += len(chunk)
+        return chunk
 
 
 def make_table(**columns):
@@ -57,6 +76,41 @@ class TestFraming:
         finally:
             right.close()
 
+    def test_read_messages_is_linear_in_frame_size(self):
+        # An 8 MB frame (within max_result_rows) in 1 KB recv chunks: a
+        # reader that re-copies or re-scans its buffer per chunk moves
+        # ~32 GB here and takes seconds; a linear one takes milliseconds.
+        frame = protocol.encode_message({"id": 1, "blob": "x" * (8 * 1024 * 1024)})
+        start = time.perf_counter()
+        messages = list(protocol.read_messages(ChunkedSocket(frame, 1024)))
+        elapsed = time.perf_counter() - start
+        assert [m["id"] for m in messages] == [1]
+        assert len(messages[0]["blob"]) == 8 * 1024 * 1024
+        assert elapsed < 1.0, f"8 MB frame took {elapsed:.2f}s to reassemble"
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(st.dictionaries(st.text(max_size=3), st.text(max_size=20), max_size=3),
+                 min_size=1, max_size=6),
+        st.lists(st.integers(1, 40), min_size=1, max_size=20),
+        st.booleans(),
+    )
+    def test_any_chunking_yields_the_same_frames(self, messages, sizes, blank_lines):
+        separator = b"\n  \n" if blank_lines else b""
+        data = separator.join(protocol.encode_message(m) for m in messages)
+        assert list(protocol.read_messages(ChunkedSocket(data, sizes))) == messages
+
+    def test_oversized_frame_spanning_chunks_is_refused(self):
+        frame = protocol.encode_message({"blob": "x" * 200})
+        with pytest.raises(ProtocolError, match="exceeds 100 bytes"):
+            list(protocol.read_messages(ChunkedSocket(frame, 64), max_line_bytes=100))
+        # Exactly at the cap is still a frame.
+        at_cap = protocol.encode_message({"b": "x" * 92})
+        assert len(at_cap) - 1 == 100
+        assert list(protocol.read_messages(ChunkedSocket(at_cap, 7), max_line_bytes=100)) == [
+            {"b": "x" * 92}
+        ]
+
     def test_response_helpers(self):
         ok = protocol.ok_response(3, pong=True)
         assert ok == {"id": 3, "ok": True, "pong": True}
@@ -93,7 +147,10 @@ class TestTableWire:
     def test_digest_detects_tampering(self):
         table = make_table(x=np.array([1.0, 2.0]))
         wire = protocol.table_to_wire(table)
-        wire["columns"]["x"]["values"][0] = 1.0000000001
+        column = wire["columns"]["x"]
+        raw = bytearray(base64.b64decode(column["b64"]))
+        raw[3] ^= 0x01  # one bit of the first value's mantissa
+        column["b64"] = base64.b64encode(bytes(raw)).decode("ascii")
         with pytest.raises(ProtocolError, match="digest mismatch"):
             protocol.table_from_wire(wire)
 
