@@ -40,6 +40,7 @@ from repro.algebra.builder import Query
 from repro.algebra.logical import LogicalNode
 from repro.engine.costmodel import cost_plan
 from repro.engine.metrics import ClusterConfig, ParallelMetrics, PlanCost
+from repro.engine.operators import JoinedRows
 from repro.engine.physical import OperatorMetrics, PhysicalPlan, PlanCache, compile_plan
 from repro.engine.table import Database, Table
 from repro.obs import log as obs_log
@@ -127,8 +128,10 @@ class PlanRun:
     physical: PhysicalPlan
     #: Whether the compiled plan came from the plan cache.
     cache_hit: bool
-    #: Raw root table, lineage intact.
-    table: Table
+    #: Raw root output, lineage intact: a table, or a join that fanned out
+    #: left lazy (``JoinedRows``) unless the run was top-level;
+    #: ``table.built()`` is the table either way.
+    table: Union[Table, JoinedRows]
     cardinalities: Dict[NodeAddress, int]
     #: Per-operator metrics (empty unless the run was top-level).
     operators: Tuple[OperatorMetrics, ...]
@@ -248,7 +251,8 @@ class PlanRunner:
         deadline/budget/cancel checks at the same operator boundaries.
         ``top_level`` marks the run that *is* the query: it gets the
         ``query.compile`` / ``query.execute`` spans and per-operator
-        metrics. ``required`` is forwarded to :meth:`compile`.
+        metrics, and its root built within the timed execute span.
+        ``required`` is forwarded to :meth:`compile`.
         """
         tracer = obs_trace.current_tracer()
         spans = tracer if top_level else None
@@ -278,6 +282,8 @@ class PlanRunner:
                 tracer=tracer,
                 governance=governance,
             )
+            if top_level:  # the query's answer: a join left lazy is built here
+                table = table.built()
         return PlanRun(
             physical, cache_hit, table, cardinalities, op_metrics,
             compile_s, perf_counter() - t0,

@@ -27,9 +27,7 @@ from repro.engine.aggregate import (
     partial_aggregate,
     repeated,
 )
-from repro.engine.keys import (
-    MAX_SPAN, dense_span, pack_keys, same_dictionary, stable_argsort, value_counts,
-)
+from repro.engine.keys import MAX_SPAN, dense_span, pack_keys, same_dictionary, stable_argsort
 from repro.engine.table import ROWID_PREFIX, WEIGHT_COLUMN, Table
 from repro.errors import PlanError, SchemaError
 
@@ -37,7 +35,6 @@ __all__ = [
     "execute_select",
     "execute_project",
     "execute_join",
-    "execute_join_unbuilt",
     "JoinedRows",
     "JoinParts",
     "MATCH_COLUMN",
@@ -128,32 +125,6 @@ def _integer_offset(l_col: np.ndarray, r_col: np.ndarray) -> Optional[Tuple[int,
     return (lo, span) if span <= MAX_SPAN else None
 
 
-class _Matches(NamedTuple):
-    """Which build (right) rows each probe (left) row matches.
-
-    ``rows`` are the probe rows with a match, ascending (``None`` where
-    only the build rows are asked for); ``counts`` how many each has
-    (``None``: exactly one); ``starts`` where each one's matches begin in
-    ``order``, the build rows sorted by key (``None``: the build rows as
-    they are)."""
-
-    rows: Optional[np.ndarray]
-    counts: Optional[np.ndarray]
-    starts: np.ndarray
-    order: Optional[np.ndarray]
-
-    def probe_index(self) -> np.ndarray:
-        """The probe row of each match, in output order."""
-        return self.rows if self.counts is None else np.repeat(self.rows, self.counts)
-
-    def build_index(self) -> np.ndarray:
-        """The build row of each match, in output order: per probe row, in
-        build-row order."""
-        if self.counts is None:
-            return self.starts if self.order is None else self.order[self.starts]
-        return self.order[segment_rows(self.starts, self.counts)]
-
-
 def segment_sums(values: np.ndarray, starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Σ ``values[starts[i] : starts[i] + counts[i]]`` for each ``i``, any
     two segments being equal or disjoint: one ``reduceat`` over the pieces
@@ -179,81 +150,68 @@ def segment_rows(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return within
 
 
-def _probe(left_key: np.ndarray, right_key: np.ndarray, span: int) -> _Matches:
-    """The matches of every left key among the right keys (many-to-many).
-
-    A right (build) side whose keys are unique, as a dimension's are, is
-    probed without expanding runs: on a dense span through a span-sized
-    table of right positions, on a sparse one by one ``searchsorted`` into
-    its sorted keys. Only duplicate build keys pay for the stable sort.
-    A built join reads every match's build row, so it sorts up front; a
-    join left unbuilt counts per key instead (:class:`_KeyMatches`)."""
-    if dense_span(span, len(left_key) + len(right_key)):
-        per_key = np.bincount(right_key, minlength=span)
-        if per_key.max(initial=0) <= 1:
-            hit = np.full(span, -1, dtype=np.intp)
-            hit[right_key] = np.arange(len(right_key))
-            hit = hit[left_key]
-            rows = np.flatnonzero(hit >= 0)
-            return _Matches(rows, None, hit[rows], None)
-        order = stable_argsort(right_key)
-        lo = (np.cumsum(per_key) - per_key)[left_key]
-        counts = per_key[left_key]
-    else:
-        order = stable_argsort(right_key)
-        sorted_right = right_key[order]
-        if len(sorted_right) and not (sorted_right[1:] == sorted_right[:-1]).any():
-            at = np.searchsorted(sorted_right, left_key)
-            rows = np.flatnonzero(sorted_right[np.minimum(at, len(order) - 1)] == left_key)
-            return _Matches(rows, None, at[rows], order)
-        lo = np.searchsorted(sorted_right, left_key, side="left")
-        counts = np.searchsorted(sorted_right, left_key, side="right") - lo
-    rows = np.flatnonzero(counts)
-    return _Matches(rows, counts[rows], lo[rows], order)
-
-
 class _KeyMatches:
-    """An inner join's matches kept per key: how many build (right) rows
-    hold each key, and the key slot of each probe (left) row that matches.
+    """A join's matches: the one probe kernel every join runs.
 
-    A probe row's match count is a gather from the per-key counts, and a
-    build-side sum one ``bincount`` per key gathered the same way
-    (:meth:`sums`): neither sorts. The build rows sorted by key, which say
-    *which* build rows a probe row matches, are made only when asked
-    (:meth:`build_index`). A key's slot is the key itself on a dense span,
-    and its rank among the ``distinct`` build keys on a sparse one.
-    ``copies`` is, per probe row, how many times over its matches repeat
-    (``None``: once): the multiplicity a lower join left unbuilt gives the
+    A build (right) side whose keys are unique, as a dimension's are, is
+    probed without counting: on a dense span through a span-sized table of
+    build positions, on a sparse one by one ``searchsorted`` into its
+    sorted keys. A probe (left) row that matches then has one build row,
+    its slot. Duplicate build keys are counted per key, and a probe row's
+    slot is its key on a dense span, the key's rank among the ``distinct``
+    build keys on a sparse one: its match count is a gather from the
+    per-key counts, and a build-side sum one ``bincount`` per key gathered
+    the same way (:meth:`sums`). The build rows sorted by key, which say
+    *which* build rows a probe row matches, are sorted when first asked
+    for (:meth:`build_index`), except on a sparse span, whose one sort
+    told unique keys from duplicates and counted them. ``copies`` is, per
+    probe row that matches, how many times over its matches repeat
+    (``None``: once): the multiplicity a lower join left lazy gives the
     row."""
 
     def __init__(
         self,
         right_key: np.ndarray,
-        distinct: Optional[np.ndarray],
-        per_key: np.ndarray,
         slots: np.ndarray,
         copies: Optional[np.ndarray],
+        per_key: Optional[np.ndarray] = None,
+        distinct: Optional[np.ndarray] = None,
+        order: Optional[np.ndarray] = None,
     ):
-        self._right_key, self._distinct, self._per_key = right_key, distinct, per_key
-        self._slots, self._copies = slots, copies
+        self._right_key, self._slots, self._copies = right_key, slots, copies
+        #: ``None`` when the build keys are unique: a slot is a build row.
+        self._per_key, self._distinct, self._order = per_key, distinct, order
 
     @classmethod
     def probe(
         cls, left_key: np.ndarray, right_key: np.ndarray, span: int,
         copies: Optional[np.ndarray] = None,
-    ) -> Tuple[np.ndarray, np.ndarray, "_KeyMatches"]:
+    ) -> Tuple[np.ndarray, Optional[np.ndarray], "_KeyMatches"]:
         """``(rows, counts, matches)``: the probe rows that match,
-        ascending, how many output rows each is, and the matches.
-        ``copies`` is each probe row's multiplicity, if it has one: a row
-        is then its matches times its copies. On a dense span the build
-        keys are counted into a span-sized table, on a sparse one per
-        distinct key, found by ``searchsorted``."""
-        distinct = None
+        ascending, how many output rows each is (``None``: one each), and
+        the matches. ``copies`` is each probe row's multiplicity, if it has
+        one: a row is then its matches times its copies."""
+        distinct = order = None
         if dense_span(span, len(left_key) + len(right_key)):
             per_key = np.bincount(right_key, minlength=span)
+            if per_key.max(initial=0) <= 1:
+                at = np.full(span, -1, dtype=np.intp)
+                at[right_key] = np.arange(len(right_key))
+                at = at[left_key]
+                rows = np.flatnonzero(at >= 0)
+                return cls._unique(rows, at[rows], right_key, copies)
             counts, slots = per_key[left_key], left_key
         else:
-            distinct, per_key = value_counts(right_key)
+            order = stable_argsort(right_key)
+            ordered = right_key[order]
+            first = np.ones(len(ordered), dtype=bool)
+            first[1:] = ordered[1:] != ordered[:-1]
+            if len(ordered) and first.all():
+                at = np.minimum(np.searchsorted(ordered, left_key), len(ordered) - 1)
+                rows = np.flatnonzero(ordered[at] == left_key)
+                return cls._unique(rows, order[at[rows]], right_key, copies)
+            starts = np.flatnonzero(first)
+            distinct, per_key = ordered[starts], np.diff(starts, append=len(ordered))
             slots = np.searchsorted(distinct, left_key)
             counts = np.zeros(len(left_key), dtype=np.intp)
             if len(distinct):
@@ -265,7 +223,15 @@ class _KeyMatches:
         if copies is not None:
             copies = copies[rows]
             counts = counts * copies
-        return rows, counts, cls(right_key, distinct, per_key, slots[rows], copies)
+        return rows, counts, cls(right_key, slots[rows], copies, per_key, distinct, order)
+
+    @classmethod
+    def _unique(cls, rows, build_rows, right_key, copies):
+        """:meth:`probe`'s answer over unique build keys: the probe rows
+        that match and the build row of each."""
+        if copies is not None:
+            copies = copies[rows]
+        return rows, copies, cls(right_key, build_rows, copies)
 
     def _build_slots(self) -> np.ndarray:
         """The key slot of each build row."""
@@ -276,6 +242,8 @@ class _KeyMatches:
     def single_rows(self) -> np.ndarray:
         """The build row of each probe row that matches, when each matches
         exactly one: the last build row of its key, the only one."""
+        if self._per_key is None:
+            return self._slots
         last = np.zeros(len(self._per_key), dtype=np.intp)
         last[self._build_slots()] = np.arange(len(self._right_key))
         return last[self._slots]
@@ -284,28 +252,26 @@ class _KeyMatches:
         """Per probe row that matches, the sum of ``per_build`` over its
         output rows: its key's sum, times its copies. Each key's sum adds
         the key's build rows in row order, as a sorted segment would."""
-        per_key = np.bincount(self._build_slots(), weights=per_build, minlength=len(self._per_key))
-        sums = per_key[self._slots]
+        if self._per_key is None:
+            sums = per_build[self._slots]
+        else:
+            per_key = np.bincount(
+                self._build_slots(), weights=per_build, minlength=len(self._per_key)
+            )
+            sums = per_key[self._slots]
         return sums if self._copies is None else sums * self._copies
 
     def build_index(self) -> np.ndarray:
         """The build row of each output row, in output order: per probe
-        row, its matches in build-row order, ``copies`` times over. The one
-        place an unbuilt join sorts its build keys."""
+        row, its matches in build-row order, ``copies`` times over."""
+        if self._per_key is None:
+            return repeated(self._slots, self._copies)
         counts = self._per_key[self._slots]
         starts = (np.cumsum(self._per_key) - self._per_key)[self._slots]
         if self._copies is not None:
             starts, counts = np.repeat(starts, self._copies), np.repeat(counts, self._copies)
-        return _Matches(None, counts, starts, stable_argsort(self._right_key)).build_index()
-
-
-def _match_pairs(
-    left_key: np.ndarray, right_key: np.ndarray, span: int
-) -> Tuple[np.ndarray, np.ndarray]:
-    """All (left_index, right_index) pairs with equal keys, in left-row
-    order and, per left row, right-row order."""
-    matches = _probe(left_key, right_key, span)
-    return matches.probe_index(), matches.build_index()
+        order = self._order if self._order is not None else stable_argsort(self._right_key)
+        return order[segment_rows(starts, counts)]
 
 
 def _padded(values: np.ndarray, fill_rows: int, fill=None) -> np.ndarray:
@@ -337,25 +303,66 @@ def _lineage_names(left: Table, right: Table) -> Tuple[str, ...]:
 
 
 def execute_join(
-    left: Table,
+    left: Union[Table, "JoinedRows"],
     right: Table,
     left_keys: Sequence[str],
     right_keys: Sequence[str],
     how: str = "inner",
     columns: Optional[Sequence[str]] = None,
-) -> Table:
+) -> Union[Table, "JoinedRows"]:
     """Hash equi-join. Weights multiply; a side without weights counts as 1.
 
     ``columns`` names the data columns the output carries (default: every
     data column of both inputs, left then right). The keys are read from
     the inputs either way and copied only when listed; lineage and weight
     columns always ride along.
+
+    An inner join where some probe (left) row matches more than once is
+    left lazy: it returns a :class:`JoinedRows`, which its reader reads as
+    it needs, or builds (DESIGN §18). Every other join returns its table.
+    ``left`` may itself be a lazy join. An inner join probes its probe rows
+    when it carries only probe columns (:meth:`JoinedRows.probe_side`),
+    each standing for the product of its two match counts, ``a·b`` output
+    rows, in the order the built joins would give them; any other join
+    builds it first.
     """
     if how not in ("inner", "left", "right"):
         raise PlanError(f"unsupported join type {how!r}")
-    if isinstance(left, JoinedRows):  # a lower join left unbuilt, this one not
+    if columns is None:
         left = left.built()
-    pairs = _match_pairs(*_join_keys(left, right, left_keys, right_keys))
+        columns = left.data_column_names() + right.data_column_names()
+    name, rows, copies = f"{left.name}_join_{right.name}", None, None
+    if isinstance(left, JoinedRows):
+        stacked = left.probe_side() if how == "inner" else None
+        if stacked is None:
+            left = left.built()
+        else:
+            left, rows, copies = stacked
+    keyed = left
+    if rows is not None:
+        probed = {key: left.key_column(key)[rows] for key in left_keys}
+        keyed = Table(left.name, probed, left.dictionaries())
+    matched, counts, matches = _KeyMatches.probe(
+        *_join_keys(keyed, right, left_keys, right_keys), copies
+    )
+    fans_out = counts is not None and (copies is not None or counts.max(initial=0) > 1)
+    if fans_out and how == "inner":
+        if rows is not None:
+            matched = rows[matched]
+        return JoinedRows(
+            name,
+            _Picked(left, lambda: matched),
+            counts,
+            _Picked(right, matches.build_index),
+            tuple(columns) + _lineage_names(left, right),
+            matches.sums,
+            _aliases(left, right, left_keys, right_keys, columns),
+        )
+    if fans_out:  # an outer join
+        pairs = np.repeat(matched, counts), matches.build_index()
+    else:
+        pairs = matched, matches.single_rows()
+    del counts, matches  # a probe row long each: not live through the gathers
     return _joined_table(left, right, *pairs, how, columns)
 
 
@@ -466,13 +473,15 @@ class _Picked:
 
 
 class JoinedRows:
-    """An inner join's output left unbuilt, for the aggregate right above
-    the join, or the join whose probe input it is, to read (DESIGN §18).
+    """An inner join's output left lazy because it fans out (DESIGN §18).
+    Three readers take it as it is: the aggregate above it, the join whose
+    probe input it is, and a partition task, which ships :meth:`parts`;
+    every other reader gets :meth:`built`.
 
     Its rows are the join's, in the join's order: the probe (left) rows
     that match, each repeated by its match count, beside their matches'
     build (right) rows. A column is made when first read, with the bits
-    :func:`execute_join` would have gathered: a probe column by repeating
+    the built join would have gathered: a probe column by repeating
     its matched rows, a build column by a gather whose build indices are
     computed on the first such read. A build key column the join carries
     may be read off its probe partner (``aliases``: build name -> probe
@@ -480,7 +489,7 @@ class JoinedRows:
     dictionaries and :meth:`estimated_bytes` are those of the table the
     join would have built, so a run records and charges it as that table.
 
-    :func:`execute_join_unbuilt` makes one over the join's inputs;
+    :func:`execute_join` makes one over the join's inputs;
     :meth:`from_parts` over matches already picked (:class:`JoinParts`).
     ``build_sums`` maps a value per build row to its sum over each probe
     row's output rows.
@@ -692,55 +701,6 @@ def _aliases(
         ):
             aliases[r_name] = l_name
     return aliases
-
-
-def execute_join_unbuilt(
-    left: Union[Table, JoinedRows],
-    right: Table,
-    left_keys: Sequence[str],
-    right_keys: Sequence[str],
-    columns: Sequence[str],
-) -> Union[Table, JoinedRows]:
-    """:func:`execute_join` (inner) for an aggregate, or a join above, to
-    read. Matches are counted per key (:class:`_KeyMatches`); the build
-    side is sorted only when a build column is read per output row.
-
-    ``left`` may itself be a join left unbuilt that carries only probe
-    columns, the lower join of a stack (DESIGN §18): its probe rows are
-    probed, and each stands for the product of its two match counts,
-    ``a·b`` output rows, in the order the built joins would give them.
-    When no probe row of a plain ``left`` matches more than once, there is
-    no fan-out to save: the output is the matched probe rows, and the
-    aggregate reads every column of it, so it is built."""
-    name, rows, copies = f"{left.name}_join_{right.name}", None, None
-    if isinstance(left, JoinedRows):
-        stacked = left.probe_side()
-        if stacked is None:
-            left = left.built()
-        else:
-            left, rows, copies = stacked
-    keyed = left
-    if rows is not None:
-        probed = {key: left.key_column(key)[rows] for key in left_keys}
-        keyed = Table(left.name, probed, left.dictionaries())
-    matched, counts, matches = _KeyMatches.probe(
-        *_join_keys(keyed, right, left_keys, right_keys), copies
-    )
-    if copies is None and counts.max(initial=0) <= 1:
-        build_rows = matches.single_rows()
-        del counts, matches  # a probe row long each: not live through the gathers
-        return _joined_table(left, right, matched, build_rows, "inner", columns)
-    if rows is not None:
-        matched = rows[matched]
-    return JoinedRows(
-        name,
-        _Picked(left, lambda: matched),
-        counts,
-        _Picked(right, matches.build_index),
-        tuple(columns) + _lineage_names(left, right),
-        matches.sums,
-        _aliases(left, right, left_keys, right_keys, columns),
-    )
 
 
 def execute_aggregate(

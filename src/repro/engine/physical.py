@@ -41,10 +41,8 @@ from __future__ import annotations
 import threading
 import time
 from collections import OrderedDict
-from dataclasses import dataclass, field, replace
-from typing import (
-    Any, Callable, Dict, FrozenSet, Hashable, Iterable, List, NamedTuple, Optional, Tuple,
-)
+from dataclasses import dataclass, field
+from typing import Any, Callable, Dict, Hashable, Iterable, List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
@@ -62,7 +60,8 @@ from repro.algebra.logical import (
     UnionAll,
 )
 from repro.engine import operators
-from repro.engine.aggregate import Estimation, key_columns
+from repro.engine.aggregate import Estimation
+from repro.engine.operators import JoinedRows
 from repro.engine.table import ROWID_PREFIX, Database, Table, rowid_column_name
 from repro.errors import PlanError, TaskCancelled
 
@@ -73,7 +72,6 @@ __all__ = [
     "PlanCache",
     "compile_plan",
     "liveness",
-    "reads_probe_keys",
     "required_columns",
 ]
 
@@ -167,21 +165,10 @@ class PhysicalPlan:
     address_to_index: Dict[NodeAddress, int]
     #: Scan occurrence address -> pre-order scan ordinal.
     scan_ordinals: Dict[NodeAddress, int]
-    #: Inner joins whose reader, an aggregate, tells rows apart by probe-side
-    #: columns only, and the joins stacked on their probe inputs that carry
-    #: nothing of their build sides: they run unbuilt
-    #: (:func:`_find_unbuilt_joins`) unless an override lands at or below
-    #: them.
-    unbuilt_joins: FrozenSet[int] = frozenset()
 
     @property
     def num_operators(self) -> int:
         return len(self.ops)
-
-    def with_root_unbuilt(self) -> "PhysicalPlan":
-        """This plan with its root, an inner join :func:`reads_probe_keys`
-        admits for a reader outside the plan, run unbuilt."""
-        return replace(self, unbuilt_joins=self.unbuilt_joins | {len(self.ops) - 1})
 
     def execute(
         self,
@@ -191,7 +178,7 @@ class PhysicalPlan:
         should_abort: Optional[Callable[[], bool]] = None,
         tracer=None,
         governance=None,
-    ) -> Tuple[Table, Dict[NodeAddress, int], Tuple[OperatorMetrics, ...]]:
+    ) -> Tuple[Union[Table, JoinedRows], Dict[NodeAddress, int], Tuple[OperatorMetrics, ...]]:
         """Run the pipeline against ``database``.
 
         ``overrides`` maps a node address to a pre-computed table: that
@@ -211,8 +198,11 @@ class PhysicalPlan:
         executed operator, carrying its address, rows-in/rows-out and — for
         samplers — the effective rate vs. target ``p`` and output weight
         mass.
-        Returns the raw root table (lineage intact), per-address output
-        cardinalities, and per-operator metrics (empty unless requested).
+        Returns the raw root output (lineage intact; an inner join that
+        fanned out is left lazy, a :class:`~repro.engine.operators.JoinedRows`
+        whose ``built()`` is the table, as every ``Table``'s is),
+        per-address output cardinalities, and per-operator metrics (empty
+        unless requested).
         """
         ops = self.ops
         run = _RunState(self, overrides, record_metrics, should_abort, tracer, governance)
@@ -239,7 +229,7 @@ class PhysicalPlan:
                 rows_in = database.table(op.node.table).num_rows
             else:
                 rows_in = sum(t.num_rows for t in inputs)
-            table = self._dispatch(op, inputs, database, run)
+            table = self._dispatch(op, inputs, database)
         # Each slot feeds exactly one parent; release inputs eagerly so
         # peak memory tracks the live frontier, not the whole plan.
         for slot in op.child_slots:
@@ -254,9 +244,19 @@ class PhysicalPlan:
 
     # -- operator dispatch ----------------------------------------------------
     def _dispatch(
-        self, op: PhysicalOp, inputs: List[Table], database: Database, run: "_RunState"
-    ) -> Table:
+        self, op: PhysicalOp, inputs: List[Union[Table, JoinedRows]], database: Database
+    ) -> Union[Table, JoinedRows]:
+        """One operator's output. A join left lazy is read as it is by the
+        aggregate above it and as the probe input of a join; every other
+        reader builds it."""
         node = op.node
+        if op.opcode == "join":
+            return operators.execute_join(
+                inputs[0], inputs[1].built(), node.left_keys, node.right_keys, node.how,
+                op.columns,
+            )
+        if op.opcode != "aggregate":
+            inputs = [table.built() for table in inputs]
         if op.opcode == "scan":
             out = database.table(node.table).project(op.columns)
             if op.lineage_column is not None and not out.has_lineage():
@@ -269,14 +269,6 @@ class PhysicalPlan:
         if op.opcode == "project":
             return operators.execute_project(
                 inputs[0], {name: node.mapping[name] for name in op.columns}
-            )
-        if op.opcode == "join":
-            if op.index in self.unbuilt_joins and not run.overridden_within(op):
-                return operators.execute_join_unbuilt(
-                    inputs[0], inputs[1], node.left_keys, node.right_keys, op.columns
-                )
-            return operators.execute_join(
-                inputs[0], inputs[1], node.left_keys, node.right_keys, node.how, op.columns
             )
         if op.opcode == "limit":
             return operators.execute_limit(inputs[0], node.n)
@@ -308,14 +300,12 @@ class _RunState:
         ops = plan.ops
         self.overrides = overrides
         self.skipped = bytearray(len(ops))
-        self.override_roots: List[int] = []
         for address in overrides or ():
             root = plan.address_to_index.get(address)
             if root is None:
                 raise PlanError(
                     f"override address {format_address(address)} is not in this plan"
                 )
-            self.override_roots.append(root)
             for i in range(ops[root].subtree_start, root):
                 self.skipped[i] = 1
         self.slots: List[Optional[Table]] = [None] * len(ops)
@@ -328,10 +318,6 @@ class _RunState:
         self.governance = governance
         self.slot_bytes: List[int] = [0] * len(ops) if governance is not None else []
         self.live_bytes = 0
-
-    def overridden_within(self, op: PhysicalOp) -> bool:
-        """Whether an override lands at ``op`` or anywhere below it."""
-        return any(op.subtree_start <= root <= op.index for root in self.override_roots)
 
     def checkpoint(self, op: PhysicalOp) -> None:
         """The cooperative boundary before ``op``: poll ``should_abort``,
@@ -375,6 +361,8 @@ class _RunState:
             }
             if self.overrides and op.address in self.overrides:
                 attrs["override"] = True
+            if isinstance(out, JoinedRows):  # left lazy: the rows it holds
+                attrs["probe_rows"] = out.num_probe_rows
             if sampler is not None:
                 attrs.update(sampler)
             self.tracer.end(span, **attrs)
@@ -616,64 +604,7 @@ def compile_plan(
         ops=tuple(ops),
         address_to_index=address_to_index,
         scan_ordinals=scan_ordinals,
-        unbuilt_joins=_find_unbuilt_joins(ops),
     )
-
-
-def _find_unbuilt_joins(ops: List[PhysicalOp]) -> FrozenSet[int]:
-    """Inner joins an aggregate reads whose output need not be built
-    (:func:`reads_probe_keys`), and under each the joins stacked on its
-    probe input whose match counts it multiplies through
-    (:func:`_multiplies_through`)."""
-    unbuilt = set()
-    for op in ops:
-        if op.opcode != "aggregate" or ops[op.index - 1].opcode != "join":
-            continue
-        join = ops[op.index - 1]
-        if reads_probe_keys(join.node, join.columns, op.node, op.estimation):
-            unbuilt.add(join.index)
-            below = ops[join.child_slots[0]]
-            while _multiplies_through(below, ops):
-                unbuilt.add(below.index)
-                below = ops[below.child_slots[0]]
-    return frozenset(unbuilt)
-
-
-def _multiplies_through(op: PhysicalOp, ops: List[PhysicalOp]) -> bool:
-    """Whether ``op``, the probe input of a join left unbuilt, may be left
-    unbuilt too: an inner join that carries no column, weight or lineage
-    of its build side, so the join above reads only its probe rows and
-    how many output rows each is (DESIGN §18)."""
-    if op.opcode != "join" or op.node.how != "inner":
-        return False
-    build = ops[op.child_slots[1]]
-    return set(op.columns) <= set(op.node.left.output_columns()) and not any(
-        below.opcode == "sampler" or below.lineage_column is not None
-        for below in ops[build.subtree_start:build.index + 1]
-    )
-
-
-def reads_probe_keys(
-    join: Join, columns: Iterable[str], aggregate: Aggregate, how: Estimation
-) -> bool:
-    """Whether ``aggregate``, reading ``columns`` of ``join``, may read the
-    join unbuilt.
-
-    An aggregate tells rows apart by its :func:`~repro.engine.aggregate.key_columns`;
-    when an inner join carries none of them from its build side, groups and
-    pairs are found on the probe rows and the join's fan-out is a repeat
-    count per probe row (DESIGN §18). A build key column counts as a probe
-    column: on every output row it equals its probe partner, and where the
-    two share a dtype and a dictionary the unbuilt join reads the partner
-    (otherwise the column, correct either way, per output row). Outer
-    joins, whose fill rows no probe row stands for, and other build-side
-    keys keep the built join.
-    """
-    names = key_columns(aggregate.group_by, aggregate.aggs, how)
-    if join.how != "inner" or names is None:
-        return False
-    probe, read = set(join.left.output_columns()) | set(join.right_keys), set(columns)
-    return all(name in probe for name in names if name in read)
 
 
 @dataclass

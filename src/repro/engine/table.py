@@ -196,6 +196,12 @@ class Table:
             return self
         return self.drop_columns(self.lineage_column_names())
 
+    def built(self) -> "Table":
+        """This table: what a reader that needs rows gets of an operator's
+        output, a join left lazy (:class:`~repro.engine.operators.JoinedRows`)
+        included."""
+        return self
+
     def take(self, selector: np.ndarray, name: Optional[str] = None) -> "Table":
         """Row subset by boolean mask or index array. A mask is turned into
         row indices once: NumPy gathers by index several times faster than

@@ -84,7 +84,7 @@ from repro.engine.executor import ExecutionResult, PartialResult, PlanRun, PlanR
 from repro.engine.metrics import ClusterConfig, ParallelMetrics, modeled_speedup
 from repro.engine.operators import MATCH_COLUMN, JoinedRows, JoinParts
 from repro.engine.partitions import HASH, Partitioner
-from repro.engine.physical import PhysicalPlan, liveness, plan_fingerprint, reads_probe_keys
+from repro.engine.physical import PhysicalPlan, liveness, plan_fingerprint
 from repro.engine.table import WEIGHT_COLUMN, Database, Table, rowid_column_name
 from repro.errors import (
     BudgetExceeded,
@@ -192,8 +192,9 @@ class _QueryContext:
     #: What a worker's plan is compiled for: the data columns read of the
     #: split and, when rows are merged, the lineage that reaches it.
     payload_columns: tuple = ()
-    #: Whether workers ship the split's matches (:func:`_ships_matches`):
-    #: then only the probe side's lineage reaches the payload.
+    #: Whether the split is an inner join whose probe side holds a
+    #: partitioned scan: then only the probe side's lineage reaches the
+    #: payload, and a worker whose join fanned out ships its matches.
     matched: bool = False
     # -- prune/select
     prune: Any = None  # Optional[ScanPrunePlan]
@@ -353,9 +354,15 @@ class ParallelExecutor:
         ctx.merge_mode = self.options.merge if analysis.aggregate is not None else "rows"
         ctx.payload_columns = ctx.required[analysis.split_address]
         if not ctx.two_phase:
-            # Every scan's lineage reaches the split and orders the merge;
-            # shipped matches need only the probe side's.
-            ctx.matched = _ships_matches(analysis, ctx.payload_columns)
+            # Every scan's lineage reaches the split and orders the merge,
+            # but an inner join's probe rows order its output when each
+            # lives in one partition beside all its matches: its probe side
+            # holds a partitioned scan, and its build side none or the one
+            # hash co-partitioned with it (no strategy partitions more).
+            depth, split = len(analysis.split_address), analysis.split
+            ctx.matched = isinstance(split, Join) and split.how == "inner" and any(
+                scan.address[depth] == 0 for scan in analysis.scans if scan.mode != "broadcast"
+            )
             ctx.payload_columns += tuple(
                 sorted(
                     rowid_column_name(ordinal)
@@ -385,7 +392,7 @@ class ParallelExecutor:
                 selection_fraction=getattr(governance, "selection_fraction", None),
                 run_subtree=lambda node, required: self._engine_run(
                     ctx, node, governance, required=required
-                ).table,
+                ).table.built(),
                 task_seed=self.options.task_seed,
             )
         except Exception:  # noqa: BLE001 - run unpruned rather than fail
@@ -488,7 +495,7 @@ class ParallelExecutor:
                 analysis.aligned_sampler_addresses,
             )
             physical = self.engine.compile(worker_plan, exact=True, required=ctx.payload_columns)[0]
-            ctx.worker_plans.append(physical.with_root_unbuilt() if ctx.matched else physical)
+            ctx.worker_plans.append(physical)
         ctx.compile_seconds += perf_counter() - t0
         ctx.runtime = TaskRuntime(
             self.pool, policy=self.options.retry, base_seed=self.options.task_seed
@@ -505,11 +512,12 @@ class ParallelExecutor:
         how = Estimation.of(aggregate, self.database) if two_phase else None
         # Rows-mode payloads must carry the columns the rest of the query
         # reads of the split *and* the lineage columns that survive it —
-        # merge_rows needs both to restore the serial row order. A corrupt
-        # result that silently dropped one has to be rejected by validation
-        # (and retried), not crash the merge with a cross-partition schema
-        # mismatch.
+        # merge_rows needs both to restore the serial row order — and
+        # nothing else. A corrupt result that silently dropped one has to
+        # be rejected by validation (and retried), not crash the merge with
+        # a cross-partition schema mismatch.
         expected_columns = frozenset(ctx.payload_columns)
+        shipped = expected_columns | {WEIGHT_COLUMN}
 
         def run_partition(task: TaskSpec):
             t0 = perf_counter()
@@ -532,10 +540,17 @@ class ParallelExecutor:
                 governance=governance,
             )
             payload = run.table
-            if two_phase:
-                payload = partial_aggregate(payload, aggregate.group_by, aggregate.aggs, how)
-            elif matched and isinstance(payload, JoinedRows):
+            if matched and isinstance(payload, JoinedRows):
                 payload = payload.parts()
+            elif two_phase:
+                payload = partial_aggregate(
+                    payload.built(), aggregate.group_by, aggregate.aggs, how
+                )
+            else:
+                payload = payload.built()
+                payload = payload.drop_columns(
+                    [c for c in payload.column_names if c not in shipped]
+                )
             result = (perf_counter() - t0, run.cardinalities, payload)
             if fault_plan is not None:
                 result = fault_plan.after_work(
@@ -675,11 +690,10 @@ class ParallelExecutor:
             # A partition whose join did not fan out shipped its rows, and
             # selection and degradation re-weight rows: build every output,
             # with the lineage of the probe side only.
-            kept = {*ctx.payload_columns, WEIGHT_COLUMN}
             payloads = [
                 JoinedRows.from_parts(p, ctx.payload_columns).built()
                 if isinstance(p, JoinParts)
-                else p.drop_columns([c for c in p.column_names if c not in kept])
+                else p
                 for p in payloads
             ]
         if ctx.selecting:
@@ -733,7 +747,7 @@ class ParallelExecutor:
             None if report.aborted is not None else ctx.governance,
             overrides=ctx.overrides,
         )
-        table, cardinalities = run.table, ctx.cardinalities
+        table, cardinalities = run.table.built(), ctx.cardinalities
         cardinalities.update(run.cardinalities)
         aggregate = analysis.aggregate
         if ctx.selecting and aggregate is not None:
@@ -919,28 +933,6 @@ def _validate_result(result, task: TaskSpec, two_phase: bool, expected_columns: 
         raise TaskError(
             problem, partition=task.partition, attempt=task.attempt, kind="validation"
         )
-
-
-def _ships_matches(analysis: PlanAnalysis, columns: tuple) -> bool:
-    """Whether workers ship the split's matches instead of its output.
-
-    The split must be an inner join the aggregate above reads unbuilt
-    (:func:`~repro.engine.physical.reads_probe_keys`). Each probe row must
-    live in one partition, beside all its matches: the probe side holds a
-    partitioned scan. The build side then holds none, or the split is the
-    join whose two sides are hash co-partitioned on its keys, as no other
-    strategy partitions two scans. Every scan's lineage reaches the split,
-    so ordering the probe rows orders the output as
-    :func:`~repro.parallel.merge.merge_rows` would.
-    """
-    split, aggregate = analysis.split, analysis.aggregate
-    if aggregate is None or not isinstance(split, Join):
-        return False
-    if not reads_probe_keys(split, columns, aggregate, Estimation.of(aggregate)):
-        return False
-    depth = len(analysis.split_address)
-    sides = {scan.address[depth] for scan in analysis.scans if scan.mode != "broadcast"}
-    return 0 in sides
 
 
 def _corrupt_result(result):

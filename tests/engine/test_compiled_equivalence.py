@@ -12,6 +12,7 @@ and an identical :class:`PlanCost` under the compiled path, serially and at
 import numpy as np
 import pytest
 
+from repro.algebra.addressing import walk_with_addresses
 from repro.algebra.logical import (
     Aggregate,
     Join,
@@ -33,6 +34,7 @@ from repro.optimizer.planner import QuickrPlanner
 from repro.parallel import ParallelOptions
 from repro.samplers.distinct import DistinctSpec
 from repro.workloads.tpcds import QUERY_BUILDERS, query_by_name
+from tests.engine.test_keys import ref_join
 
 QUERY_NAMES = tuple(sorted(QUERY_BUILDERS))
 
@@ -85,7 +87,9 @@ class ReferenceExecutor:
         if isinstance(node, Join):
             left = self._run(node.left, cardinalities)
             right = self._run(node.right, cardinalities)
-            return operators.execute_join(left, right, node.left_keys, node.right_keys, node.how)
+            # Built from the reference pairs: neither the probe kernel nor
+            # the lazy join the compiled plans run.
+            return ref_join(left, right, node.left_keys, node.right_keys, node.how)
         if isinstance(node, Aggregate):
             return operators.execute_aggregate(
                 self._run(node.child, cardinalities),
@@ -109,6 +113,13 @@ class ReferenceExecutor:
                 [self._run(child, cardinalities) for child in node.children]
             )
         raise AssertionError(f"reference executor cannot handle {type(node).__name__}")
+
+
+def reference_run(database, plan):
+    """The oracle's answer and per-address cardinalities: the built side a
+    compiled run, whose fan-out joins stay lazy, must equal."""
+    table, _, cards = ReferenceExecutor(database).execute(plan)
+    return table, {address: cards[id(node)] for address, node in walk_with_addresses(plan)}
 
 
 @pytest.fixture(scope="module")

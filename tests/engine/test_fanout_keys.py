@@ -1,18 +1,20 @@
 """A fan-out join is read per key, and stacked fan-out joins multiply.
 
-An unbuilt inner join counts its build keys per key: a probe row's match
-count is a gather, and a build-side sum a ``bincount`` per key gathered
-the same way. The build side is sorted only when a build column is read
-per output row. A lower join that carries nothing of its build side is
-left unbuilt too: the join above probes its probe rows and multiplies the
+An inner join that fans out is left lazy and counts its build keys per
+key: a probe row's match count is a gather, and a build-side sum a
+``bincount`` per key gathered the same way. A dense build side is sorted
+only when a build column is read per output row; a sparse one is sorted
+once, when probed. A lower join that carries nothing of its build side is
+read lazily too: the join above probes its probe rows and multiplies the
 two match counts. A build key column reads the same off its probe partner.
 
 The bar is the built chain: same table digest, same cardinalities, same
 charged bytes, on every aggregate kind, NaN keys and NaN values included,
 and on the fact-fact TPC-DS queries serially and on every worker pool.
+The built side of a compiled plan is the recursive oracle, which builds
+every join.
 """
 
-import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -23,19 +25,19 @@ from hypothesis import strategies as st
 from repro.algebra.aggregates import avg, count, count_distinct, count_if, sum_
 from repro.algebra.builder import scan
 from repro.algebra.expressions import col
-from repro.engine import operators
-from repro.engine import physical as physical_module
+from repro.engine import keys, operators
 from repro.engine.executor import Executor
-from repro.engine.operators import (
-    JoinedRows, execute_aggregate, execute_join, execute_join_unbuilt,
-)
+from repro.engine.operators import JoinedRows, execute_aggregate, execute_join
 from repro.engine.physical import compile_plan
 from repro.engine.table import WEIGHT_COLUMN, Database, Table
+from repro.obs.trace import Tracer
 from repro.optimizer.planner import QuickrPlanner
 from repro.parallel import ParallelOptions
 from repro.parallel import executor as parallel_executor
 from repro.service.protocol import table_digest
 from repro.workloads.tpcds import generate_tpcds, query_by_name
+from tests.engine.test_compiled_equivalence import reference_run
+from tests.engine.test_keys import ref_join
 
 
 def _keys(rng, n, span, floats, sparse=False):
@@ -97,18 +99,29 @@ def chains(draw):
 DECIMALS = {"sm": 2, "am": 2, "sy": 2, "ay": 2}
 
 
-def _chain(left, builds, unbuilt):
-    """The joins of a chain run one at a time, each lower one carrying
-    only the probe columns; built, or each left unbuilt."""
+def _steps(left, builds, lazy=True):
+    """Each join's output, the joins of a chain run one at a time, each
+    lower one carrying only the probe columns; as the joins leave them, or
+    each built from the reference pairs."""
     table, probe_columns = left, left.data_column_names()
     for i, build in enumerate(builds):
         top = i == len(builds) - 1
         columns = probe_columns + (build.data_column_names() if top else ())
-        if unbuilt:
-            table = execute_join_unbuilt(table, build, [f"k{i}"], [f"rk{i}"], columns)
-        else:
-            table = execute_join(table, build, [f"k{i}"], [f"rk{i}"], "inner", columns)
-    return table
+        join = execute_join if lazy else ref_join
+        table = join(table, build, [f"k{i}"], [f"rk{i}"], "inner", columns)
+        yield table
+
+
+def _chain(left, builds, lazy):
+    return list(_steps(left, builds, lazy))[-1]
+
+
+def lazy_joins(physical, db, **kwargs):
+    """One traced run of a compiled plan, and whether each join, in
+    execution order, left its output lazy (its span counts probe rows)."""
+    tracer = Tracer()
+    run = physical.execute(db, tracer=tracer, **kwargs)
+    return run, ["probe_rows" in span.attributes for span in tracer.spans if span.name == "op.join"]
 
 
 class TestChains:
@@ -132,6 +145,8 @@ class TestChains:
     @given(case=chains())
     @settings(max_examples=60, deadline=None)
     def test_compiled_chain_is_unbuilt_throughout(self, case):
+        """Each join of a compiled chain is left lazy where the operators
+        leave it: where it fans out, or the lower join it probes did."""
         left, builds, group_by, aggs, _ = case
         db = Database()
         db.register(left, decimals={"m": 2})
@@ -140,11 +155,9 @@ class TestChains:
             db.register(build, decimals={f"y{i}": 2})
             query = query.join(scan(db, f"r{i}"), on=[(f"k{i}", f"rk{i}")])
         plan = query.groupby(*group_by).agg(*aggs).build("chain").plan
-        physical = compile_plan(plan, db)
-        joins = {op.index for op in physical.ops if op.opcode == "join"}
-        assert physical.unbuilt_joins == joins
-        got, got_cards, _ = physical.execute(db)
-        want, want_cards, _ = dataclasses.replace(physical, unbuilt_joins=frozenset()).execute(db)
+        (got, got_cards, _), lazy = lazy_joins(compile_plan(plan, db), db)
+        assert lazy == [isinstance(step, JoinedRows) for step in _steps(left, builds)]
+        want, want_cards = reference_run(db, plan)
         assert table_digest(got) == table_digest(want)
         assert got_cards == want_cards
 
@@ -161,36 +174,48 @@ class TestStacking:
                     decimals={"z": 2})
         return db
 
-    def test_a_lower_join_carrying_a_build_column_is_built(self):
+    def test_a_lower_join_carrying_a_build_column_is_built(self, monkeypatch):
+        """The lower join fans out and is left lazy, but it carries ``y``
+        of its build side: the join above builds it, once."""
         db = self._db()
         plan = (
             scan(db, "l").join(scan(db, "r"), on=[("k", "rk")]).join(scan(db, "s"), on=[("k", "sk")])
             .groupby("g").agg(sum_(col("y"), "sy"), sum_(col("z"), "sz")).build("q").plan
         )
-        physical = compile_plan(plan, db)
-        (lower, upper) = [op.index for op in physical.ops if op.opcode == "join"]
-        assert physical.unbuilt_joins == {upper}
+        built, real = [], JoinedRows.built
+        monkeypatch.setattr(JoinedRows, "built", lambda self: built.append(1) or real(self))
+        (got, got_cards, _), lazy = lazy_joins(compile_plan(plan, db), db)
+        assert lazy == [True, True]
+        assert built == [1]
+        monkeypatch.undo()
+        want, want_cards = reference_run(db, plan)
+        assert table_digest(got) == table_digest(want)
+        assert got_cards == want_cards
 
-    def test_override_in_the_upper_build_side_builds_the_lower_output(self):
+    def test_override_in_the_upper_build_side_stays_lazy(self):
+        """Where an override lands does not decide how a join runs: with
+        the upper build side spliced in, both joins stay lazy, with the
+        answer and cardinalities of the run without it."""
         db = self._db()
         plan = (
             scan(db, "l").join(scan(db, "r"), on=[("k", "rk")]).join(scan(db, "s"), on=[("k", "sk")])
             .groupby("g").agg(sum_(col("m"), "sm"), sum_(col("z"), "sz"), count("n")).build("q").plan
         )
         physical = compile_plan(plan, db)
-        assert len(physical.unbuilt_joins) == 2
-        want, want_cards, _ = physical.execute(db)
-        got, got_cards, _ = physical.execute(db, overrides={(0, 1): db.table("s")})
-        assert table_digest(got) == table_digest(want)
+        (want, want_cards, _), lazy = lazy_joins(physical, db)
+        assert lazy == [True, True]
+        (got, got_cards, _), lazy = lazy_joins(physical, db, overrides={(0, 1): db.table("s")})
+        assert lazy == [True, True]
+        assert table_digest(got) == table_digest(want) == table_digest(reference_run(db, plan)[0])
         assert got_cards == want_cards
 
     def test_stacked_rows_and_bytes_are_the_built_chain_s(self):
         db = self._db()
         left, r, s = db.table("l"), db.table("r"), db.table("s")
-        lower = execute_join_unbuilt(left, r, ["k"], ["rk"], ["k", "g", "m"])
-        upper = execute_join_unbuilt(lower, s, ["k"], ["sk"], ["g", "m", "z"])
-        built = execute_join(
-            execute_join(left, r, ["k"], ["rk"], "inner", ["k", "g", "m"]),
+        lower = execute_join(left, r, ["k"], ["rk"], "inner", ["k", "g", "m"])
+        upper = execute_join(lower, s, ["k"], ["sk"], "inner", ["g", "m", "z"])
+        built = ref_join(
+            ref_join(left, r, ["k"], ["rk"], "inner", ["k", "g", "m"]),
             s, ["k"], ["sk"], "inner", ["g", "m", "z"],
         )
         assert isinstance(upper, JoinedRows)
@@ -220,23 +245,61 @@ class TestSortOnDemand:
 
     @pytest.mark.parametrize("sparse", [False, True])
     def test_counts_and_decimal_sums_never_sort_the_build_keys(self, monkeypatch, sparse):
+        """Counts and decimal sums add no sort to the probe's. A sparse
+        build side is sorted once, when probed: that sort counts its keys,
+        and a build column read per output row reads the same order."""
         left, right = self._sides()
         if sparse:  # a span far past the rows: the keys are counted per distinct key
             left = left.with_columns({"k": left.column("k") << 40})
             right = right.with_columns({"rk": right.column("rk") << 40})
+        built = ref_join(left, right, ["k"], ["rk"], "inner", ["g", "y"])
         sorted_sizes = self._sorts(monkeypatch)
-        joined = execute_join_unbuilt(left, right, ["k"], ["rk"], ["g", "y"])
-        built = execute_join(left, right, ["k"], ["rk"], "inner", ["g", "y"])
+        joined = execute_join(left, right, ["k"], ["rk"], "inner", ["g", "y"])
         assert isinstance(joined, JoinedRows)
+        assert sorted_sizes == ([right.num_rows] if sparse else [])
         sorted_sizes.clear()
         aggs = (count("n"), sum_(col("y"), "s"), avg(col("y"), "a"), count_if(col("y") > 0, "p"))
         how = dict(decimals={"s": 2, "a": 2})
         got = execute_aggregate(joined, ("g",), aggs, **how)
         assert sorted_sizes == []
         assert table_digest(got) == table_digest(execute_aggregate(built, ("g",), aggs, **how))
-        # A float sum reads the build column per output row: one sort.
+        # A float sum reads the build column per output row: the build
+        # rows sorted by key, which a sparse span has already.
         execute_aggregate(joined, ("g",), (sum_(col("y"), "s"),))
-        assert sorted_sizes == [right.num_rows]
+        assert sorted_sizes == ([] if sparse else [right.num_rows])
+
+    def test_a_sparse_build_side_read_per_output_row_is_sorted_once(self, monkeypatch):
+        """Every sort of the build keys, whichever kernel makes it: a
+        sparse fan-out join whose build column the aggregate reads per
+        output row sorts them once."""
+        left, right = self._sides()
+        db = Database()
+        db.register(left.with_columns({"k": left.column("k") << 40}))
+        db.register(right.with_columns({"rk": right.column("rk") << 40}))
+        plan = (
+            scan(db, "l").join(scan(db, "r"), on=[("k", "rk")])
+            .groupby("g").agg(sum_(col("y"), "s")).build("sparse").plan
+        )
+        physical = compile_plan(plan, db)
+        sorted_sizes = []
+
+        class Sorts:
+            """``numpy`` for ``keys``, recording the length of every array
+            it sorts."""
+
+            def __getattr__(self, name):
+                attr = getattr(np, name)
+                if name not in ("argsort", "sort", "unique"):
+                    return attr
+                return lambda values, *a, **k: sorted_sizes.append(len(values)) or attr(
+                    values, *a, **k
+                )
+
+        monkeypatch.setattr(keys, "np", Sorts())
+        got, _, _ = physical.execute(db)
+        monkeypatch.undo()
+        assert sorted_sizes.count(right.num_rows) == 1
+        assert table_digest(got) == table_digest(reference_run(db, plan)[0])
 
     @pytest.mark.parametrize("name", ["q12", "q14"])
     def test_exact_fact_fact_queries_sort_no_build_side(self, monkeypatch, tiny_tpcds, name):
@@ -279,62 +342,58 @@ def _executors(db):
 
 
 @pytest.fixture(scope="module")
-def unbuilt_executors(tpcds):
-    return _executors(tpcds)
-
-
-@pytest.fixture(scope="module")
-def built_executors(tpcds):
-    """Executors that compile every plan with no join left unbuilt, and
-    whose workers ship built rows (used only with both switched off)."""
+def executors(tpcds):
     return _executors(tpcds)
 
 
 class TestFactFact:
     @pytest.mark.parametrize("name", ["q11", "q12", "q13", "q14"])
     @pytest.mark.parametrize("kind", ["exact", "quickr"])
-    def test_built_unbuilt_and_parallel_agree(
-        self, tpcds, unbuilt_executors, built_executors, monkeypatch, name, kind
-    ):
+    def test_built_unbuilt_and_parallel_agree(self, tpcds, executors, name, kind):
+        """Serial and every pool and degree give the built answer, the
+        oracle's. q11 Quickr's distinct sampler draws its strata per
+        partition, so each degree's answer is another sample: the same on
+        either pool."""
         plan = _planned(tpcds, name, kind)
-
-        def digests(executors):
-            out = {}
-            for (pool, degree), executor in executors.items():
-                result = executor.execute(plan)
-                assert (result.parallel is not None) == (degree > 1)
-                out[pool, degree] = table_digest(result.table)
-            return out
-
-        unbuilt = digests(unbuilt_executors)
-        monkeypatch.setattr(physical_module, "_find_unbuilt_joins", lambda ops: frozenset())
-        monkeypatch.setattr(parallel_executor, "_ships_matches", lambda *args: False)
-        assert digests(built_executors) == unbuilt
-        # q11's distinct sampler draws its strata per partition: each
-        # degree's answer is another sample, the same built or unbuilt.
-        if (name, kind) != ("q11", "quickr"):
-            assert len(set(unbuilt.values())) == 1
+        digests = {}
+        for (pool, degree), executor in executors.items():
+            result = executor.execute(plan)
+            assert (result.parallel is not None) == (degree > 1)
+            digests[pool, degree] = table_digest(result.table)
+        assert digests["serial", 1] == table_digest(reference_run(tpcds, plan)[0])
+        if (name, kind) == ("q11", "quickr"):
+            for degree in (2, 3):
+                assert digests["thread", degree] == digests["process", degree]
+        else:
+            assert len(set(digests.values())) == 1
 
     @pytest.mark.parametrize("name", ["q12", "q14"])
-    def test_quickr_fan_out_keyed_on_the_build_key_is_unbuilt(self, tpcds, name):
+    def test_quickr_fan_out_keyed_on_the_build_key_is_unbuilt(self, tpcds, monkeypatch, name):
         """Quickr's universe variance keys on ``cs_bill_customer_sk``, the
         build side's join key: it reads as ``ss_customer_sk``."""
         physical, _ = Executor(tpcds).compile(_planned(tpcds, name, "quickr"))
         top = physical.ops[-1].child_slots[0]
         assert physical.ops[top].opcode == "join"
-        assert top in physical.unbuilt_joins
+        probe_rows, real = [], JoinedRows.probe_rows
+        monkeypatch.setattr(
+            JoinedRows, "probe_rows",
+            lambda self, names: probe_rows.append(real(self, names)) or probe_rows[-1],
+        )
+        _, lazy = lazy_joins(physical, tpcds)
+        assert lazy[-1]
+        assert len(probe_rows) == 1 and probe_rows[0] is not None
 
     def test_parallel_quickr_q14_ships_matches(self, tpcds, monkeypatch):
-        shipped, real = [], parallel_executor._ships_matches
+        merged, real = [], parallel_executor.merge_matches
         monkeypatch.setattr(
-            parallel_executor, "_ships_matches", lambda *a: shipped.append(real(*a)) or shipped[-1]
+            parallel_executor, "merge_matches", lambda *a: merged.append(1) or real(*a)
         )
         plan = _planned(tpcds, "q14", "quickr")
         serial = Executor(tpcds).execute(plan)
         parallel = Executor(tpcds, parallelism=2, parallel_options=ParallelOptions(
             pool="thread", min_partition_rows=1_000,
         )).execute(plan)
-        assert shipped == [True]
+        assert merged == [1]
         assert table_digest(parallel.table) == table_digest(serial.table)
 
 

@@ -1,16 +1,17 @@
 """An aggregate over an inner join reads the join's matches, not its output.
 
-When some probe row matches more than once, the join hands the aggregate
-a :class:`JoinedRows`: the probe rows that match plus a match count for
-each. The aggregate finds groups and pairs on those probe rows and
-repeats them. The bar is the built pair:
-``execute_join`` then ``execute_aggregate`` must give the same bits, on
-every key kind, weight placement and aggregate kind. A compiled plan must
-also record the same cardinalities and operator rows, and be charged the
-same bytes. Shapes that key on a build column keep the built join.
+When some probe row matches more than once, the join is left lazy: it
+hands its reader a :class:`JoinedRows`, the probe rows that match plus a
+match count for each. The aggregate finds groups and pairs on those probe
+rows and repeats them. The bar is the built pair: the join built, then
+``execute_aggregate``, must give the same bits, on every key kind, weight
+placement and aggregate kind. A compiled plan must also record the same
+cardinalities and operator rows as the recursive oracle, which builds
+every join, and be charged the same bytes. Shapes that key on a build
+column read the lazy join per output row.
 """
 
-import dataclasses
+import time
 
 import numpy as np
 import pytest
@@ -28,14 +29,15 @@ from repro.engine import operators
 from repro.engine.aggregate import key_columns
 from repro.engine.executor import Executor
 from repro.engine.governance import GovernanceContext
-from repro.engine.operators import (
-    JoinedRows, execute_aggregate, execute_join, execute_join_unbuilt,
-)
+from repro.engine.operators import JoinedRows, execute_aggregate, execute_join
 from repro.engine.physical import compile_plan
 from repro.engine.table import WEIGHT_COLUMN, Database, Table
 from repro.errors import BudgetExceeded, SchemaError
+from repro.obs.trace import Tracer, pop_override, push_override
 from repro.parallel import ParallelOptions
 from repro.service.protocol import table_digest
+from tests.engine.test_compiled_equivalence import reference_run
+from tests.engine.test_keys import ref_join
 
 
 def assert_same_bits(got: Table, want: Table):
@@ -91,18 +93,17 @@ ALL_KINDS = (
 
 
 def both(left, right, group_by, aggs, left_keys=("lk",), right_keys=("rk",), probe=True, **how):
-    """The unbuilt step's answer, after checking it bit for bit against the
+    """The lazy step's answer, after checking it bit for bit against the
     built join then aggregate; ``probe`` says whether groups and pairs are
     expected to be found on the probe rows (no NaN in a key column)."""
     columns = left.data_column_names() + right.data_column_names()
-    built = execute_join(left, right, left_keys, right_keys, "inner", columns)
-    joined = execute_join_unbuilt(left, right, left_keys, right_keys, columns)
+    joined = execute_join(left, right, left_keys, right_keys, "inner", columns)
+    built = ref_join(left, right, left_keys, right_keys, "inner", columns)
     assert joined.num_rows == built.num_rows
     assert joined.estimated_bytes() == built.estimated_bytes()
     assert dict(joined.dictionaries()).keys() == dict(built.dictionaries()).keys()
-    if isinstance(joined, Table):  # no probe row matches twice
-        assert_same_bits(joined, built)
-    else:
+    assert_same_bits(joined.built(), built)
+    if not isinstance(joined, Table):  # some probe row matches twice
         names = key_columns(group_by, aggs)
         assert (joined.probe_rows(names or ()) is not None) == (probe and bool(names))
     want = execute_aggregate(built, group_by, aggs, **how)
@@ -156,13 +157,13 @@ class TestOperatorPair:
         for unique, kind in [(True, Table), (False, JoinedRows)]:
             left, right = sides(unique=unique)
             columns = left.data_column_names() + right.data_column_names()
-            assert type(execute_join_unbuilt(left, right, ["lk"], ["rk"], columns)) is kind
+            assert type(execute_join(left, right, ["lk"], ["rk"], "inner", columns)) is kind
 
     def test_probe_rows_without_a_match(self):
         left, right = sides(span=600, n_right=25, unique=True)
         right = right.take(np.repeat(np.arange(25), 2))  # every build key twice
         columns = left.data_column_names() + right.data_column_names()
-        joined = execute_join_unbuilt(left, right, ["lk"], ["rk"], columns)
+        joined = execute_join(left, right, ["lk"], ["rk"], "inner", columns)
         assert isinstance(joined, JoinedRows)
         assert 0 < joined.num_probe_rows < left.num_rows / 4
         both(left, right, ("g",), ALL_KINDS)
@@ -220,17 +221,17 @@ class TestOperatorPair:
         both(left, right.with_columns({"__rid001__": np.arange(right.num_rows)}), ("g",), ALL_KINDS)
         clash = right.with_columns({"__rid000__": np.arange(right.num_rows)})
         with pytest.raises(SchemaError, match="lineage"):
-            execute_join_unbuilt(left, clash, ["lk"], ["rk"], ["g"])
+            execute_join(left, clash, ["lk"], ["rk"], "inner", ["g"])
 
     def test_build_indices_only_for_a_build_column(self, monkeypatch):
         left, right = sides()
         built = []
-        real = operators._Matches.build_index
+        real = operators._KeyMatches.build_index
         monkeypatch.setattr(
-            operators._Matches, "build_index", lambda self: built.append(1) or real(self)
+            operators._KeyMatches, "build_index", lambda self: built.append(1) or real(self)
         )
         columns = left.data_column_names() + right.data_column_names()
-        joined = execute_join_unbuilt(left, right, ["lk"], ["rk"], columns)
+        joined = execute_join(left, right, ["lk"], ["rk"], "inner", columns)
         assert isinstance(joined, JoinedRows)
         execute_aggregate(joined, ("g", "h"), (sum_(col("x"), "s"), count_distinct(col("c"), "d")))
         assert built == []
@@ -265,8 +266,8 @@ class TestProperty:
             universe_variance=(universe, 0.25) if universe else None,
             universe_rescale={"dc": 4.0} if universe else None,
         )
-        built = execute_join(left, right, ["lk"], ["rk"], "inner", columns)
-        joined = execute_join_unbuilt(left, right, ["lk"], ["rk"], columns)
+        joined = execute_join(left, right, ["lk"], ["rk"], "inner", columns)
+        built = ref_join(left, right, ["lk"], ["rk"], "inner", columns)
         assert_same_bits(
             execute_aggregate(joined, group_by, aggs, **how),
             execute_aggregate(built, group_by, aggs, **how),
@@ -292,21 +293,20 @@ def plan_of(db, group_by, aggs, how="inner", weighted=None):
     return WeightedAggregate(joined.node, group_by, aggs, **weighted)
 
 
-def run_both_ways(physical, db, **kwargs):
-    """(unbuilt run, built run) of one compiled plan: the plan as compiled,
-    and the same plan with no join left unbuilt."""
-    built = dataclasses.replace(physical, unbuilt_joins=frozenset())
-    return (
-        physical.execute(db, record_metrics=True, **kwargs),
-        built.execute(db, record_metrics=True, **kwargs),
-    )
-
-
-def metric_rows(metrics):
-    return [
-        (m.address, m.description, m.rows_in, m.rows_out, m.coded, m.sampler)
-        for m in metrics
+def traced(physical, db, **kwargs):
+    """One traced run with metrics: ``(table, cardinalities, metrics)``
+    and the ``op.join`` and ``op.aggregate`` spans' attributes."""
+    tracer = Tracer()
+    run = physical.execute(db, record_metrics=True, tracer=tracer, **kwargs)
+    return run, [
+        (span.name, span.attributes)
+        for span in tracer.spans if span.name in ("op.join", "op.aggregate")
     ]
+
+
+def built_join(db, join):
+    """The compiled plan's join over its two scans, built."""
+    return ref_join(db.table("l"), db.table("r"), ["lk"], ["rk"], join.node.how, join.columns)
 
 
 class TestCompiledPlans:
@@ -315,26 +315,33 @@ class TestCompiledPlans:
         "compute_ci": True, "universe_rescale": {"dc": 3.0}, "universe_variance": (("c",), 0.3),
     }])
     def test_same_table_cardinalities_and_operator_rows(self, two_tables, group_by, weighted):
-        physical = compile_plan(plan_of(two_tables, group_by, ALL_KINDS, weighted=weighted), two_tables)
+        plan = plan_of(two_tables, group_by, ALL_KINDS, weighted=weighted)
+        physical = compile_plan(plan, two_tables)
         (join,) = [op for op in physical.ops if op.opcode == "join"]
-        assert physical.unbuilt_joins == {join.index}
-        (got, got_cards, got_ops), (want, want_cards, want_ops) = run_both_ways(
-            physical, two_tables
-        )
+        (got, got_cards, got_ops), spans = traced(physical, two_tables)
+        assert "probe_rows" in spans[0][1]
+        want, want_cards = reference_run(two_tables, plan)
         assert_same_bits(got, want)
         assert got_cards == want_cards
-        assert metric_rows(got_ops) == metric_rows(want_ops)
-        direct = execute_aggregate(
-            execute_join(two_tables.table("l"), two_tables.table("r"), ["lk"], ["rk"],
-                         columns=join.columns),
-            group_by, ALL_KINDS, *physical.ops[-1].estimation,
-        )
+        built = built_join(two_tables, join)
+        reads = {"l": two_tables.table("l").num_rows, "r": two_tables.table("r").num_rows}
+        assert [(m.address, m.rows_in, m.rows_out) for m in got_ops] == [
+            (op.address, reads[op.node.table] if op.opcode == "scan"
+             else sum(want_cards[physical.ops[i].address] for i in op.child_slots),
+             want_cards[op.address])
+            for op in physical.ops
+        ]
+        assert got_ops[join.index].coded == len(built.dictionaries())
+        direct = execute_aggregate(built, group_by, ALL_KINDS, *physical.ops[-1].estimation)
         assert_same_bits(got, direct)
 
     @pytest.mark.parametrize("shape", [
         "build-group", "build-distinct", "build-universe", "computed-distinct", "left-outer",
     ])
     def test_shapes_that_key_on_the_build_side_keep_the_built_join(self, two_tables, shape):
+        """An aggregate keyed on a build column, or on a computed value,
+        reads the lazy join per output row: the built join's bits. An
+        outer join, whose fill rows no probe row stands for, is built."""
         group_by, aggs, how, weighted = ("g",), ALL_KINDS, "inner", None
         if shape == "build-group":
             group_by = ("g", "b")
@@ -346,10 +353,16 @@ class TestCompiledPlans:
             aggs = (count_distinct(col("c") * 2, "d2"), count("n"))
         else:
             how = "left"
-        physical = compile_plan(plan_of(two_tables, group_by, aggs, how, weighted), two_tables)
-        assert physical.unbuilt_joins == frozenset()
+        plan = plan_of(two_tables, group_by, aggs, how, weighted)
+        (got, got_cards, _), spans = traced(compile_plan(plan, two_tables), two_tables)
+        assert ("probe_rows" in spans[0][1]) == (how == "inner")
+        want, want_cards = reference_run(two_tables, plan)
+        assert_same_bits(got, want)
+        assert got_cards == want_cards
 
-    def test_only_the_join_right_below_an_aggregate(self, two_tables):
+    def test_only_the_join_right_below_an_aggregate(self, two_tables, monkeypatch):
+        """A select reads rows: the join below it fans out and is left
+        lazy, and the select builds it."""
         plan = (
             scan(two_tables, "l")
             .join(scan(two_tables, "r"), on=[("lk", "rk")])
@@ -359,45 +372,52 @@ class TestCompiledPlans:
             .build("filtered")
             .plan
         )
-        assert compile_plan(plan, two_tables).unbuilt_joins == frozenset()
+        built, real = [], JoinedRows.built
+        monkeypatch.setattr(JoinedRows, "built", lambda self: built.append(1) or real(self))
+        (got, _, _), spans = traced(compile_plan(plan, two_tables), two_tables)
+        assert "probe_rows" in spans[0][1]
+        assert built == [1]
+        monkeypatch.undo()
+        assert_same_bits(got, reference_run(two_tables, plan)[0])
 
-    def test_override_at_or_below_the_join_builds_it(self, two_tables, monkeypatch):
-        physical = compile_plan(plan_of(two_tables, ("g",), ALL_KINDS), two_tables)
-        want, _, _ = physical.execute(two_tables)
-        join_address = (0,)
-        join_output, _, _ = compile_plan(physical.logical.child, two_tables).execute(two_tables)
-        unbuilt = []
-        real = operators.execute_join_unbuilt
-        monkeypatch.setattr(
-            operators, "execute_join_unbuilt", lambda *a: unbuilt.append(1) or real(*a)
-        )
-        for address, table in [
-            (join_address, join_output),
-            ((0, 0), two_tables.table("l")),
-            ((0, 1), two_tables.table("r")),
-        ]:
-            got, cards, _ = physical.execute(two_tables, overrides={address: table})
-            assert_same_bits(got, want)
-            assert cards[join_address] == join_output.num_rows
-        assert unbuilt == []
-        physical.execute(two_tables)
-        assert unbuilt == [1]
+    def test_a_lazy_root_is_built_within_the_timed_execute(self, two_tables, monkeypatch):
+        """A fan-out join at the plan's root is built once, inside the
+        query's ``query.execute`` span: the span, the query's seconds and
+        the ``executor.execute_seconds`` histogram all count the build."""
+        plan = scan(two_tables, "l").join(scan(two_tables, "r"), on=[("lk", "rk")]).node
+        built, real = [], JoinedRows.built
+
+        def slow_build(self):
+            built.append(1)
+            time.sleep(0.05)
+            return real(self)
+
+        monkeypatch.setattr(JoinedRows, "built", slow_build)
+        executor, tracer = Executor(two_tables), Tracer()
+        previous = push_override(tracer)
+        try:
+            result = executor.execute(plan)
+        finally:
+            pop_override(previous)
+        assert built == [1]
+        (span,) = tracer.find("query.execute")
+        (join,) = tracer.find("op.join")
+        assert "probe_rows" in join.attributes
+        assert span.duration_ns >= 50_000_000
+        assert result.wall_clock_seconds >= 0.05
+        assert executor.registry.histogram("executor.execute_seconds").snapshot()["sum"] >= 0.05
+        monkeypatch.undo()
+        assert_same_bits(result.table, reference_run(two_tables, plan)[0])
 
     def test_traced_join_span_reports_the_built_bytes(self, two_tables):
-        from repro.obs.trace import Tracer
-
         physical = compile_plan(plan_of(two_tables, ("h",), ALL_KINDS), two_tables)
-        spans = []
-        for build in (False, True):
-            tracer = Tracer()
-            plan = dataclasses.replace(physical, unbuilt_joins=frozenset()) if build else physical
-            plan.execute(two_tables, tracer=tracer)
-            spans.append([
-                (span.name, span.attributes)
-                for span in tracer.spans if span.name in ("op.join", "op.aggregate")
-            ])
-        assert spans[0] == spans[1]
-        assert spans[0][0][0] == "op.join" and spans[0][0][1]["bytes"] > 0
+        (join,) = [op for op in physical.ops if op.opcode == "join"]
+        built = built_join(two_tables, join)
+        _, [(name, attributes), (_, aggregate)] = traced(physical, two_tables)
+        assert name == "op.join" and attributes["bytes"] == built.estimated_bytes() > 0
+        assert attributes["rows_out"] == aggregate["rows_in"] == built.num_rows
+        assert attributes["coded"] == len(built.dictionaries())
+        assert 0 < attributes["probe_rows"] < built.num_rows
 
 
 # -- the paper's Fig. 1 query -------------------------------------------------
@@ -419,24 +439,30 @@ def planned(db, name, kind):
 
 
 class TestGovernance:
-    def test_budget_only_the_join_output_exceeds(self, tpcds):
-        """q12 exact: the budget one byte under the built plan's peak, which
-        its top join's output sets. Both ways raise at that store, and the
-        contract saw the same peak."""
+    def test_budget_only_the_join_output_exceeds(self, tpcds, monkeypatch):
+        """q12 exact: the budget one byte under the plan's peak, which its
+        top join's output sets, charged as the table it would have built.
+        The run raises at that store, and the contract saw the peak."""
         physical = compile_plan(planned(tpcds, "q12", "exact"), tpcds)
-        assert physical.unbuilt_joins
-        built = dataclasses.replace(physical, unbuilt_joins=frozenset())
+        outputs, real = [], operators.execute_join
+        monkeypatch.setattr(
+            operators, "execute_join", lambda *a: outputs.append(real(*a)) or outputs[-1]
+        )
         free = GovernanceContext()
-        built.execute(tpcds, governance=free)
-        peaks, errors = [], []
-        for plan in (physical, built):
-            governance = GovernanceContext(memory_budget_bytes=free.peak_live_bytes - 1)
-            with pytest.raises(BudgetExceeded) as raised:
-                plan.execute(tpcds, governance=governance)
-            peaks.append(governance.peak_live_bytes)
-            errors.append(str(raised.value))
-        assert peaks == [free.peak_live_bytes] * 2
-        assert errors[0] == errors[1]
+        physical.execute(tpcds, governance=free)
+        top = outputs[-1]
+        assert isinstance(top, JoinedRows)
+        built_bytes = top.built().estimated_bytes()
+        assert free.peak_live_bytes == built_bytes
+        budget = built_bytes - 1
+        governance = GovernanceContext(memory_budget_bytes=budget)
+        with pytest.raises(BudgetExceeded) as raised:
+            physical.execute(tpcds, governance=governance)
+        assert governance.peak_live_bytes == built_bytes
+        assert str(raised.value) == (
+            f"live intermediate state {built_bytes} bytes exceeds the memory budget "
+            f"{budget} bytes"
+        )
         unbounded = GovernanceContext()
         physical.execute(tpcds, governance=unbounded)
         assert unbounded.peak_live_bytes == free.peak_live_bytes

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from repro.engine import keys, operators
 from repro.engine.keys import FIRST_ROW_PREFIX, first_appearance_codes, group_codes, pack_keys
 from repro.engine.operators import execute_join
-from repro.engine.table import Table
+from repro.engine.table import WEIGHT_COLUMN, Table, rowid_column_name
 from repro.samplers import distinct
 from repro.samplers.distinct import DistinctSpec
 
@@ -97,10 +97,10 @@ def join_sides(draw):
 
 
 def ref_match_pairs(left_key, right_key, span):
-    """``operators._match_pairs`` as it was before unique build sides were
+    """The join pairs as they were made before unique build sides were
     probed through a position table: every join stable-sorts its right
     keys and expands the matches with three ``repeat``s. Kept verbatim as
-    the reference the shipped one must equal, dtypes included."""
+    the reference the probe kernel must equal, dtypes included."""
     order = keys.stable_argsort(right_key)
     if keys.dense_span(span, len(left_key) + len(right_key)):
         per_key = np.bincount(right_key, minlength=span)
@@ -119,19 +119,39 @@ def ref_match_pairs(left_key, right_key, span):
     return left_idx, right_idx
 
 
+def ref_join(left, right, left_keys, right_keys, how="inner", columns=None):
+    """The join built from :func:`ref_match_pairs`, as joins were built
+    before any was left lazy: the reference a lazy join's ``built()`` and
+    every join the oracle executor runs are held to."""
+    packed = operators._join_keys(left, right, left_keys, right_keys)
+    return operators._joined_table(left, right, *ref_match_pairs(*packed), how, columns)
+
+
+def kernel_pairs(left_key, right_key, span):
+    """All (left, right) row pairs with equal keys, from the one probe
+    kernel every join runs: in left-row order and, per left row, in
+    right-row order."""
+    rows, counts, matches = operators._KeyMatches.probe(left_key, right_key, span)
+    return (rows if counts is None else np.repeat(rows, counts)), matches.build_index()
+
+
 #: Far past ``dense_span``'s 65536 floor: joins over these take the sort.
 SPARSE = 1 << 40
 
 
 @st.composite
-def unique_build_sides(draw):
+def build_sides(draw, unique=True):
     """Left and right key columns where the right (build) keys are unique,
-    as a dimension's are: on a dense or a sparse span, either side possibly
-    empty, and NaN keys on either side (a right side with two NaNs is no
-    longer unique: they share the code NaNs are parked on)."""
+    as a dimension's are, or (``unique=False``) repeat: on a dense or a
+    sparse span, either side possibly empty, and NaN keys on either side (a
+    right side with two NaNs is no longer unique: they share the code NaNs
+    are parked on)."""
     how = draw(st.sampled_from(["inner", "left", "right"]))
     values = st.integers(0, SPARSE) if draw(st.booleans()) else st.integers(-20, 40)
     right = draw(st.lists(values, max_size=30, unique=True))
+    if not unique and right:
+        right += draw(st.lists(st.sampled_from(right), min_size=1, max_size=30))
+        right = draw(st.permutations(right))
     probe = st.one_of(values, st.sampled_from(right)) if right else values
     left = draw(st.lists(probe, max_size=30))
     left, right = np.asarray(left, dtype=np.int64), np.asarray(right, dtype=np.int64)
@@ -141,6 +161,70 @@ def unique_build_sides(draw):
             if len(side):
                 side[draw(st.lists(st.integers(0, len(side) - 1), max_size=most))] = np.nan
     return left, right, how
+
+
+#: One dictionary both sides' coded keys share: a build key column then
+#: reads the same off its probe partner.
+CODES = np.array([f"v{i:02d}" for i in range(41)])
+
+
+@st.composite
+def lazy_chains(draw):
+    """A probe table ``l`` and build tables ``r`` and ``s``, joined ``l ⋈ r``
+    on ``k = rk``, then ``s`` on ``m = sk``, with the columns each join
+    carries: build keys that repeat, on a dense or a sparse span, plain or
+    coded under one shared dictionary; build keys carried or not (one of
+    the probe key's dtype and dictionary reads its probe partner); any side
+    weighted or not. Half the chains carry no column, lineage or weight of
+    ``r`` through the lower join: the upper one then stacks on its probe
+    rows."""
+    domain = draw(st.sampled_from(["dense", "sparse", "coded"]))
+    values = st.integers(0, SPARSE) if domain == "sparse" else st.integers(0, 40)
+    pool = draw(st.lists(values, min_size=1, max_size=4, unique=True))
+    stacked = draw(st.booleans())
+    probe = st.one_of(st.sampled_from(pool), values)
+    pairs = draw(st.lists(st.tuples(probe, probe), max_size=30))
+    rk = draw(st.lists(st.sampled_from(pool), max_size=30))
+    sk = draw(st.lists(st.sampled_from(pool), max_size=20))
+    build_dtype = np.int64 if domain == "sparse" else draw(st.sampled_from([np.int64, np.int32]))
+
+    def table(name, columns, ordinal, plain=False):
+        columns = {c: np.asarray(v) for c, v in columns.items()}
+        n = len(next(iter(columns.values())))
+        if not plain and draw(st.booleans()):
+            columns[rowid_column_name(ordinal)] = np.arange(n, dtype=np.int64)
+        if not plain and draw(st.booleans()):
+            columns[WEIGHT_COLUMN] = np.asarray(
+                draw(st.lists(st.floats(0.5, 8.0), min_size=n, max_size=n)), dtype=np.float64
+            )
+        keys = {c: CODES for c in columns if c in ("k", "m", "rk", "sk")}
+        return Table(name, columns, keys if domain == "coded" else {})
+
+    k, m = (np.asarray([p[i] for p in pairs], dtype=np.int64) for i in (0, 1))
+    left = table("l", {"k": k, "m": m, "x": np.arange(len(k)) * 0.5}, 0)
+    rk, sk = np.asarray(rk, dtype=build_dtype), np.asarray(sk, dtype=build_dtype)
+    right = table("r", {"rk": rk, "b": np.arange(len(rk)) * 10}, 1, plain=stacked)
+    third = table("s", {"sk": sk, "c": np.arange(len(sk)) * 100}, 2)
+
+    def carried(names):
+        return [name for name in names if draw(st.booleans())]
+
+    lower = [c for c in ("k", "m", "x") if c == "m" or c in carried(["k", "x"])]
+    lower += [] if stacked else carried(["rk", "b"])
+    upper = carried(lower) + carried(["sk", "c"]) or ["m"]
+    return left, right, third, lower, upper, draw(st.sampled_from(["inner", "left", "right"]))
+
+
+def assert_table_bits(got, want):
+    """The two tables hold the same columns, dictionaries and bits."""
+    assert got.column_names == want.column_names
+    assert got.num_rows == want.num_rows
+    for name in want.column_names:
+        g, w = got.key_column(name), want.key_column(name)
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), name
+    assert got.dictionaries().keys() == want.dictionaries().keys()
+    for name, values in want.dictionaries().items():
+        np.testing.assert_array_equal(got.dictionaries()[name], values)
 
 
 def ref_first_appearance_codes(arrays):
@@ -312,32 +396,27 @@ class TestJoinPairs:
         out = execute_join(left, right, ["k"], ["j"])
         assert list(zip(out.column("lid"), out.column("rid"))) == [(0, 1), (2, 0)]
 
-    @given(sides=unique_build_sides())
+    @given(sides=build_sides())
     @settings(max_examples=300, deadline=None)
     def test_unique_build_side_matches_the_sorting_matcher(self, sides):
-        left_key, right_key, how = sides
-        left = Table("l", {"k": left_key, "lid": np.arange(len(left_key))})
-        right = Table("r", {"j": right_key, "rid": np.arange(len(right_key))})
-        packed = operators._join_keys(left, right, ["k"], ["j"])
-        for got, want in zip(operators._match_pairs(*packed), ref_match_pairs(*packed)):
-            np.testing.assert_array_equal(got, want)
-            assert got.dtype == want.dtype
-        out = execute_join(left, right, ["k"], ["j"], how=how)
-        got = [
-            (-1 if np.isnan(i) else int(i), -1 if np.isnan(j) else int(j))
-            for i, j in zip(out.column("lid").astype(float), out.column("rid").astype(float))
-        ]
-        want = ref_join_pairs([left_key], [right_key])
-        assert got == outer_ids(want, len(left_key), len(right_key), how)
+        assert_kernel_pairs(*sides)
+
+    @given(sides=build_sides(unique=False))
+    @settings(max_examples=300, deadline=None)
+    def test_duplicate_build_side_matches_the_sorting_matcher(self, sides):
+        assert_kernel_pairs(*sides)
 
     @pytest.mark.parametrize("span, duplicates, sorts, calls", [
         # A unique build side on a dense span: one position table, no sort.
         (1_000, False, 0, {"full": 1, "repeat": 0, "searchsorted": 0}),
         # On a sparse one: the sort, then one searchsorted and no repeat.
         (SPARSE, False, 1, {"full": 0, "repeat": 0, "searchsorted": 1}),
-        # Duplicate build keys: the sort and two repeats, either span.
-        (1_000, True, 1, {"full": 0, "repeat": 2, "searchsorted": 0}),
-        (SPARSE, True, 1, {"full": 0, "repeat": 2, "searchsorted": 2}),
+        # Duplicate build keys, counted per key: the build rows sorted by
+        # key and one repeat make the pairs...
+        (1_000, True, 1, {"full": 0, "repeat": 1, "searchsorted": 0}),
+        # ... and on a sparse span the same sort counted the keys, which
+        # one searchsorted finds each probe key among.
+        (SPARSE, True, 1, {"full": 0, "repeat": 1, "searchsorted": 1}),
     ])
     def test_probe_path_by_build_side(self, monkeypatch, span, duplicates, sorts, calls):
         rng = np.random.default_rng(4)
@@ -345,19 +424,43 @@ class TestJoinPairs:
         if duplicates:
             right_key[::3] = right_key[0]
         left_key = np.concatenate([rng.choice(right_key, 600), rng.integers(0, span, 200)])
+        left = Table("l", {"k": left_key, "lid": np.arange(len(left_key))})
+        right = Table("r", {"j": right_key, "rid": np.arange(len(right_key))})
+        want = ref_match_pairs(left_key, right_key, span)
+        for how in ("inner", "left", "right"):  # every kind reads the kernel's pairs
+            assert join_ids(left, right, how) == outer_ids(zip(*want), 800, 400, how)
         counted, sorted_sizes = collections.Counter(), []
         monkeypatch.setattr(operators, "np", CountingNumpy(counted))
         monkeypatch.setattr(
             operators, "stable_argsort",
             lambda values: sorted_sizes.append(len(values)) or keys.stable_argsort(values),
         )
-        got = operators._match_pairs(left_key, right_key, span)
-        want = ref_match_pairs(left_key, right_key, span)
+        got = kernel_pairs(left_key, right_key, span)
         for g, w in zip(got, want):
             np.testing.assert_array_equal(g, w)
             assert g.dtype == w.dtype
         assert len(sorted_sizes) == sorts
         assert {name: counted[name] for name in calls} == calls
+
+    @given(chain=lazy_chains())
+    @settings(max_examples=300, deadline=None)
+    def test_lazy_joins_build_the_reference_join(self, chain):
+        """A join's output, lazy or not, built, stacked on a lower lazy join
+        or not, is the join built from the reference pairs, bit for bit:
+        weights, dictionaries, lineage and build keys read off their probe
+        partners included; and a lazy one is charged the built bytes."""
+        left, right, third, lower, upper, how = chain
+        want = ref_join(left, right, ["k"], ["rk"], "inner", lower)
+        joined = execute_join(left, right, ["k"], ["rk"], "inner", lower)
+        assert joined.estimated_bytes() == want.estimated_bytes()
+        assert_table_bits(joined.built(), want)
+        want = ref_join(want, third, ["m"], ["sk"], how, upper)
+        joined = execute_join(
+            execute_join(left, right, ["k"], ["rk"], "inner", lower), third, ["m"], ["sk"], how,
+            upper,
+        )
+        assert joined.estimated_bytes() == want.estimated_bytes()
+        assert_table_bits(joined.built(), want)
 
     def test_star_sorts_only_duplicate_build_sides(self, monkeypatch):
         """The 20 `star` queries' exact plans at scale 0.05: every join
@@ -368,27 +471,49 @@ class TestJoinPairs:
 
         database = generate_tpcds(scale=0.05, seed=1)
         planner, executor = QuickrPlanner(database), Executor(database)
-        joins, sorts, match = [], [0], operators._match_pairs
+        joins, sorted_sizes, probe = [], [], operators._KeyMatches.probe
 
         def counting_sort(values):
-            sorts[0] += 1
+            sorted_sizes.append(len(values))
             return keys.stable_argsort(values)
 
-        def recording(left_key, right_key, span):
-            before = sorts[0]
-            pairs = match(left_key, right_key, span)
-            duplicates = len(np.unique(right_key)) < len(right_key)
-            joins.append((duplicates, sorts[0] > before))
-            return pairs
+        def recording(left_key, right_key, span, copies=None):
+            joins.append((len(np.unique(right_key)) < len(right_key), len(right_key)))
+            return probe(left_key, right_key, span, copies)
 
         monkeypatch.setattr(operators, "stable_argsort", counting_sort)
-        monkeypatch.setattr(operators, "_match_pairs", recording)
+        monkeypatch.setattr(operators._KeyMatches, "probe", recording)
         star = sorted(set(QUERY_BUILDERS) - {"q11", "q12", "q13", "q14"})
         assert len(star) == 20
         for name in star:
             executor.execute(planner.plan_baseline(query_by_name(database, name)).plan)
-        assert [sorted_ for _, sorted_ in joins] == [duplicates for duplicates, _ in joins]
+        # Every sort is of a build side whose keys repeat, at most once each.
+        duplicated = collections.Counter(size for duplicates, size in joins if duplicates)
+        assert not collections.Counter(sorted_sizes) - duplicated
         assert sum(not duplicates for duplicates, _ in joins) >= 25
+
+
+def assert_kernel_pairs(left_key, right_key, how):
+    """The kernel's pairs are the sorting matcher's, and ``how``'s join
+    reads its pairs from them."""
+    left = Table("l", {"k": left_key, "lid": np.arange(len(left_key))})
+    right = Table("r", {"j": right_key, "rid": np.arange(len(right_key))})
+    packed = operators._join_keys(left, right, ["k"], ["j"])
+    for got, want in zip(kernel_pairs(*packed), ref_match_pairs(*packed)):
+        np.testing.assert_array_equal(got, want)
+        assert got.dtype == want.dtype
+    want = ref_join_pairs([left_key], [right_key])
+    assert join_ids(left, right, how) == outer_ids(want, len(left_key), len(right_key), how)
+
+
+def join_ids(left, right, how):
+    """The (lid, rid) row-id pairs of ``execute_join``'s output, -1 for a
+    fill row's absent partner."""
+    out = execute_join(left, right, ["k"], ["j"], how=how).built()
+    return [
+        (-1 if np.isnan(i) else int(i), -1 if np.isnan(j) else int(j))
+        for i, j in zip(out.column("lid").astype(float), out.column("rid").astype(float))
+    ]
 
 
 class CountingNumpy:

@@ -51,7 +51,8 @@ def narrowed_equals_oracle(plan, database, context):
         needed = required[address]
         assert needed, f"{context}@{address}: a node must keep a column"
         assert set(needed) <= set(node.output_columns()), f"{context}@{address}"
-        table, _, _ = compile_plan(node, database, root_required=needed).execute(database)
+        output, _, _ = compile_plan(node, database, root_required=needed).execute(database)
+        table = output.built()
         assert declared(table) == needed, f"{context}@{address}"
         reference, _, _ = ReferenceExecutor(database).execute(node)
         assert table.num_rows == reference.num_rows, f"{context}@{address}"

@@ -68,7 +68,7 @@ class TestJoinEquivalence:
         sample_right = UniverseSpec(["j"], p, seed=seed, emit_weight=False).apply(right)
         joined_samples = operators.execute_join(sample_left, sample_right, ["k"], ["j"])
 
-        full_join = operators.execute_join(left, right, ["k"], ["j"])
+        full_join = operators.execute_join(left, right, ["k"], ["j"]).built()
         sampled_join = UniverseSpec(["k"], p, seed=seed).apply(full_join)
 
         assert joined_samples.num_rows == sampled_join.num_rows
@@ -111,7 +111,7 @@ class TestSignedZeroKeys:
         seed."""
         left = Table("l", {"k": np.array([0.0, -0.0, 1.5, 2.5] * 25), "v": np.arange(100.0)})
         right = Table("r", {"j": np.array([-0.0, 1.5, 0.0, 3.5] * 5), "w": np.arange(20.0)})
-        full_join = operators.execute_join(left, right, ["k"], ["j"])
+        full_join = operators.execute_join(left, right, ["k"], ["j"]).built()
         kept_zero = 0
         for seed in range(40):
             sl = UniverseSpec(["k"], 0.5, seed=seed).apply(left)
@@ -155,7 +155,7 @@ class TestPartitionParallel:
         lparts = Partitioner(4, HASH, ("k",), seed=123).split(left)
         rparts = Partitioner(4, HASH, ("j",), seed=123).split(right)
         pieces = [
-            operators.execute_join(spec_l.apply(lp), spec_r.apply(rp), ["k"], ["j"])
+            operators.execute_join(spec_l.apply(lp), spec_r.apply(rp), ["k"], ["j"]).built()
             for lp, rp in zip(lparts, rparts)
         ]
         union = Table.concat(pieces)

@@ -85,7 +85,7 @@ class TestSamplerInvariants:
             ["j"],
         )
         joined_then_sampled = UniverseSpec(["k"], p, seed=seed).apply(
-            operators.execute_join(table, right, ["k"], ["j"])
+            operators.execute_join(table, right, ["k"], ["j"]).built()
         )
         assert sampled_then_joined.num_rows == joined_then_sampled.num_rows
 
